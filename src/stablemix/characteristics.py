@@ -336,8 +336,8 @@ def _prokhorov_one_sided(
     k = int(mu_locs.size)
     if k == 0:
         return 0.0
-    upper = nu_cum[np.searchsorted(nu_locs, mu_locs + eps, side="right")]
-    closed = upper - nu_cum[np.searchsorted(nu_locs, mu_locs - eps, side="left")]
+    upper = nu_cum[nu_locs.searchsorted(mu_locs + eps, side="right")]
+    closed = upper - nu_cum[nu_locs.searchsorted(mu_locs - eps, side="left")]
     locs = mu_locs.tolist()
     masses = mu_masses.tolist()
     up = upper.tolist()
@@ -380,10 +380,22 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     every union A of atoms; one-dimensional atomic measures make that check
     a dynamic program over atoms in location order.
     """
-    if mu.atoms == nu.atoms:
+    return _prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses)
+
+
+def _prokhorov_arrays(
+    mu_locs: np.ndarray,
+    mu_masses: np.ndarray,
+    nu_locs: np.ndarray,
+    nu_masses: np.ndarray,
+) -> float:
+    """:func:`prokhorov_distance` on canonical (sorted, positive) atom arrays."""
+    if (
+        mu_locs.shape == nu_locs.shape
+        and (mu_locs == nu_locs).all()
+        and (mu_masses == nu_masses).all()
+    ):
         return 0.0
-    mu_locs, mu_masses = mu.locations, mu.masses
-    nu_locs, nu_masses = nu.locations, nu.masses
     mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
     nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
 
@@ -392,8 +404,10 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
             return False
         return _prokhorov_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps) <= eps
 
-    lo = abs(mu.total_mass - nu.total_mass)
-    hi = max(mu.total_mass, nu.total_mass, lo)
+    mu_total = float(mu_masses.sum())
+    nu_total = float(nu_masses.sum())
+    lo = abs(mu_total - nu_total)
+    hi = max(mu_total, nu_total, lo)
     if hi == 0.0:
         return 0.0
     if feasible(lo):
@@ -405,13 +419,6 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
         else:
             lo = mid
     return hi
-
-
-def _restrict_by_radius(
-    locs: np.ndarray, masses: np.ndarray, abs_locs: np.ndarray, radius: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    keep = abs_locs < radius
-    return locs[keep], masses[keep]
 
 
 def dsharp(
@@ -442,11 +449,11 @@ def dsharp(
     nu_abs = np.abs(nu_locs)
 
     def d_at(radius: float) -> float:
-        m_l, m_m = _restrict_by_radius(mu_locs, mu_masses, mu_abs, radius)
-        n_l, n_m = _restrict_by_radius(nu_locs, nu_masses, nu_abs, radius)
-        restricted_mu = _measure_from_arrays(m_l, m_m)
-        restricted_nu = _measure_from_arrays(n_l, n_m)
-        return prokhorov_distance(restricted_mu, restricted_nu)
+        mu_keep = mu_abs < radius
+        nu_keep = nu_abs < radius
+        return _prokhorov_arrays(
+            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep]
+        )
 
     if quad_points > 0:
         nodes, weights = np.polynomial.legendre.leggauss(quad_points)
@@ -471,10 +478,6 @@ def dsharp(
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
     return total
-
-
-def _measure_from_arrays(locs: np.ndarray, masses: np.ndarray) -> AtomicMeasure:
-    return AtomicMeasure(tuple(zip(locs.tolist(), masses.tolist())))
 
 
 def stable_mixing_constant(alpha: float) -> float:

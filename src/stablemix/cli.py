@@ -513,7 +513,8 @@ def _report_payload(report: ScenarioReport) -> Dict[str, object]:
 
 def _write_json(path: Path, payload: Dict[str, object]) -> None:
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+        + "\n",
         encoding="utf-8",
     )
 
@@ -682,7 +683,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("criterion", help=f"one of: {', '.join(CRITERION_NAMES)}")
     check.add_argument("--config", required=True, help="path to a JSON config file")
     check.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    check.add_argument("--threads", type=int, default=None, help="worker cap; results are unchanged")
+    check.add_argument(
+        "--threads", type=int, default=None, help="has no effect; checkers run in one thread"
+    )
     check.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
     check.set_defaults(func=cmd_check)
 

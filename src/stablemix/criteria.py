@@ -24,6 +24,11 @@ distance between consecutive empirical laws (paired draws, so the
 comparison is sharp) falls below ``ks_tol``; one half or more is again a
 decisive failure.
 
+Each checker accepts a keyword-only ``panel`` holding the draws and the
+memo of per-draw quantities, so that several checkers run on the same
+law, norming, grid and seed compute each quantity once; a panel built
+for other arguments is rejected.
+
 Checkers that look for heavy-tailed limits fit a two-sided power shape
 to the discretized spectral measure of each draw and demand that the
 restriction-metric residual of the fit stays small, which is what rules
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,17 +176,27 @@ class _DrawPanel:
     Realizations are frozen dataclasses, hence hashable, so equal draws
     collapse to a single memo entry; an atom prior with two support
     points costs two quadratures per grid point no matter how many
-    replicates are requested.
+    replicates are requested. Memo keys name the quantity and its
+    parameters, so one panel can serve every checker of a scenario and
+    each quantity is computed once. The draws are made on first use.
     """
 
     def __init__(
         self, law: DirectingLaw, norming: NormingSequence, ngrid: NGrid, seed: int
     ) -> None:
+        self.law = law
         self.norming = norming
         self.ngrid = ngrid
-        self.draws = draw_replicates(law, seed, ngrid.replicates)
-        self.unique = list(dict.fromkeys(self.draws))
+        self.seed = seed
         self._memo: Dict[tuple, object] = {}
+
+    @cached_property
+    def draws(self) -> list:
+        return draw_replicates(self.law, self.seed, self.ngrid.replicates)
+
+    @cached_property
+    def unique(self) -> list:
+        return list(dict.fromkeys(self.draws))
 
     def table(self, key: tuple, n: int, fn: Callable) -> Dict[object, object]:
         out = {}
@@ -281,6 +297,26 @@ class _DrawPanel:
             return fit_spectrum(spectral_measure_lambda(p, self.norming, m), alpha)
 
         return fn
+
+
+def _panel_for(
+    panel: Optional[_DrawPanel],
+    law: DirectingLaw,
+    norming: NormingSequence,
+    ngrid: NGrid,
+    seed: int,
+) -> _DrawPanel:
+    """The caller's panel, checked against the arguments, or a fresh one."""
+    if panel is None:
+        return _DrawPanel(law, norming, ngrid, seed)
+    wanted = {"law": law, "norming": norming, "ngrid": ngrid, "seed": seed}
+    for name, value in wanted.items():
+        if getattr(panel, name) != value:
+            raise ValueError(
+                f"panel mismatch: built for {name}={getattr(panel, name)!r}, "
+                f"called with {name}={value!r}"
+            )
+    return panel
 
 
 def _combine_list(statuses: Sequence[Optional[bool]]) -> Optional[bool]:
@@ -610,6 +646,7 @@ def check_uan(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check uniform asymptotic negligibility of single array entries.
 
@@ -619,7 +656,7 @@ def check_uan(
     length for eps in {0.1, 1}. A constant norming sequence under a
     heavy-tailed law is the canonical decisive failure.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     holds, per_eps = _tails_to_zero(panel, config, scaled=False)
     subs = {"entry_tails_negligible": {"holds": holds, "per_eps": per_eps}}
     return CriterionVerdict("uan", holds, _evidence(panel, subs))
@@ -633,6 +670,7 @@ def check_gaussian_mixture(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check convergence toward a mixture of Gaussian laws.
 
@@ -642,7 +680,7 @@ def check_gaussian_mixture(
     eps * b_n vanishes. Emits the estimated location and a quantile
     summary of the limiting variance mixture.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
     loc = [panel.loc_trunc(n, tau) for n in ns]
     disp = [panel.disp(n, tau) for n in ns]
@@ -674,6 +712,7 @@ def check_degenerate(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check convergence toward a single point mass.
 
@@ -681,7 +720,7 @@ def check_degenerate(
     both the truncated variance and the scaled tail masses vanish in
     probability.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
     loc = [panel.loc_trunc(n, tau) for n in ns]
     disp = [panel.disp(n, tau) for n in ns]
@@ -708,6 +747,7 @@ def check_stable_mixture(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check convergence toward a mixture of stable laws with index alpha.
 
@@ -719,7 +759,7 @@ def check_stable_mixture(
     are pushed forward to a mixture of stable parameter atoms.
     """
     _require_alpha(alpha)
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
 
     subs, _ = _shape_subchecks(panel, alpha, config, with_symmetry=False)
@@ -753,6 +793,7 @@ def check_cauchy_mixture(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check convergence toward a mixture of symmetric Cauchy-type laws.
 
@@ -762,7 +803,7 @@ def check_cauchy_mixture(
     pushed to the canonical form. Emits the location-and-scale mixture
     obtained from the per-draw fits.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
 
     subs, _ = _shape_subchecks(panel, 1.0, config, with_symmetry=True)
@@ -800,6 +841,7 @@ def check_wlln(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check the weak law of large numbers for the normalized row sums.
 
@@ -807,7 +849,7 @@ def check_wlln(
     mean, the truncated second moment net of the squared centering taken
     at matching scale, and n times the tail mass beyond eps * b_n.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
 
     loc = [panel.loc_trunc(n, tau) for n in ns]
@@ -839,6 +881,7 @@ def check_single_row_gaussian(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Classify a light-tailed single-row limit into one of two branches.
 
@@ -850,7 +893,7 @@ def check_single_row_gaussian(
     law (a location mixture). A decisive failure of the hypothesis fails
     the verdict outright without branch classification.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
 
     h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
@@ -918,6 +961,7 @@ def check_single_row_stable(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check a single-row limit that mixes symmetric stable laws.
 
@@ -930,7 +974,7 @@ def check_single_row_stable(
     Emits the scale mixture of the fitted tail weights.
     """
     _require_alpha(alpha)
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
 
     subs, _ = _shape_subchecks(panel, alpha, config, with_symmetry=True)
@@ -971,6 +1015,7 @@ def check_single_row_cauchy(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Check a single-row limit that mixes symmetric Cauchy-type laws.
 
@@ -982,7 +1027,7 @@ def check_single_row_cauchy(
     centerings), and the truncated variance proxy must vanish. Emits the
     scale mixture with the half-circle constant.
     """
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
 
     subs, _ = _shape_subchecks(panel, 1.0, config, with_symmetry=True)
@@ -1025,6 +1070,7 @@ def check_sec5_conditions(
     config: StatTestConfig,
     *,
     seed: int = 0,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Run the experimental tail-diagnostic battery at index alpha.
 
@@ -1043,7 +1089,7 @@ def check_sec5_conditions(
     if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"x_grid must be positive and increasing, got {x_grid}")
 
-    panel = _DrawPanel(law, norming, ngrid, seed)
+    panel = _panel_for(panel, law, norming, ngrid, seed)
     ns = ngrid.values
     target_ratio = (2.0 - alpha) / alpha
 

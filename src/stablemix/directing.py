@@ -13,6 +13,7 @@ adaptive quadrature certified to 1e-10.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -789,6 +790,12 @@ def _one_replicate(law: DirectingLaw, norming: NormingSequence, n: int, rows: in
     return p, sums / b_n - c_n
 
 
+def _worker_count(threads: int, replicates: int) -> int:
+    """Threads to start for ``threads`` requested: never more than the
+    machine's CPUs or the replicates to share out."""
+    return min(threads, os.cpu_count() or 1, replicates)
+
+
 def sample_array_sums(
     law: DirectingLaw,
     norming: NormingSequence,
@@ -803,7 +810,8 @@ def sample_array_sums(
     Each replicate draws one directing measure (seed path [seed, k, 0]) and
     then fills its rows with conditionally i.i.d. entries (seed path
     [seed, k, 1]), so the output is bit-identical for a given seed no matter
-    how many worker threads execute the replicates.
+    how many worker threads execute the replicates. ``threads`` is a cap:
+    at most one thread per CPU and per replicate is started.
     """
     if n < 1 or rows < 1 or replicates < 1:
         raise ValueError("n, rows and replicates must all be at least 1")
@@ -815,8 +823,9 @@ def sample_array_sums(
         realized[k] = p
         values[k, :] = normed
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, replicates)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(replicates)))
     else:
         for k in range(replicates):

@@ -29,6 +29,7 @@ from .criteria import (
     NGrid,
     StatTestConfig,
     CriterionVerdict,
+    _DrawPanel,
     check_cauchy_mixture,
     check_degenerate,
     check_gaussian_mixture,
@@ -221,8 +222,8 @@ class ScenarioReport:
     """Self-describing result bundle of one scenario run.
 
     All payload fields are plain JSON-serializable structures. Every
-    empirical characteristic-function value is checked to have modulus
-    at most 1 + 1e-12 on construction.
+    empirical characteristic-function value is checked to have a finite
+    modulus of at most 1 + 1e-12 on construction.
     """
 
     scenario: str
@@ -240,7 +241,8 @@ class ScenarioReport:
         for table in self.cf_tables:
             for row in table["points"]:
                 modulus = math.hypot(row["re"], row["im"])
-                if modulus > _MODULUS_SLACK:
+                # Written so that a NaN modulus is rejected too.
+                if not modulus <= _MODULUS_SLACK:
                     raise ValueError(
                         f"empirical value at t={row['t']} has modulus {modulus}"
                     )
@@ -410,35 +412,35 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 
 _CHECKER_DISPATCH = {
-    "uan": lambda spec, ngrid, cfg, seed: check_uan(
-        spec.law, spec.norming, ngrid, cfg, seed=seed
+    "uan": lambda spec, ngrid, cfg, seed, panel: check_uan(
+        spec.law, spec.norming, ngrid, cfg, seed=seed, panel=panel
     ),
-    "gaussian_mixture": lambda spec, ngrid, cfg, seed: check_gaussian_mixture(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed
+    "gaussian_mixture": lambda spec, ngrid, cfg, seed, panel: check_gaussian_mixture(
+        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
     ),
-    "degenerate": lambda spec, ngrid, cfg, seed: check_degenerate(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed
+    "degenerate": lambda spec, ngrid, cfg, seed, panel: check_degenerate(
+        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
     ),
-    "stable_mixture": lambda spec, ngrid, cfg, seed: check_stable_mixture(
-        spec.law, spec.norming, ngrid, _need_alpha(spec), cfg, seed=seed
+    "stable_mixture": lambda spec, ngrid, cfg, seed, panel: check_stable_mixture(
+        spec.law, spec.norming, ngrid, _need_alpha(spec), cfg, seed=seed, panel=panel
     ),
-    "cauchy_mixture": lambda spec, ngrid, cfg, seed: check_cauchy_mixture(
-        spec.law, spec.norming, ngrid, cfg, seed=seed
+    "cauchy_mixture": lambda spec, ngrid, cfg, seed, panel: check_cauchy_mixture(
+        spec.law, spec.norming, ngrid, cfg, seed=seed, panel=panel
     ),
-    "wlln": lambda spec, ngrid, cfg, seed: check_wlln(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed
+    "wlln": lambda spec, ngrid, cfg, seed, panel: check_wlln(
+        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
     ),
-    "row_gaussian": lambda spec, ngrid, cfg, seed: check_single_row_gaussian(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed
+    "row_gaussian": lambda spec, ngrid, cfg, seed, panel: check_single_row_gaussian(
+        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
     ),
-    "row_stable": lambda spec, ngrid, cfg, seed: check_single_row_stable(
-        spec.law, spec.norming, ngrid, _need_alpha(spec), cfg, seed=seed
+    "row_stable": lambda spec, ngrid, cfg, seed, panel: check_single_row_stable(
+        spec.law, spec.norming, ngrid, _need_alpha(spec), cfg, seed=seed, panel=panel
     ),
-    "row_cauchy": lambda spec, ngrid, cfg, seed: check_single_row_cauchy(
-        spec.law, spec.norming, ngrid, cfg, seed=seed
+    "row_cauchy": lambda spec, ngrid, cfg, seed, panel: check_single_row_cauchy(
+        spec.law, spec.norming, ngrid, cfg, seed=seed, panel=panel
     ),
-    "sec5": lambda spec, ngrid, cfg, seed: check_sec5_conditions(
-        spec.law, spec.norming, ngrid, _need_alpha(spec), spec.x_grid, cfg, seed=seed
+    "sec5": lambda spec, ngrid, cfg, seed, panel: check_sec5_conditions(
+        spec.law, spec.norming, ngrid, _need_alpha(spec), spec.x_grid, cfg, seed=seed, panel=panel
     ),
 }
 
@@ -455,14 +457,19 @@ def run_criterion(
     seed: int,
     config: Optional[StatTestConfig] = None,
     ngrid: Optional[NGrid] = None,
+    panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
-    """Run one named criterion checker against a scenario."""
+    """Run one named criterion checker against a scenario.
+
+    ``panel`` shares draws and per-draw quantities with other checkers
+    run on the same scenario, grid and seed.
+    """
     if criterion not in _CHECKER_DISPATCH:
         known = ", ".join(sorted(_CHECKER_DISPATCH))
         raise ValueError(f"unknown criterion {criterion!r}; known: {known}")
     cfg = config if config is not None else StatTestConfig()
     grid = ngrid if ngrid is not None else spec.checker_ngrid
-    return _CHECKER_DISPATCH[criterion](spec, grid, cfg, seed)
+    return _CHECKER_DISPATCH[criterion](spec, grid, cfg, seed, panel)
 
 
 def _verdict_dict(verdict: CriterionVerdict) -> Dict[str, object]:
@@ -611,10 +618,13 @@ def run_scenario(
         identity = {"residual": identity_residual(), "points": 21}
         runtimes["identity"] = time.perf_counter() - t_start
 
+    # One panel for all checkers: draws and per-draw quantities are computed
+    # once, on first use, and charged to the first checker that needs them.
+    panel = _DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
     verdicts: List[Dict[str, object]] = []
     for criterion in spec.checkers:
         t_start = time.perf_counter()
-        verdict = run_criterion(spec, criterion, seed, cfg)
+        verdict = run_criterion(spec, criterion, seed, cfg, panel=panel)
         verdicts.append(_verdict_dict(verdict))
         runtimes[f"check_{criterion}"] = time.perf_counter() - t_start
 

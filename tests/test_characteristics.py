@@ -2,6 +2,7 @@
 the restriction metric, and the pushforward maps."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -733,3 +734,134 @@ class TestCharQuantities:
             CharQuantities(10, 1.0, 0.0, 0.0, -1.0, 0.0, null, 0.0)
         with pytest.raises(ValueError, match="tail"):
             CharQuantities(10, 1.0, 0.0, 0.0, 0.0, 0.0, null, -0.5)
+
+
+# Reference copy of the restriction metric as it was computed before the
+# array fast path: every radius restricts both measures into freshly built
+# AtomicMeasure objects and runs the measure-level Levy-Prokhorov bisection.
+# The library must agree with it bit for bit.
+
+
+def _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps):
+    k = int(mu_locs.size)
+    if k == 0:
+        return 0.0
+    upper = nu_cum[np.searchsorted(nu_locs, mu_locs + eps, side="right")]
+    closed = upper - nu_cum[np.searchsorted(nu_locs, mu_locs - eps, side="left")]
+    locs, masses, up, cl = mu_locs.tolist(), mu_masses.tolist(), upper.tolist(), closed.tolist()
+    best = [0.0] * k
+    window = deque()
+    prefix_best = 0.0
+    start = 0
+    overall = 0.0
+    two_eps = 2.0 * eps
+    for i in range(k):
+        while start < i and locs[i] - locs[start] > two_eps:
+            if best[start] > prefix_best:
+                prefix_best = best[start]
+            if window and window[0] == start:
+                window.popleft()
+            start += 1
+        value = prefix_best - cl[i]
+        if window:
+            j = window[0]
+            candidate = best[j] + up[j] - up[i]
+            if candidate > value:
+                value = candidate
+        best_i = masses[i] + value
+        best[i] = best_i
+        if best_i > overall:
+            overall = best_i
+        key = best_i + up[i]
+        while window and best[window[-1]] + up[window[-1]] <= key:
+            window.pop()
+        window.append(i)
+    return max(0.0, overall)
+
+
+def _ref_prokhorov(mu, nu):
+    if mu.atoms == nu.atoms:
+        return 0.0
+    mu_cum = np.concatenate([[0.0], np.cumsum(mu.masses)])
+    nu_cum = np.concatenate([[0.0], np.cumsum(nu.masses)])
+
+    def feasible(eps):
+        if _ref_one_sided(mu.locations, mu.masses, nu.locations, nu_cum, eps) > eps:
+            return False
+        return _ref_one_sided(nu.locations, nu.masses, mu.locations, mu_cum, eps) <= eps
+
+    lo = abs(mu.total_mass - nu.total_mass)
+    hi = max(mu.total_mass, nu.total_mass, lo)
+    if hi == 0.0:
+        return 0.0
+    if feasible(lo):
+        return lo
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _ref_dsharp(mu, nu, r_max=20.0):
+    if mu.atoms == nu.atoms:
+        return 0.0
+
+    def d_at(radius):
+        return _ref_prokhorov(mu.restrict_open_ball(radius), nu.restrict_open_ball(radius))
+
+    mu_abs, nu_abs = np.abs(mu.locations), np.abs(nu.locations)
+    breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
+    breaks = breaks[(breaks > 0) & (breaks < r_max)]
+    edges = np.concatenate([[0.0], breaks, [r_max]])
+    total = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        if right <= left:
+            continue
+        d = d_at(0.5 * (left + right))
+        if d > 0:
+            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
+    return total
+
+
+def _oracle_pairs(rng):
+    """Seeded measure pairs: independent, sharing locations, nested (so some
+    restrictions of one side are empty), equal, and against the null measure."""
+    for _ in range(30):
+        mu, nu = _random_measure(rng, 8), _random_measure(rng, 8)
+        yield mu, nu
+        shared = rng.uniform(0.1, 2.0, size=len(mu.atoms))
+        yield mu, AtomicMeasure.from_pairs(zip(mu.locations.tolist(), shared.tolist()))
+        far = rng.uniform(3.0, 25.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        yield AtomicMeasure.from_pairs(zip(far.tolist(), [0.5, 1.0, 1.5])), nu
+        yield mu, AtomicMeasure(mu.atoms)
+        yield AtomicMeasure.null(), nu
+    yield AtomicMeasure.null(), AtomicMeasure.null()
+
+
+class TestArrayPathOracle:
+    """The array-level dsharp and Prokhorov paths against the measure-level copy."""
+
+    def test_bitwise_equal_on_seeded_measures(self):
+        rng = np.random.default_rng(20240601)
+        for trial, (mu, nu) in enumerate(_oracle_pairs(rng)):
+            for a, b in ((mu, nu), (nu, mu)):
+                assert prokhorov_distance(a, b).hex() == _ref_prokhorov(a, b).hex(), (
+                    f"pair {trial}: Prokhorov distance drifted from the reference"
+                )
+                assert dsharp(a, b).hex() == _ref_dsharp(a, b).hex(), (
+                    f"pair {trial}: dsharp drifted from the reference"
+                )
+
+    def test_bitwise_equal_on_spectral_fit_residuals(self):
+        law = SymmetricParetoLaw(1.5, 1.3)
+        for n in (100, 100000):
+            measure = spectral_measure_lambda(law, PARETO_NORMING, n)
+            for alpha in (1.5, 1.2):
+                params, residual = fit_spectrum(measure, alpha)
+                reference = _ref_dsharp(measure, discretize_spectral(params))
+                assert residual.hex() == reference.hex(), (
+                    f"fit residual at n={n}, alpha={alpha} drifted from the reference"
+                )

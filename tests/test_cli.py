@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 
 import pytest
 
+from stablemix import cli
 from stablemix.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -15,6 +17,7 @@ from stablemix.cli import (
     load_config,
     main,
 )
+from stablemix.criteria import CriterionVerdict
 from stablemix.empirics import builtin_scenarios, run_scenario
 
 
@@ -331,3 +334,32 @@ class TestCheck:
         )
         assert verdict["holds"] is None
         assert "inconclusive" in out
+
+
+class TestStrictJson:
+    """A non-finite value must make the run fail, not reach a report as NaN."""
+
+    def test_simulate_exits_runtime_on_nan(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_scenario
+
+        def with_nan(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.quantities[0]["m_trunc"] = math.nan
+            return report
+
+        monkeypatch.setattr(cli, "run_scenario", with_nan)
+        cfg = write_config(tmp_path, {"scenario": dict(TINY_SCENARIO), "seed": 3})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "cauchy-scalemix.report.json").exists()
+
+    def test_check_exits_runtime_on_nan(self, tmp_path, capsys, monkeypatch):
+        def nan_verdict(spec, criterion, seed, config=None):
+            return CriterionVerdict(criterion, True, {"statistic": math.nan})
+
+        monkeypatch.setattr(cli, "run_criterion", nan_verdict)
+        cfg = write_config(tmp_path, {"scenario": "gauss-expmix", "seed": 0})
+        code = main(["check", "gaussian_mixture", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "gauss-expmix.gaussian_mixture.verdict.json").exists()

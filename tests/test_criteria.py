@@ -10,6 +10,7 @@ from stablemix.criteria import (
     CRITERION_NAMES,
     NGrid,
     StatTestConfig,
+    _DrawPanel,
     _in_probability,
     _relaxed_ks,
     check_cauchy_mixture,
@@ -467,3 +468,33 @@ class TestVerdictPlumbing:
             atoms = sorted(cauchy.estimated_limit["atoms"], key=lambda a: a["c"])
             for atom, c_true in zip(atoms, (1.0, 2.0)):
                 assert atom["c"] == pytest.approx(c_true, rel=0.1)
+
+
+class TestPanelGuard:
+    """A shared panel must have been built for the checker's own arguments."""
+
+    @pytest.mark.parametrize(
+        "field,law,norming,ngrid,seed",
+        [
+            ("law", CAUCHY_SCALEMIX, TWO_THIRDS, GRID, 0),
+            ("norming", PARETO_MIX, LINEAR, GRID, 0),
+            ("ngrid", PARETO_MIX, TWO_THIRDS, NGrid((100, 1000), replicates=200), 0),
+            ("seed", PARETO_MIX, TWO_THIRDS, GRID, 1),
+        ],
+    )
+    def test_mismatched_panel_names_the_field(self, field, law, norming, ngrid, seed):
+        panel = _DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        with pytest.raises(ValueError, match=f"panel mismatch: built for {field}="):
+            check_uan(law, norming, ngrid, CFG, seed=seed, panel=panel)
+        with pytest.raises(ValueError, match=f"panel mismatch: built for {field}="):
+            check_stable_mixture(law, norming, ngrid, 1.5, CFG, seed=seed, panel=panel)
+        assert "draws" not in vars(panel), "a rejected panel must not have drawn"
+
+    def test_matching_panel_is_shared(self):
+        panel = _DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        alone = check_uan(PARETO_MIX, TWO_THIRDS, GRID, CFG, seed=0)
+        shared = check_uan(PARETO_MIX, TWO_THIRDS, GRID, CFG, seed=0, panel=panel)
+        assert shared == alone
+        memo_size = len(panel._memo)
+        check_uan(PARETO_MIX, TWO_THIRDS, GRID, CFG, seed=0, panel=panel)
+        assert len(panel._memo) == memo_size, "a second checker must reuse the memo"

@@ -1,6 +1,7 @@
 """Tests for directing laws, realized functionals, and normed row sums."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stablemix.directing import (
     StableLaw,
     SymmetricParetoLaw,
     UniformLaw,
+    _worker_count,
     draw_directing,
     replicate_sums,
     sample_array_sums,
@@ -497,3 +499,19 @@ class TestRowSums:
                 draw_ids=np.zeros(3, dtype=np.int64),
                 draws=(CauchyLaw(0.0, 1.0),),
             )
+
+
+class TestWorkerCount:
+    """The sampler's thread pool is capped by CPUs and replicates. The cap is
+    tested on the helper alone, without starting any pool."""
+
+    def test_clamps_to_cpus_and_replicates(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(10**9, 200) == 4
+        assert _worker_count(2, 200) == 2
+        assert _worker_count(8, 3) == 3
+        assert _worker_count(1, 200) == 1
+
+    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(16, 200) == 1

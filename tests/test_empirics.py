@@ -264,6 +264,21 @@ class TestRunScenario:
             )
         assert payloads[0] == payloads[1]
 
+    def test_nan_modulus_is_rejected(self):
+        with pytest.raises(ValueError, match="modulus nan"):
+            ScenarioReport(
+                scenario="broken",
+                seed=0,
+                config={},
+                cf_tables=[{"n": 4, "points": [{"t": 1.0, "re": math.nan, "im": 0.0}]}],
+                sup_distance=[],
+                joint_table=None,
+                identity=None,
+                quantities=[],
+                verdicts=[],
+                runtimes={},
+            )
+
     def test_modulus_invariant_is_enforced(self):
         with pytest.raises(ValueError, match="modulus"):
             ScenarioReport(
@@ -278,3 +293,21 @@ class TestRunScenario:
                 verdicts=[],
                 runtimes={},
             )
+
+
+class TestSharedPanel:
+    """run_scenario shares one draw panel across checkers; separate
+    run_criterion calls, each building its own panel, are the oracle."""
+
+    @pytest.mark.parametrize("name", ["pareto-mix", "cauchy-scalemix", "gauss-expmix"])
+    def test_verdicts_match_separate_checker_runs(self, name):
+        spec = get_scenario(name)
+        report = run_scenario(name, seed=0)
+        assert len(report.verdicts) == len(spec.checkers)
+        for shared, criterion in zip(report.verdicts, spec.checkers):
+            alone = run_criterion(spec, criterion, 0)
+            assert shared["holds"] == alone.holds, f"{criterion}: verdict changed"
+            for field in ("evidence", "estimated_limit"):
+                assert json.dumps(shared[field], sort_keys=True) == json.dumps(
+                    getattr(alone, field), sort_keys=True
+                ), f"{criterion}: {field} changed under the shared panel"
