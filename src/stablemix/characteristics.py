@@ -425,18 +425,15 @@ def dsharp(
     mu: AtomicMeasure,
     nu: AtomicMeasure,
     r_max: float = 20.0,
-    quad_points: int = 0,
 ) -> float:
     """Restriction metric between two atomic measures.
 
     The metric is the integral over r of e^{-r} * d_r/(1 + d_r), where d_r is
     the Levy-Prokhorov distance between the restrictions of the measures to
     the open ball (-r, r). The integrand is piecewise constant in r with
-    breakpoints at the atom moduli, so with ``quad_points = 0`` the integral
-    over (0, r_max] is evaluated exactly segment by segment; the omitted tail
-    is at most e^{-r_max}. A positive ``quad_points`` switches to
-    Gauss-Legendre quadrature on (0, r_max) with that many nodes, kept as an
-    independent cross-check of the exact path.
+    breakpoints at the atom moduli, so the integral over (0, r_max] is
+    evaluated exactly segment by segment; the omitted tail is at most
+    e^{-r_max}.
     """
     if r_max <= 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
@@ -454,16 +451,6 @@ def dsharp(
         return _prokhorov_arrays(
             mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep]
         )
-
-    if quad_points > 0:
-        nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-        r_values = 0.5 * r_max * (nodes + 1.0)
-        scale = 0.5 * r_max
-        total = 0.0
-        for r, w in zip(r_values, weights):
-            d = d_at(float(r))
-            total += w * math.exp(-r) * d / (1.0 + d)
-        return scale * total
 
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
     breaks = breaks[(breaks > 0) & (breaks < r_max)]

@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -112,92 +112,52 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_pairs(value, path: str) -> Tuple[Tuple[float, float], ...]:
+def _as_pairs(value, path: str, label: str = "[value, weight]") -> Tuple[Tuple[float, float], ...]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of [value, weight] pairs")
+        raise ConfigError(f"{path}: expected a nonempty list of {label} pairs")
     pairs = []
     for j, item in enumerate(value):
         if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"{path}[{j}]: expected a [value, weight] pair")
+            raise ConfigError(f"{path}[{j}]: expected a {label} pair")
         pairs.append((_as_number(item[0], f"{path}[{j}][0]"), _as_number(item[1], f"{path}[{j}][1]")))
     return tuple(pairs)
 
 
-_BASE_FIELDS = {
-    "point": ("value",),
-    "gaussian": ("mean", "sd"),
-    "cauchy": ("location", "scale"),
-    "uniform": ("lo", "hi"),
-    "pareto_symmetric": ("tail_index", "scale"),
-    "pareto_onesided": ("tail_index", "scale"),
-    "stable": ("alpha", "gamma", "c", "beta"),
+# kind -> (constructor, fields in argument order). Fields named "atoms" are
+# lists of [value, weight] pairs; all others are numbers.
+_BASE_KINDS = {
+    "point": (PointMassLaw, ("value",)),
+    "gaussian": (GaussianLaw, ("mean", "sd")),
+    "cauchy": (CauchyLaw, ("location", "scale")),
+    "uniform": (UniformLaw, ("lo", "hi")),
+    "pareto_symmetric": (SymmetricParetoLaw, ("tail_index", "scale")),
+    "pareto_onesided": (OneSidedParetoLaw, ("tail_index", "scale")),
+    "stable": (lambda *params: StableLaw(StableParams(*params)), ("alpha", "gamma", "c", "beta")),
+}
+
+_PRIOR_KINDS = {
+    "scale_atoms": (ScaleAtoms, ("atoms",)),
+    "scale_exponential": (ScaleExponential, ("rate",)),
+    "scale_lognormal": (ScaleLogNormal, ("log_mean", "log_sd")),
+    "location_atoms": (LocationAtoms, ("atoms",)),
+    "location_gaussian": (LocationGaussian, ("mean", "sd")),
 }
 
 
-def _build_base(obj, path: str):
+def _build_kind(obj, path: str, kinds: dict, noun: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with a 'kind' key")
     kind = obj.get("kind")
-    if kind not in _BASE_FIELDS:
+    if kind not in kinds:
         raise ConfigError(
-            f"{path}.kind: unknown family {kind!r}; known: {', '.join(sorted(_BASE_FIELDS))}"
+            f"{path}.kind: unknown {noun} {kind!r}; known: {', '.join(sorted(kinds))}"
         )
-    _check_keys(obj, path, required=("kind",) + _BASE_FIELDS[kind], optional=())
-    num = {f: _as_number(obj[f], f"{path}.{f}") for f in _BASE_FIELDS[kind]}
+    make, fields = kinds[kind]
+    _check_keys(obj, path, required=("kind",) + fields, optional=())
+    args = [(_as_pairs if f == "atoms" else _as_number)(obj[f], f"{path}.{f}") for f in fields]
     try:
-        if kind == "point":
-            return PointMassLaw(num["value"])
-        if kind == "gaussian":
-            return GaussianLaw(num["mean"], num["sd"])
-        if kind == "cauchy":
-            return CauchyLaw(num["location"], num["scale"])
-        if kind == "uniform":
-            return UniformLaw(num["lo"], num["hi"])
-        if kind == "pareto_symmetric":
-            return SymmetricParetoLaw(num["tail_index"], num["scale"])
-        if kind == "pareto_onesided":
-            return OneSidedParetoLaw(num["tail_index"], num["scale"])
-        return StableLaw(StableParams(num["alpha"], num["gamma"], num["c"], num["beta"]))
+        return make(*args)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-_PRIOR_FIELDS = {
-    "scale_atoms": ("atoms",),
-    "scale_exponential": ("rate",),
-    "scale_lognormal": ("log_mean", "log_sd"),
-    "location_atoms": ("atoms",),
-    "location_gaussian": ("mean", "sd"),
-}
-
-
-def _build_prior(obj, path: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with a 'kind' key")
-    kind = obj.get("kind")
-    if kind not in _PRIOR_FIELDS:
-        raise ConfigError(
-            f"{path}.kind: unknown prior {kind!r}; known: {', '.join(sorted(_PRIOR_FIELDS))}"
-        )
-    _check_keys(obj, path, required=("kind",) + _PRIOR_FIELDS[kind], optional=())
-    try:
-        if kind == "scale_atoms":
-            return ScaleAtoms(_as_pairs(obj["atoms"], f"{path}.atoms"))
-        if kind == "scale_exponential":
-            return ScaleExponential(_as_number(obj["rate"], f"{path}.rate"))
-        if kind == "scale_lognormal":
-            return ScaleLogNormal(
-                _as_number(obj["log_mean"], f"{path}.log_mean"),
-                _as_number(obj["log_sd"], f"{path}.log_sd"),
-            )
-        if kind == "location_atoms":
-            return LocationAtoms(_as_pairs(obj["atoms"], f"{path}.atoms"))
-        return LocationGaussian(
-            _as_number(obj["mean"], f"{path}.mean"), _as_number(obj["sd"], f"{path}.sd")
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -205,8 +165,10 @@ def _build_law(obj, path: str) -> DirectingLaw:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with a 'base' key")
     _check_keys(obj, path, required=("base",), optional=("prior",))
-    base = _build_base(obj["base"], f"{path}.base")
-    prior = _build_prior(obj["prior"], f"{path}.prior") if "prior" in obj else None
+    base = _build_kind(obj["base"], f"{path}.base", _BASE_KINDS, "family")
+    prior = None
+    if "prior" in obj:
+        prior = _build_kind(obj["prior"], f"{path}.prior", _PRIOR_KINDS, "prior")
     try:
         return DirectingLaw(base, prior)
     except (ValueError, TypeError) as exc:
@@ -216,23 +178,14 @@ def _build_law(obj, path: str) -> DirectingLaw:
 def _build_norming(obj, path: str) -> NormingSequence:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with an 'alpha' key")
-    _check_keys(
-        obj,
-        path,
-        required=("alpha",),
-        optional=("slow_kind", "slow_power", "scale", "centering_kind", "centering_tau"),
-    )
-    kwargs = {"alpha": _as_number(obj["alpha"], f"{path}.alpha")}
-    if "slow_kind" in obj:
-        kwargs["slow_kind"] = obj["slow_kind"]
-    if "slow_power" in obj:
-        kwargs["slow_power"] = _as_number(obj["slow_power"], f"{path}.slow_power")
-    if "scale" in obj:
-        kwargs["scale"] = _as_number(obj["scale"], f"{path}.scale")
-    if "centering_kind" in obj:
-        kwargs["centering_kind"] = obj["centering_kind"]
-    if "centering_tau" in obj:
-        kwargs["centering_tau"] = _as_number(obj["centering_tau"], f"{path}.centering_tau")
+    optional = ("slow_kind", "slow_power", "scale", "centering_kind", "centering_tau")
+    _check_keys(obj, path, required=("alpha",), optional=optional)
+    # The two *_kind fields are names that NormingSequence validates itself.
+    kwargs = {
+        f: obj[f] if f.endswith("_kind") else _as_number(obj[f], f"{path}.{f}")
+        for f in ("alpha",) + optional
+        if f in obj
+    }
     try:
         return NormingSequence(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -304,26 +257,17 @@ _SCENARIO_OVERRIDES = (
 )
 
 
+@dataclass(frozen=True)
 class ResolvedConfig:
     """A validated configuration ready to execute."""
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        seed: Optional[int],
-        threads: int,
-        out: Optional[str],
-        tgrid: Optional[TGrid],
-        joint_grid: Optional[TGrid],
-        stat_config: Optional[StatTestConfig],
-    ) -> None:
-        self.spec = spec
-        self.seed = seed
-        self.threads = threads
-        self.out = out
-        self.tgrid = tgrid
-        self.joint_grid = joint_grid
-        self.stat_config = stat_config
+    spec: ScenarioSpec
+    seed: Optional[int]
+    threads: int
+    out: Optional[str]
+    tgrid: Optional[TGrid]
+    joint_grid: Optional[TGrid]
+    stat_config: Optional[StatTestConfig]
 
 
 def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
@@ -470,21 +414,9 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
             raise ConfigError(f"config.scenario.t_grid: {exc}") from exc
     joint_grid = None
     if "joint_grid" in scenario_obj:
-        pairs = scenario_obj["joint_grid"]
-        if not isinstance(pairs, list) or not pairs:
-            raise ConfigError("config.scenario.joint_grid: expected a nonempty list of [t, s] pairs")
-        built = []
-        for j, item in enumerate(pairs):
-            if not isinstance(item, list) or len(item) != 2:
-                raise ConfigError(f"config.scenario.joint_grid[{j}]: expected a [t, s] pair")
-            built.append(
-                (
-                    _as_number(item[0], f"config.scenario.joint_grid[{j}][0]"),
-                    _as_number(item[1], f"config.scenario.joint_grid[{j}][1]"),
-                )
-            )
+        pairs = _as_pairs(scenario_obj["joint_grid"], "config.scenario.joint_grid", "[t, s]")
         try:
-            joint_grid = TGrid(tuple(built))
+            joint_grid = TGrid(pairs)
         except ValueError as exc:
             raise ConfigError(f"config.scenario.joint_grid: {exc}") from exc
 
@@ -553,7 +485,8 @@ def _resolve_out(config: ResolvedConfig, out_flag: Optional[str]) -> Path:
     return out
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _seeded_config(args: argparse.Namespace) -> Optional[ResolvedConfig]:
+    """The config the arguments name, or None after printing why it is unusable."""
     try:
         config = load_config(args.config, args.seed, args.threads)
         if config.seed is None:
@@ -562,6 +495,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return None
+    return config
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = _seeded_config(args)
+    if config is None:
         return EXIT_CONFIG
     try:
         report = run_scenario(
@@ -602,14 +542,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    try:
-        config = load_config(args.config, args.seed, args.threads)
-        if config.seed is None:
-            raise ConfigError(
-                "no seed given: pass --seed, set STABLEMIX_SEED, or add 'seed' to the config"
-            )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    config = _seeded_config(args)
+    if config is None:
         return EXIT_CONFIG
     try:
         verdict = run_criterion(

@@ -39,7 +39,6 @@ outside the contract of every checker here.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,10 +234,7 @@ class _DrawPanel:
         return self.values(("m_trunc", tau), n, fn)
 
     def loc_smooth(self, n: int) -> np.ndarray:
-        def fn(p, m):
-            return smooth_mean(p, self.norming, m) - self.norming_at(p, m)[1]
-
-        return self.values(("m_smooth",), n, fn)
+        return self.values(("m_smooth",), n, self._smooth_fn)
 
     def disp(self, n: int, tau: float) -> np.ndarray:
         def fn(p, m):
@@ -287,10 +283,10 @@ class _DrawPanel:
         return self.table(("fit", alpha), n, self._fit_fn(alpha))
 
     def smooth_table(self, n: int) -> Dict[object, float]:
-        def fn(p, m):
-            return smooth_mean(p, self.norming, m) - self.norming_at(p, m)[1]
+        return self.table(("m_smooth",), n, self._smooth_fn)
 
-        return self.table(("m_smooth",), n, fn)
+    def _smooth_fn(self, p, m: int) -> float:
+        return smooth_mean(p, self.norming, m) - self.norming_at(p, m)[1]
 
     def _fit_fn(self, alpha: float) -> Callable:
         def fn(p, m):
@@ -474,6 +470,21 @@ def _tails_to_zero(
     return _combine_list(statuses), per_eps
 
 
+def _variance_mixture_subchecks(
+    loc: Sequence[np.ndarray], disp: Sequence[np.ndarray], cfg: StatTestConfig
+) -> Dict[str, Dict[str, object]]:
+    """The centered truncated mean concentrates and the truncated variance
+    converges to a law that is not concentrated at zero."""
+    h_loc, d_loc = _in_probability(loc, cfg)
+    h_weak, d_weak = _weak_convergence(disp, cfg)
+    h_nd, d_nd = _nondegenerate(disp[-1], cfg)
+    return {
+        "location_concentrates": {"holds": h_loc, **d_loc},
+        "dispersion_converges": {"holds": h_weak, **d_weak},
+        "dispersion_nondegenerate": {"holds": h_nd, **d_nd},
+    }
+
+
 def _evidence(panel: _DrawPanel, subs: Dict[str, object], **extra) -> Dict[str, object]:
     out: Dict[str, object] = {
         "sub_checks": subs,
@@ -554,7 +565,7 @@ def _shape_subchecks(
         else:
             subs["symmetry"] = {"holds": True, "non_null_draws": 0}
 
-    return subs, (residuals, nulls, c_minus, c_plus)
+    return subs
 
 
 def _limit_atoms(
@@ -634,6 +645,71 @@ def _rho_atoms(
     ]
 
 
+def _mixture_verdict(
+    name: str,
+    panel: _DrawPanel,
+    alpha: float,
+    config: StatTestConfig,
+    limit_of: Callable[[list, np.ndarray], Dict[str, object]],
+) -> CriterionVerdict:
+    """Stable-mixture verdict at index ``alpha``; index one adds symmetry.
+
+    ``limit_of`` maps the limit atoms and the smoothed locations at the
+    largest n to the estimated limit; a ``ValueError`` it raises is
+    reported as ``limit_error`` in the evidence.
+    """
+    ns = panel.ngrid.values
+    subs = _shape_subchecks(panel, alpha, config, with_symmetry=alpha == 1.0)
+
+    m1 = [panel.loc_smooth(n) for n in ns]
+    h_loc, d_loc = _weak_convergence(m1, config)
+    subs["location_stabilize"] = {"holds": h_loc, **d_loc}
+
+    prox = [panel.proxy(n) for n in ns]
+    h_prox, d_prox = _in_probability(prox, config, target=0.0)
+    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
+
+    holds = _combine_list([s["holds"] for s in subs.values()])
+
+    limit: Optional[Dict[str, object]] = None
+    extra: Dict[str, object] = {}
+    try:
+        limit = limit_of(_limit_atoms(panel, alpha), m1[-1])
+    except ValueError as exc:
+        extra["limit_error"] = str(exc)
+    return CriterionVerdict(name, holds, _evidence(panel, subs, **extra), limit)
+
+
+def _row_stable_verdict(
+    name: str, panel: _DrawPanel, alpha: float, config: StatTestConfig
+) -> CriterionVerdict:
+    """Single-row symmetric stable verdict at index ``alpha``, one included."""
+    ns = panel.ngrid.values
+
+    subs = _shape_subchecks(panel, alpha, config, with_symmetry=True)
+    hypothesis = _combine_list([s["holds"] for s in subs.values()])
+
+    if hypothesis is False:
+        evidence = _evidence(panel, subs, hypothesis_violated=True)
+        return CriterionVerdict(name, False, evidence)
+
+    m1 = [panel.loc_smooth(n) for n in ns]
+    h_loc, d_loc = _in_probability(m1, config)
+    subs["location_concentrates"] = {"holds": h_loc, **d_loc}
+
+    prox = [panel.proxy(n) for n in ns]
+    h_prox, d_prox = _in_probability(prox, config, target=0.0)
+    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
+
+    holds = _combine_list([hypothesis, h_loc, h_prox])
+    entries = _limit_atoms(panel, alpha)
+    limit = {
+        "gamma": float(d_loc["limit"]),
+        "rho_atoms": _rho_atoms(entries, stable_mixing_constant(alpha)),
+    }
+    return CriterionVerdict(name, holds, _evidence(panel, subs), limit)
+
+
 # ---------------------------------------------------------------------------
 # Checkers.
 # ---------------------------------------------------------------------------
@@ -685,20 +761,13 @@ def check_gaussian_mixture(
     loc = [panel.loc_trunc(n, tau) for n in ns]
     disp = [panel.disp(n, tau) for n in ns]
 
-    h_loc, d_loc = _in_probability(loc, config)
-    h_weak, d_weak = _weak_convergence(disp, config)
-    h_nd, d_nd = _nondegenerate(disp[-1], config)
+    subs = _variance_mixture_subchecks(loc, disp, config)
     h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
+    subs["tails_negligible"] = {"holds": h_tail, "per_eps": d_tail}
 
-    subs = {
-        "location_concentrates": {"holds": h_loc, **d_loc},
-        "dispersion_converges": {"holds": h_weak, **d_weak},
-        "dispersion_nondegenerate": {"holds": h_nd, **d_nd},
-        "tails_negligible": {"holds": h_tail, "per_eps": d_tail},
-    }
-    holds = _combine_list([h_loc, h_weak, h_nd, h_tail])
+    holds = _combine_list([s["holds"] for s in subs.values()])
     limit = {
-        "gamma": float(d_loc["limit"]),
+        "gamma": float(subs["location_concentrates"]["limit"]),
         "dispersion_law": _quantiles(disp[-1]),
     }
     return CriterionVerdict("gaussian_mixture", holds, _evidence(panel, subs), limit)
@@ -760,29 +829,12 @@ def check_stable_mixture(
     """
     _require_alpha(alpha)
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-
-    subs, _ = _shape_subchecks(panel, alpha, config, with_symmetry=False)
-
-    m1 = [panel.loc_smooth(n) for n in ns]
-    h_loc, d_loc = _weak_convergence(m1, config)
-    subs["location_stabilize"] = {"holds": h_loc, **d_loc}
-
-    prox = [panel.proxy(n) for n in ns]
-    h_prox, d_prox = _in_probability(prox, config, target=0.0)
-    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
-
-    holds = _combine_list([s["holds"] for s in subs.values()])
-
-    limit: Optional[Dict[str, object]] = None
-    extra: Dict[str, object] = {}
-    try:
-        result = pushforward_alpha(_limit_atoms(panel, alpha), alpha)
-        limit = _mixing_summary(result)
-    except ValueError as exc:
-        extra["limit_error"] = str(exc)
-    return CriterionVerdict(
-        "stable_mixture", holds, _evidence(panel, subs, **extra), limit
+    return _mixture_verdict(
+        "stable_mixture",
+        panel,
+        alpha,
+        config,
+        lambda atoms, _: _mixing_summary(pushforward_alpha(atoms, alpha)),
     )
 
 
@@ -804,32 +856,15 @@ def check_cauchy_mixture(
     obtained from the per-draw fits.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-
-    subs, _ = _shape_subchecks(panel, 1.0, config, with_symmetry=True)
-
-    m1 = [panel.loc_smooth(n) for n in ns]
-    h_loc, d_loc = _weak_convergence(m1, config)
-    subs["location_stabilize"] = {"holds": h_loc, **d_loc}
-
-    prox = [panel.proxy(n) for n in ns]
-    h_prox, d_prox = _in_probability(prox, config, target=0.0)
-    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
-
-    holds = _combine_list([s["holds"] for s in subs.values()])
-
-    limit: Optional[Dict[str, object]] = None
-    extra: Dict[str, object] = {}
-    try:
-        mixing = pushforward_one(_limit_atoms(panel, 1.0))
-        limit = {
-            "location_median": float(np.median(m1[-1])),
-            "atoms": _stable_atom_dicts(mixing),
-        }
-    except ValueError as exc:
-        extra["limit_error"] = str(exc)
-    return CriterionVerdict(
-        "cauchy_mixture", holds, _evidence(panel, subs, **extra), limit
+    return _mixture_verdict(
+        "cauchy_mixture",
+        panel,
+        1.0,
+        config,
+        lambda atoms, locations: {
+            "location_median": float(np.median(locations)),
+            "atoms": _stable_atom_dicts(pushforward_one(atoms)),
+        },
     )
 
 
@@ -908,16 +943,9 @@ def check_single_row_gaussian(
     loc = [panel.loc_trunc(n, tau) for n in ns]
     disp = [panel.disp(n, tau) for n in ns]
 
-    h_conc, d_conc = _in_probability(loc, config)
-    h_dweak, d_dweak = _weak_convergence(disp, config)
-    h_dnd, d_dnd = _nondegenerate(disp[-1], config)
-    branch_variance = _combine_list([h_conc, h_dweak, h_dnd])
-    subs["variance_branch"] = {
-        "holds": branch_variance,
-        "location_concentrates": {"holds": h_conc, **d_conc},
-        "dispersion_converges": {"holds": h_dweak, **d_dweak},
-        "dispersion_nondegenerate": {"holds": h_dnd, **d_dnd},
-    }
+    variance = _variance_mixture_subchecks(loc, disp, config)
+    branch_variance = _combine_list([s["holds"] for s in variance.values()])
+    subs["variance_branch"] = {"holds": branch_variance, **variance}
 
     h_dzero, d_dzero = _in_probability(disp, config, target=0.0)
     h_lweak, d_lweak = _weak_convergence(loc, config)
@@ -935,7 +963,7 @@ def check_single_row_gaussian(
         branch: Optional[bool] = True
         limit = {
             "branch": "variance_mixture",
-            "gamma": float(d_conc["limit"]),
+            "gamma": float(variance["location_concentrates"]["limit"]),
             "dispersion_law": _quantiles(disp[-1]),
         }
     elif branch_location is True:
@@ -975,37 +1003,7 @@ def check_single_row_stable(
     """
     _require_alpha(alpha)
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-
-    subs, _ = _shape_subchecks(panel, alpha, config, with_symmetry=True)
-    hypothesis = _combine_list(
-        [
-            subs["shape_fit"]["holds"],
-            subs["non_null"]["holds"],
-            subs["scale_stabilize"]["holds"],
-            subs["symmetry"]["holds"],
-        ]
-    )
-
-    if hypothesis is False:
-        evidence = _evidence(panel, subs, hypothesis_violated=True)
-        return CriterionVerdict("row_stable", False, evidence)
-
-    m1 = [panel.loc_smooth(n) for n in ns]
-    h_loc, d_loc = _in_probability(m1, config)
-    subs["location_concentrates"] = {"holds": h_loc, **d_loc}
-
-    prox = [panel.proxy(n) for n in ns]
-    h_prox, d_prox = _in_probability(prox, config, target=0.0)
-    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
-
-    holds = _combine_list([hypothesis, h_loc, h_prox])
-    entries = _limit_atoms(panel, alpha)
-    limit = {
-        "gamma": float(d_loc["limit"]),
-        "rho_atoms": _rho_atoms(entries, stable_mixing_constant(alpha)),
-    }
-    return CriterionVerdict("row_stable", holds, _evidence(panel, subs), limit)
+    return _row_stable_verdict("row_stable", panel, alpha, config)
 
 
 def check_single_row_cauchy(
@@ -1028,37 +1026,7 @@ def check_single_row_cauchy(
     scale mixture with the half-circle constant.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-
-    subs, _ = _shape_subchecks(panel, 1.0, config, with_symmetry=True)
-    hypothesis = _combine_list(
-        [
-            subs["shape_fit"]["holds"],
-            subs["non_null"]["holds"],
-            subs["scale_stabilize"]["holds"],
-            subs["symmetry"]["holds"],
-        ]
-    )
-
-    if hypothesis is False:
-        evidence = _evidence(panel, subs, hypothesis_violated=True)
-        return CriterionVerdict("row_cauchy", False, evidence)
-
-    m1 = [panel.loc_smooth(n) for n in ns]
-    h_loc, d_loc = _in_probability(m1, config)
-    subs["location_concentrates"] = {"holds": h_loc, **d_loc}
-
-    prox = [panel.proxy(n) for n in ns]
-    h_prox, d_prox = _in_probability(prox, config, target=0.0)
-    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
-
-    holds = _combine_list([hypothesis, h_loc, h_prox])
-    entries = _limit_atoms(panel, 1.0)
-    limit = {
-        "gamma": float(d_loc["limit"]),
-        "rho_atoms": _rho_atoms(entries, 0.5 * math.pi),
-    }
-    return CriterionVerdict("row_cauchy", holds, _evidence(panel, subs), limit)
+    return _row_stable_verdict("row_cauchy", panel, 1.0, config)
 
 
 def check_sec5_conditions(

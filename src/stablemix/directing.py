@@ -811,7 +811,8 @@ def sample_array_sums(
     then fills its rows with conditionally i.i.d. entries (seed path
     [seed, k, 1]), so the output is bit-identical for a given seed no matter
     how many worker threads execute the replicates. ``threads`` is a cap:
-    at most one thread per CPU and per replicate is started.
+    at most one thread per CPU and per replicate is started. A normed sum
+    that is not finite (an overflow under extreme tails) is a RuntimeError.
     """
     if n < 1 or rows < 1 or replicates < 1:
         raise ValueError("n, rows and replicates must all be at least 1")
@@ -830,6 +831,12 @@ def sample_array_sums(
     else:
         for k in range(replicates):
             work(k)
+    nonfinite = int(np.count_nonzero(~np.isfinite(values)))
+    if nonfinite:
+        raise RuntimeError(
+            f"sample_array_sums: {nonfinite} of {values.size} normed row sums "
+            f"at n={n} are not finite"
+        )
 
     draws: list = []
     index: dict = {}

@@ -411,37 +411,20 @@ def get_scenario(name: str) -> ScenarioSpec:
         raise ValueError(f"unknown scenario {name!r}; builtins: {known}") from None
 
 
-_CHECKER_DISPATCH = {
-    "uan": lambda spec, ngrid, cfg, seed, panel: check_uan(
-        spec.law, spec.norming, ngrid, cfg, seed=seed, panel=panel
-    ),
-    "gaussian_mixture": lambda spec, ngrid, cfg, seed, panel: check_gaussian_mixture(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
-    ),
-    "degenerate": lambda spec, ngrid, cfg, seed, panel: check_degenerate(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
-    ),
-    "stable_mixture": lambda spec, ngrid, cfg, seed, panel: check_stable_mixture(
-        spec.law, spec.norming, ngrid, _need_alpha(spec), cfg, seed=seed, panel=panel
-    ),
-    "cauchy_mixture": lambda spec, ngrid, cfg, seed, panel: check_cauchy_mixture(
-        spec.law, spec.norming, ngrid, cfg, seed=seed, panel=panel
-    ),
-    "wlln": lambda spec, ngrid, cfg, seed, panel: check_wlln(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
-    ),
-    "row_gaussian": lambda spec, ngrid, cfg, seed, panel: check_single_row_gaussian(
-        spec.law, spec.norming, ngrid, spec.tau, cfg, seed=seed, panel=panel
-    ),
-    "row_stable": lambda spec, ngrid, cfg, seed, panel: check_single_row_stable(
-        spec.law, spec.norming, ngrid, _need_alpha(spec), cfg, seed=seed, panel=panel
-    ),
-    "row_cauchy": lambda spec, ngrid, cfg, seed, panel: check_single_row_cauchy(
-        spec.law, spec.norming, ngrid, cfg, seed=seed, panel=panel
-    ),
-    "sec5": lambda spec, ngrid, cfg, seed, panel: check_sec5_conditions(
-        spec.law, spec.norming, ngrid, _need_alpha(spec), spec.x_grid, cfg, seed=seed, panel=panel
-    ),
+# Criterion name -> (checker in this module, ScenarioSpec fields passed
+# between the grid and the config). The checker is looked up by name at
+# call time, so a replaced module attribute is the one that runs.
+_CHECKERS = {
+    "uan": ("check_uan", ()),
+    "gaussian_mixture": ("check_gaussian_mixture", ("tau",)),
+    "degenerate": ("check_degenerate", ("tau",)),
+    "stable_mixture": ("check_stable_mixture", ("alpha",)),
+    "cauchy_mixture": ("check_cauchy_mixture", ()),
+    "wlln": ("check_wlln", ("tau",)),
+    "row_gaussian": ("check_single_row_gaussian", ("tau",)),
+    "row_stable": ("check_single_row_stable", ("alpha",)),
+    "row_cauchy": ("check_single_row_cauchy", ()),
+    "sec5": ("check_sec5_conditions", ("alpha", "x_grid")),
 }
 
 
@@ -464,12 +447,16 @@ def run_criterion(
     ``panel`` shares draws and per-draw quantities with other checkers
     run on the same scenario, grid and seed.
     """
-    if criterion not in _CHECKER_DISPATCH:
-        known = ", ".join(sorted(_CHECKER_DISPATCH))
+    if criterion not in _CHECKERS:
+        known = ", ".join(sorted(_CHECKERS))
         raise ValueError(f"unknown criterion {criterion!r}; known: {known}")
     cfg = config if config is not None else StatTestConfig()
     grid = ngrid if ngrid is not None else spec.checker_ngrid
-    return _CHECKER_DISPATCH[criterion](spec, grid, cfg, seed, panel)
+    function, fields = _CHECKERS[criterion]
+    args = [_need_alpha(spec) if f == "alpha" else getattr(spec, f) for f in fields]
+    return globals()[function](
+        spec.law, spec.norming, grid, *args, cfg, seed=seed, panel=panel
+    )
 
 
 def _verdict_dict(verdict: CriterionVerdict) -> Dict[str, object]:

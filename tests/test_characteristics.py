@@ -442,7 +442,7 @@ class TestDsharp:
         mu = AtomicMeasure.null()
         nu = AtomicMeasure.from_pairs([(0.5, 1.0)])
         exact = dsharp(mu, nu)
-        quad = dsharp(mu, nu, quad_points=2000)
+        quad = _gauss_legendre_dsharp(mu, nu, 2000)
         np.testing.assert_allclose(quad, exact, atol=5e-3)
 
     def test_truncation_radius_changes_little(self):
@@ -520,6 +520,11 @@ class TestStableMixingConstant:
     @pytest.mark.parametrize("alpha", [1.0 - 1e-6, 1.0 + 1e-6])
     def test_continuous_through_one(self, alpha):
         np.testing.assert_allclose(stable_mixing_constant(alpha), math.pi / 2.0, rtol=1e-4)
+
+    def test_exact_half_pi_at_one(self):
+        # row_cauchy takes its scale constant from this function at index one,
+        # while pushforward_one uses pi/2 directly: they must agree bit for bit.
+        assert stable_mixing_constant(1.0).hex() == (0.5 * math.pi).hex()
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.5])
     def test_domain(self, alpha):
@@ -824,6 +829,18 @@ def _ref_dsharp(mu, nu, r_max=20.0):
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
     return total
+
+
+def _gauss_legendre_dsharp(mu, nu, nodes, r_max=20.0):
+    """The restriction metric by Gauss-Legendre quadrature on (0, r_max),
+    independent of the exact segment sum of dsharp."""
+    radii, weights = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for x, w in zip(radii, weights):
+        r = 0.5 * r_max * (x + 1.0)
+        d = prokhorov_distance(mu.restrict_open_ball(r), nu.restrict_open_ball(r))
+        total += w * math.exp(-r) * d / (1.0 + d)
+    return 0.5 * r_max * total
 
 
 def _oracle_pairs(rng):

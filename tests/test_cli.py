@@ -158,6 +158,23 @@ class TestConfigErrors:
             ({"id": "bad id!", "law": {"base": {"kind": "point", "value": 0}}, "norming": {"alpha": 2.0}}, "scenario ids"),
             ({"id": "x", "law": {"base": {"kind": "point"}}, "norming": {"alpha": 2.0}}, "missing required"),
             ({"id": "x", "law": {"base": {"kind": "point", "value": 0}}, "norming": {}}, "missing required"),
+            (
+                {"id": "x", "law": {"base": {"kind": "point", "value": 0}, "prior": {"kind": "scale_gamma"}}, "norming": {"alpha": 2.0}},
+                "config.scenario.law.prior.kind: unknown prior",
+            ),
+            (
+                {"id": "x", "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}, "prior": {"kind": "scale_atoms", "atoms": [[1.0, 0.5], [2.0]]}}, "norming": {"alpha": 1.0}},
+                "config.scenario.law.prior.atoms[1]: expected a [value, weight] pair",
+            ),
+            ({"builtin": "example1", "joint_grid": [[0, 0], [1.0]]}, "config.scenario.joint_grid[1]: expected a [t, s] pair"),
+            (
+                {"id": "x", "law": {"base": {"kind": "point", "value": 0}}, "norming": {"alpha": 2.0, "scale": "2"}},
+                "config.scenario.norming.scale: expected a number",
+            ),
+            (
+                {"id": "x", "law": {"base": {"kind": "stable", "alpha": 2.5, "gamma": 0, "c": 1, "beta": 0}}, "norming": {"alpha": 2.0}},
+                "config.scenario.law.base: ",
+            ),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):

@@ -488,6 +488,11 @@ class TestRowSums:
         with pytest.raises(ValueError):
             sample_array_sums(law, norming, n=10, rows=1, seed=1, replicates=0)
 
+    def test_nonfinite_sums_are_an_error(self):
+        law = DirectingLaw(SymmetricParetoLaw(0.01, 1.0))
+        with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
+            sample_array_sums(law, NormingSequence(alpha=0.5), n=64, rows=1, seed=0, replicates=50)
+
     def test_row_sums_shape_validation(self):
         with pytest.raises(ValueError):
             RowSums(

@@ -11,11 +11,13 @@ from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
     ScaleAtoms,
+    SymmetricParetoLaw,
     sample_array_sums,
 )
 from stablemix.empirics import (
     DEFAULT_JOINT_POINTS,
     ScenarioReport,
+    ScenarioSpec,
     TGrid,
     builtin_scenarios,
     empirical_cf,
@@ -263,6 +265,17 @@ class TestRunScenario:
                 )
             )
         assert payloads[0] == payloads[1]
+
+    def test_nonfinite_row_sums_name_the_sampler(self):
+        spec = ScenarioSpec(
+            name="extreme-tail",
+            law=DirectingLaw(SymmetricParetoLaw(0.01, 1.0)),
+            norming=NormingSequence(alpha=0.5),
+            cf_n_grid=(64,),
+            cf_replicates=50,
+        )
+        with pytest.raises(RuntimeError, match="sample_array_sums: 3 of 50 .* at n=64"):
+            run_scenario(spec, seed=0)
 
     def test_nan_modulus_is_rejected(self):
         with pytest.raises(ValueError, match="modulus nan"):
