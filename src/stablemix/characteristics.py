@@ -203,6 +203,27 @@ def _validate_grid(grid: Sequence[float]) -> np.ndarray:
     return pts
 
 
+def _cell_measure(pts: np.ndarray, cum: Callable[[float], float]) -> AtomicMeasure:
+    """One atom per same-sign cell of ``pts``, at its geometric midpoint, with
+    the increment of ``cum``; ``cum`` is evaluated once per grid point."""
+    values = [cum(x) for x in pts]
+    atoms: List[Tuple[float, float]] = []
+    for left, right, cum_left, cum_right in zip(pts[:-1], pts[1:], values, values[1:]):
+        if left < 0 < right:
+            continue
+        mass = cum_right - cum_left
+        if mass < -1e-12:
+            raise RuntimeError(
+                "internal error: spectral increment "
+                f"{mass:g} on ({left:g}, {right:g}] is negative"
+            )
+        if mass <= 0:
+            continue
+        location = math.copysign(math.sqrt(abs(left) * abs(right)), left)
+        atoms.append((location, mass))
+    return AtomicMeasure.from_pairs(atoms)
+
+
 def spectral_measure_lambda(
     p, norming: NormingSequence, n: int, grid: Optional[Sequence[float]] = None
 ) -> AtomicMeasure:
@@ -222,21 +243,7 @@ def spectral_measure_lambda(
             return -n * p.cdf(b / x)
         return n * p.right_tail(b / x)
 
-    atoms: List[Tuple[float, float]] = []
-    for left, right in zip(pts[:-1], pts[1:]):
-        if left < 0 < right:
-            continue
-        mass = g_value(right) - g_value(left)
-        if mass < -1e-12:
-            raise RuntimeError(
-                "internal error: spectral increment "
-                f"{mass:g} on ({left:g}, {right:g}] is negative"
-            )
-        if mass <= 0:
-            continue
-        location = math.copysign(math.sqrt(abs(left) * abs(right)), left)
-        atoms.append((location, mass))
-    return AtomicMeasure.from_pairs(atoms)
+    return _cell_measure(pts, g_value)
 
 
 def spectral_cdf(params: SpectralParams, x: float) -> float:
@@ -254,16 +261,7 @@ def discretize_spectral(
     """Discretize an exact power-law spectral shape with the same cell
     convention as :func:`spectral_measure_lambda`."""
     pts = _validate_grid(DEFAULT_SPECTRAL_GRID if grid is None else grid)
-    atoms: List[Tuple[float, float]] = []
-    for left, right in zip(pts[:-1], pts[1:]):
-        if left < 0 < right:
-            continue
-        mass = spectral_cdf(params, right) - spectral_cdf(params, left)
-        if mass <= 0:
-            continue
-        location = math.copysign(math.sqrt(abs(left) * abs(right)), left)
-        atoms.append((location, mass))
-    return AtomicMeasure.from_pairs(atoms)
+    return _cell_measure(pts, lambda x: spectral_cdf(params, x))
 
 
 def fit_spectrum(

@@ -22,9 +22,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .criteria import CRITERION_NAMES, NGrid, StatTestConfig
 from .directing import (
@@ -148,7 +148,7 @@ def _build_kind(obj, path: str, kinds: dict, noun: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with a 'kind' key")
     kind = obj.get("kind")
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(
             f"{path}.kind: unknown {noun} {kind!r}; known: {', '.join(sorted(kinds))}"
         )
@@ -228,16 +228,10 @@ def _build_target(obj, path: str) -> MixingMeasure:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _number_list(value, path: str) -> Tuple[float, ...]:
+def _as_list(value, path: str, convert: Callable = _as_number, noun: str = "numbers") -> tuple:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return tuple(_as_number(v, f"{path}[{j}]") for j, v in enumerate(value))
-
-
-def _int_list(value, path: str) -> Tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of integers")
-    return tuple(_as_int(v, f"{path}[{j}]") for j, v in enumerate(value))
+        raise ConfigError(f"{path}: expected a nonempty list of {noun}")
+    return tuple(convert(v, f"{path}[{j}]") for j, v in enumerate(value))
 
 
 _SCENARIO_OVERRIDES = (
@@ -273,7 +267,7 @@ class ResolvedConfig:
 def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
     updates: Dict[str, object] = {}
     if "n_grid" in obj:
-        updates["cf_n_grid"] = _int_list(obj["n_grid"], f"{path}.n_grid")
+        updates["cf_n_grid"] = _as_list(obj["n_grid"], f"{path}.n_grid", _as_int, "integers")
     if "replicates" in obj:
         updates["cf_replicates"] = _as_int(obj["replicates"], f"{path}.replicates")
     if "tau" in obj:
@@ -281,7 +275,7 @@ def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
     if "alpha" in obj:
         updates["alpha"] = _as_number(obj["alpha"], f"{path}.alpha")
     if "x_grid" in obj:
-        updates["x_grid"] = _number_list(obj["x_grid"], f"{path}.x_grid")
+        updates["x_grid"] = _as_list(obj["x_grid"], f"{path}.x_grid")
     if "joint" in obj:
         if not isinstance(obj["joint"], bool):
             raise ConfigError(f"{path}.joint: expected true or false")
@@ -300,7 +294,7 @@ def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
     grid_values = None
     grid_replicates = None
     if "checker_n_grid" in obj:
-        grid_values = _int_list(obj["checker_n_grid"], f"{path}.checker_n_grid")
+        grid_values = _as_list(obj["checker_n_grid"], f"{path}.checker_n_grid", _as_int, "integers")
     if "checker_replicates" in obj:
         grid_replicates = _as_int(obj["checker_replicates"], f"{path}.checker_replicates")
     if grid_values is not None or grid_replicates is not None:
@@ -409,7 +403,7 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
     tgrid = None
     if "t_grid" in scenario_obj:
         try:
-            tgrid = TGrid(_number_list(scenario_obj["t_grid"], "config.scenario.t_grid"))
+            tgrid = TGrid(_as_list(scenario_obj["t_grid"], "config.scenario.t_grid"))
         except ValueError as exc:
             raise ConfigError(f"config.scenario.t_grid: {exc}") from exc
     joint_grid = None
@@ -428,19 +422,7 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
 
 
 def _report_payload(report: ScenarioReport) -> Dict[str, object]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": report.scenario,
-        "seed": report.seed,
-        "config": report.config,
-        "cf_tables": report.cf_tables,
-        "sup_distance": report.sup_distance,
-        "joint_table": report.joint_table,
-        "identity": report.identity,
-        "quantities": report.quantities,
-        "verdicts": report.verdicts,
-        "runtimes": report.runtimes,
-    }
+    return {"schema_version": SCHEMA_VERSION, **asdict(report)}
 
 
 def _write_json(path: Path, payload: Dict[str, object]) -> None:

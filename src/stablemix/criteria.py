@@ -197,22 +197,22 @@ class _DrawPanel:
     def unique(self) -> list:
         return list(dict.fromkeys(self.draws))
 
+    def _memoized(self, key: tuple, n: int, p, fn: Callable):
+        token = (key, n, p)
+        if token not in self._memo:
+            self._memo[token] = fn(p, n)
+        return self._memo[token]
+
     def table(self, key: tuple, n: int, fn: Callable) -> Dict[object, object]:
-        out = {}
-        for p in self.unique:
-            token = (key, n, p)
-            if token not in self._memo:
-                self._memo[token] = fn(p, n)
-            out[p] = self._memo[token]
-        return out
+        return {p: self._memoized(key, n, p, fn) for p in self.unique}
 
     def values(self, key: tuple, n: int, fn: Callable) -> np.ndarray:
         table = self.table(key, n, fn)
         return np.array([table[p] for p in self.draws], dtype=float)
 
-    def objects(self, key: tuple, n: int, fn: Callable) -> list:
-        table = self.table(key, n, fn)
-        return [table[p] for p in self.draws]
+    def stream(self, key: tuple, fn: Callable) -> List[np.ndarray]:
+        """``values`` at every grid length, in grid order."""
+        return [self.values(key, n, fn) for n in self.ngrid.values]
 
     def unique_weights(self) -> List[Tuple[object, float]]:
         counts = Counter(self.draws)
@@ -220,47 +220,48 @@ class _DrawPanel:
         return [(p, counts[p] / total) for p in self.unique]
 
     def norming_at(self, p, n: int) -> Tuple[float, float]:
-        token = (("norming",), n, p)
-        if token not in self._memo:
-            self._memo[token] = norming_values(self.norming, n, p)
-        return self._memo[token]
+        return self._memoized(("norming",), n, p, lambda q, m: norming_values(self.norming, m, q))
 
-    # Per-draw quantity streams. Each returns one value per replicate.
+    # Per-draw quantity streams. Each returns one array per grid length,
+    # holding one value per replicate.
 
-    def loc_trunc(self, n: int, tau: float) -> np.ndarray:
+    def loc_trunc(self, tau: float) -> List[np.ndarray]:
         def fn(p, m):
             return trunc_mean(p, self.norming, m, tau) - self.norming_at(p, m)[1]
 
-        return self.values(("m_trunc", tau), n, fn)
+        return self.stream(("m_trunc", tau), fn)
 
-    def loc_smooth(self, n: int) -> np.ndarray:
-        return self.values(("m_smooth",), n, self._smooth_fn)
+    def loc_smooth(self) -> List[np.ndarray]:
+        def fn(p, m):
+            return smooth_mean(p, self.norming, m) - self.norming_at(p, m)[1]
 
-    def disp(self, n: int, tau: float) -> np.ndarray:
+        return self.stream(("m_smooth",), fn)
+
+    def disp(self, tau: float) -> List[np.ndarray]:
         def fn(p, m):
             return trunc_variance(p, self.norming, m, tau)
 
-        return self.values(("disp", tau), n, fn)
+        return self.stream(("disp", tau), fn)
 
-    def proxy(self, n: int) -> np.ndarray:
+    def proxy(self) -> List[np.ndarray]:
         def fn(p, m):
             return sigma_bar_proxy(p, self.norming, proxy_window(m))
 
-        return self.values(("proxy",), n, fn)
+        return self.stream(("proxy",), fn)
 
-    def qtail(self, n: int, eps: float) -> np.ndarray:
+    def qtail(self, eps: float) -> List[np.ndarray]:
         def fn(p, m):
             return tail_mass_quantity(p, self.norming, m, eps)
 
-        return self.values(("qtail", eps), n, fn)
+        return self.stream(("qtail", eps), fn)
 
-    def uan_tail(self, n: int, eps: float) -> np.ndarray:
+    def uan_tail(self, eps: float) -> List[np.ndarray]:
         def fn(p, m):
             return p.tail_mass(eps * self.norming.b(m))
 
-        return self.values(("uan", eps), n, fn)
+        return self.stream(("uan", eps), fn)
 
-    def balance(self, n: int) -> np.ndarray:
+    def balance(self) -> List[np.ndarray]:
         def fn(p, m):
             b = self.norming.b(m)
             mass = p.tail_mass(b)
@@ -268,7 +269,7 @@ class _DrawPanel:
                 return 0.0
             return (p.right_tail(b) - p.cdf(-b)) / mass
 
-        return self.values(("balance",), n, fn)
+        return self.stream(("balance",), fn)
 
     def ratio(self, x: float) -> np.ndarray:
         def fn(p, _):
@@ -276,23 +277,11 @@ class _DrawPanel:
 
         return self.values(("ratio", x), 0, fn)
 
-    def fits(self, n: int, alpha: float) -> list:
-        return self.objects(("fit", alpha), n, self._fit_fn(alpha))
-
     def fit_table(self, n: int, alpha: float) -> Dict[object, object]:
-        return self.table(("fit", alpha), n, self._fit_fn(alpha))
-
-    def smooth_table(self, n: int) -> Dict[object, float]:
-        return self.table(("m_smooth",), n, self._smooth_fn)
-
-    def _smooth_fn(self, p, m: int) -> float:
-        return smooth_mean(p, self.norming, m) - self.norming_at(p, m)[1]
-
-    def _fit_fn(self, alpha: float) -> Callable:
         def fn(p, m):
             return fit_spectrum(spectral_measure_lambda(p, self.norming, m), alpha)
 
-        return fn
+        return self.table(("fit", alpha), n, fn)
 
 
 def _panel_for(
@@ -457,13 +446,9 @@ def _tails_to_zero(
     statuses = []
     for eps in _TAIL_EPS:
         if scaled:
-            samples = [panel.qtail(n, eps) for n in panel.ngrid.values]
+            holds, data = _in_probability(panel.qtail(eps), cfg, target=0.0)
         else:
-            samples = [panel.uan_tail(n, eps) for n in panel.ngrid.values]
-        if scaled:
-            holds, data = _in_probability(samples, cfg, target=0.0)
-        else:
-            fracs = [float(np.mean(s > cfg.delta)) for s in samples]
+            fracs = [float(np.mean(s > cfg.delta)) for s in panel.uan_tail(eps)]
             holds, data = _fraction_verdict(fracs, cfg)
         per_eps[f"eps={eps:g}"] = {"holds": holds, **data}
         statuses.append(holds)
@@ -504,7 +489,8 @@ def _evidence(panel: _DrawPanel, subs: Dict[str, object], **extra) -> Dict[str, 
 def _fit_streams(panel: _DrawPanel, alpha: float):
     residuals, nulls, c_minus, c_plus = [], [], [], []
     for n in panel.ngrid.values:
-        fits = panel.fits(n, alpha)
+        table = panel.fit_table(n, alpha)
+        fits = [table[p] for p in panel.draws]
         residuals.append(np.array([res for _, res in fits], dtype=float))
         nulls.append(np.array([params.is_null for params, _ in fits], dtype=bool))
         c_minus.append(np.array([params.c_minus for params, _ in fits], dtype=float))
@@ -569,19 +555,19 @@ def _shape_subchecks(
 
 
 def _limit_atoms(
-    panel: _DrawPanel, alpha: float
+    panel: _DrawPanel, alpha: float, locations: np.ndarray
 ) -> List[Tuple[float, SpectralParams, float]]:
     """Per-draw (location, spectral shape, weight) triples at the largest n.
 
+    ``locations`` holds each draw's smoothed location at the largest n.
     Distinct draws already collapse by equality, so an atom prior yields
     its atoms exactly. Crowded panels (continuous priors) are summarized
     by clustering the fitted total weights at relative gaps.
     """
-    n_last = panel.ngrid.values[-1]
-    fit_table = panel.fit_table(n_last, alpha)
-    loc_table = panel.smooth_table(n_last)
+    fit_table = panel.fit_table(panel.ngrid.values[-1], alpha)
+    loc_of = dict(zip(panel.draws, locations))
     entries = [
-        (float(loc_table[p]), fit_table[p][0], weight)
+        (float(loc_of[p]), fit_table[p][0], weight)
         for p, weight in panel.unique_weights()
     ]
     if len(entries) <= _MAX_EXACT_ATOMS:
@@ -658,14 +644,13 @@ def _mixture_verdict(
     largest n to the estimated limit; a ``ValueError`` it raises is
     reported as ``limit_error`` in the evidence.
     """
-    ns = panel.ngrid.values
     subs = _shape_subchecks(panel, alpha, config, with_symmetry=alpha == 1.0)
 
-    m1 = [panel.loc_smooth(n) for n in ns]
+    m1 = panel.loc_smooth()
     h_loc, d_loc = _weak_convergence(m1, config)
     subs["location_stabilize"] = {"holds": h_loc, **d_loc}
 
-    prox = [panel.proxy(n) for n in ns]
+    prox = panel.proxy()
     h_prox, d_prox = _in_probability(prox, config, target=0.0)
     subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
 
@@ -674,7 +659,7 @@ def _mixture_verdict(
     limit: Optional[Dict[str, object]] = None
     extra: Dict[str, object] = {}
     try:
-        limit = limit_of(_limit_atoms(panel, alpha), m1[-1])
+        limit = limit_of(_limit_atoms(panel, alpha, m1[-1]), m1[-1])
     except ValueError as exc:
         extra["limit_error"] = str(exc)
     return CriterionVerdict(name, holds, _evidence(panel, subs, **extra), limit)
@@ -684,8 +669,6 @@ def _row_stable_verdict(
     name: str, panel: _DrawPanel, alpha: float, config: StatTestConfig
 ) -> CriterionVerdict:
     """Single-row symmetric stable verdict at index ``alpha``, one included."""
-    ns = panel.ngrid.values
-
     subs = _shape_subchecks(panel, alpha, config, with_symmetry=True)
     hypothesis = _combine_list([s["holds"] for s in subs.values()])
 
@@ -693,16 +676,16 @@ def _row_stable_verdict(
         evidence = _evidence(panel, subs, hypothesis_violated=True)
         return CriterionVerdict(name, False, evidence)
 
-    m1 = [panel.loc_smooth(n) for n in ns]
+    m1 = panel.loc_smooth()
     h_loc, d_loc = _in_probability(m1, config)
     subs["location_concentrates"] = {"holds": h_loc, **d_loc}
 
-    prox = [panel.proxy(n) for n in ns]
+    prox = panel.proxy()
     h_prox, d_prox = _in_probability(prox, config, target=0.0)
     subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
 
     holds = _combine_list([hypothesis, h_loc, h_prox])
-    entries = _limit_atoms(panel, alpha)
+    entries = _limit_atoms(panel, alpha, m1[-1])
     limit = {
         "gamma": float(d_loc["limit"]),
         "rho_atoms": _rho_atoms(entries, stable_mixing_constant(alpha)),
@@ -757,9 +740,8 @@ def check_gaussian_mixture(
     summary of the limiting variance mixture.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-    loc = [panel.loc_trunc(n, tau) for n in ns]
-    disp = [panel.disp(n, tau) for n in ns]
+    loc = panel.loc_trunc(tau)
+    disp = panel.disp(tau)
 
     subs = _variance_mixture_subchecks(loc, disp, config)
     h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
@@ -790,9 +772,8 @@ def check_degenerate(
     probability.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-    loc = [panel.loc_trunc(n, tau) for n in ns]
-    disp = [panel.disp(n, tau) for n in ns]
+    loc = panel.loc_trunc(tau)
+    disp = panel.disp(tau)
 
     h_loc, d_loc = _in_probability(loc, config)
     h_disp, d_disp = _in_probability(disp, config, target=0.0)
@@ -885,16 +866,14 @@ def check_wlln(
     at matching scale, and n times the tail mass beyond eps * b_n.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-
-    loc = [panel.loc_trunc(n, tau) for n in ns]
+    loc = panel.loc_trunc(tau)
     h_loc, d_loc = _in_probability(loc, config, target=0.0)
 
     def second_fn(p, m):
         b, c = panel.norming_at(p, m)
         return (m / (b * b)) * p.truncated_second(tau * b) - c * c / m
 
-    second = [panel.values(("wlln_second", tau), n, second_fn) for n in ns]
+    second = panel.stream(("wlln_second", tau), second_fn)
     h_sec, d_sec = _in_probability(second, config, target=0.0)
 
     h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
@@ -929,8 +908,6 @@ def check_single_row_gaussian(
     the verdict outright without branch classification.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
-
     h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
     subs: Dict[str, object] = {
         "tails_negligible": {"holds": h_tail, "per_eps": d_tail}
@@ -940,8 +917,8 @@ def check_single_row_gaussian(
         evidence = _evidence(panel, subs, hypothesis_violated=True)
         return CriterionVerdict("row_gaussian", False, evidence)
 
-    loc = [panel.loc_trunc(n, tau) for n in ns]
-    disp = [panel.disp(n, tau) for n in ns]
+    loc = panel.loc_trunc(tau)
+    disp = panel.disp(tau)
 
     variance = _variance_mixture_subchecks(loc, disp, config)
     branch_variance = _combine_list([s["holds"] for s in variance.values()])
@@ -1058,7 +1035,6 @@ def check_sec5_conditions(
         raise ValueError(f"x_grid must be positive and increasing, got {x_grid}")
 
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    ns = ngrid.values
     target_ratio = (2.0 - alpha) / alpha
 
     ratios = [panel.ratio(x) for x in levels]
@@ -1066,14 +1042,14 @@ def check_sec5_conditions(
     d_ratio["x_grid"] = levels
     d_ratio["target"] = float(target_ratio)
 
-    tail_law = [panel.qtail(n, 1.0) for n in ns]
+    tail_law = panel.qtail(1.0)
     h_tweak, d_tweak = _weak_convergence(tail_law, config)
     h_tnd, d_tnd = _nondegenerate(tail_law[-1], config)
 
-    balance = [panel.balance(n) for n in ns]
+    balance = panel.balance()
     h_bal, d_bal = _in_probability(balance, config, target=0.0)
 
-    m1 = [panel.loc_smooth(n) for n in ns]
+    m1 = panel.loc_smooth()
     h_loc, d_loc = _in_probability(m1, config)
 
     subs = {

@@ -1,13 +1,15 @@
 """Random directing measures, exchangeable arrays, and normed row sums.
 
 A directing law is a base distribution family plus an optional prior on one
-of its parameters. Drawing the prior yields one realized probability measure;
-given that realization all array entries are i.i.d. Every realized family
-exposes the same analytic surface: cdf, one-sided and two-sided tails,
-truncated first and second moments, the smoothed mean integral
-``int b*x/(b**2 + x**2) dp``, and generic integration against the density.
-Closed forms are used wherever the family permits; the rest goes through
-adaptive quadrature certified to 1e-10.
+of its parameters; the prior's ``slot`` names that parameter, "dispersion"
+or "location", and the family takes the drawn value through ``with_<slot>``
+(a family without that method rejects the prior). Drawing the prior yields
+one realized probability measure; given that realization all array entries
+are i.i.d. Every realized family exposes the same analytic surface: cdf,
+one-sided and two-sided tails, truncated first and second moments, the
+smoothed mean integral ``int b*x/(b**2 + x**2) dp``, and generic integration
+against the density. Closed forms are used wherever the family permits; the
+rest goes through adaptive quadrature certified to 1e-10.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -349,19 +351,35 @@ class UniformLaw(_RealizedLaw):
 
 
 @dataclass(frozen=True)
-class SymmetricParetoLaw(_RealizedLaw):
-    """Symmetric power-tail law: density ~ |x|**-(tail_index+1) for |x| >= pscale."""
+class _ParetoLaw(_RealizedLaw):
+    """Fields, validation and closed forms shared by the two Pareto families."""
 
     tail_index: float
     pscale: float
-
-    symmetric = True
 
     def __post_init__(self) -> None:
         if self.tail_index <= 0:
             raise ValueError(f"tail_index must be positive, got {self.tail_index}")
         if self.pscale <= 0:
             raise ValueError(f"scale must be positive, got {self.pscale}")
+
+    def truncated_second(self, bound: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if bound <= s:
+            return 0.0
+        if a0 == 2.0:
+            return 2.0 * s * s * math.log(bound / s)
+        return a0 * s ** a0 * (bound ** (2.0 - a0) - s ** (2.0 - a0)) / (2.0 - a0)
+
+    def with_dispersion(self, value: float) -> "_ParetoLaw":
+        return type(self)(self.tail_index, value)
+
+
+@dataclass(frozen=True)
+class SymmetricParetoLaw(_ParetoLaw):
+    """Symmetric power-tail law: density ~ |x|**-(tail_index+1) for |x| >= pscale."""
+
+    symmetric = True
 
     def pieces(self) -> Tuple[Tuple[float, float], ...]:
         return ((-math.inf, -self.pscale), (self.pscale, math.inf))
@@ -388,14 +406,6 @@ class SymmetricParetoLaw(_RealizedLaw):
             return 0.5
         return 1.0 - 0.5 * (s / -x) ** a0
 
-    def truncated_second(self, bound: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if bound <= s:
-            return 0.0
-        if a0 == 2.0:
-            return 2.0 * s * s * math.log(bound / s)
-        return a0 * s ** a0 * (bound ** (2.0 - a0) - s ** (2.0 - a0)) / (2.0 - a0)
-
     def mean(self) -> float:
         if self.tail_index <= 1.0:
             raise ValueError("mean undefined at tail index <= 1")
@@ -406,22 +416,10 @@ class SymmetricParetoLaw(_RealizedLaw):
         signs = rng.integers(0, 2, size) * 2 - 1
         return magnitudes * signs
 
-    def with_dispersion(self, value: float) -> "SymmetricParetoLaw":
-        return SymmetricParetoLaw(self.tail_index, value)
-
 
 @dataclass(frozen=True)
-class OneSidedParetoLaw(_RealizedLaw):
+class OneSidedParetoLaw(_ParetoLaw):
     """Power-tail law supported on [pscale, +inf)."""
-
-    tail_index: float
-    pscale: float
-
-    def __post_init__(self) -> None:
-        if self.tail_index <= 0:
-            raise ValueError(f"tail_index must be positive, got {self.tail_index}")
-        if self.pscale <= 0:
-            raise ValueError(f"scale must be positive, got {self.pscale}")
 
     def pieces(self) -> Tuple[Tuple[float, float], ...]:
         return ((self.pscale, math.inf),)
@@ -450,14 +448,6 @@ class OneSidedParetoLaw(_RealizedLaw):
             return s * math.log(bound / s)
         return a0 * s ** a0 * (bound ** (1.0 - a0) - s ** (1.0 - a0)) / (1.0 - a0)
 
-    def truncated_second(self, bound: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if bound < s:
-            return 0.0
-        if a0 == 2.0:
-            return 2.0 * s * s * math.log(bound / s)
-        return a0 * s ** a0 * (bound ** (2.0 - a0) - s ** (2.0 - a0)) / (2.0 - a0)
-
     def mean(self) -> float:
         a0 = self.tail_index
         if a0 <= 1.0:
@@ -466,9 +456,6 @@ class OneSidedParetoLaw(_RealizedLaw):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.pscale * rng.random(size) ** (-1.0 / self.tail_index)
-
-    def with_dispersion(self, value: float) -> "OneSidedParetoLaw":
-        return OneSidedParetoLaw(self.tail_index, value)
 
 
 @dataclass(frozen=True)
@@ -561,9 +548,6 @@ class PointMassLaw(_RealizedLaw):
     def integrate(self, f: Callable[[float], float], lo: float, hi: float) -> float:
         return float(f(self.point)) if lo < self.point <= hi else 0.0
 
-    def expect(self, f: Callable[[float], float]) -> float:
-        return float(f(self.point))
-
     def truncated_mean(self, bound: float) -> float:
         return self.point if abs(self.point) <= bound else 0.0
 
@@ -583,31 +567,22 @@ class PointMassLaw(_RealizedLaw):
         return PointMassLaw(value)
 
 
-def _check_atoms(atoms: Sequence[Tuple[float, float]], positive_values: bool) -> None:
-    if not atoms:
-        raise ValueError("prior needs at least one atom")
-    weights = [w for _, w in atoms]
-    if any(w <= 0 for w in weights):
-        raise ValueError("prior weights must be positive")
-    if abs(math.fsum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"prior weights must sum to 1, got {math.fsum(weights)!r}")
-    if positive_values and any(v <= 0 for v, _ in atoms):
-        raise ValueError("dispersion values must be positive")
-
-
 @dataclass(frozen=True)
-class ScaleAtoms:
-    """Finite prior on the family's natural dispersion parameter.
-
-    The dispersion slot means variance for the Gaussian family and the plain
-    scale parameter everywhere else, so an exponential prior here gives an
-    exponentially distributed Gaussian variance.
-    """
+class _AtomPrior:
+    """Finite prior: ``atoms`` holds (value, weight) pairs."""
 
     atoms: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        _check_atoms(self.atoms, positive_values=True)
+        if not self.atoms:
+            raise ValueError("prior needs at least one atom")
+        weights = [w for _, w in self.atoms]
+        if any(w <= 0 for w in weights):
+            raise ValueError("prior weights must be positive")
+        if abs(math.fsum(weights) - 1.0) > 1e-12:
+            raise ValueError(f"prior weights must sum to 1, got {math.fsum(weights)!r}")
+        if self.slot == "dispersion" and any(v <= 0 for v, _ in self.atoms):
+            raise ValueError("dispersion values must be positive")
 
     def draw(self, rng: np.random.Generator) -> float:
         values = [v for v, _ in self.atoms]
@@ -616,9 +591,22 @@ class ScaleAtoms:
 
 
 @dataclass(frozen=True)
+class ScaleAtoms(_AtomPrior):
+    """Finite prior on the family's natural dispersion parameter.
+
+    The dispersion slot means variance for the Gaussian family and the plain
+    scale parameter everywhere else, so an exponential prior here gives an
+    exponentially distributed Gaussian variance.
+    """
+
+    slot = "dispersion"
+
+
+@dataclass(frozen=True)
 class ScaleExponential:
     """Exponential prior (given rate) on the natural dispersion parameter."""
 
+    slot = "dispersion"
     rate: float
 
     def __post_init__(self) -> None:
@@ -633,6 +621,7 @@ class ScaleExponential:
 class ScaleLogNormal:
     """Log-normal prior on the natural dispersion parameter."""
 
+    slot = "dispersion"
     log_mean: float
     log_sd: float
 
@@ -645,24 +634,17 @@ class ScaleLogNormal:
 
 
 @dataclass(frozen=True)
-class LocationAtoms:
+class LocationAtoms(_AtomPrior):
     """Finite prior on the family's location parameter."""
 
-    atoms: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        _check_atoms(self.atoms, positive_values=False)
-
-    def draw(self, rng: np.random.Generator) -> float:
-        values = [v for v, _ in self.atoms]
-        weights = [w for _, w in self.atoms]
-        return float(rng.choice(values, p=weights))
+    slot = "location"
 
 
 @dataclass(frozen=True)
 class LocationGaussian:
     """Gaussian prior on the family's location parameter."""
 
+    slot = "location"
     mean: float
     sd: float
 
@@ -674,8 +656,6 @@ class LocationGaussian:
         return float(rng.normal(self.mean, self.sd))
 
 
-ScalePrior = Union[ScaleAtoms, ScaleExponential, ScaleLogNormal]
-LocationPrior = Union[LocationAtoms, LocationGaussian]
 Randomizer = Union[ScaleAtoms, ScaleExponential, ScaleLogNormal, LocationAtoms, LocationGaussian]
 
 
@@ -689,25 +669,21 @@ class DirectingLaw:
     def __post_init__(self) -> None:
         if self.randomizer is None:
             return
-        if isinstance(self.randomizer, (ScaleAtoms, ScaleExponential, ScaleLogNormal)):
-            if not hasattr(self.base, "with_dispersion"):
-                raise ValueError(
-                    f"{type(self.base).__name__} does not accept a dispersion prior"
-                )
-        else:
-            if not hasattr(self.base, "with_location"):
-                raise ValueError(
-                    f"{type(self.base).__name__} does not accept a location prior"
-                )
+        slot = self.randomizer.slot
+        if not hasattr(self.base, f"with_{slot}"):
+            raise ValueError(f"{type(self.base).__name__} does not accept a {slot} prior")
 
 
 def _draw_with(law: DirectingLaw, rng: np.random.Generator) -> _RealizedLaw:
     if law.randomizer is None:
         return law.base
     value = law.randomizer.draw(rng)
-    if isinstance(law.randomizer, (ScaleAtoms, ScaleExponential, ScaleLogNormal)):
-        return law.base.with_dispersion(value)
-    return law.base.with_location(value)
+    return getattr(law.base, f"with_{law.randomizer.slot}")(value)
+
+
+def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
+    """The realization of replicate ``k``, drawn from SeedSequence([seed, k, 0])."""
+    return _draw_with(law, np.random.default_rng(replicate_seed(seed, k, 0)))
 
 
 def draw_directing(law: DirectingLaw, seed: int) -> _RealizedLaw:
@@ -725,10 +701,7 @@ def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_Real
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    return [
-        _draw_with(law, np.random.default_rng(replicate_seed(seed, k, 0)))
-        for k in range(replicates)
-    ]
+    return [_draw_at(law, seed, k) for k in range(replicates)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -782,8 +755,7 @@ def _compensated_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, 
 
 
 def _one_replicate(law: DirectingLaw, norming: NormingSequence, n: int, rows: int, seed: int, k: int):
-    draw_rng = np.random.default_rng(replicate_seed(seed, k, 0))
-    p = _draw_with(law, draw_rng)
+    p = _draw_at(law, seed, k)
     b_n, c_n = norming_values(norming, n, realization=p)
     row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
     sums = _compensated_row_sums(p, row_rng, rows, n)
@@ -838,24 +810,16 @@ def sample_array_sums(
             f"at n={n} are not finite"
         )
 
-    draws: list = []
-    index: dict = {}
-    draw_ids = np.empty(replicates, dtype=np.int64)
-    for k, p in enumerate(realized):
-        key = index.get(p)
-        if key is None:
-            key = len(draws)
-            index[p] = key
-            draws.append(p)
-        draw_ids[k] = key
+    # Equal realizations share one id; ids follow first appearance.
+    index = {p: key for key, p in enumerate(dict.fromkeys(realized))}
     return RowSums(
         n=n,
         rows=rows,
         replicates=replicates,
         seed=seed,
         values=values,
-        draw_ids=draw_ids,
-        draws=tuple(draws),
+        draw_ids=np.array([index[p] for p in realized], dtype=np.int64),
+        draws=tuple(index),
     )
 
 

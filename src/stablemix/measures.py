@@ -110,9 +110,3 @@ class AtomicMeasure:
         """Restriction to the open interval (-r, r)."""
         kept = tuple((loc, mass) for loc, mass in self.atoms if abs(loc) < r)
         return AtomicMeasure(kept)
-
-    def scaled(self, factor: float) -> "AtomicMeasure":
-        """Same support with all masses multiplied by ``factor`` > 0."""
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        return AtomicMeasure(tuple((loc, mass * factor) for loc, mass in self.atoms))

@@ -36,12 +36,13 @@ from stablemix.directing import (
     GaussianLaw,
     OneSidedParetoLaw,
     PointMassLaw,
+    StableLaw,
     SymmetricParetoLaw,
     UniformLaw,
 )
 from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import mixture_cf
-from stablemix.stable import NormingSequence, stable_cf
+from stablemix.stable import NormingSequence, StableParams, stable_cf
 
 SQRT_NORMING = NormingSequence(alpha=2.0)
 LINEAR_NORMING = NormingSequence(alpha=1.0)
@@ -882,3 +883,92 @@ class TestArrayPathOracle:
                 assert residual.hex() == reference.hex(), (
                     f"fit residual at n={n}, alpha={alpha} drifted from the reference"
                 )
+
+
+def _ref_cell_walk(pts, cum):
+    """The former per-cell loop: ``cum`` at both ends of every cell."""
+    atoms = []
+    for left, right in zip(pts[:-1], pts[1:]):
+        if left < 0 < right:
+            continue
+        mass = cum(right) - cum(left)
+        if mass <= 0:
+            continue
+        location = math.copysign(math.sqrt(abs(left) * abs(right)), left)
+        atoms.append((location, mass))
+    return AtomicMeasure.from_pairs(atoms)
+
+
+def _ref_spectral_lambda(p, norming, n, grid=DEFAULT_SPECTRAL_GRID):
+    b = norming.b(n)
+
+    def g_value(x):
+        if x < 0:
+            return -n * p.cdf(b / x)
+        return n * p.right_tail(b / x)
+
+    return _ref_cell_walk(np.asarray(grid, dtype=float), g_value)
+
+
+def _hex_atoms(measure):
+    return [(loc.hex(), mass.hex()) for loc, mass in measure.atoms]
+
+
+class _CountingCauchy(CauchyLaw):
+    """Cauchy law that counts its cdf and right-tail evaluations."""
+
+    calls = 0
+
+    def cdf(self, x):
+        type(self).calls += 1
+        return super().cdf(x)
+
+    def right_tail(self, x):
+        type(self).calls += 1
+        return super().right_tail(x)
+
+
+class TestCellWalk:
+    """One distribution-function evaluation per grid point, same atoms as the
+    former two-evaluations-per-cell loop."""
+
+    def test_one_evaluation_per_grid_point(self):
+        law = _CountingCauchy(0.0, 1.0)
+        for n in (100, 100000):
+            _CountingCauchy.calls = 0
+            spectral_measure_lambda(law, LINEAR_NORMING, n)
+            assert _CountingCauchy.calls == len(DEFAULT_SPECTRAL_GRID) == 42, (
+                f"{_CountingCauchy.calls} cdf/right_tail calls at n={n}"
+            )
+
+    @pytest.mark.parametrize(
+        "law, norming",
+        [
+            (CauchyLaw(0.3, 1.2), LINEAR_NORMING),
+            (SymmetricParetoLaw(1.5, 1.3), PARETO_NORMING),
+            (OneSidedParetoLaw(1.5, 0.8), PARETO_NORMING),
+            (UniformLaw(-1.0, 2.0), SQRT_NORMING),
+            (StableLaw(StableParams(1.5, 0.2, 1.0, 0.5)), PARETO_NORMING),
+        ],
+    )
+    def test_lambda_bitwise_equal_to_reference(self, law, norming):
+        for n in (100, 100000):
+            got = spectral_measure_lambda(law, norming, n)
+            assert got.atoms, f"{law!r} at n={n}: empty measure proves nothing"
+            assert _hex_atoms(got) == _hex_atoms(_ref_spectral_lambda(law, norming, n)), (
+                f"{law!r} at n={n}: atoms drifted from the reference"
+            )
+
+    @pytest.mark.parametrize(
+        "params, grid",
+        [
+            (SpectralParams(1.5, 0.3, 0.7), DEFAULT_SPECTRAL_GRID),
+            (SpectralParams(1.0, 0.0, 0.5), DEFAULT_SPECTRAL_GRID),
+            (SpectralParams(0.7, 1.1, 0.2), (-4.0, -1.5, -0.25, 0.1, 0.5, 3.0, 9.0)),
+        ],
+    )
+    def test_discretize_bitwise_equal_to_reference(self, params, grid):
+        got = discretize_spectral(params, grid)
+        reference = _ref_cell_walk(np.asarray(grid, dtype=float), lambda x: spectral_cdf(params, x))
+        assert got.atoms, f"{params!r}: empty measure proves nothing"
+        assert _hex_atoms(got) == _hex_atoms(reference)

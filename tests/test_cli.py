@@ -175,6 +175,12 @@ class TestConfigErrors:
                 {"id": "x", "law": {"base": {"kind": "stable", "alpha": 2.5, "gamma": 0, "c": 1, "beta": 0}}, "norming": {"alpha": 2.0}},
                 "config.scenario.law.base: ",
             ),
+            # Unhashable kinds are unknown kinds, not a TypeError traceback.
+            ({"id": "x", "law": {"base": {"kind": []}}, "norming": {"alpha": 2.0}}, "config.scenario.law.base.kind: unknown family"),
+            (
+                {"id": "x", "law": {"base": {"kind": "point", "value": 0}, "prior": {"kind": {"a": 1}}}, "norming": {"alpha": 2.0}},
+                "config.scenario.law.prior.kind: unknown prior",
+            ),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):

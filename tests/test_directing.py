@@ -180,6 +180,25 @@ class TestParetoLaws:
         assert law.right_tail(0.5) == 1.0
         assert law.right_tail(4.0) == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
+    @pytest.mark.parametrize("tail_index", [1.5, 2.0, 2.5])
+    def test_truncated_second_matches_quadrature(self, family, tail_index):
+        scale = 1.3
+        law = family(tail_index, scale)
+        for factor in (0.5, 1.0, 3.0, 40.0):
+            bound = factor * scale
+            oracle = law.integrate(lambda x: x * x, -bound, bound)
+            closed = law.truncated_second(bound)
+            assert closed == pytest.approx(oracle, rel=1e-9, abs=1e-9), (
+                f"{law!r} at bound {bound}: closed form {closed!r}, quadrature {oracle!r}"
+            )
+
+    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
+    def test_with_dispersion_keeps_the_family(self, family):
+        law = family(1.5, 1.0).with_dispersion(2.5)
+        assert type(law) is family
+        assert law == family(1.5, 2.5)
+
     def test_sampling_matches_tail(self):
         law = SymmetricParetoLaw(1.5, 1.0)
         rng = np.random.default_rng(42)
@@ -329,6 +348,19 @@ class TestDrawDirecting:
             ScaleExponential(rate=0.0)
         with pytest.raises(ValueError):
             LocationGaussian(0.0, -1.0)
+
+    def test_atom_priors_differ_by_slot(self):
+        atoms = ((1.0, 0.5), (2.0, 0.5))
+        assert ScaleAtoms(atoms) != LocationAtoms(atoms)
+        assert repr(ScaleAtoms(atoms)).startswith("ScaleAtoms(atoms=")
+        assert repr(LocationAtoms(atoms)).startswith("LocationAtoms(atoms=")
+        assert (ScaleAtoms.slot, LocationAtoms.slot) == ("dispersion", "location")
+        # Negative values are dispersions only under the scale prior.
+        assert LocationAtoms(((-1.0, 1.0),)).atoms == ((-1.0, 1.0),)
+        with pytest.raises(ValueError, match="does not accept a dispersion prior"):
+            DirectingLaw(UniformLaw(0.0, 1.0), ScaleAtoms(atoms))
+        with pytest.raises(ValueError, match="does not accept a location prior"):
+            DirectingLaw(UniformLaw(0.0, 1.0), LocationAtoms(atoms))
 
 
 class TestRowSums:
