@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .criteria import CRITERION_NAMES, NGrid, StatTestConfig
 from .directing import (
@@ -402,8 +402,9 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
 
     tgrid = None
     if "t_grid" in scenario_obj:
+        points = _as_list(scenario_obj["t_grid"], "config.scenario.t_grid")
         try:
-            tgrid = TGrid(_as_list(scenario_obj["t_grid"], "config.scenario.t_grid"))
+            tgrid = TGrid(points)
         except ValueError as exc:
             raise ConfigError(f"config.scenario.t_grid: {exc}") from exc
     joint_grid = None
@@ -433,32 +434,17 @@ def _write_json(path: Path, payload: Dict[str, object]) -> None:
     )
 
 
-def _write_cf_csv(path: Path, report: ScenarioReport) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "t", "re", "im", "target_re", "target_im", "abs_error"])
-        for table in report.cf_tables:
-            for row in table["points"]:
-                writer.writerow(
-                    [
-                        table["n"],
-                        row["t"],
-                        row["re"],
-                        row["im"],
-                        row.get("target_re", ""),
-                        row.get("target_im", ""),
-                        row.get("abs_error", ""),
-                    ]
-                )
+_CF_COLUMNS = ("n", "t", "re", "im", "target_re", "target_im", "abs_error")
+_QUANTITY_COLUMNS = ("n", "m_trunc", "m_smooth", "sigma2_trunc", "sigma2_bar_proxy", "q_eps", "spectral_mass")
 
 
-def _write_quantities_csv(path: Path, report: ScenarioReport) -> None:
-    fields = ["n", "m_trunc", "m_smooth", "sigma2_trunc", "sigma2_bar_proxy", "q_eps", "spectral_mass"]
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[dict]) -> None:
+    """One line per row; a column the row lacks is an empty cell."""
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(fields)
-        for row in report.quantities:
-            writer.writerow([row[f] for f in fields])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(c, "") for c in columns])
 
 
 def _resolve_out(config: ResolvedConfig, out_flag: Optional[str]) -> Path:
@@ -499,8 +485,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cf_path = out / f"{report.scenario}.cf.csv"
         quantities_path = out / f"{report.scenario}.quantities.csv"
         _write_json(report_path, _report_payload(report))
-        _write_cf_csv(cf_path, report)
-        _write_quantities_csv(quantities_path, report)
+        cf_rows = ({"n": table["n"], **row} for table in report.cf_tables for row in table["points"])
+        _write_csv(cf_path, _CF_COLUMNS, cf_rows)
+        _write_csv(quantities_path, _QUANTITY_COLUMNS, report.quantities)
     except Exception as exc:  # noqa: BLE001 - the exit-code contract wants 1 here
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -322,9 +322,14 @@ def _quantiles(values: np.ndarray) -> Dict[str, float]:
     }
 
 
+def _combine(subs: Dict[str, Dict[str, object]]) -> Optional[bool]:
+    """The conjunction of the sub-check entries' ``holds``."""
+    return _combine_list([s["holds"] for s in subs.values()])
+
+
 def _fraction_verdict(
     fracs: Sequence[float], cfg: StatTestConfig
-) -> Tuple[Optional[bool], Dict[str, object]]:
+) -> Dict[str, object]:
     """Judge a sequence of exceedance fractions along the grid.
 
     Pass needs a final fraction at most ``prob_bound`` and an essentially
@@ -341,14 +346,14 @@ def _fraction_verdict(
         holds = True
     else:
         holds = None
-    return holds, {"fractions": [float(f) for f in fracs], "monotone": monotone}
+    return {"holds": holds, "fractions": [float(f) for f in fracs], "monotone": monotone}
 
 
 def _in_probability(
     samples: Sequence[np.ndarray],
     cfg: StatTestConfig,
     target: Optional[float] = None,
-) -> Tuple[Optional[bool], Dict[str, object]]:
+) -> Dict[str, object]:
     """Test convergence in probability of paired samples along the grid.
 
     With ``target=None`` the limit is estimated by the median at the
@@ -360,16 +365,16 @@ def _in_probability(
     last = samples[-1]
     est = float(target) if target is not None else float(np.median(last))
     fracs = [float(np.mean(np.abs(s - est) > cfg.delta)) for s in samples]
-    holds, data = _fraction_verdict(fracs, cfg)
-    data["limit"] = est
+    out = _fraction_verdict(fracs, cfg)
+    out["limit"] = est
     if target is None and len(samples) >= 2:
         drift = abs(float(np.median(samples[-2])) - est)
-        data["drift"] = float(drift)
+        out["drift"] = float(drift)
         if drift > 10.0 * cfg.delta:
-            holds = False
-        elif drift > cfg.delta and holds is True:
-            holds = None
-    return holds, data
+            out["holds"] = False
+        elif drift > cfg.delta and out["holds"] is True:
+            out["holds"] = None
+    return out
 
 
 def _relaxed_ks(a: np.ndarray, b: np.ndarray, slack: float) -> float:
@@ -394,7 +399,7 @@ def _relaxed_ks(a: np.ndarray, b: np.ndarray, slack: float) -> float:
 
 def _weak_convergence(
     samples: Sequence[np.ndarray], cfg: StatTestConfig
-) -> Tuple[Optional[bool], Dict[str, object]]:
+) -> Dict[str, object]:
     """Accept when consecutive empirical laws stop moving in relaxed KS."""
     distances = [
         _relaxed_ks(s1, s2, cfg.margin) for s1, s2 in zip(samples, samples[1:])
@@ -406,12 +411,12 @@ def _weak_convergence(
         holds = True
     else:
         holds = None
-    return holds, {"ks_consecutive": [float(d) for d in distances]}
+    return {"holds": holds, "ks_consecutive": [float(d) for d in distances]}
 
 
 def _nondegenerate(
     values: np.ndarray, cfg: StatTestConfig
-) -> Tuple[Optional[bool], Dict[str, object]]:
+) -> Dict[str, object]:
     """Test that an empirical law is not concentrated at zero."""
     frac = float(np.mean(np.abs(values) > cfg.margin))
     if frac >= 0.5:
@@ -420,21 +425,21 @@ def _nondegenerate(
         holds = False
     else:
         holds = None
-    return holds, {"fraction_beyond_margin": frac}
+    return {"holds": holds, "fraction_beyond_margin": frac}
 
 
 def _spread(
     values: np.ndarray, cfg: StatTestConfig
-) -> Tuple[bool, Dict[str, object]]:
+) -> Dict[str, object]:
     """Test that an empirical law is not a single point (decile spread)."""
     q10, q90 = np.quantile(values, [0.1, 0.9])
     spread = float(q90 - q10)
-    return spread > cfg.margin, {"decile_spread": spread}
+    return {"holds": spread > cfg.margin, "decile_spread": spread}
 
 
 def _tails_to_zero(
     panel: _DrawPanel, cfg: StatTestConfig, scaled: bool
-) -> Tuple[Optional[bool], Dict[str, object]]:
+) -> Dict[str, object]:
     """Tail sub-check shared by several checkers.
 
     ``scaled=True`` tests n times the two-sided tail mass beyond
@@ -443,16 +448,14 @@ def _tails_to_zero(
     asymptotic negligibility of single array entries).
     """
     per_eps = {}
-    statuses = []
     for eps in _TAIL_EPS:
         if scaled:
-            holds, data = _in_probability(panel.qtail(eps), cfg, target=0.0)
+            entry = _in_probability(panel.qtail(eps), cfg, target=0.0)
         else:
             fracs = [float(np.mean(s > cfg.delta)) for s in panel.uan_tail(eps)]
-            holds, data = _fraction_verdict(fracs, cfg)
-        per_eps[f"eps={eps:g}"] = {"holds": holds, **data}
-        statuses.append(holds)
-    return _combine_list(statuses), per_eps
+            entry = _fraction_verdict(fracs, cfg)
+        per_eps[f"eps={eps:g}"] = entry
+    return {"holds": _combine(per_eps), "per_eps": per_eps}
 
 
 def _variance_mixture_subchecks(
@@ -460,13 +463,10 @@ def _variance_mixture_subchecks(
 ) -> Dict[str, Dict[str, object]]:
     """The centered truncated mean concentrates and the truncated variance
     converges to a law that is not concentrated at zero."""
-    h_loc, d_loc = _in_probability(loc, cfg)
-    h_weak, d_weak = _weak_convergence(disp, cfg)
-    h_nd, d_nd = _nondegenerate(disp[-1], cfg)
     return {
-        "location_concentrates": {"holds": h_loc, **d_loc},
-        "dispersion_converges": {"holds": h_weak, **d_weak},
-        "dispersion_nondegenerate": {"holds": h_nd, **d_nd},
+        "location_concentrates": _in_probability(loc, cfg),
+        "dispersion_converges": _weak_convergence(disp, cfg),
+        "dispersion_nondegenerate": _nondegenerate(disp[-1], cfg),
     }
 
 
@@ -479,6 +479,13 @@ def _evidence(panel: _DrawPanel, subs: Dict[str, object], **extra) -> Dict[str, 
     }
     out.update(extra)
     return out
+
+
+def _verdict(
+    name: str, panel: _DrawPanel, subs: Dict[str, dict], limit: Optional[dict] = None, **extra
+) -> CriterionVerdict:
+    """The verdict that holds when every sub-check entry in ``subs`` holds."""
+    return CriterionVerdict(name, _combine(subs), _evidence(panel, subs, **extra), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +518,11 @@ def _shape_subchecks(
     symmetry (optional): fitted weights are side-balanced per draw.
     """
     residuals, nulls, c_minus, c_plus = _fit_streams(panel, alpha)
-    subs: Dict[str, object] = {}
+    subs: Dict[str, Dict[str, object]] = {}
 
     res_fracs = [float(np.mean(res > cfg.fit_tol)) for res in residuals]
-    holds, data = _fraction_verdict(res_fracs, cfg)
-    data["max_residual"] = float(np.max(residuals[-1]))
-    subs["shape_fit"] = {"holds": holds, **data}
+    subs["shape_fit"] = _fraction_verdict(res_fracs, cfg)
+    subs["shape_fit"]["max_residual"] = float(np.max(residuals[-1]))
 
     non_null = float(np.mean(~nulls[-1]))
     if non_null >= cfg.prob_bound:
@@ -527,12 +533,12 @@ def _shape_subchecks(
         nn_holds = None
     subs["non_null"] = {"holds": nn_holds, "non_null_fraction": non_null}
 
-    ks_minus, data_minus = _weak_convergence(c_minus, cfg)
-    ks_plus, data_plus = _weak_convergence(c_plus, cfg)
+    ks_minus = _weak_convergence(c_minus, cfg)
+    ks_plus = _weak_convergence(c_plus, cfg)
     subs["scale_stabilize"] = {
-        "holds": _combine_list([ks_minus, ks_plus]),
-        "c_minus": data_minus,
-        "c_plus": data_plus,
+        "holds": _combine_list([ks_minus.pop("holds"), ks_plus.pop("holds")]),
+        "c_minus": ks_minus,
+        "c_plus": ks_plus,
     }
 
     if with_symmetry:
@@ -647,22 +653,14 @@ def _mixture_verdict(
     subs = _shape_subchecks(panel, alpha, config, with_symmetry=alpha == 1.0)
 
     m1 = panel.loc_smooth()
-    h_loc, d_loc = _weak_convergence(m1, config)
-    subs["location_stabilize"] = {"holds": h_loc, **d_loc}
+    subs["location_stabilize"] = _weak_convergence(m1, config)
+    subs["variance_proxy_vanishes"] = _in_probability(panel.proxy(), config, target=0.0)
 
-    prox = panel.proxy()
-    h_prox, d_prox = _in_probability(prox, config, target=0.0)
-    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
-
-    holds = _combine_list([s["holds"] for s in subs.values()])
-
-    limit: Optional[Dict[str, object]] = None
-    extra: Dict[str, object] = {}
     try:
         limit = limit_of(_limit_atoms(panel, alpha, m1[-1]), m1[-1])
     except ValueError as exc:
-        extra["limit_error"] = str(exc)
-    return CriterionVerdict(name, holds, _evidence(panel, subs, **extra), limit)
+        return _verdict(name, panel, subs, limit_error=str(exc))
+    return _verdict(name, panel, subs, limit)
 
 
 def _row_stable_verdict(
@@ -670,27 +668,19 @@ def _row_stable_verdict(
 ) -> CriterionVerdict:
     """Single-row symmetric stable verdict at index ``alpha``, one included."""
     subs = _shape_subchecks(panel, alpha, config, with_symmetry=True)
-    hypothesis = _combine_list([s["holds"] for s in subs.values()])
-
-    if hypothesis is False:
-        evidence = _evidence(panel, subs, hypothesis_violated=True)
-        return CriterionVerdict(name, False, evidence)
+    if _combine(subs) is False:
+        return _verdict(name, panel, subs, hypothesis_violated=True)
 
     m1 = panel.loc_smooth()
-    h_loc, d_loc = _in_probability(m1, config)
-    subs["location_concentrates"] = {"holds": h_loc, **d_loc}
+    subs["location_concentrates"] = _in_probability(m1, config)
+    subs["variance_proxy_vanishes"] = _in_probability(panel.proxy(), config, target=0.0)
 
-    prox = panel.proxy()
-    h_prox, d_prox = _in_probability(prox, config, target=0.0)
-    subs["variance_proxy_vanishes"] = {"holds": h_prox, **d_prox}
-
-    holds = _combine_list([hypothesis, h_loc, h_prox])
     entries = _limit_atoms(panel, alpha, m1[-1])
     limit = {
-        "gamma": float(d_loc["limit"]),
+        "gamma": float(subs["location_concentrates"]["limit"]),
         "rho_atoms": _rho_atoms(entries, stable_mixing_constant(alpha)),
     }
-    return CriterionVerdict(name, holds, _evidence(panel, subs), limit)
+    return _verdict(name, panel, subs, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +706,8 @@ def check_uan(
     heavy-tailed law is the canonical decisive failure.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    holds, per_eps = _tails_to_zero(panel, config, scaled=False)
-    subs = {"entry_tails_negligible": {"holds": holds, "per_eps": per_eps}}
-    return CriterionVerdict("uan", holds, _evidence(panel, subs))
+    subs = {"entry_tails_negligible": _tails_to_zero(panel, config, scaled=False)}
+    return _verdict("uan", panel, subs)
 
 
 def check_gaussian_mixture(
@@ -744,15 +733,13 @@ def check_gaussian_mixture(
     disp = panel.disp(tau)
 
     subs = _variance_mixture_subchecks(loc, disp, config)
-    h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
-    subs["tails_negligible"] = {"holds": h_tail, "per_eps": d_tail}
+    subs["tails_negligible"] = _tails_to_zero(panel, config, scaled=True)
 
-    holds = _combine_list([s["holds"] for s in subs.values()])
     limit = {
         "gamma": float(subs["location_concentrates"]["limit"]),
         "dispersion_law": _quantiles(disp[-1]),
     }
-    return CriterionVerdict("gaussian_mixture", holds, _evidence(panel, subs), limit)
+    return _verdict("gaussian_mixture", panel, subs, limit)
 
 
 def check_degenerate(
@@ -775,18 +762,13 @@ def check_degenerate(
     loc = panel.loc_trunc(tau)
     disp = panel.disp(tau)
 
-    h_loc, d_loc = _in_probability(loc, config)
-    h_disp, d_disp = _in_probability(disp, config, target=0.0)
-    h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
-
     subs = {
-        "location_concentrates": {"holds": h_loc, **d_loc},
-        "dispersion_vanishes": {"holds": h_disp, **d_disp},
-        "tails_negligible": {"holds": h_tail, "per_eps": d_tail},
+        "location_concentrates": _in_probability(loc, config),
+        "dispersion_vanishes": _in_probability(disp, config, target=0.0),
+        "tails_negligible": _tails_to_zero(panel, config, scaled=True),
     }
-    holds = _combine_list([h_loc, h_disp, h_tail])
-    limit = {"gamma": float(d_loc["limit"])}
-    return CriterionVerdict("degenerate", holds, _evidence(panel, subs), limit)
+    limit = {"gamma": float(subs["location_concentrates"]["limit"])}
+    return _verdict("degenerate", panel, subs, limit)
 
 
 def check_stable_mixture(
@@ -867,24 +849,18 @@ def check_wlln(
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
     loc = panel.loc_trunc(tau)
-    h_loc, d_loc = _in_probability(loc, config, target=0.0)
 
     def second_fn(p, m):
         b, c = panel.norming_at(p, m)
         return (m / (b * b)) * p.truncated_second(tau * b) - c * c / m
 
     second = panel.stream(("wlln_second", tau), second_fn)
-    h_sec, d_sec = _in_probability(second, config, target=0.0)
-
-    h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
-
     subs = {
-        "truncated_mean_vanishes": {"holds": h_loc, **d_loc},
-        "second_moment_vanishes": {"holds": h_sec, **d_sec},
-        "tails_negligible": {"holds": h_tail, "per_eps": d_tail},
+        "truncated_mean_vanishes": _in_probability(loc, config, target=0.0),
+        "second_moment_vanishes": _in_probability(second, config, target=0.0),
+        "tails_negligible": _tails_to_zero(panel, config, scaled=True),
     }
-    holds = _combine_list([h_loc, h_sec, h_tail])
-    return CriterionVerdict("wlln", holds, _evidence(panel, subs))
+    return _verdict("wlln", panel, subs)
 
 
 def check_single_row_gaussian(
@@ -908,32 +884,24 @@ def check_single_row_gaussian(
     the verdict outright without branch classification.
     """
     panel = _panel_for(panel, law, norming, ngrid, seed)
-    h_tail, d_tail = _tails_to_zero(panel, config, scaled=True)
-    subs: Dict[str, object] = {
-        "tails_negligible": {"holds": h_tail, "per_eps": d_tail}
-    }
-
-    if h_tail is False:
-        evidence = _evidence(panel, subs, hypothesis_violated=True)
-        return CriterionVerdict("row_gaussian", False, evidence)
+    subs = {"tails_negligible": _tails_to_zero(panel, config, scaled=True)}
+    if _combine(subs) is False:
+        return _verdict("row_gaussian", panel, subs, hypothesis_violated=True)
 
     loc = panel.loc_trunc(tau)
     disp = panel.disp(tau)
 
     variance = _variance_mixture_subchecks(loc, disp, config)
-    branch_variance = _combine_list([s["holds"] for s in variance.values()])
+    branch_variance = _combine(variance)
     subs["variance_branch"] = {"holds": branch_variance, **variance}
 
-    h_dzero, d_dzero = _in_probability(disp, config, target=0.0)
-    h_lweak, d_lweak = _weak_convergence(loc, config)
-    h_spread, d_spread = _spread(loc[-1], config)
-    branch_location = _combine_list([h_dzero, h_lweak, h_spread])
-    subs["location_branch"] = {
-        "holds": branch_location,
-        "dispersion_vanishes": {"holds": h_dzero, **d_dzero},
-        "location_converges": {"holds": h_lweak, **d_lweak},
-        "location_spread": {"holds": h_spread, **d_spread},
+    location = {
+        "dispersion_vanishes": _in_probability(disp, config, target=0.0),
+        "location_converges": _weak_convergence(loc, config),
+        "location_spread": _spread(loc[-1], config),
     }
+    branch_location = _combine(location)
+    subs["location_branch"] = {"holds": branch_location, **location}
 
     limit: Optional[Dict[str, object]] = None
     if branch_variance is True:
@@ -954,7 +922,8 @@ def check_single_row_gaussian(
     else:
         branch = None
 
-    holds = _combine_list([h_tail, branch])
+    # The hypothesis and either branch: not the conjunction of all entries.
+    holds = _combine_list([subs["tails_negligible"]["holds"], branch])
     return CriterionVerdict("row_gaussian", holds, _evidence(panel, subs), limit)
 
 
@@ -1037,32 +1006,20 @@ def check_sec5_conditions(
     panel = _panel_for(panel, law, norming, ngrid, seed)
     target_ratio = (2.0 - alpha) / alpha
 
-    ratios = [panel.ratio(x) for x in levels]
-    h_ratio, d_ratio = _in_probability(ratios, config, target=target_ratio)
-    d_ratio["x_grid"] = levels
-    d_ratio["target"] = float(target_ratio)
+    ratio = _in_probability([panel.ratio(x) for x in levels], config, target=target_ratio)
+    ratio["x_grid"] = levels
+    ratio["target"] = float(target_ratio)
 
     tail_law = panel.qtail(1.0)
-    h_tweak, d_tweak = _weak_convergence(tail_law, config)
-    h_tnd, d_tnd = _nondegenerate(tail_law[-1], config)
-
-    balance = panel.balance()
-    h_bal, d_bal = _in_probability(balance, config, target=0.0)
-
-    m1 = panel.loc_smooth()
-    h_loc, d_loc = _in_probability(m1, config)
-
     subs = {
-        "tail_moment_ratio": {"holds": h_ratio, **d_ratio},
-        "tail_law_converges": {"holds": h_tweak, **d_tweak},
-        "tail_law_nondegenerate": {"holds": h_tnd, **d_tnd},
-        "tail_balance_vanishes": {"holds": h_bal, **d_bal},
-        "location_concentrates": {"holds": h_loc, **d_loc},
+        "tail_moment_ratio": ratio,
+        "tail_law_converges": _weak_convergence(tail_law, config),
+        "tail_law_nondegenerate": _nondegenerate(tail_law[-1], config),
+        "tail_balance_vanishes": _in_probability(panel.balance(), config, target=0.0),
+        "location_concentrates": _in_probability(panel.loc_smooth(), config),
     }
-    holds = _combine_list([h_ratio, h_tweak, h_tnd, h_bal, h_loc])
     limit = {
-        "gamma": float(d_loc["limit"]),
+        "gamma": float(subs["location_concentrates"]["limit"]),
         "tail_law": _quantiles(tail_law[-1]),
     }
-    evidence = _evidence(panel, subs, experimental=True)
-    return CriterionVerdict("sec5", holds, evidence, limit)
+    return _verdict("sec5", panel, subs, limit, experimental=True)

@@ -674,21 +674,23 @@ class DirectingLaw:
             raise ValueError(f"{type(self.base).__name__} does not accept a {slot} prior")
 
 
-def _draw_with(law: DirectingLaw, rng: np.random.Generator) -> _RealizedLaw:
+def _draw_with(law: DirectingLaw, entropy: Union[int, list]) -> _RealizedLaw:
+    """The realization drawn from SeedSequence(entropy). A law without a
+    prior is its base, and no generator is built for it."""
     if law.randomizer is None:
         return law.base
-    value = law.randomizer.draw(rng)
+    value = law.randomizer.draw(np.random.default_rng(entropy))
     return getattr(law.base, f"with_{law.randomizer.slot}")(value)
 
 
 def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
     """The realization of replicate ``k``, drawn from SeedSequence([seed, k, 0])."""
-    return _draw_with(law, np.random.default_rng(replicate_seed(seed, k, 0)))
+    return _draw_with(law, [seed, k, 0])
 
 
 def draw_directing(law: DirectingLaw, seed: int) -> _RealizedLaw:
     """Realize the directing measure once; deterministic given ``seed``."""
-    return _draw_with(law, np.random.default_rng(np.random.SeedSequence(seed)))
+    return _draw_with(law, seed)
 
 
 def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_RealizedLaw]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -459,15 +459,6 @@ def run_criterion(
     )
 
 
-def _verdict_dict(verdict: CriterionVerdict) -> Dict[str, object]:
-    return {
-        "name": verdict.name,
-        "holds": verdict.holds,
-        "evidence": verdict.evidence,
-        "estimated_limit": verdict.estimated_limit,
-    }
-
-
 def _config_echo(spec: ScenarioSpec, seed: int, grid: TGrid) -> Dict[str, object]:
     return {
         "scenario": spec.name,
@@ -526,6 +517,7 @@ def run_scenario(
     rows_needed = 2 if spec.joint else 1
 
     t_total = time.perf_counter()
+    targets = [spec.target_cf(float(t)) for t in grid.points]
     last_rowsums: Optional[RowSums] = None
     for n in spec.cf_n_grid:
         t_start = time.perf_counter()
@@ -536,9 +528,8 @@ def run_scenario(
         emp = empirical_cf(rowsums.values[:, 0], grid)
         points = []
         worst = 0.0
-        for t, z in zip(grid.points, emp):
+        for t, z, target in zip(grid.points, emp, targets):
             row: Dict[str, float] = {"t": float(t), "re": float(z.real), "im": float(z.imag)}
-            target = spec.target_cf(float(t))
             if target is not None:
                 row["target_re"] = float(target.real)
                 row["target_im"] = float(target.imag)
@@ -547,7 +538,7 @@ def run_scenario(
                 worst = max(worst, float(gap))
             points.append(row)
         cf_tables.append({"n": int(n), "points": points})
-        if spec.target_cf(0.0) is not None:
+        if None not in targets:
             sups.append({"n": int(n), "sup": worst})
 
         first_draw = rowsums.draws[rowsums.draw_ids[0]]
@@ -612,7 +603,7 @@ def run_scenario(
     for criterion in spec.checkers:
         t_start = time.perf_counter()
         verdict = run_criterion(spec, criterion, seed, cfg, panel=panel)
-        verdicts.append(_verdict_dict(verdict))
+        verdicts.append(asdict(verdict))
         runtimes[f"check_{criterion}"] = time.perf_counter() - t_start
 
     runtimes["total"] = time.perf_counter() - t_total

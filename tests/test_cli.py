@@ -181,6 +181,8 @@ class TestConfigErrors:
                 {"id": "x", "law": {"base": {"kind": "point", "value": 0}, "prior": {"kind": {"a": 1}}}, "norming": {"alpha": 2.0}},
                 "config.scenario.law.prior.kind: unknown prior",
             ),
+            # The path of a bad t_grid entry is printed once.
+            ({"builtin": "example1", "t_grid": [0.5, "x"]}, "config error: config.scenario.t_grid[1]: expected a number"),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):

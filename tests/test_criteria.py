@@ -116,20 +116,20 @@ class TestStatisticalHelpers:
         # (1, 1, 1, 0) against its own final median; the drift gate must
         # refuse to call that convergence.
         samples = [np.full(200, v) for v in (3.0, 6.0, 9.0, 12.0)]
-        holds, data = _in_probability(samples, CFG)
-        assert holds is False, f"drifting statistic passed: {data}"
-        assert data["drift"] == pytest.approx(3.0)
+        result = _in_probability(samples, CFG)
+        assert result["holds"] is False, f"drifting statistic passed: {result}"
+        assert result["drift"] == pytest.approx(3.0)
 
     def test_unknown_limit_blocks_mild_drift(self):
         samples = [np.full(200, v) for v in (0.0, 0.0, 0.0, 0.08)]
-        holds, data = _in_probability(samples, CFG)
-        assert holds is None, f"mild drift should be inconclusive: {data}"
+        result = _in_probability(samples, CFG)
+        assert result["holds"] is None, f"mild drift should be inconclusive: {result}"
 
     def test_known_limit_passes_constant_statistics(self):
         samples = [np.zeros(200) for _ in range(4)]
-        holds, data = _in_probability(samples, CFG, target=0.0)
-        assert holds is True
-        assert data["fractions"] == [0.0, 0.0, 0.0, 0.0]
+        result = _in_probability(samples, CFG, target=0.0)
+        assert result["holds"] is True
+        assert result["fractions"] == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestEntryNegligibility:

@@ -25,6 +25,7 @@ from stablemix.directing import (
     UniformLaw,
     _worker_count,
     draw_directing,
+    draw_replicates,
     replicate_sums,
     sample_array_sums,
 )
@@ -552,3 +553,35 @@ class TestWorkerCount:
     def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(16, 200) == 1
+
+
+class TestDirectingDraws:
+    """Only a law with a prior builds a generator for its directing draw;
+    the draws follow the documented seed streams."""
+
+    @pytest.mark.parametrize(
+        "prior, generators",
+        [(None, 50), (ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))), 100)],
+    )
+    def test_generators_per_sample(self, monkeypatch, prior, generators):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        law = DirectingLaw(CauchyLaw(0.0, 1.0), prior)
+        sample_array_sums(law, NormingSequence(alpha=1.0), n=16, rows=1, seed=3, replicates=50)
+        assert len(built) == generators
+
+    def test_draws_follow_the_seed_streams(self):
+        law = DirectingLaw(CauchyLaw(0.0, 1.0), ScaleLogNormal(0.0, 0.5))
+
+        def drawn_from(seq):
+            return law.base.with_dispersion(law.randomizer.draw(np.random.default_rng(seq)))
+
+        expected = [drawn_from(replicate_seed(5, k, 0)) for k in range(20)]
+        assert draw_replicates(law, 5, 20) == expected
+        assert draw_directing(law, 5) == drawn_from(np.random.SeedSequence(5))

@@ -2,11 +2,12 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from stablemix.criteria import CRITERION_NAMES, _DrawPanel, _combine_list
 from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
@@ -324,3 +325,44 @@ class TestSharedPanel:
                 assert json.dumps(shared[field], sort_keys=True) == json.dumps(
                     getattr(alone, field), sort_keys=True
                 ), f"{criterion}: {field} changed under the shared panel"
+
+
+class TestConjunctionRule:
+    """Every verdict except row_gaussian is the conjunction of its sub-check
+    entries. The four scenarios run all ten checkers."""
+
+    NAMES = ("pareto-mix", "cauchy-scalemix", "gauss-expmix", "point-mass")
+
+    @staticmethod
+    def assert_conjunction(name, verdict):
+        entries = verdict["evidence"]["sub_checks"]
+        statuses = [entry["holds"] for entry in entries.values()]
+        assert all(s is True or s is False or s is None for s in statuses), (
+            f"{verdict['name']}: a sub-check holds a non-tri-state value: {statuses}"
+        )
+        if verdict["name"] != "row_gaussian":
+            assert verdict["holds"] is _combine_list(statuses), (
+                f"{verdict['name']} on {name}: {verdict['holds']} is not the "
+                f"conjunction of {dict(zip(entries, statuses))}"
+            )
+
+    def test_scenarios_cover_every_checker(self):
+        covered = {c for name in self.NAMES for c in get_scenario(name).checkers}
+        assert covered == set(CRITERION_NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_verdict_is_the_conjunction_of_its_entries(self, name):
+        for verdict in run_scenario(name, seed=0).verdicts:
+            self.assert_conjunction(name, verdict)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_off_design_verdicts_follow_the_rule(self, name):
+        # Checkers the scenario is not designed for mix failing and passing
+        # sub-checks, which is where an entry left out of a verdict shows.
+        spec = get_scenario(name)
+        panel = _DrawPanel(spec.law, spec.norming, spec.checker_ngrid, 0)
+        for criterion in CRITERION_NAMES:
+            if spec.alpha is None and criterion in ("stable_mixture", "row_stable", "sec5"):
+                continue
+            verdict = run_criterion(spec, criterion, 0, panel=panel)
+            self.assert_conjunction(name, asdict(verdict))
