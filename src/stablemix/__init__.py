@@ -25,7 +25,6 @@ from .characteristics import (
     spectral_cdf,
     spectral_measure_lambda,
     stable_mixing_constant,
-    tail_function_L,
     tail_mass_quantity,
     tail_moment_ratio,
     trunc_mean,
@@ -62,9 +61,7 @@ from .directing import (
     StableLaw,
     SymmetricParetoLaw,
     UniformLaw,
-    draw_directing,
     draw_replicates,
-    replicate_sums,
     sample_array_sums,
 )
 from .empirics import (

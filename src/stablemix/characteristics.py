@@ -35,7 +35,6 @@ __all__ = [
     "smooth_mean",
     "trunc_variance",
     "sigma_bar_proxy",
-    "tail_function_L",
     "tail_mass_quantity",
     "tail_moment_ratio",
     "spectral_measure_lambda",
@@ -61,6 +60,8 @@ DEFAULT_SPECTRAL_GRID: Tuple[float, ...] = tuple(
 DEFAULT_FIT_WINDOW: Tuple[float, float] = (0.125, 8.0)
 
 _NULL_MASS_FLOOR = 1e-8
+# A spectral shape is symmetric when |c_plus - c_minus| <= _SYMMETRY_REL * (c_plus + c_minus).
+_SYMMETRY_REL = 0.05
 _CUM_FLOOR = 1e-12
 
 
@@ -159,16 +160,6 @@ def sigma_bar_proxy(p, norming: NormingSequence, n_window: Sequence[int]) -> flo
         raise ValueError(f"n_window must be increasing, got {window}")
     eta = 1.0 / window[-1]
     return max(trunc_variance(p, norming, m, eta) for m in window)
-
-
-def tail_function_L(p, norming: NormingSequence, n: int, x: float) -> float:
-    """Scaled tail function: n*F(x*b_n) left of 0, -n*(1 - F(x*b_n)) right of 0."""
-    if x == 0:
-        raise ValueError("the scaled tail function is undefined at x = 0")
-    b = norming.b(n)
-    if x < 0:
-        return n * p.cdf(x * b)
-    return -n * p.right_tail(x * b)
 
 
 def tail_mass_quantity(p, norming: NormingSequence, n: int, eps: float) -> float:
@@ -556,12 +547,12 @@ def pushforward_alpha(nu12_atoms: Sequence[NuAtom], alpha: float) -> Pushforward
     )
 
 
-def pushforward_one(nu12_atoms: Sequence[NuAtom], symmetric_check: float = 0.05) -> MixingMeasure:
+def pushforward_one(nu12_atoms: Sequence[NuAtom]) -> MixingMeasure:
     """Cauchy-index pushforward: c = (pi/2)*(c_minus + c_plus), beta = 0, gamma = eta.
 
-    Every non-null atom must be symmetric to within the relative tolerance
-    ``symmetric_check``; an asymmetric atom is an error naming the atom, since
-    the Cauchy-limit regime forces the two spectral weights to agree.
+    Every non-null atom must be symmetric to within _SYMMETRY_REL; an
+    asymmetric atom is an error naming the atom, since the Cauchy-limit
+    regime forces the two spectral weights to agree.
     """
     atoms = list(nu12_atoms)
     if not atoms:
@@ -575,7 +566,7 @@ def pushforward_one(nu12_atoms: Sequence[NuAtom], symmetric_check: float = 0.05)
         lam_total = shape.total_weight
         if lam_total > 0:
             asymmetry = abs(shape.c_plus - shape.c_minus)
-            if asymmetry > symmetric_check * lam_total:
+            if asymmetry > _SYMMETRY_REL * lam_total:
                 raise ValueError(
                     f"atom {index} violates spectral symmetry: "
                     f"c_minus={shape.c_minus:g}, c_plus={shape.c_plus:g}"
@@ -634,19 +625,15 @@ def char_quantities(
     norming: NormingSequence,
     n: int,
     tau: float,
-    eps: float = 1.0,
-    n_window: Optional[Sequence[int]] = None,
-    grid: Optional[Sequence[float]] = None,
 ) -> CharQuantities:
     """Assemble the characteristic-quantity bundle for one realization at one n."""
-    window = tuple(n_window) if n_window is not None else proxy_window(n)
     return CharQuantities(
         n=n,
         tau=tau,
         m_trunc=trunc_mean(p, norming, n, tau),
         m_smooth=smooth_mean(p, norming, n),
         sigma2_trunc=trunc_variance(p, norming, n, tau),
-        sigma2_bar_proxy=sigma_bar_proxy(p, norming, window),
-        lambda_n=spectral_measure_lambda(p, norming, n, grid),
-        q_eps=tail_mass_quantity(p, norming, n, eps),
+        sigma2_bar_proxy=sigma_bar_proxy(p, norming, proxy_window(n)),
+        lambda_n=spectral_measure_lambda(p, norming, n),
+        q_eps=tail_mass_quantity(p, norming, n, 1.0),
     )

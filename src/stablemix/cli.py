@@ -8,7 +8,9 @@ from library calls with identical results (up to wall-clock runtime fields).
 Exit codes form a stable contract:
     0  pass / success
     1  runtime failure (including a failed identity verification)
-    2  configuration error (schema, unknown keys, missing seed, bad criterion)
+    2  configuration error (schema, unknown keys, missing or negative seed,
+       a count below 1, bad criterion, or a criterion that needs a tail
+       index the scenario lacks or has out of range)
     3  criterion checked and failed
     4  criterion inconclusive at the configured sample sizes
 """
@@ -46,6 +48,7 @@ from .empirics import (
     ScenarioReport,
     ScenarioSpec,
     TGrid,
+    _checker_args,
     builtin_scenarios,
     get_scenario,
     identity_residual,
@@ -106,9 +109,11 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{path}: must be at least {least}, got {value}")
     return value
 
 
@@ -284,12 +289,6 @@ def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
         names = obj["checkers"]
         if not isinstance(names, list):
             raise ConfigError(f"{path}.checkers: expected a list of criterion names")
-        for name in names:
-            if name not in CRITERION_NAMES:
-                raise ConfigError(
-                    f"{path}.checkers: unknown criterion {name!r}; "
-                    f"known: {', '.join(CRITERION_NAMES)}"
-                )
         updates["checkers"] = tuple(names)
     grid_values = None
     grid_replicates = None
@@ -348,6 +347,16 @@ def _build_scenario(obj, path: str) -> ScenarioSpec:
     return _apply_overrides(spec, obj, path)
 
 
+def _require_runnable(spec: ScenarioSpec, criteria: Sequence[str], path: str) -> None:
+    """Reject, before anything is simulated, an unknown criterion or one that
+    needs a tail index the scenario lacks or has out of range."""
+    for name in criteria:
+        try:
+            _checker_args(spec, name)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Optional[int] = None) -> ResolvedConfig:
     """Parse and validate a JSON config file into a runnable configuration.
 
@@ -373,28 +382,28 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
         optional=("seed", "threads", "out", "stat_config"),
     )
     spec = _build_scenario(raw["scenario"], "config.scenario")
+    _require_runnable(spec, spec.checkers, "config.scenario.checkers")
 
     scenario_obj = raw["scenario"] if isinstance(raw["scenario"], dict) else {}
     seed: Optional[int] = None
     if seed_flag is not None:
-        seed = seed_flag
+        seed = _as_int(seed_flag, "--seed", least=0)
     elif os.environ.get(_SEED_ENV):
         try:
             seed = int(os.environ[_SEED_ENV])
         except ValueError as exc:
             raise ConfigError(f"{_SEED_ENV}: expected an integer, got {os.environ[_SEED_ENV]!r}") from exc
+        _as_int(seed, _SEED_ENV, least=0)
     elif "seed" in raw:
-        seed = _as_int(raw["seed"], "config.seed")
+        seed = _as_int(raw["seed"], "config.seed", least=0)
     elif "seed" in scenario_obj:
-        seed = _as_int(scenario_obj["seed"], "config.scenario.seed")
+        seed = _as_int(scenario_obj["seed"], "config.scenario.seed", least=0)
 
     threads = 1
     if threads_flag is not None:
-        threads = threads_flag
+        threads = _as_int(threads_flag, "--threads")
     elif "threads" in raw:
         threads = _as_int(raw["threads"], "config.threads")
-    if threads < 1:
-        raise ConfigError(f"config.threads: must be at least 1, got {threads}")
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -453,10 +462,14 @@ def _resolve_out(config: ResolvedConfig, out_flag: Optional[str]) -> Path:
     return out
 
 
-def _seeded_config(args: argparse.Namespace) -> Optional[ResolvedConfig]:
+def _seeded_config(
+    args: argparse.Namespace, threads: Optional[int] = None, criterion: Optional[str] = None
+) -> Optional[ResolvedConfig]:
     """The config the arguments name, or None after printing why it is unusable."""
     try:
-        config = load_config(args.config, args.seed, args.threads)
+        config = load_config(args.config, args.seed, threads)
+        if criterion is not None:
+            _require_runnable(config.spec, (criterion,), "check")
         if config.seed is None:
             raise ConfigError(
                 "no seed given: pass --seed, set STABLEMIX_SEED, or add 'seed' to the config"
@@ -468,7 +481,7 @@ def _seeded_config(args: argparse.Namespace) -> Optional[ResolvedConfig]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _seeded_config(args)
+    config = _seeded_config(args, threads=args.threads)
     if config is None:
         return EXIT_CONFIG
     try:
@@ -504,14 +517,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.criterion not in CRITERION_NAMES:
-        print(
-            f"config error: unknown criterion {args.criterion!r}; "
-            f"known: {', '.join(CRITERION_NAMES)}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    config = _seeded_config(args)
+    config = _seeded_config(args, criterion=args.criterion)
     if config is None:
         return EXIT_CONFIG
     try:
@@ -586,9 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("criterion", help=f"one of: {', '.join(CRITERION_NAMES)}")
     check.add_argument("--config", required=True, help="path to a JSON config file")
     check.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    check.add_argument(
-        "--threads", type=int, default=None, help="has no effect; checkers run in one thread"
-    )
     check.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
     check.set_defaults(func=cmd_check)
 

@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characteristics import (
+    _SYMMETRY_REL,
     SpectralParams,
     fit_spectrum,
     proxy_window,
@@ -95,7 +96,6 @@ CRITERION_NAMES = (
 )
 
 _TAIL_EPS = (0.1, 1.0)
-_SYMMETRY_REL = 0.05
 _MAX_EXACT_ATOMS = 12
 
 

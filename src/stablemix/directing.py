@@ -48,10 +48,8 @@ __all__ = [
     "LocationGaussian",
     "DirectingLaw",
     "RowSums",
-    "draw_directing",
     "draw_replicates",
     "sample_array_sums",
-    "replicate_sums",
 ]
 
 _QUAD_TOL = 1e-10
@@ -674,23 +672,13 @@ class DirectingLaw:
             raise ValueError(f"{type(self.base).__name__} does not accept a {slot} prior")
 
 
-def _draw_with(law: DirectingLaw, entropy: Union[int, list]) -> _RealizedLaw:
-    """The realization drawn from SeedSequence(entropy). A law without a
-    prior is its base, and no generator is built for it."""
+def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
+    """The realization of replicate ``k``, drawn from replicate_seed(seed, k, 0).
+    A law without a prior is its base, and no generator is built for it."""
     if law.randomizer is None:
         return law.base
-    value = law.randomizer.draw(np.random.default_rng(entropy))
+    value = law.randomizer.draw(np.random.default_rng(replicate_seed(seed, k, 0)))
     return getattr(law.base, f"with_{law.randomizer.slot}")(value)
-
-
-def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
-    """The realization of replicate ``k``, drawn from SeedSequence([seed, k, 0])."""
-    return _draw_with(law, [seed, k, 0])
-
-
-def draw_directing(law: DirectingLaw, seed: int) -> _RealizedLaw:
-    """Realize the directing measure once; deterministic given ``seed``."""
-    return _draw_with(law, seed)
 
 
 def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_RealizedLaw]:
@@ -823,20 +811,3 @@ def sample_array_sums(
         draw_ids=np.array([index[p] for p in realized], dtype=np.int64),
         draws=tuple(index),
     )
-
-
-def replicate_sums(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    n: int,
-    replicates: int,
-    seed: int,
-    threads: int = 1,
-) -> list:
-    """Single-row law: one normed sum per independently drawn directing measure.
-
-    Returns a list of (draw id, normed sum) pairs; ids match the deduplicated
-    realizations that :func:`sample_array_sums` would report for ``rows=1``.
-    """
-    rs = sample_array_sums(law, norming, n, rows=1, seed=seed, replicates=replicates, threads=threads)
-    return list(zip(rs.draw_ids.tolist(), rs.values[:, 0].tolist()))

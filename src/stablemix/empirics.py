@@ -26,10 +26,12 @@ import numpy as np
 
 from .characteristics import char_quantities
 from .criteria import (
+    CRITERION_NAMES,
     NGrid,
     StatTestConfig,
     CriterionVerdict,
     _DrawPanel,
+    _require_alpha,
     check_cauchy_mixture,
     check_degenerate,
     check_gaussian_mixture,
@@ -160,22 +162,22 @@ def empirical_joint_cf(rowsums: RowSums, grid: TGrid) -> np.ndarray:
     return out
 
 
-def identity_residual(
-    t_grid: Optional[Sequence[float]] = None, perturb: float = 1.0
-) -> float:
+_IDENTITY_GRID = tuple(0.25 * k for k in range(21))
+
+
+def identity_residual(perturb: float = 1.0) -> float:
     """Largest gap between exp(-|t|) and its Gaussian scale mixture form.
 
-    Evaluates the quadrature of the mixture representation on the grid
-    (default 0 to 5 in steps of 0.25) and returns the maximal absolute
+    Evaluates the quadrature of the mixture representation on the identity
+    grid (0 to 5 in steps of 0.25) and returns the maximal absolute
     difference from exp(-|t|). ``perturb`` scales the quadrature value
     and exists as a negative-control hook: any value other than 1 must
     push the residual far above the acceptance threshold.
     """
-    ts = tuple(t_grid) if t_grid is not None else tuple(0.25 * k for k in range(21))
     residual = 0.0
-    for t in ts:
-        value = perturb * cauchy_from_gaussian_scale_mixture(float(t))
-        residual = max(residual, abs(value - math.exp(-abs(float(t)))))
+    for t in _IDENTITY_GRID:
+        value = perturb * cauchy_from_gaussian_scale_mixture(t)
+        residual = max(residual, abs(value - math.exp(-abs(t))))
     return residual
 
 
@@ -428,10 +430,18 @@ _CHECKERS = {
 }
 
 
-def _need_alpha(spec: ScenarioSpec) -> float:
-    if spec.alpha is None:
-        raise ValueError(f"scenario {spec.name!r} does not define a tail index")
-    return spec.alpha
+def _checker_args(spec: ScenarioSpec, criterion: str) -> list:
+    """The scenario fields ``criterion`` takes after its grid. An unknown
+    criterion, or a tail index it needs that the scenario lacks or has
+    outside (0, 1) or (1, 2), is a ValueError."""
+    if criterion not in CRITERION_NAMES:
+        raise ValueError(f"unknown criterion {criterion!r}; known: {', '.join(CRITERION_NAMES)}")
+    fields = _CHECKERS[criterion][1]
+    if "alpha" in fields:
+        if spec.alpha is None:
+            raise ValueError(f"scenario {spec.name!r} does not define the tail index {criterion!r} needs")
+        _require_alpha(spec.alpha)
+    return [getattr(spec, f) for f in fields]
 
 
 def run_criterion(
@@ -439,7 +449,6 @@ def run_criterion(
     criterion: str,
     seed: int,
     config: Optional[StatTestConfig] = None,
-    ngrid: Optional[NGrid] = None,
     panel: Optional[_DrawPanel] = None,
 ) -> CriterionVerdict:
     """Run one named criterion checker against a scenario.
@@ -447,15 +456,10 @@ def run_criterion(
     ``panel`` shares draws and per-draw quantities with other checkers
     run on the same scenario, grid and seed.
     """
-    if criterion not in _CHECKERS:
-        known = ", ".join(sorted(_CHECKERS))
-        raise ValueError(f"unknown criterion {criterion!r}; known: {known}")
+    args = _checker_args(spec, criterion)
     cfg = config if config is not None else StatTestConfig()
-    grid = ngrid if ngrid is not None else spec.checker_ngrid
-    function, fields = _CHECKERS[criterion]
-    args = [_need_alpha(spec) if f == "alpha" else getattr(spec, f) for f in fields]
-    return globals()[function](
-        spec.law, spec.norming, grid, *args, cfg, seed=seed, panel=panel
+    return globals()[_CHECKERS[criterion][0]](
+        spec.law, spec.norming, spec.checker_ngrid, *args, cfg, seed=seed, panel=panel
     )
 
 
@@ -593,7 +597,7 @@ def run_scenario(
     identity: Optional[Dict[str, float]] = None
     if spec.identity_demo:
         t_start = time.perf_counter()
-        identity = {"residual": identity_residual(), "points": 21}
+        identity = {"residual": identity_residual(), "points": len(_IDENTITY_GRID)}
         runtimes["identity"] = time.perf_counter() - t_start
 
     # One panel for all checkers: draws and per-draw quantities are computed

@@ -105,8 +105,3 @@ class AtomicMeasure:
         if closed == "neither":
             return self.mass_lt(hi) - self.mass_le(lo)
         raise ValueError(f"unknown interval convention {closed!r}")
-
-    def restrict_open_ball(self, r: float) -> "AtomicMeasure":
-        """Restriction to the open interval (-r, r)."""
-        kept = tuple((loc, mass) for loc, mass in self.atoms if abs(loc) < r)
-        return AtomicMeasure(kept)

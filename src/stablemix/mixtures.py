@@ -45,30 +45,18 @@ class MixingMeasure:
     """Finite weighted atoms over stable parameter points.
 
     All atoms must share one index alpha (point-mass atoms are index-neutral
-    and always admitted). Measures mixing several indices can be built for
-    counterexample studies by passing ``heterogeneous=True``; criterion
-    checkers refuse them.
+    and always admitted).
     """
 
     atoms: Tuple[Tuple[StableParams, float], ...]
-    heterogeneous: bool = False
 
     def __post_init__(self) -> None:
         _check_weights([w for _, w in self.atoms])
         indices = {p.alpha for p, _ in self.atoms if not p.is_point_mass}
-        if len(indices) > 1 and not self.heterogeneous:
+        if len(indices) > 1:
             raise ValueError(
-                f"atoms mix indices {sorted(indices)}; single-index measures are "
-                "required unless heterogeneous=True is passed explicitly"
+                f"atoms mix indices {sorted(indices)}; a mixing measure must have a single index"
             )
-
-    @property
-    def common_alpha(self) -> float | None:
-        """The shared index, or None for heterogeneous/point-mass-only measures."""
-        indices = {p.alpha for p, _ in self.atoms if not p.is_point_mass}
-        if len(indices) == 1:
-            return indices.pop()
-        return None
 
 
 @dataclass(frozen=True)

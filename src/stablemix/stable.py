@@ -304,8 +304,9 @@ def replicate_seed(seed: int, *path: int) -> np.random.SeedSequence:
     """Documented seed-splitting rule for parallel work.
 
     Every independent task derives its stream as SeedSequence([seed, *path])
-    where ``path`` encodes the task coordinates (for example replicate index,
-    then row index). Identical coordinates give identical streams regardless
-    of scheduling order.
+    where ``path`` encodes the task coordinates. The sampler uses the path
+    (k, 0) for the directing draw of replicate k and (k, 1) for that
+    replicate's row entries. Identical coordinates give identical streams
+    regardless of scheduling order.
     """
     return np.random.SeedSequence([seed, *path])

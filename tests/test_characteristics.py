@@ -25,7 +25,6 @@ from stablemix.characteristics import (
     spectral_cdf,
     spectral_measure_lambda,
     stable_mixing_constant,
-    tail_function_L,
     tail_mass_quantity,
     tail_moment_ratio,
     trunc_mean,
@@ -43,6 +42,11 @@ from stablemix.directing import (
 from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import mixture_cf
 from stablemix.stable import NormingSequence, StableParams, stable_cf
+
+def _restrict_open_ball(measure, r):
+    """Restriction of an atomic measure to the open interval (-r, r)."""
+    return AtomicMeasure(tuple((loc, mass) for loc, mass in measure.atoms if abs(loc) < r))
+
 
 SQRT_NORMING = NormingSequence(alpha=2.0)
 LINEAR_NORMING = NormingSequence(alpha=1.0)
@@ -163,30 +167,7 @@ class TestSigmaBarProxy:
 
 
 class TestTailFunctionL:
-    """Scaled tail function, negative arguments reading the left tail."""
-
-    def test_cauchy_left_tail_limits_to_inverse_pi(self):
-        n = 100_000
-        value = tail_function_L(CauchyLaw(0.0, 1.0), LINEAR_NORMING, n, -1.0)
-        np.testing.assert_allclose(value, n * math.atan(1.0 / n) / math.pi, rtol=1e-12)
-        np.testing.assert_allclose(value, 1.0 / math.pi, rtol=1e-8)
-
-    def test_cauchy_right_tail_is_negative(self):
-        n = 100_000
-        value = tail_function_L(CauchyLaw(0.0, 1.0), LINEAR_NORMING, n, 1.0)
-        np.testing.assert_allclose(value, -1.0 / math.pi, rtol=1e-8)
-
-    def test_gaussian_tail_is_negligible(self):
-        value = tail_function_L(GaussianLaw(0.0, 1.0), SQRT_NORMING, 100, 1.0)
-        np.testing.assert_allclose(value, -7.6199e-22, rtol=1e-3)
-
-    def test_point_mass_inside_ball_gives_zero(self):
-        assert tail_function_L(PointMassLaw(0.75), SQRT_NORMING, 100, 1.0) == 0.0
-        assert tail_function_L(PointMassLaw(0.75), SQRT_NORMING, 100, -1.0) == 0.0
-
-    def test_rejects_zero_argument(self):
-        with pytest.raises(ValueError, match="x = 0"):
-            tail_function_L(PointMassLaw(0.0), SQRT_NORMING, 100, 0.0)
+    """Scaled two-sided tail quantity n * p({|x| > eps*b_n})."""
 
     def test_tail_mass_quantity_cauchy(self):
         n = 10_000
@@ -242,7 +223,7 @@ class TestSpectralMeasure:
 
     def test_gaussian_mass_near_origin_vanishes(self):
         lam = spectral_measure_lambda(GaussianLaw(0.0, 1.0), SQRT_NORMING, 10_000)
-        near = lam.restrict_open_ball(8.0).total_mass
+        near = _restrict_open_ball(lam, 8.0).total_mass
         assert near <= 1e-20, f"gaussian spectral mass inside (-8, 8) should vanish, got {near}"
 
     def test_point_mass_at_zero_is_null(self):
@@ -816,7 +797,7 @@ def _ref_dsharp(mu, nu, r_max=20.0):
         return 0.0
 
     def d_at(radius):
-        return _ref_prokhorov(mu.restrict_open_ball(radius), nu.restrict_open_ball(radius))
+        return _ref_prokhorov(_restrict_open_ball(mu, radius), _restrict_open_ball(nu, radius))
 
     mu_abs, nu_abs = np.abs(mu.locations), np.abs(nu.locations)
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
@@ -839,7 +820,7 @@ def _gauss_legendre_dsharp(mu, nu, nodes, r_max=20.0):
     total = 0.0
     for x, w in zip(radii, weights):
         r = 0.5 * r_max * (x + 1.0)
-        d = prokhorov_distance(mu.restrict_open_ball(r), nu.restrict_open_ball(r))
+        d = prokhorov_distance(_restrict_open_ball(mu, r), _restrict_open_ball(nu, r))
         total += w * math.exp(-r) * d / (1.0 + d)
     return 0.5 * r_max * total
 

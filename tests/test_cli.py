@@ -183,11 +183,55 @@ class TestConfigErrors:
             ),
             # The path of a bad t_grid entry is printed once.
             ({"builtin": "example1", "t_grid": [0.5, "x"]}, "config error: config.scenario.t_grid[1]: expected a number"),
+            # Sample sizes below 1 are config errors, not sampler failures.
+            ({"builtin": "example1", "replicates": 0}, "config error: config.scenario.replicates: must be at least 1, got 0"),
+            ({"builtin": "example1", "n_grid": [0, 8]}, "config error: config.scenario.n_grid[0]: must be at least 1, got 0"),
+            # A checker that cannot run is rejected before anything is simulated.
+            (
+                {"builtin": "gauss-fixed", "checkers": ["stable_mixture"]},
+                "config error: config.scenario.checkers: "
+                "scenario 'gauss-fixed' does not define the tail index 'stable_mixture' needs",
+            ),
+            (
+                {"builtin": "pareto-mix", "alpha": 1.0},
+                "config error: config.scenario.checkers: tail index must lie in (0, 1) or (1, 2), away from 1, got 1.0",
+            ),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):
         cfg = write_config(tmp_path, {"scenario": scenario, "seed": 1})
         code = main(["simulate", "--config", cfg])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert fragment in err, f"expected {fragment!r} in diagnostic, got: {err}"
+
+    @pytest.mark.parametrize(
+        "argv, env_seed, payload, fragment",
+        [
+            (["simulate", "--seed", "-1"], None, {"scenario": "point-mass"}, "config error: --seed: must be at least 0, got -1"),
+            (["check", "uan"], "-3", {"scenario": "point-mass"}, "config error: STABLEMIX_SEED: must be at least 0, got -3"),
+            (["simulate"], None, {"scenario": "point-mass", "seed": -1}, "config error: config.seed: must be at least 0, got -1"),
+            (
+                ["simulate"],
+                None,
+                {"scenario": {"builtin": "point-mass", "seed": -2}},
+                "config error: config.scenario.seed: must be at least 0, got -2",
+            ),
+            (
+                ["check", "row_stable"],
+                None,
+                {"scenario": "gauss-fixed", "seed": 1},
+                "config error: check: scenario 'gauss-fixed' does not define the tail index 'row_stable' needs",
+            ),
+        ],
+    )
+    def test_argument_and_seed_validation(self, tmp_path, capsys, monkeypatch, argv, env_seed, payload, fragment):
+        if env_seed is None:
+            monkeypatch.delenv("STABLEMIX_SEED", raising=False)
+        else:
+            monkeypatch.setenv("STABLEMIX_SEED", env_seed)
+        cfg = write_config(tmp_path, payload)
+        code = main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert fragment in err, f"expected {fragment!r} in diagnostic, got: {err}"

@@ -24,9 +24,7 @@ from stablemix.directing import (
     SymmetricParetoLaw,
     UniformLaw,
     _worker_count,
-    draw_directing,
     draw_replicates,
-    replicate_sums,
     sample_array_sums,
 )
 from stablemix.stable import NormingSequence, StableParams, replicate_seed, sample_stable_with
@@ -280,19 +278,19 @@ class TestDrawDirecting:
         base = CauchyLaw(0.0, 1.0)
         law = DirectingLaw(base)
         for seed in (0, 1, 999):
-            assert draw_directing(law, seed) is base
+            assert all(p is base for p in draw_replicates(law, seed, 3))
 
     def test_draw_is_deterministic(self):
         law = DirectingLaw(GaussianLaw(0.0, 1.0), ScaleExponential(rate=1.0))
-        assert draw_directing(law, 5) == draw_directing(law, 5)
-        assert draw_directing(law, 5) != draw_directing(law, 6)
+        assert draw_replicates(law, 5, 1) == draw_replicates(law, 5, 1)
+        assert draw_replicates(law, 5, 1) != draw_replicates(law, 6, 1)
 
     def test_scale_atom_frequencies(self):
         law = DirectingLaw(
             CauchyLaw(0.0, 1.0),
             ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))),
         )
-        draws = [draw_directing(law, seed) for seed in range(10_000)]
+        draws = draw_replicates(law, 0, 10_000)
         scales = np.array([p.cscale for p in draws])
         assert set(np.unique(scales)) == {1.0, 2.0}
         freq = np.mean(scales == 1.0)
@@ -302,7 +300,7 @@ class TestDrawDirecting:
     def test_exponential_variance_prior(self):
         law = DirectingLaw(GaussianLaw(0.0, 1.0), ScaleExponential(rate=1.0))
         variances = np.sort(
-            [draw_directing(law, seed).sd ** 2 for seed in range(10_000)]
+            [p.sd ** 2 for p in draw_replicates(law, 0, 10_000)]
         )
         # one-sample KS against Exp(1)
         grid = np.arange(1, variances.size + 1) / variances.size
@@ -312,12 +310,12 @@ class TestDrawDirecting:
 
     def test_lognormal_prior_is_positive(self):
         law = DirectingLaw(CauchyLaw(0.0, 1.0), ScaleLogNormal(log_mean=0.0, log_sd=0.5))
-        scales = [draw_directing(law, seed).cscale for seed in range(200)]
+        scales = [p.cscale for p in draw_replicates(law, 0, 200)]
         assert all(s > 0 for s in scales)
 
     def test_location_prior_on_point_mass(self):
         law = DirectingLaw(PointMassLaw(0.0), LocationGaussian(mean=1.0, sd=2.0))
-        points = np.array([draw_directing(law, seed).point for seed in range(10_000)])
+        points = np.array([p.point for p in draw_replicates(law, 0, 10_000)])
         assert points.mean() == pytest.approx(1.0, abs=3.0 * 2.0 / 100.0)
         assert points.std() == pytest.approx(2.0, rel=0.05)
 
@@ -326,7 +324,7 @@ class TestDrawDirecting:
             GaussianLaw(0.0, 1.0),
             LocationAtoms(atoms=((-1.0, 0.25), (1.0, 0.75))),
         )
-        means = np.array([draw_directing(law, seed).mean_value for seed in range(4000)])
+        means = np.array([p.mean_value for p in draw_replicates(law, 0, 4000)])
         assert set(np.unique(means)) == {-1.0, 1.0}
         assert np.mean(means == 1.0) == pytest.approx(0.75, abs=0.025)
 
@@ -466,8 +464,8 @@ class TestRowSums:
     def test_gaussian_variance_mixture_sums(self):
         law = DirectingLaw(GaussianLaw(0.0, 1.0), ScaleExponential(rate=1.0))
         norming = NormingSequence(alpha=2.0)
-        pairs = replicate_sums(law, norming, n=256, replicates=2000, seed=13)
-        values = np.array([v for _, v in pairs])
+        rs = sample_array_sums(law, norming, n=256, rows=1, seed=13, replicates=2000)
+        values = rs.values[:, 0]
         for t in np.arange(-3.0, 3.5, 0.5):
             target = 1.0 / (1.0 + 0.5 * t * t)
             assert abs(empirical_cf(values, t) - target) <= 0.05, (
@@ -480,12 +478,11 @@ class TestRowSums:
             ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))),
         )
         norming = NormingSequence(alpha=1.0)
-        pairs = replicate_sums(law, norming, n=64, replicates=2000, seed=29)
-        values = np.array([v for _, v in pairs])
+        rs = sample_array_sums(law, norming, n=64, rows=1, seed=29, replicates=2000)
+        values = rs.values[:, 0]
         target = 0.5 * (math.exp(-1.0) + math.exp(-2.0))
         assert abs(empirical_cf(values, 1.0) - target) <= 0.05
-        ids = {draw_id for draw_id, _ in pairs}
-        assert ids == {0, 1}
+        assert set(rs.draw_ids.tolist()) == {0, 1}
 
     def test_bit_identical_reproducibility(self):
         law = DirectingLaw(
@@ -584,4 +581,3 @@ class TestDirectingDraws:
 
         expected = [drawn_from(replicate_seed(5, k, 0)) for k in range(20)]
         assert draw_replicates(law, 5, 20) == expected
-        assert draw_directing(law, 5) == drawn_from(np.random.SeedSequence(5))

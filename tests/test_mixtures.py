@@ -65,17 +65,15 @@ class TestMixtureCf:
         with pytest.raises(ValueError):
             MixingMeasure(())
 
-    def test_mixed_indices_need_explicit_flag(self):
+    def test_mixed_indices_are_rejected(self):
         atoms = ((CAUCHY_1, 0.5), (StableParams(1.5, 0.0, 1.0, 0.0), 0.5))
-        with pytest.raises(ValueError, match="heterogeneous"):
+        with pytest.raises(ValueError, match="single index"):
             MixingMeasure(atoms)
-        flagged = MixingMeasure(atoms, heterogeneous=True)
-        assert flagged.common_alpha is None
 
     def test_point_mass_atoms_are_index_neutral(self):
         atoms = ((StableParams(1.0, 2.0, 0.0, 0.0), 0.5), (StableParams(1.5, 0.0, 1.0, 0.0), 0.5))
         mix = MixingMeasure(atoms)
-        assert mix.common_alpha == 1.5
+        assert mix.atoms == atoms
 
     def test_positive_definiteness_on_a_grid(self):
         # Bochner sanity check: the Hermitian matrix phi(t_i - t_j) of a
