@@ -9,7 +9,9 @@ are i.i.d. Every realized family exposes the same analytic surface: cdf,
 one-sided and two-sided tails, truncated first and second moments, the
 smoothed mean integral ``int b*x/(b**2 + x**2) dp``, and generic integration
 against the density. Closed forms are used wherever the family permits; the
-rest goes through adaptive quadrature certified to 1e-10.
+stable family with 1.1 <= alpha < 2 evaluates its functionals from the
+closed-form characteristic function (see :class:`StableLaw`); the rest goes
+through adaptive quadrature certified to 1e-10.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from scipy.stats import levy_stable
 from .stable import (
     NormingSequence,
     StableParams,
+    _fourier_mass,
+    _fourier_region,
+    _fourier_smoothed,
+    _fourier_truncated,
     norming_values,
     replicate_seed,
     sample_stable_with,
@@ -372,6 +378,14 @@ class _ParetoLaw(_RealizedLaw):
     def with_dispersion(self, value: float) -> "_ParetoLaw":
         return type(self)(self.tail_index, value)
 
+    def _magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """pscale * U**(-1/tail_index) with U uniform on (0, 1]: an exact 0.0
+        from ``random`` becomes 1.0, the law of 1 - U on the same lattice,
+        and every other draw is unchanged."""
+        u = rng.random(size)
+        u[u == 0.0] = 1.0
+        return self.pscale * u ** (-1.0 / self.tail_index)
+
 
 @dataclass(frozen=True)
 class SymmetricParetoLaw(_ParetoLaw):
@@ -410,7 +424,7 @@ class SymmetricParetoLaw(_ParetoLaw):
         return 0.0
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        magnitudes = self.pscale * rng.random(size) ** (-1.0 / self.tail_index)
+        magnitudes = self._magnitudes(rng, size)
         signs = rng.integers(0, 2, size) * 2 - 1
         return magnitudes * signs
 
@@ -453,18 +467,27 @@ class OneSidedParetoLaw(_ParetoLaw):
         return a0 * self.pscale / (a0 - 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.pscale * rng.random(size) ** (-1.0 / self.tail_index)
+        return self._magnitudes(rng, size)
 
 
 @dataclass(frozen=True)
 class StableLaw(_RealizedLaw):
-    """Stable base family; distribution functionals are delegated to scipy.
+    """Stable base family.
 
-    The canonical parameters map onto scipy's default S1 parameterization as
-    (alpha, -beta, loc=gamma, scale=c**(1/alpha)) off alpha = 1 and
-    (1, beta, loc=gamma, scale=c) at alpha = 1; the mapping is pinned by a
-    sampler-versus-cdf test. Truncated moments fall back to quadrature
-    against the scipy density.
+    For 1.1 <= alpha < 2 and c > 0 the cdf, the right tail, the truncated
+    moments and the smoothed mean come from the closed-form exponent
+    (Gil-Pelaez inversion on fixed Gauss-Legendre nodes near the centre,
+    Bergstrom's tail series beyond 20 scale units; see ``stable.py``),
+    which tests pin against scipy's ``levy_stable`` where it is accurate and
+    against the quadrature path elsewhere. Outside that region (alpha <= 1,
+    alpha in (1, 1.1)) they are scipy's: the canonical parameters map onto
+    its default S1 parameterization as (alpha, -beta, loc=gamma,
+    scale=c**(1/alpha)) off alpha = 1 and (1, beta, loc=gamma, scale=c) at
+    alpha = 1, pinned by a sampler-versus-cdf test, and truncated moments
+    use quadrature against the scipy density. So does the smoothed mean
+    when the location lies hundreds of scale units from 0, where its
+    transform oscillates past the panel budget. ``pdf`` is always scipy's.
+    alpha = 2 is the Gaussian in closed form and c = 0 the point mass.
     """
 
     params: StableParams
@@ -495,6 +518,8 @@ class StableLaw(_RealizedLaw):
             return 1.0 if x >= p.gamma else 0.0
         if p.alpha == 2.0:
             return float(ndtr((x - p.gamma) / math.sqrt(2.0 * p.c)))
+        if _fourier_region(p):
+            return _fourier_mass(p, x, right=False)
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.cdf(x, alpha, beta, loc=loc, scale=scale))
 
@@ -504,8 +529,27 @@ class StableLaw(_RealizedLaw):
             return 1.0 if x < p.gamma else 0.0
         if p.alpha == 2.0:
             return float(ndtr(-(x - p.gamma) / math.sqrt(2.0 * p.c)))
+        if _fourier_region(p):
+            return _fourier_mass(p, x, right=True)
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.sf(x, alpha, beta, loc=loc, scale=scale))
+
+    def truncated_mean(self, bound: float) -> float:
+        if bound > 0 and not self.symmetric and _fourier_region(self.params):
+            return _fourier_truncated(self.params, bound, 1)
+        return super().truncated_mean(bound)
+
+    def truncated_second(self, bound: float) -> float:
+        if bound > 0 and _fourier_region(self.params):
+            return _fourier_truncated(self.params, bound, 2)
+        return super().truncated_second(bound)
+
+    def smoothed_mean(self, b: float) -> float:
+        if not self.symmetric and _fourier_region(self.params):
+            value = _fourier_smoothed(self.params, b)
+            if value is not None:
+                return value
+        return super().smoothed_mean(b)
 
     def mean(self) -> float:
         p = self.params

@@ -208,6 +208,29 @@ class TestParetoLaws:
         )
         assert np.min(np.abs(sample)) >= 1.0
 
+    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
+    def test_zero_uniform_draw_stays_finite(self, family):
+        class ZeroRandom:
+            def random(self, size):
+                return np.zeros(size)
+
+            def integers(self, lo, hi, size):
+                return np.zeros(size, dtype=np.int64)
+
+        sample = family(1.5, 2.5).sample(ZeroRandom(), 4)
+        assert np.all(np.isfinite(sample))
+        assert np.all(np.abs(sample) == 2.5)
+
+    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
+    def test_nonzero_draws_unchanged(self, family):
+        law = family(1.5, 2.5)
+        got = law.sample(np.random.default_rng(3), 1000)
+        rng = np.random.default_rng(3)
+        magnitudes = 2.5 * rng.random(1000) ** (-1.0 / 1.5)
+        if family is SymmetricParetoLaw:
+            magnitudes = magnitudes * (rng.integers(0, 2, 1000) * 2 - 1)
+        assert np.array_equal(got, magnitudes)
+
 
 class TestPointMassLaw:
     def test_functionals(self):
