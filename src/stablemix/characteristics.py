@@ -361,15 +361,31 @@ def _prokhorov_one_sided(
     return max(0.0, overall)
 
 
+def _critical_distances(locs: np.ndarray) -> np.ndarray:
+    """Sorted distinct distances |x - y| between points of ``locs``.
+
+    Which atoms of one measure lie in the closed eps-neighbourhood of an atom
+    of the other changes only when eps crosses such a distance, so a
+    Levy-Prokhorov violation between measures supported in ``locs`` is
+    constant between consecutive values.
+    """
+    points = np.unique(locs)
+    return np.unique(np.abs(points[:, None] - points[None, :]))
+
+
 def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Levy-Prokhorov distance between two finite atomic measures.
 
-    Computed exactly (to bisection tolerance 1e-9) by checking, at each
-    candidate eps, that mu(A) <= nu(A^eps) + eps and the reverse hold for
-    every union A of atoms; one-dimensional atomic measures make that check
-    a dynamic program over atoms in location order.
+    Exact up to rounding. The larger one-sided violation
+    V(eps) = max_A [mu(A) - nu(A^eps)] (and the reverse) over unions A of
+    atoms is a non-increasing step function of eps that changes only at the
+    distances between atoms of the two measures, so the distance, the least
+    eps with V(eps) <= eps, is found by a binary search over those distances.
+    One-dimensional atomic measures make each evaluation of V a dynamic
+    program over atoms in location order.
     """
-    return _prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses)
+    critical = _critical_distances(np.concatenate([mu.locations, nu.locations]))
+    return _prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)
 
 
 def _prokhorov_arrays(
@@ -377,8 +393,14 @@ def _prokhorov_arrays(
     mu_masses: np.ndarray,
     nu_locs: np.ndarray,
     nu_masses: np.ndarray,
+    critical: np.ndarray,
 ) -> float:
-    """:func:`prokhorov_distance` on canonical (sorted, positive) atom arrays."""
+    """:func:`prokhorov_distance` on canonical (sorted, positive) atom arrays.
+
+    ``critical`` is a sorted array holding every distance between an atom of
+    ``mu`` and an atom of ``nu``; extra values cost a little search time and
+    do not change the result.
+    """
     if (
         mu_locs.shape == nu_locs.shape
         and (mu_locs == nu_locs).all()
@@ -388,10 +410,15 @@ def _prokhorov_arrays(
     mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
     nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
 
-    def feasible(eps: float) -> bool:
-        if _prokhorov_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps) > eps:
-            return False
-        return _prokhorov_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps) <= eps
+    def violation(eps: float, cap: float) -> Optional[float]:
+        """The larger one-sided violation at eps, or None once one exceeds cap."""
+        forward = _prokhorov_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps)
+        if forward > cap:
+            return None
+        backward = _prokhorov_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps)
+        if backward > cap:
+            return None
+        return max(forward, backward)
 
     mu_total = float(mu_masses.sum())
     nu_total = float(nu_masses.sum())
@@ -399,15 +426,26 @@ def _prokhorov_arrays(
     hi = max(mu_total, nu_total, lo)
     if hi == 0.0:
         return 0.0
-    if feasible(lo):
+    if violation(lo, lo) is not None:
         return lo
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
+    # V is constant on [edges[k], edges[k + 1]). The distance is
+    # max(edges[k], V there) for the first k whose V is at most edges[k + 1];
+    # that test is monotone in k. V is read at interval midpoints, because at
+    # eps = |x - y| itself x + eps need not round to y.
+    inner = critical[critical.searchsorted(lo, side="right"):critical.searchsorted(hi, side="left")]
+    edges = [lo, *inner.tolist(), hi]
+    left, right = 0, len(edges) - 2
+    value = None
+    while left < right:
+        k = (left + right) // 2
+        v = violation(0.5 * (edges[k] + edges[k + 1]), edges[k + 1])
+        if v is None:
+            left = k + 1
         else:
-            lo = mid
-    return hi
+            right, value = k, v
+    if value is None:
+        value = violation(0.5 * (edges[right] + edges[right + 1]), math.inf)
+    return max(edges[right], value)
 
 
 def dsharp(
@@ -422,9 +460,11 @@ def dsharp(
     the open ball (-r, r). The integrand is piecewise constant in r with
     breakpoints at the atom moduli, so the integral over (0, r_max] is
     evaluated exactly segment by segment; the omitted tail is at most
-    e^{-r_max}.
+    e^{-r_max}. Every restriction is supported in the atoms of mu and nu, so
+    the distances between those atoms are computed once and serve as the
+    critical set of every segment's Levy-Prokhorov search.
     """
-    if r_max <= 0:
+    if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
     if mu.atoms == nu.atoms:
         return 0.0
@@ -433,12 +473,13 @@ def dsharp(
     nu_locs, nu_masses = nu.locations, nu.masses
     mu_abs = np.abs(mu_locs)
     nu_abs = np.abs(nu_locs)
+    critical = _critical_distances(np.concatenate([mu_locs, nu_locs]))
 
     def d_at(radius: float) -> float:
         mu_keep = mu_abs < radius
         nu_keep = nu_abs < radius
         return _prokhorov_arrays(
-            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep]
+            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical
         )
 
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))

@@ -9,8 +9,9 @@ Exit codes form a stable contract:
     0  pass / success
     1  runtime failure (including a failed identity verification)
     2  configuration error (schema, unknown keys, missing or negative seed,
-       a count below 1, bad criterion, or a criterion that needs a tail
-       index the scenario lacks or has out of range)
+       a count below 1, a grid over WORK_BUDGET, bad criterion, or a
+       criterion that needs a tail index the scenario lacks or has out of
+       range)
     3  criterion checked and failed
     4  criterion inconclusive at the configured sample sizes
 """
@@ -72,6 +73,7 @@ __all__ = [
     "EXIT_FAIL",
     "EXIT_INCONCLUSIVE",
     "SCHEMA_VERSION",
+    "WORK_BUDGET",
 ]
 
 EXIT_PASS = 0
@@ -81,6 +83,10 @@ EXIT_FAIL = 3
 EXIT_INCONCLUSIVE = 4
 
 SCHEMA_VERSION = 1
+
+# Largest replicates x rows x (sum of row lengths) a config may ask of one
+# row-length grid: about a minute of sampling at 2e7 variates per second.
+WORK_BUDGET = 10**9
 
 _SEED_ENV = "STABLEMIX_SEED"
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -357,6 +363,23 @@ def _require_runnable(spec: ScenarioSpec, criteria: Sequence[str], path: str) ->
             raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _check_budget(spec: ScenarioSpec) -> None:
+    """Reject a grid whose replicates x rows x (sum of row lengths) exceeds
+    WORK_BUDGET, before anything is drawn. The checker grid has one row."""
+    rows = 2 if spec.joint else 1
+    grids = (
+        ("config.scenario.n_grid", spec.cf_replicates, rows, spec.cf_n_grid),
+        ("config.scenario.checker_n_grid", spec.checker_ngrid.replicates, 1, spec.checker_ngrid.values),
+    )
+    for path, replicates, grid_rows, values in grids:
+        work = replicates * grid_rows * sum(values)
+        if work > WORK_BUDGET:
+            raise ConfigError(
+                f"{path}: {replicates} replicates x {grid_rows} row(s) x {sum(values)} summed "
+                f"row lengths = {work} exceeds the work budget of {WORK_BUDGET}"
+            )
+
+
 def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Optional[int] = None) -> ResolvedConfig:
     """Parse and validate a JSON config file into a runnable configuration.
 
@@ -382,6 +405,7 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
         optional=("seed", "threads", "out", "stat_config"),
     )
     spec = _build_scenario(raw["scenario"], "config.scenario")
+    _check_budget(spec)
     _require_runnable(spec, spec.checkers, "config.scenario.checkers")
 
     scenario_obj = raw["scenario"] if isinstance(raw["scenario"], dict) else {}

@@ -14,6 +14,7 @@ from stablemix.cli import (
     EXIT_PASS,
     EXIT_RUNTIME,
     SCHEMA_VERSION,
+    WORK_BUDGET,
     load_config,
     main,
 )
@@ -255,6 +256,48 @@ class TestSeedResolution:
         cfg = write_config(tmp_path, {"scenario": "example1", "seed": 3})
         resolved = load_config(cfg)
         assert resolved.seed == 3
+
+
+class TestWorkBudget:
+    """A grid asking for more than WORK_BUDGET replicates x rows x summed row
+    lengths is a config error found while parsing; nothing is ever drawn."""
+
+    @pytest.fixture(autouse=True)
+    def _never_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-budget config reached the runner")
+
+        monkeypatch.setattr(cli, "run_scenario", refuse)
+        monkeypatch.setattr(cli, "run_criterion", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, scenario, path",
+        [
+            (["simulate"], {"builtin": "example1", "n_grid": [64, 10**12]}, "config.scenario.n_grid"),
+            (["simulate"], {"builtin": "gauss-fixed", "replicates": 10**9}, "config.scenario.n_grid"),
+            (["check", "uan"], {"builtin": "pareto-mix", "checker_n_grid": [100, 10**10]}, "config.scenario.checker_n_grid"),
+            (["simulate"], {"builtin": "pareto-mix", "checker_replicates": 10**6}, "config.scenario.checker_n_grid"),
+        ],
+    )
+    def test_over_budget_grid_exits_config(self, tmp_path, capsys, argv, scenario, path):
+        cfg = write_config(tmp_path, {"scenario": scenario, "seed": 1})
+        code = main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: {path}: " in err and "work budget" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_is_inclusive_and_joint_counts_two_rows(self, tmp_path):
+        # example1 simulates two rows per replicate.
+        at_cap = {"builtin": "gauss-fixed", "n_grid": [WORK_BUDGET // 1000], "replicates": 1000}
+        load_config(write_config(tmp_path, {"scenario": at_cap, "seed": 1}))
+        joint = {"builtin": "example1", "n_grid": [WORK_BUDGET // 1000], "replicates": 1000}
+        with pytest.raises(cli.ConfigError, match=r"config\.scenario\.n_grid: 1000 replicates x 2 row"):
+            load_config(write_config(tmp_path, {"scenario": joint, "seed": 1}))
+
+    @pytest.mark.parametrize("name", builtin_scenarios())
+    def test_builtins_stay_within_budget(self, tmp_path, name):
+        load_config(write_config(tmp_path, {"scenario": name, "seed": 1}))
 
 
 class TestSimulate:
