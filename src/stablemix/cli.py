@@ -1,17 +1,20 @@
 """Command-line front end for scenario simulation and criterion checks.
 
-The CLI is a thin shell over the library: configs are parsed into the same
-ScenarioSpec objects the library exposes, simulate/check delegate to
-run_scenario and run_criterion, and every file written here can be rebuilt
-from library calls with identical results (up to wall-clock runtime fields).
+The CLI is a thin shell over the library: every scenario key of a config,
+the cf and joint grids and the test tolerances included, is parsed into the
+ScenarioSpec the library runs; simulate/check delegate to run_scenario and
+run_criterion, so every file written here can be rebuilt from
+``run_scenario(load_config(path).spec, seed)`` and
+``run_criterion(load_config(path).spec, criterion, seed)`` with identical
+results (up to wall-clock runtime fields).
 
 Exit codes form a stable contract:
     0  pass / success
     1  runtime failure (including a failed identity verification)
     2  configuration error (schema, unknown keys, missing or negative seed,
-       a count below 1, a grid over WORK_BUDGET, bad criterion, or a
-       criterion that needs a tail index the scenario lacks or has out of
-       range)
+       a count below 1, a tolerance or tau that is not finite and positive,
+       a grid over WORK_BUDGET, bad criterion, or a criterion that needs a
+       tail index the scenario lacks or has out of range)
     3  criterion checked and failed
     4  criterion inconclusive at the configured sample sizes
 """
@@ -29,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .criteria import CRITERION_NAMES, NGrid, StatTestConfig
+from .criteria import CRITERION_NAMES, StatTestConfig
 from .directing import (
     CauchyLaw,
     DirectingLaw,
@@ -109,6 +112,15 @@ def _check_keys(obj: dict, path: str, required: Sequence[str], optional: Sequenc
         raise ConfigError(f"{path}: missing required key(s) {', '.join(repr(k) for k in missing)}")
 
 
+def _construct(path: str, make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError or TypeError it raises
+    reported as a ConfigError under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -166,10 +178,7 @@ def _build_kind(obj, path: str, kinds: dict, noun: str):
     make, fields = kinds[kind]
     _check_keys(obj, path, required=("kind",) + fields, optional=())
     args = [(_as_pairs if f == "atoms" else _as_number)(obj[f], f"{path}.{f}") for f in fields]
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _construct(path, make, *args)
 
 
 def _build_law(obj, path: str) -> DirectingLaw:
@@ -180,10 +189,7 @@ def _build_law(obj, path: str) -> DirectingLaw:
     prior = None
     if "prior" in obj:
         prior = _build_kind(obj["prior"], f"{path}.prior", _PRIOR_KINDS, "prior")
-    try:
-        return DirectingLaw(base, prior)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _construct(path, DirectingLaw, base, prior)
 
 
 def _build_norming(obj, path: str) -> NormingSequence:
@@ -197,10 +203,7 @@ def _build_norming(obj, path: str) -> NormingSequence:
         for f in ("alpha",) + optional
         if f in obj
     }
-    try:
-        return NormingSequence(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _construct(path, NormingSequence, **kwargs)
 
 
 def _build_stat_config(obj, path: str) -> StatTestConfig:
@@ -209,10 +212,7 @@ def _build_stat_config(obj, path: str) -> StatTestConfig:
     fields = ("delta", "prob_bound", "ks_tol", "margin", "fit_tol")
     _check_keys(obj, path, required=(), optional=fields)
     kwargs = {f: _as_number(obj[f], f"{path}.{f}") for f in fields if f in obj}
-    try:
-        return StatTestConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _construct(path, StatTestConfig, **kwargs)
 
 
 def _build_target(obj, path: str) -> MixingMeasure:
@@ -229,14 +229,8 @@ def _build_target(obj, path: str) -> MixingMeasure:
                 f"{path}.atoms[{j}]: expected [alpha, gamma, c, beta, weight]"
             )
         nums = [_as_number(v, f"{path}.atoms[{j}][{k}]") for k, v in enumerate(item)]
-        try:
-            built.append((StableParams(*nums[:4]), nums[4]))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.atoms[{j}]: {exc}") from exc
-    try:
-        return MixingMeasure(tuple(built))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        built.append((_construct(f"{path}.atoms[{j}]", StableParams, *nums[:4]), nums[4]))
+    return _construct(path, MixingMeasure, tuple(built))
 
 
 def _as_list(value, path: str, convert: Callable = _as_number, noun: str = "numbers") -> tuple:
@@ -245,21 +239,42 @@ def _as_list(value, path: str, convert: Callable = _as_number, noun: str = "numb
     return tuple(convert(v, f"{path}[{j}]") for j, v in enumerate(value))
 
 
-_SCENARIO_OVERRIDES = (
-    "n_grid",
-    "replicates",
-    "tau",
-    "alpha",
-    "x_grid",
-    "checkers",
-    "joint",
-    "checker_n_grid",
-    "checker_replicates",
-    "stat_config",
-    "t_grid",
-    "joint_grid",
-    "seed",
-)
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false")
+    return value
+
+
+def _as_names(value, path: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of criterion names")
+    return tuple(value)
+
+
+def _as_ints(value, path: str) -> tuple:
+    return _as_list(value, path, _as_int, "integers")
+
+
+# Scenario key -> (ScenarioSpec field, parser taking the value and its path).
+_SCENARIO_FIELDS: Dict[str, Tuple[str, Callable]] = {
+    "n_grid": ("cf_n_grid", _as_ints),
+    "replicates": ("cf_replicates", _as_int),
+    "tau": ("tau", _as_number),
+    "alpha": ("alpha", _as_number),
+    "x_grid": ("x_grid", _as_list),
+    "checkers": ("checkers", _as_names),
+    "joint": ("joint", _as_bool),
+    "t_grid": ("t_grid", lambda v, p: _construct(p, TGrid, _as_list(v, p))),
+    "joint_grid": ("joint_grid", lambda v, p: _construct(p, TGrid, _as_pairs(v, p, "[t, s]"))),
+    "stat_config": ("stat_config", _build_stat_config),
+}
+# Scenario key -> (NGrid field of ScenarioSpec.checker_ngrid, parser).
+_NGRID_FIELDS: Dict[str, Tuple[str, Callable]] = {
+    "checker_n_grid": ("values", _as_ints),
+    "checker_replicates": ("replicates", _as_int),
+}
+# The scenario seed is read by load_config, not stored in the spec.
+_SCENARIO_OVERRIDES = tuple(_SCENARIO_FIELDS) + tuple(_NGRID_FIELDS) + ("seed",)
 
 
 @dataclass(frozen=True)
@@ -270,66 +285,27 @@ class ResolvedConfig:
     seed: Optional[int]
     threads: int
     out: Optional[str]
-    tgrid: Optional[TGrid]
-    joint_grid: Optional[TGrid]
-    stat_config: Optional[StatTestConfig]
 
 
 def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
-    updates: Dict[str, object] = {}
-    if "n_grid" in obj:
-        updates["cf_n_grid"] = _as_list(obj["n_grid"], f"{path}.n_grid", _as_int, "integers")
-    if "replicates" in obj:
-        updates["cf_replicates"] = _as_int(obj["replicates"], f"{path}.replicates")
-    if "tau" in obj:
-        updates["tau"] = _as_number(obj["tau"], f"{path}.tau")
-    if "alpha" in obj:
-        updates["alpha"] = _as_number(obj["alpha"], f"{path}.alpha")
-    if "x_grid" in obj:
-        updates["x_grid"] = _as_list(obj["x_grid"], f"{path}.x_grid")
-    if "joint" in obj:
-        if not isinstance(obj["joint"], bool):
-            raise ConfigError(f"{path}.joint: expected true or false")
-        updates["joint"] = obj["joint"]
-    if "checkers" in obj:
-        names = obj["checkers"]
-        if not isinstance(names, list):
-            raise ConfigError(f"{path}.checkers: expected a list of criterion names")
-        updates["checkers"] = tuple(names)
-    grid_values = None
-    grid_replicates = None
-    if "checker_n_grid" in obj:
-        grid_values = _as_list(obj["checker_n_grid"], f"{path}.checker_n_grid", _as_int, "integers")
-    if "checker_replicates" in obj:
-        grid_replicates = _as_int(obj["checker_replicates"], f"{path}.checker_replicates")
-    if grid_values is not None or grid_replicates is not None:
-        base = spec.checker_ngrid
-        try:
-            updates["checker_ngrid"] = NGrid(
-                values=grid_values if grid_values is not None else base.values,
-                replicates=grid_replicates if grid_replicates is not None else base.replicates,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if updates:
-        spec = replace(spec, **updates)
-    return spec
+    def parse(table: dict) -> dict:
+        return {f: parse_value(obj[k], f"{path}.{k}") for k, (f, parse_value) in table.items() if k in obj}
+
+    updates = parse(_SCENARIO_FIELDS)
+    grid_updates = parse(_NGRID_FIELDS)
+    if grid_updates:
+        updates["checker_ngrid"] = _construct(path, replace, spec.checker_ngrid, **grid_updates)
+    return _construct(path, replace, spec, **updates)
 
 
 def _build_scenario(obj, path: str) -> ScenarioSpec:
     if isinstance(obj, str):
-        try:
-            return get_scenario(obj)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return _construct(path, get_scenario, obj)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a builtin name or an object")
     if "builtin" in obj:
         _check_keys(obj, path, required=("builtin",), optional=_SCENARIO_OVERRIDES)
-        try:
-            spec = get_scenario(obj["builtin"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}.builtin: {exc}") from exc
+        spec = _construct(f"{path}.builtin", get_scenario, obj["builtin"])
         return _apply_overrides(spec, obj, path)
     _check_keys(
         obj,
@@ -357,10 +333,7 @@ def _require_runnable(spec: ScenarioSpec, criteria: Sequence[str], path: str) ->
     """Reject, before anything is simulated, an unknown criterion or one that
     needs a tail index the scenario lacks or has out of range."""
     for name in criteria:
-        try:
-            _checker_args(spec, name)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        _construct(path, _checker_args, spec, name)
 
 
 def _check_budget(spec: ScenarioSpec) -> None:
@@ -398,12 +371,7 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(
-        raw,
-        "config",
-        required=("scenario",),
-        optional=("seed", "threads", "out", "stat_config"),
-    )
+    _check_keys(raw, "config", required=("scenario",), optional=("seed", "threads", "out"))
     spec = _build_scenario(raw["scenario"], "config.scenario")
     _check_budget(spec)
     _require_runnable(spec, spec.checkers, "config.scenario.checkers")
@@ -433,26 +401,7 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
     if out is not None and not isinstance(out, str):
         raise ConfigError("config.out: expected a directory path string")
 
-    tgrid = None
-    if "t_grid" in scenario_obj:
-        points = _as_list(scenario_obj["t_grid"], "config.scenario.t_grid")
-        try:
-            tgrid = TGrid(points)
-        except ValueError as exc:
-            raise ConfigError(f"config.scenario.t_grid: {exc}") from exc
-    joint_grid = None
-    if "joint_grid" in scenario_obj:
-        pairs = _as_pairs(scenario_obj["joint_grid"], "config.scenario.joint_grid", "[t, s]")
-        try:
-            joint_grid = TGrid(pairs)
-        except ValueError as exc:
-            raise ConfigError(f"config.scenario.joint_grid: {exc}") from exc
-
-    stat_config = None
-    for source, spath in ((raw, "config.stat_config"), (scenario_obj, "config.scenario.stat_config")):
-        if "stat_config" in source:
-            stat_config = _build_stat_config(source["stat_config"], spath)
-    return ResolvedConfig(spec, seed, threads, out, tgrid, joint_grid, stat_config)
+    return ResolvedConfig(spec, seed, threads, out)
 
 
 def _report_payload(report: ScenarioReport) -> Dict[str, object]:
@@ -509,14 +458,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if config is None:
         return EXIT_CONFIG
     try:
-        report = run_scenario(
-            config.spec,
-            config.seed,
-            threads=config.threads,
-            tgrid=config.tgrid,
-            joint_grid=config.joint_grid,
-            stat_config=config.stat_config,
-        )
+        report = run_scenario(config.spec, config.seed, threads=config.threads)
         out = _resolve_out(config, args.out)
         report_path = out / f"{report.scenario}.report.json"
         cf_path = out / f"{report.scenario}.cf.csv"
@@ -545,12 +487,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if config is None:
         return EXIT_CONFIG
     try:
-        verdict = run_criterion(
-            config.spec,
-            args.criterion,
-            config.seed,
-            config=config.stat_config,
-        )
+        verdict = run_criterion(config.spec, args.criterion, config.seed)
         out = _resolve_out(config, args.out)
         verdict_path = out / f"{config.spec.name}.{args.criterion}.verdict.json"
         _write_json(

@@ -130,6 +130,8 @@ class StatTestConfig:
     :param ks_tol: admissible relaxed Kolmogorov-Smirnov distance
     :param margin: slack for distribution comparisons and degeneracy tests
     :param fit_tol: admissible restriction-metric residual of a spectral fit
+
+    Every tolerance must be finite and positive.
     """
 
     delta: float = 0.05
@@ -141,8 +143,8 @@ class StatTestConfig:
     def __post_init__(self) -> None:
         for name in ("delta", "prob_bound", "ks_tol", "margin", "fit_tol"):
             value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

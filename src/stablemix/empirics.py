@@ -183,14 +183,16 @@ def identity_residual(perturb: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete description of one convergence scenario.
+    """Complete description of one convergence scenario and how to run it.
 
     ``target`` is a finite stable mixture when the limit has that form;
     ``target_fn`` overrides it with a direct formula for limits outside
     the finite-mixture class (the exponential variance mixture). The
     checkers tuple lists criterion names from the criteria module;
     ``exclusive_pass`` names the one mixture-type checker the scenario
-    is designed to satisfy.
+    is designed to satisfy. ``t_grid`` is the one dimensional grid of the
+    cf tables, ``joint_grid`` the (t, s) grid of the joint table, and
+    ``stat_config`` the tolerances every checker uses.
     """
 
     name: str
@@ -210,6 +212,17 @@ class ScenarioSpec:
     joint: bool = False
     identity_demo: bool = False
     description: str = ""
+    t_grid: TGrid = field(default_factory=TGrid)
+    joint_grid: TGrid = field(default_factory=lambda: TGrid(DEFAULT_JOINT_POINTS))
+    stat_config: StatTestConfig = field(default_factory=StatTestConfig)
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        if self.t_grid.ndim != 1:
+            raise ValueError("the scenario grid must be one dimensional")
+        if self.joint_grid.ndim != 2:
+            raise ValueError("the joint grid must consist of (t, s) pairs")
 
     def target_cf(self, t: float) -> Optional[complex]:
         if self.target_fn is not None:
@@ -445,25 +458,21 @@ def _checker_args(spec: ScenarioSpec, criterion: str) -> list:
 
 
 def run_criterion(
-    spec: ScenarioSpec,
-    criterion: str,
-    seed: int,
-    config: Optional[StatTestConfig] = None,
-    panel: Optional[_DrawPanel] = None,
+    spec: ScenarioSpec, criterion: str, seed: int, panel: Optional[_DrawPanel] = None
 ) -> CriterionVerdict:
-    """Run one named criterion checker against a scenario.
+    """Run one named criterion checker against a scenario, on its checker
+    grid and under its ``stat_config`` tolerances.
 
     ``panel`` shares draws and per-draw quantities with other checkers
     run on the same scenario, grid and seed.
     """
     args = _checker_args(spec, criterion)
-    cfg = config if config is not None else StatTestConfig()
     return globals()[_CHECKERS[criterion][0]](
-        spec.law, spec.norming, spec.checker_ngrid, *args, cfg, seed=seed, panel=panel
+        spec.law, spec.norming, spec.checker_ngrid, *args, spec.stat_config, seed=seed, panel=panel
     )
 
 
-def _config_echo(spec: ScenarioSpec, seed: int, grid: TGrid) -> Dict[str, object]:
+def _config_echo(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     return {
         "scenario": spec.name,
         "description": spec.description,
@@ -477,30 +486,24 @@ def _config_echo(spec: ScenarioSpec, seed: int, grid: TGrid) -> Dict[str, object
         "checker_n_grid": list(spec.checker_ngrid.values),
         "checker_replicates": spec.checker_ngrid.replicates,
         "checkers": list(spec.checkers),
-        "t_grid": list(grid.points),
+        "t_grid": list(spec.t_grid.points),
         "seed": seed,
     }
 
 
-def run_scenario(
-    spec: Union[ScenarioSpec, str],
-    seed: int,
-    *,
-    threads: int = 1,
-    tgrid: Optional[TGrid] = None,
-    joint_grid: Optional[TGrid] = None,
-    stat_config: Optional[StatTestConfig] = None,
-) -> ScenarioReport:
+def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1) -> ScenarioReport:
     """Execute one scenario end to end and assemble its report.
 
     Simulates row sums along the scenario's row-length grid (the draws
     are seeded per replicate, so reports are deterministic for a given
     seed up to the wall-clock fields), tabulates empirical
-    characteristic functions against the registered analytic target,
-    computes characteristic quantities of the first replicate's
-    realization, runs the scenario's criterion checkers, and, when the
-    scenario asks for it, adds the joint-factorization table and the
-    quadrature identity residual.
+    characteristic functions on ``spec.t_grid`` against the registered
+    analytic target, computes characteristic quantities of the first
+    replicate's realization, runs the scenario's criterion checkers under
+    ``spec.stat_config``, and, when the scenario asks for it, adds the
+    joint-factorization table on ``spec.joint_grid`` and the quadrature
+    identity residual. ``threads`` caps the sampler's worker threads and
+    changes no result.
     """
     if isinstance(spec, str):
         spec = get_scenario(spec)
@@ -508,11 +511,7 @@ def run_scenario(
         raise ValueError(f"scenario {spec.name!r} has an empty row-length grid")
     if any(n < 1 for n in spec.cf_n_grid):
         raise ValueError(f"row lengths must be positive, got {spec.cf_n_grid}")
-
-    grid = tgrid if tgrid is not None else TGrid()
-    if grid.ndim != 1:
-        raise ValueError("the scenario grid must be one dimensional")
-    cfg = stat_config if stat_config is not None else StatTestConfig()
+    grid = spec.t_grid
 
     runtimes: Dict[str, float] = {}
     cf_tables: List[Dict[str, object]] = []
@@ -563,9 +562,7 @@ def run_scenario(
     joint_table: Optional[List[Dict[str, object]]] = None
     if spec.joint and last_rowsums is not None:
         t_start = time.perf_counter()
-        jgrid = joint_grid if joint_grid is not None else TGrid(DEFAULT_JOINT_POINTS)
-        if jgrid.ndim != 2:
-            raise ValueError("the joint grid must consist of (t, s) pairs")
+        jgrid = spec.joint_grid
         joint = empirical_joint_cf(last_rowsums, jgrid)
         marg_t_points = tuple(sorted({t for t, _ in jgrid.points} | {0.0}))
         marg_s_points = tuple(sorted({s for _, s in jgrid.points} | {0.0}))
@@ -606,7 +603,7 @@ def run_scenario(
     verdicts: List[Dict[str, object]] = []
     for criterion in spec.checkers:
         t_start = time.perf_counter()
-        verdict = run_criterion(spec, criterion, seed, cfg, panel=panel)
+        verdict = run_criterion(spec, criterion, seed, panel=panel)
         verdicts.append(asdict(verdict))
         runtimes[f"check_{criterion}"] = time.perf_counter() - t_start
 
@@ -614,7 +611,7 @@ def run_scenario(
     return ScenarioReport(
         scenario=spec.name,
         seed=seed,
-        config=_config_echo(spec, seed, grid),
+        config=_config_echo(spec, seed),
         cf_tables=cf_tables,
         sup_distance=sups,
         joint_table=joint_table,

@@ -8,6 +8,7 @@ expensive metric computations keyed on measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
@@ -31,7 +32,7 @@ class AtomicMeasure:
     def __post_init__(self) -> None:
         last = None
         for loc, mass in self.atoms:
-            if not (np.isfinite(loc) and np.isfinite(mass)):
+            if not (math.isfinite(loc) and math.isfinite(mass)):
                 raise ValueError(f"atom ({loc!r}, {mass!r}) is not finite")
             if mass <= 0:
                 raise ValueError(f"atom at {loc} has nonpositive mass {mass}")

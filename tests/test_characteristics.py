@@ -211,6 +211,22 @@ class _ShrinkingTail:
         return x / (1.0 + x)
 
 
+class TestAtomicMeasure:
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (((0.0, 1.0), (math.inf, 1.0)), "is not finite"),
+            (((0.0, math.nan),), "is not finite"),
+            (((0.0, 1.0), (1.0, 0.0)), "nonpositive mass"),
+            (((1.0, 1.0), (0.0, 1.0)), "sorted by location without duplicates"),
+            (((0.5, 1.0), (0.5, 2.0)), "sorted by location without duplicates"),
+        ],
+    )
+    def test_rejects_noncanonical_atoms(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            AtomicMeasure(atoms)
+
+
 class TestSpectralMeasure:
     """Discretization of the scaled spectral function onto the signed grid."""
 

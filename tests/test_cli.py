@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from stablemix.cli import (
     main,
 )
 from stablemix.criteria import CriterionVerdict
-from stablemix.empirics import builtin_scenarios, run_scenario
+from stablemix.empirics import builtin_scenarios, run_criterion, run_scenario
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -88,6 +91,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "'sede'" in err, f"unknown key not named: {err}"
+
+    def test_top_level_stat_config_is_unknown(self, tmp_path, capsys):
+        # Tolerances belong to the scenario: config.scenario.stat_config.
+        cfg = write_config(tmp_path, {"scenario": "example1", "seed": 1, "stat_config": {"delta": 0.1}})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config: unknown key(s) 'stat_config'" in err, err
 
     def test_scenario_unknown_key_names_field_path(self, tmp_path, capsys):
         cfg = write_config(
@@ -197,6 +208,13 @@ class TestConfigErrors:
                 {"builtin": "pareto-mix", "alpha": 1.0},
                 "config error: config.scenario.checkers: tail index must lie in (0, 1) or (1, 2), away from 1, got 1.0",
             ),
+            # json accepts NaN and Infinity tokens; a tolerance or tau must be finite and positive.
+            (
+                {"builtin": "gauss-fixed", "stat_config": {"delta": math.nan}},
+                "config error: config.scenario.stat_config: delta must be finite and positive, got nan",
+            ),
+            ({"builtin": "gauss-fixed", "tau": math.nan}, "config error: config.scenario: tau must be finite and positive, got nan"),
+            ({"builtin": "gauss-fixed", "tau": math.inf}, "config error: config.scenario: tau must be finite and positive, got inf"),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):
@@ -256,6 +274,17 @@ class TestSeedResolution:
         cfg = write_config(tmp_path, {"scenario": "example1", "seed": 3})
         resolved = load_config(cfg)
         assert resolved.seed == 3
+
+
+class TestReadmeConfigs:
+    def test_every_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(examples) >= 3, "the README's config examples were not found"
+        for j, text in enumerate(examples):
+            path = tmp_path / f"example{j}.json"
+            path.write_text(text, encoding="utf-8")
+            load_config(str(path))
 
 
 class TestWorkBudget:
@@ -372,20 +401,48 @@ class TestSimulate:
         assert "pass" in captured.out
 
     def test_report_matches_library_call(self, tmp_path, monkeypatch):
+        # Every scenario key, the grids and tolerances included, reaches the
+        # spec: the library call on load_config(cfg).spec rebuilds both files.
         monkeypatch.delenv("STABLEMIX_SEED", raising=False)
-        cfg = write_config(tmp_path, {"scenario": dict(TINY_SCENARIO), "seed": 7})
+        scenario = dict(
+            TINY_SCENARIO,
+            t_grid=[-1.5, 0.0, 0.5, 3.0],
+            joint=True,
+            joint_grid=[[0.0, 0.0], [0.5, -2.0], [1.5, 1.0]],
+            stat_config={"delta": 0.2, "prob_bound": 0.3, "margin": 0.02},
+            checkers=["uan"],
+            checker_n_grid=[100, 400],
+            checker_replicates=100,
+        )
+        cfg = write_config(tmp_path, {"scenario": scenario, "seed": 7})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PASS
-        report = json.loads(
-            (tmp_path / "cauchy-scalemix.report.json").read_text(encoding="utf-8")
+        assert main(["check", "uan", "--config", cfg, "--out", str(tmp_path)]) in (
+            EXIT_PASS,
+            EXIT_FAIL,
+            EXIT_INCONCLUSIVE,
         )
+        read = lambda name: json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        as_json = lambda obj: json.loads(json.dumps(obj))
 
-        resolved = load_config(cfg)
-        direct = run_scenario(resolved.spec, 7)
-        assert report["cf_tables"] == json.loads(json.dumps(direct.cf_tables)), (
-            "CLI must be a thin shell over the library run"
-        )
-        assert report["sup_distance"] == json.loads(json.dumps(direct.sup_distance))
-        assert report["quantities"] == json.loads(json.dumps(direct.quantities))
+        spec = load_config(cfg).spec
+        report = read("cauchy-scalemix.report.json")
+        direct = as_json({"schema_version": SCHEMA_VERSION, **asdict(run_scenario(spec, 7))})
+        del report["runtimes"], direct["runtimes"]
+        assert report == direct, "CLI must be a thin shell over the library run"
+        assert [p["t"] for p in report["cf_tables"][0]["points"]] == scenario["t_grid"]
+        assert [[r["t"], r["s"]] for r in report["joint_table"]] == scenario["joint_grid"]
+
+        verdict = read("cauchy-scalemix.uan.verdict.json")
+        expected = as_json(asdict(run_criterion(spec, "uan", 7)))
+        assert verdict == {
+            "schema_version": SCHEMA_VERSION,
+            "scenario": "cauchy-scalemix",
+            "criterion": expected["name"],
+            "seed": 7,
+            "holds": expected["holds"],
+            "evidence": expected["evidence"],
+            "estimated_limit": expected["estimated_limit"],
+        }
 
     def test_threads_flag_leaves_results_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": dict(TINY_SCENARIO), "seed": 5})

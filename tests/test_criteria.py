@@ -74,11 +74,16 @@ class TestGridAndConfig:
             NGrid((100, 1000), replicates=99)
 
     @pytest.mark.parametrize(
-        "field", ["delta", "prob_bound", "ks_tol", "margin", "fit_tol"]
+        "field, value",
+        [
+            pytest.param(field, value, id=field if value == 0.0 else f"{field}-{value}")
+            for value in (0.0, math.nan, math.inf)
+            for field in ("delta", "prob_bound", "ks_tol", "margin", "fit_tol")
+        ],
     )
-    def test_config_rejects_nonpositive(self, field):
+    def test_config_rejects_nonpositive(self, field, value):
         with pytest.raises(ValueError, match=field):
-            StatTestConfig(**{field: 0.0})
+            StatTestConfig(**{field: value})
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 2.5, 1.0005])
     def test_stable_checker_rejects_bad_index(self, alpha):
