@@ -33,6 +33,7 @@ from .characteristics import (
 from .criteria import (
     CRITERION_NAMES,
     CriterionVerdict,
+    DrawPanel,
     NGrid,
     StatTestConfig,
     check_cauchy_mixture,

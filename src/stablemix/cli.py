@@ -12,7 +12,8 @@ Exit codes form a stable contract:
     0  pass / success
     1  runtime failure (including a failed identity verification)
     2  configuration error (schema, unknown keys, missing or negative seed,
-       a count below 1, a tolerance or tau that is not finite and positive,
+       a count below 1, a NaN or infinite number (only the norming index
+       may be Infinity), a tolerance or tau that is not finite and positive,
        a grid over WORK_BUDGET, bad criterion, or a criterion that needs a
        tail index the scenario lacks or has out of range)
     3  criterion checked and failed
@@ -121,10 +122,18 @@ def _construct(path: str, make: Callable, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _as_number(value, path: str) -> float:
+def _as_number(value, path: str, finite: bool = True) -> float:
+    """``value`` as a float. JSON's NaN and Infinity tokens are rejected
+    unless ``finite`` is False, for a value whose own validator names them."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value, path: str, least: int = 1) -> int:
@@ -197,9 +206,10 @@ def _build_norming(obj, path: str) -> NormingSequence:
         raise ConfigError(f"{path}: expected an object with an 'alpha' key")
     optional = ("slow_kind", "slow_power", "scale", "centering_kind", "centering_tau")
     _check_keys(obj, path, required=("alpha",), optional=optional)
-    # The two *_kind fields are names that NormingSequence validates itself.
+    # The two *_kind fields are names that NormingSequence validates itself;
+    # alpha may be Infinity, the constant norming.
     kwargs = {
-        f: obj[f] if f.endswith("_kind") else _as_number(obj[f], f"{path}.{f}")
+        f: obj[f] if f.endswith("_kind") else _as_number(obj[f], f"{path}.{f}", finite=f != "alpha")
         for f in ("alpha",) + optional
         if f in obj
     }
@@ -211,7 +221,7 @@ def _build_stat_config(obj, path: str) -> StatTestConfig:
         raise ConfigError(f"{path}: expected an object")
     fields = ("delta", "prob_bound", "ks_tol", "margin", "fit_tol")
     _check_keys(obj, path, required=(), optional=fields)
-    kwargs = {f: _as_number(obj[f], f"{path}.{f}") for f in fields if f in obj}
+    kwargs = {f: _as_number(obj[f], f"{path}.{f}", finite=False) for f in fields if f in obj}
     return _construct(path, StatTestConfig, **kwargs)
 
 
@@ -259,7 +269,7 @@ def _as_ints(value, path: str) -> tuple:
 _SCENARIO_FIELDS: Dict[str, Tuple[str, Callable]] = {
     "n_grid": ("cf_n_grid", _as_ints),
     "replicates": ("cf_replicates", _as_int),
-    "tau": ("tau", _as_number),
+    "tau": ("tau", lambda v, p: _as_number(v, p, finite=False)),
     "alpha": ("alpha", _as_number),
     "x_grid": ("x_grid", _as_list),
     "checkers": ("checkers", _as_names),

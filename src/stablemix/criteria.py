@@ -24,10 +24,10 @@ distance between consecutive empirical laws (paired draws, so the
 comparison is sharp) falls below ``ks_tol``; one half or more is again a
 decisive failure.
 
-Each checker accepts a keyword-only ``panel`` holding the draws and the
-memo of per-draw quantities, so that several checkers run on the same
-law, norming, grid and seed compute each quantity once; a panel built
-for other arguments is rejected.
+Every checker takes a ``DrawPanel`` as its first argument: the directing
+law, norming sequence, grid of row lengths and seed, together with the
+draws and the memo of per-draw quantities. Several checkers handed the
+same panel share its draws and compute each quantity once.
 
 Checkers that look for heavy-tailed limits fit a two-sided power shape
 to the discretized spectral measure of each draw and demand that the
@@ -68,6 +68,7 @@ from .stable import NormingSequence, norming_values
 __all__ = [
     "NGrid",
     "StatTestConfig",
+    "DrawPanel",
     "CriterionVerdict",
     "CRITERION_NAMES",
     "check_uan",
@@ -171,8 +172,10 @@ def _require_alpha(alpha: float) -> None:
         )
 
 
-class _DrawPanel:
-    """Shared directing-law draws plus a memo of per-(draw, n) quantities.
+class DrawPanel:
+    """The input of every checker: ``ngrid.replicates`` draws of ``law``
+    from ``seed``, judged under ``norming`` along ``ngrid.values``, plus a
+    memo of per-(draw, n) quantities.
 
     Realizations are frozen dataclasses, hence hashable, so equal draws
     collapse to a single memo entry; an atom prior with two support
@@ -210,7 +213,11 @@ class _DrawPanel:
 
     def values(self, key: tuple, n: int, fn: Callable) -> np.ndarray:
         table = self.table(key, n, fn)
-        return np.array([table[p] for p in self.draws], dtype=float)
+        out = np.array([table[p] for p in self.draws], dtype=float)
+        bad = int(np.count_nonzero(~np.isfinite(out)))
+        if bad:
+            raise RuntimeError(f"quantity {key} at n={n} is not finite for {bad} of {out.size} draws")
+        return out
 
     def stream(self, key: tuple, fn: Callable) -> List[np.ndarray]:
         """``values`` at every grid length, in grid order."""
@@ -284,26 +291,6 @@ class _DrawPanel:
             return fit_spectrum(spectral_measure_lambda(p, self.norming, m), alpha)
 
         return self.table(("fit", alpha), n, fn)
-
-
-def _panel_for(
-    panel: Optional[_DrawPanel],
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    seed: int,
-) -> _DrawPanel:
-    """The caller's panel, checked against the arguments, or a fresh one."""
-    if panel is None:
-        return _DrawPanel(law, norming, ngrid, seed)
-    wanted = {"law": law, "norming": norming, "ngrid": ngrid, "seed": seed}
-    for name, value in wanted.items():
-        if getattr(panel, name) != value:
-            raise ValueError(
-                f"panel mismatch: built for {name}={getattr(panel, name)!r}, "
-                f"called with {name}={value!r}"
-            )
-    return panel
 
 
 def _combine_list(statuses: Sequence[Optional[bool]]) -> Optional[bool]:
@@ -440,7 +427,7 @@ def _spread(
 
 
 def _tails_to_zero(
-    panel: _DrawPanel, cfg: StatTestConfig, scaled: bool
+    panel: DrawPanel, cfg: StatTestConfig, scaled: bool
 ) -> Dict[str, object]:
     """Tail sub-check shared by several checkers.
 
@@ -472,7 +459,7 @@ def _variance_mixture_subchecks(
     }
 
 
-def _evidence(panel: _DrawPanel, subs: Dict[str, object], **extra) -> Dict[str, object]:
+def _evidence(panel: DrawPanel, subs: Dict[str, object], **extra) -> Dict[str, object]:
     out: Dict[str, object] = {
         "sub_checks": subs,
         "n_grid": [int(n) for n in panel.ngrid.values],
@@ -484,7 +471,7 @@ def _evidence(panel: _DrawPanel, subs: Dict[str, object], **extra) -> Dict[str, 
 
 
 def _verdict(
-    name: str, panel: _DrawPanel, subs: Dict[str, dict], limit: Optional[dict] = None, **extra
+    name: str, panel: DrawPanel, subs: Dict[str, dict], limit: Optional[dict] = None, **extra
 ) -> CriterionVerdict:
     """The verdict that holds when every sub-check entry in ``subs`` holds."""
     return CriterionVerdict(name, _combine(subs), _evidence(panel, subs, **extra), limit)
@@ -495,7 +482,7 @@ def _verdict(
 # ---------------------------------------------------------------------------
 
 
-def _fit_streams(panel: _DrawPanel, alpha: float):
+def _fit_streams(panel: DrawPanel, alpha: float):
     residuals, nulls, c_minus, c_plus = [], [], [], []
     for n in panel.ngrid.values:
         table = panel.fit_table(n, alpha)
@@ -508,7 +495,7 @@ def _fit_streams(panel: _DrawPanel, alpha: float):
 
 
 def _shape_subchecks(
-    panel: _DrawPanel, alpha: float, cfg: StatTestConfig, with_symmetry: bool
+    panel: DrawPanel, alpha: float, cfg: StatTestConfig, with_symmetry: bool
 ):
     """Sub-checks on per-draw spectral fits at tail index ``alpha``.
 
@@ -563,7 +550,7 @@ def _shape_subchecks(
 
 
 def _limit_atoms(
-    panel: _DrawPanel, alpha: float, locations: np.ndarray
+    panel: DrawPanel, alpha: float, locations: np.ndarray
 ) -> List[Tuple[float, SpectralParams, float]]:
     """Per-draw (location, spectral shape, weight) triples at the largest n.
 
@@ -641,7 +628,7 @@ def _rho_atoms(
 
 def _mixture_verdict(
     name: str,
-    panel: _DrawPanel,
+    panel: DrawPanel,
     alpha: float,
     config: StatTestConfig,
     limit_of: Callable[[list, np.ndarray], Dict[str, object]],
@@ -666,7 +653,7 @@ def _mixture_verdict(
 
 
 def _row_stable_verdict(
-    name: str, panel: _DrawPanel, alpha: float, config: StatTestConfig
+    name: str, panel: DrawPanel, alpha: float, config: StatTestConfig
 ) -> CriterionVerdict:
     """Single-row symmetric stable verdict at index ``alpha``, one included."""
     subs = _shape_subchecks(panel, alpha, config, with_symmetry=True)
@@ -690,15 +677,7 @@ def _row_stable_verdict(
 # ---------------------------------------------------------------------------
 
 
-def check_uan(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
-) -> CriterionVerdict:
+def check_uan(panel: DrawPanel, config: StatTestConfig) -> CriterionVerdict:
     """Check uniform asymptotic negligibility of single array entries.
 
     For each draw of the directing law the per-element tail mass beyond
@@ -707,20 +686,12 @@ def check_uan(
     length for eps in {0.1, 1}. A constant norming sequence under a
     heavy-tailed law is the canonical decisive failure.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     subs = {"entry_tails_negligible": _tails_to_zero(panel, config, scaled=False)}
     return _verdict("uan", panel, subs)
 
 
 def check_gaussian_mixture(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    tau: float,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
+    panel: DrawPanel, tau: float, config: StatTestConfig
 ) -> CriterionVerdict:
     """Check convergence toward a mixture of Gaussian laws.
 
@@ -730,7 +701,6 @@ def check_gaussian_mixture(
     eps * b_n vanishes. Emits the estimated location and a quantile
     summary of the limiting variance mixture.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     loc = panel.loc_trunc(tau)
     disp = panel.disp(tau)
 
@@ -744,23 +714,13 @@ def check_gaussian_mixture(
     return _verdict("gaussian_mixture", panel, subs, limit)
 
 
-def check_degenerate(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    tau: float,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
-) -> CriterionVerdict:
+def check_degenerate(panel: DrawPanel, tau: float, config: StatTestConfig) -> CriterionVerdict:
     """Check convergence toward a single point mass.
 
     The centered truncated mean must concentrate at a constant while
     both the truncated variance and the scaled tail masses vanish in
     probability.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     loc = panel.loc_trunc(tau)
     disp = panel.disp(tau)
 
@@ -774,14 +734,7 @@ def check_degenerate(
 
 
 def check_stable_mixture(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    alpha: float,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
+    panel: DrawPanel, alpha: float, config: StatTestConfig
 ) -> CriterionVerdict:
     """Check convergence toward a mixture of stable laws with index alpha.
 
@@ -793,7 +746,6 @@ def check_stable_mixture(
     are pushed forward to a mixture of stable parameter atoms.
     """
     _require_alpha(alpha)
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     return _mixture_verdict(
         "stable_mixture",
         panel,
@@ -803,15 +755,7 @@ def check_stable_mixture(
     )
 
 
-def check_cauchy_mixture(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
-) -> CriterionVerdict:
+def check_cauchy_mixture(panel: DrawPanel, config: StatTestConfig) -> CriterionVerdict:
     """Check convergence toward a mixture of symmetric Cauchy-type laws.
 
     Same structure as the stable-mixture checker at tail index one, with
@@ -820,7 +764,6 @@ def check_cauchy_mixture(
     pushed to the canonical form. Emits the location-and-scale mixture
     obtained from the per-draw fits.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     return _mixture_verdict(
         "cauchy_mixture",
         panel,
@@ -833,23 +776,13 @@ def check_cauchy_mixture(
     )
 
 
-def check_wlln(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    tau: float,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
-) -> CriterionVerdict:
+def check_wlln(panel: DrawPanel, tau: float, config: StatTestConfig) -> CriterionVerdict:
     """Check the weak law of large numbers for the normalized row sums.
 
     Three displays must vanish in probability: the centered truncated
     mean, the truncated second moment net of the squared centering taken
     at matching scale, and n times the tail mass beyond eps * b_n.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     loc = panel.loc_trunc(tau)
 
     def second_fn(p, m):
@@ -866,14 +799,7 @@ def check_wlln(
 
 
 def check_single_row_gaussian(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    tau: float,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
+    panel: DrawPanel, tau: float, config: StatTestConfig
 ) -> CriterionVerdict:
     """Classify a light-tailed single-row limit into one of two branches.
 
@@ -885,7 +811,6 @@ def check_single_row_gaussian(
     law (a location mixture). A decisive failure of the hypothesis fails
     the verdict outright without branch classification.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     subs = {"tails_negligible": _tails_to_zero(panel, config, scaled=True)}
     if _combine(subs) is False:
         return _verdict("row_gaussian", panel, subs, hypothesis_violated=True)
@@ -930,14 +855,7 @@ def check_single_row_gaussian(
 
 
 def check_single_row_stable(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    alpha: float,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
+    panel: DrawPanel, alpha: float, config: StatTestConfig
 ) -> CriterionVerdict:
     """Check a single-row limit that mixes symmetric stable laws.
 
@@ -950,19 +868,10 @@ def check_single_row_stable(
     Emits the scale mixture of the fitted tail weights.
     """
     _require_alpha(alpha)
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     return _row_stable_verdict("row_stable", panel, alpha, config)
 
 
-def check_single_row_cauchy(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
-) -> CriterionVerdict:
+def check_single_row_cauchy(panel: DrawPanel, config: StatTestConfig) -> CriterionVerdict:
     """Check a single-row limit that mixes symmetric Cauchy-type laws.
 
     Tail-index-one version of the symmetric single-row checker: fits at
@@ -973,20 +882,11 @@ def check_single_row_cauchy(
     centerings), and the truncated variance proxy must vanish. Emits the
     scale mixture with the half-circle constant.
     """
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     return _row_stable_verdict("row_cauchy", panel, 1.0, config)
 
 
 def check_sec5_conditions(
-    law: DirectingLaw,
-    norming: NormingSequence,
-    ngrid: NGrid,
-    alpha: float,
-    x_grid: Sequence[float],
-    config: StatTestConfig,
-    *,
-    seed: int = 0,
-    panel: Optional[_DrawPanel] = None,
+    panel: DrawPanel, alpha: float, x_grid: Sequence[float], config: StatTestConfig
 ) -> CriterionVerdict:
     """Run the experimental tail-diagnostic battery at index alpha.
 
@@ -1002,10 +902,10 @@ def check_sec5_conditions(
     levels = [float(x) for x in x_grid]
     if len(levels) < 2:
         raise ValueError("x_grid needs at least two truncation levels")
-    if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+    # Written so that a NaN level is rejected too.
+    if not levels[0] > 0 or any(not b > a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"x_grid must be positive and increasing, got {x_grid}")
 
-    panel = _panel_for(panel, law, norming, ngrid, seed)
     target_ratio = (2.0 - alpha) / alpha
 
     ratio = _in_probability([panel.ratio(x) for x in levels], config, target=target_ratio)

@@ -30,7 +30,7 @@ from .criteria import (
     NGrid,
     StatTestConfig,
     CriterionVerdict,
-    _DrawPanel,
+    DrawPanel,
     _require_alpha,
     check_cauchy_mixture,
     check_degenerate,
@@ -427,7 +427,7 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 
 # Criterion name -> (checker in this module, ScenarioSpec fields passed
-# between the grid and the config). The checker is looked up by name at
+# between the panel and the config). The checker is looked up by name at
 # call time, so a replaced module attribute is the one that runs.
 _CHECKERS = {
     "uan": ("check_uan", ()),
@@ -444,7 +444,7 @@ _CHECKERS = {
 
 
 def _checker_args(spec: ScenarioSpec, criterion: str) -> list:
-    """The scenario fields ``criterion`` takes after its grid. An unknown
+    """The scenario fields ``criterion`` takes after its panel. An unknown
     criterion, or a tail index it needs that the scenario lacks or has
     outside (0, 1) or (1, 2), is a ValueError."""
     if criterion not in CRITERION_NAMES:
@@ -457,19 +457,16 @@ def _checker_args(spec: ScenarioSpec, criterion: str) -> list:
     return [getattr(spec, f) for f in fields]
 
 
-def run_criterion(
-    spec: ScenarioSpec, criterion: str, seed: int, panel: Optional[_DrawPanel] = None
-) -> CriterionVerdict:
-    """Run one named criterion checker against a scenario, on its checker
-    grid and under its ``stat_config`` tolerances.
-
-    ``panel`` shares draws and per-draw quantities with other checkers
-    run on the same scenario, grid and seed.
-    """
+def _run_checker(spec: ScenarioSpec, criterion: str, panel: DrawPanel) -> CriterionVerdict:
     args = _checker_args(spec, criterion)
-    return globals()[_CHECKERS[criterion][0]](
-        spec.law, spec.norming, spec.checker_ngrid, *args, spec.stat_config, seed=seed, panel=panel
-    )
+    return globals()[_CHECKERS[criterion][0]](panel, *args, spec.stat_config)
+
+
+def run_criterion(spec: ScenarioSpec, criterion: str, seed: int) -> CriterionVerdict:
+    """Run one named criterion checker against a scenario, on a panel of
+    its checker grid drawn from ``seed`` and under its ``stat_config``
+    tolerances."""
+    return _run_checker(spec, criterion, DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed))
 
 
 def _config_echo(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
@@ -599,11 +596,11 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
 
     # One panel for all checkers: draws and per-draw quantities are computed
     # once, on first use, and charged to the first checker that needs them.
-    panel = _DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
+    panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
     verdicts: List[Dict[str, object]] = []
     for criterion in spec.checkers:
         t_start = time.perf_counter()
-        verdict = run_criterion(spec, criterion, seed, panel=panel)
+        verdict = _run_checker(spec, criterion, panel)
         verdicts.append(asdict(verdict))
         runtimes[f"check_{criterion}"] = time.perf_counter() - t_start
 

@@ -73,21 +73,23 @@ class TestVerifyIdentity:
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
-        code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--seed", "1"])
+        code = main(
+            ["simulate", "--config", str(tmp_path / "absent.json"), "--seed", "1", "--out", str(tmp_path / "out")]
+        )
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"scenario": "example1",\n  "seed": }', encoding="utf-8")
-        code = main(["simulate", "--config", str(path)])
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "line 2" in err and "column" in err, f"diagnostic lacks position: {err}"
 
     def test_top_level_unknown_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "example1", "seed": 1, "sede": 2})
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "'sede'" in err, f"unknown key not named: {err}"
@@ -105,14 +107,14 @@ class TestConfigErrors:
             tmp_path,
             {"scenario": {"builtin": "example1", "replciates": 5}, "seed": 1},
         )
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "config.scenario" in err and "'replciates'" in err
 
     def test_unknown_builtin_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "no-such-thing", "seed": 1})
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "unknown scenario" in capsys.readouterr().err
 
@@ -128,7 +130,7 @@ class TestConfigErrors:
                 "seed": 1,
             },
         )
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "config.scenario.law.base.kind" in err
@@ -138,7 +140,7 @@ class TestConfigErrors:
             tmp_path,
             {"scenario": {"builtin": "example1", "checkers": ["sec6"]}, "seed": 1},
         )
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "'sec6'" in err
@@ -146,21 +148,21 @@ class TestConfigErrors:
     def test_missing_seed_everywhere(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("STABLEMIX_SEED", raising=False)
         cfg = write_config(tmp_path, {"scenario": "example1"})
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "seed" in err
 
     def test_unknown_criterion_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "example1", "seed": 1})
-        code = main(["check", "sec6", "--config", cfg])
+        code = main(["check", "sec6", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "unknown criterion" in err
 
     def test_bad_thread_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "example1", "seed": 1, "threads": 0})
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "threads" in capsys.readouterr().err
 
@@ -215,14 +217,44 @@ class TestConfigErrors:
             ),
             ({"builtin": "gauss-fixed", "tau": math.nan}, "config error: config.scenario: tau must be finite and positive, got nan"),
             ({"builtin": "gauss-fixed", "tau": math.inf}, "config error: config.scenario: tau must be finite and positive, got inf"),
+            # Any other number must be finite; the norming index alone may be Infinity.
+            ({"builtin": "pareto-mix", "x_grid": [100, math.nan]}, "config error: config.scenario.x_grid[1]: expected a finite number, got nan"),
+            ({"builtin": "pareto-mix", "x_grid": [100, 10**400]}, "config error: config.scenario.x_grid[1]: expected a finite number, got inf"),
+            (
+                {"id": "x", "law": {"base": {"kind": "gaussian", "mean": 0, "sd": math.nan}}, "norming": {"alpha": 2.0}},
+                "config error: config.scenario.law.base.sd: expected a finite number, got nan",
+            ),
+            (
+                {"id": "x", "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}, "prior": {"kind": "scale_atoms", "atoms": [[math.inf, 1.0]]}}, "norming": {"alpha": 1.0}},
+                "config error: config.scenario.law.prior.atoms[0][0]: expected a finite number, got inf",
+            ),
+            (
+                {"id": "x", "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}}, "norming": {"alpha": 1.0, "scale": math.nan}},
+                "config error: config.scenario.norming.scale: expected a finite number, got nan",
+            ),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):
         cfg = write_config(tmp_path, {"scenario": scenario, "seed": 1})
-        code = main(["simulate", "--config", cfg])
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert fragment in err, f"expected {fragment!r} in diagnostic, got: {err}"
+
+    def test_infinite_norming_index_is_the_constant_norming(self, tmp_path, capsys):
+        scenario = {
+            "id": "constant-norming",
+            "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}},
+            "norming": {"alpha": math.inf},
+            "n_grid": [64],
+            "replicates": 50,
+            "checkers": ["uan"],
+        }
+        cfg = write_config(tmp_path, {"scenario": scenario, "seed": 1})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_PASS, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "constant-norming.report.json").read_text(encoding="utf-8"))
+        assert report["verdicts"][0]["holds"] is False, "constant norming must break negligibility"
 
     @pytest.mark.parametrize(
         "argv, env_seed, payload, fragment",
@@ -285,6 +317,15 @@ class TestReadmeConfigs:
             path = tmp_path / f"example{j}.json"
             path.write_text(text, encoding="utf-8")
             load_config(str(path))
+
+
+class TestReadmePython:
+    def test_every_readme_python_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        assert len(examples) >= 4, "the README's Python examples were not found"
+        for j, text in enumerate(examples):
+            exec(compile(text, f"README.md python example {j}", "exec"), {})
 
 
 class TestWorkBudget:

@@ -8,9 +8,9 @@ import pytest
 
 from stablemix.criteria import (
     CRITERION_NAMES,
+    DrawPanel,
     NGrid,
     StatTestConfig,
-    _DrawPanel,
     _in_probability,
     _relaxed_ks,
     check_cauchy_mixture,
@@ -88,14 +88,19 @@ class TestGridAndConfig:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 2.5, 1.0005])
     def test_stable_checker_rejects_bad_index(self, alpha):
         with pytest.raises(ValueError, match="tail index"):
-            check_stable_mixture(PARETO_MIX, TWO_THIRDS, GRID, alpha, CFG)
+            check_stable_mixture(DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), alpha, CFG)
 
     def test_sec5_rejects_short_or_decreasing_level_grid(self):
         with pytest.raises(ValueError, match="two truncation levels"):
-            check_sec5_conditions(PARETO_MIX, TWO_THIRDS, GRID, 1.5, (100.0,), CFG)
+            check_sec5_conditions(DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, (100.0,), CFG)
         with pytest.raises(ValueError, match="increasing"):
             check_sec5_conditions(
-                PARETO_MIX, TWO_THIRDS, GRID, 1.5, (100.0, 50.0), CFG
+                DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, (100.0, 50.0), CFG
+            )
+        # A NaN level compares false both ways, so it must not slip through.
+        with pytest.raises(ValueError, match="increasing"):
+            check_sec5_conditions(
+                DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, (100.0, math.nan), CFG
             )
 
 
@@ -139,16 +144,16 @@ class TestStatisticalHelpers:
 
 class TestEntryNegligibility:
     def test_point_mass_passes(self):
-        verdict = check_uan(POINT, LINEAR_MEAN, GRID, CFG)
+        verdict = check_uan(DrawPanel(POINT, LINEAR_MEAN, GRID, 0), CFG)
         assert verdict.holds is True
         assert verdict.name == "uan"
 
     def test_cauchy_with_linear_norming_passes(self):
-        verdict = check_uan(CAUCHY_FIXED, LINEAR, GRID, CFG)
+        verdict = check_uan(DrawPanel(CAUCHY_FIXED, LINEAR, GRID, 0), CFG)
         assert verdict.holds is True
 
     def test_cauchy_with_constant_norming_fails(self):
-        verdict = check_uan(CAUCHY_FIXED, CONSTANT, GRID, CFG)
+        verdict = check_uan(DrawPanel(CAUCHY_FIXED, CONSTANT, GRID, 0), CFG)
         assert verdict.holds is False, "constant norming must break negligibility"
         sub = verdict.evidence["sub_checks"]["entry_tails_negligible"]
         assert sub["per_eps"]["eps=1"]["fractions"][-1] == 1.0
@@ -156,20 +161,20 @@ class TestEntryNegligibility:
 
 class TestGaussianMixtureChecker:
     def test_fixed_gaussian_passes_with_unit_dispersion(self):
-        verdict = check_gaussian_mixture(GAUSS_FIXED, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_gaussian_mixture(DrawPanel(GAUSS_FIXED, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         assert verdict.estimated_limit["gamma"] == pytest.approx(0.0, abs=1e-9)
         q50 = verdict.estimated_limit["dispersion_law"]["q50"]
         assert q50 == pytest.approx(1.0, abs=1e-3), f"dispersion q50 {q50} != 1"
 
     def test_uniform_passes_with_third_dispersion(self):
-        verdict = check_gaussian_mixture(UNIFORM, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_gaussian_mixture(DrawPanel(UNIFORM, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         q50 = verdict.estimated_limit["dispersion_law"]["q50"]
         assert q50 == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_exponential_variance_mixture_passes(self):
-        verdict = check_gaussian_mixture(GAUSS_EXPMIX, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_gaussian_mixture(DrawPanel(GAUSS_EXPMIX, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         assert abs(verdict.estimated_limit["gamma"]) <= 0.05
         q50 = verdict.estimated_limit["dispersion_law"]["q50"]
@@ -178,37 +183,37 @@ class TestGaussianMixtureChecker:
         )
 
     def test_point_mass_fails_the_nondegeneracy_requirement(self):
-        verdict = check_gaussian_mixture(POINT, LINEAR_MEAN, GRID, 1.0, CFG)
+        verdict = check_gaussian_mixture(DrawPanel(POINT, LINEAR_MEAN, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
         sub = verdict.evidence["sub_checks"]["dispersion_nondegenerate"]
         assert sub["holds"] is False
         assert sub["fraction_beyond_margin"] == 0.0
 
     def test_cauchy_fails_the_tail_requirement(self):
-        verdict = check_gaussian_mixture(CAUCHY_FIXED, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_gaussian_mixture(DrawPanel(CAUCHY_FIXED, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["tails_negligible"]["holds"] is False
 
 
 class TestDegenerateChecker:
     def test_centered_point_mass_passes_at_zero(self):
-        verdict = check_degenerate(POINT, LINEAR_MEAN, GRID, 1.0, CFG)
+        verdict = check_degenerate(DrawPanel(POINT, LINEAR_MEAN, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         assert verdict.estimated_limit["gamma"] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_fails_through_its_live_dispersion(self):
-        verdict = check_degenerate(UNIFORM, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_degenerate(DrawPanel(UNIFORM, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["dispersion_vanishes"]["holds"] is False
 
     def test_exponential_variance_mixture_fails(self):
-        verdict = check_degenerate(GAUSS_EXPMIX, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_degenerate(DrawPanel(GAUSS_EXPMIX, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
 
 
 class TestStableMixtureChecker:
     def test_symmetric_pareto_scale_mixture_passes(self):
-        verdict = check_stable_mixture(PARETO_MIX, TWO_THIRDS, GRID, 1.5, CFG)
+        verdict = check_stable_mixture(DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, CFG)
         assert verdict.holds is True
         limit = verdict.estimated_limit
         assert limit["gamma_consistent"] is True
@@ -225,7 +230,7 @@ class TestStableMixtureChecker:
 
     def test_one_sided_pareto_passes_with_full_skew(self):
         verdict = check_stable_mixture(
-            PARETO_ONESIDED, TWO_THIRDS_MEAN, GRID, 1.5, CFG
+            DrawPanel(PARETO_ONESIDED, TWO_THIRDS_MEAN, GRID, 0), 1.5, CFG
         )
         assert verdict.holds is True
         atom = verdict.estimated_limit["atoms"][0]
@@ -236,21 +241,21 @@ class TestStableMixtureChecker:
         assert atom["c"] == pytest.approx(math.sqrt(2 * math.pi), rel=0.1)
 
     def test_cauchy_tails_fail_the_shape_fit(self):
-        verdict = check_stable_mixture(CAUCHY_FIXED, LINEAR, GRID, 1.5, CFG)
+        verdict = check_stable_mixture(DrawPanel(CAUCHY_FIXED, LINEAR, GRID, 0), 1.5, CFG)
         assert verdict.holds is False
         sub = verdict.evidence["sub_checks"]["shape_fit"]
         assert sub["holds"] is False
         assert sub["max_residual"] > CFG.fit_tol
 
     def test_light_tails_fail_through_null_fits(self):
-        verdict = check_stable_mixture(GAUSS_EXPMIX, SQRT_N, GRID, 1.5, CFG)
+        verdict = check_stable_mixture(DrawPanel(GAUSS_EXPMIX, SQRT_N, GRID, 0), 1.5, CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["non_null"]["holds"] is False
 
 
 class TestCauchyMixtureChecker:
     def test_fixed_cauchy_passes_with_unit_scale(self):
-        verdict = check_cauchy_mixture(CAUCHY_FIXED, LINEAR, GRID, CFG)
+        verdict = check_cauchy_mixture(DrawPanel(CAUCHY_FIXED, LINEAR, GRID, 0), CFG)
         assert verdict.holds is True
         atom = verdict.estimated_limit["atoms"][0]
         assert atom["c"] == pytest.approx(1.0, abs=0.05)
@@ -258,7 +263,7 @@ class TestCauchyMixtureChecker:
         assert atom["beta"] == 0.0
 
     def test_scale_atoms_are_recovered_with_their_weights(self):
-        verdict = check_cauchy_mixture(CAUCHY_SCALEMIX, LINEAR, GRID, CFG)
+        verdict = check_cauchy_mixture(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), CFG)
         assert verdict.holds is True
         atoms = sorted(verdict.estimated_limit["atoms"], key=lambda a: a["c"])
         assert len(atoms) == 2
@@ -268,7 +273,7 @@ class TestCauchyMixtureChecker:
 
     def test_one_sided_tails_fail_the_symmetry_requirement(self):
         verdict = check_cauchy_mixture(
-            DirectingLaw(OneSidedParetoLaw(1.0, 1.0)), LINEAR, GRID, CFG
+            DrawPanel(DirectingLaw(OneSidedParetoLaw(1.0, 1.0)), LINEAR, GRID, 0), CFG
         )
         assert verdict.holds is False
         sub = verdict.evidence["sub_checks"]["symmetry"]
@@ -277,48 +282,48 @@ class TestCauchyMixtureChecker:
         assert "limit_error" in verdict.evidence
 
     def test_wrong_tail_index_fails_the_shape_fit(self):
-        verdict = check_cauchy_mixture(PARETO_MIX, TWO_THIRDS, GRID, CFG)
+        verdict = check_cauchy_mixture(DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["shape_fit"]["holds"] is False
 
     def test_point_mass_fails_through_all_null_fits(self):
-        verdict = check_cauchy_mixture(POINT, LINEAR_MEAN, GRID, CFG)
+        verdict = check_cauchy_mixture(DrawPanel(POINT, LINEAR_MEAN, GRID, 0), CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["non_null"]["holds"] is False
 
 
 class TestWeakLawChecker:
     def test_mean_centered_point_mass_passes(self):
-        verdict = check_wlln(POINT, LINEAR_MEAN, GRID, 1.0, CFG)
+        verdict = check_wlln(DrawPanel(POINT, LINEAR_MEAN, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
 
     def test_uniform_with_linear_norming_passes(self):
-        verdict = check_wlln(UNIFORM, LINEAR, GRID, 1.0, CFG)
+        verdict = check_wlln(DrawPanel(UNIFORM, LINEAR, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
 
     def test_uncentered_location_mixture_fails_the_mean_display(self):
         law = DirectingLaw(GaussianLaw(0.0, 1.0), LocationGaussian(0.0, 1.0))
-        verdict = check_wlln(law, LINEAR, GRID, 1.0, CFG)
+        verdict = check_wlln(DrawPanel(law, LINEAR, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
         sub = verdict.evidence["sub_checks"]["truncated_mean_vanishes"]
         assert sub["holds"] is False, f"mean display should fail: {sub}"
 
     def test_cauchy_fails_the_tail_display(self):
-        verdict = check_wlln(CAUCHY_FIXED, LINEAR, GRID, 1.0, CFG)
+        verdict = check_wlln(DrawPanel(CAUCHY_FIXED, LINEAR, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["tails_negligible"]["holds"] is False
 
 
 class TestSingleRowGaussianChecker:
     def test_variance_mixture_branch(self):
-        verdict = check_single_row_gaussian(GAUSS_EXPMIX, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_single_row_gaussian(DrawPanel(GAUSS_EXPMIX, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         assert verdict.estimated_limit["branch"] == "variance_mixture"
         assert abs(verdict.estimated_limit["gamma"]) <= 0.05
 
     def test_location_mixture_branch(self):
         law = DirectingLaw(PointMassLaw(0.0), LocationGaussian(0.0, 1.0))
-        verdict = check_single_row_gaussian(law, LINEAR, GRID, 1.0, CFG)
+        verdict = check_single_row_gaussian(DrawPanel(law, LINEAR, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         assert verdict.estimated_limit["branch"] == "location_mixture"
         spread = verdict.estimated_limit["location_law"]
@@ -327,14 +332,14 @@ class TestSingleRowGaussianChecker:
         )
 
     def test_fixed_law_lands_in_the_variance_branch(self):
-        verdict = check_single_row_gaussian(UNIFORM, SQRT_N, GRID, 1.0, CFG)
+        verdict = check_single_row_gaussian(DrawPanel(UNIFORM, SQRT_N, GRID, 0), 1.0, CFG)
         assert verdict.holds is True
         assert verdict.estimated_limit["branch"] == "variance_mixture"
         q50 = verdict.estimated_limit["dispersion_law"]["q50"]
         assert q50 == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_heavy_tails_violate_the_hypothesis(self):
-        verdict = check_single_row_gaussian(CAUCHY_FIXED, LINEAR, GRID, 1.0, CFG)
+        verdict = check_single_row_gaussian(DrawPanel(CAUCHY_FIXED, LINEAR, GRID, 0), 1.0, CFG)
         assert verdict.holds is False
         assert verdict.evidence.get("hypothesis_violated") is True
         assert verdict.estimated_limit is None
@@ -342,7 +347,7 @@ class TestSingleRowGaussianChecker:
 
 class TestSingleRowStableChecker:
     def test_symmetric_scale_mixture_passes_and_recovers_scales(self):
-        verdict = check_single_row_stable(PARETO_MIX, TWO_THIRDS, GRID, 1.5, CFG)
+        verdict = check_single_row_stable(DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, CFG)
         assert verdict.holds is True
         assert abs(verdict.estimated_limit["gamma"]) <= 0.05
         atoms = verdict.estimated_limit["rho_atoms"]
@@ -353,7 +358,7 @@ class TestSingleRowStableChecker:
             assert abs(atom["weight"] - 0.5) <= 0.05
 
     def test_wrong_norming_rate_fails_through_drifting_weights(self):
-        verdict = check_single_row_stable(PARETO_MIX, SQRT_N, GRID, 1.5, CFG)
+        verdict = check_single_row_stable(DrawPanel(PARETO_MIX, SQRT_N, GRID, 0), 1.5, CFG)
         assert verdict.holds is False
         assert verdict.evidence.get("hypothesis_violated") is True
         sub = verdict.evidence["sub_checks"]["scale_stabilize"]
@@ -361,7 +366,7 @@ class TestSingleRowStableChecker:
 
     def test_one_sided_tails_violate_the_symmetry_hypothesis(self):
         verdict = check_single_row_stable(
-            PARETO_ONESIDED, TWO_THIRDS_MEAN, GRID, 1.5, CFG
+            DrawPanel(PARETO_ONESIDED, TWO_THIRDS_MEAN, GRID, 0), 1.5, CFG
         )
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["symmetry"]["holds"] is False
@@ -369,7 +374,7 @@ class TestSingleRowStableChecker:
 
 class TestSingleRowCauchyChecker:
     def test_scale_mixture_passes_and_recovers_the_prior(self):
-        verdict = check_single_row_cauchy(CAUCHY_SCALEMIX, LINEAR, GRID, CFG)
+        verdict = check_single_row_cauchy(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), CFG)
         assert verdict.holds is True
         assert verdict.estimated_limit["gamma"] == pytest.approx(0.0, abs=1e-9)
         atoms = verdict.estimated_limit["rho_atoms"]
@@ -383,13 +388,13 @@ class TestSingleRowCauchyChecker:
 
     def test_one_sided_index_one_law_fails(self):
         verdict = check_single_row_cauchy(
-            DirectingLaw(OneSidedParetoLaw(1.0, 1.0)), LINEAR, GRID, CFG
+            DrawPanel(DirectingLaw(OneSidedParetoLaw(1.0, 1.0)), LINEAR, GRID, 0), CFG
         )
         assert verdict.holds is False
         assert verdict.evidence.get("hypothesis_violated") is True
 
     def test_light_tails_fail_through_null_fits(self):
-        verdict = check_single_row_cauchy(GAUSS_FIXED, SQRT_N, GRID, CFG)
+        verdict = check_single_row_cauchy(DrawPanel(GAUSS_FIXED, SQRT_N, GRID, 0), CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["non_null"]["holds"] is False
 
@@ -397,9 +402,7 @@ class TestSingleRowCauchyChecker:
 class TestExperimentalBattery:
     def test_symmetric_pareto_passes_every_display(self):
         verdict = check_sec5_conditions(
-            DirectingLaw(SymmetricParetoLaw(1.5, 1.0)),
-            TWO_THIRDS,
-            GRID,
+            DrawPanel(DirectingLaw(SymmetricParetoLaw(1.5, 1.0)), TWO_THIRDS, GRID, 0),
             1.5,
             (100.0, 1000.0, 10000.0),
             CFG,
@@ -413,7 +416,7 @@ class TestExperimentalBattery:
 
     def test_scale_mixture_keeps_a_nondegenerate_tail_law(self):
         verdict = check_sec5_conditions(
-            PARETO_MIX, TWO_THIRDS, GRID, 1.5, (100.0, 1000.0, 10000.0), CFG
+            DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, (100.0, 1000.0, 10000.0), CFG
         )
         assert verdict.holds is True
         tail_law = verdict.estimated_limit["tail_law"]
@@ -422,7 +425,7 @@ class TestExperimentalBattery:
 
     def test_wrong_index_fails_the_ratio_display(self):
         verdict = check_sec5_conditions(
-            PARETO_MIX, TWO_THIRDS, GRID, 0.5, (100.0, 1000.0, 10000.0), CFG
+            DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 0.5, (100.0, 1000.0, 10000.0), CFG
         )
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["tail_moment_ratio"]["holds"] is False
@@ -431,17 +434,17 @@ class TestExperimentalBattery:
 class TestVerdictPlumbing:
     def test_every_checker_emits_json_serializable_evidence(self):
         verdicts = [
-            check_uan(CAUCHY_SCALEMIX, LINEAR, GRID, CFG),
-            check_gaussian_mixture(CAUCHY_SCALEMIX, LINEAR, GRID, 1.0, CFG),
-            check_degenerate(CAUCHY_SCALEMIX, LINEAR, GRID, 1.0, CFG),
-            check_stable_mixture(CAUCHY_SCALEMIX, LINEAR, GRID, 1.5, CFG),
-            check_cauchy_mixture(CAUCHY_SCALEMIX, LINEAR, GRID, CFG),
-            check_wlln(CAUCHY_SCALEMIX, LINEAR, GRID, 1.0, CFG),
-            check_single_row_gaussian(CAUCHY_SCALEMIX, LINEAR, GRID, 1.0, CFG),
-            check_single_row_stable(CAUCHY_SCALEMIX, LINEAR, GRID, 1.5, CFG),
-            check_single_row_cauchy(CAUCHY_SCALEMIX, LINEAR, GRID, CFG),
+            check_uan(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), CFG),
+            check_gaussian_mixture(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.0, CFG),
+            check_degenerate(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.0, CFG),
+            check_stable_mixture(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.5, CFG),
+            check_cauchy_mixture(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), CFG),
+            check_wlln(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.0, CFG),
+            check_single_row_gaussian(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.0, CFG),
+            check_single_row_stable(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.5, CFG),
+            check_single_row_cauchy(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), CFG),
             check_sec5_conditions(
-                CAUCHY_SCALEMIX, LINEAR, GRID, 1.5, (100.0, 1000.0), CFG
+                DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), 1.5, (100.0, 1000.0), CFG
             ),
         ]
         assert [v.name for v in verdicts] == list(CRITERION_NAMES)
@@ -456,17 +459,15 @@ class TestVerdictPlumbing:
             assert len(payload) > 0
 
     def test_evidence_records_the_panel_shape(self):
-        verdict = check_uan(CAUCHY_SCALEMIX, LINEAR, GRID, CFG)
+        verdict = check_uan(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, 0), CFG)
         assert verdict.evidence["n_grid"] == [100, 1000, 10000, 100000]
         assert verdict.evidence["replicates"] == 200
         assert verdict.evidence["distinct_draws"] == 2
 
     def test_verdicts_are_stable_across_disjoint_seeds(self):
         for seed in (0, 7777):
-            gauss = check_gaussian_mixture(
-                GAUSS_EXPMIX, SQRT_N, GRID, 1.0, CFG, seed=seed
-            )
-            cauchy = check_cauchy_mixture(CAUCHY_SCALEMIX, LINEAR, GRID, CFG, seed=seed)
+            gauss = check_gaussian_mixture(DrawPanel(GAUSS_EXPMIX, SQRT_N, GRID, seed), 1.0, CFG)
+            cauchy = check_cauchy_mixture(DrawPanel(CAUCHY_SCALEMIX, LINEAR, GRID, seed), CFG)
             assert gauss.holds is True, f"seed {seed} flipped the light-tail verdict"
             assert cauchy.holds is True, f"seed {seed} flipped the heavy-tail verdict"
             assert abs(gauss.estimated_limit["gamma"]) <= 0.05
@@ -476,30 +477,30 @@ class TestVerdictPlumbing:
 
 
 class TestPanelGuard:
-    """A shared panel must have been built for the checker's own arguments."""
+    """A checker rejects its own bad arguments before the panel draws, and
+    checkers handed one panel share its draws and memo."""
 
-    @pytest.mark.parametrize(
-        "field,law,norming,ngrid,seed",
-        [
-            ("law", CAUCHY_SCALEMIX, TWO_THIRDS, GRID, 0),
-            ("norming", PARETO_MIX, LINEAR, GRID, 0),
-            ("ngrid", PARETO_MIX, TWO_THIRDS, NGrid((100, 1000), replicates=200), 0),
-            ("seed", PARETO_MIX, TWO_THIRDS, GRID, 1),
-        ],
-    )
-    def test_mismatched_panel_names_the_field(self, field, law, norming, ngrid, seed):
-        panel = _DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
-        with pytest.raises(ValueError, match=f"panel mismatch: built for {field}="):
-            check_uan(law, norming, ngrid, CFG, seed=seed, panel=panel)
-        with pytest.raises(ValueError, match=f"panel mismatch: built for {field}="):
-            check_stable_mixture(law, norming, ngrid, 1.5, CFG, seed=seed, panel=panel)
-        assert "draws" not in vars(panel), "a rejected panel must not have drawn"
+    def test_rejected_arguments_do_not_draw(self):
+        panel = DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        with pytest.raises(ValueError, match="tail index"):
+            check_stable_mixture(panel, 1.0, CFG)
+        with pytest.raises(ValueError, match="tail index"):
+            check_single_row_stable(panel, 2.5, CFG)
+        with pytest.raises(ValueError, match="increasing"):
+            check_sec5_conditions(panel, 1.5, (100.0, math.nan), CFG)
+        assert "draws" not in vars(panel), "a rejected call must not have drawn"
 
     def test_matching_panel_is_shared(self):
-        panel = _DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
-        alone = check_uan(PARETO_MIX, TWO_THIRDS, GRID, CFG, seed=0)
-        shared = check_uan(PARETO_MIX, TWO_THIRDS, GRID, CFG, seed=0, panel=panel)
+        panel = DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        alone = check_uan(DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), CFG)
+        shared = check_uan(panel, CFG)
         assert shared == alone
         memo_size = len(panel._memo)
-        check_uan(PARETO_MIX, TWO_THIRDS, GRID, CFG, seed=0, panel=panel)
+        check_uan(panel, CFG)
         assert len(panel._memo) == memo_size, "a second checker must reuse the memo"
+
+    def test_nonfinite_quantity_names_key_and_length(self):
+        panel = DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        message = r"quantity \('probe',\) at n=100 is not finite for 200 of 200 draws"
+        with pytest.raises(RuntimeError, match=message):
+            panel.values(("probe",), 100, lambda p, m: math.nan)

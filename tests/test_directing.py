@@ -543,8 +543,10 @@ class TestRowSums:
 
     def test_nonfinite_sums_are_an_error(self):
         law = DirectingLaw(SymmetricParetoLaw(0.01, 1.0))
+        # The sums overflow on purpose, and NumPy warns as they do.
         with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
-            sample_array_sums(law, NormingSequence(alpha=0.5), n=64, rows=1, seed=0, replicates=50)
+            with pytest.warns(RuntimeWarning):
+                sample_array_sums(law, NormingSequence(alpha=0.5), n=64, rows=1, seed=0, replicates=50)
 
     def test_row_sums_shape_validation(self):
         with pytest.raises(ValueError):

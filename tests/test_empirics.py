@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from stablemix.criteria import CRITERION_NAMES, _DrawPanel, _combine_list
+from stablemix.criteria import CRITERION_NAMES, DrawPanel, _combine_list
 from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
@@ -20,6 +20,7 @@ from stablemix.empirics import (
     ScenarioReport,
     ScenarioSpec,
     TGrid,
+    _run_checker,
     builtin_scenarios,
     empirical_cf,
     empirical_joint_cf,
@@ -275,8 +276,10 @@ class TestRunScenario:
             cf_n_grid=(64,),
             cf_replicates=50,
         )
+        # The sums overflow on purpose, and NumPy warns as they do.
         with pytest.raises(RuntimeError, match="sample_array_sums: 3 of 50 .* at n=64"):
-            run_scenario(spec, seed=0)
+            with pytest.warns(RuntimeWarning):
+                run_scenario(spec, seed=0)
 
     def test_nan_modulus_is_rejected(self):
         with pytest.raises(ValueError, match="modulus nan"):
@@ -310,8 +313,9 @@ class TestRunScenario:
 
 
 class TestSharedPanel:
-    """run_scenario shares one draw panel across checkers; separate
-    run_criterion calls, each building its own panel, are the oracle."""
+    """run_scenario hands one draw panel to the private dispatch for every
+    checker; separate run_criterion calls, each building its own panel,
+    are the oracle."""
 
     @pytest.mark.parametrize("name", ["pareto-mix", "cauchy-scalemix", "gauss-expmix"])
     def test_verdicts_match_separate_checker_runs(self, name):
@@ -360,9 +364,9 @@ class TestConjunctionRule:
         # Checkers the scenario is not designed for mix failing and passing
         # sub-checks, which is where an entry left out of a verdict shows.
         spec = get_scenario(name)
-        panel = _DrawPanel(spec.law, spec.norming, spec.checker_ngrid, 0)
+        panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, 0)
         for criterion in CRITERION_NAMES:
             if spec.alpha is None and criterion in ("stable_mixture", "row_stable", "sec5"):
                 continue
-            verdict = run_criterion(spec, criterion, 0, panel=panel)
+            verdict = _run_checker(spec, criterion, panel)
             self.assert_conjunction(name, asdict(verdict))
