@@ -898,6 +898,156 @@ class TestArrayPathOracle:
                 _assert_within_bisection(reference, residual, f"fit residual at n={n}, alpha={alpha}")
 
 
+def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
+    """The critical-distance search as a bisection of the whole bracket.
+
+    Returns the distance, the index k of the interval it was read in (-1 when
+    no search ran) and the index of the last interval (-1 likewise)."""
+    if mu_locs.shape == nu_locs.shape and (mu_locs == nu_locs).all() and (mu_masses == nu_masses).all():
+        return 0.0, -1, -1
+    mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
+    nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
+
+    def violation(eps, cap):
+        forward = _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps)
+        if forward > cap:
+            return None
+        backward = _ref_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps)
+        if backward > cap:
+            return None
+        return max(forward, backward)
+
+    mu_total = float(mu_masses.sum())
+    nu_total = float(nu_masses.sum())
+    lo = abs(mu_total - nu_total)
+    hi = max(mu_total, nu_total, lo)
+    if hi == 0.0:
+        return 0.0, -1, -1
+    if violation(lo, lo) is not None:
+        return lo, -1, -1
+    inner = critical[critical.searchsorted(lo, side="right"):critical.searchsorted(hi, side="left")]
+    edges = [lo, *inner.tolist(), hi]
+    left, right = 0, len(edges) - 2
+    value = None
+    while left < right:
+        k = (left + right) // 2
+        v = violation(0.5 * (edges[k] + edges[k + 1]), edges[k + 1])
+        if v is None:
+            left = k + 1
+        else:
+            right, value = k, v
+    if value is None:
+        value = violation(0.5 * (edges[right] + edges[right + 1]), math.inf)
+    return max(edges[right], value), right, len(edges) - 2
+
+
+def _bisect_prokhorov(mu, nu):
+    critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
+    return _bisect_prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)[0]
+
+
+def _bisect_dsharp(mu, nu, r_max=20.0):
+    """dsharp with boolean-mask restrictions and the bisection search."""
+    if mu.atoms == nu.atoms:
+        return 0.0
+    mu_locs, mu_masses = mu.locations, mu.masses
+    nu_locs, nu_masses = nu.locations, nu.masses
+    mu_abs, nu_abs = np.abs(mu_locs), np.abs(nu_locs)
+    critical = characteristics._critical_distances(np.concatenate([mu_locs, nu_locs]))
+
+    def d_at(radius):
+        mu_keep, nu_keep = mu_abs < radius, nu_abs < radius
+        return _bisect_prokhorov_arrays(
+            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical
+        )[0]
+
+    breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
+    breaks = breaks[(breaks > 0) & (breaks < r_max)]
+    edges = np.concatenate([[0.0], breaks, [r_max]])
+    total = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        if right <= left:
+            continue
+        d = d_at(0.5 * (left + right))
+        if d > 0:
+            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
+    return total
+
+
+def _pairs(*pairs):
+    return AtomicMeasure.from_pairs(pairs)
+
+
+# Measure pairs whose distance is read at a known place: the mass gap, the
+# first interval, at least 30 intervals up, and the last interval (edge hi).
+_LATTICE = [(0.001 * i, 0.02) for i in range(50)]
+_PLACED_PAIRS = {
+    "gap": (_pairs((0.0, 1.0)), _pairs((0.0, 0.5))),
+    "first": (_pairs((0.0, 0.05), (1.0, 0.95)), _pairs((0.5, 0.05), (1.0, 0.95))),
+    "deep": (AtomicMeasure.from_pairs(_LATTICE), AtomicMeasure.from_pairs((x + 0.1, m) for x, m in _LATTICE)),
+    "last": (_pairs((0.0, 0.5), (0.2, 0.5)), _pairs((3.0, 0.5), (3.3, 0.5))),
+}
+
+
+def _placed(name, k, last):
+    return {
+        "gap": k == -1,
+        "first": k == 0 < last,
+        "deep": 30 <= k < last,
+        "last": 0 < k == last,
+    }[name]
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Runs the bisection beside every library search, requires the same
+    distance bit for bit, and records (k, last) of each."""
+    positions = []
+    search = characteristics._prokhorov_arrays
+
+    def checked(*args):
+        d = search(*args)
+        want, k, last = _bisect_prokhorov_arrays(*args)
+        assert d == want, f"search gives {d!r}, bisection {want!r} (interval {k} of 0..{last})"
+        positions.append((k, last))
+        return d
+
+    monkeypatch.setattr(characteristics, "_prokhorov_arrays", checked)
+    return positions
+
+
+class TestGallopingSearch:
+    """The galloping search returns the bisection's distance bit for bit."""
+
+    def test_equal_on_seeded_measures(self):
+        rng = np.random.default_rng(20240601)
+        for trial, (mu, nu) in enumerate(_oracle_pairs(rng)):
+            for a, b in ((mu, nu), (nu, mu)):
+                assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b), f"pair {trial}"
+                assert dsharp(a, b) == _bisect_dsharp(a, b), f"pair {trial}"
+
+    def test_equal_on_spectral_fit_residuals(self, checked_searches):
+        law = SymmetricParetoLaw(1.5, 1.3)
+        for n in (100, 1000, 10000, 100000):
+            measure = spectral_measure_lambda(law, PARETO_NORMING, n)
+            for alpha in (1.5, 1.2):
+                params, residual = fit_spectrum(measure, alpha)
+                assert residual == _bisect_dsharp(measure, discretize_spectral(params)), f"n={n}, alpha={alpha}"
+        ks = [k for k, _ in checked_searches]
+        assert -1 in ks and 0 in ks, "the fits should return both at the gap and in the first interval"
+
+    @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
+    def test_equal_wherever_the_answer_lies(self, name, checked_searches):
+        mu, nu = _PLACED_PAIRS[name]
+        critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
+        _, k, last = _bisect_prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)
+        assert _placed(name, k, last), f"{name}: the answer is in interval {k} of 0..{last}"
+        for a, b in ((mu, nu), (nu, mu)):
+            assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b)
+            assert dsharp(a, b) == _bisect_dsharp(a, b)
+        assert checked_searches
+
+
 def _one_sided_violation(a_locs, a_masses, b_locs, b_masses, eps):
     """max over unions A of a-atoms of a(A) - b(A^eps), with A^eps the closed
     eps-neighbourhood, from explicit |x - y| <= eps tests.
@@ -986,8 +1136,9 @@ class TestProkhorovCertificate:
 
 
 class TestProkhorovWork:
-    """A distance above the mass gap costs a binary search over the critical
-    distances, not a bisection to a fixed tolerance."""
+    """A distance above the mass gap costs a search over the critical
+    distances, logarithmic in their number and in the answer's position, not
+    a bisection to a fixed tolerance."""
 
     def test_dp_calls_are_logarithmic_in_the_critical_set(self, monkeypatch):
         calls = []
@@ -1012,6 +1163,45 @@ class TestProkhorovWork:
         for size, count in calls:
             bound = 2 * (math.ceil(math.log2(size + 1)) + 2)
             assert count <= bound, f"{count} dynamic-program calls for {size} critical distances"
+
+    def test_dp_calls_are_logarithmic_in_the_answer_position(self, monkeypatch):
+        # The gap test, then probes at 0, 1, 3, ..., 2^j - 1 with
+        # j = ceil(log2(k + 1)), j - 1 bisection probes, and one uncapped
+        # probe of the last interval; at most two passes per probe.
+        searches = []
+        one_sided = characteristics._prokhorov_one_sided
+        search = characteristics._prokhorov_arrays
+
+        def counting_one_sided(*args):
+            searches[-1][1] += 1
+            return one_sided(*args)
+
+        def counting_search(*args):
+            searches.append([args, 0])
+            return search(*args)
+
+        monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
+        monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting_search)
+        pairs = [*_PLACED_PAIRS.values(), *_oracle_pairs(np.random.default_rng(7))]
+        for mu, nu in pairs:
+            prokhorov_distance(mu, nu)
+        deepest = 0
+        for args, count in searches:
+            _, k, _ = _bisect_prokhorov_arrays(*args)
+            deepest = max(deepest, k)
+            bound = 2 * (2 * math.ceil(math.log2(max(k, 0) + 1)) + 3)
+            assert count <= bound, f"{count} dynamic-program calls for an answer in interval {k}"
+        assert deepest >= 30
+
+
+class TestCriticalDistanceBound:
+    def test_rejects_one_location_over_the_bound(self):
+        many = AtomicMeasure.from_pairs((float(i), 1.0) for i in range(characteristics._MAX_CRITICAL_LOCATIONS + 1))
+        message = f"{characteristics._MAX_CRITICAL_LOCATIONS + 1} distinct atom locations"
+        with pytest.raises(ValueError, match=message):
+            prokhorov_distance(many, AtomicMeasure.null())
+        with pytest.raises(ValueError, match=message):
+            dsharp(many, AtomicMeasure.null())
 
 
 def _ref_cell_walk(pts, cum):

@@ -1,12 +1,14 @@
-"""The exact Levy-Prokhorov search against an independent subset enumeration."""
+"""The exact Levy-Prokhorov search against an independent subset enumeration
+and against a bisection of the whole critical-distance bracket."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemix.characteristics import prokhorov_distance
+from stablemix.characteristics import dsharp, prokhorov_distance
 from stablemix.measures import AtomicMeasure
+from test_characteristics import _bisect_dsharp, _bisect_prokhorov
 
 
 def _brute_exact_prokhorov(mu, nu):
@@ -56,3 +58,16 @@ class TestProkhorovBruteForce:
             got = prokhorov_distance(a, b)
             want = _brute_exact_prokhorov(a, b)
             assert abs(got - want) <= tol, f"{a.atoms} vs {b.atoms}: {got!r} != {want!r}"
+
+
+class TestProkhorovBisection:
+    """The galloping search against the bisection it replaced: the same
+    distance bit for bit, since both find the least feasible interval."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_lattice_measures())
+    def test_equals_bisection_exactly(self, pair):
+        mu, nu = pair
+        for a, b in ((mu, nu), (nu, mu)):
+            assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b), f"{a.atoms} vs {b.atoms}"
+            assert dsharp(a, b) == _bisect_dsharp(a, b), f"{a.atoms} vs {b.atoms}"
