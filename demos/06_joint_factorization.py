@@ -21,12 +21,12 @@ def main() -> None:
     pair_grid = TGrid(PAIRS)
     for name in ("example1", "cauchy-scalemix"):
         spec = get_scenario(name)
-        rowsums = sample_array_sums(spec.law, spec.norming, 4096, 2, 0, replicates=2000)
-        joint = empirical_joint_cf(rowsums, pair_grid)
+        sums = sample_array_sums(spec.law, spec.norming, 4096, 2, 0, replicates=2000)
+        joint = empirical_joint_cf(sums, pair_grid)
         scalars = sorted({0.0} | {abs(t) for t, s in PAIRS} | {abs(s) for t, s in PAIRS})
         marginal_grid = TGrid(tuple(scalars))
-        first = empirical_cf(rowsums.values[:, 0], marginal_grid)
-        second = empirical_cf(rowsums.values[:, 1], marginal_grid)
+        first = empirical_cf(sums[:, 0], marginal_grid)
+        second = empirical_cf(sums[:, 1], marginal_grid)
         lookup1 = dict(zip(marginal_grid.points, first))
         lookup2 = dict(zip(marginal_grid.points, second))
         print()

@@ -55,7 +55,6 @@ from .directing import (
     LocationGaussian,
     OneSidedParetoLaw,
     PointMassLaw,
-    RowSums,
     ScaleAtoms,
     ScaleExponential,
     ScaleLogNormal,

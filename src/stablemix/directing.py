@@ -16,6 +16,7 @@ through adaptive quadrature certified to 1e-10.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +54,6 @@ __all__ = [
     "LocationAtoms",
     "LocationGaussian",
     "DirectingLaw",
-    "RowSums",
     "draw_replicates",
     "sample_array_sums",
 ]
@@ -470,11 +470,31 @@ class OneSidedParetoLaw(_ParetoLaw):
         return self._magnitudes(rng, size)
 
 
+def _via_twin(method: Callable) -> Callable:
+    """``method`` of a stable law, evaluated on the closed-form family the
+    law equals when it equals one (``StableLaw._twin``)."""
+
+    @functools.wraps(method)
+    def routed(self, *args, **kwargs):
+        twin = self._twin
+        if twin is None:
+            return method(self, *args, **kwargs)
+        return getattr(twin, method.__name__)(*args, **kwargs)
+
+    return routed
+
+
 @dataclass(frozen=True)
 class StableLaw(_RealizedLaw):
     """Stable base family.
 
-    For 1.1 <= alpha < 2 and c > 0 the cdf, the right tail, the truncated
+    Where the law equals a closed-form family (``_twin``), every functional
+    is that family's: c = 0 is ``PointMassLaw(gamma)``, alpha = 2 is
+    ``GaussianLaw(gamma, sqrt(2c))`` and alpha = 1, beta = 0 is
+    ``CauchyLaw(gamma, c)``. Sampling is always ``sample_stable_with``,
+    whose streams are part of the seed contract.
+
+    Elsewhere, for 1.1 <= alpha < 2 the cdf, the right tail, the truncated
     moments and the smoothed mean come from the closed-form exponent
     (Gil-Pelaez inversion on fixed Gauss-Legendre nodes near the centre,
     Bergstrom's tail series beyond 20 scale units; see ``stable.py``),
@@ -486,8 +506,7 @@ class StableLaw(_RealizedLaw):
     alpha = 1, pinned by a sampler-versus-cdf test, and truncated moments
     use quadrature against the scipy density. So does the smoothed mean
     when the location lies hundreds of scale units from 0, where its
-    transform oscillates past the panel budget. ``pdf`` is always scipy's.
-    alpha = 2 is the Gaussian in closed form and c = 0 the point mass.
+    transform oscillates past the panel budget. ``pdf`` is scipy's.
     """
 
     params: StableParams
@@ -496,54 +515,57 @@ class StableLaw(_RealizedLaw):
     def symmetric(self) -> bool:
         return self.params.beta == 0.0 and self.params.gamma == 0.0
 
+    @functools.cached_property
+    def _twin(self) -> Optional[_RealizedLaw]:
+        p = self.params
+        if p.c == 0.0:
+            return PointMassLaw(p.gamma)
+        if p.alpha == 2.0:
+            return GaussianLaw(p.gamma, math.sqrt(2.0 * p.c))
+        if p.alpha == 1.0 and p.beta == 0.0:
+            return CauchyLaw(p.gamma, p.c)
+        return None
+
     def _scipy_args(self) -> Tuple[float, float, float, float]:
         p = self.params
         if p.alpha == 1.0:
             return p.alpha, p.beta, p.gamma, p.c
         return p.alpha, -p.beta, p.gamma, p.c ** (1.0 / p.alpha)
 
+    @_via_twin
     def pdf(self, x: float) -> float:
-        p = self.params
-        if p.c == 0.0:
-            raise ValueError("point-mass stable law has no density")
-        if p.alpha == 2.0:
-            sd = math.sqrt(2.0 * p.c)
-            return _phi((x - p.gamma) / sd) / sd
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.pdf(x, alpha, beta, loc=loc, scale=scale))
 
+    @_via_twin
     def cdf(self, x: float) -> float:
-        p = self.params
-        if p.c == 0.0:
-            return 1.0 if x >= p.gamma else 0.0
-        if p.alpha == 2.0:
-            return float(ndtr((x - p.gamma) / math.sqrt(2.0 * p.c)))
-        if _fourier_region(p):
-            return _fourier_mass(p, x, right=False)
+        if _fourier_region(self.params):
+            return _fourier_mass(self.params, x, right=False)
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.cdf(x, alpha, beta, loc=loc, scale=scale))
 
+    @_via_twin
     def right_tail(self, x: float) -> float:
-        p = self.params
-        if p.c == 0.0:
-            return 1.0 if x < p.gamma else 0.0
-        if p.alpha == 2.0:
-            return float(ndtr(-(x - p.gamma) / math.sqrt(2.0 * p.c)))
-        if _fourier_region(p):
-            return _fourier_mass(p, x, right=True)
+        if _fourier_region(self.params):
+            return _fourier_mass(self.params, x, right=True)
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.sf(x, alpha, beta, loc=loc, scale=scale))
 
+    integrate = _via_twin(_RealizedLaw.integrate)
+
+    @_via_twin
     def truncated_mean(self, bound: float) -> float:
         if bound > 0 and not self.symmetric and _fourier_region(self.params):
             return _fourier_truncated(self.params, bound, 1)
         return super().truncated_mean(bound)
 
+    @_via_twin
     def truncated_second(self, bound: float) -> float:
         if bound > 0 and _fourier_region(self.params):
             return _fourier_truncated(self.params, bound, 2)
         return super().truncated_second(bound)
 
+    @_via_twin
     def smoothed_mean(self, b: float) -> float:
         if not self.symmetric and _fourier_region(self.params):
             value = _fourier_smoothed(self.params, b)
@@ -551,13 +573,11 @@ class StableLaw(_RealizedLaw):
                 return value
         return super().smoothed_mean(b)
 
+    @_via_twin
     def mean(self) -> float:
-        p = self.params
-        if p.c == 0.0:
-            return p.gamma
-        if p.alpha <= 1.0:
+        if self.params.alpha <= 1.0:
             raise ValueError("stable mean undefined at index <= 1")
-        return p.gamma
+        return self.params.gamma
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sample_stable_with(rng, self.params, size)
@@ -580,6 +600,9 @@ class PointMassLaw(_RealizedLaw):
     @property
     def symmetric(self) -> bool:
         return self.point == 0.0
+
+    def pdf(self, x: float) -> float:
+        raise ValueError("a point mass has no density")
 
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.point else 0.0
@@ -728,39 +751,16 @@ def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
 def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_RealizedLaw]:
     """Realize the directing measure once per replicate index.
 
-    Replicate k draws from the stream SeedSequence([seed, k, 0]), the same
-    stream :func:`sample_array_sums` uses for its draws, so statistics
-    computed on these realizations describe exactly the arrays simulated
-    under the same seed.
+    Entry k is replicate k's realization, drawn from the stream
+    SeedSequence([seed, k, 0]) that :func:`sample_array_sums` uses too: the
+    rows of its replicate k are i.i.d. given
+    ``draw_replicates(law, seed, replicates)[k]``, so statistics computed on
+    these realizations describe exactly the arrays simulated under the same
+    seed.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     return [_draw_at(law, seed, k) for k in range(replicates)]
-
-
-@dataclass(frozen=True, eq=False)
-class RowSums:
-    """Normed row sums of replicated exchangeable arrays.
-
-    ``values[k, i]`` is the normed sum of row i in replicate k. All rows of
-    one replicate share a single realized directing measure, identified by
-    ``draw_ids[k]`` indexing into ``draws``.
-    """
-
-    n: int
-    rows: int
-    replicates: int
-    seed: int
-    values: np.ndarray
-    draw_ids: np.ndarray
-    draws: Tuple[_RealizedLaw, ...]
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.replicates, self.rows):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"(replicates, rows) = ({self.replicates}, {self.rows})"
-            )
 
 
 _BLOCK = 1 << 14
@@ -788,12 +788,11 @@ def _compensated_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, 
     return total
 
 
-def _one_replicate(law: DirectingLaw, norming: NormingSequence, n: int, rows: int, seed: int, k: int):
+def _one_replicate(law: DirectingLaw, norming: NormingSequence, n: int, rows: int, seed: int, k: int) -> np.ndarray:
     p = _draw_at(law, seed, k)
     b_n, c_n = norming_values(norming, n, realization=p)
     row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
-    sums = _compensated_row_sums(p, row_rng, rows, n)
-    return p, sums / b_n - c_n
+    return _compensated_row_sums(p, row_rng, rows, n) / b_n - c_n
 
 
 def _worker_count(threads: int, replicates: int) -> int:
@@ -810,25 +809,25 @@ def sample_array_sums(
     seed: int,
     replicates: int = 1,
     threads: int = 1,
-) -> RowSums:
-    """Simulate replicated exchangeable arrays and return normed row sums.
+) -> np.ndarray:
+    """Simulate replicated exchangeable arrays and return their normed row sums.
 
-    Each replicate draws one directing measure (seed path [seed, k, 0]) and
-    then fills its rows with conditionally i.i.d. entries (seed path
-    [seed, k, 1]), so the output is bit-identical for a given seed no matter
-    how many worker threads execute the replicates. ``threads`` is a cap:
-    at most one thread per CPU and per replicate is started. A normed sum
-    that is not finite (an overflow under extreme tails) is a RuntimeError.
+    The result is a ``(replicates, rows)`` float array: entry ``[k, i]`` is
+    the normed sum of row i of replicate k. Each replicate draws one
+    directing measure (seed path [seed, k, 0]), which is
+    ``draw_replicates(law, seed, replicates)[k]``, and then fills its rows
+    with entries i.i.d. given that measure (seed path [seed, k, 1]), so the
+    output is bit-identical for a given seed no matter how many worker
+    threads execute the replicates. ``threads`` is a cap: at most one thread
+    per CPU and per replicate is started. A normed sum that is not finite
+    (an overflow under extreme tails) is a RuntimeError.
     """
     if n < 1 or rows < 1 or replicates < 1:
         raise ValueError("n, rows and replicates must all be at least 1")
     values = np.empty((replicates, rows))
-    realized: list = [None] * replicates
 
     def work(k: int) -> None:
-        p, normed = _one_replicate(law, norming, n, rows, seed, k)
-        realized[k] = p
-        values[k, :] = normed
+        values[k, :] = _one_replicate(law, norming, n, rows, seed, k)
 
     workers = _worker_count(threads, replicates)
     if workers > 1:
@@ -843,15 +842,4 @@ def sample_array_sums(
             f"sample_array_sums: {nonfinite} of {values.size} normed row sums "
             f"at n={n} are not finite"
         )
-
-    # Equal realizations share one id; ids follow first appearance.
-    index = {p: key for key, p in enumerate(dict.fromkeys(realized))}
-    return RowSums(
-        n=n,
-        rows=rows,
-        replicates=replicates,
-        seed=seed,
-        values=values,
-        draw_ids=np.array([index[p] for p in realized], dtype=np.int64),
-        draws=tuple(index),
-    )
+    return values

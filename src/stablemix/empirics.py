@@ -49,11 +49,11 @@ from .directing import (
     GaussianLaw,
     OneSidedParetoLaw,
     PointMassLaw,
-    RowSums,
     ScaleAtoms,
     ScaleExponential,
     SymmetricParetoLaw,
     UniformLaw,
+    draw_replicates,
     sample_array_sums,
 )
 from .mixtures import MixingMeasure, cauchy_from_gaussian_scale_mixture, joint_mixture_cf, mixture_cf
@@ -123,6 +123,11 @@ DEFAULT_JOINT_POINTS = (
 )
 
 
+def _mean_exp(phase: np.ndarray) -> complex:
+    """The mean of exp(i * phase), as (mean cos, mean sin)."""
+    return complex(np.mean(np.cos(phase)), np.mean(np.sin(phase)))
+
+
 def empirical_cf(samples: Sequence[float], grid: TGrid) -> np.ndarray:
     """Empirical characteristic function (1/N) sum exp(i t x_j) per grid point.
 
@@ -134,32 +139,27 @@ def empirical_cf(samples: Sequence[float], grid: TGrid) -> np.ndarray:
         raise ValueError("samples must be nonempty")
     if grid.ndim != 1:
         raise ValueError("empirical_cf expects a one dimensional grid")
-    out = np.empty(len(grid.points), dtype=complex)
-    for j, t in enumerate(grid.points):
-        phase = t * x
-        out[j] = complex(np.mean(np.cos(phase)), np.mean(np.sin(phase)))
-    return out
+    return np.array([_mean_exp(t * x) for t in grid.points], dtype=complex)
 
 
-def empirical_joint_cf(rowsums: RowSums, grid: TGrid) -> np.ndarray:
+def empirical_joint_cf(values: np.ndarray, grid: TGrid) -> np.ndarray:
     """Empirical joint characteristic function of the first two row sums.
 
-    Averages exp(i(t S_1 + s S_2)) over replicates for every (t, s) pair
-    of the grid. Needs at least two rows per replicate.
+    ``values`` is the ``(replicates, rows)`` array of
+    :func:`~stablemix.directing.sample_array_sums`: ``values[k]`` holds the
+    row sums of replicate k, whose rows are i.i.d. given its directing
+    realization ``draw_replicates(law, seed, replicates)[k]``. The result
+    averages exp(i(t S_1 + s S_2)) over replicates for every
+    (t, s) pair of the grid. Needs at least two rows per replicate.
     """
-    if rowsums.rows < 2:
+    if values.shape[1] < 2:
         raise ValueError(
-            f"joint characteristic function needs at least 2 rows, got {rowsums.rows}"
+            f"joint characteristic function needs at least 2 rows, got {values.shape[1]}"
         )
     if grid.ndim != 2:
         raise ValueError("empirical_joint_cf expects a grid of (t, s) pairs")
-    s1 = rowsums.values[:, 0]
-    s2 = rowsums.values[:, 1]
-    out = np.empty(len(grid.points), dtype=complex)
-    for j, (t, s) in enumerate(grid.points):
-        phase = t * s1 + s * s2
-        out[j] = complex(np.mean(np.cos(phase)), np.mean(np.sin(phase)))
-    return out
+    s1, s2 = values[:, 0], values[:, 1]
+    return np.array([_mean_exp(t * s1 + s * s2) for t, s in grid.points], dtype=complex)
 
 
 _IDENTITY_GRID = tuple(0.25 * k for k in range(21))
@@ -495,11 +495,11 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
     are seeded per replicate, so reports are deterministic for a given
     seed up to the wall-clock fields), tabulates empirical
     characteristic functions on ``spec.t_grid`` against the registered
-    analytic target, computes characteristic quantities of the first
-    replicate's realization, runs the scenario's criterion checkers under
-    ``spec.stat_config``, and, when the scenario asks for it, adds the
-    joint-factorization table on ``spec.joint_grid`` and the quadrature
-    identity residual. ``threads`` caps the sampler's worker threads and
+    analytic target, computes characteristic quantities of replicate 0's
+    realization ``draw_replicates(spec.law, seed, 1)[0]``, runs the
+    scenario's criterion checkers under ``spec.stat_config``, and, when the
+    scenario asks for it, adds the joint-factorization table on
+    ``spec.joint_grid`` and the quadrature identity residual. ``threads`` caps the sampler's worker threads and
     changes no result.
     """
     if isinstance(spec, str):
@@ -518,14 +518,13 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
 
     t_total = time.perf_counter()
     targets = [spec.target_cf(float(t)) for t in grid.points]
-    last_rowsums: Optional[RowSums] = None
+    first_draw = draw_replicates(spec.law, seed, 1)[0]
     for n in spec.cf_n_grid:
         t_start = time.perf_counter()
-        rowsums = sample_array_sums(
+        sums = sample_array_sums(
             spec.law, spec.norming, n, rows_needed, seed, spec.cf_replicates, threads
         )
-        last_rowsums = rowsums
-        emp = empirical_cf(rowsums.values[:, 0], grid)
+        emp = empirical_cf(sums[:, 0], grid)
         points = []
         worst = 0.0
         for t, z, target in zip(grid.points, emp, targets):
@@ -541,7 +540,6 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
         if None not in targets:
             sups.append({"n": int(n), "sup": worst})
 
-        first_draw = rowsums.draws[rowsums.draw_ids[0]]
         bundle = char_quantities(first_draw, spec.norming, n, spec.tau)
         quantities.append(
             {
@@ -557,21 +555,14 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
         runtimes[f"simulate_n={n}"] = time.perf_counter() - t_start
 
     joint_table: Optional[List[Dict[str, object]]] = None
-    if spec.joint and last_rowsums is not None:
+    if spec.joint:
+        # The joint table reads the row sums at the last row length.
         t_start = time.perf_counter()
         jgrid = spec.joint_grid
-        joint = empirical_joint_cf(last_rowsums, jgrid)
-        marg_t_points = tuple(sorted({t for t, _ in jgrid.points} | {0.0}))
-        marg_s_points = tuple(sorted({s for _, s in jgrid.points} | {0.0}))
-        marg_t_tab = dict(
-            zip(marg_t_points, empirical_cf(last_rowsums.values[:, 0], TGrid(marg_t_points)))
-        )
-        marg_s_tab = dict(
-            zip(marg_s_points, empirical_cf(last_rowsums.values[:, 1], TGrid(marg_s_points)))
-        )
+        joint = empirical_joint_cf(sums, jgrid)
         joint_table = []
         for (t, s), z in zip(jgrid.points, joint):
-            product = marg_t_tab[t] * marg_s_tab[s]
+            product = _mean_exp(t * sums[:, 0]) * _mean_exp(s * sums[:, 1])
             row = {
                 "t": float(t),
                 "s": float(s),

@@ -485,6 +485,30 @@ class TestSimulate:
             "estimated_limit": expected["estimated_limit"],
         }
 
+    def test_zero_scale_stable_base_runs_as_its_point_mass(self, tmp_path, capsys):
+        # A stable law with c = 0 is the point mass at gamma; the run needs
+        # its mean and truncated moments, which it has no density to integrate.
+        tables = {}
+        for kind, base in (
+            ("stable", {"kind": "stable", "alpha": 1.5, "gamma": 0.75, "c": 0, "beta": 0}),
+            ("point", {"kind": "point", "value": 0.75}),
+        ):
+            scenario = {
+                "id": "zero-scale",
+                "law": {"base": base},
+                "norming": {"alpha": 1.0, "centering_kind": "n_times_mean"},
+                "n_grid": [64, 256],
+                "replicates": 300,
+            }
+            cfg = write_config(tmp_path, {"scenario": scenario, "seed": 0}, name=f"{kind}.json")
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / kind)])
+            assert code == EXIT_PASS, f"{kind} base failed: {capsys.readouterr().err}"
+            tables[kind] = [
+                (tmp_path / kind / f"zero-scale.{suffix}").read_bytes()
+                for suffix in ("cf.csv", "quantities.csv")
+            ]
+        assert tables["stable"] == tables["point"]
+
     def test_threads_flag_leaves_results_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": dict(TINY_SCENARIO), "seed": 5})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_PASS

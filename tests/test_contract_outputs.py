@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,3 +34,10 @@ def test_report_bytes_ignore_runtimes_only():
     assert tool.contract_bytes("report.json", json.dumps(slower).encode()) == digest
     assert tool.contract_bytes("report.json", json.dumps(other).encode()) != digest
     assert tool.contract_bytes("cf.csv", b"n,t\n") == b"n,t\n"
+
+
+def test_residual_bytes_see_one_ulp():
+    tool = _tool()
+    fits = [(0.5, 0.25, 0.125), (1.0, 2.0, 0.0625)]
+    moved = [fits[0], (1.0, 2.0, math.nextafter(0.0625, 1.0))]
+    assert tool.residual_bytes(moved) != tool.residual_bytes(fits)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import spearmanr
+from scipy.stats import levy_stable, spearmanr
 
 from stablemix.directing import (
     CauchyLaw,
@@ -16,7 +16,6 @@ from stablemix.directing import (
     LocationGaussian,
     OneSidedParetoLaw,
     PointMassLaw,
-    RowSums,
     ScaleAtoms,
     ScaleExponential,
     ScaleLogNormal,
@@ -279,11 +278,44 @@ class TestStableLaw:
             assert law.right_tail(x) == pytest.approx(twin.right_tail(x), abs=1e-15)
         assert law.truncated_second(2.0) == pytest.approx(twin.truncated_second(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "params, twin",
+        [
+            (StableParams(1.5, 1.25, 0.0, 0.5), PointMassLaw(1.25)),
+            (StableParams(2.0, 0.3, 0.5, 0.0), GaussianLaw(0.3, 1.0)),
+            (StableParams(1.0, -0.4, 2.0, 0.0), CauchyLaw(-0.4, 2.0)),
+        ],
+    )
+    def test_closed_form_corners_are_their_twins(self, params, twin):
+        law = StableLaw(params)
+        for x in (-3.0, -0.4, 0.0, 0.3, 1.25, 7.5):
+            assert law.cdf(x) == twin.cdf(x)
+            assert law.right_tail(x) == twin.right_tail(x)
+            assert law.tail_mass(abs(x)) == twin.tail_mass(abs(x))
+        square = lambda y: y * y
+        for bound in (0.0, 0.5, 1.3, 4.0, 100.0):
+            assert law.truncated_mean(bound) == twin.truncated_mean(bound)
+            assert law.truncated_second(bound) == twin.truncated_second(bound)
+            assert law.integrate(square, -bound, bound) == twin.integrate(square, -bound, bound)
+        for b in (0.1, 1.0, 25.0):
+            assert law.smoothed_mean(b) == twin.smoothed_mean(b)
+
+    def test_cauchy_corner_matches_scipy(self):
+        params = StableParams(1.0, -0.4, 2.0, 0.0)
+        law = StableLaw(params)
+        alpha, beta, loc, scale = law._scipy_args()
+        for x in (-30.0, -3.0, -0.4, 0.0, 1.25, 7.5):
+            for method in ("cdf", "pdf"):
+                oracle = getattr(levy_stable, method)(x, alpha, beta, loc=loc, scale=scale)
+                assert getattr(law, method)(x) == pytest.approx(float(oracle), abs=1e-10)
+
     def test_point_mass_branch(self):
         law = StableLaw(StableParams(1.5, 1.25, 0.0, 0.5))
         assert law.cdf(1.25) == 1.0
         assert law.cdf(1.2) == 0.0
         assert law.mean() == 1.25
+        with pytest.raises(ValueError, match="no density"):
+            law.pdf(1.25)
 
     def test_mean(self):
         assert StableLaw(StableParams(1.5, 0.4, 1.0, 0.0)).mean() == 0.4
@@ -391,7 +423,7 @@ class TestRowSums:
         norming = NormingSequence(alpha=1.0, centering_kind="n_times_mean")
         for n in (10, 1000):
             rs = sample_array_sums(law, norming, n=n, rows=3, seed=11, replicates=5)
-            assert np.all(rs.values == 0.0), (
+            assert np.all(rs == 0.0), (
                 f"point-mass rows should center to exactly zero at n={n}"
             )
 
@@ -402,26 +434,26 @@ class TestRowSums:
         norming = NormingSequence(alpha=1.0)
         rs = sample_array_sums(law, norming, n=64, rows=2, seed=3, replicates=2000)
         for row in range(2):
-            value = empirical_cf(rs.values[:, row], 1.0)
+            value = empirical_cf(rs[:, row], 1.0)
             assert abs(value - math.exp(-1.0)) <= 0.05, (
                 f"row {row} characteristic value {value:.4f} is far from 1/e"
             )
-        joint = np.exp(1j * (rs.values[:, 0] + rs.values[:, 1])).mean()
+        joint = np.exp(1j * (rs[:, 0] + rs[:, 1])).mean()
         assert abs(joint - math.exp(-2.0)) <= 0.05
 
     def test_gaussian_rows(self):
         law = DirectingLaw(GaussianLaw(0.0, 1.0))
         norming = NormingSequence(alpha=2.0)
         rs = sample_array_sums(law, norming, n=64, rows=1, seed=8, replicates=2000)
-        value = empirical_cf(rs.values[:, 0], 1.0)
+        value = empirical_cf(rs[:, 0], 1.0)
         assert abs(value - math.exp(-0.5)) <= 0.05
 
     def test_rows_are_exchangeable(self):
         law = DirectingLaw(CauchyLaw(0.0, 1.0))
         norming = NormingSequence(alpha=1.0)
         rs = sample_array_sums(law, norming, n=32, rows=2, seed=21, replicates=2000)
-        a = np.sort(rs.values[:, 0])
-        b = np.sort(rs.values[:, 1])
+        a = np.sort(rs[:, 0])
+        b = np.sort(rs[:, 1])
         grid = np.concatenate([a, b])
         ks = np.max(
             np.abs(
@@ -436,11 +468,11 @@ class TestRowSums:
             CauchyLaw(0.0, 1.0),
             ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))),
         )
-        norming = NormingSequence(alpha=1.0)
-        rs = sample_array_sums(law, norming, n=32, rows=2, seed=5, replicates=1500)
-        assert len(rs.draws) == 2
-        assert {p.cscale for p in rs.draws} == {1.0, 2.0}
-        share = np.mean(rs.draw_ids == rs.draw_ids[0])
+        draws = draw_replicates(law, 5, 1500)
+        distinct = set(draws)
+        assert len(distinct) == 2
+        assert {p.cscale for p in distinct} == {1.0, 2.0}
+        share = np.mean([p == draws[0] for p in draws])
         assert abs(share - 0.5) <= 0.05
 
     def test_rows_conditionally_independent(self):
@@ -450,12 +482,13 @@ class TestRowSums:
         )
         norming = NormingSequence(alpha=1.0)
         rs = sample_array_sums(law, norming, n=32, rows=2, seed=5, replicates=1500)
-        for draw_id in range(len(rs.draws)):
-            mask = rs.draw_ids == draw_id
+        draws = draw_replicates(law, 5, 1500)
+        for draw in dict.fromkeys(draws):
+            mask = np.array([p == draw for p in draws])
             count = int(mask.sum())
-            rho = spearmanr(rs.values[mask, 0], rs.values[mask, 1]).statistic
+            rho = spearmanr(rs[mask, 0], rs[mask, 1]).statistic
             assert abs(rho) <= 3.0 / math.sqrt(count), (
-                f"conditional rank correlation {rho:.4f} too large for draw {draw_id}"
+                f"conditional rank correlation {rho:.4f} too large for draw {draw}"
             )
 
     def test_mixture_joint_does_not_factorize(self):
@@ -465,9 +498,9 @@ class TestRowSums:
         )
         norming = NormingSequence(alpha=1.0)
         rs = sample_array_sums(law, norming, n=32, rows=2, seed=17, replicates=4000)
-        joint = np.real(np.exp(1j * (rs.values[:, 0] + rs.values[:, 1])).mean())
-        product = np.real(empirical_cf(rs.values[:, 0], 1.0)) * np.real(
-            empirical_cf(rs.values[:, 1], 1.0)
+        joint = np.real(np.exp(1j * (rs[:, 0] + rs[:, 1])).mean())
+        product = np.real(empirical_cf(rs[:, 0], 1.0)) * np.real(
+            empirical_cf(rs[:, 1], 1.0)
         )
         # exact gap is (e^-2 + e^-4)/2 - ((e^-1 + e^-2)/2)^2, about 0.0136
         assert joint - product >= 0.003, (
@@ -478,9 +511,9 @@ class TestRowSums:
         law = DirectingLaw(CauchyLaw(0.0, 1.0))
         norming = NormingSequence(alpha=1.0)
         rs = sample_array_sums(law, norming, n=32, rows=2, seed=17, replicates=4000)
-        joint = np.real(np.exp(1j * (rs.values[:, 0] + rs.values[:, 1])).mean())
-        product = np.real(empirical_cf(rs.values[:, 0], 1.0)) * np.real(
-            empirical_cf(rs.values[:, 1], 1.0)
+        joint = np.real(np.exp(1j * (rs[:, 0] + rs[:, 1])).mean())
+        product = np.real(empirical_cf(rs[:, 0], 1.0)) * np.real(
+            empirical_cf(rs[:, 1], 1.0)
         )
         assert abs(joint - product) <= 0.05
 
@@ -488,7 +521,7 @@ class TestRowSums:
         law = DirectingLaw(GaussianLaw(0.0, 1.0), ScaleExponential(rate=1.0))
         norming = NormingSequence(alpha=2.0)
         rs = sample_array_sums(law, norming, n=256, rows=1, seed=13, replicates=2000)
-        values = rs.values[:, 0]
+        values = rs[:, 0]
         for t in np.arange(-3.0, 3.5, 0.5):
             target = 1.0 / (1.0 + 0.5 * t * t)
             assert abs(empirical_cf(values, t) - target) <= 0.05, (
@@ -502,10 +535,10 @@ class TestRowSums:
         )
         norming = NormingSequence(alpha=1.0)
         rs = sample_array_sums(law, norming, n=64, rows=1, seed=29, replicates=2000)
-        values = rs.values[:, 0]
+        values = rs[:, 0]
         target = 0.5 * (math.exp(-1.0) + math.exp(-2.0))
         assert abs(empirical_cf(values, 1.0) - target) <= 0.05
-        assert set(rs.draw_ids.tolist()) == {0, 1}
+        assert len(set(draw_replicates(law, 29, 2000))) == 2
 
     def test_bit_identical_reproducibility(self):
         law = DirectingLaw(
@@ -518,18 +551,17 @@ class TestRowSums:
         threaded = sample_array_sums(
             law, norming, n=128, rows=2, seed=42, replicates=50, threads=4
         )
-        assert np.array_equal(first.values, second.values)
-        assert np.array_equal(first.values, threaded.values)
-        assert np.array_equal(first.draw_ids, threaded.draw_ids)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, threaded)
         other_seed = sample_array_sums(law, norming, n=128, rows=2, seed=43, replicates=50)
-        assert not np.array_equal(first.values, other_seed.values)
+        assert not np.array_equal(first, other_seed)
 
     def test_replicate_seeding_is_stable_under_replicate_count(self):
         law = DirectingLaw(CauchyLaw(0.0, 1.0))
         norming = NormingSequence(alpha=1.0)
         small = sample_array_sums(law, norming, n=64, rows=1, seed=9, replicates=10)
         large = sample_array_sums(law, norming, n=64, rows=1, seed=9, replicates=20)
-        assert np.array_equal(small.values, large.values[:10])
+        assert np.array_equal(small, large[:10])
 
     def test_input_validation(self):
         law = DirectingLaw(CauchyLaw(0.0, 1.0))
@@ -547,18 +579,6 @@ class TestRowSums:
         with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
             with pytest.warns(RuntimeWarning):
                 sample_array_sums(law, NormingSequence(alpha=0.5), n=64, rows=1, seed=0, replicates=50)
-
-    def test_row_sums_shape_validation(self):
-        with pytest.raises(ValueError):
-            RowSums(
-                n=10,
-                rows=2,
-                replicates=3,
-                seed=0,
-                values=np.zeros((2, 2)),
-                draw_ids=np.zeros(3, dtype=np.int64),
-                draws=(CauchyLaw(0.0, 1.0),),
-            )
 
 
 class TestWorkerCount:

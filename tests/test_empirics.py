@@ -7,12 +7,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from stablemix.characteristics import char_quantities
 from stablemix.criteria import CRITERION_NAMES, DrawPanel, _combine_list
 from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
     ScaleAtoms,
     SymmetricParetoLaw,
+    draw_replicates,
     sample_array_sums,
 )
 from stablemix.empirics import (
@@ -130,8 +132,8 @@ class TestEmpiricalJointCf:
         joint = empirical_joint_cf(rs, grid)[1]
         target = 0.5 * (math.exp(-2.0) + math.exp(-4.0))
         assert abs(joint - target) <= 0.05, f"joint value {joint} vs mixture {target}"
-        marg1 = empirical_cf(rs.values[:, 0], TGrid((0.0, 1.0)))[1]
-        marg2 = empirical_cf(rs.values[:, 1], TGrid((0.0, 1.0)))[1]
+        marg1 = empirical_cf(rs[:, 0], TGrid((0.0, 1.0)))[1]
+        marg2 = empirical_cf(rs[:, 1], TGrid((0.0, 1.0)))[1]
         gap = abs(joint - marg1 * marg2)
         assert gap >= 0.003, f"factorization gap {gap} should stay visibly positive"
 
@@ -246,6 +248,25 @@ class TestRunScenario:
         rep = run_scenario(spec, seed=3)
         assert [v["name"] for v in rep.verdicts] == ["uan", "degenerate"]
         assert all(v["holds"] is True for v in rep.verdicts)
+
+    @pytest.mark.parametrize("seed, scale", [(2, 1.0), (0, 2.0)])
+    def test_quantities_describe_replicate_zero(self, seed, scale):
+        spec = self._fast("cauchy-scalemix", cf_n_grid=(64,), cf_replicates=50)
+        first = draw_replicates(spec.law, seed, 1)[0]
+        assert first.cscale == scale
+        rep = run_scenario(spec, seed=seed)
+        assert [row["n"] for row in rep.quantities] == [64]
+        for row in rep.quantities:
+            bundle = char_quantities(first, spec.norming, row["n"], spec.tau)
+            assert row == {
+                "n": row["n"],
+                "m_trunc": bundle.m_trunc,
+                "m_smooth": bundle.m_smooth,
+                "sigma2_trunc": bundle.sigma2_trunc,
+                "sigma2_bar_proxy": bundle.sigma2_bar_proxy,
+                "q_eps": bundle.q_eps,
+                "spectral_mass": bundle.lambda_n.total_mass,
+            }
 
     def test_identical_runs_serialize_identically(self):
         spec = self._fast("cauchy-scalemix", cf_replicates=200)

@@ -6,7 +6,10 @@ The contract (ROADMAP.md, "Contracts") is three files per run of CLI
 ``cf.csv`` and ``quantities.csv``. The runs are the 9 builtin scenarios at
 seeds 0 and 1, the Pareto benchmark config at seed 3 and the stable
 benchmark config at seed 5: 60 outputs. The two benchmark configs are read
-from ``perfbench/run.py``.
+from ``perfbench/run.py``. After those 60 lines come two more, one per
+benchmark config, labelled ``<run>/residuals``: the spectral fits of every
+distinct draw at every checker row length, which the reports summarize only
+through their largest residual.
 
 A change that must keep the contract prints the same lines as its parent:
 
@@ -29,7 +32,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILTIN_SEEDS = (0, 1)
@@ -64,6 +67,28 @@ def contract_bytes(suffix: str, data: bytes) -> bytes:
     return json.dumps(report, allow_nan=False).encode("utf-8")
 
 
+def residual_bytes(fits: Iterable[Tuple[float, float, float]]) -> bytes:
+    """The bytes of spectral fits that the contract covers: the repr of each
+    ``(c_minus, c_plus, residual)``, one per line."""
+    return "".join(f"{fit!r}\n" for fit in fits).encode("utf-8")
+
+
+def residual_digest(label: str, seed: int, work: Path) -> str:
+    """The digest line of every fit that the checkers' panel of one run holds:
+    its distinct draws, at each checker row length."""
+    from stablemix.cli import load_config
+    from stablemix.criteria import DrawPanel
+
+    spec = load_config(str(work / f"{label}.config.json")).spec
+    panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
+    fits = (
+        (float(params.c_minus), float(params.c_plus), float(residual))
+        for n in spec.checker_ngrid.values
+        for params, residual in panel.fit_table(n, spec.alpha).values()
+    )
+    return f"{hashlib.sha256(residual_bytes(fits)).hexdigest()}  {label}/residuals"
+
+
 def run_digests(main, label: str, config: dict, seed: int, work: Path) -> Iterator[str]:
     """Run one config through ``simulate`` and yield its digest lines."""
     config_path = work / f"{label}.config.json"
@@ -88,13 +113,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from stablemix import cli
 
     with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
-        for label, config, seed in runs:
-            try:
+        try:
+            for label, config, seed in runs:
                 for line in run_digests(cli.main, label, config, seed, Path(tmp)):
                     print(line, flush=True)
-            except (RuntimeError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            # The last two runs are the benchmark configs.
+            for label, _, seed in runs[-2:]:
+                print(residual_digest(label, seed, Path(tmp)), flush=True)
+        except (RuntimeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
