@@ -12,6 +12,12 @@ against the density. Closed forms are used wherever the family permits; the
 stable family with 1.1 <= alpha < 2 evaluates its functionals from the
 closed-form characteristic function (see :class:`StableLaw`); the rest goes
 through adaptive quadrature certified to 1e-10.
+
+Importing the module loads no SciPy module: each functional that needs one
+imports it on first call, through ``_ndtr``, ``_scaled_power_integral``,
+``quad`` or ``levy_stable`` below. The last two are module attributes that
+every call goes through, so a caller (a tracer, a test) can replace them and
+see each call.
 """
 
 from __future__ import annotations
@@ -24,9 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
-from scipy.stats import levy_stable
 
 from .stable import (
     NormingSequence,
@@ -63,9 +66,57 @@ _FAR_PIVOT = 8.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
+class _LevyStable:
+    """``scipy.stats.levy_stable``'s pdf, cdf and sf, imported on first call."""
+
+    @staticmethod
+    def _scipy():
+        from scipy.stats import levy_stable as scipy_levy_stable
+
+        return scipy_levy_stable
+
+    def pdf(self, *args, **kwargs):
+        return self._scipy().pdf(*args, **kwargs)
+
+    def cdf(self, *args, **kwargs):
+        return self._scipy().cdf(*args, **kwargs)
+
+    def sf(self, *args, **kwargs):
+        return self._scipy().sf(*args, **kwargs)
+
+
+levy_stable = _LevyStable()
+
+
+def _ndtr(z: float) -> float:
+    """The standard normal cdf at z (``scipy.special.ndtr``)."""
+    from scipy.special import ndtr
+
+    return float(ndtr(z))
+
+
+def _scaled_power_integral(p: float, x: float) -> float:
+    """x**-(p+1) * int_0^x v**p / (1 + v**2) dv for p > -1 and 0 < x <= 1.
+
+    It is 2F1(1, (p+1)/2; (p+3)/2; -x**2) / (p+1). The argument stays in
+    [-1, 0), where SciPy's ``hyp2f1`` agrees with mpmath to a few ulp.
+    """
+    from scipy.special import hyp2f1
+
+    return float(hyp2f1(1.0, (p + 1.0) / 2.0, (p + 3.0) / 2.0, -x * x)) / (p + 1.0)
+
+
 def _certified_quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     value, abserr = quad(f, lo, hi, epsabs=_QUAD_TOL * 0.1, epsrel=1e-12, limit=400)
-    if abserr > max(_QUAD_TOL, abs(value) * 1e-8):
+    # Written so that a NaN value or error estimate fails the test.
+    if not (math.isfinite(value) and abserr <= max(_QUAD_TOL, abs(value) * 1e-8)):
         raise RuntimeError(
             f"quadrature over ({lo}, {hi}) failed to certify {_QUAD_TOL:g}: "
             f"value {value:g}, error estimate {abserr:g}"
@@ -187,10 +238,10 @@ class GaussianLaw(_RealizedLaw):
         return _phi((x - self.mean_value) / self.sd) / self.sd
 
     def cdf(self, x: float) -> float:
-        return float(ndtr((x - self.mean_value) / self.sd))
+        return _ndtr((x - self.mean_value) / self.sd)
 
     def right_tail(self, x: float) -> float:
-        return float(ndtr(-(x - self.mean_value) / self.sd))
+        return _ndtr(-(x - self.mean_value) / self.sd)
 
     def truncated_mean(self, bound: float) -> float:
         if bound <= 0:
@@ -199,7 +250,7 @@ class GaussianLaw(_RealizedLaw):
             return 0.0
         a = (-bound - self.mean_value) / self.sd
         b = (bound - self.mean_value) / self.sd
-        dphi = float(ndtr(b) - ndtr(a))
+        dphi = _ndtr(b) - _ndtr(a)
         return self.mean_value * dphi + self.sd * (_phi(a) - _phi(b))
 
     def truncated_second(self, bound: float) -> float:
@@ -208,7 +259,7 @@ class GaussianLaw(_RealizedLaw):
         mu, sd = self.mean_value, self.sd
         a = (-bound - mu) / sd
         b = (bound - mu) / sd
-        dphi = float(ndtr(b) - ndtr(a))
+        dphi = _ndtr(b) - _ndtr(a)
         return (
             mu * mu * dphi
             + 2.0 * mu * sd * (_phi(a) - _phi(b))
@@ -459,6 +510,36 @@ class OneSidedParetoLaw(_ParetoLaw):
         if a0 == 1.0:
             return s * math.log(bound / s)
         return a0 * s ** a0 * (bound ** (1.0 - a0) - s ** (1.0 - a0)) / (1.0 - a0)
+
+    def smoothed_mean(self, b: float) -> float:
+        """a * z**-a * int_0^z v**a / (1 + v**2) dv with z = b/pscale.
+
+        That is a*z/(a+1) * 2F1(1, (a+1)/2; (a+3)/2; -z**2), and at a = 1 it
+        is log1p(z**2)/(2z). At arguments below -1 SciPy's ``hyp2f1`` loses
+        digits as (a-1)/2 nears an integer (8e-10 relative at a = 1 +- 1e-6), so for
+        z > 1 the integral is split at v = 1. In u = 1/v its part over (1, z]
+        is int_{1/z}^1 u**-a/(1+u**2) du, and K = floor((a + 3/2)/2) powers
+        peel off, leaving a remainder with exponent 2K - a in (-1/2, 3/2]:
+        u**-a/(1+u**2) = sum_{k<K} (-1)**k u**(2k-a) + (-1)**K u**(2K-a)/(1+u**2).
+        """
+        a0 = self.tail_index
+        z = b / self.pscale
+        if z == 0.0:
+            return 0.0
+        if a0 == 1.0:
+            return math.log1p(z * z) / (2.0 * z)
+        if z <= 1.0:
+            return a0 * z * _scaled_power_integral(a0, z)
+        lz = math.log(z)
+        total = _scaled_power_integral(a0, 1.0)
+        peeled = math.floor((a0 + 1.5) / 2.0)
+        for k in range(peeled):
+            r = 2.0 * k + 1.0 - a0
+            total += (-1) ** k * (lz if r == 0.0 else -math.expm1(-r * lz) / r)
+        p = 2.0 * peeled - a0
+        remainder = _scaled_power_integral(p, 1.0) - z ** -(p + 1.0) * _scaled_power_integral(p, 1.0 / z)
+        total += (-1) ** peeled * remainder
+        return a0 * z ** -a0 * total
 
     def mean(self) -> float:
         a0 = self.tail_index
@@ -788,13 +869,6 @@ def _compensated_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, 
     return total
 
 
-def _one_replicate(law: DirectingLaw, norming: NormingSequence, n: int, rows: int, seed: int, k: int) -> np.ndarray:
-    p = _draw_at(law, seed, k)
-    b_n, c_n = norming_values(norming, n, realization=p)
-    row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
-    return _compensated_row_sums(p, row_rng, rows, n) / b_n - c_n
-
-
 def _worker_count(threads: int, replicates: int) -> int:
     """Threads to start for ``threads`` requested: never more than the
     machine's CPUs or the replicates to share out."""
@@ -825,9 +899,16 @@ def sample_array_sums(
     if n < 1 or rows < 1 or replicates < 1:
         raise ValueError("n, rows and replicates must all be at least 1")
     values = np.empty((replicates, rows))
+    # Realizations and norming constants are computed in the calling thread,
+    # so a SciPy module that a functional imports on first use never loads in
+    # a worker; workers only draw entries.
+    realized = draw_replicates(law, seed, replicates)
+    normings = [norming_values(norming, n, realization=p) for p in realized]
 
     def work(k: int) -> None:
-        values[k, :] = _one_replicate(law, norming, n, rows, seed, k)
+        b_n, c_n = normings[k]
+        row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
+        values[k, :] = _compensated_row_sums(realized[k], row_rng, rows, n) / b_n - c_n
 
     workers = _worker_count(threads, replicates)
     if workers > 1:

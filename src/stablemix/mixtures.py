@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from scipy.integrate import quad
-
 from .stable import LevyKhintchinePair, StableParams, levy_khintchine_psi, stable_cf
 
 __all__ = [
@@ -119,8 +117,10 @@ def cauchy_from_gaussian_scale_mixture(t: float, quadrature_tol: float = 1e-10) 
     :raises RuntimeError: when the quadrature cannot certify the tolerance;
         the message carries the achieved error estimate
     """
-    if quadrature_tol <= 0:
+    if not quadrature_tol > 0:
         raise ValueError("quadrature_tol must be positive")
+    from scipy.integrate import quad
+
     t2 = float(t) * float(t)
     const = math.sqrt(2.0 / math.pi)
 

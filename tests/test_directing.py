@@ -22,6 +22,7 @@ from stablemix.directing import (
     StableLaw,
     SymmetricParetoLaw,
     UniformLaw,
+    _RealizedLaw,
     _worker_count,
     draw_replicates,
     sample_array_sums,
@@ -111,6 +112,15 @@ class TestCauchyLaw:
             CauchyLaw(0.0, 1.0).mean()
 
 
+class TestQuadratureCertificate:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nan_integrand_is_refused(self):
+        with pytest.raises(RuntimeError, match=r"quadrature over \(-8\.0, 8\.0\)"):
+            CauchyLaw(0.0, 1.0).expect(lambda x: math.nan)
+        with pytest.raises(RuntimeError, match=r"quadrature over \(-1\.0, 1\.0\)"):
+            GaussianLaw(0.0, 1.0).integrate(lambda x: math.nan, -1.0, 1.0)
+
+
 class TestUniformLaw:
     def test_truncation_windows(self):
         law = UniformLaw(-1.0, 3.0)
@@ -190,6 +200,21 @@ class TestParetoLaws:
             assert closed == pytest.approx(oracle, rel=1e-9, abs=1e-9), (
                 f"{law!r} at bound {bound}: closed form {closed!r}, quadrature {oracle!r}"
             )
+
+    @pytest.mark.parametrize("tail_index", [0.5, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.5, 1.99])
+    def test_one_sided_smoothed_mean_matches_quadrature(self, tail_index):
+        # The quadrature path every realized law inherits is the oracle.
+        for scale in (0.5, 1.0, 3.0):
+            law = OneSidedParetoLaw(tail_index, scale)
+            for z in np.geomspace(1e-2, 5e3, 25):
+                b = z * scale
+                closed = law.smoothed_mean(b)
+                oracle = _RealizedLaw.smoothed_mean(law, b)
+                assert closed == pytest.approx(oracle, rel=1e-10), (
+                    f"{law!r} at b = {b!r}: closed form {closed!r}, quadrature {oracle!r}"
+                )
+            for z in (1e4, 1e5, 1e6):
+                assert math.isfinite(law.smoothed_mean(z * scale))
 
     @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
     def test_with_dispersion_keeps_the_family(self, family):

@@ -178,3 +178,7 @@ class TestScaleMixtureIdentity:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=0.0)
+
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ValueError, match="quadrature_tol"):
+            cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=math.nan)
