@@ -63,6 +63,7 @@ from .directing import (
     UniformLaw,
     draw_replicates,
     sample_array_sums,
+    sample_grid_sums,
 )
 from .empirics import (
     ScenarioReport,

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "DirectingLaw",
     "draw_replicates",
     "sample_array_sums",
+    "sample_grid_sums",
 ]
 
 _QUAD_TOL = 1e-10
@@ -833,7 +835,7 @@ def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_Real
     """Realize the directing measure once per replicate index.
 
     Entry k is replicate k's realization, drawn from the stream
-    SeedSequence([seed, k, 0]) that :func:`sample_array_sums` uses too: the
+    SeedSequence([seed, k, 0]) that :func:`sample_grid_sums` uses too: the
     rows of its replicate k are i.i.d. given
     ``draw_replicates(law, seed, replicates)[k]``, so statistics computed on
     these realizations describe exactly the arrays simulated under the same
@@ -875,6 +877,85 @@ def _worker_count(threads: int, replicates: int) -> int:
     return min(threads, os.cpu_count() or 1, replicates)
 
 
+def _check_grid(n_grid: Sequence[int], rows: int, replicates: int, threads: int) -> Tuple[int, ...]:
+    """The row lengths of ``n_grid`` as a tuple, after the argument checks of
+    :func:`sample_grid_sums`; each failure is a ValueError naming its argument."""
+    n_grid = tuple(n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one row length")
+    named = [("n_grid", n) for n in n_grid] + [("rows", rows), ("replicates", replicates), ("threads", threads)]
+    for name, value in named:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name}: expected a positive integer, got {value!r}")
+    return n_grid
+
+
+def sample_grid_sums(
+    law: DirectingLaw,
+    norming: NormingSequence,
+    n_grid: Sequence[int],
+    rows: int,
+    seed: int,
+    replicates: int = 1,
+    threads: int = 1,
+) -> np.ndarray:
+    """Simulate replicated exchangeable arrays along a grid of row lengths and
+    return their normed row sums.
+
+    The result is a ``(len(n_grid), replicates, rows)`` float array: entry
+    ``[j, k, i]`` is the normed sum of row i of replicate k at row length
+    ``n_grid[j]``. Each replicate draws one directing measure (seed path
+    [seed, k, 0]), which is ``draw_replicates(law, seed, replicates)[k]``,
+    and serves every row length from it. Its rows at each row length are
+    filled with entries i.i.d. given that measure from the same stream (seed
+    path [seed, k, 1]): one generator per replicate is built, and its
+    starting state is restored before each row length after the first, so
+    slice ``[j]`` is bit-identical to sampling ``n_grid[j]`` alone, as
+    :func:`sample_array_sums` does.
+    The output is bit-identical for a given seed no matter how many worker
+    threads execute the replicates. ``threads`` is a cap: at most one thread
+    per CPU and per replicate is started. A normed sum that is not finite
+    (an overflow under extreme tails) is a RuntimeError naming the first row
+    length that has one. An empty ``n_grid``, and a row length, ``rows``,
+    ``replicates`` or ``threads`` that is not a positive integer, are
+    ValueErrors naming the argument.
+    """
+    n_grid = _check_grid(n_grid, rows, replicates, threads)
+    values = np.empty((len(n_grid), replicates, rows))
+    # Realizations and norming constants are computed in the calling thread,
+    # so a SciPy module that a functional imports on first use never loads in
+    # a worker; workers only draw entries.
+    realized = draw_replicates(law, seed, replicates)
+    normings = [[norming_values(norming, n, realization=p) for n in n_grid] for p in realized]
+
+    def work(k: int) -> None:
+        row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
+        start = row_rng.bit_generator.state
+        for j, n in enumerate(n_grid):
+            if j:
+                # A restored generator yields exactly a fresh one's stream.
+                row_rng.bit_generator.state = start
+            b_n, c_n = normings[k][j]
+            values[j, k, :] = _compensated_row_sums(realized[k], row_rng, rows, n) / b_n - c_n
+
+    workers = _worker_count(threads, replicates)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(replicates)))
+    else:
+        for k in range(replicates):
+            work(k)
+    # The message keeps the name that callers have always matched on.
+    for n, at_n in zip(n_grid, values):
+        nonfinite = int(np.count_nonzero(~np.isfinite(at_n)))
+        if nonfinite:
+            raise RuntimeError(
+                f"sample_array_sums: {nonfinite} of {at_n.size} normed row sums "
+                f"at n={n} are not finite"
+            )
+    return values
+
+
 def sample_array_sums(
     law: DirectingLaw,
     norming: NormingSequence,
@@ -887,40 +968,9 @@ def sample_array_sums(
     """Simulate replicated exchangeable arrays and return their normed row sums.
 
     The result is a ``(replicates, rows)`` float array: entry ``[k, i]`` is
-    the normed sum of row i of replicate k. Each replicate draws one
-    directing measure (seed path [seed, k, 0]), which is
-    ``draw_replicates(law, seed, replicates)[k]``, and then fills its rows
-    with entries i.i.d. given that measure (seed path [seed, k, 1]), so the
-    output is bit-identical for a given seed no matter how many worker
-    threads execute the replicates. ``threads`` is a cap: at most one thread
-    per CPU and per replicate is started. A normed sum that is not finite
-    (an overflow under extreme tails) is a RuntimeError.
+    the normed sum of row i of replicate k, the one-length case of
+    :func:`sample_grid_sums` with the same seed paths, thread cap and
+    errors. Replicate k's rows are i.i.d. given
+    ``draw_replicates(law, seed, replicates)[k]``.
     """
-    if n < 1 or rows < 1 or replicates < 1:
-        raise ValueError("n, rows and replicates must all be at least 1")
-    values = np.empty((replicates, rows))
-    # Realizations and norming constants are computed in the calling thread,
-    # so a SciPy module that a functional imports on first use never loads in
-    # a worker; workers only draw entries.
-    realized = draw_replicates(law, seed, replicates)
-    normings = [norming_values(norming, n, realization=p) for p in realized]
-
-    def work(k: int) -> None:
-        b_n, c_n = normings[k]
-        row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
-        values[k, :] = _compensated_row_sums(realized[k], row_rng, rows, n) / b_n - c_n
-
-    workers = _worker_count(threads, replicates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(replicates)))
-    else:
-        for k in range(replicates):
-            work(k)
-    nonfinite = int(np.count_nonzero(~np.isfinite(values)))
-    if nonfinite:
-        raise RuntimeError(
-            f"sample_array_sums: {nonfinite} of {values.size} normed row sums "
-            f"at n={n} are not finite"
-        )
-    return values
+    return sample_grid_sums(law, norming, (n,), rows, seed, replicates, threads)[0]

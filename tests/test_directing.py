@@ -23,11 +23,19 @@ from stablemix.directing import (
     SymmetricParetoLaw,
     UniformLaw,
     _RealizedLaw,
+    _compensated_row_sums,
     _worker_count,
     draw_replicates,
     sample_array_sums,
+    sample_grid_sums,
 )
-from stablemix.stable import NormingSequence, StableParams, replicate_seed, sample_stable_with
+from stablemix.stable import (
+    NormingSequence,
+    StableParams,
+    norming_values,
+    replicate_seed,
+    sample_stable_with,
+)
 
 
 def empirical_cf(values, t):
@@ -643,6 +651,24 @@ class TestDirectingDraws:
         sample_array_sums(law, NormingSequence(alpha=1.0), n=16, rows=1, seed=3, replicates=50)
         assert len(built) == generators
 
+    @pytest.mark.parametrize(
+        "prior, generators",
+        [(None, 50), (ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))), 100)],
+    )
+    def test_generators_per_grid(self, monkeypatch, prior, generators):
+        # One row generator per replicate serves every row length of the grid.
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        law = DirectingLaw(CauchyLaw(0.0, 1.0), prior)
+        sample_grid_sums(law, NormingSequence(alpha=1.0), (4, 16, 64), rows=1, seed=3, replicates=50)
+        assert len(built) == generators
+
     def test_draws_follow_the_seed_streams(self):
         law = DirectingLaw(CauchyLaw(0.0, 1.0), ScaleLogNormal(0.0, 0.5))
 
@@ -651,3 +677,104 @@ class TestDirectingDraws:
 
         expected = [drawn_from(replicate_seed(5, k, 0)) for k in range(20)]
         assert draw_replicates(law, 5, 20) == expected
+
+
+def _per_length_reference(law, norming, n_grid, rows, seed, replicates):
+    """Row sums sampled one (replicate, row length) at a time, each from a
+    fresh generator on the replicate's row stream: the sampler's loop before
+    it served a whole grid from one generator per replicate."""
+    realized = draw_replicates(law, seed, replicates)
+    values = np.empty((len(n_grid), replicates, rows))
+    for j, n in enumerate(n_grid):
+        for k, p in enumerate(realized):
+            b_n, c_n = norming_values(norming, n, realization=p)
+            row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
+            values[j, k, :] = _compensated_row_sums(p, row_rng, rows, n) / b_n - c_n
+    return values
+
+
+_MEAN_CENTERED = dict(centering_kind="n_times_mean")
+# (id, base, norming, prior or None): every base family, the stable family at
+# alpha = 1 with beta != 0 and at alpha = 1.5.
+_GRID_FAMILIES = [
+    ("gaussian", GaussianLaw(0.5, 1.0), NormingSequence(2.0, **_MEAN_CENTERED), ScaleLogNormal(0.0, 0.5)),
+    ("cauchy", CauchyLaw(0.0, 1.0), NormingSequence(1.0), ScaleLogNormal(0.0, 0.5)),
+    ("uniform", UniformLaw(-1.0, 2.0), NormingSequence(2.0, **_MEAN_CENTERED), None),
+    ("pareto-symmetric", SymmetricParetoLaw(1.5, 1.0), NormingSequence(1.5), ScaleLogNormal(0.0, 0.5)),
+    ("pareto-onesided", OneSidedParetoLaw(0.8, 1.0), NormingSequence(0.8), ScaleExponential(1.0)),
+    ("stable-1-skewed", StableLaw(StableParams(1.0, 0.2, 1.0, 0.5)), NormingSequence(1.0), ScaleLogNormal(0.0, 0.5)),
+    ("stable-1.5", StableLaw(StableParams(1.5, 0.3, 2.0, 0.5)), NormingSequence(1.5), ScaleLogNormal(0.0, 0.5)),
+    ("point", PointMassLaw(0.75), NormingSequence(1.0, **_MEAN_CENTERED), LocationGaussian(0.0, 1.0)),
+]
+_GRID_LAWS = [
+    pytest.param(DirectingLaw(base, None), norming, id=f"{name}-fixed")
+    for name, base, norming, _ in _GRID_FAMILIES
+] + [
+    pytest.param(DirectingLaw(base, prior), norming, id=f"{name}-prior")
+    for name, base, norming, prior in _GRID_FAMILIES
+    if prior is not None
+]
+
+
+class TestGridSums:
+    """The grid sampler against the per-length loop it replaced: one directing
+    draw and one restored row generator per replicate give the same bits as a
+    fresh generator per (replicate, row length)."""
+
+    # 3 and 64 fit in one column block; 16385 crosses it.
+    N_GRID = (3, 64, 16385)
+
+    @pytest.mark.parametrize("rows, threads", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("law, norming", _GRID_LAWS)
+    def test_matches_the_per_length_loop(self, law, norming, rows, threads):
+        grid = sample_grid_sums(law, norming, self.N_GRID, rows, seed=4, replicates=3, threads=threads)
+        reference = _per_length_reference(law, norming, self.N_GRID, rows, seed=4, replicates=3)
+        assert grid.shape == (3, 3, rows)
+        assert np.array_equal(grid, reference)
+
+    def test_array_sums_are_one_length_grids(self):
+        law = DirectingLaw(SymmetricParetoLaw(1.5, 1.0), ScaleLogNormal(0.0, 0.5))
+        norming = NormingSequence(alpha=1.5)
+        grid = sample_grid_sums(law, norming, (8, 64), rows=2, seed=6, replicates=4)
+        single = sample_array_sums(law, norming, n=64, rows=2, seed=6, replicates=4)
+        assert np.array_equal(grid[1], single)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_grid": ()}, "n_grid must hold at least one row length"),
+            ({"n_grid": (8, 4.5)}, r"n_grid: expected a positive integer, got 4\.5"),
+            ({"n_grid": (True,)}, "n_grid: expected a positive integer, got True"),
+            ({"n_grid": (8, 0)}, "n_grid: expected a positive integer, got 0"),
+            ({"n_grid": (8,), "threads": 0}, "threads: expected a positive integer, got 0"),
+            ({"n_grid": (8,), "threads": -7}, "threads: expected a positive integer, got -7"),
+            ({"n_grid": (8,), "rows": 2.5}, r"rows: expected a positive integer, got 2\.5"),
+            ({"n_grid": (8,), "replicates": 0}, "replicates: expected a positive integer, got 0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        law = DirectingLaw(CauchyLaw(0.0, 1.0))
+        arguments = {"rows": 1, "seed": 1, "replicates": 2, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            sample_grid_sums(law, NormingSequence(alpha=1.0), **arguments)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 4.5}, r"n_grid: expected a positive integer, got 4\.5"),
+            ({"n": 8, "threads": 0}, "threads: expected a positive integer, got 0"),
+            ({"n": 8, "threads": -7}, "threads: expected a positive integer, got -7"),
+        ],
+    )
+    def test_array_sums_reject_what_the_cli_rejects(self, kwargs, message):
+        law = DirectingLaw(CauchyLaw(0.0, 1.0))
+        with pytest.raises(ValueError, match=message):
+            sample_array_sums(law, NormingSequence(alpha=1.0), rows=1, seed=1, replicates=2, **kwargs)
+
+    def test_nonfinite_sums_name_their_row_length(self):
+        law = DirectingLaw(SymmetricParetoLaw(0.01, 1.0))
+        # The sums at n = 64 overflow on purpose, and NumPy warns as they do;
+        # those at n = 1 are finite.
+        with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
+            with pytest.warns(RuntimeWarning):
+                sample_grid_sums(law, NormingSequence(alpha=0.5), (1, 64), rows=1, seed=0, replicates=50)

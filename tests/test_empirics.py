@@ -217,6 +217,19 @@ class TestRunScenario:
         assert rep.config["seed"] == 4
         assert "total" in rep.runtimes
 
+    def test_runtimes_name_one_sampling_stage(self):
+        rep = run_scenario(self._fast("gauss-fixed"), seed=4)
+        assert list(rep.runtimes) == ["sample", "tables_n=64", "tables_n=256", "total"]
+
+    def test_thread_counts_below_one_are_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match=f"threads: expected a positive integer, got {threads}"):
+                run_scenario("point-mass", 0, threads=threads)
+
+    def test_nonpositive_row_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="n_grid: expected a positive integer, got 0"):
+            run_scenario(self._fast("gauss-fixed", cf_n_grid=(64, 0)), seed=0)
+
     def test_example1_carries_identity_and_joint_sections(self):
         rep = run_scenario(self._fast("example1", cf_replicates=500), seed=2)
         assert rep.identity is not None
