@@ -265,9 +265,19 @@ def _as_ints(value, path: str) -> tuple:
     return _as_list(value, path, _as_int, "integers")
 
 
+def _as_row_lengths(value, path: str) -> tuple:
+    """The simulated grid: one cf table, sup row and runtime per row length,
+    so a length may appear only once."""
+    lengths = _as_ints(value, path)
+    for j, n in enumerate(lengths):
+        if n in lengths[:j]:
+            raise ConfigError(f"{path}[{j}]: row length {n} appears more than once")
+    return lengths
+
+
 # Scenario key -> (ScenarioSpec field, parser taking the value and its path).
 _SCENARIO_FIELDS: Dict[str, Tuple[str, Callable]] = {
-    "n_grid": ("cf_n_grid", _as_ints),
+    "n_grid": ("cf_n_grid", _as_row_lengths),
     "replicates": ("cf_replicates", _as_int),
     "tau": ("tau", lambda v, p: _as_number(v, p, finite=False)),
     "alpha": ("alpha", _as_number),

@@ -135,9 +135,15 @@ class _RealizedLaw:
 
     Subclasses provide ``pdf`` and ``pieces`` (the support as disjoint
     intervals) and override whichever functionals they can do in closed form.
+
+    ``prefix_stable`` is True when ``sample`` fills its output one entry at a
+    time, so that ``sample(rng, a + b)[:a]`` is bit-identical to
+    ``sample(rng, a)`` from the same generator state: one stream then serves
+    every row length of a grid (:func:`sample_grid_sums`).
     """
 
     symmetric = False
+    prefix_stable = False
 
     def pdf(self, x: float) -> float:
         raise NotImplementedError
@@ -225,6 +231,8 @@ class _RealizedLaw:
 class GaussianLaw(_RealizedLaw):
     """Normal law with the given mean and standard deviation."""
 
+    prefix_stable = True
+
     mean_value: float
     sd: float
 
@@ -285,6 +293,8 @@ class GaussianLaw(_RealizedLaw):
 @dataclass(frozen=True)
 class CauchyLaw(_RealizedLaw):
     """Cauchy law with the given location and scale."""
+
+    prefix_stable = True
 
     location: float
     cscale: float
@@ -352,6 +362,8 @@ class CauchyLaw(_RealizedLaw):
 @dataclass(frozen=True)
 class UniformLaw(_RealizedLaw):
     """Uniform law on the interval [lo, hi]."""
+
+    prefix_stable = True
 
     lo: float
     hi: float
@@ -486,6 +498,8 @@ class SymmetricParetoLaw(_ParetoLaw):
 class OneSidedParetoLaw(_ParetoLaw):
     """Power-tail law supported on [pscale, +inf)."""
 
+    prefix_stable = True
+
     def pieces(self) -> Tuple[Tuple[float, float], ...]:
         return ((self.pscale, math.inf),)
 
@@ -598,6 +612,14 @@ class StableLaw(_RealizedLaw):
     def symmetric(self) -> bool:
         return self.params.beta == 0.0 and self.params.gamma == 0.0
 
+    @property
+    def prefix_stable(self) -> bool:
+        # The point-mass and Gaussian branches of the sampler fill their output
+        # entry by entry, and at alpha = 1, beta = 0 the output reads only u.
+        # Elsewhere it reads u and w, and every u is drawn before any w.
+        p = self.params
+        return p.c == 0.0 or p.alpha == 2.0 or (p.alpha == 1.0 and p.beta == 0.0)
+
     @functools.cached_property
     def _twin(self) -> Optional[_RealizedLaw]:
         p = self.params
@@ -677,6 +699,8 @@ class StableLaw(_RealizedLaw):
 @dataclass(frozen=True)
 class PointMassLaw(_RealizedLaw):
     """The deterministic law concentrated at one point."""
+
+    prefix_stable = True
 
     point: float
 
@@ -871,6 +895,31 @@ def _compensated_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, 
     return total
 
 
+def _prefix_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, n_grid: Sequence[int]) -> list[np.ndarray]:
+    """``_compensated_row_sums(p, rng, rows, n)`` for every n of ``n_grid``
+    from one pass over the stream of the largest n, for a prefix-stable p.
+
+    Column block b starts at stream position rows*b*_BLOCK at every row
+    length, and the first rows*m entries of a chunk are what a request for
+    rows*m entries would draw there, so each row length sums exactly the
+    blocks it would draw alone. Returns one array of ``rows`` sums per row
+    length.
+    """
+    n_max = max(n_grid)
+    total = [np.zeros(rows) for _ in n_grid]
+    comp = [np.zeros(rows) for _ in n_grid]
+    for c in range(0, n_max, _BLOCK):
+        chunk = p.sample(rng, rows * min(_BLOCK, n_max - c))
+        for j, n in enumerate(n_grid):
+            if n > c:
+                m = min(_BLOCK, n - c)
+                y = chunk[: rows * m].reshape(rows, m).sum(axis=1) - comp[j]
+                t = total[j] + y
+                comp[j] = (t - total[j]) - y
+                total[j] = t
+    return total
+
+
 def _worker_count(threads: int, replicates: int) -> int:
     """Threads to start for ``threads`` requested: never more than the
     machine's CPUs or the replicates to share out."""
@@ -908,10 +957,14 @@ def sample_grid_sums(
     [seed, k, 0]), which is ``draw_replicates(law, seed, replicates)[k]``,
     and serves every row length from it. Its rows at each row length are
     filled with entries i.i.d. given that measure from the same stream (seed
-    path [seed, k, 1]): one generator per replicate is built, and its
-    starting state is restored before each row length after the first, so
-    slice ``[j]`` is bit-identical to sampling ``n_grid[j]`` alone, as
-    :func:`sample_array_sums` does.
+    path [seed, k, 1]), and slice ``[j]`` is bit-identical to sampling
+    ``n_grid[j]`` alone, as :func:`sample_array_sums` does. One generator
+    per replicate is built. A prefix-stable realization
+    (``_RealizedLaw.prefix_stable``) draws the stream once, at the largest
+    row length, and every row length sums its own prefix blocks of it, so a
+    replicate draws rows * max(n_grid) entries; any other realization
+    restores the generator's starting state before each row length after
+    the first and draws rows * sum(n_grid).
     The output is bit-identical for a given seed no matter how many worker
     threads execute the replicates. ``threads`` is a cap: at most one thread
     per CPU and per replicate is started. A normed sum that is not finite
@@ -929,14 +982,20 @@ def sample_grid_sums(
     normings = [[norming_values(norming, n, realization=p) for n in n_grid] for p in realized]
 
     def work(k: int) -> None:
+        p = realized[k]
         row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
-        start = row_rng.bit_generator.state
-        for j, n in enumerate(n_grid):
-            if j:
-                # A restored generator yields exactly a fresh one's stream.
-                row_rng.bit_generator.state = start
-            b_n, c_n = normings[k][j]
-            values[j, k, :] = _compensated_row_sums(realized[k], row_rng, rows, n) / b_n - c_n
+        if p.prefix_stable:
+            sums = _prefix_row_sums(p, row_rng, rows, n_grid)
+        else:
+            start = row_rng.bit_generator.state
+            sums = []
+            for j, n in enumerate(n_grid):
+                if j:
+                    # A restored generator yields exactly a fresh one's stream.
+                    row_rng.bit_generator.state = start
+                sums.append(_compensated_row_sums(p, row_rng, rows, n))
+        for j, (b_n, c_n) in enumerate(normings[k]):
+            values[j, k, :] = sums[j] / b_n - c_n
 
     workers = _worker_count(threads, replicates)
     if workers > 1:

@@ -512,6 +512,9 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
         spec = get_scenario(spec)
     if not spec.cf_n_grid:
         raise ValueError(f"scenario {spec.name!r} has an empty row-length grid")
+    repeated = [n for j, n in enumerate(spec.cf_n_grid) if n in spec.cf_n_grid[:j]]
+    if repeated:
+        raise ValueError(f"scenario {spec.name!r} repeats row length {repeated[0]} in its grid")
     grid = spec.t_grid
 
     runtimes: Dict[str, float] = {}

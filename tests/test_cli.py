@@ -241,6 +241,16 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert fragment in err, f"expected {fragment!r} in diagnostic, got: {err}"
 
+    def test_repeated_row_length_is_a_config_error(self, tmp_path, capsys):
+        # Each row length gets one cf table, sup row and runtime entry, so a
+        # repeat would report one length twice under a single runtime key.
+        cfg = write_config(tmp_path, {"scenario": {"builtin": "gauss-fixed", "n_grid": [64, 16, 64]}, "seed": 1})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config error: config.scenario.n_grid[2]: row length 64 appears more than once" in err
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_norming_index_is_the_constant_norming(self, tmp_path, capsys):
         scenario = {
             "id": "constant-norming",

@@ -778,3 +778,81 @@ class TestGridSums:
         with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
             with pytest.warns(RuntimeWarning):
                 sample_grid_sums(law, NormingSequence(alpha=0.5), (1, 64), rows=1, seed=0, replicates=50)
+
+    # Unsorted, with a repeat; 40000 and 16385 both end in a partial block
+    # after full ones, at different column offsets.
+    HARD_GRID = (40000, 3, 16385, 3)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("law, norming", _GRID_LAWS)
+    def test_matches_the_per_length_loop_on_an_unsorted_grid_with_a_repeat(self, law, norming, rows):
+        grid = sample_grid_sums(law, norming, self.HARD_GRID, rows, seed=12, replicates=2)
+        reference = _per_length_reference(law, norming, self.HARD_GRID, rows, seed=12, replicates=2)
+        assert grid.shape == (4, 2, rows)
+        assert np.array_equal(grid, reference)
+
+    @pytest.mark.parametrize("law, norming", _GRID_LAWS)
+    def test_variates_drawn(self, monkeypatch, law, norming):
+        # A prefix-stable realization draws its stream once, at the largest
+        # row length; any other draws it again for every row length.
+        family = type(law.base)
+        requested = []
+        sample = family.sample
+
+        def counting(self, rng, size):
+            requested.append(size)
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(family, "sample", counting)
+        rows, replicates = 2, 3
+        sample_grid_sums(law, norming, self.HARD_GRID, rows, seed=5, replicates=replicates)
+        per_row = max(self.HARD_GRID) if law.base.prefix_stable else sum(self.HARD_GRID)
+        assert sum(requested) == replicates * rows * per_row
+
+    def test_nonfinite_sums_on_one_stream_name_their_row_length(self):
+        law = DirectingLaw(OneSidedParetoLaw(0.01, 1.0))
+        assert law.base.prefix_stable
+        # Entries overflow on purpose, and NumPy warns as they do. The sums at
+        # n = 1 are finite; some at 16 and more at 64 are not, and the grid
+        # names 64, its first row length with one.
+        with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
+            with pytest.warns(RuntimeWarning):
+                sample_grid_sums(law, NormingSequence(alpha=0.5), (1, 64, 16), rows=1, seed=0, replicates=50)
+
+
+def _concrete_families(cls):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _concrete_families(sub)
+
+
+# Every concrete family, and the stable family off and on each of its
+# closed-form twins: alpha = 2, c = 0, and alpha = 1 with beta = 0.
+_PREFIX_LAWS = [
+    GaussianLaw(0.5, 2.0),
+    CauchyLaw(1.0, 0.5),
+    UniformLaw(-1.0, 2.0),
+    SymmetricParetoLaw(1.5, 1.0),
+    OneSidedParetoLaw(0.8, 2.0),
+    StableLaw(StableParams(1.5, 0.3, 2.0, 0.5)),
+    StableLaw(StableParams(2.0, 0.3, 2.0, 0.0)),
+    StableLaw(StableParams(1.5, 0.3, 0.0, 0.5)),
+    StableLaw(StableParams(1.0, 0.3, 2.0, 0.0)),
+    PointMassLaw(0.75),
+]
+
+
+class TestPrefixStability:
+    """``prefix_stable`` says what the sampler does, so a sampler edit cannot
+    leave a wrong flag behind for :func:`sample_grid_sums` to trust."""
+
+    @pytest.mark.parametrize("a, b", [(5, 11), (1000, 3001)])
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_flag_holds_exactly_when_the_sampler_is_prefix_stable(self, law, a, b):
+        longer = law.sample(np.random.default_rng(23), a + b)
+        shorter = law.sample(np.random.default_rng(23), a)
+        assert np.array_equal(longer[:a], shorter) == law.prefix_stable
+
+    def test_every_concrete_family_is_checked(self):
+        assert set(_concrete_families(_RealizedLaw)) == {type(law) for law in _PREFIX_LAWS}

@@ -204,6 +204,10 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="row-length grid"):
             run_scenario(self._fast("gauss-fixed", cf_n_grid=()), seed=0)
 
+    def test_repeated_row_length_is_rejected(self):
+        with pytest.raises(ValueError, match="repeats row length 64"):
+            run_scenario(self._fast("gauss-fixed", cf_n_grid=(64, 16, 64)), seed=0)
+
     def test_report_tables_are_complete(self):
         rep = run_scenario(self._fast("gauss-fixed"), seed=4)
         assert rep.scenario == "gauss-fixed"
