@@ -3,8 +3,9 @@
 The Cauchy law can be written as a Gaussian whose variance is itself random.
 Integrating the Gaussian characteristic function against that variance law
 must reproduce exp(-|t|) exactly. This script shows the residual of the
-numerical quadrature over a grid of t values, and what happens when the
-identity is deliberately broken by one percent.
+numerical quadrature (a fixed trapezoid rule in log u, checked against the
+same rule at half the step) over a grid of t values, and what happens when
+the identity is deliberately broken by one percent.
 
 Run with: python3 demos/02_cauchy_identity.py
 """

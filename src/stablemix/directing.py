@@ -13,11 +13,13 @@ stable family with 1.1 <= alpha < 2 evaluates its functionals from the
 closed-form characteristic function (see :class:`StableLaw`); the rest goes
 through adaptive quadrature certified to 1e-10.
 
-Importing the module loads no SciPy module: each functional that needs one
-imports it on first call, through ``_ndtr``, ``_scaled_power_integral``,
-``quad`` or ``levy_stable`` below. The last two are module attributes that
-every call goes through, so a caller (a tracer, a test) can replace them and
-see each call.
+The closed forms need only ``math`` and NumPy: the normal cdf comes from
+``math.erf``/``math.erfc`` (``_ndtr``) and the one-sided Pareto smoothed mean
+from a positive series (``_scaled_power_integral``). Importing the module
+loads no SciPy module; the generic quadrature and the stable law off its
+closed-form region import theirs on first call, through ``quad`` or
+``levy_stable`` below. Those two are module attributes that every call goes
+through, so a caller (a tracer, a test) can replace them and see each call.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
 _QUAD_TOL = 1e-10
 _FAR_PIVOT = 8.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def quad(*args, **kwargs):
@@ -98,21 +101,35 @@ levy_stable = _LevyStable()
 
 
 def _ndtr(z: float) -> float:
-    """The standard normal cdf at z (``scipy.special.ndtr``)."""
-    from scipy.special import ndtr
-
-    return float(ndtr(z))
+    """The standard normal cdf at z, with the branches of cephes ``ndtr``:
+    erf near the centre, erfc of |x| in the tails, so the left tail keeps
+    its relative accuracy."""
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0 else tail
 
 
 def _scaled_power_integral(p: float, x: float) -> float:
     """x**-(p+1) * int_0^x v**p / (1 + v**2) dv for p > -1 and 0 < x <= 1.
 
-    It is 2F1(1, (p+1)/2; (p+3)/2; -x**2) / (p+1). The argument stays in
-    [-1, 0), where SciPy's ``hyp2f1`` agrees with mpmath to a few ulp.
+    It is 2F1(1, b; b+1; -y) / (p+1) with b = (p+1)/2 and y = x**2. The Pfaff
+    transformation turns that into 2F1(1, 1; b+1; w) / (1+y) with
+    w = y/(1+y) <= 1/2, a series of positive terms in which each term is at
+    most w times the one before; it stops once a term is below 2**-54 of the
+    sum, which also bounds the omitted tail.
     """
-    from scipy.special import hyp2f1
-
-    return float(hyp2f1(1.0, (p + 1.0) / 2.0, (p + 3.0) / 2.0, -x * x)) / (p + 1.0)
+    y = x * x
+    w = y / (1.0 + y)
+    c = (p + 3.0) / 2.0
+    term = total = 1.0
+    k = 0.0
+    while term > total * 2.0 ** -54:
+        term *= w * (k + 1.0) / (c + k)
+        total += term
+        k += 1.0
+    return total / ((p + 1.0) * (1.0 + y))
 
 
 def _certified_quad(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -531,9 +548,10 @@ class OneSidedParetoLaw(_ParetoLaw):
         """a * z**-a * int_0^z v**a / (1 + v**2) dv with z = b/pscale.
 
         That is a*z/(a+1) * 2F1(1, (a+1)/2; (a+3)/2; -z**2), and at a = 1 it
-        is log1p(z**2)/(2z). At arguments below -1 SciPy's ``hyp2f1`` loses
-        digits as (a-1)/2 nears an integer (8e-10 relative at a = 1 +- 1e-6), so for
-        z > 1 the integral is split at v = 1. In u = 1/v its part over (1, z]
+        is log1p(z**2)/(2z). The series of ``_scaled_power_integral`` has
+        ratio up to z**2/(1+z**2), which nears 1 as z grows, so for z > 1 the
+        integral is split at v = 1 and the series only ever sees x <= 1. In
+        u = 1/v its part over (1, z]
         is int_{1/z}^1 u**-a/(1+u**2) du, and K = floor((a + 3/2)/2) powers
         peel off, leaving a remainder with exponent 2K - a in (-1/2, 3/2]:
         u**-a/(1+u**2) = sum_{k<K} (-1)**k u**(2k-a) + (-1)**K u**(2K-a)/(1+u**2).
@@ -895,7 +913,9 @@ def _compensated_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, 
     return total
 
 
-def _prefix_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, n_grid: Sequence[int]) -> list[np.ndarray]:
+def _prefix_row_sums(
+    p: _RealizedLaw, rng: Optional[np.random.Generator], rows: int, n_grid: Sequence[int]
+) -> list[np.ndarray]:
     """``_compensated_row_sums(p, rng, rows, n)`` for every n of ``n_grid``
     from one pass over the stream of the largest n, for a prefix-stable p.
 
@@ -903,7 +923,8 @@ def _prefix_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, n_gri
     length, and the first rows*m entries of a chunk are what a request for
     rows*m entries would draw there, so each row length sums exactly the
     blocks it would draw alone. Returns one array of ``rows`` sums per row
-    length.
+    length. ``rng`` may be None for a point mass, whose ``sample`` draws
+    nothing.
     """
     n_max = max(n_grid)
     total = [np.zeros(rows) for _ in n_grid]
@@ -959,7 +980,8 @@ def sample_grid_sums(
     filled with entries i.i.d. given that measure from the same stream (seed
     path [seed, k, 1]), and slice ``[j]`` is bit-identical to sampling
     ``n_grid[j]`` alone, as :func:`sample_array_sums` does. One generator
-    per replicate is built. A prefix-stable realization
+    per replicate is built, and none for a point-mass realization, which
+    draws nothing: each distinct one is summed once. A prefix-stable realization
     (``_RealizedLaw.prefix_stable``) draws the stream once, at the largest
     row length, and every row length sums its own prefix blocks of it, so a
     replicate draws rows * max(n_grid) entries; any other realization
@@ -980,13 +1002,21 @@ def sample_grid_sums(
     # a worker; workers only draw entries.
     realized = draw_replicates(law, seed, replicates)
     normings = [[norming_values(norming, n, realization=p) for n in n_grid] for p in realized]
+    # A point mass draws nothing from its generator, so each distinct one is
+    # summed once, here, and its replicates build no generator.
+    constant_sums = {}
+    for p in realized:
+        if isinstance(p, PointMassLaw) and p not in constant_sums:
+            constant_sums[p] = _prefix_row_sums(p, None, rows, n_grid)
 
     def work(k: int) -> None:
         p = realized[k]
-        row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
-        if p.prefix_stable:
-            sums = _prefix_row_sums(p, row_rng, rows, n_grid)
+        if isinstance(p, PointMassLaw):
+            sums = constant_sums[p]
+        elif p.prefix_stable:
+            sums = _prefix_row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
         else:
+            row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
             start = row_rng.bit_generator.state
             sums = []
             for j, n in enumerate(n_grid):

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .stable import LevyKhintchinePair, StableParams, levy_khintchine_psi, stable_cf
 
 __all__ = [
@@ -103,35 +105,47 @@ def id_mixture_cf(ts: Sequence[float], mix: IDMixingMeasure) -> complex:
     return acc
 
 
+# The trapezoid rule of cauchy_from_gaussian_scale_mixture, in s = log u:
+# the coarse step and the range outside which the integrand is below 1e-17
+# for every t.
+_IDENTITY_STEP = 0.125
+_IDENTITY_RANGE = (-40.0, 4.0)
+_EPS = 2.0 ** -52
+
+
 def cauchy_from_gaussian_scale_mixture(t: float, quadrature_tol: float = 1e-10) -> float:
     """Evaluate the Gaussian scale mixture that reproduces exp(-|t|).
 
     Integrates exp(-t**2*s**2/2) against the mixing density
     sqrt(2/pi)*exp(-1/(2*s**2))/s**2 over s in (0, inf). The substitution
     u = 1/s turns the integrand into sqrt(2/pi)*exp(-u**2/2 - t**2/(2*u**2)),
-    which decays like a Gaussian on both ends and is easy to integrate
-    adaptively.
+    which decays like a Gaussian on both ends. In log u it is analytic in the
+    strip |Im| < pi/4 and decays at least exponentially on the real line, so
+    a trapezoid rule with a fixed step converges geometrically in 1/step
+    (Trefethen & Weideman, SIAM Review 56(3), 2014). The rule is applied at
+    step 1/8 and at step 1/16 on log u in [-40, 4]; the value is the finer
+    sum and the error estimate the gap between the two, but no less than
+    the rounding of the finer sum.
 
     :param t: evaluation point
-    :param quadrature_tol: absolute tolerance demanded from the quadrature
-    :raises RuntimeError: when the quadrature cannot certify the tolerance;
-        the message carries the achieved error estimate
+    :param quadrature_tol: absolute tolerance the error estimate must meet
+    :raises RuntimeError: when the error estimate exceeds the tolerance (or
+        is NaN); the message carries the achieved error estimate
     """
     if not quadrature_tol > 0:
         raise ValueError("quadrature_tol must be positive")
-    from scipy.integrate import quad
-
     t2 = float(t) * float(t)
-    const = math.sqrt(2.0 / math.pi)
-
-    def integrand(u: float) -> float:
-        if u == 0.0:
-            return 0.0 if t2 > 0 else const
-        return const * math.exp(-0.5 * u * u - 0.5 * t2 / (u * u))
-
-    result = quad(integrand, 0.0, math.inf, epsabs=quadrature_tol * 1e-2, epsrel=0.0, full_output=1)
-    value, abserr = result[0], result[1]
-    if len(result) > 3 or abserr > quadrature_tol:
+    lo, hi = _IDENTITY_RANGE
+    h = _IDENTITY_STEP
+    s = np.linspace(lo, hi, round(2.0 * (hi - lo) / h) + 1)
+    with np.errstate(over="ignore"):
+        g = math.sqrt(2.0 / math.pi) * np.exp(s - 0.5 * np.exp(2.0 * s) - 0.5 * t2 * np.exp(-2.0 * s))
+    coarse = h * math.fsum(g[::2])
+    value = 0.5 * h * math.fsum(g)
+    # The gap between the two sums cannot resolve an error below the
+    # rounding of the sum itself, one unit in the last place.
+    abserr = max(abs(value - coarse), _EPS * value)
+    if not abserr <= quadrature_tol:
         raise RuntimeError(
             f"quadrature did not certify tolerance {quadrature_tol:g} at t={t!r}: "
             f"achieved error estimate {abserr:g}"

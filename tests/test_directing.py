@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import hyp2f1, ndtr
 from scipy.stats import levy_stable, spearmanr
 
 from stablemix.directing import (
@@ -24,6 +24,8 @@ from stablemix.directing import (
     UniformLaw,
     _RealizedLaw,
     _compensated_row_sums,
+    _ndtr,
+    _scaled_power_integral,
     _worker_count,
     draw_replicates,
     sample_array_sums,
@@ -127,6 +129,35 @@ class TestQuadratureCertificate:
             CauchyLaw(0.0, 1.0).expect(lambda x: math.nan)
         with pytest.raises(RuntimeError, match=r"quadrature over \(-1\.0, 1\.0\)"):
             GaussianLaw(0.0, 1.0).integrate(lambda x: math.nan, -1.0, 1.0)
+
+
+class TestSpecialFunctions:
+    """The SciPy-free normal cdf and 2F1 series against the SciPy functions
+    they replaced."""
+
+    def test_ndtr_matches_scipy(self):
+        z = np.linspace(-38.0, 9.0, 40_001)
+        ours = np.array([_ndtr(float(v)) for v in z])
+        ref = ndtr(z)
+        assert np.max(np.abs(ours - ref)) <= 4.5e-16
+        positive = ref > 0
+        assert np.max(np.abs(ours - ref)[positive] / ref[positive]) <= 1e-12
+
+    def test_ndtr_edges(self):
+        assert _ndtr(0.0) == 0.5 and _ndtr(-0.0) == 0.5
+        assert _ndtr(math.inf) == 1.0 and _ndtr(-math.inf) == 0.0
+        assert math.isnan(_ndtr(math.nan))
+
+    def test_scaled_power_integral_matches_hyp2f1(self):
+        ps = np.concatenate([[-1.0 + 1e-12, -1.0 + 1e-6], np.linspace(-1.0, 4.5, 111)[1:]])
+        xs = np.concatenate([np.geomspace(1e-8, 1.0, 61), [0.3, 0.7, 0.999]])
+        worst = 0.0
+        for p in ps:
+            for x in xs:
+                p, x = float(p), float(x)
+                ref = float(hyp2f1(1.0, (p + 1.0) / 2.0, (p + 3.0) / 2.0, -x * x)) / (p + 1.0)
+                worst = max(worst, abs(_scaled_power_integral(p, x) - ref) / ref)
+        assert worst <= 1e-14
 
 
 class TestUniformLaw:
@@ -794,7 +825,8 @@ class TestGridSums:
     @pytest.mark.parametrize("law, norming", _GRID_LAWS)
     def test_variates_drawn(self, monkeypatch, law, norming):
         # A prefix-stable realization draws its stream once, at the largest
-        # row length; any other draws it again for every row length.
+        # row length; any other draws it again for every row length. A point
+        # mass is summed once per distinct realization.
         family = type(law.base)
         requested = []
         sample = family.sample
@@ -807,7 +839,27 @@ class TestGridSums:
         rows, replicates = 2, 3
         sample_grid_sums(law, norming, self.HARD_GRID, rows, seed=5, replicates=replicates)
         per_row = max(self.HARD_GRID) if law.base.prefix_stable else sum(self.HARD_GRID)
-        assert sum(requested) == replicates * rows * per_row
+        summed = len(set(draw_replicates(law, 5, replicates))) if family is PointMassLaw else replicates
+        assert sum(requested) == summed * rows * per_row
+
+    @pytest.mark.parametrize("prior, generators", [(None, 0), (LocationAtoms(((0.75, 0.5), (-2.0, 0.5))), 40)])
+    def test_point_mass_builds_no_row_generator(self, monkeypatch, prior, generators):
+        # Only the directing draws build a generator: one per replicate with
+        # a prior, none without; the sums keep the per-length loop's bits.
+        law = DirectingLaw(PointMassLaw(0.75), prior)
+        norming = NormingSequence(1.0, **_MEAN_CENTERED)
+        reference = _per_length_reference(law, norming, self.HARD_GRID, 2, seed=3, replicates=40)
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        grid = sample_grid_sums(law, norming, self.HARD_GRID, 2, seed=3, replicates=40, threads=2)
+        assert len(built) == generators
+        assert np.array_equal(grid, reference)
 
     def test_nonfinite_sums_on_one_stream_name_their_row_length(self):
         law = DirectingLaw(OneSidedParetoLaw(0.01, 1.0))

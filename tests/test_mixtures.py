@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stablemix.empirics import _IDENTITY_GRID
 from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import (
     IDMixingMeasure,
@@ -174,6 +175,27 @@ class TestScaleMixtureIdentity:
         assert cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=1e-12) == pytest.approx(
             math.exp(-1.0), abs=1e-11
         )
+
+    def test_rule_matches_adaptive_quadrature_on_the_identity_grid(self):
+        from scipy.integrate import quad
+
+        for t in _IDENTITY_GRID:
+            t2 = t * t
+
+            def integrand(u):
+                return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * u * u - 0.5 * t2 / (u * u)) if u else float(t2 == 0)
+
+            ref, err = quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=0.0, limit=200)
+            assert err <= 1e-13
+            assert cauchy_from_gaussian_scale_mixture(t) == pytest.approx(ref, abs=2e-13), f"t={t}"
+
+    def test_unreachable_tolerance_reports_its_estimate(self):
+        with pytest.raises(RuntimeError, match=r"tolerance 1e-18 at t=1\.0: achieved error estimate \d"):
+            cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=1e-18)
+
+    def test_nan_is_not_certified(self):
+        with pytest.raises(RuntimeError, match="achieved error estimate nan"):
+            cauchy_from_gaussian_scale_mixture(math.nan)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):

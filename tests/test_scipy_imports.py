@@ -1,4 +1,5 @@
-"""SciPy loads on first use, and the tracer still sees the names it patches."""
+"""SciPy loads on first use, the builtins and benchmark configs never need
+it, and the tracer still sees the names it patches."""
 
 import importlib.util
 import os
@@ -44,12 +45,28 @@ FOOTPRINT = textwrap.dedent(
     run_scenario(spec, seed=0)
     assert not scipy_modules(), f"run_scenario: {scipy_modules()[:5]}"
 
-    # A Gaussian base with truncated-mean centering needs ndtr for its
-    # norming constants; with two workers, no module may load off the main
-    # thread.
+    # The Gaussian family's functionals and the quadrature identity are
+    # closed-form or plain NumPy and load no SciPy module.
+    from stablemix.directing import GaussianLaw, sample_array_sums
+
+    centered = NormingSequence(2.0, centering_kind="n_times_truncated_mean", centering_tau=1.0)
+    sample_array_sums(DirectingLaw(GaussianLaw(0.5, 1.0)), centered, 16, 2, 0, replicates=8, threads=2)
+    assert not scipy_modules(), f"Gaussian sampling: {scipy_modules()[:5]}"
+    assert identity_residual() <= 1e-8
+    assert not scipy_modules(), f"identity_residual: {scipy_modules()[:5]}"
+
+    # A functional that imports a SciPy module while norming constants are
+    # computed does so on the calling thread: with two workers, no module
+    # may load off the main thread.
     import threading
 
-    from stablemix.directing import GaussianLaw, sample_array_sums
+
+    class SciPyGaussian(GaussianLaw):
+        def truncated_mean(self, bound):
+            import scipy.special
+
+            return super().truncated_mean(bound)
+
 
     off_main = []
 
@@ -58,19 +75,79 @@ FOOTPRINT = textwrap.dedent(
             off_main.append(args[0])
 
     sys.addaudithook(audit)
-    centered = NormingSequence(2.0, centering_kind="n_times_truncated_mean", centering_tau=1.0)
-    sample_array_sums(DirectingLaw(GaussianLaw(0.5, 1.0)), centered, 16, 2, 0, replicates=8, threads=2)
+    sample_array_sums(DirectingLaw(SciPyGaussian(0.5, 1.0)), centered, 16, 2, 0, replicates=8, threads=2)
     assert "scipy.special" in sys.modules and not off_main, off_main[:5]
+    """
+)
 
-    assert identity_residual() <= 1e-8
-    assert "scipy.integrate" in sys.modules
+# Every builtin, both benchmark configs and the identity check run with any
+# import of SciPy refused.
+BLOCKED = textwrap.dedent(
+    """
+    import contextlib
+    import dataclasses
+    import importlib.abc
+    import io
+    import json
+    import sys
+    import tempfile
+    from pathlib import Path
+
+
+    refused = []
+
+
+    class RefuseSciPy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                refused.append(name)
+                raise ImportError(f"{name} is refused")
+            return None
+
+
+    sys.meta_path.insert(0, RefuseSciPy())
+    sys.path.insert(0, sys.argv[1])
+
+    import run as perfbench
+    from stablemix import cli
+    from stablemix.criteria import NGrid
+    from stablemix.empirics import builtin_scenarios, get_scenario, run_scenario
+
+    for name in builtin_scenarios():
+        spec = dataclasses.replace(
+            get_scenario(name),
+            cf_n_grid=(64,),
+            cf_replicates=50,
+            checker_ngrid=NGrid((100, 1000), 100),
+        )
+        run_scenario(spec, seed=0)
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for op, seed in ((perfbench.LOGNORMAL_PARETO, 3), (perfbench.STABLE_LOGNORMAL, 5)):
+            config = Path(tmp) / f"{op.label}.json"
+            config.write_text(json.dumps(op.config), encoding="utf-8")
+            argv = ["simulate", "--config", str(config), "--seed", str(seed), "--out", tmp, "--threads", "1"]
+            assert cli.main(argv) == 0, op.label
+        assert cli.main(["verify-identity"]) == 0
+        assert cli.main(["verify-identity", "--perturb", "1.01"]) == 1
+    # An ImportError that a caller swallowed would still show here.
+    assert not refused, refused
     """
 )
 
 
-def test_scipy_loads_on_first_use_only():
+def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_loads_on_first_use_only():
+    done = _run(FOOTPRINT)
+    assert done.returncode == 0, done.stderr
+
+
+def test_builtins_and_benchmark_configs_run_without_scipy():
+    done = _run(BLOCKED, str(ROOT / "perfbench"))
     assert done.returncode == 0, done.stderr
 
 

@@ -20,19 +20,33 @@ A change that must keep the contract prints the same lines as its parent:
 ``--root`` names the source checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the checkout holding this script). Each line is
 ``<sha256>  <run>/<file>``; the exit code is 1 when a run fails.
+
+``--keep DIR`` also writes the bytes behind each line to ``DIR/<run>/<file>``,
+and ``--compare BEFORE AFTER`` reads two such directories instead of running
+anything. For each file that differs it prints the ``holds`` values of the
+report's verdicts before and after, then every numeric field that moved
+(list indices folded to ``[*]``) with its largest absolute change and where
+that change is; its exit code is 1 when a file differs:
+
+    python3 tools/contract_outputs.py --keep after > after.txt
+    python3 tools/contract_outputs.py --root ../parent --keep before > before.txt
+    python3 tools/contract_outputs.py --compare before after
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILTIN_SEEDS = (0, 1)
@@ -73,7 +87,17 @@ def residual_bytes(fits: Iterable[Tuple[float, float, float]]) -> bytes:
     return "".join(f"{fit!r}\n" for fit in fits).encode("utf-8")
 
 
-def residual_digest(label: str, seed: int, work: Path) -> str:
+def digest_line(name: str, data: bytes, keep: Optional[Path]) -> str:
+    """The digest line of one contract file; with ``keep``, its bytes are
+    written to ``keep/<name>`` too."""
+    if keep is not None:
+        path = keep / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
+def residual_digest(label: str, seed: int, work: Path, keep: Optional[Path] = None) -> str:
     """The digest line of every fit that the checkers' panel of one run holds:
     its distinct draws, at each checker row length."""
     from stablemix.cli import load_config
@@ -86,10 +110,10 @@ def residual_digest(label: str, seed: int, work: Path) -> str:
         for n in spec.checker_ngrid.values
         for params, residual in panel.fit_table(n, spec.alpha).values()
     )
-    return f"{hashlib.sha256(residual_bytes(fits)).hexdigest()}  {label}/residuals"
+    return digest_line(f"{label}/residuals", residual_bytes(fits), keep)
 
 
-def run_digests(main, label: str, config: dict, seed: int, work: Path) -> Iterator[str]:
+def run_digests(main, label: str, config: dict, seed: int, work: Path, keep: Optional[Path] = None) -> Iterator[str]:
     """Run one config through ``simulate`` and yield its digest lines."""
     config_path = work / f"{label}.config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -101,25 +125,109 @@ def run_digests(main, label: str, config: dict, seed: int, work: Path) -> Iterat
         raise RuntimeError(f"{label}: simulate exited {code}")
     for suffix in SUFFIXES:
         (path,) = out.glob(f"*.{suffix}")
-        digest = hashlib.sha256(contract_bytes(suffix, path.read_bytes())).hexdigest()
-        yield f"{digest}  {label}/{suffix}"
+        yield digest_line(f"{label}/{suffix}", contract_bytes(suffix, path.read_bytes()), keep)
+
+
+def _parsed(name: str, data: bytes) -> Any:
+    """A kept contract file as nested lists and dicts of its values."""
+    text = data.decode("utf-8")
+    if name.endswith(".json"):
+        return json.loads(text)
+    if name.endswith(".csv"):
+        return [{key: _number(value) for key, value in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    return [ast.literal_eval(line) for line in text.splitlines()]
+
+
+def _number(value: str) -> Any:
+    try:
+        return float(value)
+    except ValueError:
+        return value
+
+
+def _leaves(value: Any, path: str = "") -> Iterator[Tuple[str, Any]]:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
+    """The lines ``--compare`` prints for one file that differs."""
+    old, new = dict(_leaves(_parsed(name, before))), dict(_leaves(_parsed(name, after)))
+    lines = []
+    holds = [[value for path, value in leaves.items() if path.rsplit(".", 1)[-1] == "holds"] for leaves in (old, new)]
+    if any(holds):
+        lines.append(f"  holds before: {json.dumps(holds[0])}")
+        lines.append(f"  holds after:  {json.dumps(holds[1])}")
+    largest: Dict[str, Tuple[float, str, Any, Any]] = {}
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path), new.get(path)
+        if a == b or path.rsplit(".", 1)[-1] == "holds":
+            continue
+        if _is_number(a) and _is_number(b):
+            field = re.sub(r"\[\d+\]", "[*]", path)
+            change = abs(float(b) - float(a))
+            if field not in largest or not change <= largest[field][0]:
+                largest[field] = (change, path, a, b)
+        else:
+            lines.append(f"  {path}: {a!r} -> {b!r}")
+    for field, (change, path, a, b) in sorted(largest.items(), key=lambda item: -item[1][0]):
+        lines.append(f"  {field}: largest change {change:.3g} at {path} ({a!r} -> {b!r})")
+    return lines
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print how two ``--keep`` directories differ; 1 when a file does."""
+    names = sorted(
+        {str(path.relative_to(root)) for root in (before, after) for path in root.rglob("*") if path.is_file()}
+    )
+    differ = 0
+    for name in names:
+        old, new = before / name, after / name
+        if not (old.is_file() and new.is_file()):
+            differ += 1
+            print(f"{name}: only in {before if old.is_file() else after}")
+            continue
+        old_bytes, new_bytes = old.read_bytes(), new.read_bytes()
+        if old_bytes != new_bytes:
+            differ += 1
+            print(name)
+            for line in file_changes(name, old_bytes, new_bytes):
+                print(line)
+    print(f"{differ} of {len(names)} files differ")
+    return 1 if differ else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="source checkout to run (default: this one)")
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="also write each contract file to DIR/<run>/<file>")
+    parser.add_argument(
+        "--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"), help="compare two --keep directories and exit"
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     runs = contract_runs(args.root.resolve())
     from stablemix import cli
 
     with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
         try:
             for label, config, seed in runs:
-                for line in run_digests(cli.main, label, config, seed, Path(tmp)):
+                for line in run_digests(cli.main, label, config, seed, Path(tmp), args.keep):
                     print(line, flush=True)
             # The last two runs are the benchmark configs.
             for label, _, seed in runs[-2:]:
-                print(residual_digest(label, seed, Path(tmp)), flush=True)
+                print(residual_digest(label, seed, Path(tmp), args.keep), flush=True)
         except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
