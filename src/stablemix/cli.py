@@ -303,7 +303,6 @@ class ResolvedConfig:
 
     spec: ScenarioSpec
     seed: Optional[int]
-    threads: int
     out: Optional[str]
 
 
@@ -373,7 +372,7 @@ def _check_budget(spec: ScenarioSpec) -> None:
             )
 
 
-def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Optional[int] = None) -> ResolvedConfig:
+def load_config(path: str, seed_flag: Optional[int] = None) -> ResolvedConfig:
     """Parse and validate a JSON config file into a runnable configuration.
 
     Seed resolution order: --seed flag, then the STABLEMIX_SEED environment
@@ -391,7 +390,7 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(raw, "config", required=("scenario",), optional=("seed", "threads", "out"))
+    _check_keys(raw, "config", required=("scenario",), optional=("seed", "out"))
     spec = _build_scenario(raw["scenario"], "config.scenario")
     _check_budget(spec)
     _require_runnable(spec, spec.checkers, "config.scenario.checkers")
@@ -411,17 +410,11 @@ def load_config(path: str, seed_flag: Optional[int] = None, threads_flag: Option
     elif "seed" in scenario_obj:
         seed = _as_int(scenario_obj["seed"], "config.scenario.seed", least=0)
 
-    threads = 1
-    if threads_flag is not None:
-        threads = _as_int(threads_flag, "--threads")
-    elif "threads" in raw:
-        threads = _as_int(raw["threads"], "config.threads")
-
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("config.out: expected a directory path string")
 
-    return ResolvedConfig(spec, seed, threads, out)
+    return ResolvedConfig(spec, seed, out)
 
 
 def _report_payload(report: ScenarioReport) -> Dict[str, object]:
@@ -455,12 +448,10 @@ def _resolve_out(config: ResolvedConfig, out_flag: Optional[str]) -> Path:
     return out
 
 
-def _seeded_config(
-    args: argparse.Namespace, threads: Optional[int] = None, criterion: Optional[str] = None
-) -> Optional[ResolvedConfig]:
+def _seeded_config(args: argparse.Namespace, criterion: Optional[str] = None) -> Optional[ResolvedConfig]:
     """The config the arguments name, or None after printing why it is unusable."""
     try:
-        config = load_config(args.config, args.seed, threads)
+        config = load_config(args.config, args.seed)
         if criterion is not None:
             _require_runnable(config.spec, (criterion,), "check")
         if config.seed is None:
@@ -474,11 +465,11 @@ def _seeded_config(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _seeded_config(args, threads=args.threads)
+    config = _seeded_config(args)
     if config is None:
         return EXIT_CONFIG
     try:
-        report = run_scenario(config.spec, config.seed, threads=config.threads)
+        report = run_scenario(config.spec, config.seed)
         out = _resolve_out(config, args.out)
         report_path = out / f"{report.scenario}.report.json"
         cf_path = out / f"{report.scenario}.cf.csv"
@@ -565,7 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a scenario and write report files")
     simulate.add_argument("--config", required=True, help="path to a JSON config file")
     simulate.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    simulate.add_argument("--threads", type=int, default=None, help="worker cap; results are unchanged")
+    # Parsed and read by nothing: the benchmark runner still passes it.
+    simulate.add_argument("--threads", type=int, default=None, help="ignored; sampling runs in one thread")
     simulate.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
     simulate.set_defaults(func=cmd_simulate)
 

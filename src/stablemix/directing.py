@@ -27,8 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -873,6 +871,13 @@ def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
     return getattr(law.base, f"with_{law.randomizer.slot}")(value)
 
 
+def _check_positive(name: str, value) -> None:
+    """A ValueError naming ``name`` unless ``value`` is a positive integer;
+    a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name}: expected a positive integer, got {value!r}")
+
+
 def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_RealizedLaw]:
     """Realize the directing measure once per replicate index.
 
@@ -883,48 +888,28 @@ def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_Real
     these realizations describe exactly the arrays simulated under the same
     seed.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    _check_positive("replicates", replicates)
     return [_draw_at(law, seed, k) for k in range(replicates)]
 
 
 _BLOCK = 1 << 14
 
 
-def _compensated_row_sums(p: _RealizedLaw, rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """Row sums of a rows-by-n conditionally i.i.d. block.
+def _row_sums(
+    p: _RealizedLaw, rng: Optional[np.random.Generator], rows: int, n_grid: Sequence[int]
+) -> list[np.ndarray]:
+    """Row sums of rows-by-n conditionally i.i.d. blocks, for every n of
+    ``n_grid``, from one pass over the stream of the largest n.
 
     Entries are generated in column blocks; block subtotals use pairwise
     summation and are folded into a per-row compensated accumulator, so heavy
-    tails at large n do not erode the sum.
-    """
-    total = np.zeros(rows)
-    comp = np.zeros(rows)
-    remaining = n
-    while remaining > 0:
-        m = min(_BLOCK, remaining)
-        block = p.sample(rng, rows * m).reshape(rows, m)
-        subtotal = block.sum(axis=1)
-        y = subtotal - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        remaining -= m
-    return total
-
-
-def _prefix_row_sums(
-    p: _RealizedLaw, rng: Optional[np.random.Generator], rows: int, n_grid: Sequence[int]
-) -> list[np.ndarray]:
-    """``_compensated_row_sums(p, rng, rows, n)`` for every n of ``n_grid``
-    from one pass over the stream of the largest n, for a prefix-stable p.
-
-    Column block b starts at stream position rows*b*_BLOCK at every row
-    length, and the first rows*m entries of a chunk are what a request for
-    rows*m entries would draw there, so each row length sums exactly the
-    blocks it would draw alone. Returns one array of ``rows`` sums per row
-    length. ``rng`` may be None for a point mass, whose ``sample`` draws
-    nothing.
+    tails at large n do not erode the sum. Column block b starts at stream
+    position rows*b*_BLOCK at every row length, and the first rows*m entries
+    of a chunk are what a request for rows*m entries would draw there, so for
+    a prefix-stable p each row length sums exactly the blocks it would draw
+    alone; any other p needs a one-length ``n_grid``. Returns one array of
+    ``rows`` sums per row length. ``rng`` may be None for a point mass, whose
+    ``sample`` draws nothing.
     """
     n_max = max(n_grid)
     total = [np.zeros(rows) for _ in n_grid]
@@ -941,22 +926,15 @@ def _prefix_row_sums(
     return total
 
 
-def _worker_count(threads: int, replicates: int) -> int:
-    """Threads to start for ``threads`` requested: never more than the
-    machine's CPUs or the replicates to share out."""
-    return min(threads, os.cpu_count() or 1, replicates)
-
-
-def _check_grid(n_grid: Sequence[int], rows: int, replicates: int, threads: int) -> Tuple[int, ...]:
+def _check_grid(n_grid: Sequence[int], rows: int, replicates: int) -> Tuple[int, ...]:
     """The row lengths of ``n_grid`` as a tuple, after the argument checks of
     :func:`sample_grid_sums`; each failure is a ValueError naming its argument."""
     n_grid = tuple(n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one row length")
-    named = [("n_grid", n) for n in n_grid] + [("rows", rows), ("replicates", replicates), ("threads", threads)]
+    named = [("n_grid", n) for n in n_grid] + [("rows", rows), ("replicates", replicates)]
     for name, value in named:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name}: expected a positive integer, got {value!r}")
+        _check_positive(name, value)
     return n_grid
 
 
@@ -967,7 +945,6 @@ def sample_grid_sums(
     rows: int,
     seed: int,
     replicates: int = 1,
-    threads: int = 1,
 ) -> np.ndarray:
     """Simulate replicated exchangeable arrays along a grid of row lengths and
     return their normed row sums.
@@ -980,41 +957,32 @@ def sample_grid_sums(
     filled with entries i.i.d. given that measure from the same stream (seed
     path [seed, k, 1]), and slice ``[j]`` is bit-identical to sampling
     ``n_grid[j]`` alone, as :func:`sample_array_sums` does. One generator
-    per replicate is built, and none for a point-mass realization, which
-    draws nothing: each distinct one is summed once. A prefix-stable realization
+    per replicate is built, and none for a point-mass realization (a
+    ``PointMassLaw``, or a ``StableLaw`` at c = 0), which draws nothing:
+    each distinct one is summed once. A prefix-stable realization
     (``_RealizedLaw.prefix_stable``) draws the stream once, at the largest
     row length, and every row length sums its own prefix blocks of it, so a
     replicate draws rows * max(n_grid) entries; any other realization
     restores the generator's starting state before each row length after
-    the first and draws rows * sum(n_grid).
-    The output is bit-identical for a given seed no matter how many worker
-    threads execute the replicates. ``threads`` is a cap: at most one thread
-    per CPU and per replicate is started. A normed sum that is not finite
+    the first and draws rows * sum(n_grid). A normed sum that is not finite
     (an overflow under extreme tails) is a RuntimeError naming the first row
-    length that has one. An empty ``n_grid``, and a row length, ``rows``,
-    ``replicates`` or ``threads`` that is not a positive integer, are
-    ValueErrors naming the argument.
+    length that has one. An empty ``n_grid``, and a row length, ``rows`` or
+    ``replicates`` that is not a positive integer, are ValueErrors naming
+    the argument.
     """
-    n_grid = _check_grid(n_grid, rows, replicates, threads)
+    n_grid = _check_grid(n_grid, rows, replicates)
     values = np.empty((len(n_grid), replicates, rows))
-    # Realizations and norming constants are computed in the calling thread,
-    # so a SciPy module that a functional imports on first use never loads in
-    # a worker; workers only draw entries.
-    realized = draw_replicates(law, seed, replicates)
-    normings = [[norming_values(norming, n, realization=p) for n in n_grid] for p in realized]
     # A point mass draws nothing from its generator, so each distinct one is
-    # summed once, here, and its replicates build no generator.
+    # summed once and its replicates build no generator.
     constant_sums = {}
-    for p in realized:
-        if isinstance(p, PointMassLaw) and p not in constant_sums:
-            constant_sums[p] = _prefix_row_sums(p, None, rows, n_grid)
-
-    def work(k: int) -> None:
-        p = realized[k]
-        if isinstance(p, PointMassLaw):
-            sums = constant_sums[p]
+    for k, p in enumerate(draw_replicates(law, seed, replicates)):
+        point = p._twin if isinstance(p, StableLaw) else p
+        if isinstance(point, PointMassLaw):
+            if point not in constant_sums:
+                constant_sums[point] = _row_sums(point, None, rows, n_grid)
+            sums = constant_sums[point]
         elif p.prefix_stable:
-            sums = _prefix_row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
+            sums = _row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
         else:
             row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
             start = row_rng.bit_generator.state
@@ -1023,17 +991,10 @@ def sample_grid_sums(
                 if j:
                     # A restored generator yields exactly a fresh one's stream.
                     row_rng.bit_generator.state = start
-                sums.append(_compensated_row_sums(p, row_rng, rows, n))
-        for j, (b_n, c_n) in enumerate(normings[k]):
+                sums.append(_row_sums(p, row_rng, rows, (n,))[0])
+        for j, n in enumerate(n_grid):
+            b_n, c_n = norming_values(norming, n, realization=p)
             values[j, k, :] = sums[j] / b_n - c_n
-
-    workers = _worker_count(threads, replicates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(replicates)))
-    else:
-        for k in range(replicates):
-            work(k)
     # The message keeps the name that callers have always matched on.
     for n, at_n in zip(n_grid, values):
         nonfinite = int(np.count_nonzero(~np.isfinite(at_n)))
@@ -1052,14 +1013,12 @@ def sample_array_sums(
     rows: int,
     seed: int,
     replicates: int = 1,
-    threads: int = 1,
 ) -> np.ndarray:
     """Simulate replicated exchangeable arrays and return their normed row sums.
 
     The result is a ``(replicates, rows)`` float array: entry ``[k, i]`` is
     the normed sum of row i of replicate k, the one-length case of
-    :func:`sample_grid_sums` with the same seed paths, thread cap and
-    errors. Replicate k's rows are i.i.d. given
-    ``draw_replicates(law, seed, replicates)[k]``.
+    :func:`sample_grid_sums` with the same seed paths and errors. Replicate
+    k's rows are i.i.d. given ``draw_replicates(law, seed, replicates)[k]``.
     """
-    return sample_grid_sums(law, norming, (n,), rows, seed, replicates, threads)[0]
+    return sample_grid_sums(law, norming, (n,), rows, seed, replicates)[0]

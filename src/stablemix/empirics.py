@@ -489,7 +489,7 @@ def _config_echo(spec: ScenarioSpec, seed: int) -> Dict[str, object]:
     }
 
 
-def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1) -> ScenarioReport:
+def run_scenario(spec: Union[ScenarioSpec, str], seed: int) -> ScenarioReport:
     """Execute one scenario end to end and assemble its report.
 
     Simulates row sums along the scenario's row-length grid with one
@@ -502,8 +502,7 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
     realization ``draw_replicates(spec.law, seed, 1)[0]``. It runs the
     scenario's criterion checkers under ``spec.stat_config`` and, when the
     scenario asks for it, adds the joint-factorization table on
-    ``spec.joint_grid`` and the quadrature identity residual. ``threads``
-    caps the sampler's worker threads and changes no result. ``runtimes``
+    ``spec.joint_grid`` and the quadrature identity residual. ``runtimes``
     holds ``sample`` (the sampler call), ``tables_n=<n>`` per row length,
     ``joint_table``, ``identity`` and ``check_<criterion>`` when they run,
     and ``total``.
@@ -528,7 +527,7 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int, *, threads: int = 1)
     first_draw = draw_replicates(spec.law, seed, 1)[0]
     t_start = time.perf_counter()
     grid_sums = sample_grid_sums(
-        spec.law, spec.norming, spec.cf_n_grid, rows_needed, seed, spec.cf_replicates, threads
+        spec.law, spec.norming, spec.cf_n_grid, rows_needed, seed, spec.cf_replicates
     )
     runtimes["sample"] = time.perf_counter() - t_start
     for n, sums in zip(spec.cf_n_grid, grid_sums):

@@ -1,7 +1,6 @@
 """Tests for directing laws, realized functionals, and normed row sums."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -22,11 +21,10 @@ from stablemix.directing import (
     StableLaw,
     SymmetricParetoLaw,
     UniformLaw,
+    _BLOCK,
     _RealizedLaw,
-    _compensated_row_sums,
     _ndtr,
     _scaled_power_integral,
-    _worker_count,
     draw_replicates,
     sample_array_sums,
     sample_grid_sums,
@@ -612,11 +610,7 @@ class TestRowSums:
         norming = NormingSequence(alpha=1.0)
         first = sample_array_sums(law, norming, n=128, rows=2, seed=42, replicates=50)
         second = sample_array_sums(law, norming, n=128, rows=2, seed=42, replicates=50)
-        threaded = sample_array_sums(
-            law, norming, n=128, rows=2, seed=42, replicates=50, threads=4
-        )
         assert np.array_equal(first, second)
-        assert np.array_equal(first, threaded)
         other_seed = sample_array_sums(law, norming, n=128, rows=2, seed=43, replicates=50)
         assert not np.array_equal(first, other_seed)
 
@@ -643,22 +637,6 @@ class TestRowSums:
         with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
             with pytest.warns(RuntimeWarning):
                 sample_array_sums(law, NormingSequence(alpha=0.5), n=64, rows=1, seed=0, replicates=50)
-
-
-class TestWorkerCount:
-    """The sampler's thread pool is capped by CPUs and replicates. The cap is
-    tested on the helper alone, without starting any pool."""
-
-    def test_clamps_to_cpus_and_replicates(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _worker_count(10**9, 200) == 4
-        assert _worker_count(2, 200) == 2
-        assert _worker_count(8, 3) == 3
-        assert _worker_count(1, 200) == 1
-
-    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(16, 200) == 1
 
 
 class TestDirectingDraws:
@@ -710,6 +688,28 @@ class TestDirectingDraws:
         assert draw_replicates(law, 5, 20) == expected
 
 
+def _compensated_row_sums(p, rng, rows, n):
+    """Row sums of a rows-by-n conditionally i.i.d. block.
+
+    Entries are generated in column blocks; block subtotals use pairwise
+    summation and are folded into a per-row compensated accumulator, so heavy
+    tails at large n do not erode the sum.
+    """
+    total = np.zeros(rows)
+    comp = np.zeros(rows)
+    remaining = n
+    while remaining > 0:
+        m = min(_BLOCK, remaining)
+        block = p.sample(rng, rows * m).reshape(rows, m)
+        subtotal = block.sum(axis=1)
+        y = subtotal - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        remaining -= m
+    return total
+
+
 def _per_length_reference(law, norming, n_grid, rows, seed, replicates):
     """Row sums sampled one (replicate, row length) at a time, each from a
     fresh generator on the replicate's row stream: the sampler's loop before
@@ -755,10 +755,10 @@ class TestGridSums:
     # 3 and 64 fit in one column block; 16385 crosses it.
     N_GRID = (3, 64, 16385)
 
-    @pytest.mark.parametrize("rows, threads", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("law, norming", _GRID_LAWS)
-    def test_matches_the_per_length_loop(self, law, norming, rows, threads):
-        grid = sample_grid_sums(law, norming, self.N_GRID, rows, seed=4, replicates=3, threads=threads)
+    def test_matches_the_per_length_loop(self, law, norming, rows):
+        grid = sample_grid_sums(law, norming, self.N_GRID, rows, seed=4, replicates=3)
         reference = _per_length_reference(law, norming, self.N_GRID, rows, seed=4, replicates=3)
         assert grid.shape == (3, 3, rows)
         assert np.array_equal(grid, reference)
@@ -777,8 +777,6 @@ class TestGridSums:
             ({"n_grid": (8, 4.5)}, r"n_grid: expected a positive integer, got 4\.5"),
             ({"n_grid": (True,)}, "n_grid: expected a positive integer, got True"),
             ({"n_grid": (8, 0)}, "n_grid: expected a positive integer, got 0"),
-            ({"n_grid": (8,), "threads": 0}, "threads: expected a positive integer, got 0"),
-            ({"n_grid": (8,), "threads": -7}, "threads: expected a positive integer, got -7"),
             ({"n_grid": (8,), "rows": 2.5}, r"rows: expected a positive integer, got 2\.5"),
             ({"n_grid": (8,), "replicates": 0}, "replicates: expected a positive integer, got 0"),
         ],
@@ -790,17 +788,21 @@ class TestGridSums:
             sample_grid_sums(law, NormingSequence(alpha=1.0), **arguments)
 
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "function, kwargs, message",
         [
-            ({"n": 4.5}, r"n_grid: expected a positive integer, got 4\.5"),
-            ({"n": 8, "threads": 0}, "threads: expected a positive integer, got 0"),
-            ({"n": 8, "threads": -7}, "threads: expected a positive integer, got -7"),
+            (
+                sample_array_sums,
+                {"norming": NormingSequence(alpha=1.0), "n": 4.5, "rows": 1, "replicates": 2},
+                r"n_grid: expected a positive integer, got 4\.5",
+            ),
+            (draw_replicates, {"replicates": 2.5}, r"replicates: expected a positive integer, got 2\.5"),
+            (draw_replicates, {"replicates": True}, "replicates: expected a positive integer, got True"),
         ],
     )
-    def test_array_sums_reject_what_the_cli_rejects(self, kwargs, message):
+    def test_public_entry_points_reject_what_the_cli_rejects(self, function, kwargs, message):
         law = DirectingLaw(CauchyLaw(0.0, 1.0))
         with pytest.raises(ValueError, match=message):
-            sample_array_sums(law, NormingSequence(alpha=1.0), rows=1, seed=1, replicates=2, **kwargs)
+            function(law, seed=1, **kwargs)
 
     def test_nonfinite_sums_name_their_row_length(self):
         law = DirectingLaw(SymmetricParetoLaw(0.01, 1.0))
@@ -842,11 +844,19 @@ class TestGridSums:
         summed = len(set(draw_replicates(law, 5, replicates))) if family is PointMassLaw else replicates
         assert sum(requested) == summed * rows * per_row
 
-    @pytest.mark.parametrize("prior, generators", [(None, 0), (LocationAtoms(((0.75, 0.5), (-2.0, 0.5))), 40)])
-    def test_point_mass_builds_no_row_generator(self, monkeypatch, prior, generators):
+    @pytest.mark.parametrize(
+        "base, prior, generators",
+        [
+            (PointMassLaw(0.75), None, 0),
+            (PointMassLaw(0.75), LocationAtoms(((0.75, 0.5), (-2.0, 0.5))), 40),
+            (StableLaw(StableParams(1.5, 0.75, 0.0, 0.0)), None, 0),
+        ],
+    )
+    def test_point_mass_builds_no_row_generator(self, monkeypatch, base, prior, generators):
         # Only the directing draws build a generator: one per replicate with
-        # a prior, none without; the sums keep the per-length loop's bits.
-        law = DirectingLaw(PointMassLaw(0.75), prior)
+        # a prior, none without; the sums keep the per-length loop's bits. A
+        # stable law at c = 0 is its point-mass twin.
+        law = DirectingLaw(base, prior)
         norming = NormingSequence(1.0, **_MEAN_CENTERED)
         reference = _per_length_reference(law, norming, self.HARD_GRID, 2, seed=3, replicates=40)
         built = []
@@ -857,7 +867,7 @@ class TestGridSums:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
-        grid = sample_grid_sums(law, norming, self.HARD_GRID, 2, seed=3, replicates=40, threads=2)
+        grid = sample_grid_sums(law, norming, self.HARD_GRID, 2, seed=3, replicates=40)
         assert len(built) == generators
         assert np.array_equal(grid, reference)
 

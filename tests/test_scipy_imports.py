@@ -25,6 +25,7 @@ FOOTPRINT = textwrap.dedent(
 
 
     assert not scipy_modules(), f"import: {scipy_modules()[:5]}"
+    assert "concurrent.futures" not in sys.modules
 
     from stablemix.criteria import DrawPanel, NGrid, StatTestConfig, check_stable_mixture
     from stablemix.directing import DirectingLaw, ScaleLogNormal, StableLaw
@@ -50,33 +51,10 @@ FOOTPRINT = textwrap.dedent(
     from stablemix.directing import GaussianLaw, sample_array_sums
 
     centered = NormingSequence(2.0, centering_kind="n_times_truncated_mean", centering_tau=1.0)
-    sample_array_sums(DirectingLaw(GaussianLaw(0.5, 1.0)), centered, 16, 2, 0, replicates=8, threads=2)
+    sample_array_sums(DirectingLaw(GaussianLaw(0.5, 1.0)), centered, 16, 2, 0, replicates=8)
     assert not scipy_modules(), f"Gaussian sampling: {scipy_modules()[:5]}"
     assert identity_residual() <= 1e-8
     assert not scipy_modules(), f"identity_residual: {scipy_modules()[:5]}"
-
-    # A functional that imports a SciPy module while norming constants are
-    # computed does so on the calling thread: with two workers, no module
-    # may load off the main thread.
-    import threading
-
-
-    class SciPyGaussian(GaussianLaw):
-        def truncated_mean(self, bound):
-            import scipy.special
-
-            return super().truncated_mean(bound)
-
-
-    off_main = []
-
-    def audit(event, args):
-        if event == "import" and threading.current_thread() is not threading.main_thread():
-            off_main.append(args[0])
-
-    sys.addaudithook(audit)
-    sample_array_sums(DirectingLaw(SciPyGaussian(0.5, 1.0)), centered, 16, 2, 0, replicates=8, threads=2)
-    assert "scipy.special" in sys.modules and not off_main, off_main[:5]
     """
 )
 
@@ -126,7 +104,7 @@ BLOCKED = textwrap.dedent(
         for op, seed in ((perfbench.LOGNORMAL_PARETO, 3), (perfbench.STABLE_LOGNORMAL, 5)):
             config = Path(tmp) / f"{op.label}.json"
             config.write_text(json.dumps(op.config), encoding="utf-8")
-            argv = ["simulate", "--config", str(config), "--seed", str(seed), "--out", tmp, "--threads", "1"]
+            argv = ["simulate", "--config", str(config), "--seed", str(seed), "--out", tmp]
             assert cli.main(argv) == 0, op.label
         assert cli.main(["verify-identity"]) == 0
         assert cli.main(["verify-identity", "--perturb", "1.01"]) == 1

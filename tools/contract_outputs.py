@@ -2,7 +2,7 @@
 """Print the sha256 of every output of the behaviour contract.
 
 The contract (ROADMAP.md, "Contracts") is three files per run of CLI
-``simulate --threads 1``: ``report.json`` without its ``runtimes`` field,
+``simulate``: ``report.json`` without its ``runtimes`` field,
 ``cf.csv`` and ``quantities.csv``. The runs are the 9 builtin scenarios at
 seeds 0 and 1, the Pareto benchmark config at seed 3 and the stable
 benchmark config at seed 5: 60 outputs. The two benchmark configs are read
@@ -118,7 +118,7 @@ def run_digests(main, label: str, config: dict, seed: int, work: Path, keep: Opt
     config_path = work / f"{label}.config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out = work / label
-    argv = ["simulate", "--config", str(config_path), "--seed", str(seed), "--out", str(out), "--threads", "1"]
+    argv = ["simulate", "--config", str(config_path), "--seed", str(seed), "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code != 0:
