@@ -24,6 +24,7 @@ from stablemix.directing import (
     _BLOCK,
     _RealizedLaw,
     _ndtr,
+    _row_sums,
     _scaled_power_integral,
     draw_replicates,
     sample_array_sums,
@@ -755,13 +756,29 @@ class TestGridSums:
     # 3 and 64 fit in one column block; 16385 crosses it.
     N_GRID = (3, 64, 16385)
 
+    @pytest.mark.parametrize(
+        "n_grid",
+        # The longest row length first and a repeated one: the sampler serves
+        # the grid in any order, each length as if sampled alone.
+        [pytest.param(N_GRID, id="ascending"), pytest.param((16385, 3, 64, 3), id="unordered")],
+    )
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("law, norming", _GRID_LAWS)
-    def test_matches_the_per_length_loop(self, law, norming, rows):
-        grid = sample_grid_sums(law, norming, self.N_GRID, rows, seed=4, replicates=3)
-        reference = _per_length_reference(law, norming, self.N_GRID, rows, seed=4, replicates=3)
-        assert grid.shape == (3, 3, rows)
+    def test_matches_the_per_length_loop(self, law, norming, rows, n_grid):
+        grid = sample_grid_sums(law, norming, n_grid, rows, seed=4, replicates=3)
+        reference = _per_length_reference(law, norming, n_grid, rows, seed=4, replicates=3)
+        assert grid.shape == (len(n_grid), 3, rows)
         assert np.array_equal(grid, reference)
+
+    @pytest.mark.parametrize("n", [1, _BLOCK + 1])
+    @pytest.mark.parametrize("base", [pytest.param(base, id=name) for name, base, _, _ in _GRID_FAMILIES])
+    def test_one_length_row_sums_are_the_compensated_routine(self, base, n):
+        # The surviving routine at one row length does the reference's
+        # floating-point operations and draws: equal sums, equal end state.
+        rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+        (sums,) = _row_sums(base, rng, 2, (n,))
+        assert np.array_equal(sums, _compensated_row_sums(base, reference_rng, 2, n))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_array_sums_are_one_length_grids(self):
         law = DirectingLaw(SymmetricParetoLaw(1.5, 1.0), ScaleLogNormal(0.0, 0.5))
