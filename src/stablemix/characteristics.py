@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import AtomicMeasure
 from .mixtures import MixingMeasure
-from .stable import NormingSequence, StableParams, norming_values
+from .stable import NormingSequence, StableParams, _require_positive, norming_values
 
 __all__ = [
     "SpectralParams",
@@ -67,6 +67,15 @@ _CUM_FLOOR = 1e-12
 # distinct atom locations: 2048 keeps it at 32 MiB. A spectral fit on the
 # default grid has 40.
 _MAX_CRITICAL_LOCATIONS = 2048
+
+
+def _require_alpha(alpha: float) -> None:
+    """A ValueError unless the tail index ``alpha`` lies in (0, 1) or (1, 2),
+    at least 1e-3 away from 1; written so that a NaN is rejected too."""
+    if not 0.0 < alpha < 2.0 or abs(alpha - 1.0) < 1e-3:
+        raise ValueError(
+            f"tail index must lie in (0, 1) or (1, 2), away from 1, got {alpha}"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,7 @@ class CharQuantities:
 
 def trunc_mean(p, norming: NormingSequence, n: int, tau: float) -> float:
     """Scaled truncated mean (n/b_n) * int_{|x| <= tau*b_n} x p(dx)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _require_positive("tau", tau)
     b = norming.b(n)
     return (n / b) * p.truncated_mean(tau * b)
 
@@ -134,8 +142,7 @@ def smooth_mean(p, norming: NormingSequence, n: int) -> float:
 
 def trunc_variance(p, norming: NormingSequence, n: int, eta: float) -> float:
     """Truncated variance (n/b_n**2)[int x**2 - (int x)**2] over |x| <= eta*b_n."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _require_positive("eta", eta)
     b = norming.b(n)
     bound = eta * b
     first = p.truncated_mean(bound)
@@ -168,8 +175,7 @@ def sigma_bar_proxy(p, norming: NormingSequence, n_window: Sequence[int]) -> flo
 
 def tail_mass_quantity(p, norming: NormingSequence, n: int, eps: float) -> float:
     """Two-sided tail quantity n * p({|x| > eps*b_n}), nonnegative."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("eps", eps)
     return n * p.tail_mass(eps * norming.b(n))
 
 
@@ -179,8 +185,7 @@ def tail_moment_ratio(p, x: float) -> float:
     Diagnoses the tail index: regularly varying tails with index a0 in (0, 2)
     drive the ratio to (2 - a0)/a0.
     """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
+    _require_positive("x", x)
     denom = p.truncated_second(x)
     if denom <= 0:
         raise ValueError(f"truncated second moment vanishes at x = {x}")
@@ -507,8 +512,7 @@ def dsharp(
     the distances between those atoms are computed once and serve as the
     critical set of every segment's Levy-Prokhorov search.
     """
-    if not r_max > 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    _require_positive("r_max", r_max)
     if mu.atoms == nu.atoms:
         return 0.0
 
@@ -598,10 +602,7 @@ def pushforward_alpha(nu12_atoms: Sequence[NuAtom], alpha: float) -> Pushforward
     gamma_consistent rather than raised, so callers can surface it as
     evidence.
     """
-    if not (0.0 < alpha < 2.0) or abs(alpha - 1.0) < 1e-3:
-        raise ValueError(
-            f"alpha must lie in (0,1) or (1,2) and away from 1 by 1e-3, got {alpha}"
-        )
+    _require_alpha(alpha)
     atoms = list(nu12_atoms)
     if not atoms:
         raise ValueError("need at least one atom")
@@ -678,8 +679,7 @@ def accompanying_pair(
       mu_n_tau = n*(m + E[(Y-m)/(1+(Y-m)**2)]) - c_n
       psi_n_tau(B) = n*E[(Y-m)**2/(1+(Y-m)**2); (Y-m) in B].
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _require_positive("tau", tau)
     b, c_n = norming_values(norming, n, realization=p)
     m = p.truncated_mean(tau * b) / b
 

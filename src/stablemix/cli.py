@@ -11,11 +11,14 @@ results (up to wall-clock runtime fields).
 Exit codes form a stable contract:
     0  pass / success
     1  runtime failure (including a failed identity verification)
-    2  configuration error (schema, unknown keys, missing or negative seed,
-       a count below 1, a NaN or infinite number (only the norming index
-       may be Infinity), a tolerance or tau that is not finite and positive,
-       a grid over WORK_BUDGET, bad criterion, or a criterion that needs a
-       tail index the scenario lacks or has out of range)
+    2  configuration error, found before anything is simulated (schema,
+       unknown keys, missing or negative seed, a count below 1, a NaN or
+       infinite number (only the norming index may be Infinity), a tolerance
+       or tau that is not finite and positive, a row length below 2 or
+       repeated in n_grid, a grid over WORK_BUDGET, bad or repeated
+       criterion, a criterion that needs a tail index the scenario lacks or
+       has out of range, or, when sec5 runs, an x_grid that is not positive
+       and increasing)
     3  criterion checked and failed
     4  criterion inconclusive at the configured sample sizes
 """
@@ -265,19 +268,9 @@ def _as_ints(value, path: str) -> tuple:
     return _as_list(value, path, _as_int, "integers")
 
 
-def _as_row_lengths(value, path: str) -> tuple:
-    """The simulated grid: one cf table, sup row and runtime per row length,
-    so a length may appear only once."""
-    lengths = _as_ints(value, path)
-    for j, n in enumerate(lengths):
-        if n in lengths[:j]:
-            raise ConfigError(f"{path}[{j}]: row length {n} appears more than once")
-    return lengths
-
-
 # Scenario key -> (ScenarioSpec field, parser taking the value and its path).
 _SCENARIO_FIELDS: Dict[str, Tuple[str, Callable]] = {
-    "n_grid": ("cf_n_grid", _as_row_lengths),
+    "n_grid": ("cf_n_grid", _as_ints),
     "replicates": ("cf_replicates", _as_int),
     "tau": ("tau", lambda v, p: _as_number(v, p, finite=False)),
     "alpha": ("alpha", _as_number),
@@ -348,13 +341,6 @@ def _build_scenario(obj, path: str) -> ScenarioSpec:
     return _apply_overrides(spec, obj, path)
 
 
-def _require_runnable(spec: ScenarioSpec, criteria: Sequence[str], path: str) -> None:
-    """Reject, before anything is simulated, an unknown criterion or one that
-    needs a tail index the scenario lacks or has out of range."""
-    for name in criteria:
-        _construct(path, _checker_args, spec, name)
-
-
 def _check_budget(spec: ScenarioSpec) -> None:
     """Reject a grid whose replicates x rows x (sum of row lengths) exceeds
     WORK_BUDGET, before anything is drawn. The checker grid has one row."""
@@ -393,7 +379,6 @@ def load_config(path: str, seed_flag: Optional[int] = None) -> ResolvedConfig:
     _check_keys(raw, "config", required=("scenario",), optional=("seed", "out"))
     spec = _build_scenario(raw["scenario"], "config.scenario")
     _check_budget(spec)
-    _require_runnable(spec, spec.checkers, "config.scenario.checkers")
 
     scenario_obj = raw["scenario"] if isinstance(raw["scenario"], dict) else {}
     seed: Optional[int] = None
@@ -453,7 +438,7 @@ def _seeded_config(args: argparse.Namespace, criterion: Optional[str] = None) ->
     try:
         config = load_config(args.config, args.seed)
         if criterion is not None:
-            _require_runnable(config.spec, (criterion,), "check")
+            _construct("check", _checker_args, config.spec, criterion)
         if config.seed is None:
             raise ConfigError(
                 "no seed given: pass --seed, set STABLEMIX_SEED, or add 'seed' to the config"

@@ -49,6 +49,7 @@ import numpy as np
 from .characteristics import (
     _SYMMETRY_REL,
     SpectralParams,
+    _require_alpha,
     fit_spectrum,
     proxy_window,
     pushforward_alpha,
@@ -83,18 +84,21 @@ __all__ = [
     "check_sec5_conditions",
 ]
 
-CRITERION_NAMES = (
-    "uan",
-    "gaussian_mixture",
-    "degenerate",
-    "stable_mixture",
-    "cauchy_mixture",
-    "wlln",
-    "row_gaussian",
-    "row_stable",
-    "row_cauchy",
-    "sec5",
-)
+# Criterion name -> (checker in this module, ScenarioSpec fields passed
+# between the panel and the config).
+_CHECKERS = {
+    "uan": ("check_uan", ()),
+    "gaussian_mixture": ("check_gaussian_mixture", ("tau",)),
+    "degenerate": ("check_degenerate", ("tau",)),
+    "stable_mixture": ("check_stable_mixture", ("alpha",)),
+    "cauchy_mixture": ("check_cauchy_mixture", ()),
+    "wlln": ("check_wlln", ("tau",)),
+    "row_gaussian": ("check_single_row_gaussian", ("tau",)),
+    "row_stable": ("check_single_row_stable", ("alpha",)),
+    "row_cauchy": ("check_single_row_cauchy", ()),
+    "sec5": ("check_sec5_conditions", ("alpha", "x_grid")),
+}
+CRITERION_NAMES = tuple(_CHECKERS)
 
 _TAIL_EPS = (0.1, 1.0)
 _MAX_EXACT_ATOMS = 12
@@ -163,13 +167,6 @@ class CriterionVerdict:
     holds: Optional[bool]
     evidence: Dict[str, object]
     estimated_limit: Optional[Dict[str, object]] = None
-
-
-def _require_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 2.0 or abs(alpha - 1.0) < 1e-3:
-        raise ValueError(
-            f"tail index must lie in (0, 1) or (1, 2), away from 1, got {alpha}"
-        )
 
 
 class DrawPanel:
@@ -885,6 +882,17 @@ def check_single_row_cauchy(panel: DrawPanel, config: StatTestConfig) -> Criteri
     return _row_stable_verdict("row_cauchy", panel, 1.0, config)
 
 
+def _require_levels(x_grid: Sequence[float]) -> List[float]:
+    """The truncation levels of ``x_grid`` as floats: at least two, positive
+    and increasing, else a ValueError; written so that a NaN is rejected too."""
+    levels = [float(x) for x in x_grid]
+    if len(levels) < 2:
+        raise ValueError("x_grid needs at least two truncation levels")
+    if not levels[0] > 0 or any(not b > a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"x_grid must be positive and increasing, got {x_grid}")
+    return levels
+
+
 def check_sec5_conditions(
     panel: DrawPanel, alpha: float, x_grid: Sequence[float], config: StatTestConfig
 ) -> CriterionVerdict:
@@ -899,12 +907,7 @@ def check_sec5_conditions(
     experimental in the evidence.
     """
     _require_alpha(alpha)
-    levels = [float(x) for x in x_grid]
-    if len(levels) < 2:
-        raise ValueError("x_grid needs at least two truncation levels")
-    # Written so that a NaN level is rejected too.
-    if not levels[0] > 0 or any(not b > a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"x_grid must be positive and increasing, got {x_grid}")
+    levels = _require_levels(x_grid)
 
     target_ratio = (2.0 - alpha) / alpha
 

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .measures import _check_weights
 from .stable import (
     NormingSequence,
     StableParams,
@@ -39,6 +40,7 @@ from .stable import (
     _fourier_region,
     _fourier_smoothed,
     _fourier_truncated,
+    _require_positive,
     norming_values,
     replicate_seed,
     sample_stable_with,
@@ -252,8 +254,7 @@ class GaussianLaw(_RealizedLaw):
     sd: float
 
     def __post_init__(self) -> None:
-        if self.sd <= 0:
-            raise ValueError(f"sd must be positive, got {self.sd}")
+        _require_positive("sd", self.sd)
 
     @property
     def symmetric(self) -> bool:
@@ -315,8 +316,7 @@ class CauchyLaw(_RealizedLaw):
     cscale: float
 
     def __post_init__(self) -> None:
-        if self.cscale <= 0:
-            raise ValueError(f"scale must be positive, got {self.cscale}")
+        _require_positive("scale", self.cscale)
 
     @property
     def symmetric(self) -> bool:
@@ -442,10 +442,8 @@ class _ParetoLaw(_RealizedLaw):
     pscale: float
 
     def __post_init__(self) -> None:
-        if self.tail_index <= 0:
-            raise ValueError(f"tail_index must be positive, got {self.tail_index}")
-        if self.pscale <= 0:
-            raise ValueError(f"scale must be positive, got {self.pscale}")
+        _require_positive("tail_index", self.tail_index)
+        _require_positive("scale", self.pscale)
 
     def truncated_second(self, bound: float) -> float:
         a0, s = self.tail_index, self.pscale
@@ -762,15 +760,10 @@ class _AtomPrior:
     atoms: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("prior needs at least one atom")
-        weights = [w for _, w in self.atoms]
-        if any(w <= 0 for w in weights):
-            raise ValueError("prior weights must be positive")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"prior weights must sum to 1, got {math.fsum(weights)!r}")
-        if self.slot == "dispersion" and any(v <= 0 for v, _ in self.atoms):
-            raise ValueError("dispersion values must be positive")
+        _check_weights([w for _, w in self.atoms])
+        if self.slot == "dispersion":
+            for v, _ in self.atoms:
+                _require_positive("dispersion value", v)
 
     def draw(self, rng: np.random.Generator) -> float:
         values = [v for v, _ in self.atoms]
@@ -798,8 +791,7 @@ class ScaleExponential:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _require_positive("rate", self.rate)
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
@@ -814,8 +806,7 @@ class ScaleLogNormal:
     log_sd: float
 
     def __post_init__(self) -> None:
-        if self.log_sd <= 0:
-            raise ValueError(f"log_sd must be positive, got {self.log_sd}")
+        _require_positive("log_sd", self.log_sd)
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.log_mean, self.log_sd))
@@ -837,8 +828,7 @@ class LocationGaussian:
     sd: float
 
     def __post_init__(self) -> None:
-        if self.sd <= 0:
-            raise ValueError(f"sd must be positive, got {self.sd}")
+        _require_positive("sd", self.sd)
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.normal(self.mean, self.sd))

@@ -24,14 +24,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .characteristics import char_quantities
+from .characteristics import _require_alpha, char_quantities, proxy_window
 from .criteria import (
+    _CHECKERS,
     CRITERION_NAMES,
     NGrid,
     StatTestConfig,
     CriterionVerdict,
     DrawPanel,
-    _require_alpha,
+    _require_levels,
     check_cauchy_mixture,
     check_degenerate,
     check_gaussian_mixture,
@@ -53,6 +54,7 @@ from .directing import (
     ScaleExponential,
     SymmetricParetoLaw,
     UniformLaw,
+    _check_grid,
     draw_replicates,
     sample_array_sums,  # not called here; perfbench/spans.py patches this name
     sample_grid_sums,
@@ -194,6 +196,14 @@ class ScenarioSpec:
     is designed to satisfy. ``t_grid`` is the one dimensional grid of the
     cf tables, ``joint_grid`` the (t, s) grid of the joint table, and
     ``stat_config`` the tolerances every checker uses.
+
+    The spec validates itself on construction, so a scenario that cannot
+    run is a ValueError before anything is drawn: ``tau`` must be finite
+    and positive; ``cf_n_grid`` must be nonempty, with each row length an
+    integer of at least 2 that appears once, and ``cf_replicates`` a
+    positive integer; each checker must be a known criterion that appears
+    once, with the tail index it needs in (0, 1) or (1, 2) and, for
+    ``sec5``, an ``x_grid`` that is positive and increasing.
     """
 
     name: str
@@ -224,6 +234,15 @@ class ScenarioSpec:
             raise ValueError("the scenario grid must be one dimensional")
         if self.joint_grid.ndim != 2:
             raise ValueError("the joint grid must consist of (t, s) pairs")
+        grid = _check_grid(self.cf_n_grid, 2 if self.joint else 1, self.cf_replicates)
+        for j, n in enumerate(grid):
+            proxy_window(n)  # the quantities table needs n >= 2
+            if n in grid[:j]:
+                raise ValueError(f"scenario {self.name!r} repeats row length {n} in its grid")
+        for j, criterion in enumerate(self.checkers):
+            _checker_args(self, criterion)
+            if criterion in self.checkers[:j]:
+                raise ValueError(f"scenario {self.name!r} repeats checker {criterion!r}")
 
     def target_cf(self, t: float) -> Optional[complex]:
         if self.target_fn is not None:
@@ -262,6 +281,23 @@ class ScenarioReport:
                     raise ValueError(
                         f"empirical value at t={row['t']} has modulus {modulus}"
                     )
+
+
+def _checker_args(spec: ScenarioSpec, criterion: str) -> list:
+    """The scenario fields ``criterion`` takes after its panel. An unknown
+    criterion, a tail index it needs that the scenario lacks or has outside
+    (0, 1) or (1, 2), or an ``x_grid`` it reads that is not positive and
+    increasing, is a ValueError."""
+    if criterion not in CRITERION_NAMES:
+        raise ValueError(f"unknown criterion {criterion!r}; known: {', '.join(CRITERION_NAMES)}")
+    fields = _CHECKERS[criterion][1]
+    if "alpha" in fields:
+        if spec.alpha is None:
+            raise ValueError(f"scenario {spec.name!r} does not define the tail index {criterion!r} needs")
+        _require_alpha(spec.alpha)
+    if "x_grid" in fields:
+        _require_levels(spec.x_grid)
+    return [getattr(spec, f) for f in fields]
 
 
 def _gauss_expmix_cf(t: float) -> complex:
@@ -427,38 +463,9 @@ def get_scenario(name: str) -> ScenarioSpec:
         raise ValueError(f"unknown scenario {name!r}; builtins: {known}") from None
 
 
-# Criterion name -> (checker in this module, ScenarioSpec fields passed
-# between the panel and the config). The checker is looked up by name at
-# call time, so a replaced module attribute is the one that runs.
-_CHECKERS = {
-    "uan": ("check_uan", ()),
-    "gaussian_mixture": ("check_gaussian_mixture", ("tau",)),
-    "degenerate": ("check_degenerate", ("tau",)),
-    "stable_mixture": ("check_stable_mixture", ("alpha",)),
-    "cauchy_mixture": ("check_cauchy_mixture", ()),
-    "wlln": ("check_wlln", ("tau",)),
-    "row_gaussian": ("check_single_row_gaussian", ("tau",)),
-    "row_stable": ("check_single_row_stable", ("alpha",)),
-    "row_cauchy": ("check_single_row_cauchy", ()),
-    "sec5": ("check_sec5_conditions", ("alpha", "x_grid")),
-}
-
-
-def _checker_args(spec: ScenarioSpec, criterion: str) -> list:
-    """The scenario fields ``criterion`` takes after its panel. An unknown
-    criterion, or a tail index it needs that the scenario lacks or has
-    outside (0, 1) or (1, 2), is a ValueError."""
-    if criterion not in CRITERION_NAMES:
-        raise ValueError(f"unknown criterion {criterion!r}; known: {', '.join(CRITERION_NAMES)}")
-    fields = _CHECKERS[criterion][1]
-    if "alpha" in fields:
-        if spec.alpha is None:
-            raise ValueError(f"scenario {spec.name!r} does not define the tail index {criterion!r} needs")
-        _require_alpha(spec.alpha)
-    return [getattr(spec, f) for f in fields]
-
-
 def _run_checker(spec: ScenarioSpec, criterion: str, panel: DrawPanel) -> CriterionVerdict:
+    # The checker is looked up by name in this module at call time, so a
+    # replaced module attribute is the one that runs.
     args = _checker_args(spec, criterion)
     return globals()[_CHECKERS[criterion][0]](panel, *args, spec.stat_config)
 
@@ -509,11 +516,6 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int) -> ScenarioReport:
     """
     if isinstance(spec, str):
         spec = get_scenario(spec)
-    if not spec.cf_n_grid:
-        raise ValueError(f"scenario {spec.name!r} has an empty row-length grid")
-    repeated = [n for j, n in enumerate(spec.cf_n_grid) if n in spec.cf_n_grid[:j]]
-    if repeated:
-        raise ValueError(f"scenario {spec.name!r} repeats row length {repeated[0]} in its grid")
     grid = spec.t_grid
 
     runtimes: Dict[str, float] = {}

@@ -11,11 +11,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["AtomicMeasure"]
+
+_WEIGHT_TOL = 1e-12
+
+
+def _check_weights(weights: Sequence[float]) -> None:
+    """A ValueError unless ``weights``, the weights of a finite prior or
+    mixture, are positive and sum to 1 within 1e-12; written so that a NaN
+    weight is rejected too."""
+    if not weights:
+        raise ValueError("need at least one atom")
+    if not all(w > 0 for w in weights):
+        raise ValueError("weights must be positive")
+    total = math.fsum(weights)
+    if not abs(total - 1.0) <= _WEIGHT_TOL:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)

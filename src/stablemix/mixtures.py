@@ -16,6 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .measures import _check_weights
 from .stable import LevyKhintchinePair, StableParams, levy_khintchine_psi, stable_cf
 
 __all__ = [
@@ -26,19 +27,6 @@ __all__ = [
     "id_mixture_cf",
     "cauchy_from_gaussian_scale_mixture",
 ]
-
-_WEIGHT_TOL = 1e-12
-
-
-def _check_weights(weights: Sequence[float]) -> None:
-    if not weights:
-        raise ValueError("a mixing measure needs at least one atom")
-    if any(w <= 0 for w in weights):
-        raise ValueError("mixing weights must be strictly positive")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"mixing weights must sum to 1, got {total!r}")
-
 
 @dataclass(frozen=True)
 class MixingMeasure:

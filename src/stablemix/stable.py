@@ -101,6 +101,13 @@ class LevyKhintchinePair:
             raise TypeError("rho must be an AtomicMeasure")
 
 
+def _require_positive(name: str, value: float) -> None:
+    """A ValueError naming ``name`` unless ``value`` is positive; written so
+    that a NaN is rejected too."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 _SLOW_KINDS = ("constant", "log_power", "loglog_power")
 _CENTERING_KINDS = ("zero", "n_times_mean", "n_times_truncated_mean")
 
@@ -133,16 +140,15 @@ class NormingSequence:
             raise ValueError(f"norming index must lie in (0, 2] or be inf, got {self.alpha}")
         if self.slow_kind not in _SLOW_KINDS:
             raise ValueError(f"slow_kind must be one of {_SLOW_KINDS}, got {self.slow_kind!r}")
-        if self.slow_kind != "constant" and self.slow_power <= 0:
+        if self.slow_kind != "constant" and not self.slow_power > 0:
             raise ValueError("slow_power must be positive for varying slow factors")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _require_positive("scale", self.scale)
         if self.centering_kind not in _CENTERING_KINDS:
             raise ValueError(
                 f"centering_kind must be one of {_CENTERING_KINDS}, got {self.centering_kind!r}"
             )
         if self.centering_kind == "n_times_truncated_mean":
-            if self.centering_tau is None or self.centering_tau <= 0:
+            if self.centering_tau is None or not self.centering_tau > 0:
                 raise ValueError("n_times_truncated_mean centering needs a positive centering_tau")
 
     def slow_value(self, n: int) -> float:

@@ -630,7 +630,7 @@ class TestPushforwardAlpha:
 
     def test_rejections(self):
         good = SpectralParams(1.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError, match=r"tail index .* got 1\.0005"):
             pushforward_alpha([(0.0, good, 1.0)], 1.0005)
         with pytest.raises(ValueError, match="does not match"):
             pushforward_alpha([(0.0, SpectralParams(1.2, 0.5, 0.5), 1.0)], 1.5)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stablemix import cli
+from stablemix import cli, empirics
 from stablemix.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -200,16 +200,23 @@ class TestConfigErrors:
             # Sample sizes below 1 are config errors, not sampler failures.
             ({"builtin": "example1", "replicates": 0}, "config error: config.scenario.replicates: must be at least 1, got 0"),
             ({"builtin": "example1", "n_grid": [0, 8]}, "config error: config.scenario.n_grid[0]: must be at least 1, got 0"),
-            # A checker that cannot run is rejected before anything is simulated.
+            # A checker or grid that cannot run is rejected before anything is simulated.
             (
                 {"builtin": "gauss-fixed", "checkers": ["stable_mixture"]},
-                "config error: config.scenario.checkers: "
+                "config error: config.scenario: "
                 "scenario 'gauss-fixed' does not define the tail index 'stable_mixture' needs",
             ),
             (
                 {"builtin": "pareto-mix", "alpha": 1.0},
-                "config error: config.scenario.checkers: tail index must lie in (0, 1) or (1, 2), away from 1, got 1.0",
+                "config error: config.scenario: tail index must lie in (0, 1) or (1, 2), away from 1, got 1.0",
             ),
+            (
+                {"builtin": "pareto-mix", "x_grid": [1000.0, 100.0]},
+                "config error: config.scenario: x_grid must be positive and increasing, got (1000.0, 100.0)",
+            ),
+            ({"builtin": "pareto-mix", "x_grid": [100.0]}, "config error: config.scenario: x_grid needs at least two truncation levels"),
+            ({"builtin": "gauss-fixed", "n_grid": [1, 16]}, "config error: config.scenario: n must be at least 2, got 1"),
+            ({"builtin": "point-mass", "checkers": ["uan", "uan"]}, "config error: config.scenario: scenario 'point-mass' repeats checker 'uan'"),
             # json accepts NaN and Infinity tokens; a tolerance or tau must be finite and positive.
             (
                 {"builtin": "gauss-fixed", "stat_config": {"delta": math.nan}},
@@ -234,12 +241,15 @@ class TestConfigErrors:
             ),
         ],
     )
-    def test_inline_scenario_field_validation(self, tmp_path, capsys, scenario, fragment):
+    def test_inline_scenario_field_validation(self, tmp_path, capsys, monkeypatch, scenario, fragment):
+        sampled = []
+        monkeypatch.setattr(empirics, "sample_grid_sums", lambda *args, **kwargs: sampled.append(args))
         cfg = write_config(tmp_path, {"scenario": scenario, "seed": 1})
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert fragment in err, f"expected {fragment!r} in diagnostic, got: {err}"
+        assert not sampled, "a config error was found only after sampling"
 
     def test_repeated_row_length_is_a_config_error(self, tmp_path, capsys):
         # Each row length gets one cf table, sup row and runtime entry, so a
@@ -248,7 +258,7 @@ class TestConfigErrors:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "config error: config.scenario.n_grid[2]: row length 64 appears more than once" in err
+        assert "config error: config.scenario: scenario 'gauss-fixed' repeats row length 64 in its grid" in err
         assert not (tmp_path / "out").exists()
 
     def test_infinite_norming_index_is_the_constant_norming(self, tmp_path, capsys):

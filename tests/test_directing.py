@@ -7,6 +7,7 @@ import pytest
 from scipy.special import hyp2f1, ndtr
 from scipy.stats import levy_stable, spearmanr
 
+from stablemix.characteristics import tail_mass_quantity, trunc_mean
 from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
@@ -30,6 +31,7 @@ from stablemix.directing import (
     sample_array_sums,
     sample_grid_sums,
 )
+from stablemix.mixtures import MixingMeasure
 from stablemix.stable import (
     NormingSequence,
     StableParams,
@@ -389,6 +391,36 @@ class TestStableLaw:
         law = StableLaw(StableParams(1.5, 0.0, 1.0, 0.3))
         mass = law.integrate(lambda x: 1.0, -1.0, 2.0)
         assert mass == pytest.approx(law.cdf(2.0) - law.cdf(-1.0), abs=1e-7)
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (lambda: GaussianLaw(0.0, _NAN), "sd must be positive, got nan"),
+        (lambda: CauchyLaw(0.0, _NAN), "scale must be positive, got nan"),
+        (lambda: SymmetricParetoLaw(_NAN, 1.0), "tail_index must be positive, got nan"),
+        (lambda: ScaleExponential(_NAN), "rate must be positive, got nan"),
+        (lambda: ScaleAtoms(((1.0, _NAN), (2.0, 0.5))), "weights must be positive"),
+        # A NaN scale atom would realize CauchyLaw(0, nan).
+        (lambda: ScaleAtoms(((_NAN, 1.0),)), "dispersion value must be positive, got nan"),
+        (
+            lambda: MixingMeasure(((StableParams(1.0, 0.0, 1.0, 0.0), _NAN),)),
+            "weights must be positive",
+        ),
+        (lambda: NormingSequence(1.0, scale=_NAN), "scale must be positive, got nan"),
+        (lambda: trunc_mean(GaussianLaw(0.0, 1.0), NormingSequence(2.0), 10, _NAN), "tau must be positive, got nan"),
+        (
+            lambda: tail_mass_quantity(GaussianLaw(0.0, 1.0), NormingSequence(2.0), 10, _NAN),
+            "eps must be positive, got nan",
+        ),
+    ],
+)
+def test_nan_parameter_or_weight_is_a_value_error(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
 
 
 class TestDrawDirecting:

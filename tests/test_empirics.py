@@ -201,7 +201,7 @@ class TestRunScenario:
         return replace(spec, **defaults)
 
     def test_empty_row_grid_is_rejected(self):
-        with pytest.raises(ValueError, match="row-length grid"):
+        with pytest.raises(ValueError, match="n_grid must hold at least one row length"):
             run_scenario(self._fast("gauss-fixed", cf_n_grid=()), seed=0)
 
     def test_repeated_row_length_is_rejected(self):
