@@ -63,7 +63,7 @@ from .characteristics import (
     trunc_mean,
     trunc_variance,
 )
-from .directing import DirectingLaw, draw_replicates
+from .directing import DirectingLaw, _check_grid, draw_replicates
 from .stable import NormingSequence, norming_values
 
 __all__ = [
@@ -112,7 +112,8 @@ class NGrid:
     replicates: int = 200
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        # The sampler's positive-integer rule; the report echoes Python ints.
+        vals = tuple(int(v) for v in _check_grid(self.values, 1, self.replicates))
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError("the row-length grid needs at least two points")

@@ -40,6 +40,7 @@ from .stable import (
     _fourier_region,
     _fourier_smoothed,
     _fourier_truncated,
+    _require_finite,
     _require_positive,
     norming_values,
     replicate_seed,
@@ -155,8 +156,8 @@ class _RealizedLaw:
 
     ``prefix_stable`` is True when ``sample`` fills its output one entry at a
     time, so that ``sample(rng, a + b)[:a]`` is bit-identical to
-    ``sample(rng, a)`` from the same generator state: one stream then serves
-    every row length of a grid (:func:`sample_grid_sums`).
+    ``sample(rng, a)`` from the same generator state: a shorter row length
+    then reads its last block from the chunk's head (:func:`_row_sums`).
     """
 
     symmetric = False
@@ -255,6 +256,8 @@ class GaussianLaw(_RealizedLaw):
 
     def __post_init__(self) -> None:
         _require_positive("sd", self.sd)
+        _require_finite("sd", self.sd)
+        _require_finite("mean", self.mean_value)
 
     @property
     def symmetric(self) -> bool:
@@ -317,6 +320,8 @@ class CauchyLaw(_RealizedLaw):
 
     def __post_init__(self) -> None:
         _require_positive("scale", self.cscale)
+        _require_finite("scale", self.cscale)
+        _require_finite("location", self.location)
 
     @property
     def symmetric(self) -> bool:
@@ -384,6 +389,8 @@ class UniformLaw(_RealizedLaw):
     hi: float
 
     def __post_init__(self) -> None:
+        _require_finite("lo", self.lo)
+        _require_finite("hi", self.hi)
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -444,6 +451,8 @@ class _ParetoLaw(_RealizedLaw):
     def __post_init__(self) -> None:
         _require_positive("tail_index", self.tail_index)
         _require_positive("scale", self.pscale)
+        _require_finite("tail_index", self.tail_index)
+        _require_finite("scale", self.pscale)
 
     def truncated_second(self, bound: float) -> float:
         a0, s = self.tail_index, self.pscale
@@ -718,6 +727,9 @@ class PointMassLaw(_RealizedLaw):
 
     point: float
 
+    def __post_init__(self) -> None:
+        _require_finite("point", self.point)
+
     @property
     def symmetric(self) -> bool:
         return self.point == 0.0
@@ -761,9 +773,10 @@ class _AtomPrior:
 
     def __post_init__(self) -> None:
         _check_weights([w for _, w in self.atoms])
-        if self.slot == "dispersion":
-            for v, _ in self.atoms:
+        for v, _ in self.atoms:
+            if self.slot == "dispersion":
                 _require_positive("dispersion value", v)
+            _require_finite(f"{self.slot} value", v)
 
     def draw(self, rng: np.random.Generator) -> float:
         values = [v for v, _ in self.atoms]
@@ -792,6 +805,7 @@ class ScaleExponential:
 
     def __post_init__(self) -> None:
         _require_positive("rate", self.rate)
+        _require_finite("rate", self.rate)
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
@@ -807,6 +821,8 @@ class ScaleLogNormal:
 
     def __post_init__(self) -> None:
         _require_positive("log_sd", self.log_sd)
+        _require_finite("log_sd", self.log_sd)
+        _require_finite("log_mean", self.log_mean)
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.log_mean, self.log_sd))
@@ -829,6 +845,8 @@ class LocationGaussian:
 
     def __post_init__(self) -> None:
         _require_positive("sd", self.sd)
+        _require_finite("sd", self.sd)
+        _require_finite("mean", self.mean)
 
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.normal(self.mean, self.sd))
@@ -894,22 +912,30 @@ def _row_sums(
     Entries are generated in column blocks; block subtotals use pairwise
     summation and are folded into a per-row compensated accumulator, so heavy
     tails at large n do not erode the sum. Column block b starts at stream
-    position rows*b*_BLOCK at every row length, and the first rows*m entries
-    of a chunk are what a request for rows*m entries would draw there, so for
-    a prefix-stable p each row length sums exactly the blocks it would draw
-    alone; any other p needs a one-length ``n_grid``. Returns one array of
-    ``rows`` sums per row length. ``rng`` may be None for a point mass, whose
-    ``sample`` draws nothing.
+    position rows*b*_BLOCK at every row length, and each row length reads its
+    full blocks from the chunk drawn there. A shorter row length whose last
+    block (m columns) ends inside the chunk sums what rows*m entries drawn
+    there would be: the chunk's head for a prefix-stable p; for any other p,
+    a block drawn first from the state saved at the block's start, which is
+    then restored for the chunk. Returns one array of ``rows`` sums per row
+    length. ``rng`` may be None for a point mass, whose ``sample`` draws nothing.
     """
     n_max = max(n_grid)
     total = [np.zeros(rows) for _ in n_grid]
     comp = [np.zeros(rows) for _ in n_grid]
     for c in range(0, n_max, _BLOCK):
-        chunk = p.sample(rng, rows * min(_BLOCK, n_max - c))
+        width = min(_BLOCK, n_max - c)
+        heads = {}
+        for j, n in enumerate(n_grid):
+            if c < n < c + width and not p.prefix_stable:
+                start = rng.bit_generator.state
+                heads[j] = p.sample(rng, rows * (n - c))
+                rng.bit_generator.state = start
+        chunk = p.sample(rng, rows * width)
         for j, n in enumerate(n_grid):
             if n > c:
-                m = min(_BLOCK, n - c)
-                y = chunk[: rows * m].reshape(rows, m).sum(axis=1) - comp[j]
+                m = min(width, n - c)
+                y = heads.get(j, chunk[: rows * m]).reshape(rows, m).sum(axis=1) - comp[j]
                 t = total[j] + y
                 comp[j] = (t - total[j]) - y
                 total[j] = t
@@ -949,12 +975,11 @@ def sample_grid_sums(
     ``n_grid[j]`` alone, as :func:`sample_array_sums` does. One generator
     per replicate is built, and none for a point-mass realization (a
     ``PointMassLaw``, or a ``StableLaw`` at c = 0), which draws nothing:
-    each distinct one is summed once. A prefix-stable realization
-    (``_RealizedLaw.prefix_stable``) draws the stream once, at the largest
-    row length, and every row length sums its own prefix blocks of it, so a
-    replicate draws rows * max(n_grid) entries; any other realization
-    restores the generator's starting state before each row length after
-    the first and draws rows * sum(n_grid). A normed sum that is not finite
+    each distinct one is summed once. Every other realization walks its
+    stream once, at the largest row length (:func:`_row_sums`): a replicate
+    draws rows * max(n_grid) entries, plus, unless it is prefix-stable
+    (``_RealizedLaw.prefix_stable``), the last block of each shorter row
+    length that ends inside a column block. A normed sum that is not finite
     (an overflow under extreme tails) is a RuntimeError naming the first row
     length that has one. An empty ``n_grid``, and a row length, ``rows`` or
     ``replicates`` that is not a positive integer, are ValueErrors naming
@@ -971,17 +996,8 @@ def sample_grid_sums(
             if point not in constant_sums:
                 constant_sums[point] = _row_sums(point, None, rows, n_grid)
             sums = constant_sums[point]
-        elif p.prefix_stable:
-            sums = _row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
         else:
-            row_rng = np.random.default_rng(replicate_seed(seed, k, 1))
-            start = row_rng.bit_generator.state
-            sums = []
-            for j, n in enumerate(n_grid):
-                if j:
-                    # A restored generator yields exactly a fresh one's stream.
-                    row_rng.bit_generator.state = start
-                sums.append(_row_sums(p, row_rng, rows, (n,))[0])
+            sums = _row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
         for j, n in enumerate(n_grid):
             b_n, c_n = norming_values(norming, n, realization=p)
             values[j, k, :] = sums[j] / b_n - c_n

@@ -108,6 +108,13 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _require_finite(name: str, value: float) -> None:
+    """A ValueError naming ``name`` unless ``value`` is finite; written so
+    that a NaN is rejected too."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 _SLOW_KINDS = ("constant", "log_power", "loglog_power")
 _CENTERING_KINDS = ("zero", "n_times_mean", "n_times_truncated_mean")
 

@@ -74,6 +74,25 @@ class TestGridAndConfig:
             NGrid((100, 1000), replicates=99)
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"values": (100.7, 1000.2)}, r"n_grid: expected a positive integer, got 100\.7"),
+            ({"values": ("100", "1000")}, "n_grid: expected a positive integer, got '100'"),
+            ({"values": (100, True)}, "n_grid: expected a positive integer, got True"),
+            ({"values": (100, 1000), "replicates": 150.5}, r"replicates: expected a positive integer, got 150\.5"),
+        ],
+    )
+    def test_ngrid_takes_the_samplers_integer_rule(self, kwargs, message):
+        # A row length or replicate count that is not a positive integer is
+        # rejected on construction, before any panel draws.
+        with pytest.raises(ValueError, match=message):
+            NGrid(**kwargs)
+
+    def test_ngrid_keeps_python_ints(self):
+        grid = NGrid((np.int64(100), np.int64(1000)), replicates=100)
+        assert [type(v) for v in grid.values] == [int, int]
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             pytest.param(field, value, id=field if value == 0.0 else f"{field}-{value}")

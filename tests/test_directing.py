@@ -423,6 +423,38 @@ def test_nan_parameter_or_weight_is_a_value_error(make, fragment):
         make()
 
 
+_INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (lambda: GaussianLaw(_NAN, 1.0), "mean must be finite, got nan"),
+        (lambda: CauchyLaw(_NAN, 1.0), "location must be finite, got nan"),
+        (lambda: PointMassLaw(_NAN), "point must be finite, got nan"),
+        (lambda: LocationAtoms(((_NAN, 1.0),)), "location value must be finite, got nan"),
+        (lambda: LocationGaussian(_NAN, 1.0), "mean must be finite, got nan"),
+        (lambda: ScaleLogNormal(_NAN, 1.0), "log_mean must be finite, got nan"),
+        (lambda: GaussianLaw(_INF, 1.0), "mean must be finite, got inf"),
+        (lambda: GaussianLaw(0.0, _INF), "sd must be finite, got inf"),
+        (lambda: CauchyLaw(0.0, _INF), "scale must be finite, got inf"),
+        (lambda: UniformLaw(-_INF, 1.0), "lo must be finite, got -inf"),
+        (lambda: SymmetricParetoLaw(_INF, 1.0), "tail_index must be finite, got inf"),
+        (lambda: SymmetricParetoLaw(1.5, _INF), "scale must be finite, got inf"),
+        (lambda: PointMassLaw(_INF), "point must be finite, got inf"),
+        (lambda: ScaleExponential(_INF), "rate must be finite, got inf"),
+        (lambda: ScaleLogNormal(0.0, _INF), "log_sd must be finite, got inf"),
+        (lambda: LocationGaussian(0.0, _INF), "sd must be finite, got inf"),
+        (lambda: ScaleAtoms(((_INF, 1.0),)), "dispersion value must be finite, got inf"),
+        (lambda: LocationAtoms(((_INF, 1.0),)), "location value must be finite, got inf"),
+    ],
+)
+def test_nonfinite_family_or_prior_parameter_is_a_value_error(make, fragment):
+    # Rejected on construction, before a scenario samples any row.
+    with pytest.raises(ValueError, match=fragment):
+        make()
+
+
 class TestDrawDirecting:
     def test_no_randomizer_returns_base(self):
         base = CauchyLaw(0.0, 1.0)
@@ -782,7 +814,7 @@ _GRID_LAWS = [
 
 class TestGridSums:
     """The grid sampler against the per-length loop it replaced: one directing
-    draw and one restored row generator per replicate give the same bits as a
+    draw and one walk of the row stream per replicate give the same bits as a
     fresh generator per (replicate, row length)."""
 
     # 3 and 64 fit in one column block; 16385 crosses it.
@@ -791,8 +823,13 @@ class TestGridSums:
     @pytest.mark.parametrize(
         "n_grid",
         # The longest row length first and a repeated one: the sampler serves
-        # the grid in any order, each length as if sampled alone.
-        [pytest.param(N_GRID, id="ascending"), pytest.param((16385, 3, 64, 3), id="unordered")],
+        # the grid in any order, each length as if sampled alone. At 2*_BLOCK
+        # the last block is full, so every family reads it from the chunk.
+        [
+            pytest.param(N_GRID, id="ascending"),
+            pytest.param((16385, 3, 64, 3), id="unordered"),
+            pytest.param((2 * _BLOCK, 40000), id="full-last-block"),
+        ],
     )
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("law, norming", _GRID_LAWS)
@@ -875,9 +912,11 @@ class TestGridSums:
 
     @pytest.mark.parametrize("law, norming", _GRID_LAWS)
     def test_variates_drawn(self, monkeypatch, law, norming):
-        # A prefix-stable realization draws its stream once, at the largest
-        # row length; any other draws it again for every row length. A point
-        # mass is summed once per distinct realization.
+        # Every realization walks its stream once, at the largest row length.
+        # Any that is not prefix-stable also draws the last block of each
+        # shorter row length that ends inside a chunk: 3, 3 and the 1 column
+        # of 16385 past its full block. A point mass is summed once per
+        # distinct realization.
         family = type(law.base)
         requested = []
         sample = family.sample
@@ -889,7 +928,7 @@ class TestGridSums:
         monkeypatch.setattr(family, "sample", counting)
         rows, replicates = 2, 3
         sample_grid_sums(law, norming, self.HARD_GRID, rows, seed=5, replicates=replicates)
-        per_row = max(self.HARD_GRID) if law.base.prefix_stable else sum(self.HARD_GRID)
+        per_row = max(self.HARD_GRID) + (0 if law.base.prefix_stable else 3 + 3 + 1)
         summed = len(set(draw_replicates(law, 5, replicates))) if family is PointMassLaw else replicates
         assert sum(requested) == summed * rows * per_row
 
