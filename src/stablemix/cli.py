@@ -14,8 +14,9 @@ Exit codes form a stable contract:
     2  configuration error, found before anything is simulated (schema,
        unknown keys, missing or negative seed, a count below 1, a NaN or
        infinite number (only the norming index may be Infinity), a tolerance
-       or tau that is not finite and positive, a row length below 2 or
-       repeated in n_grid, a grid over WORK_BUDGET, bad or repeated
+       or tau that is not finite and positive, a prob_bound or ks_tol of
+       0.5 or more, a row length below 2 or repeated in n_grid, a grid over
+       WORK_BUDGET with REPLICATE_COST per replicate, bad or repeated
        criterion, a criterion that needs a tail index the scenario lacks or
        has out of range, or, when sec5 runs, an x_grid that is not positive
        and increasing)
@@ -53,7 +54,6 @@ from .directing import (
     UniformLaw,
 )
 from .empirics import (
-    ScenarioReport,
     ScenarioSpec,
     TGrid,
     _checker_args,
@@ -81,6 +81,7 @@ __all__ = [
     "EXIT_INCONCLUSIVE",
     "SCHEMA_VERSION",
     "WORK_BUDGET",
+    "REPLICATE_COST",
 ]
 
 EXIT_PASS = 0
@@ -88,12 +89,17 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_FAIL = 3
 EXIT_INCONCLUSIVE = 4
+# A verdict's ``holds`` -> its printed name and the exit code of ``check``.
+_VERDICTS = {True: ("pass", EXIT_PASS), False: ("fail", EXIT_FAIL), None: ("inconclusive", EXIT_INCONCLUSIVE)}
 
 SCHEMA_VERSION = 1
 
-# Largest replicates x rows x (sum of row lengths) a config may ask of one
-# row-length grid: about a minute of sampling at 2e7 variates per second.
+# Largest replicates x (rows x summed row lengths + REPLICATE_COST) one grid may
+# ask for: about a minute of sampling at 2e7 variates per second.
 WORK_BUDGET = 10**9
+# A replicate's fixed cost in entries: 44-122 us per replicate at n = 2 (Intel
+# Xeon, Python 3.11, NumPy 2.4), 900-2,400 entries at 2e7 per second.
+REPLICATE_COST = 2000
 
 _SEED_ENV = "STABLEMIX_SEED"
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -342,19 +348,20 @@ def _build_scenario(obj, path: str) -> ScenarioSpec:
 
 
 def _check_budget(spec: ScenarioSpec) -> None:
-    """Reject a grid whose replicates x rows x (sum of row lengths) exceeds
-    WORK_BUDGET, before anything is drawn. The checker grid has one row."""
+    """Reject a grid whose replicates x (rows x summed row lengths +
+    REPLICATE_COST) exceeds WORK_BUDGET, before anything is drawn. The
+    checker grid has one row."""
     rows = 2 if spec.joint else 1
     grids = (
         ("config.scenario.n_grid", spec.cf_replicates, rows, spec.cf_n_grid),
         ("config.scenario.checker_n_grid", spec.checker_ngrid.replicates, 1, spec.checker_ngrid.values),
     )
     for path, replicates, grid_rows, values in grids:
-        work = replicates * grid_rows * sum(values)
+        work = replicates * (grid_rows * sum(values) + REPLICATE_COST)
         if work > WORK_BUDGET:
             raise ConfigError(
-                f"{path}: {replicates} replicates x {grid_rows} row(s) x {sum(values)} summed "
-                f"row lengths = {work} exceeds the work budget of {WORK_BUDGET}"
+                f"{path}: {replicates} replicates x {grid_rows} row(s) x {sum(values)} summed row lengths"
+                f" + {replicates} x {REPLICATE_COST} per replicate = {work} exceeds the work budget of {WORK_BUDGET}"
             )
 
 
@@ -400,10 +407,6 @@ def load_config(path: str, seed_flag: Optional[int] = None) -> ResolvedConfig:
         raise ConfigError("config.out: expected a directory path string")
 
     return ResolvedConfig(spec, seed, out)
-
-
-def _report_payload(report: ScenarioReport) -> Dict[str, object]:
-    return {"schema_version": SCHEMA_VERSION, **asdict(report)}
 
 
 def _write_json(path: Path, payload: Dict[str, object]) -> None:
@@ -459,7 +462,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report_path = out / f"{report.scenario}.report.json"
         cf_path = out / f"{report.scenario}.cf.csv"
         quantities_path = out / f"{report.scenario}.quantities.csv"
-        _write_json(report_path, _report_payload(report))
+        _write_json(report_path, {"schema_version": SCHEMA_VERSION, **asdict(report)})
         cf_rows = ({"n": table["n"], **row} for table in report.cf_tables for row in table["points"])
         _write_csv(cf_path, _CF_COLUMNS, cf_rows)
         _write_csv(quantities_path, _QUANTITY_COLUMNS, report.quantities)
@@ -473,8 +476,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         last = report.sup_distance[-1]
         print(f"sup distance to target at n={last['n']}: {last['sup']:.6f}")
     for verdict in report.verdicts:
-        state = {True: "pass", False: "fail", None: "inconclusive"}[verdict["holds"]]
-        print(f"criterion {verdict['name']}: {state}")
+        print(f"criterion {verdict['name']}: {_VERDICTS[verdict['holds']][0]}")
     return EXIT_PASS
 
 
@@ -501,14 +503,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001 - the exit-code contract wants 1 here
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    state = {True: "pass", False: "fail", None: "inconclusive"}[verdict.holds]
+    state, code = _VERDICTS[verdict.holds]
     print(f"criterion {verdict.name} on {config.spec.name}: {state}")
     print(f"wrote {verdict_path}")
-    if verdict.holds is True:
-        return EXIT_PASS
-    if verdict.holds is False:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return code
 
 
 def cmd_verify_identity(args: argparse.Namespace) -> int:

@@ -11,18 +11,23 @@ those quantities along the grid into a three-state verdict:
 * ``False``  at least one sub-check failed decisively,
 * ``None``   the evidence is too ambiguous to call either way.
 
+Every sub-check reaches its verdict through one rule, ``_tri``: a
+decisive failure gives ``False``, else a pass gives ``True``, else
+``None``. A fraction or distance is decisive at one half
+(``_DECISIVE``), and ``StatTestConfig`` keeps ``prob_bound`` and
+``ks_tol`` below it, so no statistic can both pass and fail.
+
 Two statistical operationalizations are used throughout. Convergence in
 probability of a statistic ``Z_n`` to a constant ``z`` is accepted when
 the empirical exceedance fraction ``P(|Z_n - z| > delta)`` is below
 ``prob_bound`` at the largest row length and essentially non-increasing
-along the grid; a fraction of one half or more at the largest length is
-a decisive failure. When the constant is unknown it is estimated by the
-median at the largest length, and the median must additionally have
-stopped drifting between the last two grid points. Convergence in
-distribution is accepted when a slack-relaxed Kolmogorov-Smirnov
-distance between consecutive empirical laws (paired draws, so the
-comparison is sharp) falls below ``ks_tol``; one half or more is again a
-decisive failure.
+along the grid; a decisive fraction at the largest length fails. When
+the constant is unknown it is estimated by the median at the largest
+length, and the median must additionally have stopped drifting between
+the last two grid points. Convergence in distribution is accepted when a
+slack-relaxed Kolmogorov-Smirnov distance between consecutive empirical
+laws (paired draws, so the comparison is sharp) falls below ``ks_tol``;
+a decisive distance fails.
 
 Every checker takes a ``DrawPanel`` as its first argument: the directing
 law, norming sequence, grid of row lengths and seed, together with the
@@ -102,6 +107,8 @@ CRITERION_NAMES = tuple(_CHECKERS)
 
 _TAIL_EPS = (0.1, 1.0)
 _MAX_EXACT_ATOMS = 12
+# A fraction or distance at or beyond this decides a sub-check.
+_DECISIVE = 0.5
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,8 @@ class StatTestConfig:
     :param margin: slack for distribution comparisons and degeneracy tests
     :param fit_tol: admissible restriction-metric residual of a spectral fit
 
-    Every tolerance must be finite and positive.
+    Every tolerance must be finite and positive, and ``prob_bound`` and
+    ``ks_tol`` must stay below the decisive one half.
     """
 
     delta: float = 0.05
@@ -151,6 +159,10 @@ class StatTestConfig:
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("prob_bound", "ks_tol"):
+            value = getattr(self, name)
+            if value >= _DECISIVE:
+                raise ValueError(f"{name} must be below {_DECISIVE}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -291,12 +303,16 @@ class DrawPanel:
         return self.table(("fit", alpha), n, fn)
 
 
-def _combine_list(statuses: Sequence[Optional[bool]]) -> Optional[bool]:
-    if any(s is False for s in statuses):
+def _tri(fails: bool, passes: bool) -> Optional[bool]:
+    """The verdict of one test: False on a decisive failure, else True on
+    a pass, else None."""
+    if fails:
         return False
-    if all(s is True for s in statuses):
-        return True
-    return None
+    return True if passes else None
+
+
+def _combine_list(statuses: Sequence[Optional[bool]]) -> Optional[bool]:
+    return _tri(any(s is False for s in statuses), all(s is True for s in statuses))
 
 
 def _quantiles(values: np.ndarray) -> Dict[str, float]:
@@ -321,18 +337,12 @@ def _fraction_verdict(
 
     Pass needs a final fraction at most ``prob_bound`` and an essentially
     non-increasing path: at most one upward step, no larger than a
-    quarter of ``prob_bound``. A final fraction of one half or more is a
-    decisive failure.
+    quarter of ``prob_bound``. A decisive final fraction fails.
     """
     last = fracs[-1]
     rises = [b - a for a, b in zip(fracs, fracs[1:]) if b > a + 1e-12]
     monotone = len(rises) <= 1 and all(r <= 0.25 * cfg.prob_bound + 1e-12 for r in rises)
-    if last >= 0.5:
-        holds: Optional[bool] = False
-    elif last <= cfg.prob_bound and monotone:
-        holds = True
-    else:
-        holds = None
+    holds = _tri(last >= _DECISIVE, last <= cfg.prob_bound and monotone)
     return {"holds": holds, "fractions": [float(f) for f in fracs], "monotone": monotone}
 
 
@@ -357,10 +367,8 @@ def _in_probability(
     if target is None and len(samples) >= 2:
         drift = abs(float(np.median(samples[-2])) - est)
         out["drift"] = float(drift)
-        if drift > 10.0 * cfg.delta:
-            out["holds"] = False
-        elif drift > cfg.delta and out["holds"] is True:
-            out["holds"] = None
+        holds = out["holds"]
+        out["holds"] = _tri(holds is False or drift > 10.0 * cfg.delta, holds is True and drift <= cfg.delta)
     return out
 
 
@@ -392,12 +400,7 @@ def _weak_convergence(
         _relaxed_ks(s1, s2, cfg.margin) for s1, s2 in zip(samples, samples[1:])
     ]
     last = distances[-1]
-    if last >= 0.5:
-        holds: Optional[bool] = False
-    elif last <= cfg.ks_tol:
-        holds = True
-    else:
-        holds = None
+    holds = _tri(last >= _DECISIVE, last <= cfg.ks_tol)
     return {"holds": holds, "ks_consecutive": [float(d) for d in distances]}
 
 
@@ -406,12 +409,7 @@ def _nondegenerate(
 ) -> Dict[str, object]:
     """Test that an empirical law is not concentrated at zero."""
     frac = float(np.mean(np.abs(values) > cfg.margin))
-    if frac >= 0.5:
-        holds: Optional[bool] = True
-    elif frac <= cfg.prob_bound:
-        holds = False
-    else:
-        holds = None
+    holds = _tri(frac <= cfg.prob_bound, frac >= _DECISIVE)
     return {"holds": holds, "fraction_beyond_margin": frac}
 
 
@@ -512,12 +510,7 @@ def _shape_subchecks(
     subs["shape_fit"]["max_residual"] = float(np.max(residuals[-1]))
 
     non_null = float(np.mean(~nulls[-1]))
-    if non_null >= cfg.prob_bound:
-        nn_holds: Optional[bool] = True
-    elif non_null == 0.0:
-        nn_holds = False
-    else:
-        nn_holds = None
+    nn_holds = _tri(non_null == 0.0, non_null >= cfg.prob_bound)
     subs["non_null"] = {"holds": nn_holds, "non_null_fraction": non_null}
 
     ks_minus = _weak_convergence(c_minus, cfg)
@@ -534,12 +527,7 @@ def _shape_subchecks(
             cm, cp = c_minus[-1][mask], c_plus[-1][mask]
             violations = np.abs(cp - cm) > _SYMMETRY_REL * (cp + cm)
             frac = float(np.mean(violations))
-            if frac <= cfg.prob_bound:
-                sym_holds: Optional[bool] = True
-            elif frac >= 0.5:
-                sym_holds = False
-            else:
-                sym_holds = None
+            sym_holds = _tri(frac >= _DECISIVE, frac <= cfg.prob_bound)
             subs["symmetry"] = {"holds": sym_holds, "violation_fraction": frac}
         else:
             subs["symmetry"] = {"holds": True, "non_null_draws": 0}
@@ -830,22 +818,17 @@ def check_single_row_gaussian(
 
     limit: Optional[Dict[str, object]] = None
     if branch_variance is True:
-        branch: Optional[bool] = True
         limit = {
             "branch": "variance_mixture",
             "gamma": float(variance["location_concentrates"]["limit"]),
             "dispersion_law": _quantiles(disp[-1]),
         }
     elif branch_location is True:
-        branch = True
         limit = {
             "branch": "location_mixture",
             "location_law": _quantiles(loc[-1]),
         }
-    elif branch_variance is False and branch_location is False:
-        branch = False
-    else:
-        branch = None
+    branch = _tri(branch_variance is False and branch_location is False, limit is not None)
 
     # The hypothesis and either branch: not the conjunction of all entries.
     holds = _combine_list([subs["tails_negligible"]["holds"], branch])

@@ -369,6 +369,13 @@ class CauchyLaw(_RealizedLaw):
         log_term = math.log((s * s + b * b) / (s * s + a * a))
         return quad_part + x0 * s * log_term / math.pi + x0 * x0 * df
 
+    def smoothed_mean(self, b: float) -> float:
+        # b Re E[1/(X - ib)], and E[1/(X - ib)] = 1/(x0 - i(s + b)) for b > 0.
+        if self.symmetric:
+            return 0.0
+        x0 = self.location
+        return b * x0 / (x0 * x0 + (self.cscale + b) ** 2)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.location + self.cscale * rng.standard_cauchy(size)
 
@@ -498,12 +505,7 @@ class SymmetricParetoLaw(_ParetoLaw):
         return 1.0 - 0.5 * (s / x) ** a0
 
     def right_tail(self, x: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if x >= s:
-            return 0.5 * (s / x) ** a0
-        if x > -s:
-            return 0.5
-        return 1.0 - 0.5 * (s / -x) ** a0
+        return self.cdf(-x)
 
     def mean(self) -> float:
         if self.tail_index <= 1.0:
@@ -637,11 +639,9 @@ class StableLaw(_RealizedLaw):
 
     @property
     def prefix_stable(self) -> bool:
-        # The point-mass and Gaussian branches of the sampler fill their output
-        # entry by entry, and at alpha = 1, beta = 0 the output reads only u.
-        # Elsewhere it reads u and w, and every u is drawn before any w.
-        p = self.params
-        return p.c == 0.0 or p.alpha == 2.0 or (p.alpha == 1.0 and p.beta == 0.0)
+        # The sampler fills its output entry by entry exactly on the twins;
+        # elsewhere it reads u and w, and every u is drawn before any w.
+        return self._twin is not None
 
     @functools.cached_property
     def _twin(self) -> Optional[_RealizedLaw]:

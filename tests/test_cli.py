@@ -16,6 +16,7 @@ from stablemix.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_RUNTIME,
+    REPLICATE_COST,
     SCHEMA_VERSION,
     WORK_BUDGET,
     load_config,
@@ -239,6 +240,11 @@ class TestConfigErrors:
                 {"id": "x", "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}}, "norming": {"alpha": 1.0, "scale": math.nan}},
                 "config error: config.scenario.norming.scale: expected a finite number, got nan",
             ),
+            # A tolerance at the decisive one half would let a statistic both pass and fail.
+            (
+                {"builtin": "gauss-fixed", "stat_config": {"ks_tol": 0.5}},
+                "config error: config.scenario.stat_config: ks_tol must be below 0.5, got 0.5",
+            ),
         ],
     )
     def test_inline_scenario_field_validation(self, tmp_path, capsys, monkeypatch, scenario, fragment):
@@ -367,6 +373,13 @@ class TestWorkBudget:
             (["simulate"], {"builtin": "gauss-fixed", "replicates": 10**9}, "config.scenario.n_grid"),
             (["check", "uan"], {"builtin": "pareto-mix", "checker_n_grid": [100, 10**10]}, "config.scenario.checker_n_grid"),
             (["simulate"], {"builtin": "pareto-mix", "checker_replicates": 10**6}, "config.scenario.checker_n_grid"),
+            # Short rows still cost each replicate its fixed REPLICATE_COST.
+            (["simulate"], {"builtin": "gauss-fixed", "n_grid": [2], "replicates": 5 * 10**8}, "config.scenario.n_grid"),
+            (
+                ["simulate"],
+                {"builtin": "gauss-expmix", "checker_n_grid": [2, 3], "checker_replicates": 10**8},
+                "config.scenario.checker_n_grid",
+            ),
         ],
     )
     def test_over_budget_grid_exits_config(self, tmp_path, capsys, argv, scenario, path):
@@ -379,7 +392,7 @@ class TestWorkBudget:
 
     def test_budget_is_inclusive_and_joint_counts_two_rows(self, tmp_path):
         # example1 simulates two rows per replicate.
-        at_cap = {"builtin": "gauss-fixed", "n_grid": [WORK_BUDGET // 1000], "replicates": 1000}
+        at_cap = {"builtin": "gauss-fixed", "n_grid": [WORK_BUDGET // 1000 - REPLICATE_COST], "replicates": 1000}
         load_config(write_config(tmp_path, {"scenario": at_cap, "seed": 1}))
         joint = {"builtin": "example1", "n_grid": [WORK_BUDGET // 1000], "replicates": 1000}
         with pytest.raises(cli.ConfigError, match=r"config\.scenario\.n_grid: 1000 replicates x 2 row"):

@@ -98,7 +98,9 @@ class TestGridAndConfig:
             pytest.param(field, value, id=field if value == 0.0 else f"{field}-{value}")
             for value in (0.0, math.nan, math.inf)
             for field in ("delta", "prob_bound", "ks_tol", "margin", "fit_tol")
-        ],
+        ]
+        # At the decisive one half or beyond, a fraction or distance could both pass and fail.
+        + [pytest.param(field, value, id=f"{field}-{value}") for field, value in (("prob_bound", 0.5), ("ks_tol", 0.5), ("prob_bound", 0.6))],
     )
     def test_config_rejects_nonpositive(self, field, value):
         with pytest.raises(ValueError, match=field):

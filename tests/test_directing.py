@@ -7,6 +7,7 @@ import pytest
 from scipy.special import hyp2f1, ndtr
 from scipy.stats import levy_stable, spearmanr
 
+from stablemix import directing
 from stablemix.characteristics import tail_mass_quantity, trunc_mean
 from stablemix.directing import (
     CauchyLaw,
@@ -121,6 +122,24 @@ class TestCauchyLaw:
     def test_mean_is_undefined(self):
         with pytest.raises(ValueError):
             CauchyLaw(0.0, 1.0).mean()
+
+    @pytest.mark.parametrize(
+        "location, scale, b", [(0.8, 1.5, 2.0), (-3.0, 0.5, 40.0), (-0.2, 0.1, 1000.0), (5.0, 2.0, 0.01)]
+    )
+    def test_off_centre_smoothed_mean_is_closed_form(self, monkeypatch, location, scale, b):
+        law = CauchyLaw(location, scale)
+        oracle = law.expect(lambda x: b * x / (b * b + x * x))
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called")
+
+        monkeypatch.setattr(directing, "quad", no_quad)
+        assert law.smoothed_mean(b) == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+
+    def test_centred_smoothed_mean_is_exactly_zero(self):
+        for location in (0.0, -0.0):
+            value = CauchyLaw(location, 2.0).smoothed_mean(3.0)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestQuadratureCertificate:

@@ -48,13 +48,21 @@ FOOTPRINT = textwrap.dedent(
 
     # The Gaussian family's functionals and the quadrature identity are
     # closed-form or plain NumPy and load no SciPy module.
-    from stablemix.directing import GaussianLaw, sample_array_sums
+    from stablemix.directing import GaussianLaw, draw_replicates, sample_array_sums
 
     centered = NormingSequence(2.0, centering_kind="n_times_truncated_mean", centering_tau=1.0)
     sample_array_sums(DirectingLaw(GaussianLaw(0.5, 1.0)), centered, 16, 2, 0, replicates=8)
     assert not scipy_modules(), f"Gaussian sampling: {scipy_modules()[:5]}"
     assert identity_residual() <= 1e-8
     assert not scipy_modules(), f"identity_residual: {scipy_modules()[:5]}"
+
+    # So is the smoothed mean of a Cauchy law off centre.
+    from stablemix.characteristics import smooth_mean
+    from stablemix.directing import CauchyLaw, LocationGaussian
+
+    for p in draw_replicates(DirectingLaw(CauchyLaw(0.0, 1.0), LocationGaussian(0.0, 1.0)), 0, 4):
+        smooth_mean(p, NormingSequence(1.0), 1000)
+    assert not scipy_modules(), f"Cauchy location prior: {scipy_modules()[:5]}"
     """
 )
 
