@@ -11,7 +11,6 @@ from .characteristics import (
     CharQuantities,
     PushforwardResult,
     SpectralParams,
-    accompanying_pair,
     char_quantities,
     discretize_spectral,
     dsharp,
@@ -79,10 +78,8 @@ from .empirics import (
 )
 from .measures import AtomicMeasure
 from .mixtures import (
-    IDMixingMeasure,
     MixingMeasure,
     cauchy_from_gaussian_scale_mixture,
-    id_mixture_cf,
     joint_mixture_cf,
     mixture_cf,
 )

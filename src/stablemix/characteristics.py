@@ -22,7 +22,8 @@ import numpy as np
 
 from .measures import AtomicMeasure
 from .mixtures import MixingMeasure
-from .stable import NormingSequence, StableParams, _require_positive, norming_values
+from .stable import NormingSequence, StableParams, _require_positive
+from .stable import norming_values  # not called here; perfbench/spans.py patches this name
 
 __all__ = [
     "SpectralParams",
@@ -47,7 +48,6 @@ __all__ = [
     "pushforward_alpha",
     "pushforward_one",
     "smoothed_location_drift",
-    "accompanying_pair",
     "char_quantities",
 ]
 
@@ -660,49 +660,6 @@ def pushforward_one(nu12_atoms: Sequence[NuAtom]) -> MixingMeasure:
         c = (math.pi / 2.0) * lam_total
         mixing_atoms.append((StableParams(1.0, eta, c, 0.0), weight))
     return _merge_mixing_atoms(mixing_atoms)
-
-
-def accompanying_pair(
-    p,
-    norming: NormingSequence,
-    n: int,
-    tau: float,
-    grid: Optional[Sequence[float]] = None,
-) -> Tuple[float, AtomicMeasure]:
-    """Centering and jump measure of the accompanying infinitely divisible law.
-
-    Input: realization p, norming, sample size, truncation tau, and an
-    optional cell grid for the jump measure (default the module grid, with
-    two unbounded end cells collapsed onto the boundary points).
-    Output: (mu_n_tau, psi_n_tau) where, writing Y for X/b_n and m for the
-    tau-truncated mean of Y,
-      mu_n_tau = n*(m + E[(Y-m)/(1+(Y-m)**2)]) - c_n
-      psi_n_tau(B) = n*E[(Y-m)**2/(1+(Y-m)**2); (Y-m) in B].
-    """
-    _require_positive("tau", tau)
-    b, c_n = norming_values(norming, n, realization=p)
-    m = p.truncated_mean(tau * b) / b
-
-    def shifted(f: Callable[[float], float]) -> Callable[[float], float]:
-        return lambda x: f(x / b - m)
-
-    drift = p.expect(shifted(lambda y: y / (1.0 + y * y)))
-    mu_n = n * (m + drift) - c_n
-
-    pts = _validate_grid(DEFAULT_SPECTRAL_GRID if grid is None else grid)
-    weight = shifted(lambda y: y * y / (1.0 + y * y))
-
-    def cell_mass(y_lo: float, y_hi: float) -> float:
-        x_lo = -math.inf if y_lo == -math.inf else b * (y_lo + m)
-        x_hi = math.inf if y_hi == math.inf else b * (y_hi + m)
-        return max(0.0, n * p.integrate(weight, x_lo, x_hi))
-
-    atoms: List[Tuple[float, float]] = [(float(pts[0]), cell_mass(-math.inf, float(pts[0])))]
-    for left, right in zip(pts[:-1], pts[1:]):
-        mass = cell_mass(float(left), float(right))
-        atoms.append((0.5 * (float(left) + float(right)), mass))
-    atoms.append((float(pts[-1]), cell_mass(float(pts[-1]), math.inf)))
-    return mu_n, AtomicMeasure.from_pairs([(loc, w) for loc, w in atoms if w > 0])
 
 
 def char_quantities(

@@ -991,6 +991,8 @@ def sample_grid_sums(
     # summed once and its replicates build no generator.
     constant_sums = {}
     for k, p in enumerate(draw_replicates(law, seed, replicates)):
+        # Normed first, so a b_n or centering that fails does so before any entry is drawn.
+        norms = [norming_values(norming, n, realization=p) for n in n_grid]
         point = p._twin if isinstance(p, StableLaw) else p
         if isinstance(point, PointMassLaw):
             if point not in constant_sums:
@@ -998,8 +1000,7 @@ def sample_grid_sums(
             sums = constant_sums[point]
         else:
             sums = _row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
-        for j, n in enumerate(n_grid):
-            b_n, c_n = norming_values(norming, n, realization=p)
+        for j, (b_n, c_n) in enumerate(norms):
             values[j, k, :] = sums[j] / b_n - c_n
     # The message keeps the name that callers have always matched on.
     for n, at_n in zip(n_grid, values):

@@ -258,7 +258,8 @@ class ScenarioReport:
 
     All payload fields are plain JSON-serializable structures. Every
     empirical characteristic-function value is checked to have a finite
-    modulus of at most 1 + 1e-12 on construction.
+    modulus of at most 1 + 1e-12, and every quantity to be finite, on
+    construction.
     """
 
     scenario: str
@@ -281,6 +282,10 @@ class ScenarioReport:
                     raise ValueError(
                         f"empirical value at t={row['t']} has modulus {modulus}"
                     )
+        for row in self.quantities:
+            for key, value in row.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"quantity {key} at n={row['n']} is not finite: {value}")
 
 
 def _checker_args(spec: ScenarioSpec, criterion: str) -> list:

@@ -1,4 +1,4 @@
-"""Mixtures of stable and of infinitely divisible characteristic functions.
+"""Mixtures of stable characteristic functions.
 
 A mixing measure is a finite weighted set of stable parameter points. The
 characteristic function of the mixture evaluates the component cf at each
@@ -9,7 +9,6 @@ genuine mixture from an i.i.d. product law with the same margins.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -17,14 +16,13 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .measures import _check_weights
-from .stable import LevyKhintchinePair, StableParams, levy_khintchine_psi, stable_cf
+from .stable import StableParams, stable_cf
+from .stable import levy_khintchine_psi  # not called here; perfbench/spans.py patches this name
 
 __all__ = [
     "MixingMeasure",
-    "IDMixingMeasure",
     "mixture_cf",
     "joint_mixture_cf",
-    "id_mixture_cf",
     "cauchy_from_gaussian_scale_mixture",
 ]
 
@@ -47,16 +45,6 @@ class MixingMeasure:
             )
 
 
-@dataclass(frozen=True)
-class IDMixingMeasure:
-    """Finite weighted atoms over infinitely divisible exponent pairs."""
-
-    atoms: Tuple[Tuple[LevyKhintchinePair, float], ...]
-
-    def __post_init__(self) -> None:
-        _check_weights([w for _, w in self.atoms])
-
-
 def mixture_cf(t: float, mix: MixingMeasure) -> complex:
     """Characteristic function of a stable mixture at one point."""
     return sum(w * stable_cf(t, p) for p, w in mix.atoms)
@@ -77,19 +65,6 @@ def joint_mixture_cf(ts: Sequence[float], mix: MixingMeasure) -> complex:
         for t in ts:
             prod *= stable_cf(float(t), params)
         acc += weight * prod
-    return acc
-
-
-def id_mixture_cf(ts: Sequence[float], mix: IDMixingMeasure) -> complex:
-    """Joint characteristic function of a mixture of infinitely divisible laws."""
-    if len(ts) < 1:
-        raise ValueError("need at least one coordinate")
-    acc = 0j
-    for pair, weight in mix.atoms:
-        exponent = 0j
-        for t in ts:
-            exponent += levy_khintchine_psi(float(t), pair)
-        acc += weight * cmath.exp(exponent)
     return acc
 
 

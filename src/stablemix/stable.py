@@ -149,7 +149,9 @@ class NormingSequence:
             raise ValueError(f"slow_kind must be one of {_SLOW_KINDS}, got {self.slow_kind!r}")
         if self.slow_kind != "constant" and not self.slow_power > 0:
             raise ValueError("slow_power must be positive for varying slow factors")
+        _require_finite("slow_power", self.slow_power)
         _require_positive("scale", self.scale)
+        _require_finite("scale", self.scale)
         if self.centering_kind not in _CENTERING_KINDS:
             raise ValueError(
                 f"centering_kind must be one of {_CENTERING_KINDS}, got {self.centering_kind!r}"
@@ -157,6 +159,8 @@ class NormingSequence:
         if self.centering_kind == "n_times_truncated_mean":
             if self.centering_tau is None or not self.centering_tau > 0:
                 raise ValueError("n_times_truncated_mean centering needs a positive centering_tau")
+        if self.centering_tau is not None:
+            _require_finite("centering_tau", self.centering_tau)
 
     def slow_value(self, n: int) -> float:
         """The slowly varying factor h(n)."""
@@ -167,10 +171,17 @@ class NormingSequence:
         return (1.0 + math.log1p(math.log(n))) ** self.slow_power
 
     def b(self, n: int) -> float:
-        """The norming denominator b_n."""
+        """The norming denominator b_n; a ValueError naming n and the norming
+        index when b_n is not a finite positive number."""
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
-        return self.scale * n ** (1.0 / self.alpha) * self.slow_value(n)
+        try:
+            b = self.scale * n ** (1.0 / self.alpha) * self.slow_value(n)
+        except OverflowError:
+            b = math.inf
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"b_n at n={n} under norming index {self.alpha} is not a finite positive number")
+        return b
 
 
 def norming_values(seq: NormingSequence, n: int, realization=None) -> Tuple[float, float]:

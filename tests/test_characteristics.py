@@ -12,7 +12,6 @@ from stablemix.characteristics import (
     DEFAULT_SPECTRAL_GRID,
     CharQuantities,
     SpectralParams,
-    accompanying_pair,
     char_quantities,
     discretize_spectral,
     dsharp,
@@ -684,47 +683,6 @@ class TestPushforwardOne:
     def test_rejects_wrong_index(self):
         with pytest.raises(ValueError, match="Cauchy index"):
             pushforward_one([(0.0, SpectralParams(1.5, 0.5, 0.5), 1.0)])
-
-
-class TestAccompanyingPair:
-    """Centering and jump measure of the accompanying law."""
-
-    def test_point_mass_at_zero(self):
-        mu, psi = accompanying_pair(PointMassLaw(0.0), SQRT_NORMING, 100, 1.0)
-        assert mu == 0.0
-        assert psi.atoms == ()
-
-    def test_centered_point_mass_cancels_exactly(self):
-        norming = NormingSequence(alpha=2.0, centering_kind="n_times_mean")
-        mu, psi = accompanying_pair(PointMassLaw(0.75), norming, 100, 1.0)
-        assert abs(mu) <= 1e-12, f"mean centering should cancel the drift, got {mu}"
-        assert psi.atoms == ()
-
-    def test_gaussian_total_matches_direct_expectation(self):
-        p = GaussianLaw(1.0, 1.0)
-        n, tau = 100, 1.0
-        b = SQRT_NORMING.b(n)
-        m = p.truncated_mean(tau * b) / b
-        direct = n * p.expect(lambda x: (x / b - m) ** 2 / (1.0 + (x / b - m) ** 2))
-        _, psi = accompanying_pair(p, SQRT_NORMING, n, tau)
-        np.testing.assert_allclose(psi.total_mass, direct, atol=1e-5)
-
-    def test_standard_gaussian_total_near_one(self):
-        _, psi = accompanying_pair(GaussianLaw(0.0, 1.0), SQRT_NORMING, 10_000, 1.0)
-        np.testing.assert_allclose(psi.total_mass, 1.0, atol=0.01)
-
-    def test_cauchy_totals_increase_toward_one(self):
-        totals = []
-        for n in (100, 1000):
-            mu, psi = accompanying_pair(CauchyLaw(0.0, 1.0), LINEAR_NORMING, n, 1.0)
-            assert abs(mu) <= 1e-6, f"symmetric law should center at 0, got {mu}"
-            np.testing.assert_allclose(psi.total_mass, n / (n + 1.0), rtol=1e-5)
-            totals.append(psi.total_mass)
-        assert totals[0] < totals[1] < 1.0
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            accompanying_pair(PointMassLaw(0.0), SQRT_NORMING, 100, 0.0)
 
 
 class TestCharQuantities:

@@ -466,6 +466,14 @@ _INF = math.inf
         (lambda: LocationGaussian(0.0, _INF), "sd must be finite, got inf"),
         (lambda: ScaleAtoms(((_INF, 1.0),)), "dispersion value must be finite, got inf"),
         (lambda: LocationAtoms(((_INF, 1.0),)), "location value must be finite, got inf"),
+        (lambda: NormingSequence(1.0, scale=_INF), "scale must be finite, got inf"),
+        (lambda: NormingSequence(1.0, slow_power=_NAN), "slow_power must be finite, got nan"),
+        (lambda: NormingSequence(1.0, slow_kind="log_power", slow_power=_INF), "slow_power must be finite, got inf"),
+        (
+            lambda: NormingSequence(1.0, centering_kind="n_times_truncated_mean", centering_tau=_INF),
+            "centering_tau must be finite, got inf",
+        ),
+        (lambda: NormingSequence(1.0, centering_tau=_NAN), "centering_tau must be finite, got nan"),
     ],
 )
 def test_nonfinite_family_or_prior_parameter_is_a_value_error(make, fragment):
@@ -977,6 +985,22 @@ class TestGridSums:
         grid = sample_grid_sums(law, norming, self.HARD_GRID, 2, seed=3, replicates=40)
         assert len(built) == generators
         assert np.array_equal(grid, reference)
+
+    @pytest.mark.parametrize(
+        "law, norming, n, fragment",
+        [
+            # b_4096 = 4096**100 overflows.
+            (SymmetricParetoLaw(0.01, 1.0), NormingSequence(0.01), 4096, "b_n at n=4096 under norming index 0.01"),
+            # Tail index 0.8 has no mean to center by.
+            (OneSidedParetoLaw(0.8, 1.0), NormingSequence(1.0, **_MEAN_CENTERED), 2 * 10**7, "mean undefined"),
+        ],
+    )
+    def test_a_norming_that_fails_does_so_before_any_entry_is_drawn(self, monkeypatch, law, norming, n, fragment):
+        calls = []
+        monkeypatch.setattr(directing, "_row_sums", lambda p, rng, rows, n_grid: calls.append(n_grid) or [np.zeros(rows)])
+        with pytest.raises(ValueError, match=fragment):
+            sample_grid_sums(DirectingLaw(law), norming, (n,), rows=1, seed=0, replicates=2)
+        assert calls == []
 
     def test_nonfinite_sums_on_one_stream_name_their_row_length(self):
         law = DirectingLaw(OneSidedParetoLaw(0.01, 1.0))

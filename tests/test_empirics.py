@@ -14,6 +14,7 @@ from stablemix.directing import (
     DirectingLaw,
     ScaleAtoms,
     SymmetricParetoLaw,
+    UniformLaw,
     draw_replicates,
     sample_array_sums,
 )
@@ -313,6 +314,18 @@ class TestRunScenario:
         with pytest.raises(RuntimeError, match="sample_array_sums: 3 of 50 .* at n=64"):
             with pytest.warns(RuntimeWarning):
                 run_scenario(spec, seed=0)
+
+    def test_nonfinite_quantity_names_its_field_and_n(self):
+        # b_n**2 overflows in the smoothed mean, which reads NaN.
+        spec = ScenarioSpec(
+            name="tiny-uniform",
+            law=DirectingLaw(UniformLaw(0.0, 1e-300)),
+            norming=NormingSequence(1.0, scale=1e300),
+            cf_n_grid=(64,),
+            cf_replicates=20,
+        )
+        with pytest.raises(ValueError, match="quantity m_smooth at n=64 is not finite: nan"):
+            run_scenario(spec, seed=0)
 
     def test_nan_modulus_is_rejected(self):
         with pytest.raises(ValueError, match="modulus nan"):

@@ -1,22 +1,18 @@
 """Tests for mixture characteristic functions and the scale-mixture identity."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from stablemix.empirics import _IDENTITY_GRID
-from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import (
-    IDMixingMeasure,
     MixingMeasure,
     cauchy_from_gaussian_scale_mixture,
-    id_mixture_cf,
     joint_mixture_cf,
     mixture_cf,
 )
-from stablemix.stable import LevyKhintchinePair, StableParams
+from stablemix.stable import StableParams
 
 CAUCHY_1 = StableParams(1.0, 0.0, 1.0, 0.0)
 CAUCHY_2 = StableParams(1.0, 0.0, 2.0, 0.0)
@@ -117,40 +113,6 @@ class TestJointMixtureCf:
     def test_rejects_empty_coordinates(self):
         with pytest.raises(ValueError):
             joint_mixture_cf([], HALF_HALF)
-
-
-class TestIdMixtureCf:
-    def test_gaussian_atom(self):
-        mix = IDMixingMeasure(((LevyKhintchinePair(0.0, AtomicMeasure(((0.0, 1.0),))), 1.0),))
-        assert id_mixture_cf([2.0], mix) == pytest.approx(math.exp(-2.0))
-
-    def test_pure_translations(self):
-        pairs = (
-            (LevyKhintchinePair(1.0, AtomicMeasure.null()), 0.25),
-            (LevyKhintchinePair(-2.0, AtomicMeasure.null()), 0.75),
-        )
-        mix = IDMixingMeasure(pairs)
-        ts = [0.5, 1.0]
-        expected = 0.25 * cmath.exp(1j * 1.0 * 1.5) + 0.75 * cmath.exp(-1j * 2.0 * 1.5)
-        assert id_mixture_cf(ts, mix) == pytest.approx(expected)
-
-    def test_matches_stable_mixture_on_gaussian_atoms(self):
-        # Correspondence: a Gaussian stable atom (2, gamma, c, .) equals the
-        # exponent pair (mu = gamma, jump measure 2c at the origin).
-        stable_atoms = (
-            (StableParams(2.0, 0.5, 0.7, 0.0), 0.4),
-            (StableParams(2.0, -1.0, 1.3, 0.0), 0.6),
-        )
-        id_atoms = tuple(
-            (LevyKhintchinePair(p.gamma, AtomicMeasure(((0.0, 2.0 * p.c),))), w)
-            for p, w in stable_atoms
-        )
-        s_mix = MixingMeasure(stable_atoms)
-        i_mix = IDMixingMeasure(id_atoms)
-        for ts in ([0.7], [1.0, -0.5], [2.0, 0.25, 1.0]):
-            assert id_mixture_cf(ts, i_mix) == pytest.approx(
-                joint_mixture_cf(ts, s_mix), abs=1e-12
-            )
 
 
 class TestScaleMixtureIdentity:

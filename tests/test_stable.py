@@ -254,6 +254,18 @@ class TestNorming:
             seq = NormingSequence(alpha=1.0, slow_kind=slow_kind, slow_power=2.0)
             assert norming_values(seq, 1)[0] > 0
 
+    @pytest.mark.parametrize(
+        "seq, n",
+        [
+            (NormingSequence(alpha=0.01), 4096),  # n**(1/alpha) overflows in the power
+            (NormingSequence(alpha=0.5, scale=1e300), 10**9),  # overflows in the product
+            (NormingSequence(alpha=1.0, slow_kind="log_power", slow_power=400.0), 10**6),
+        ],
+    )
+    def test_overflowing_b_names_n_and_the_index(self, seq, n):
+        with pytest.raises(ValueError, match=f"b_n at n={n} under norming index {seq.alpha} is not a finite"):
+            seq.b(n)
+
     def test_mean_centering_needs_a_realization(self):
         seq = NormingSequence(alpha=1.0, centering_kind="n_times_mean")
         with pytest.raises(ValueError):
