@@ -12,7 +12,7 @@ from stablemix import (
     CauchyLaw,
     GaussianLaw,
     NormingSequence,
-    SymmetricParetoLaw,
+    ParetoLaw,
     char_quantities,
 )
 
@@ -22,8 +22,8 @@ def main() -> None:
         ("Gaussian, b_n = sqrt(n)", GaussianLaw(0.0, 1.0), NormingSequence(alpha=2.0)),
         ("Cauchy, b_n = n", CauchyLaw(0.0, 1.0), NormingSequence(alpha=1.0)),
         (
-            "Pareto 1.5, b_n = n^(2/3)",
-            SymmetricParetoLaw(1.5, 1.0),
+            "Symmetric Pareto 1.5 (right_weight 0.5), b_n = n^(2/3)",
+            ParetoLaw(1.5, 1.0, 0.5),
             NormingSequence(alpha=1.5),
         ),
     ]

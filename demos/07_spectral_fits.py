@@ -11,7 +11,7 @@ Run with: python3 demos/07_spectral_fits.py
 
 import math
 
-from stablemix import CauchyLaw, NormingSequence, OneSidedParetoLaw
+from stablemix import CauchyLaw, NormingSequence, ParetoLaw
 from stablemix.characteristics import (
     fit_spectrum,
     pushforward_alpha,
@@ -44,8 +44,8 @@ def main() -> None:
     print(f"pushforward at index 1: scale c = {stable.c:.5f} (the unit Cauchy)")
     print()
 
-    print("One-sided Pareto with index 1.5, mean centering, b_n = n^(2/3):")
-    pareto = OneSidedParetoLaw(1.5, 1.0)
+    print("One-sided Pareto (right_weight 1) with index 1.5, mean centering, b_n = n^(2/3):")
+    pareto = ParetoLaw(1.5, 1.0, 1.0)
     norming15 = NormingSequence(alpha=1.5, centering_kind="n_times_mean")
     measure = spectral_measure_lambda(pareto, norming15, 100000)
     params, residual = fit_spectrum(measure, 1.5)

@@ -52,13 +52,12 @@ from .directing import (
     GaussianLaw,
     LocationAtoms,
     LocationGaussian,
-    OneSidedParetoLaw,
+    ParetoLaw,
     PointMassLaw,
     ScaleAtoms,
     ScaleExponential,
     ScaleLogNormal,
     StableLaw,
-    SymmetricParetoLaw,
     UniformLaw,
     draw_replicates,
     sample_array_sums,

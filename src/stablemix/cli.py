@@ -16,7 +16,9 @@ Exit codes form a stable contract:
        infinite number (only the norming index may be Infinity), a tolerance
        or tau that is not finite and positive, a prob_bound or ks_tol of
        0.5 or more, a row length below 2 or repeated in n_grid, a grid over
-       WORK_BUDGET with REPLICATE_COST per replicate, bad or repeated
+       WORK_BUDGET with its cf and joint table entries and REPLICATE_COST
+       per replicate, a prior the base family cannot take (a dispersion
+       prior on a point mass or a stable base with c = 0), bad or repeated
        criterion, a criterion that needs a tail index the scenario lacks or
        has out of range, or, when sec5 runs, an x_grid that is not positive
        and increasing)
@@ -44,13 +46,12 @@ from .directing import (
     GaussianLaw,
     LocationAtoms,
     LocationGaussian,
-    OneSidedParetoLaw,
+    ParetoLaw,
     PointMassLaw,
     ScaleAtoms,
     ScaleExponential,
     ScaleLogNormal,
     StableLaw,
-    SymmetricParetoLaw,
     UniformLaw,
 )
 from .empirics import (
@@ -94,8 +95,8 @@ _VERDICTS = {True: ("pass", EXIT_PASS), False: ("fail", EXIT_FAIL), None: ("inco
 
 SCHEMA_VERSION = 1
 
-# Largest replicates x (rows x summed row lengths + REPLICATE_COST) one grid may
-# ask for: about a minute of sampling at 2e7 variates per second.
+# Largest work one grid may ask for (see _check_budget): about a minute of
+# sampling at 2e7 variates per second.
 WORK_BUDGET = 10**9
 # A replicate's fixed cost in entries: 44-122 us per replicate at n = 2 (Intel
 # Xeon, Python 3.11, NumPy 2.4), 900-2,400 entries at 2e7 per second.
@@ -171,8 +172,8 @@ _BASE_KINDS = {
     "gaussian": (GaussianLaw, ("mean", "sd")),
     "cauchy": (CauchyLaw, ("location", "scale")),
     "uniform": (UniformLaw, ("lo", "hi")),
-    "pareto_symmetric": (SymmetricParetoLaw, ("tail_index", "scale")),
-    "pareto_onesided": (OneSidedParetoLaw, ("tail_index", "scale")),
+    "pareto_symmetric": (lambda tail_index, scale: ParetoLaw(tail_index, scale, 0.5), ("tail_index", "scale")),
+    "pareto_onesided": (lambda tail_index, scale: ParetoLaw(tail_index, scale, 1.0), ("tail_index", "scale")),
     "stable": (lambda *params: StableLaw(StableParams(*params)), ("alpha", "gamma", "c", "beta")),
 }
 
@@ -348,20 +349,25 @@ def _build_scenario(obj, path: str) -> ScenarioSpec:
 
 
 def _check_budget(spec: ScenarioSpec) -> None:
-    """Reject a grid whose replicates x (rows x summed row lengths +
-    REPLICATE_COST) exceeds WORK_BUDGET, before anything is drawn. The
-    checker grid has one row."""
+    """Reject a grid whose replicates x (rows x summed row lengths + table
+    entries + REPLICATE_COST) exceeds WORK_BUDGET, before anything is drawn.
+    The cf grid's entries, each about one variate, are len(n_grid) x
+    len(t_grid), plus len(joint_grid) when joint; the checker grid has one
+    row and none."""
     rows = 2 if spec.joint else 1
+    tables = len(spec.cf_n_grid) * len(spec.t_grid.points)
+    tables += len(spec.joint_grid.points) if spec.joint else 0
     grids = (
-        ("config.scenario.n_grid", spec.cf_replicates, rows, spec.cf_n_grid),
-        ("config.scenario.checker_n_grid", spec.checker_ngrid.replicates, 1, spec.checker_ngrid.values),
+        ("config.scenario.n_grid", spec.cf_replicates, rows, spec.cf_n_grid, tables),
+        ("config.scenario.checker_n_grid", spec.checker_ngrid.replicates, 1, spec.checker_ngrid.values, 0),
     )
-    for path, replicates, grid_rows, values in grids:
-        work = replicates * (grid_rows * sum(values) + REPLICATE_COST)
+    for path, replicates, grid_rows, values, entries in grids:
+        work = replicates * (grid_rows * sum(values) + entries + REPLICATE_COST)
         if work > WORK_BUDGET:
             raise ConfigError(
                 f"{path}: {replicates} replicates x {grid_rows} row(s) x {sum(values)} summed row lengths"
-                f" + {replicates} x {REPLICATE_COST} per replicate = {work} exceeds the work budget of {WORK_BUDGET}"
+                f" + {replicates} x ({entries} table entries + {REPLICATE_COST}) per replicate = {work}"
+                f" exceeds the work budget of {WORK_BUDGET}"
             )
 
 

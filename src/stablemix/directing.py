@@ -51,8 +51,7 @@ __all__ = [
     "GaussianLaw",
     "CauchyLaw",
     "UniformLaw",
-    "SymmetricParetoLaw",
-    "OneSidedParetoLaw",
+    "ParetoLaw",
     "StableLaw",
     "PointMassLaw",
     "ScaleAtoms",
@@ -449,17 +448,70 @@ class UniformLaw(_RealizedLaw):
 
 
 @dataclass(frozen=True)
-class _ParetoLaw(_RealizedLaw):
-    """Fields, validation and closed forms shared by the two Pareto families."""
+class ParetoLaw(_RealizedLaw):
+    """Power-tail law: P(X > x) = w*(x/s)**-a and P(X < -x) = (1-w)*(x/s)**-a
+    for x >= s, with a = tail_index, s = pscale and w = right_weight.
+
+    w = 1/2 is the symmetric law and w = 1 the law on [s, +inf); any other w
+    needs a sign rule of its own and is a ValueError. ``sample`` draws the
+    magnitudes s*U**(-1/a), then at w = 1/2 one ``integers(0, 2)`` sign each.
+    """
 
     tail_index: float
     pscale: float
+    right_weight: float
 
     def __post_init__(self) -> None:
         _require_positive("tail_index", self.tail_index)
         _require_positive("scale", self.pscale)
         _require_finite("tail_index", self.tail_index)
         _require_finite("scale", self.pscale)
+        if self.right_weight not in (0.5, 1.0):
+            raise ValueError(f"right_weight must be 0.5 or 1.0, got {self.right_weight!r}")
+
+    @property
+    def symmetric(self) -> bool:
+        return self.right_weight == 0.5
+
+    @property
+    def prefix_stable(self) -> bool:
+        # The signs are drawn after all the magnitudes.
+        return self.right_weight == 1.0
+
+    def pieces(self) -> Tuple[Tuple[float, float], ...]:
+        left = ((-math.inf, -self.pscale),) if self.right_weight < 1.0 else ()
+        return left + ((self.pscale, math.inf),)
+
+    def pdf(self, x: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if abs(x) < s:
+            return 0.0
+        weight = self.right_weight if x > 0 else 1.0 - self.right_weight
+        return weight * a0 * s ** a0 * abs(x) ** (-a0 - 1.0)
+
+    def cdf(self, x: float) -> float:
+        a0, s, w = self.tail_index, self.pscale, self.right_weight
+        if x <= -s:
+            return (1.0 - w) * (s / -x) ** a0
+        if x < s:
+            return 1.0 - w
+        return 1.0 - w * (s / x) ** a0
+
+    def right_tail(self, x: float) -> float:
+        a0, s, w = self.tail_index, self.pscale, self.right_weight
+        if x >= s:
+            return w * (s / x) ** a0
+        if x > -s:
+            return w
+        return 1.0 - (1.0 - w) * (s / -x) ** a0
+
+    def truncated_mean(self, bound: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if self.symmetric or bound < s:
+            return 0.0
+        if a0 == 1.0:
+            return s * math.log(bound / s)
+        return a0 * s ** a0 * (bound ** (1.0 - a0) - s ** (1.0 - a0)) / (1.0 - a0)
 
     def truncated_second(self, bound: float) -> float:
         a0, s = self.tail_index, self.pscale
@@ -469,103 +521,21 @@ class _ParetoLaw(_RealizedLaw):
             return 2.0 * s * s * math.log(bound / s)
         return a0 * s ** a0 * (bound ** (2.0 - a0) - s ** (2.0 - a0)) / (2.0 - a0)
 
-    def with_dispersion(self, value: float) -> "_ParetoLaw":
-        return type(self)(self.tail_index, value)
-
-    def _magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """pscale * U**(-1/tail_index) with U uniform on (0, 1]: an exact 0.0
-        from ``random`` becomes 1.0, the law of 1 - U on the same lattice,
-        and every other draw is unchanged."""
-        u = rng.random(size)
-        u[u == 0.0] = 1.0
-        return self.pscale * u ** (-1.0 / self.tail_index)
-
-
-@dataclass(frozen=True)
-class SymmetricParetoLaw(_ParetoLaw):
-    """Symmetric power-tail law: density ~ |x|**-(tail_index+1) for |x| >= pscale."""
-
-    symmetric = True
-
-    def pieces(self) -> Tuple[Tuple[float, float], ...]:
-        return ((-math.inf, -self.pscale), (self.pscale, math.inf))
-
-    def pdf(self, x: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if abs(x) < s:
-            return 0.0
-        return 0.5 * a0 * s ** a0 * abs(x) ** (-a0 - 1.0)
-
-    def cdf(self, x: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if x <= -s:
-            return 0.5 * (s / -x) ** a0
-        if x < s:
-            return 0.5
-        return 1.0 - 0.5 * (s / x) ** a0
-
-    def right_tail(self, x: float) -> float:
-        return self.cdf(-x)
-
-    def mean(self) -> float:
-        if self.tail_index <= 1.0:
-            raise ValueError("mean undefined at tail index <= 1")
-        return 0.0
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        magnitudes = self._magnitudes(rng, size)
-        signs = rng.integers(0, 2, size) * 2 - 1
-        return magnitudes * signs
-
-
-@dataclass(frozen=True)
-class OneSidedParetoLaw(_ParetoLaw):
-    """Power-tail law supported on [pscale, +inf)."""
-
-    prefix_stable = True
-
-    def pieces(self) -> Tuple[Tuple[float, float], ...]:
-        return ((self.pscale, math.inf),)
-
-    def pdf(self, x: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if x < s:
-            return 0.0
-        return a0 * s ** a0 * x ** (-a0 - 1.0)
-
-    def cdf(self, x: float) -> float:
-        if x < self.pscale:
-            return 0.0
-        return 1.0 - (self.pscale / x) ** self.tail_index
-
-    def right_tail(self, x: float) -> float:
-        if x < self.pscale:
-            return 1.0
-        return (self.pscale / x) ** self.tail_index
-
-    def truncated_mean(self, bound: float) -> float:
-        a0, s = self.tail_index, self.pscale
-        if bound < s:
-            return 0.0
-        if a0 == 1.0:
-            return s * math.log(bound / s)
-        return a0 * s ** a0 * (bound ** (1.0 - a0) - s ** (1.0 - a0)) / (1.0 - a0)
-
     def smoothed_mean(self, b: float) -> float:
-        """a * z**-a * int_0^z v**a / (1 + v**2) dv with z = b/pscale.
+        """At w = 1, a * z**-a * int_0^z v**a / (1 + v**2) dv with z = b/pscale.
 
         That is a*z/(a+1) * 2F1(1, (a+1)/2; (a+3)/2; -z**2), and at a = 1 it
         is log1p(z**2)/(2z). The series of ``_scaled_power_integral`` has
         ratio up to z**2/(1+z**2), which nears 1 as z grows, so for z > 1 the
         integral is split at v = 1 and the series only ever sees x <= 1. In
-        u = 1/v its part over (1, z]
-        is int_{1/z}^1 u**-a/(1+u**2) du, and K = floor((a + 3/2)/2) powers
+        u = 1/v its part over (1, z] is int_{1/z}^1 u**-a/(1+u**2) du, and
+        K = floor((a + 3/2)/2) powers
         peel off, leaving a remainder with exponent 2K - a in (-1/2, 3/2]:
         u**-a/(1+u**2) = sum_{k<K} (-1)**k u**(2k-a) + (-1)**K u**(2K-a)/(1+u**2).
         """
         a0 = self.tail_index
         z = b / self.pscale
-        if z == 0.0:
+        if self.symmetric or z == 0.0:
             return 0.0
         if a0 == 1.0:
             return math.log1p(z * z) / (2.0 * z)
@@ -586,10 +556,21 @@ class OneSidedParetoLaw(_ParetoLaw):
         a0 = self.tail_index
         if a0 <= 1.0:
             raise ValueError("mean undefined at tail index <= 1")
-        return a0 * self.pscale / (a0 - 1.0)
+        return 0.0 if self.symmetric else a0 * self.pscale / (a0 - 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._magnitudes(rng, size)
+        """pscale * U**(-1/tail_index) with U uniform on (0, 1]: an exact 0.0
+        from ``random`` becomes 1.0, the law of 1 - U on the same lattice,
+        and every other draw is unchanged."""
+        u = rng.random(size)
+        u[u == 0.0] = 1.0
+        magnitudes = self.pscale * u ** (-1.0 / self.tail_index)
+        if self.symmetric:
+            return magnitudes * (rng.integers(0, 2, size) * 2 - 1)
+        return magnitudes
+
+    def with_dispersion(self, value: float) -> "ParetoLaw":
+        return ParetoLaw(self.tail_index, value, self.right_weight)
 
 
 def _via_twin(method: Callable) -> Callable:
@@ -866,8 +847,12 @@ class DirectingLaw:
         if self.randomizer is None:
             return
         slot = self.randomizer.slot
-        if not hasattr(self.base, f"with_{slot}"):
-            raise ValueError(f"{type(self.base).__name__} does not accept a {slot} prior")
+        # A stable law with c = 0 stores no index, so it takes a prior only as
+        # the point mass it equals.
+        twin = self.base._twin if isinstance(self.base, StableLaw) else None
+        if not hasattr(twin or self.base, f"with_{slot}"):
+            name = type(self.base).__name__ + (" with c = 0" if twin else "")
+            raise ValueError(f"{name} does not accept a {slot} prior")
 
 
 def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:

@@ -48,11 +48,10 @@ from .directing import (
     CauchyLaw,
     DirectingLaw,
     GaussianLaw,
-    OneSidedParetoLaw,
+    ParetoLaw,
     PointMassLaw,
     ScaleAtoms,
     ScaleExponential,
-    SymmetricParetoLaw,
     UniformLaw,
     _check_grid,
     draw_replicates,
@@ -415,7 +414,7 @@ def _builtin_registry() -> Dict[str, ScenarioSpec]:
         ScenarioSpec(
             name="pareto-mix",
             law=DirectingLaw(
-                SymmetricParetoLaw(1.5, 1.0), ScaleAtoms(((1.0, 0.5), (2.0, 0.5)))
+                ParetoLaw(1.5, 1.0, 0.5), ScaleAtoms(((1.0, 0.5), (2.0, 0.5)))
             ),
             norming=two_thirds,
             alpha=1.5,
@@ -435,7 +434,7 @@ def _builtin_registry() -> Dict[str, ScenarioSpec]:
         ),
         ScenarioSpec(
             name="pareto-onesided",
-            law=DirectingLaw(OneSidedParetoLaw(1.5, 1.0)),
+            law=DirectingLaw(ParetoLaw(1.5, 1.0, 1.0)),
             norming=two_thirds_mean,
             alpha=1.5,
             target=_single_atom(1.5, 0.0, _SQRT_2PI, -1.0),

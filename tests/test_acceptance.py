@@ -14,8 +14,8 @@ import pytest
 from stablemix import (
     CauchyLaw,
     NormingSequence,
+    ParetoLaw,
     StableParams,
-    SymmetricParetoLaw,
     sample_array_sums,
     sample_stable,
     stable_cf,
@@ -172,7 +172,7 @@ class TestAcceptance:
 
     def test_criterion_08_tail_moment_ratio(self):
         """The tail-to-truncated-second-moment ratio lands at (2-a)/a for power tails."""
-        pareto = tail_moment_ratio(SymmetricParetoLaw(1.5, 1.0), 1e4)
+        pareto = tail_moment_ratio(ParetoLaw(1.5, 1.0, 0.5), 1e4)
         assert abs(pareto - 1.0 / 3.0) <= 0.05, (
             f"index-1.5 ratio {pareto:.4f} not within 0.05 of 1/3"
         )

@@ -33,10 +33,9 @@ from stablemix.characteristics import (
 from stablemix.directing import (
     CauchyLaw,
     GaussianLaw,
-    OneSidedParetoLaw,
+    ParetoLaw,
     PointMassLaw,
     StableLaw,
-    SymmetricParetoLaw,
     UniformLaw,
 )
 from stablemix.measures import AtomicMeasure
@@ -182,7 +181,7 @@ class TestTailMomentRatio:
 
     def test_symmetric_pareto_oracle(self):
         # tail index 1.5, unit scale, x = 1e4: exact value sqrt(x)/(3(sqrt(x)-1))
-        ratio = tail_moment_ratio(SymmetricParetoLaw(1.5, 1.0), 1e4)
+        ratio = tail_moment_ratio(ParetoLaw(1.5, 1.0, 0.5), 1e4)
         np.testing.assert_allclose(ratio, 100.0 / 297.0, rtol=1e-10)
         assert abs(ratio - (2.0 - 1.5) / 1.5) <= 0.05
 
@@ -489,7 +488,7 @@ class TestFitSpectrum:
         assert residual <= 0.05, f"correct-index residual too large: {residual}"
 
     def test_one_sided_pareto_nulls_the_left_side(self):
-        lam = spectral_measure_lambda(OneSidedParetoLaw(1.5, 1.0), PARETO_NORMING, 100_000)
+        lam = spectral_measure_lambda(ParetoLaw(1.5, 1.0, 1.0), PARETO_NORMING, 100_000)
         fitted, residual = fit_spectrum(lam, 1.5)
         assert fitted.c_minus == 0.0, f"left side should be null, got {fitted.c_minus}"
         np.testing.assert_allclose(fitted.c_plus, 1.0, atol=0.01)
@@ -847,7 +846,7 @@ class TestArrayPathOracle:
                 _assert_within_bisection(_ref_dsharp(a, b), dsharp(a, b), f"pair {trial}: dsharp")
 
     def test_bitwise_equal_on_spectral_fit_residuals(self):
-        law = SymmetricParetoLaw(1.5, 1.3)
+        law = ParetoLaw(1.5, 1.3, 0.5)
         for n in (100, 100000):
             measure = spectral_measure_lambda(law, PARETO_NORMING, n)
             for alpha in (1.5, 1.2):
@@ -985,7 +984,7 @@ class TestGallopingSearch:
                 assert dsharp(a, b) == _bisect_dsharp(a, b), f"pair {trial}"
 
     def test_equal_on_spectral_fit_residuals(self, checked_searches):
-        law = SymmetricParetoLaw(1.5, 1.3)
+        law = ParetoLaw(1.5, 1.3, 0.5)
         for n in (100, 1000, 10000, 100000):
             measure = spectral_measure_lambda(law, PARETO_NORMING, n)
             for alpha in (1.5, 1.2):
@@ -1082,7 +1081,7 @@ class TestProkhorovCertificate:
             _certify(*arrays, d, f"distance {index}")
 
     def test_spectral_fit_residuals(self, recorded_distances):
-        law = SymmetricParetoLaw(1.5, 1.3)
+        law = ParetoLaw(1.5, 1.3, 0.5)
         for n in (100, 100000):
             measure = spectral_measure_lambda(law, PARETO_NORMING, n)
             for alpha in (1.5, 1.2):
@@ -1113,7 +1112,7 @@ class TestProkhorovWork:
 
         monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
         monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting_search)
-        measure = spectral_measure_lambda(SymmetricParetoLaw(1.5, 1.3), PARETO_NORMING, 100000)
+        measure = spectral_measure_lambda(ParetoLaw(1.5, 1.3, 0.5), PARETO_NORMING, 100000)
         fit_spectrum(measure, 1.2)
         assert len(calls) == 15
         searched = [count for _, count in calls if count > 2]
@@ -1222,8 +1221,8 @@ class TestCellWalk:
         "law, norming",
         [
             (CauchyLaw(0.3, 1.2), LINEAR_NORMING),
-            (SymmetricParetoLaw(1.5, 1.3), PARETO_NORMING),
-            (OneSidedParetoLaw(1.5, 0.8), PARETO_NORMING),
+            (ParetoLaw(1.5, 1.3, 0.5), PARETO_NORMING),
+            (ParetoLaw(1.5, 0.8, 1.0), PARETO_NORMING),
             (UniformLaw(-1.0, 2.0), SQRT_NORMING),
             (StableLaw(StableParams(1.5, 0.2, 1.0, 0.5)), PARETO_NORMING),
         ],

@@ -240,6 +240,20 @@ class TestConfigErrors:
                 {"id": "x", "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}}, "norming": {"alpha": 1.0, "scale": math.nan}},
                 "config error: config.scenario.norming.scale: expected a finite number, got nan",
             ),
+            # A stable base with c = 0 is a point mass: a scale prior would draw Cauchy laws.
+            (
+                {
+                    "id": "x",
+                    "law": {
+                        "base": {"kind": "stable", "alpha": 1.5, "gamma": 0, "c": 0, "beta": 0},
+                        "prior": {"kind": "scale_atoms", "atoms": [[1.0, 0.5], [2.0, 0.5]]},
+                    },
+                    "norming": {"alpha": 1.5},
+                    "alpha": 1.5,
+                    "checkers": ["stable_mixture"],
+                },
+                "config error: config.scenario.law: StableLaw with c = 0 does not accept a dispersion prior",
+            ),
             # A tolerance at the decisive one half would let a statistic both pass and fail.
             (
                 {"builtin": "gauss-fixed", "stat_config": {"ks_tol": 0.5}},
@@ -354,6 +368,18 @@ class TestReadmePython:
             exec(compile(text, f"README.md python example {j}", "exec"), {})
 
 
+# A Cauchy base on the shortest rows with a 10,001-point cf grid: 2 * 10**8
+# variates with their fixed costs, but 10**9 table entries.
+WIDE_T_GRID = {
+    "id": "wide-t",
+    "law": {"base": {"kind": "cauchy", "location": 0, "scale": 1}},
+    "norming": {"alpha": 1.0},
+    "n_grid": [2],
+    "replicates": 100000,
+    "t_grid": [k / 1000 for k in range(-5000, 5001)],
+}
+
+
 class TestWorkBudget:
     """A grid asking for more than WORK_BUDGET replicates x rows x summed row
     lengths is a config error found while parsing; nothing is ever drawn."""
@@ -380,6 +406,8 @@ class TestWorkBudget:
                 {"builtin": "gauss-expmix", "checker_n_grid": [2, 3], "checker_replicates": 10**8},
                 "config.scenario.checker_n_grid",
             ),
+            # Each replicate's cf table costs it one entry per (row length, t) pair.
+            (["simulate"], WIDE_T_GRID, "config.scenario.n_grid"),
         ],
     )
     def test_over_budget_grid_exits_config(self, tmp_path, capsys, argv, scenario, path):
@@ -392,7 +420,8 @@ class TestWorkBudget:
 
     def test_budget_is_inclusive_and_joint_counts_two_rows(self, tmp_path):
         # example1 simulates two rows per replicate.
-        at_cap = {"builtin": "gauss-fixed", "n_grid": [WORK_BUDGET // 1000 - REPLICATE_COST], "replicates": 1000}
+        # gauss-fixed has 41 t-points, so one row length costs 41 table entries.
+        at_cap = {"builtin": "gauss-fixed", "n_grid": [WORK_BUDGET // 1000 - REPLICATE_COST - 41], "replicates": 1000}
         load_config(write_config(tmp_path, {"scenario": at_cap, "seed": 1}))
         joint = {"builtin": "example1", "n_grid": [WORK_BUDGET // 1000], "replicates": 1000}
         with pytest.raises(cli.ConfigError, match=r"config\.scenario\.n_grid: 1000 replicates x 2 row"):

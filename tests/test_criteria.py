@@ -29,11 +29,10 @@ from stablemix.directing import (
     DirectingLaw,
     GaussianLaw,
     LocationGaussian,
-    OneSidedParetoLaw,
+    ParetoLaw,
     PointMassLaw,
     ScaleAtoms,
     ScaleExponential,
-    SymmetricParetoLaw,
     UniformLaw,
 )
 from stablemix.stable import NormingSequence
@@ -55,9 +54,9 @@ GAUSS_EXPMIX = DirectingLaw(GaussianLaw(0.0, 1.0), ScaleExponential(1.0))
 CAUCHY_FIXED = DirectingLaw(CauchyLaw(0.0, 1.0))
 CAUCHY_SCALEMIX = DirectingLaw(CauchyLaw(0.0, 1.0), ScaleAtoms(((1.0, 0.5), (2.0, 0.5))))
 PARETO_MIX = DirectingLaw(
-    SymmetricParetoLaw(1.5, 1.0), ScaleAtoms(((1.0, 0.5), (2.0, 0.5)))
+    ParetoLaw(1.5, 1.0, 0.5), ScaleAtoms(((1.0, 0.5), (2.0, 0.5)))
 )
-PARETO_ONESIDED = DirectingLaw(OneSidedParetoLaw(1.5, 1.0))
+PARETO_ONESIDED = DirectingLaw(ParetoLaw(1.5, 1.0, 1.0))
 
 
 class TestGridAndConfig:
@@ -294,7 +293,7 @@ class TestCauchyMixtureChecker:
 
     def test_one_sided_tails_fail_the_symmetry_requirement(self):
         verdict = check_cauchy_mixture(
-            DrawPanel(DirectingLaw(OneSidedParetoLaw(1.0, 1.0)), LINEAR, GRID, 0), CFG
+            DrawPanel(DirectingLaw(ParetoLaw(1.0, 1.0, 1.0)), LINEAR, GRID, 0), CFG
         )
         assert verdict.holds is False
         sub = verdict.evidence["sub_checks"]["symmetry"]
@@ -409,7 +408,7 @@ class TestSingleRowCauchyChecker:
 
     def test_one_sided_index_one_law_fails(self):
         verdict = check_single_row_cauchy(
-            DrawPanel(DirectingLaw(OneSidedParetoLaw(1.0, 1.0)), LINEAR, GRID, 0), CFG
+            DrawPanel(DirectingLaw(ParetoLaw(1.0, 1.0, 1.0)), LINEAR, GRID, 0), CFG
         )
         assert verdict.holds is False
         assert verdict.evidence.get("hypothesis_violated") is True
@@ -423,7 +422,7 @@ class TestSingleRowCauchyChecker:
 class TestExperimentalBattery:
     def test_symmetric_pareto_passes_every_display(self):
         verdict = check_sec5_conditions(
-            DrawPanel(DirectingLaw(SymmetricParetoLaw(1.5, 1.0)), TWO_THIRDS, GRID, 0),
+            DrawPanel(DirectingLaw(ParetoLaw(1.5, 1.0, 0.5)), TWO_THIRDS, GRID, 0),
             1.5,
             (100.0, 1000.0, 10000.0),
             CFG,

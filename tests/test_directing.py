@@ -1,6 +1,8 @@
 """Tests for directing laws, realized functionals, and normed row sums."""
 
 import math
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -15,13 +17,12 @@ from stablemix.directing import (
     GaussianLaw,
     LocationAtoms,
     LocationGaussian,
-    OneSidedParetoLaw,
+    ParetoLaw,
     PointMassLaw,
     ScaleAtoms,
     ScaleExponential,
     ScaleLogNormal,
     StableLaw,
-    SymmetricParetoLaw,
     UniformLaw,
     _BLOCK,
     _RealizedLaw,
@@ -36,6 +37,8 @@ from stablemix.mixtures import MixingMeasure
 from stablemix.stable import (
     NormingSequence,
     StableParams,
+    _require_finite,
+    _require_positive,
     norming_values,
     replicate_seed,
     sample_stable_with,
@@ -207,9 +210,156 @@ class TestUniformLaw:
         assert law.smoothed_mean(1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+# The two Pareto classes that ParetoLaw replaced, their code copied unchanged
+# (two long docstrings dropped) except for the leading underscore of the
+# concrete two, which keeps them out of _concrete_families. They are the
+# oracle of TestParetoLaws::test_matches_the_replaced_classes.
+@dataclass(frozen=True)
+class _ParetoLaw(_RealizedLaw):
+    """Fields, validation and closed forms shared by the two Pareto families."""
+
+    tail_index: float
+    pscale: float
+
+    def __post_init__(self) -> None:
+        _require_positive("tail_index", self.tail_index)
+        _require_positive("scale", self.pscale)
+        _require_finite("tail_index", self.tail_index)
+        _require_finite("scale", self.pscale)
+
+    def truncated_second(self, bound: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if bound <= s:
+            return 0.0
+        if a0 == 2.0:
+            return 2.0 * s * s * math.log(bound / s)
+        return a0 * s ** a0 * (bound ** (2.0 - a0) - s ** (2.0 - a0)) / (2.0 - a0)
+
+    def with_dispersion(self, value: float) -> "_ParetoLaw":
+        return type(self)(self.tail_index, value)
+
+    def _magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        u[u == 0.0] = 1.0
+        return self.pscale * u ** (-1.0 / self.tail_index)
+
+
+@dataclass(frozen=True)
+class _SymmetricParetoLaw(_ParetoLaw):
+    """Symmetric power-tail law: density ~ |x|**-(tail_index+1) for |x| >= pscale."""
+
+    symmetric = True
+
+    def pieces(self) -> Tuple[Tuple[float, float], ...]:
+        return ((-math.inf, -self.pscale), (self.pscale, math.inf))
+
+    def pdf(self, x: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if abs(x) < s:
+            return 0.0
+        return 0.5 * a0 * s ** a0 * abs(x) ** (-a0 - 1.0)
+
+    def cdf(self, x: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if x <= -s:
+            return 0.5 * (s / -x) ** a0
+        if x < s:
+            return 0.5
+        return 1.0 - 0.5 * (s / x) ** a0
+
+    def right_tail(self, x: float) -> float:
+        return self.cdf(-x)
+
+    def mean(self) -> float:
+        if self.tail_index <= 1.0:
+            raise ValueError("mean undefined at tail index <= 1")
+        return 0.0
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        magnitudes = self._magnitudes(rng, size)
+        signs = rng.integers(0, 2, size) * 2 - 1
+        return magnitudes * signs
+
+
+@dataclass(frozen=True)
+class _OneSidedParetoLaw(_ParetoLaw):
+    """Power-tail law supported on [pscale, +inf)."""
+
+    prefix_stable = True
+
+    def pieces(self) -> Tuple[Tuple[float, float], ...]:
+        return ((self.pscale, math.inf),)
+
+    def pdf(self, x: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if x < s:
+            return 0.0
+        return a0 * s ** a0 * x ** (-a0 - 1.0)
+
+    def cdf(self, x: float) -> float:
+        if x < self.pscale:
+            return 0.0
+        return 1.0 - (self.pscale / x) ** self.tail_index
+
+    def right_tail(self, x: float) -> float:
+        if x < self.pscale:
+            return 1.0
+        return (self.pscale / x) ** self.tail_index
+
+    def truncated_mean(self, bound: float) -> float:
+        a0, s = self.tail_index, self.pscale
+        if bound < s:
+            return 0.0
+        if a0 == 1.0:
+            return s * math.log(bound / s)
+        return a0 * s ** a0 * (bound ** (1.0 - a0) - s ** (1.0 - a0)) / (1.0 - a0)
+
+    def smoothed_mean(self, b: float) -> float:
+        a0 = self.tail_index
+        z = b / self.pscale
+        if z == 0.0:
+            return 0.0
+        if a0 == 1.0:
+            return math.log1p(z * z) / (2.0 * z)
+        if z <= 1.0:
+            return a0 * z * _scaled_power_integral(a0, z)
+        lz = math.log(z)
+        total = _scaled_power_integral(a0, 1.0)
+        peeled = math.floor((a0 + 1.5) / 2.0)
+        for k in range(peeled):
+            r = 2.0 * k + 1.0 - a0
+            total += (-1) ** k * (lz if r == 0.0 else -math.expm1(-r * lz) / r)
+        p = 2.0 * peeled - a0
+        remainder = _scaled_power_integral(p, 1.0) - z ** -(p + 1.0) * _scaled_power_integral(p, 1.0 / z)
+        total += (-1) ** peeled * remainder
+        return a0 * z ** -a0 * total
+
+    def mean(self) -> float:
+        a0 = self.tail_index
+        if a0 <= 1.0:
+            raise ValueError("mean undefined at tail index <= 1")
+        return a0 * self.pscale / (a0 - 1.0)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self._magnitudes(rng, size)
+
+
+def _outcome(f, *args):
+    """What f(*args) does, comparable bit for bit: the float's hex form, which
+    keeps the sign of zero, or the type and message of the error it raises."""
+    try:
+        value = f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return value.hex()
+
+
+_ORACLE_FACTORS = (0.0, 1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 10.0, 1e6, 1e300)
+
+
 class TestParetoLaws:
     def test_symmetric_tails(self):
-        law = SymmetricParetoLaw(tail_index=1.5, pscale=1.0)
+        law = ParetoLaw(tail_index=1.5, pscale=1.0, right_weight=0.5)
         assert law.right_tail(2.0) == pytest.approx(0.5 * 2.0 ** -1.5, rel=1e-12)
         assert law.cdf(-2.0) == pytest.approx(0.5 * 2.0 ** -1.5, rel=1e-12)
         assert law.tail_mass(2.0) == pytest.approx(2.0 ** -1.5, rel=1e-12)
@@ -217,41 +367,41 @@ class TestParetoLaws:
         assert law.truncated_mean(5.0) == 0.0
 
     def test_symmetric_second_moment_log_case(self):
-        law = SymmetricParetoLaw(tail_index=2.0, pscale=1.0)
+        law = ParetoLaw(tail_index=2.0, pscale=1.0, right_weight=0.5)
         assert law.truncated_second(math.e) == pytest.approx(2.0, rel=1e-12)
         by_quad = law.integrate(lambda x: x * x, -math.e, math.e)
         assert by_quad == pytest.approx(2.0, rel=1e-9)
 
     def test_symmetric_mean(self):
-        assert SymmetricParetoLaw(1.5, 1.0).mean() == 0.0
+        assert ParetoLaw(1.5, 1.0, 0.5).mean() == 0.0
         with pytest.raises(ValueError):
-            SymmetricParetoLaw(1.0, 1.0).mean()
+            ParetoLaw(1.0, 1.0, 0.5).mean()
 
     def test_one_sided_mean(self):
-        law = OneSidedParetoLaw(tail_index=1.5, pscale=1.0)
+        law = ParetoLaw(tail_index=1.5, pscale=1.0, right_weight=1.0)
         assert law.mean() == pytest.approx(3.0)
         with pytest.raises(ValueError):
-            OneSidedParetoLaw(0.9, 1.0).mean()
+            ParetoLaw(0.9, 1.0, 1.0).mean()
 
     def test_one_sided_truncated_mean(self):
-        law = OneSidedParetoLaw(tail_index=1.5, pscale=1.0)
+        law = ParetoLaw(tail_index=1.5, pscale=1.0, right_weight=1.0)
         for bound in (4.0, 100.0):
             expected = 3.0 * (1.0 - bound ** -0.5)
             assert law.truncated_mean(bound) == pytest.approx(expected, rel=1e-12)
-        log_law = OneSidedParetoLaw(tail_index=1.0, pscale=2.0)
+        log_law = ParetoLaw(tail_index=1.0, pscale=2.0, right_weight=1.0)
         assert log_law.truncated_mean(2.0 * math.e) == pytest.approx(2.0, rel=1e-12)
 
     def test_one_sided_tail_and_cdf(self):
-        law = OneSidedParetoLaw(1.5, 1.0)
+        law = ParetoLaw(1.5, 1.0, 1.0)
         assert law.cdf(0.5) == 0.0
         assert law.right_tail(0.5) == 1.0
         assert law.right_tail(4.0) == pytest.approx(0.125)
 
-    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
+    @pytest.mark.parametrize("right_weight", [0.5, 1.0])
     @pytest.mark.parametrize("tail_index", [1.5, 2.0, 2.5])
-    def test_truncated_second_matches_quadrature(self, family, tail_index):
+    def test_truncated_second_matches_quadrature(self, right_weight, tail_index):
         scale = 1.3
-        law = family(tail_index, scale)
+        law = ParetoLaw(tail_index, scale, right_weight)
         for factor in (0.5, 1.0, 3.0, 40.0):
             bound = factor * scale
             oracle = law.integrate(lambda x: x * x, -bound, bound)
@@ -264,7 +414,7 @@ class TestParetoLaws:
     def test_one_sided_smoothed_mean_matches_quadrature(self, tail_index):
         # The quadrature path every realized law inherits is the oracle.
         for scale in (0.5, 1.0, 3.0):
-            law = OneSidedParetoLaw(tail_index, scale)
+            law = ParetoLaw(tail_index, scale, 1.0)
             for z in np.geomspace(1e-2, 5e3, 25):
                 b = z * scale
                 closed = law.smoothed_mean(b)
@@ -275,14 +425,42 @@ class TestParetoLaws:
             for z in (1e4, 1e5, 1e6):
                 assert math.isfinite(law.smoothed_mean(z * scale))
 
-    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
-    def test_with_dispersion_keeps_the_family(self, family):
-        law = family(1.5, 1.0).with_dispersion(2.5)
-        assert type(law) is family
-        assert law == family(1.5, 2.5)
+    @pytest.mark.parametrize("replaced, right_weight", [(_SymmetricParetoLaw, 0.5), (_OneSidedParetoLaw, 1.0)])
+    def test_matches_the_replaced_classes(self, replaced, right_weight):
+        for tail_index in (0.3, 0.99, 1.0, 1.01, 1.5, 2.0, 2.5, 4.2):
+            for scale in (0.5, 1.0, 3.0):
+                old, new = replaced(tail_index, scale), ParetoLaw(tail_index, scale, right_weight)
+                where = f"{new!r}"
+                assert (new.symmetric, new.prefix_stable) == (old.symmetric, old.prefix_stable), where
+                assert new.pieces() == old.pieces(), where
+                assert _outcome(new.mean) == _outcome(old.mean), where
+                # The bounds and the smoothing width b are nonnegative.
+                points = [factor * scale for factor in _ORACLE_FACTORS]
+                signed = points + [-x for x in points]
+                calls = [(name, x) for name in ("pdf", "cdf", "right_tail", "tail_mass") for x in signed]
+                calls += [(name, x) for name in ("truncated_mean", "truncated_second", "smoothed_mean") for x in points]
+                for name, x in calls:
+                    got, want = _outcome(getattr(new, name), x), _outcome(getattr(old, name), x)
+                    assert got == want, f"{where}.{name}({x!r}): {got} != {want}"
+                for size in (1, 257):
+                    new_rng, old_rng = np.random.default_rng(size), np.random.default_rng(size)
+                    got, want = new.sample(new_rng, size), old.sample(old_rng, size)
+                    assert got.tobytes() == want.tobytes(), f"{where}.sample at size {size}"
+                    assert new_rng.bit_generator.state == old_rng.bit_generator.state, where
+
+    @pytest.mark.parametrize("right_weight", [0.5, 1.0])
+    def test_with_dispersion_keeps_the_right_weight(self, right_weight):
+        law = ParetoLaw(1.5, 1.0, right_weight).with_dispersion(2.5)
+        assert law.right_weight == right_weight
+        assert law == ParetoLaw(1.5, 2.5, right_weight)
+
+    @pytest.mark.parametrize("right_weight", [0.0, 0.25, 0.75, 1.5, -1.0, math.nan])
+    def test_other_right_weights_are_value_errors(self, right_weight):
+        with pytest.raises(ValueError, match="right_weight must be 0.5 or 1.0"):
+            ParetoLaw(1.5, 1.0, right_weight)
 
     def test_sampling_matches_tail(self):
-        law = SymmetricParetoLaw(1.5, 1.0)
+        law = ParetoLaw(1.5, 1.0, 0.5)
         rng = np.random.default_rng(42)
         sample = law.sample(rng, 200_000)
         frac = np.mean(np.abs(sample) > 2.0)
@@ -291,8 +469,8 @@ class TestParetoLaws:
         )
         assert np.min(np.abs(sample)) >= 1.0
 
-    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
-    def test_zero_uniform_draw_stays_finite(self, family):
+    @pytest.mark.parametrize("right_weight", [0.5, 1.0])
+    def test_zero_uniform_draw_stays_finite(self, right_weight):
         class ZeroRandom:
             def random(self, size):
                 return np.zeros(size)
@@ -300,17 +478,17 @@ class TestParetoLaws:
             def integers(self, lo, hi, size):
                 return np.zeros(size, dtype=np.int64)
 
-        sample = family(1.5, 2.5).sample(ZeroRandom(), 4)
+        sample = ParetoLaw(1.5, 2.5, right_weight).sample(ZeroRandom(), 4)
         assert np.all(np.isfinite(sample))
         assert np.all(np.abs(sample) == 2.5)
 
-    @pytest.mark.parametrize("family", [SymmetricParetoLaw, OneSidedParetoLaw])
-    def test_nonzero_draws_unchanged(self, family):
-        law = family(1.5, 2.5)
+    @pytest.mark.parametrize("right_weight", [0.5, 1.0])
+    def test_nonzero_draws_unchanged(self, right_weight):
+        law = ParetoLaw(1.5, 2.5, right_weight)
         got = law.sample(np.random.default_rng(3), 1000)
         rng = np.random.default_rng(3)
         magnitudes = 2.5 * rng.random(1000) ** (-1.0 / 1.5)
-        if family is SymmetricParetoLaw:
+        if right_weight == 0.5:
             magnitudes = magnitudes * (rng.integers(0, 2, 1000) * 2 - 1)
         assert np.array_equal(got, magnitudes)
 
@@ -420,7 +598,7 @@ _NAN = math.nan
     [
         (lambda: GaussianLaw(0.0, _NAN), "sd must be positive, got nan"),
         (lambda: CauchyLaw(0.0, _NAN), "scale must be positive, got nan"),
-        (lambda: SymmetricParetoLaw(_NAN, 1.0), "tail_index must be positive, got nan"),
+        (lambda: ParetoLaw(_NAN, 1.0, 0.5), "tail_index must be positive, got nan"),
         (lambda: ScaleExponential(_NAN), "rate must be positive, got nan"),
         (lambda: ScaleAtoms(((1.0, _NAN), (2.0, 0.5))), "weights must be positive"),
         # A NaN scale atom would realize CauchyLaw(0, nan).
@@ -458,8 +636,8 @@ _INF = math.inf
         (lambda: GaussianLaw(0.0, _INF), "sd must be finite, got inf"),
         (lambda: CauchyLaw(0.0, _INF), "scale must be finite, got inf"),
         (lambda: UniformLaw(-_INF, 1.0), "lo must be finite, got -inf"),
-        (lambda: SymmetricParetoLaw(_INF, 1.0), "tail_index must be finite, got inf"),
-        (lambda: SymmetricParetoLaw(1.5, _INF), "scale must be finite, got inf"),
+        (lambda: ParetoLaw(_INF, 1.0, 0.5), "tail_index must be finite, got inf"),
+        (lambda: ParetoLaw(1.5, _INF, 0.5), "scale must be finite, got inf"),
         (lambda: PointMassLaw(_INF), "point must be finite, got inf"),
         (lambda: ScaleExponential(_INF), "rate must be finite, got inf"),
         (lambda: ScaleLogNormal(0.0, _INF), "log_sd must be finite, got inf"),
@@ -569,6 +747,20 @@ class TestDrawDirecting:
             DirectingLaw(UniformLaw(0.0, 1.0), ScaleAtoms(atoms))
         with pytest.raises(ValueError, match="does not accept a location prior"):
             DirectingLaw(UniformLaw(0.0, 1.0), LocationAtoms(atoms))
+
+    def test_stable_base_at_zero_scale_takes_priors_as_its_point_mass(self):
+        # StableParams stores c = 0 as (1, gamma, 0, 0), so a dispersion
+        # prior would draw Cauchy laws whatever index the base was given.
+        atoms = ((1.0, 0.5), (2.0, 0.5))
+        base = StableLaw(StableParams(1.5, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="StableLaw with c = 0 does not accept a dispersion prior"):
+            DirectingLaw(base, ScaleAtoms(atoms))
+        with pytest.raises(ValueError, match="StableLaw with c = 0 does not accept a dispersion prior"):
+            DirectingLaw(base, ScaleExponential(1.0))
+        located = draw_replicates(DirectingLaw(base, LocationAtoms(atoms)), 3, 20)
+        assert {p.params for p in located} == {StableParams(1.0, v, 0.0, 0.0) for v, _ in atoms}
+        # Off c = 0 the stable base keeps its dispersion prior.
+        DirectingLaw(StableLaw(StableParams(1.5, 0.0, 1.0, 0.0)), ScaleAtoms(atoms))
 
 
 class TestRowSums:
@@ -724,7 +916,7 @@ class TestRowSums:
             sample_array_sums(law, norming, n=10, rows=1, seed=1, replicates=0)
 
     def test_nonfinite_sums_are_an_error(self):
-        law = DirectingLaw(SymmetricParetoLaw(0.01, 1.0))
+        law = DirectingLaw(ParetoLaw(0.01, 1.0, 0.5))
         # The sums overflow on purpose, and NumPy warns as they do.
         with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
             with pytest.warns(RuntimeWarning):
@@ -823,8 +1015,8 @@ _GRID_FAMILIES = [
     ("gaussian", GaussianLaw(0.5, 1.0), NormingSequence(2.0, **_MEAN_CENTERED), ScaleLogNormal(0.0, 0.5)),
     ("cauchy", CauchyLaw(0.0, 1.0), NormingSequence(1.0), ScaleLogNormal(0.0, 0.5)),
     ("uniform", UniformLaw(-1.0, 2.0), NormingSequence(2.0, **_MEAN_CENTERED), None),
-    ("pareto-symmetric", SymmetricParetoLaw(1.5, 1.0), NormingSequence(1.5), ScaleLogNormal(0.0, 0.5)),
-    ("pareto-onesided", OneSidedParetoLaw(0.8, 1.0), NormingSequence(0.8), ScaleExponential(1.0)),
+    ("pareto-symmetric", ParetoLaw(1.5, 1.0, 0.5), NormingSequence(1.5), ScaleLogNormal(0.0, 0.5)),
+    ("pareto-onesided", ParetoLaw(0.8, 1.0, 1.0), NormingSequence(0.8), ScaleExponential(1.0)),
     ("stable-1-skewed", StableLaw(StableParams(1.0, 0.2, 1.0, 0.5)), NormingSequence(1.0), ScaleLogNormal(0.0, 0.5)),
     ("stable-1.5", StableLaw(StableParams(1.5, 0.3, 2.0, 0.5)), NormingSequence(1.5), ScaleLogNormal(0.0, 0.5)),
     ("point", PointMassLaw(0.75), NormingSequence(1.0, **_MEAN_CENTERED), LocationGaussian(0.0, 1.0)),
@@ -877,7 +1069,7 @@ class TestGridSums:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_array_sums_are_one_length_grids(self):
-        law = DirectingLaw(SymmetricParetoLaw(1.5, 1.0), ScaleLogNormal(0.0, 0.5))
+        law = DirectingLaw(ParetoLaw(1.5, 1.0, 0.5), ScaleLogNormal(0.0, 0.5))
         norming = NormingSequence(alpha=1.5)
         grid = sample_grid_sums(law, norming, (8, 64), rows=2, seed=6, replicates=4)
         single = sample_array_sums(law, norming, n=64, rows=2, seed=6, replicates=4)
@@ -918,7 +1110,7 @@ class TestGridSums:
             function(law, seed=1, **kwargs)
 
     def test_nonfinite_sums_name_their_row_length(self):
-        law = DirectingLaw(SymmetricParetoLaw(0.01, 1.0))
+        law = DirectingLaw(ParetoLaw(0.01, 1.0, 0.5))
         # The sums at n = 64 overflow on purpose, and NumPy warns as they do;
         # those at n = 1 are finite.
         with pytest.raises(RuntimeError, match=r"sample_array_sums: 3 of 50 .* at n=64"):
@@ -990,9 +1182,9 @@ class TestGridSums:
         "law, norming, n, fragment",
         [
             # b_4096 = 4096**100 overflows.
-            (SymmetricParetoLaw(0.01, 1.0), NormingSequence(0.01), 4096, "b_n at n=4096 under norming index 0.01"),
+            (ParetoLaw(0.01, 1.0, 0.5), NormingSequence(0.01), 4096, "b_n at n=4096 under norming index 0.01"),
             # Tail index 0.8 has no mean to center by.
-            (OneSidedParetoLaw(0.8, 1.0), NormingSequence(1.0, **_MEAN_CENTERED), 2 * 10**7, "mean undefined"),
+            (ParetoLaw(0.8, 1.0, 1.0), NormingSequence(1.0, **_MEAN_CENTERED), 2 * 10**7, "mean undefined"),
         ],
     )
     def test_a_norming_that_fails_does_so_before_any_entry_is_drawn(self, monkeypatch, law, norming, n, fragment):
@@ -1003,7 +1195,7 @@ class TestGridSums:
         assert calls == []
 
     def test_nonfinite_sums_on_one_stream_name_their_row_length(self):
-        law = DirectingLaw(OneSidedParetoLaw(0.01, 1.0))
+        law = DirectingLaw(ParetoLaw(0.01, 1.0, 1.0))
         assert law.base.prefix_stable
         # Entries overflow on purpose, and NumPy warns as they do. The sums at
         # n = 1 are finite; some at 16 and more at 64 are not, and the grid
@@ -1026,8 +1218,8 @@ _PREFIX_LAWS = [
     GaussianLaw(0.5, 2.0),
     CauchyLaw(1.0, 0.5),
     UniformLaw(-1.0, 2.0),
-    SymmetricParetoLaw(1.5, 1.0),
-    OneSidedParetoLaw(0.8, 2.0),
+    ParetoLaw(1.5, 1.0, 0.5),
+    ParetoLaw(0.8, 2.0, 1.0),
     StableLaw(StableParams(1.5, 0.3, 2.0, 0.5)),
     StableLaw(StableParams(2.0, 0.3, 2.0, 0.0)),
     StableLaw(StableParams(1.5, 0.3, 0.0, 0.5)),

@@ -12,8 +12,8 @@ from stablemix.criteria import CRITERION_NAMES, DrawPanel, _combine_list
 from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
+    ParetoLaw,
     ScaleAtoms,
-    SymmetricParetoLaw,
     UniformLaw,
     draw_replicates,
     sample_array_sums,
@@ -305,7 +305,7 @@ class TestRunScenario:
     def test_nonfinite_row_sums_name_the_sampler(self):
         spec = ScenarioSpec(
             name="extreme-tail",
-            law=DirectingLaw(SymmetricParetoLaw(0.01, 1.0)),
+            law=DirectingLaw(ParetoLaw(0.01, 1.0, 0.5)),
             norming=NormingSequence(alpha=0.5),
             cf_n_grid=(64,),
             cf_replicates=50,
