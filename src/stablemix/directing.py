@@ -8,10 +8,11 @@ one realized probability measure; given that realization all array entries
 are i.i.d. Every realized family exposes the same analytic surface: cdf,
 one-sided and two-sided tails, truncated first and second moments, the
 smoothed mean integral ``int b*x/(b**2 + x**2) dp``, and generic integration
-against the density. Closed forms are used wherever the family permits; the
-stable family with 1.1 <= alpha < 2 evaluates its functionals from the
-closed-form characteristic function (see :class:`StableLaw`); the rest goes
-through adaptive quadrature certified to 1e-10.
+against the density. :class:`_RealizedLaw` sets the domain of the moments
+and the smoothed mean, and each family writes their formulas for a positive
+argument: in closed form wherever it can; for the stable family with
+1.1 <= alpha < 2 from the closed-form characteristic function (see
+:class:`StableLaw`); otherwise by adaptive quadrature certified to 1e-10.
 
 The closed forms need only ``math`` and NumPy: the normal cdf comes from
 ``math.erf``/``math.erfc`` (``_ndtr``) and the one-sided Pareto smoothed mean
@@ -147,11 +148,23 @@ def _phi(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def _cauchy_cdf(z: float) -> float:
+    """The standard Cauchy cdf at z; the arctan of the reciprocal keeps deep
+    left tails fully accurate."""
+    if z < -1.0:
+        return math.atan(-1.0 / z) / math.pi
+    if z > 1.0:
+        return 1.0 - math.atan(1.0 / z) / math.pi
+    return 0.5 + math.atan(z) / math.pi
+
+
 class _RealizedLaw:
-    """Shared quadrature fallbacks for realized directing measures.
+    """The functionals of a realized directing measure.
 
     Subclasses provide ``pdf`` and ``pieces`` (the support as disjoint
-    intervals) and override whichever functionals they can do in closed form.
+    intervals) and write ``_truncated_mean``, ``_truncated_second`` and
+    ``_smoothed_mean`` for a positive bound or b where they have formulas;
+    the defaults are quadrature. The public names apply the domain first.
 
     ``prefix_stable`` is True when ``sample`` fills its output one entry at a
     time, so that ``sample(rng, a + b)[:a]`` is bit-identical to
@@ -218,23 +231,29 @@ class _RealizedLaw:
         return self.integrate(f, -math.inf, math.inf)
 
     def truncated_mean(self, bound: float) -> float:
-        """Integral of x over |x| <= bound."""
-        if bound <= 0:
+        """Integral of x over |x| <= bound: 0 for a bound <= 0 or a symmetric law."""
+        if bound <= 0 or self.symmetric:
             return 0.0
-        if self.symmetric:
-            return 0.0
-        return self.integrate(lambda x: x, -bound, bound)
+        return self._truncated_mean(bound)
 
     def truncated_second(self, bound: float) -> float:
-        """Integral of x**2 over |x| <= bound."""
-        if bound <= 0:
-            return 0.0
-        return self.integrate(lambda x: x * x, -bound, bound)
+        """Integral of x**2 over |x| <= bound: 0 for a bound <= 0."""
+        return 0.0 if bound <= 0 else self._truncated_second(bound)
 
     def smoothed_mean(self, b: float) -> float:
-        """Integral of b*x/(b**2 + x**2) against the measure."""
-        if self.symmetric:
+        """Integral of b*x/(b**2 + x**2) against the measure: odd in b, and 0
+        at b = 0 or for a symmetric law."""
+        if b == 0 or self.symmetric:
             return 0.0
+        return self._smoothed_mean(b) if b > 0 else -self._smoothed_mean(-b)
+
+    def _truncated_mean(self, bound: float) -> float:
+        return self.integrate(lambda x: x, -bound, bound)
+
+    def _truncated_second(self, bound: float) -> float:
+        return self.integrate(lambda x: x * x, -bound, bound)
+
+    def _smoothed_mean(self, b: float) -> float:
         return self.expect(lambda x: b * x / (b * b + x * x))
 
     def mean(self) -> float:
@@ -271,19 +290,13 @@ class GaussianLaw(_RealizedLaw):
     def right_tail(self, x: float) -> float:
         return _ndtr(-(x - self.mean_value) / self.sd)
 
-    def truncated_mean(self, bound: float) -> float:
-        if bound <= 0:
-            return 0.0
-        if self.mean_value == 0.0:
-            return 0.0
+    def _truncated_mean(self, bound: float) -> float:
         a = (-bound - self.mean_value) / self.sd
         b = (bound - self.mean_value) / self.sd
         dphi = _ndtr(b) - _ndtr(a)
         return self.mean_value * dphi + self.sd * (_phi(a) - _phi(b))
 
-    def truncated_second(self, bound: float) -> float:
-        if bound <= 0:
-            return 0.0
+    def _truncated_second(self, bound: float) -> float:
         mu, sd = self.mean_value, self.sd
         a = (-bound - mu) / sd
         b = (bound - mu) / sd
@@ -331,34 +344,19 @@ class CauchyLaw(_RealizedLaw):
         return 1.0 / (math.pi * self.cscale * (1.0 + z * z))
 
     def cdf(self, x: float) -> float:
-        # The arctan of the reciprocal keeps deep left tails fully accurate.
-        z = (x - self.location) / self.cscale
-        if z < -1.0:
-            return math.atan(-1.0 / z) / math.pi
-        if z > 1.0:
-            return 1.0 - math.atan(1.0 / z) / math.pi
-        return 0.5 + math.atan(z) / math.pi
+        return _cauchy_cdf((x - self.location) / self.cscale)
 
     def right_tail(self, x: float) -> float:
-        z = (x - self.location) / self.cscale
-        if z > 1.0:
-            return math.atan(1.0 / z) / math.pi
-        if z < -1.0:
-            return 1.0 - math.atan(-1.0 / z) / math.pi
-        return 0.5 - math.atan(z) / math.pi
+        return _cauchy_cdf(-(x - self.location) / self.cscale)
 
-    def truncated_mean(self, bound: float) -> float:
-        if bound <= 0 or self.location == 0.0:
-            return 0.0
+    def _truncated_mean(self, bound: float) -> float:
         x0, s = self.location, self.cscale
         a, b = -bound - x0, bound - x0
         df = self.cdf(bound) - self.cdf(-bound)
         log_term = math.log((s * s + b * b) / (s * s + a * a))
         return x0 * df + s * log_term / (2.0 * math.pi)
 
-    def truncated_second(self, bound: float) -> float:
-        if bound <= 0:
-            return 0.0
+    def _truncated_second(self, bound: float) -> float:
         x0, s = self.location, self.cscale
         a, b = -bound - x0, bound - x0
         quad_part = (s / math.pi) * ((b - s * math.atan(b / s)) - (a - s * math.atan(a / s)))
@@ -368,10 +366,8 @@ class CauchyLaw(_RealizedLaw):
         log_term = math.log((s * s + b * b) / (s * s + a * a))
         return quad_part + x0 * s * log_term / math.pi + x0 * x0 * df
 
-    def smoothed_mean(self, b: float) -> float:
+    def _smoothed_mean(self, b: float) -> float:
         # b Re E[1/(X - ib)], and E[1/(X - ib)] = 1/(x0 - i(s + b)) for b > 0.
-        if self.symmetric:
-            return 0.0
         x0 = self.location
         return b * x0 / (x0 * x0 + (self.cscale + b) ** 2)
 
@@ -417,25 +413,15 @@ class UniformLaw(_RealizedLaw):
             return 1.0
         return (x - self.lo) / (self.hi - self.lo)
 
-    def _window(self, bound: float) -> Optional[Tuple[float, float]]:
+    def _truncated_mean(self, bound: float) -> float:
         a, b = max(self.lo, -bound), min(self.hi, bound)
-        return (a, b) if a < b else None
+        return (b * b - a * a) / (2.0 * (self.hi - self.lo)) if a < b else 0.0
 
-    def truncated_mean(self, bound: float) -> float:
-        window = self._window(bound)
-        if window is None:
-            return 0.0
-        a, b = window
-        return (b * b - a * a) / (2.0 * (self.hi - self.lo))
+    def _truncated_second(self, bound: float) -> float:
+        a, b = max(self.lo, -bound), min(self.hi, bound)
+        return (b ** 3 - a ** 3) / (3.0 * (self.hi - self.lo)) if a < b else 0.0
 
-    def truncated_second(self, bound: float) -> float:
-        window = self._window(bound)
-        if window is None:
-            return 0.0
-        a, b = window
-        return (b ** 3 - a ** 3) / (3.0 * (self.hi - self.lo))
-
-    def smoothed_mean(self, b: float) -> float:
+    def _smoothed_mean(self, b: float) -> float:
         num = b * b + self.hi * self.hi
         den = b * b + self.lo * self.lo
         return b * math.log(num / den) / (2.0 * (self.hi - self.lo))
@@ -505,15 +491,15 @@ class ParetoLaw(_RealizedLaw):
             return w
         return 1.0 - (1.0 - w) * (s / -x) ** a0
 
-    def truncated_mean(self, bound: float) -> float:
+    def _truncated_mean(self, bound: float) -> float:
         a0, s = self.tail_index, self.pscale
-        if self.symmetric or bound < s:
+        if bound < s:
             return 0.0
         if a0 == 1.0:
             return s * math.log(bound / s)
         return a0 * s ** a0 * (bound ** (1.0 - a0) - s ** (1.0 - a0)) / (1.0 - a0)
 
-    def truncated_second(self, bound: float) -> float:
+    def _truncated_second(self, bound: float) -> float:
         a0, s = self.tail_index, self.pscale
         if bound <= s:
             return 0.0
@@ -521,7 +507,7 @@ class ParetoLaw(_RealizedLaw):
             return 2.0 * s * s * math.log(bound / s)
         return a0 * s ** a0 * (bound ** (2.0 - a0) - s ** (2.0 - a0)) / (2.0 - a0)
 
-    def smoothed_mean(self, b: float) -> float:
+    def _smoothed_mean(self, b: float) -> float:
         """At w = 1, a * z**-a * int_0^z v**a / (1 + v**2) dv with z = b/pscale.
 
         That is a*z/(a+1) * 2F1(1, (a+1)/2; (a+3)/2; -z**2), and at a = 1 it
@@ -535,7 +521,7 @@ class ParetoLaw(_RealizedLaw):
         """
         a0 = self.tail_index
         z = b / self.pscale
-        if self.symmetric or z == 0.0:
+        if z == 0.0:  # b / pscale underflowed
             return 0.0
         if a0 == 1.0:
             return math.log1p(z * z) / (2.0 * z)
@@ -661,26 +647,26 @@ class StableLaw(_RealizedLaw):
         return float(levy_stable.sf(x, alpha, beta, loc=loc, scale=scale))
 
     integrate = _via_twin(_RealizedLaw.integrate)
+    truncated_mean = _via_twin(_RealizedLaw.truncated_mean)
+    truncated_second = _via_twin(_RealizedLaw.truncated_second)
+    smoothed_mean = _via_twin(_RealizedLaw.smoothed_mean)
 
-    @_via_twin
-    def truncated_mean(self, bound: float) -> float:
-        if bound > 0 and not self.symmetric and _fourier_region(self.params):
+    def _truncated_mean(self, bound: float) -> float:
+        if _fourier_region(self.params):
             return _fourier_truncated(self.params, bound, 1)
-        return super().truncated_mean(bound)
+        return super()._truncated_mean(bound)
 
-    @_via_twin
-    def truncated_second(self, bound: float) -> float:
-        if bound > 0 and _fourier_region(self.params):
+    def _truncated_second(self, bound: float) -> float:
+        if _fourier_region(self.params):
             return _fourier_truncated(self.params, bound, 2)
-        return super().truncated_second(bound)
+        return super()._truncated_second(bound)
 
-    @_via_twin
-    def smoothed_mean(self, b: float) -> float:
-        if not self.symmetric and _fourier_region(self.params):
+    def _smoothed_mean(self, b: float) -> float:
+        if _fourier_region(self.params):
             value = _fourier_smoothed(self.params, b)
             if value is not None:
                 return value
-        return super().smoothed_mean(b)
+        return super()._smoothed_mean(b)
 
     @_via_twin
     def mean(self) -> float:
@@ -727,13 +713,13 @@ class PointMassLaw(_RealizedLaw):
     def integrate(self, f: Callable[[float], float], lo: float, hi: float) -> float:
         return float(f(self.point)) if lo < self.point <= hi else 0.0
 
-    def truncated_mean(self, bound: float) -> float:
+    def _truncated_mean(self, bound: float) -> float:
         return self.point if abs(self.point) <= bound else 0.0
 
-    def truncated_second(self, bound: float) -> float:
+    def _truncated_second(self, bound: float) -> float:
         return self.point ** 2 if abs(self.point) <= bound else 0.0
 
-    def smoothed_mean(self, b: float) -> float:
+    def _smoothed_mean(self, b: float) -> float:
         return b * self.point / (b * b + self.point * self.point)
 
     def mean(self) -> float:

@@ -174,13 +174,11 @@ def identity_residual(perturb: float = 1.0) -> float:
     grid (0 to 5 in steps of 0.25) and returns the maximal absolute
     difference from exp(-|t|). ``perturb`` scales the quadrature value
     and exists as a negative-control hook: any value other than 1 must
-    push the residual far above the acceptance threshold.
+    push the residual far above the acceptance threshold, and a NaN gap
+    makes the residual NaN.
     """
-    residual = 0.0
-    for t in _IDENTITY_GRID:
-        value = perturb * cauchy_from_gaussian_scale_mixture(t)
-        residual = max(residual, abs(value - math.exp(-abs(t))))
-    return residual
+    gaps = [abs(perturb * cauchy_from_gaussian_scale_mixture(t) - math.exp(-abs(t))) for t in _IDENTITY_GRID]
+    return float(np.max(gaps))
 
 
 @dataclass(frozen=True)

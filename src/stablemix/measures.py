@@ -110,7 +110,7 @@ class AtomicMeasure:
         """Mass of an interval between ``lo`` and ``hi``.
 
         ``closed`` selects the endpoint convention: "right" means (lo, hi],
-        "both" means [lo, hi], "left" means [lo, hi), "neither" means (lo, hi).
+        "both" means [lo, hi] and "left" means [lo, hi).
         """
         if closed == "right":
             return self.mass_le(hi) - self.mass_le(lo)
@@ -118,6 +118,4 @@ class AtomicMeasure:
             return self.mass_le(hi) - self.mass_lt(lo)
         if closed == "left":
             return self.mass_lt(hi) - self.mass_lt(lo)
-        if closed == "neither":
-            return self.mass_lt(hi) - self.mass_le(lo)
         raise ValueError(f"unknown interval convention {closed!r}")

@@ -71,6 +71,12 @@ class TestVerifyIdentity:
         assert code == EXIT_RUNTIME, "a 1% perturbation must break the identity"
         assert "failed" in err
 
+    def test_nan_perturbation_fails(self, capsys):
+        code = main(["verify-identity", "--perturb", "nan"])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME, "a NaN residual must not pass"
+        assert "grid: nan " in captured.out and "failed" in captured.err
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):

@@ -4,7 +4,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +47,50 @@ def test_residual_bytes_see_one_ulp():
     assert tool.residual_bytes(moved) != tool.residual_bytes(fits)
 
 
+def test_functionals_line_sees_one_ulp_in_one_call(monkeypatch):
+    from stablemix import directing
+
+    tool = _tool()
+    before = tool.functional_bytes().splitlines()
+    assert len(tool.functional_laws()) == 36 and len(before) == 1836
+    target = (directing.ParetoLaw(1.5, 0.5, 1.0), 3.0)
+    formula = directing.ParetoLaw._truncated_second
+
+    def moved(law, bound):
+        value = formula(law, bound)
+        return math.nextafter(value, math.inf) if (law, bound) == target else value
+
+    monkeypatch.setattr(directing.ParetoLaw, "_truncated_second", moved)
+    after = tool.functional_bytes().splitlines()
+    call = b"ParetoLaw(tail_index=1.5, pscale=0.5, right_weight=1.0).truncated_second(3.0) = "
+    value = formula(*target)
+    assert [(old, new) for old, new in zip(before, after) if old != new] == [
+        (call + repr(value).encode(), call + repr(math.nextafter(value, math.inf)).encode())
+    ]
+
+
+FUNCTIONALS_WITHOUT_SCIPY = textwrap.dedent(
+    """
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location("contract_outputs", sys.argv[1])
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.functional_bytes()
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, loaded[:5]
+    """
+)
+
+
+def test_functionals_line_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    script = [sys.executable, "-c", FUNCTIONALS_WITHOUT_SCIPY, str(ROOT / "tools" / "contract_outputs.py")]
+    done = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 # A cut-down Pareto config, small enough for a unit test; the tool's last two
 # runs also get a residuals line, so both runs are of this config.
 _SMALL = {
@@ -71,7 +118,7 @@ def test_keep_writes_the_bytes_behind_each_line(tmp_path, monkeypatch, capsys):
     kept = tmp_path / "kept"
     assert tool.main(["--keep", str(kept)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * len(tool.SUFFIXES) + 2
+    assert len(lines) == 2 * len(tool.SUFFIXES) + 3
     assert sorted(str(p.relative_to(kept)) for p in kept.rglob("*") if p.is_file()) == sorted(
         line.split("  ")[1] for line in lines
     )
@@ -79,7 +126,7 @@ def test_keep_writes_the_bytes_behind_each_line(tmp_path, monkeypatch, capsys):
         digest, name = line.split("  ")
         assert hashlib.sha256((kept / name).read_bytes()).hexdigest() == digest
     assert tool.main(["--compare", str(kept), str(kept)]) == 0
-    assert capsys.readouterr().out == "0 of 8 files differ\n"
+    assert capsys.readouterr().out == "0 of 9 files differ\n"
 
 
 def _write(root, files):
@@ -128,4 +175,20 @@ def test_compare_prints_verdicts_and_largest_changes(tmp_path, capsys):
         "  [*][*]: largest change 0.0625 at [0][2] (0.125 -> 0.0625)",
         f"b@0/cf.csv: only in {after}",
         "4 of 5 files differ",
+    ]
+
+
+def test_compare_folds_the_functionals_by_law_and_functional(tmp_path, capsys):
+    tool = _tool()
+    law = "CauchyLaw(location=1.0, cscale=1.0)"
+    before = f"{law}.smoothed_mean(0.5) = 0.25\n{law}.smoothed_mean(2.0) = 0.5\n{law}.cdf(0.0) = 0.25\n"
+    after = before.replace("(2.0) = 0.5", "(2.0) = 0.625").replace("= 0.25\n", "= ZeroDivisionError\n", 1)
+    _write(tmp_path / "before", {"functionals": before})
+    _write(tmp_path / "after", {"functionals": after})
+    assert tool.main(["--compare", str(tmp_path / "before"), str(tmp_path / "after")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "functionals",
+        f"  {law}.smoothed_mean[0]: 0.25 -> 'ZeroDivisionError'",
+        f"  {law}.smoothed_mean[*]: largest change 0.125 at {law}.smoothed_mean[1] (0.5 -> 0.625)",
+        "1 of 1 files differ",
     ]

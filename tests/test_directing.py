@@ -1,6 +1,7 @@
 """Tests for directing laws, realized functionals, and normed row sums."""
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -418,7 +419,7 @@ class TestParetoLaws:
             for z in np.geomspace(1e-2, 5e3, 25):
                 b = z * scale
                 closed = law.smoothed_mean(b)
-                oracle = _RealizedLaw.smoothed_mean(law, b)
+                oracle = _RealizedLaw._smoothed_mean(law, b)
                 assert closed == pytest.approx(oracle, rel=1e-10), (
                     f"{law!r} at b = {b!r}: closed form {closed!r}, quadrature {oracle!r}"
                 )
@@ -1241,3 +1242,76 @@ class TestPrefixStability:
 
     def test_every_concrete_family_is_checked(self):
         assert set(_concrete_families(_RealizedLaw)) == {type(law) for law in _PREFIX_LAWS}
+
+
+def _scale(law) -> float:
+    """A length of the law: its scale parameter, the width of a uniform law,
+    and 1 for a point mass."""
+    if isinstance(law, StableLaw):
+        return law.params.c ** (1.0 / law.params.alpha) or 1.0
+    for name in ("sd", "cscale", "pscale"):
+        if hasattr(law, name):
+            return getattr(law, name)
+    return law.hi - law.lo if isinstance(law, UniformLaw) else 1.0
+
+
+def _symmetric_member(law):
+    """The member of law's family that is symmetric about 0."""
+    if isinstance(law, UniformLaw):
+        return UniformLaw(-law.hi, law.hi)
+    if isinstance(law, ParetoLaw):
+        return ParetoLaw(law.tail_index, law.pscale, 0.5)
+    if isinstance(law, StableLaw):
+        return StableLaw(StableParams(law.params.alpha, 0.0, law.params.c, 0.0))
+    return law.with_location(0.0)
+
+
+# One-sided Pareto laws, whose closed-form smoothed mean slows as b**2 for
+# b < 0, so a negative b must reach it as -b.
+_FAR_B_PARETO = [ParetoLaw(a, s, 1.0) for a in (0.5, 1.5, 2.5) for s in (0.5, 3.0)]
+
+
+class TestFunctionalDomain:
+    """``_RealizedLaw`` owns each functional's domain, so every family, and the
+    stable family off and on each twin, answers alike off b > 0 and bound > 0."""
+
+    @pytest.mark.parametrize("law", _PREFIX_LAWS + _FAR_B_PARETO, ids=repr)
+    def test_smoothed_mean_is_odd_in_b(self, law):
+        start = time.perf_counter()
+        for b in (0.5, 7.0, 1e6 * _scale(law)):
+            assert law.smoothed_mean(-b) == -law.smoothed_mean(b), b
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_smoothed_mean_at_zero_is_zero(self, law):
+        value = law.smoothed_mean(0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_truncated_moments_vanish_at_bounds_up_to_zero(self, law):
+        for bound in (-1.0, 0.0):
+            assert law.truncated_mean(bound) == 0.0
+            assert law.truncated_second(bound) == 0.0
+
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_symmetric_member_has_zero_means(self, law):
+        member = _symmetric_member(law)
+        assert member.symmetric
+        for x in (0.5, 3.0, 40.0):
+            assert member.truncated_mean(x) == 0.0
+            assert member.smoothed_mean(x) == 0.0
+            assert member.smoothed_mean(-x) == 0.0
+
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_formulas_match_the_quadrature_defaults(self, law):
+        # The defaults on _RealizedLaw are quadrature; each family's own
+        # formula must agree with them on both signs of b.
+        for b in (-100.0, -0.5, 0.5, 100.0):
+            mine, slow = law.smoothed_mean(b), _RealizedLaw._smoothed_mean(law, b)
+            assert mine == pytest.approx(slow, rel=1e-8, abs=1e-10), b
+        for bound in (0.5, 3.0, 40.0):
+            mine, slow = law.truncated_second(bound), _RealizedLaw._truncated_second(law, bound)
+            assert mine == pytest.approx(slow, rel=1e-8, abs=1e-10), bound
+            if not law.symmetric:
+                mine, slow = law.truncated_mean(bound), _RealizedLaw._truncated_mean(law, bound)
+                assert mine == pytest.approx(slow, rel=1e-8, abs=1e-10), bound

@@ -156,6 +156,9 @@ class TestIdentityResidual:
     def test_perturbation_hook_is_a_working_negative_control(self):
         assert identity_residual(perturb=1.01) > 1e-3
 
+    def test_nan_gap_makes_the_residual_nan(self):
+        assert math.isnan(identity_residual(perturb=math.nan))
+
 
 class TestScenarioRegistry:
     def test_nine_builtins(self):

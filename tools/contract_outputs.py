@@ -9,7 +9,8 @@ benchmark config at seed 5: 60 outputs. The two benchmark configs are read
 from ``perfbench/run.py``. After those 60 lines come two more, one per
 benchmark config, labelled ``<run>/residuals``: the spectral fits of every
 distinct draw at every checker row length, which the reports summarize only
-through their largest residual.
+through their largest residual. The last line, ``functionals``, covers the
+realized laws' functionals on a fixed grid (``functional_bytes``).
 
 A change that must keep the contract prints the same lines as its parent:
 
@@ -87,6 +88,55 @@ def residual_bytes(fits: Iterable[Tuple[float, float, float]]) -> bytes:
     return "".join(f"{fit!r}\n" for fit in fits).encode("utf-8")
 
 
+# The grid of the functionals line: each law's cdf and right tail at POINTS,
+# its two-sided tail mass at TAIL_POINTS, and its truncated moments and
+# smoothed mean at every bound or b of POSITIVE. The smoothed mean of an
+# off-centre Gaussian law, the alpha = 2 twin included, is left out: it is
+# quadrature, and the line loads no SciPy module.
+POINTS = (-40.0, -2.5, -0.5, 0.0, 1.5, 30.0)
+TAIL_POINTS = (0.0, 0.75, 4.0, 60.0)
+POSITIVE = (1e-3, 0.1, 0.5, 0.9, 1.0, 1.5, 3.0, 7.5, 20.0, 100.0, 1e4, 1e6)
+
+
+def functional_laws() -> list:
+    """The 36 laws of the functionals line: the closed-form families at and
+    off centre, Pareto at five tail indices, two scales and both weights,
+    stable laws in the Fourier region and at each closed-form twin."""
+    from stablemix.directing import CauchyLaw, GaussianLaw, ParetoLaw, PointMassLaw, StableLaw, UniformLaw
+    from stablemix.stable import StableParams
+
+    laws = [GaussianLaw(0.0, 1.5), GaussianLaw(0.7, 2.0), GaussianLaw(-3.0, 0.5), CauchyLaw(0.0, 0.5)]
+    laws += [CauchyLaw(-1.2, 2.0), UniformLaw(-2.0, 2.0), UniformLaw(-1.0, 3.0), UniformLaw(0.5, 2.0)]
+    laws += [PointMassLaw(0.0), PointMassLaw(-1.5)]
+    laws += [ParetoLaw(a, s, w) for a in (0.5, 1.0, 1.5, 2.0, 2.5) for s in (0.5, 3.0) for w in (0.5, 1.0)]
+    # Three in the Fourier region, then the alpha = 2, c = 0 and Cauchy twins.
+    stable = [(1.5, 0.3, 1.0, 0.5), (1.1, 0.0, 1.0, 0.0), (1.9, -0.5, 0.7, -1.0)]
+    stable += [(2.0, 0.3, 2.0, 0.0), (1.5, 0.3, 0.0, 0.5), (1.0, 0.3, 2.0, 0.0)]
+    return laws + [StableLaw(StableParams(*params)) for params in stable]
+
+
+def functional_bytes() -> bytes:
+    """One line per call of the grid: the law, the call and the repr of its
+    value, or the class of the error it raises."""
+    from stablemix.directing import GaussianLaw, StableLaw
+
+    lines = []
+    for law in functional_laws():
+        calls = [(name, x) for name in ("cdf", "right_tail") for x in POINTS]
+        calls += [("tail_mass", x) for x in TAIL_POINTS]
+        calls += [(name, x) for name in ("truncated_mean", "truncated_second") for x in POSITIVE]
+        gaussian = isinstance(law, GaussianLaw) or isinstance(law, StableLaw) and law.params.alpha == 2.0
+        if not (gaussian and not law.symmetric):
+            calls += [("smoothed_mean", x) for x in POSITIVE]
+        for name, x in calls:
+            try:
+                outcome = repr(getattr(law, name)(x))
+            except (ArithmeticError, RuntimeError, TypeError, ValueError) as exc:
+                outcome = type(exc).__name__
+            lines.append(f"{law!r}.{name}({x!r}) = {outcome}\n")
+    return "".join(lines).encode("utf-8")
+
+
 def digest_line(name: str, data: bytes, keep: Optional[Path]) -> str:
     """The digest line of one contract file; with ``keep``, its bytes are
     written to ``keep/<name>`` too."""
@@ -135,6 +185,13 @@ def _parsed(name: str, data: bytes) -> Any:
         return json.loads(text)
     if name.endswith(".csv"):
         return [{key: _number(value) for key, value in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    if name == "functionals":
+        # Keyed by law and functional, so --compare folds the points of each.
+        calls: Dict[str, List[Any]] = {}
+        for line in text.splitlines():
+            call, outcome = line.split(" = ")
+            calls.setdefault(call.rsplit("(", 1)[0], []).append(_number(outcome))
+        return calls
     return [ast.literal_eval(line) for line in text.splitlines()]
 
 
@@ -228,6 +285,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # The last two runs are the benchmark configs.
             for label, _, seed in runs[-2:]:
                 print(residual_digest(label, seed, Path(tmp), args.keep), flush=True)
+            print(digest_line("functionals", functional_bytes(), args.keep), flush=True)
         except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
