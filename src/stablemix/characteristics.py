@@ -59,6 +59,17 @@ DEFAULT_SPECTRAL_GRID: Tuple[float, ...] = tuple(
 # Power-law fits read cumulative masses at grid edges inside this window.
 DEFAULT_FIT_WINDOW: Tuple[float, float] = (0.125, 8.0)
 
+_GRID = np.array(DEFAULT_SPECTRAL_GRID)
+# (index of the left edge, geometric midpoint) of each same-sign grid cell.
+_CELLS: Tuple[Tuple[int, float], ...] = tuple(
+    (i, math.copysign(math.sqrt(abs(left) * abs(right)), left))
+    for i, (left, right) in enumerate(zip(DEFAULT_SPECTRAL_GRID, DEFAULT_SPECTRAL_GRID[1:]))
+    if not left < 0 < right
+)
+# The positive grid edges inside the fit window, in grid order.
+_FIT_EDGES = [x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1]]
+_R_MAX = 20.0  # dsharp integrates over radii in (0, _R_MAX]
+
 _NULL_MASS_FLOOR = 1e-8
 # A spectral shape is symmetric when |c_plus - c_minus| <= _SYMMETRY_REL * (c_plus + c_minus).
 _SYMMETRY_REL = 0.05
@@ -192,50 +203,35 @@ def tail_moment_ratio(p, x: float) -> float:
     return x * x * p.tail_mass(x) / denom
 
 
-def _validate_grid(grid: Sequence[float]) -> np.ndarray:
-    pts = np.asarray(grid, dtype=float)
-    if pts.size < 2:
-        raise ValueError("grid needs at least two points")
-    if np.any(pts == 0.0):
-        raise ValueError("grid must exclude 0")
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    return pts
-
-
-def _cell_measure(pts: np.ndarray, cum: Callable[[float], float]) -> AtomicMeasure:
-    """One atom per same-sign cell of ``pts``, at its geometric midpoint, with
-    the increment of ``cum``; ``cum`` is evaluated once per grid point."""
-    values = [cum(x) for x in pts]
+def _cell_measure(cum: Callable[[float], float]) -> AtomicMeasure:
+    """One atom per same-sign cell of the module grid, at its geometric
+    midpoint, with the increment of ``cum``; ``cum`` is evaluated once per
+    grid point."""
+    values = [cum(x) for x in _GRID]
     atoms: List[Tuple[float, float]] = []
-    for left, right, cum_left, cum_right in zip(pts[:-1], pts[1:], values, values[1:]):
-        if left < 0 < right:
-            continue
-        mass = cum_right - cum_left
+    for i, location in _CELLS:
+        mass = values[i + 1] - values[i]
         if mass < -1e-12:
             raise RuntimeError(
                 "internal error: spectral increment "
-                f"{mass:g} on ({left:g}, {right:g}] is negative"
+                f"{mass:g} on ({_GRID[i]:g}, {_GRID[i + 1]:g}] is negative"
             )
         if mass <= 0:
             continue
-        location = math.copysign(math.sqrt(abs(left) * abs(right)), left)
         atoms.append((location, mass))
     return AtomicMeasure.from_pairs(atoms)
 
 
-def spectral_measure_lambda(
-    p, norming: NormingSequence, n: int, grid: Optional[Sequence[float]] = None
-) -> AtomicMeasure:
+def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasure:
     """Discretized spectral measure of one realization at sample size n.
 
     The underlying function is G(x) = -n*F(b_n/x) for x < 0 and
     G(x) = n*(1 - F(b_n/x)) for x > 0, nondecreasing on each half line. Each
     cell between consecutive same-sign grid points becomes an atom at the
-    cell's geometric midpoint carrying the increment of G; the cell spanning
-    0 is dropped (the spectral object is only compared away from 0).
+    cell's geometric midpoint carrying the increment of G; the grid is
+    ``DEFAULT_SPECTRAL_GRID`` and the cell spanning 0 is dropped (the
+    spectral object is only compared away from 0).
     """
-    pts = _validate_grid(DEFAULT_SPECTRAL_GRID if grid is None else grid)
     b = norming.b(n)
 
     def g_value(x: float) -> float:
@@ -243,7 +239,7 @@ def spectral_measure_lambda(
             return -n * p.cdf(b / x)
         return n * p.right_tail(b / x)
 
-    return _cell_measure(pts, g_value)
+    return _cell_measure(g_value)
 
 
 def spectral_cdf(params: SpectralParams, x: float) -> float:
@@ -255,62 +251,42 @@ def spectral_cdf(params: SpectralParams, x: float) -> float:
     return params.c_plus * x ** params.alpha
 
 
-def discretize_spectral(
-    params: SpectralParams, grid: Optional[Sequence[float]] = None
-) -> AtomicMeasure:
-    """Discretize an exact power-law spectral shape with the same cell
-    convention as :func:`spectral_measure_lambda`."""
-    pts = _validate_grid(DEFAULT_SPECTRAL_GRID if grid is None else grid)
-    return _cell_measure(pts, lambda x: spectral_cdf(params, x))
+def discretize_spectral(params: SpectralParams) -> AtomicMeasure:
+    """Discretize an exact power-law spectral shape on the grid and with the
+    cell convention of :func:`spectral_measure_lambda`."""
+    return _cell_measure(lambda x: spectral_cdf(params, x))
 
 
-def fit_spectrum(
-    measure: AtomicMeasure,
-    alpha: float,
-    grid: Optional[Sequence[float]] = None,
-    fit_window: Tuple[float, float] = DEFAULT_FIT_WINDOW,
-) -> Tuple[SpectralParams, float]:
+def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, float]:
     """Fit power-law weights (c_minus, c_plus) to a discretized spectral measure.
 
-    :param measure: discretized spectral measure, atoms on both half lines
+    :param measure: spectral measure discretized on ``DEFAULT_SPECTRAL_GRID``
     :param alpha: tail index of the candidate shape (given, not fitted)
-    :param grid: the discretization grid, default the module grid
-    :param fit_window: window of |x| over which cumulative masses enter the fit
     :return: (fitted params, restriction-metric residual to the fit)
 
     Each side is fitted by least squares of log cumulative mass against
-    alpha*log x at the grid edges inside the window; a side whose windowed
-    mass is below 1e-8 is declared null on that side. The residual is the
-    restriction metric between the input and the fitted shape discretized on
-    the same grid, so a wrong alpha shows up as a large residual.
+    alpha*log x at the grid edges inside ``DEFAULT_FIT_WINDOW``; a side whose
+    windowed mass is below 1e-8 is declared null on that side. The residual
+    is the restriction metric between the input and the fitted shape
+    discretized on the same grid, so a wrong alpha shows up as a large
+    residual. A measure discretized on another grid reads a wrong residual.
     """
-    pts = _validate_grid(DEFAULT_SPECTRAL_GRID if grid is None else grid)
-    lo, hi = fit_window
-    if not 0 < lo < hi:
-        raise ValueError(f"fit window must satisfy 0 < lo < hi, got {fit_window}")
 
-    def fit_side(edges: np.ndarray, cum_at: Callable[[float], float]) -> float:
-        inside = edges[(edges >= lo) & (edges <= hi)]
-        if inside.size == 0:
-            return 0.0
-        window_mass = cum_at(float(inside.max()))
-        if window_mass < _NULL_MASS_FLOOR:
+    def fit_side(edges: List[float], cum_at: Callable[[float], float]) -> float:
+        if cum_at(max(edges)) < _NULL_MASS_FLOOR:
             return 0.0
         logs = []
-        for edge in inside:
-            cum = cum_at(float(edge))
+        for edge in edges:
+            cum = cum_at(edge)
             if cum > _CUM_FLOOR:
                 logs.append(math.log(cum) - alpha * math.log(edge))
-        if not logs:
-            return 0.0
         return math.exp(sum(logs) / len(logs))
 
-    positive_edges = pts[pts > 0]
-    negative_edges = -pts[pts < 0]
-    c_plus = fit_side(positive_edges, lambda x: measure.mass_interval(0.0, x, "right"))
-    c_minus = fit_side(negative_edges, lambda x: measure.mass_interval(-x, 0.0, "left"))
+    c_plus = fit_side(_FIT_EDGES, lambda x: measure.mass_interval(0.0, x, "right"))
+    # The negative side reads its moduli in grid order too, from the far end.
+    c_minus = fit_side(_FIT_EDGES[::-1], lambda x: measure.mass_interval(-x, 0.0, "left"))
     params = SpectralParams(alpha, c_minus, c_plus)
-    residual = dsharp(measure, discretize_spectral(params, pts))
+    residual = dsharp(measure, discretize_spectral(params))
     return params, residual
 
 
@@ -496,23 +472,18 @@ def _prokhorov_arrays(
     return max(edge(right), value)
 
 
-def dsharp(
-    mu: AtomicMeasure,
-    nu: AtomicMeasure,
-    r_max: float = 20.0,
-) -> float:
+def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Restriction metric between two atomic measures.
 
     The metric is the integral over r of e^{-r} * d_r/(1 + d_r), where d_r is
     the Levy-Prokhorov distance between the restrictions of the measures to
     the open ball (-r, r). The integrand is piecewise constant in r with
-    breakpoints at the atom moduli, so the integral over (0, r_max] is
+    breakpoints at the atom moduli, so the integral over (0, 20] is
     evaluated exactly segment by segment; the omitted tail is at most
-    e^{-r_max}. Every restriction is supported in the atoms of mu and nu, so
+    e^{-20}. Every restriction is supported in the atoms of mu and nu, so
     the distances between those atoms are computed once and serve as the
     critical set of every segment's Levy-Prokhorov search.
     """
-    _require_positive("r_max", r_max)
     if mu.atoms == nu.atoms:
         return 0.0
 
@@ -531,8 +502,8 @@ def dsharp(
         )
 
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
-    breaks = breaks[(breaks > 0) & (breaks < r_max)]
-    edges = np.concatenate([[0.0], breaks, [r_max]])
+    breaks = breaks[(breaks > 0) & (breaks < _R_MAX)]
+    edges = np.concatenate([[0.0], breaks, [_R_MAX]])
     total = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
         if right <= left:

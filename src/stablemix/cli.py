@@ -354,11 +354,10 @@ def _check_budget(spec: ScenarioSpec) -> None:
     The cf grid's entries, each about one variate, are len(n_grid) x
     len(t_grid), plus len(joint_grid) when joint; the checker grid has one
     row and none."""
-    rows = 2 if spec.joint else 1
     tables = len(spec.cf_n_grid) * len(spec.t_grid.points)
     tables += len(spec.joint_grid.points) if spec.joint else 0
     grids = (
-        ("config.scenario.n_grid", spec.cf_replicates, rows, spec.cf_n_grid, tables),
+        ("config.scenario.n_grid", spec.cf_replicates, spec.rows, spec.cf_n_grid, tables),
         ("config.scenario.checker_n_grid", spec.checker_ngrid.replicates, 1, spec.checker_ngrid.values, 0),
     )
     for path, replicates, grid_rows, values, entries in grids:

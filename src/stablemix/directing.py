@@ -11,8 +11,8 @@ smoothed mean integral ``int b*x/(b**2 + x**2) dp``, and generic integration
 against the density. :class:`_RealizedLaw` sets the domain of the moments
 and the smoothed mean, and each family writes their formulas for a positive
 argument: in closed form wherever it can; for the stable family with
-1.1 <= alpha < 2 from the closed-form characteristic function (see
-:class:`StableLaw`); otherwise by adaptive quadrature certified to 1e-10.
+1.1 <= alpha < 2 and the Gaussian smoothed mean from the characteristic
+function (see :class:`StableLaw`); otherwise by quadrature certified to 1e-10.
 
 The closed forms need only ``math`` and NumPy: the normal cdf comes from
 ``math.erf``/``math.erfc`` (``_ndtr``) and the one-sided Pareto smoothed mean
@@ -164,7 +164,8 @@ class _RealizedLaw:
     Subclasses provide ``pdf`` and ``pieces`` (the support as disjoint
     intervals) and write ``_truncated_mean``, ``_truncated_second`` and
     ``_smoothed_mean`` for a positive bound or b where they have formulas;
-    the defaults are quadrature. The public names apply the domain first.
+    the defaults are quadrature. The public names apply the domain first;
+    a NaN bound or b is a ValueError that names the functional.
 
     ``prefix_stable`` is True when ``sample`` fills its output one entry at a
     time, so that ``sample(rng, a + b)[:a]`` is bit-identical to
@@ -232,17 +233,23 @@ class _RealizedLaw:
 
     def truncated_mean(self, bound: float) -> float:
         """Integral of x over |x| <= bound: 0 for a bound <= 0 or a symmetric law."""
+        if math.isnan(bound):
+            raise ValueError("truncated_mean of a NaN bound")
         if bound <= 0 or self.symmetric:
             return 0.0
         return self._truncated_mean(bound)
 
     def truncated_second(self, bound: float) -> float:
         """Integral of x**2 over |x| <= bound: 0 for a bound <= 0."""
+        if math.isnan(bound):
+            raise ValueError("truncated_second of a NaN bound")
         return 0.0 if bound <= 0 else self._truncated_second(bound)
 
     def smoothed_mean(self, b: float) -> float:
         """Integral of b*x/(b**2 + x**2) against the measure: odd in b, and 0
         at b = 0 or for a symmetric law."""
+        if math.isnan(b):
+            raise ValueError("smoothed_mean at a NaN b")
         if b == 0 or self.symmetric:
             return 0.0
         return self._smoothed_mean(b) if b > 0 else -self._smoothed_mean(-b)
@@ -265,7 +272,9 @@ class _RealizedLaw:
 
 @dataclass(frozen=True)
 class GaussianLaw(_RealizedLaw):
-    """Normal law with the given mean and standard deviation."""
+    """Normal law with the given mean and standard deviation. The smoothed mean
+    is the stable one at alpha = 2 (quadrature about 650 sd off 0), and
+    quadrature runs over mean +- 40 sd, beyond which the density is 0.0."""
 
     prefix_stable = True
 
@@ -280,6 +289,9 @@ class GaussianLaw(_RealizedLaw):
     @property
     def symmetric(self) -> bool:
         return self.mean_value == 0.0
+
+    def pieces(self) -> Tuple[Tuple[float, float], ...]:
+        return ((self.mean_value - 40.0 * self.sd, self.mean_value + 40.0 * self.sd),)
 
     def pdf(self, x: float) -> float:
         return _phi((x - self.mean_value) / self.sd) / self.sd
@@ -306,6 +318,10 @@ class GaussianLaw(_RealizedLaw):
             + 2.0 * mu * sd * (_phi(a) - _phi(b))
             + sd * sd * (dphi + a * _phi(a) - b * _phi(b))
         )
+
+    def _smoothed_mean(self, b: float) -> float:
+        value = _fourier_smoothed(StableParams(2.0, self.mean_value, 0.5 * self.sd * self.sd, 0.0), b)
+        return super()._smoothed_mean(b) if value is None else value
 
     def mean(self) -> float:
         return self.mean_value

@@ -231,7 +231,7 @@ class ScenarioSpec:
             raise ValueError("the scenario grid must be one dimensional")
         if self.joint_grid.ndim != 2:
             raise ValueError("the joint grid must consist of (t, s) pairs")
-        grid = _check_grid(self.cf_n_grid, 2 if self.joint else 1, self.cf_replicates)
+        grid = _check_grid(self.cf_n_grid, self.rows, self.cf_replicates)
         for j, n in enumerate(grid):
             proxy_window(n)  # the quantities table needs n >= 2
             if n in grid[:j]:
@@ -240,6 +240,11 @@ class ScenarioSpec:
             _checker_args(self, criterion)
             if criterion in self.checkers[:j]:
                 raise ValueError(f"scenario {self.name!r} repeats checker {criterion!r}")
+
+    @property
+    def rows(self) -> int:
+        """Rows per replicate of the cf grid: two for a joint scenario."""
+        return 2 if self.joint else 1
 
     def target_cf(self, t: float) -> Optional[complex]:
         if self.target_fn is not None:
@@ -524,14 +529,13 @@ def run_scenario(spec: Union[ScenarioSpec, str], seed: int) -> ScenarioReport:
     cf_tables: List[Dict[str, object]] = []
     sups: List[Dict[str, float]] = []
     quantities: List[Dict[str, float]] = []
-    rows_needed = 2 if spec.joint else 1
 
     t_total = time.perf_counter()
     targets = [spec.target_cf(float(t)) for t in grid.points]
     first_draw = draw_replicates(spec.law, seed, 1)[0]
     t_start = time.perf_counter()
     grid_sums = sample_grid_sums(
-        spec.law, spec.norming, spec.cf_n_grid, rows_needed, seed, spec.cf_replicates
+        spec.law, spec.norming, spec.cf_n_grid, spec.rows, seed, spec.cf_replicates
     )
     runtimes["sample"] = time.perf_counter() - t_start
     for n, sums in zip(spec.cf_n_grid, grid_sums):

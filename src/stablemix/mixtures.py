@@ -69,14 +69,15 @@ def joint_mixture_cf(ts: Sequence[float], mix: MixingMeasure) -> complex:
 
 
 # The trapezoid rule of cauchy_from_gaussian_scale_mixture, in s = log u:
-# the coarse step and the range outside which the integrand is below 1e-17
-# for every t.
+# the coarse step, the range outside which the integrand is below 1e-17 for
+# every t, and the absolute error estimate every value must certify.
 _IDENTITY_STEP = 0.125
 _IDENTITY_RANGE = (-40.0, 4.0)
+_IDENTITY_TOL = 1e-10
 _EPS = 2.0 ** -52
 
 
-def cauchy_from_gaussian_scale_mixture(t: float, quadrature_tol: float = 1e-10) -> float:
+def cauchy_from_gaussian_scale_mixture(t: float) -> float:
     """Evaluate the Gaussian scale mixture that reproduces exp(-|t|).
 
     Integrates exp(-t**2*s**2/2) against the mixing density
@@ -91,12 +92,9 @@ def cauchy_from_gaussian_scale_mixture(t: float, quadrature_tol: float = 1e-10) 
     the rounding of the finer sum.
 
     :param t: evaluation point
-    :param quadrature_tol: absolute tolerance the error estimate must meet
-    :raises RuntimeError: when the error estimate exceeds the tolerance (or
-        is NaN); the message carries the achieved error estimate
+    :raises RuntimeError: when the error estimate exceeds 1e-10 (or is NaN);
+        the message carries the achieved error estimate
     """
-    if not quadrature_tol > 0:
-        raise ValueError("quadrature_tol must be positive")
     t2 = float(t) * float(t)
     lo, hi = _IDENTITY_RANGE
     h = _IDENTITY_STEP
@@ -108,9 +106,9 @@ def cauchy_from_gaussian_scale_mixture(t: float, quadrature_tol: float = 1e-10) 
     # The gap between the two sums cannot resolve an error below the
     # rounding of the sum itself, one unit in the last place.
     abserr = max(abs(value - coarse), _EPS * value)
-    if not abserr <= quadrature_tol:
+    if not abserr <= _IDENTITY_TOL:
         raise RuntimeError(
-            f"quadrature did not certify tolerance {quadrature_tol:g} at t={t!r}: "
+            f"quadrature did not certify tolerance {_IDENTITY_TOL:g} at t={t!r}: "
             f"achieved error estimate {abserr:g}"
         )
     return value

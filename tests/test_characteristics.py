@@ -257,22 +257,6 @@ class TestSpectralMeasure:
         with pytest.raises(RuntimeError, match="negative"):
             spectral_measure_lambda(_ShrinkingTail(), LINEAR_NORMING, 10)
 
-    def test_grid_refinement_preserves_total_mass(self):
-        refined = [-(2.0 ** (k / 2.0)) for k in range(20, -21, -1)]
-        refined += [2.0 ** (k / 2.0) for k in range(-20, 21)]
-        p = CauchyLaw(0.0, 1.0)
-        coarse = spectral_measure_lambda(p, LINEAR_NORMING, 1000)
-        fine = spectral_measure_lambda(p, LINEAR_NORMING, 1000, grid=refined)
-        np.testing.assert_allclose(coarse.total_mass, fine.total_mass, rtol=1e-12)
-        np.testing.assert_allclose(
-            coarse.mass_interval(0.0, 2000.0), fine.mass_interval(0.0, 2000.0), rtol=1e-12
-        )
-
-    @pytest.mark.parametrize("grid", [[1.0], [0.5, 0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
-    def test_rejects_malformed_grids(self, grid):
-        with pytest.raises(ValueError):
-            spectral_measure_lambda(CauchyLaw(0.0, 1.0), LINEAR_NORMING, 10, grid=grid)
-
     def test_default_grid_shape(self):
         assert len(DEFAULT_SPECTRAL_GRID) == 42
         assert DEFAULT_SPECTRAL_GRID[0] == -1024.0
@@ -442,26 +426,20 @@ class TestDsharp:
         quad = _gauss_legendre_dsharp(mu, nu, 2000)
         np.testing.assert_allclose(quad, exact, atol=5e-3)
 
-    def test_truncation_radius_changes_little(self):
+    def test_truncation_radius_changes_little(self, monkeypatch):
         rng = np.random.default_rng(42)
         mu = _random_measure(rng)
         nu = _random_measure(rng)
-        near = dsharp(mu, nu, r_max=20.0)
-        far = dsharp(mu, nu, r_max=30.0)
+        monkeypatch.setattr(characteristics, "_R_MAX", 20.0)
+        near = dsharp(mu, nu)
+        monkeypatch.setattr(characteristics, "_R_MAX", 30.0)
+        far = dsharp(mu, nu)
         assert abs(near - far) <= math.exp(-20.0) + 1e-15
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError, match="r_max"):
-            dsharp(AtomicMeasure.null(), AtomicMeasure.null(), r_max=0.0)
-
-    def test_rejects_nan_radius(self):
-        point = AtomicMeasure.from_pairs([(0.5, 1.0)])
-        with pytest.raises(ValueError, match="r_max must be positive"):
-            dsharp(AtomicMeasure.null(), point, r_max=float("nan"))
-
-    def test_infinite_radius_keeps_the_whole_line(self):
+    def test_infinite_radius_keeps_the_whole_line(self, monkeypatch):
         # d_r is 1 from r = 0.5 on, so the integral over (0, inf) is e^{-1/2}/2.
-        value = dsharp(AtomicMeasure.null(), AtomicMeasure.from_pairs([(0.5, 1.0)]), r_max=math.inf)
+        monkeypatch.setattr(characteristics, "_R_MAX", math.inf)
+        value = dsharp(AtomicMeasure.null(), AtomicMeasure.from_pairs([(0.5, 1.0)]))
         np.testing.assert_allclose(value, 0.5 * math.exp(-0.5), rtol=1e-12)
 
     def test_bounded_by_one(self):
@@ -505,10 +483,6 @@ class TestFitSpectrum:
         fitted, residual = fit_spectrum(AtomicMeasure.null(), 1.0)
         assert fitted.is_null
         assert residual == 0.0
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            fit_spectrum(AtomicMeasure.null(), 1.0, fit_window=(1.0, 0.5))
 
 
 class TestStableMixingConstant:
@@ -1235,16 +1209,11 @@ class TestCellWalk:
                 f"{law!r} at n={n}: atoms drifted from the reference"
             )
 
-    @pytest.mark.parametrize(
-        "params, grid",
-        [
-            (SpectralParams(1.5, 0.3, 0.7), DEFAULT_SPECTRAL_GRID),
-            (SpectralParams(1.0, 0.0, 0.5), DEFAULT_SPECTRAL_GRID),
-            (SpectralParams(0.7, 1.1, 0.2), (-4.0, -1.5, -0.25, 0.1, 0.5, 3.0, 9.0)),
-        ],
-    )
-    def test_discretize_bitwise_equal_to_reference(self, params, grid):
-        got = discretize_spectral(params, grid)
-        reference = _ref_cell_walk(np.asarray(grid, dtype=float), lambda x: spectral_cdf(params, x))
+    @pytest.mark.parametrize("params", [SpectralParams(1.5, 0.3, 0.7), SpectralParams(1.0, 0.0, 0.5)])
+    def test_discretize_bitwise_equal_to_reference(self, params):
+        got = discretize_spectral(params)
+        reference = _ref_cell_walk(
+            np.asarray(DEFAULT_SPECTRAL_GRID, dtype=float), lambda x: spectral_cdf(params, x)
+        )
         assert got.atoms, f"{params!r}: empty measure proves nothing"
         assert _hex_atoms(got) == _hex_atoms(reference)

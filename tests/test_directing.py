@@ -84,6 +84,20 @@ class TestGaussianLaw:
         assert value == pytest.approx(direct, abs=1e-10)
         assert value > 0, f"smoothing should keep the positive mean, got {value}"
 
+    @pytest.mark.parametrize("mean", [40.0, -40.0, 150.0])
+    @pytest.mark.parametrize("sd", [0.1, 1e-3])
+    def test_narrow_smoothed_mean_far_from_zero(self, mean, sd):
+        # A Gauss-Hermite rule is the oracle: in standard units the integrand
+        # is analytic within b/sd of the real line.
+        nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+        x = mean + sd * nodes
+        law = GaussianLaw(mean, sd)
+        for b in (0.5, 30.0, 1e3):
+            oracle = float(np.dot(weights, b * x / (b * b + x * x))) / math.sqrt(2.0 * math.pi)
+            value = law.smoothed_mean(b)
+            assert value == pytest.approx(_RealizedLaw._smoothed_mean(law, b), rel=1e-8), b
+            assert value == pytest.approx(oracle, rel=1e-8), b
+
     def test_rejects_bad_sd(self):
         with pytest.raises(ValueError):
             GaussianLaw(0.0, 0.0)
@@ -1292,6 +1306,12 @@ class TestFunctionalDomain:
         for bound in (-1.0, 0.0):
             assert law.truncated_mean(bound) == 0.0
             assert law.truncated_second(bound) == 0.0
+
+    @pytest.mark.parametrize("name", ["truncated_mean", "truncated_second", "smoothed_mean"])
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_nan_argument_is_a_value_error(self, law, name):
+        with pytest.raises(ValueError, match=name):
+            getattr(law, name)(math.nan)
 
     @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
     def test_symmetric_member_has_zero_means(self, law):

@@ -12,6 +12,7 @@ from stablemix.criteria import CRITERION_NAMES, DrawPanel, _combine_list
 from stablemix.directing import (
     CauchyLaw,
     DirectingLaw,
+    GaussianLaw,
     ParetoLaw,
     ScaleAtoms,
     UniformLaw,
@@ -283,6 +284,12 @@ class TestRunScenario:
                 "q_eps": bundle.q_eps,
                 "spectral_mass": bundle.lambda_n.total_mass,
             }
+
+    def test_narrow_gaussian_far_from_zero_reports_its_smoothed_mean(self):
+        law = DirectingLaw(GaussianLaw(40.0, 0.1))
+        spec = ScenarioSpec("narrow-gauss", law, NormingSequence(2.0), cf_n_grid=(256, 1024), cf_replicates=50)
+        rep = run_scenario(spec, seed=0)
+        assert [row["m_smooth"] for row in rep.quantities] == pytest.approx([88.2761, 499.5111], rel=1e-6)
 
     def test_identical_runs_serialize_identically(self):
         spec = self._fast("cauchy-scalemix", cf_replicates=200)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stablemix import mixtures
 from stablemix.empirics import _IDENTITY_GRID
 from stablemix.mixtures import (
     MixingMeasure,
@@ -133,8 +134,9 @@ class TestScaleMixtureIdentity:
             cauchy_from_gaussian_scale_mixture(2.0), abs=1e-10
         )
 
-    def test_tight_tolerance_still_converges(self):
-        assert cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=1e-12) == pytest.approx(
+    def test_tight_tolerance_still_converges(self, monkeypatch):
+        monkeypatch.setattr(mixtures, "_IDENTITY_TOL", 1e-12)
+        assert cauchy_from_gaussian_scale_mixture(1.0) == pytest.approx(
             math.exp(-1.0), abs=1e-11
         )
 
@@ -151,18 +153,11 @@ class TestScaleMixtureIdentity:
             assert err <= 1e-13
             assert cauchy_from_gaussian_scale_mixture(t) == pytest.approx(ref, abs=2e-13), f"t={t}"
 
-    def test_unreachable_tolerance_reports_its_estimate(self):
+    def test_unreachable_tolerance_reports_its_estimate(self, monkeypatch):
+        monkeypatch.setattr(mixtures, "_IDENTITY_TOL", 1e-18)
         with pytest.raises(RuntimeError, match=r"tolerance 1e-18 at t=1\.0: achieved error estimate \d"):
-            cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=1e-18)
+            cauchy_from_gaussian_scale_mixture(1.0)
 
     def test_nan_is_not_certified(self):
         with pytest.raises(RuntimeError, match="achieved error estimate nan"):
             cauchy_from_gaussian_scale_mixture(math.nan)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=0.0)
-
-    def test_rejects_nan_tolerance(self):
-        with pytest.raises(ValueError, match="quadrature_tol"):
-            cauchy_from_gaussian_scale_mixture(1.0, quadrature_tol=math.nan)

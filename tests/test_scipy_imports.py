@@ -63,6 +63,10 @@ FOOTPRINT = textwrap.dedent(
     for p in draw_replicates(DirectingLaw(CauchyLaw(0.0, 1.0), LocationGaussian(0.0, 1.0)), 0, 4):
         smooth_mean(p, NormingSequence(1.0), 1000)
     assert not scipy_modules(), f"Cauchy location prior: {scipy_modules()[:5]}"
+
+    # And so is that of a narrow Gaussian law far from 0.
+    assert abs(GaussianLaw(40.0, 0.1).smoothed_mean(30.0) - 0.48) < 1e-4
+    assert not scipy_modules(), f"off-centre Gaussian: {scipy_modules()[:5]}"
     """
 )
 
