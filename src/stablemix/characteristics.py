@@ -14,8 +14,11 @@ mixing parameters.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +81,10 @@ _CUM_FLOOR = 1e-12
 # distinct atom locations: 2048 keeps it at 32 MiB. A spectral fit on the
 # default grid has 40.
 _MAX_CRITICAL_LOCATIONS = 2048
+# Critical-distance sets of at most this many distinct locations (any pair of
+# measures on the module grid) are memoized, the last _CRITICAL_MEMO_SETS of them.
+_CRITICAL_MEMO_POINTS = 2 * len(_CELLS)
+_CRITICAL_MEMO_SETS = 16
 
 
 def _require_alpha(alpha: float) -> None:
@@ -218,8 +225,9 @@ def _cell_measure(cum: Callable[[float], float]) -> AtomicMeasure:
             )
         if mass <= 0:
             continue
-        atoms.append((location, mass))
-    return AtomicMeasure.from_pairs(atoms)
+        atoms.append((location, float(mass)))
+    # The cells are sorted and distinct, so the atoms are already canonical.
+    return AtomicMeasure(tuple(atoms))
 
 
 def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasure:
@@ -291,13 +299,23 @@ def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, 
 
 
 def _prokhorov_one_sided(
-    mu_locs: np.ndarray,
-    mu_masses: np.ndarray,
-    nu_locs: np.ndarray,
-    nu_cum: np.ndarray,
+    mu_locs: List[float],
+    mu_masses: List[float],
+    nu_locs: List[float],
+    nu_cum: List[float],
     eps: float,
+    cap: float,
 ) -> float:
-    """Largest violation max_A [mu(A) - nu(A^eps)] over unions A of mu atoms.
+    """Largest violation max_A [mu(A) - nu(A^eps)] over unions A of mu atoms,
+    or, as soon as one union exceeds ``cap``, that union's violation.
+
+    :param mu_locs: sorted distinct mu atom locations
+    :param mu_masses: the matching mu masses
+    :param nu_locs: sorted distinct nu atom locations
+    :param nu_cum: nu's cumulative masses, 0.0 first, one longer than ``nu_locs``
+    :param eps: the neighbourhood radius
+    :param cap: the caller's acceptance bound, at least 0; a return value
+        above it only says that the violation exceeds it
 
     Dynamic program over mu atoms in increasing location order, best[i] being
     the optimum among subsets whose rightmost atom is i. Appending atom i to
@@ -305,45 +323,53 @@ def _prokhorov_one_sided(
     eps-intervals overlap and nu([x_i-eps, x_i+eps]) when they are disjoint,
     so the transition splits into a sliding-window maximum of
     best[j] + nu(-inf, x_j+eps] over overlapping j (kept in a monotone deque)
-    and a prefix maximum of best[j] over disjoint j.
+    and a prefix maximum of best[j] over disjoint j. The nu atoms up to
+    x_i+eps and below x_i-eps are counted by two pointers that only move
+    right. The running maximum never decreases, so once it exceeds ``cap``
+    the full violation does too.
     """
-    k = int(mu_locs.size)
-    if k == 0:
-        return 0.0
-    upper = nu_cum[nu_locs.searchsorted(mu_locs + eps, side="right")]
-    closed = upper - nu_cum[nu_locs.searchsorted(mu_locs - eps, side="left")]
-    locs = mu_locs.tolist()
-    masses = mu_masses.tolist()
-    up = upper.tolist()
-    cl = closed.tolist()
+    k = len(mu_locs)
     best = [0.0] * k
+    keys = [0.0] * k  # best[j] + nu(-inf, x_j+eps]
     window: deque = deque()
     prefix_best = 0.0
     start = 0
     overall = 0.0
     two_eps = 2.0 * eps
-    for i in range(k):
-        while start < i and locs[i] - locs[start] > two_eps:
+    m = len(nu_locs)
+    top = bottom = 0  # nu atoms at most x + eps, below x - eps
+    for i, x in enumerate(mu_locs):
+        high = x + eps
+        while top < m and nu_locs[top] <= high:
+            top += 1
+        low = x - eps
+        while bottom < m and nu_locs[bottom] < low:
+            bottom += 1
+        up_i = nu_cum[top]
+        while start < i and x - mu_locs[start] > two_eps:
             if best[start] > prefix_best:
                 prefix_best = best[start]
             if window and window[0] == start:
                 window.popleft()
             start += 1
-        value = prefix_best - cl[i]
+        value = prefix_best - (up_i - nu_cum[bottom])
         if window:
             j = window[0]
-            candidate = best[j] + up[j] - up[i]
+            candidate = keys[j] - up_i
             if candidate > value:
                 value = candidate
-        best_i = masses[i] + value
+        best_i = mu_masses[i] + value
         best[i] = best_i
         if best_i > overall:
             overall = best_i
-        key = best_i + up[i]
-        while window and best[window[-1]] + up[window[-1]] <= key:
+            if overall > cap:
+                return overall
+        key = best_i + up_i
+        keys[i] = key
+        while window and keys[window[-1]] <= key:
             window.pop()
         window.append(i)
-    return max(0.0, overall)
+    return overall
 
 
 def _critical_distances(locs: np.ndarray) -> np.ndarray:
@@ -365,6 +391,21 @@ def _critical_distances(locs: np.ndarray) -> np.ndarray:
     return np.unique(np.abs(points[:, None] - points[None, :]))
 
 
+@lru_cache(maxsize=_CRITICAL_MEMO_SETS)
+def _critical_of_points(points: Tuple[float, ...]) -> Tuple[float, ...]:
+    return tuple(_critical_distances(np.array(points)).tolist())
+
+
+def _critical_set(locs: List[float]) -> Tuple[float, ...]:
+    """:func:`_critical_distances` of ``locs`` as a tuple, memoized per set
+    of distinct locations of at most ``_CRITICAL_MEMO_POINTS`` points. Every
+    spectral fit on the module grid has the same few location sets."""
+    points = tuple(sorted(set(locs)))
+    if len(points) > _CRITICAL_MEMO_POINTS:
+        return _critical_of_points.__wrapped__(points)
+    return _critical_of_points(points)
+
+
 def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Levy-Prokhorov distance between two finite atomic measures.
 
@@ -381,51 +422,65 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     last interval is feasible, about twice as many.
     One-dimensional atomic measures make each evaluation of V a dynamic
     program over atoms in location order. More than 2048 distinct atom
-    locations raise a ``ValueError``.
+    locations raise a ``ValueError``. The search reads each measure as
+    Python lists of locations and masses and its critical distances from
+    :func:`_critical_set`; each probe caps the violation (see
+    :func:`_prokhorov_arrays`).
     """
-    critical = _critical_distances(np.concatenate([mu.locations, nu.locations]))
-    return _prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)
+    mu_locs, nu_locs = mu.locations.tolist(), nu.locations.tolist()
+    return _prokhorov_arrays(
+        mu_locs,
+        mu.masses.tolist(),
+        nu_locs,
+        nu.masses.tolist(),
+        _critical_set(mu_locs + nu_locs),
+        mu.total_mass,
+        nu.total_mass,
+    )
 
 
 def _prokhorov_arrays(
-    mu_locs: np.ndarray,
-    mu_masses: np.ndarray,
-    nu_locs: np.ndarray,
-    nu_masses: np.ndarray,
-    critical: np.ndarray,
+    mu_locs: List[float],
+    mu_masses: List[float],
+    nu_locs: List[float],
+    nu_masses: List[float],
+    critical: Sequence[float],
+    mu_total: float,
+    nu_total: float,
 ) -> float:
-    """:func:`prokhorov_distance` on canonical (sorted, positive) atom arrays.
+    """:func:`prokhorov_distance` on canonical (sorted, positive) atom lists.
 
-    ``critical`` is a sorted array holding every distance between an atom of
-    ``mu`` and an atom of ``nu``; extra values cost a little search time and
-    do not change the result. After the mass gap, the search probes the
-    intervals between critical distances at indices 0, 1, 3, 7, ... until
-    one is feasible and bisects inside the last bracket: an answer in
-    interval k costs O(log k) evaluations of V, and at most about twice
-    what bisecting the whole bracket costs. Feasibility is monotone in the
-    interval index, so both searches return the same distance bit for bit.
+    :param critical: sorted, holding every distance between an atom of ``mu``
+        and an atom of ``nu``; extra values cost a little search time and do
+        not change the result
+    :param mu_total: ``mu_masses`` summed by NumPy, whose pairwise order a
+        Python sum of the list would not reproduce bit for bit
+    :param nu_total: ``nu_masses`` summed the same way
+
+    After the mass gap, the search probes the intervals between critical
+    distances at indices 0, 1, 3, 7, ... until one is feasible and bisects
+    inside the last bracket: an answer in interval k costs O(log k)
+    evaluations of V, and at most about twice what bisecting the whole
+    bracket costs. Feasibility is monotone in the interval index, so both
+    searches return the same distance bit for bit. Each probe caps V at the
+    edge above its interval, so a one-sided pass stops once it exceeds it.
     """
-    if (
-        mu_locs.shape == nu_locs.shape
-        and (mu_locs == nu_locs).all()
-        and (mu_masses == nu_masses).all()
-    ):
+    if mu_locs == nu_locs and mu_masses == nu_masses:
         return 0.0
-    mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
-    nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
+    # accumulate adds in the order of np.cumsum.
+    mu_cum = list(accumulate(mu_masses, initial=0.0))
+    nu_cum = list(accumulate(nu_masses, initial=0.0))
 
     def violation(eps: float, cap: float) -> Optional[float]:
         """The larger one-sided violation at eps, or None once one exceeds cap."""
-        forward = _prokhorov_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps)
+        forward = _prokhorov_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps, cap)
         if forward > cap:
             return None
-        backward = _prokhorov_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps)
+        backward = _prokhorov_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps, cap)
         if backward > cap:
             return None
         return max(forward, backward)
 
-    mu_total = float(mu_masses.sum())
-    nu_total = float(nu_masses.sum())
     lo = abs(mu_total - nu_total)
     hi = max(mu_total, nu_total, lo)
     if hi == 0.0:
@@ -437,13 +492,13 @@ def _prokhorov_arrays(
     # max(edge(k), V there) for the first k whose V is at most edge(k + 1);
     # that test is monotone in k. V is read at interval midpoints, because at
     # eps = |x - y| itself x + eps need not round to y.
-    first = int(critical.searchsorted(lo, side="right"))
-    inner = int(critical.searchsorted(hi, side="left")) - first
+    first = bisect_right(critical, lo)
+    inner = bisect_left(critical, hi) - first
 
     def edge(k: int) -> float:
         if k == 0:
             return lo
-        return float(critical[first + k - 1]) if k <= inner else hi
+        return critical[first + k - 1] if k <= inner else hi
 
     def probe(k: int, cap: float) -> Optional[float]:
         return violation(0.5 * (edge(k) + edge(k + 1)), cap)
@@ -481,33 +536,39 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     breakpoints at the atom moduli, so the integral over (0, 20] is
     evaluated exactly segment by segment; the omitted tail is at most
     e^{-20}. Every restriction is supported in the atoms of mu and nu, so
-    the distances between those atoms are computed once and serve as the
-    critical set of every segment's Levy-Prokhorov search.
+    the distances between those atoms serve as the critical set of every
+    segment's Levy-Prokhorov search; they are computed once per distinct
+    location set (see :func:`_critical_set`). Each measure is read once per
+    call as Python lists of locations and masses, and a segment's
+    restrictions are list slices, because they hold a few dozen atoms, too
+    few to pay NumPy's cost per call. Only each restriction's total mass is
+    summed by NumPy, over a slice of the measure's ``masses`` array.
     """
     if mu.atoms == nu.atoms:
         return 0.0
 
-    mu_locs, mu_masses = mu.locations, mu.masses
-    nu_locs, nu_masses = nu.locations, nu.masses
-    mu_abs = np.abs(mu_locs)
-    nu_abs = np.abs(nu_locs)
-    critical = _critical_distances(np.concatenate([mu_locs, nu_locs]))
+    mu_locs, mu_masses = mu.locations.tolist(), mu.masses.tolist()
+    nu_locs, nu_masses = nu.locations.tolist(), nu.masses.tolist()
+    critical = _critical_set(mu_locs + nu_locs)
 
     def d_at(radius: float) -> float:
         # Locations are sorted, so each open ball (-radius, radius) is a slice.
-        mu_keep = slice(mu_locs.searchsorted(-radius, side="right"), mu_locs.searchsorted(radius))
-        nu_keep = slice(nu_locs.searchsorted(-radius, side="right"), nu_locs.searchsorted(radius))
+        mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
+        nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
         return _prokhorov_arrays(
-            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical
+            mu_locs[mu_keep],
+            mu_masses[mu_keep],
+            nu_locs[nu_keep],
+            nu_masses[nu_keep],
+            critical,
+            float(mu.masses[mu_keep].sum()),
+            float(nu.masses[nu_keep].sum()),
         )
 
-    breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
-    breaks = breaks[(breaks > 0) & (breaks < _R_MAX)]
-    edges = np.concatenate([[0.0], breaks, [_R_MAX]])
+    moduli = sorted({abs(x) for x in mu_locs + nu_locs})
+    edges = [0.0, *(x for x in moduli if 0 < x < _R_MAX), _R_MAX]
     total = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
-        if right <= left:
-            continue
         # On (left, right] the restrictions to (-r, r) are those at any
         # interior radius; atoms with modulus exactly `left` are included.
         d = d_at(0.5 * (left + right))

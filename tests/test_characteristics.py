@@ -808,7 +808,7 @@ def _assert_within_bisection(reference, value, what):
 
 
 class TestArrayPathOracle:
-    """The array-level dsharp and Prokhorov paths against the measure-level copy."""
+    """The library's dsharp and Prokhorov paths against the measure-level copy."""
 
     def test_bitwise_equal_on_seeded_measures(self):
         rng = np.random.default_rng(20240601)
@@ -938,7 +938,7 @@ def checked_searches(monkeypatch):
 
     def checked(*args):
         d = search(*args)
-        want, k, last = _bisect_prokhorov_arrays(*args)
+        want, k, last = _bisect_prokhorov_arrays(*map(np.asarray, args[:5]))
         assert d == want, f"search gives {d!r}, bisection {want!r} (interval {k} of 0..{last})"
         positions.append((k, last))
         return d
@@ -1033,7 +1033,7 @@ def recorded_distances(monkeypatch):
 
     def recording(*args):
         d = search(*args)
-        records.append((args[:4], d))
+        records.append((tuple(map(np.asarray, args[:4])), d))
         return d
 
     monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
@@ -1081,7 +1081,7 @@ class TestProkhorovWork:
             return one_sided(*args)
 
         def counting_search(*args):
-            calls.append([args[4].size, 0])
+            calls.append([len(args[4]), 0])
             return search(*args)
 
         monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
@@ -1118,21 +1118,86 @@ class TestProkhorovWork:
             prokhorov_distance(mu, nu)
         deepest = 0
         for args, count in searches:
-            _, k, _ = _bisect_prokhorov_arrays(*args)
+            _, k, _ = _bisect_prokhorov_arrays(*map(np.asarray, args[:5]))
             deepest = max(deepest, k)
             bound = 2 * (2 * math.ceil(math.log2(max(k, 0) + 1)) + 3)
             assert count <= bound, f"{count} dynamic-program calls for an answer in interval {k}"
         assert deepest >= 30
 
 
+def _assert_dp_matches_reference(mu, nu):
+    """The list dynamic program against ``_ref_one_sided``, in both
+    directions, at the mass gap, at every critical distance and at every
+    midpoint between two, under the caps 0, the gap, the next critical
+    distance above eps and inf: the same float whenever the reference is at
+    most the cap, and a value above the cap exactly when the reference is."""
+    critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations])).tolist()
+    gap = abs(mu.total_mass - nu.total_mass)
+    radii = [gap, *critical, *(0.5 * (a + b) for a, b in zip(critical, critical[1:]))]
+    for a, b in ((mu, nu), (nu, mu)):
+        b_cum = np.concatenate([[0.0], np.cumsum(b.masses)])
+        lists = (a.locations.tolist(), a.masses.tolist(), b.locations.tolist(), b_cum.tolist())
+        for eps in radii:
+            want = _ref_one_sided(a.locations, a.masses, b.locations, b_cum, eps)
+            above = [c for c in critical if c > eps]
+            for cap in (0.0, gap, above[0] if above else math.inf, math.inf):
+                got = characteristics._prokhorov_one_sided(*lists, eps, cap)
+                what = f"{a.atoms} vs {b.atoms} at eps {eps!r}, cap {cap!r}"
+                if want <= cap:
+                    assert got == want, f"{what}: {got!r} != {want!r}"
+                else:
+                    assert got > cap, f"{what}: {got!r} does not exceed the cap, reference {want!r}"
+
+
+class TestListDynamicProgram:
+    """The one-sided pass on lists, with its early exit, against the NumPy copy."""
+
+    def test_bitwise_equal_on_seeded_measures(self):
+        for mu, nu in _oracle_pairs(np.random.default_rng(20240601)):
+            _assert_dp_matches_reference(mu, nu)
+
+    @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
+    def test_bitwise_equal_on_placed_pairs(self, name):
+        _assert_dp_matches_reference(*_PLACED_PAIRS[name])
+
+
 class TestCriticalDistanceBound:
     def test_rejects_one_location_over_the_bound(self):
         many = AtomicMeasure.from_pairs((float(i), 1.0) for i in range(characteristics._MAX_CRITICAL_LOCATIONS + 1))
         message = f"{characteristics._MAX_CRITICAL_LOCATIONS + 1} distinct atom locations"
-        with pytest.raises(ValueError, match=message):
-            prokhorov_distance(many, AtomicMeasure.null())
-        with pytest.raises(ValueError, match=message):
-            dsharp(many, AtomicMeasure.null())
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                prokhorov_distance(many, AtomicMeasure.null())
+            with pytest.raises(ValueError, match=message):
+                dsharp(many, AtomicMeasure.null())
+
+    def test_each_location_set_gets_its_own_critical_set(self, monkeypatch):
+        sets = []
+        search = characteristics._prokhorov_arrays
+
+        def recording(*args):
+            sets.append(args[4])
+            return search(*args)
+
+        monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
+        first = (_pairs((0.0, 1.0), (1.0, 0.5)), _pairs((0.25, 1.0)))
+        second = (_pairs((-0.75, 1.0), (3.0, 0.5)), _pairs((0.5, 1.0), (2.0, 0.25)))
+        for mu, nu in (first, second, first):
+            sets.clear()
+            dsharp(mu, nu)
+            prokhorov_distance(mu, nu)
+            want = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
+            assert sets and all(isinstance(c, tuple) and c == tuple(want.tolist()) for c in sets)
+
+    def test_a_set_above_the_memo_bound_is_not_retained(self):
+        size = characteristics._CRITICAL_MEMO_POINTS // 2 + 1
+        mu = AtomicMeasure.from_pairs((0.1 * i, 1.0) for i in range(size))
+        nu = AtomicMeasure.from_pairs((0.1 * i + 0.05, 1.0) for i in range(size))
+        before = characteristics._critical_of_points.cache_info()
+        assert prokhorov_distance(mu, nu) == _bisect_prokhorov(mu, nu)
+        assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
+        after = characteristics._critical_of_points.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def _ref_cell_walk(pts, cum):

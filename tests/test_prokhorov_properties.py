@@ -1,5 +1,6 @@
 """The exact Levy-Prokhorov search against an independent subset enumeration
-and against a bisection of the whole critical-distance bracket."""
+and against a bisection of the whole critical-distance bracket, and its
+one-sided pass against the NumPy reference copy."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from stablemix.characteristics import dsharp, prokhorov_distance
 from stablemix.measures import AtomicMeasure
-from test_characteristics import _bisect_dsharp, _bisect_prokhorov
+from test_characteristics import _assert_dp_matches_reference, _bisect_dsharp, _bisect_prokhorov
 
 
 def _brute_exact_prokhorov(mu, nu):
@@ -71,3 +72,13 @@ class TestProkhorovBisection:
         for a, b in ((mu, nu), (nu, mu)):
             assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b), f"{a.atoms} vs {b.atoms}"
             assert dsharp(a, b) == _bisect_dsharp(a, b), f"{a.atoms} vs {b.atoms}"
+
+
+class TestListDynamicProgramLattice:
+    """The one-sided pass on lists against the NumPy copy, with exact and
+    near ties between atom distances, masses and caps."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_lattice_measures())
+    def test_bitwise_equal_to_reference(self, pair):
+        _assert_dp_matches_reference(*pair)
