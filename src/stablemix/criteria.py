@@ -106,7 +106,9 @@ _CHECKERS = {
 CRITERION_NAMES = tuple(_CHECKERS)
 
 _TAIL_EPS = (0.1, 1.0)
-_MAX_EXACT_ATOMS = 12
+# Limit atoms: a panel with at most this many distinct draws gives its own;
+# a larger one gives this many groups of equal weight.
+_LIMIT_ATOMS = 12
 # A fraction or distance at or beyond this decides a sub-check.
 _DECISIVE = 0.5
 
@@ -542,8 +544,10 @@ def _limit_atoms(
 
     ``locations`` holds each draw's smoothed location at the largest n.
     Distinct draws already collapse by equality, so an atom prior yields
-    its atoms exactly. Crowded panels (continuous priors) are summarized
-    by clustering the fitted total weights at relative gaps.
+    its atoms exactly. A crowded panel (a continuous prior) is sorted by
+    fitted total weight and cut into ``_LIMIT_ATOMS`` runs of equal weight:
+    each draw joins the run that holds the midpoint of its weight. Each run
+    is weight-averaged, so the mean is kept.
     """
     fit_table = panel.fit_table(panel.ngrid.values[-1], alpha)
     loc_of = dict(zip(panel.draws, locations))
@@ -551,31 +555,21 @@ def _limit_atoms(
         (float(loc_of[p]), fit_table[p][0], weight)
         for p, weight in panel.unique_weights()
     ]
-    if len(entries) <= _MAX_EXACT_ATOMS:
+    if len(entries) <= _LIMIT_ATOMS:
         return entries
-    return _gap_cluster(entries, alpha)
-
-
-def _gap_cluster(
-    entries: List[Tuple[float, SpectralParams, float]], alpha: float
-) -> List[Tuple[float, SpectralParams, float]]:
-    entries = sorted(entries, key=lambda e: e[1].total_weight)
-    totals = [e[1].total_weight for e in entries]
-    threshold = max(0.05, 0.2 * float(np.median(totals)))
-    groups: List[List[Tuple[float, SpectralParams, float]]] = [[entries[0]]]
-    for prev, entry in zip(entries, entries[1:]):
-        if entry[1].total_weight - prev[1].total_weight > threshold:
-            groups.append([entry])
-        else:
-            groups[-1].append(entry)
-    clustered = []
-    for group in groups:
-        weight = sum(e[2] for e in group)
-        eta = sum(e[0] * e[2] for e in group) / weight
-        cm = sum(e[1].c_minus * e[2] for e in group) / weight
-        cp = sum(e[1].c_plus * e[2] for e in group) / weight
-        clustered.append((eta, SpectralParams(alpha, cm, cp), weight))
-    return clustered
+    runs: List[List[Tuple[float, SpectralParams, float]]] = [[] for _ in range(_LIMIT_ATOMS)]
+    below = 0.0
+    for entry in sorted(entries, key=lambda e: e[1].total_weight):
+        runs[min(int(_LIMIT_ATOMS * (below + entry[2] / 2)), _LIMIT_ATOMS - 1)].append(entry)
+        below += entry[2]
+    grouped = []
+    for run in filter(None, runs):
+        weight = sum(e[2] for e in run)
+        eta = sum(e[0] * e[2] for e in run) / weight
+        cm = sum(e[1].c_minus * e[2] for e in run) / weight
+        cp = sum(e[1].c_plus * e[2] for e in run) / weight
+        grouped.append((eta, SpectralParams(alpha, cm, cp), weight))
+    return grouped
 
 
 def _stable_atom_dicts(mixing) -> List[Dict[str, float]]:

@@ -178,6 +178,30 @@ def test_compare_prints_verdicts_and_largest_changes(tmp_path, capsys):
     ]
 
 
+def test_compare_prints_one_line_per_resized_list(tmp_path, capsys):
+    tool = _tool()
+    report = {"verdicts": [{"holds": True, "atoms": [{"c": 1.0, "w": 0.5}, {"c": 2.0, "w": 0.5}], "tag": "x"}]}
+    moved = json.loads(json.dumps(report))
+    moved["verdicts"][0]["atoms"] = [{"c": 1.5, "w": 0.25}, {"c": 2.0, "w": 0.25}, {"c": 3.0, "w": 0.5}]
+    moved["verdicts"][0]["atoms"][0]["new"] = 1.0
+    before, after = tmp_path / "before", tmp_path / "after"
+    _write(before, {"a@0/report.json": json.dumps(report), "a@0/residuals": "(0.5, 0.25)\n(0.5, 0.5)\n"})
+    _write(after, {"a@0/report.json": json.dumps(moved), "a@0/residuals": "(0.5, 0.25)\n"})
+    assert tool.main(["--compare", str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a@0/report.json",
+        "  holds before: [true]",
+        "  holds after:  [true]",
+        "  verdicts[0].atoms: length 2 -> 3",
+        "  verdicts[0].atoms[0].new: None -> 1.0",
+        "  verdicts[*].atoms[*].c: largest change 0.5 at verdicts[0].atoms[0].c (1.0 -> 1.5)",
+        "  verdicts[*].atoms[*].w: largest change 0.25 at verdicts[0].atoms[0].w (0.5 -> 0.25)",
+        "a@0/residuals",
+        "  (top level): length 2 -> 1",
+        "2 of 2 files differ",
+    ]
+
+
 def test_compare_folds_the_functionals_by_law_and_functional(tmp_path, capsys):
     tool = _tool()
     law = "CauchyLaw(location=1.0, cscale=1.0)"

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from stablemix.characteristics import pushforward_alpha
 from stablemix.criteria import (
+    _LIMIT_ATOMS,
     CRITERION_NAMES,
     DrawPanel,
     NGrid,
     StatTestConfig,
     _in_probability,
+    _limit_atoms,
     _relaxed_ks,
     check_cauchy_mixture,
     check_degenerate,
@@ -33,9 +36,12 @@ from stablemix.directing import (
     PointMassLaw,
     ScaleAtoms,
     ScaleExponential,
+    ScaleLogNormal,
+    StableLaw,
     UniformLaw,
 )
-from stablemix.stable import NormingSequence
+from stablemix.mixtures import mixture_cf
+from stablemix.stable import NormingSequence, StableParams
 
 GRID = NGrid((100, 1000, 10000, 100000), replicates=200)
 CFG = StatTestConfig()
@@ -271,6 +277,58 @@ class TestStableMixtureChecker:
         verdict = check_stable_mixture(DrawPanel(GAUSS_EXPMIX, SQRT_N, GRID, 0), 1.5, CFG)
         assert verdict.holds is False
         assert verdict.evidence["sub_checks"]["non_null"]["holds"] is False
+
+
+def _per_draw_entries(panel, alpha):
+    """(location, fitted shape, weight) of every distinct draw at the largest n."""
+    table = panel.fit_table(panel.ngrid.values[-1], alpha)
+    loc_of = dict(zip(panel.draws, panel.loc_smooth()[-1]))
+    return [(float(loc_of[p]), table[p][0], w) for p, w in panel.unique_weights()]
+
+
+# The two continuous-prior laws of the benchmark: every draw is distinct.
+LOGNORMAL_PARETO = (
+    DirectingLaw(ParetoLaw(1.5, 1.0, 0.5), ScaleLogNormal(0.0, 0.5)),
+    GRID,
+)
+STABLE_LOGNORMAL = (
+    DirectingLaw(StableLaw(StableParams(1.5, 0.0, 1.0, 0.0)), ScaleLogNormal(0.0, 0.5)),
+    NGrid((100, 1000), 100),
+)
+
+
+class TestLimitAtoms:
+    """The estimated limit is the panel's own mixing measure, summarized by
+    equal-weight groups once it has more distinct draws than atoms."""
+
+    @pytest.mark.parametrize("law, grid", [LOGNORMAL_PARETO, STABLE_LOGNORMAL], ids=["pareto", "stable"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cf_stays_near_the_per_draw_mixture(self, law, grid, seed):
+        panel = DrawPanel(law, TWO_THIRDS, grid, seed)
+        entries = _per_draw_entries(panel, 1.5)
+        estimate = _limit_atoms(panel, 1.5, panel.loc_smooth()[-1])
+        mixes = [pushforward_alpha(atoms, 1.5).mixing for atoms in (estimate, entries)]
+        gap = max(abs(mixture_cf(t, mixes[0]) - mixture_cf(t, mixes[1])) for t in np.linspace(0.0, 8.0, 161))
+        assert gap <= 0.005, f"the estimate's cf lies {gap:.4f} from the per-draw mixture"
+
+    def test_crowded_panel_gives_equal_weight_groups_and_few_draws_stay_exact(self):
+        law, grid = STABLE_LOGNORMAL
+        panel = DrawPanel(law, TWO_THIRDS, grid, 0)
+        entries = _per_draw_entries(panel, 1.5)
+        assert len(entries) > _LIMIT_ATOMS
+        estimate = _limit_atoms(panel, 1.5, panel.loc_smooth()[-1])
+        weights = [w for _, _, w in estimate]
+        assert len(estimate) == _LIMIT_ATOMS
+        for w in weights:
+            assert abs(w - 1.0 / _LIMIT_ATOMS) <= 1.0 / grid.replicates
+        assert abs(sum(weights) - 1.0) <= 1e-12
+        mean = sum(w * params.total_weight for _, params, w in entries)
+        assert abs(sum(w * params.total_weight for _, params, w in estimate) - mean) <= 1e-12
+
+        panel = DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        entries = _per_draw_entries(panel, 1.5)
+        assert len(entries) <= _LIMIT_ATOMS
+        assert _limit_atoms(panel, 1.5, panel.loc_smooth()[-1]) == entries
 
 
 class TestCauchyMixtureChecker:

@@ -25,9 +25,11 @@ imported (default: the checkout holding this script). Each line is
 ``--keep DIR`` also writes the bytes behind each line to ``DIR/<run>/<file>``,
 and ``--compare BEFORE AFTER`` reads two such directories instead of running
 anything. For each file that differs it prints the ``holds`` values of the
-report's verdicts before and after, then every numeric field that moved
-(list indices folded to ``[*]``) with its largest absolute change and where
-that change is; its exit code is 1 when a file differs:
+report's verdicts before and after, one ``path: length a -> b`` line per list
+whose length changed (in place of the leaves of its added or removed
+elements), then every numeric field that moved (list indices folded to
+``[*]``) with its largest absolute change and where that change is; its exit
+code is 1 when a file differs:
 
     python3 tools/contract_outputs.py --keep after > after.txt
     python3 tools/contract_outputs.py --root ../parent --keep before > before.txt
@@ -202,15 +204,25 @@ def _number(value: str) -> Any:
         return value
 
 
-def _leaves(value: Any, path: str = "") -> Iterator[Tuple[str, Any]]:
+def _nodes(value: Any, path: str = "") -> Iterator[Tuple[str, Any]]:
+    """Every value in a parsed file with its path, containers included."""
+    yield path, value
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+            yield from _nodes(item, f"{path}.{key}" if path else str(key))
     elif isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            yield from _leaves(item, f"{path}[{index}]")
-    else:
-        yield path, value
+            yield from _nodes(item, f"{path}[{index}]")
+
+
+def _in_resized_tail(path: str, resized: Dict[str, Tuple[int, int]]) -> bool:
+    """Whether ``path`` lies in an element that only one side of a resized
+    list holds."""
+    for head, lengths in resized.items():
+        head += "["
+        if path.startswith(head) and int(path[len(head) : path.index("]", len(head))]) >= min(lengths):
+            return True
+    return False
 
 
 def _is_number(value: Any) -> bool:
@@ -219,16 +231,26 @@ def _is_number(value: Any) -> bool:
 
 def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
     """The lines ``--compare`` prints for one file that differs."""
-    old, new = dict(_leaves(_parsed(name, before))), dict(_leaves(_parsed(name, after)))
+    nodes = [dict(_nodes(_parsed(name, data))) for data in (before, after)]
+    old, new = ({path: v for path, v in side.items() if not isinstance(v, (dict, list, tuple))} for side in nodes)
+    lengths = [{path: len(v) for path, v in side.items() if isinstance(v, (list, tuple))} for side in nodes]
+    resized = {
+        path: (lengths[0][path], lengths[1][path])
+        for path in sorted(lengths[0].keys() & lengths[1].keys())
+        if lengths[0][path] != lengths[1][path]
+    }
     lines = []
     holds = [[value for path, value in leaves.items() if path.rsplit(".", 1)[-1] == "holds"] for leaves in (old, new)]
     if any(holds):
         lines.append(f"  holds before: {json.dumps(holds[0])}")
         lines.append(f"  holds after:  {json.dumps(holds[1])}")
+    # An added or removed list element prints as its list's length change,
+    # not as one line per leaf.
+    lines += [f"  {path or '(top level)'}: length {a} -> {b}" for path, (a, b) in resized.items()]
     largest: Dict[str, Tuple[float, str, Any, Any]] = {}
     for path in sorted(old.keys() | new.keys()):
         a, b = old.get(path), new.get(path)
-        if a == b or path.rsplit(".", 1)[-1] == "holds":
+        if a == b or path.rsplit(".", 1)[-1] == "holds" or _in_resized_tail(path, resized):
             continue
         if _is_number(a) and _is_number(b):
             field = re.sub(r"\[\d+\]", "[*]", path)
