@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,15 +62,15 @@ DEFAULT_SPECTRAL_GRID: Tuple[float, ...] = tuple(
 # Power-law fits read cumulative masses at grid edges inside this window.
 DEFAULT_FIT_WINDOW: Tuple[float, float] = (0.125, 8.0)
 
-_GRID = np.array(DEFAULT_SPECTRAL_GRID)
 # (index of the left edge, geometric midpoint) of each same-sign grid cell.
 _CELLS: Tuple[Tuple[int, float], ...] = tuple(
     (i, math.copysign(math.sqrt(abs(left) * abs(right)), left))
     for i, (left, right) in enumerate(zip(DEFAULT_SPECTRAL_GRID, DEFAULT_SPECTRAL_GRID[1:]))
     if not left < 0 < right
 )
+_MIDPOINTS = frozenset(location for _, location in _CELLS)
 # The positive grid edges inside the fit window, in grid order.
-_FIT_EDGES = [x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1]]
+_FIT_EDGES = tuple(x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1])
 _R_MAX = 20.0  # dsharp integrates over radii in (0, _R_MAX]
 
 _NULL_MASS_FLOOR = 1e-8
@@ -210,18 +210,44 @@ def tail_moment_ratio(p, x: float) -> float:
     return x * x * p.tail_mass(x) / denom
 
 
-def _cell_measure(cum: Callable[[float], float]) -> AtomicMeasure:
+def _np_sum(values: Sequence[float]) -> float:
+    """``values`` summed bit for bit as NumPy sums a float64 array: in order
+    below 8 values, into 8 interleaved accumulators (combined pairwise, then
+    the rest added in order) up to 128, and above that as the sums of two
+    halves split at n//2 rounded down to a multiple of 8. NumPy's reduction
+    starts from 0.0, which only turns a -0.0 total into 0.0."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return 0.0 + (_np_sum(values[:half]) + _np_sum(values[half:]))
+    total, rest = 0.0, 0
+    if n >= 8:
+        rest = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, rest, 8):
+            r0, r1, r2, r3 = r0 + values[i], r1 + values[i + 1], r2 + values[i + 2], r3 + values[i + 3]
+            r4, r5, r6, r7 = r4 + values[i + 4], r5 + values[i + 5], r6 + values[i + 6], r7 + values[i + 7]
+        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for value in values[rest:]:
+        total += value
+    return total
+
+
+def _atom_lists(measure: AtomicMeasure) -> Tuple[List[float], List[float]]:
+    return [x for x, _ in measure.atoms], [m for _, m in measure.atoms]
+
+
+def _cell_measure(values: Sequence[float]) -> AtomicMeasure:
     """One atom per same-sign cell of the module grid, at its geometric
-    midpoint, with the increment of ``cum``; ``cum`` is evaluated once per
-    grid point."""
-    values = [cum(x) for x in _GRID]
+    midpoint, with the increment of ``values``, a cumulative function's
+    values at the grid points."""
     atoms: List[Tuple[float, float]] = []
     for i, location in _CELLS:
         mass = values[i + 1] - values[i]
         if mass < -1e-12:
             raise RuntimeError(
                 "internal error: spectral increment "
-                f"{mass:g} on ({_GRID[i]:g}, {_GRID[i + 1]:g}] is negative"
+                f"{mass:g} on ({DEFAULT_SPECTRAL_GRID[i]:g}, {DEFAULT_SPECTRAL_GRID[i + 1]:g}] is negative"
             )
         if mass <= 0:
             continue
@@ -241,13 +267,7 @@ def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasur
     spectral object is only compared away from 0).
     """
     b = norming.b(n)
-
-    def g_value(x: float) -> float:
-        if x < 0:
-            return -n * p.cdf(b / x)
-        return n * p.right_tail(b / x)
-
-    return _cell_measure(g_value)
+    return _cell_measure([-n * p.cdf(b / x) if x < 0 else n * p.right_tail(b / x) for x in DEFAULT_SPECTRAL_GRID])
 
 
 def spectral_cdf(params: SpectralParams, x: float) -> float:
@@ -259,41 +279,55 @@ def spectral_cdf(params: SpectralParams, x: float) -> float:
     return params.c_plus * x ** params.alpha
 
 
+@lru_cache(maxsize=16)
+def _grid_powers(alpha: float) -> Tuple[float, ...]:
+    """|x|**alpha at every point x of the module grid."""
+    return tuple(abs(x) ** alpha for x in DEFAULT_SPECTRAL_GRID)
+
+
 def discretize_spectral(params: SpectralParams) -> AtomicMeasure:
     """Discretize an exact power-law spectral shape on the grid and with the
-    cell convention of :func:`spectral_measure_lambda`."""
-    return _cell_measure(lambda x: spectral_cdf(params, x))
+    cell convention of :func:`spectral_measure_lambda`. The shape is read at
+    the grid points bit for bit as :func:`spectral_cdf` reads it, from
+    powers |x|**alpha cached per alpha."""
+    c_minus, c_plus = -params.c_minus, params.c_plus
+    powers = _grid_powers(params.alpha)
+    return _cell_measure([(c_minus if x < 0 else c_plus) * w for x, w in zip(DEFAULT_SPECTRAL_GRID, powers)])
 
 
 def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, float]:
     """Fit power-law weights (c_minus, c_plus) to a discretized spectral measure.
 
-    :param measure: spectral measure discretized on ``DEFAULT_SPECTRAL_GRID``
+    :param measure: spectral measure discretized on ``DEFAULT_SPECTRAL_GRID``;
+        an atom anywhere but at a cell midpoint is a ``ValueError``
     :param alpha: tail index of the candidate shape (given, not fitted)
     :return: (fitted params, restriction-metric residual to the fit)
 
     Each side is fitted by least squares of log cumulative mass against
     alpha*log x at the grid edges inside ``DEFAULT_FIT_WINDOW``; a side whose
-    windowed mass is below 1e-8 is declared null on that side. The residual
-    is the restriction metric between the input and the fitted shape
-    discretized on the same grid, so a wrong alpha shows up as a large
-    residual. A measure discretized on another grid reads a wrong residual.
+    windowed mass is below 1e-8 is declared null on that side. Cumulative
+    masses are differences of prefix sums by :func:`_np_sum`, as
+    :meth:`AtomicMeasure.mass_interval` takes them. The residual is the
+    restriction metric between the input and the fitted shape discretized on
+    the same grid, so a wrong alpha shows up as a large residual.
     """
+    locs, masses = _atom_lists(measure)
+    for x in locs:
+        if x not in _MIDPOINTS:
+            raise ValueError(f"atom at {x!r} is not a cell midpoint of DEFAULT_SPECTRAL_GRID")
 
-    def fit_side(edges: List[float], cum_at: Callable[[float], float]) -> float:
-        if cum_at(max(edges)) < _NULL_MASS_FLOOR:
+    def fit_side(cums: List[Tuple[float, float]]) -> float:
+        # cums holds (edge, cumulative mass) pairs; max(cums) is at the far edge.
+        if max(cums)[1] < _NULL_MASS_FLOOR:
             return 0.0
-        logs = []
-        for edge in edges:
-            cum = cum_at(edge)
-            if cum > _CUM_FLOOR:
-                logs.append(math.log(cum) - alpha * math.log(edge))
+        logs = [math.log(cum) - alpha * math.log(edge) for edge, cum in cums if cum > _CUM_FLOOR]
         return math.exp(sum(logs) / len(logs))
 
-    c_plus = fit_side(_FIT_EDGES, lambda x: measure.mass_interval(0.0, x, "right"))
-    # The negative side reads its moduli in grid order too, from the far end.
-    c_minus = fit_side(_FIT_EDGES[::-1], lambda x: measure.mass_interval(-x, 0.0, "left"))
-    params = SpectralParams(alpha, c_minus, c_plus)
+    # The masses of (0, x] and of [-x, 0), the latter in grid order, from the far end.
+    at_most_zero, below_zero = _np_sum(masses[: bisect_right(locs, 0.0)]), _np_sum(masses[: bisect_left(locs, 0.0)])
+    plus = [(x, _np_sum(masses[: bisect_right(locs, x)]) - at_most_zero) for x in _FIT_EDGES]
+    minus = [(x, below_zero - _np_sum(masses[: bisect_left(locs, -x)])) for x in reversed(_FIT_EDGES)]
+    params = SpectralParams(alpha, fit_side(minus), fit_side(plus))
     residual = dsharp(measure, discretize_spectral(params))
     return params, residual
 
@@ -423,20 +457,14 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     One-dimensional atomic measures make each evaluation of V a dynamic
     program over atoms in location order. More than 2048 distinct atom
     locations raise a ``ValueError``. The search reads each measure as
-    Python lists of locations and masses and its critical distances from
-    :func:`_critical_set`; each probe caps the violation (see
-    :func:`_prokhorov_arrays`).
+    Python lists of locations and masses, its totals from :func:`_np_sum`
+    and its critical distances from :func:`_critical_set`; each probe caps
+    the violation (see :func:`_prokhorov_arrays`).
     """
-    mu_locs, nu_locs = mu.locations.tolist(), nu.locations.tolist()
-    return _prokhorov_arrays(
-        mu_locs,
-        mu.masses.tolist(),
-        nu_locs,
-        nu.masses.tolist(),
-        _critical_set(mu_locs + nu_locs),
-        mu.total_mass,
-        nu.total_mass,
-    )
+    mu_locs, mu_masses = _atom_lists(mu)
+    nu_locs, nu_masses = _atom_lists(nu)
+    critical = _critical_set(mu_locs + nu_locs)
+    return _prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical, _np_sum(mu_masses), _np_sum(nu_masses))
 
 
 def _prokhorov_arrays(
@@ -453,8 +481,8 @@ def _prokhorov_arrays(
     :param critical: sorted, holding every distance between an atom of ``mu``
         and an atom of ``nu``; extra values cost a little search time and do
         not change the result
-    :param mu_total: ``mu_masses`` summed by NumPy, whose pairwise order a
-        Python sum of the list would not reproduce bit for bit
+    :param mu_total: ``mu_masses`` summed by :func:`_np_sum`, in NumPy's
+        pairwise order, which Python's ``sum`` would not reproduce bit for bit
     :param nu_total: ``nu_masses`` summed the same way
 
     After the mass gap, the search probes the intervals between critical
@@ -541,28 +569,23 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     location set (see :func:`_critical_set`). Each measure is read once per
     call as Python lists of locations and masses, and a segment's
     restrictions are list slices, because they hold a few dozen atoms, too
-    few to pay NumPy's cost per call. Only each restriction's total mass is
-    summed by NumPy, over a slice of the measure's ``masses`` array.
+    few to pay NumPy's cost per call. A restriction's total mass is its
+    slice summed by :func:`_np_sum`, in NumPy's pairwise order.
     """
     if mu.atoms == nu.atoms:
         return 0.0
 
-    mu_locs, mu_masses = mu.locations.tolist(), mu.masses.tolist()
-    nu_locs, nu_masses = nu.locations.tolist(), nu.masses.tolist()
+    mu_locs, mu_masses = _atom_lists(mu)
+    nu_locs, nu_masses = _atom_lists(nu)
     critical = _critical_set(mu_locs + nu_locs)
 
     def d_at(radius: float) -> float:
         # Locations are sorted, so each open ball (-radius, radius) is a slice.
         mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
         nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
+        mu_kept, nu_kept = mu_masses[mu_keep], nu_masses[nu_keep]
         return _prokhorov_arrays(
-            mu_locs[mu_keep],
-            mu_masses[mu_keep],
-            nu_locs[nu_keep],
-            nu_masses[nu_keep],
-            critical,
-            float(mu.masses[mu_keep].sum()),
-            float(nu.masses[nu_keep].sum()),
+            mu_locs[mu_keep], mu_kept, nu_locs[nu_keep], nu_kept, critical, _np_sum(mu_kept), _np_sum(nu_kept)
         )
 
     moduli = sorted({abs(x) for x in mu_locs + nu_locs})

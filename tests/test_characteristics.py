@@ -1,14 +1,19 @@
 """Tests for per-realization characteristic quantities, spectral measures,
 the restriction metric, and the pushforward maps."""
 
+import importlib.util
+import json
 import math
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stablemix import characteristics
 from stablemix.characteristics import (
+    DEFAULT_FIT_WINDOW,
     DEFAULT_SPECTRAL_GRID,
     CharQuantities,
     SpectralParams,
@@ -30,6 +35,8 @@ from stablemix.characteristics import (
     trunc_mean,
     trunc_variance,
 )
+from stablemix.cli import load_config
+from stablemix.criteria import DrawPanel
 from stablemix.directing import (
     CauchyLaw,
     GaussianLaw,
@@ -50,6 +57,7 @@ def _restrict_open_ball(measure, r):
 SQRT_NORMING = NormingSequence(alpha=2.0)
 LINEAR_NORMING = NormingSequence(alpha=1.0)
 PARETO_NORMING = NormingSequence(alpha=1.5)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTruncMean:
@@ -483,6 +491,17 @@ class TestFitSpectrum:
         fitted, residual = fit_spectrum(AtomicMeasure.null(), 1.0)
         assert fitted.is_null
         assert residual == 0.0
+
+    def test_rejects_the_first_atom_off_the_cell_midpoints(self):
+        on_grid = discretize_spectral(SpectralParams(1.5, 0.4, 1.1))
+        for extra, named in (([(0.3, 0.5), (5.0, 0.5)], "0.3"), ([(1.0, 0.5)], "1.0"), ([(-4.0, 0.5)], "-4.0")):
+            off_grid = AtomicMeasure.from_pairs([*on_grid.atoms, *extra])
+            message = rf"^atom at {named} is not a cell midpoint of DEFAULT_SPECTRAL_GRID$"
+            with pytest.raises(ValueError, match=message):
+                fit_spectrum(off_grid, 1.5)
+            # The metrics themselves take any atomic measure.
+            assert dsharp(off_grid, on_grid) > 0.0
+            assert prokhorov_distance(off_grid, on_grid) > 0.0
 
 
 class TestStableMixingConstant:
@@ -1282,3 +1301,113 @@ class TestCellWalk:
         )
         assert got.atoms, f"{params!r}: empty measure proves nothing"
         assert _hex_atoms(got) == _hex_atoms(reference)
+
+
+class TestNpSum:
+    """The list sum that replaces NumPy's pairwise float64 sum on the fit path."""
+
+    def test_bitwise_equal_to_numpy(self):
+        rng = np.random.default_rng(20241019)
+        for n in [*range(301), *range(511, 4098)]:
+            values = (10.0 ** rng.uniform(-15.0, 6.0, size=n) * rng.choice([-1.0, 1.0], size=n)).tolist()
+            got, want = characteristics._np_sum(values), float(np.array(values).sum())
+            assert got.hex() == want.hex(), f"length {n}: {got!r} != {want!r}"
+
+    def test_negative_zeros_sum_to_zero(self):
+        for n in (0, 1, 7, 8, 9, 129, 300):
+            assert characteristics._np_sum([-0.0] * n).hex() == float(np.array([-0.0] * n).sum()).hex() == "0x0.0p+0"
+
+
+# Reference copies of the fit path before it moved onto Python floats: each
+# side's cumulative masses come from AtomicMeasure.mass_interval, the fitted
+# shape from the cell walk at NumPy grid points, and every restriction's total
+# mass in dsharp from NumPy's sum over a slice of the measure's masses array.
+
+
+def _ref_slice_dsharp(mu, nu, r_max=20.0):
+    if mu.atoms == nu.atoms:
+        return 0.0
+    mu_locs, mu_masses = mu.locations.tolist(), mu.masses.tolist()
+    nu_locs, nu_masses = nu.locations.tolist(), nu.masses.tolist()
+    critical = characteristics._critical_set(mu_locs + nu_locs)
+    moduli = sorted({abs(x) for x in mu_locs + nu_locs})
+    edges = [0.0, *(x for x in moduli if 0 < x < r_max), r_max]
+
+    def ball(measure, radius):
+        locations = measure.locations
+        return slice(int(locations.searchsorted(-radius, "right")), int(locations.searchsorted(radius)))
+
+    total = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        radius = 0.5 * (left + right)
+        mu_keep, nu_keep = ball(mu, radius), ball(nu, radius)
+        d = characteristics._prokhorov_arrays(
+            mu_locs[mu_keep],
+            mu_masses[mu_keep],
+            nu_locs[nu_keep],
+            nu_masses[nu_keep],
+            critical,
+            float(mu.masses[mu_keep].sum()),
+            float(nu.masses[nu_keep].sum()),
+        )
+        if d > 0:
+            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
+    return total
+
+
+def _ref_fit_spectrum(measure, alpha):
+    edges = [x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1]]
+
+    def fit_side(edges, cum_at):
+        if cum_at(max(edges)) < 1e-8:
+            return 0.0
+        logs = []
+        for edge in edges:
+            cum = cum_at(edge)
+            if cum > 1e-12:
+                logs.append(math.log(cum) - alpha * math.log(edge))
+        return math.exp(sum(logs) / len(logs))
+
+    c_plus = fit_side(edges, lambda x: measure.mass_interval(0.0, x, "right"))
+    c_minus = fit_side(edges[::-1], lambda x: measure.mass_interval(-x, 0.0, "left"))
+    params = SpectralParams(alpha, c_minus, c_plus)
+    shape = _ref_cell_walk(np.asarray(DEFAULT_SPECTRAL_GRID, dtype=float), lambda x: spectral_cdf(params, x))
+    return params, shape, _ref_slice_dsharp(measure, shape)
+
+
+def _benchmark_specs(tmp_path):
+    """The resolved specs of the benchmark's two checker configs, which the
+    contract tool reads from perfbench/run.py."""
+    module = importlib.util.spec_from_file_location("contract_outputs", ROOT / "tools" / "contract_outputs.py")
+    tool = importlib.util.module_from_spec(module)
+    module.loader.exec_module(tool)
+    specs = []
+    for label, config, _ in tool.contract_runs(ROOT)[-2:]:
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        specs.append(load_config(str(path)).spec)
+    return specs
+
+
+class TestFitPathOracle:
+    """fit_spectrum and dsharp on lists against their NumPy-path copies, bit
+    for bit, on every draw and checker n of both benchmark configs."""
+
+    def test_bitwise_equal_on_benchmark_panels(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        fits = 0
+        for spec in _benchmark_specs(tmp_path):
+            for seed in (3, 5):
+                panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
+                for n in spec.checker_ngrid.values:
+                    for p in panel.unique:
+                        measure = spectral_measure_lambda(p, spec.norming, n)
+                        params, residual = fit_spectrum(measure, spec.alpha)
+                        want_params, want_shape, want_residual = _ref_fit_spectrum(measure, spec.alpha)
+                        what = f"{p!r} at n={n}, seed {seed}"
+                        weights = [(x.c_minus.hex(), x.c_plus.hex()) for x in (params, want_params)]
+                        assert weights[0] == weights[1], f"{what}: {params} != {want_params}"
+                        assert _hex_atoms(discretize_spectral(params)) == _hex_atoms(want_shape), what
+                        assert residual.hex() == want_residual.hex(), f"{what}: {residual!r} != {want_residual!r}"
+                        fits += 1
+        assert fits == 2 * (200 * 4 + 100 * 2)
