@@ -417,12 +417,18 @@ def _critical_distances(locs: np.ndarray) -> np.ndarray:
     ``_MAX_CRITICAL_LOCATIONS``.
     """
     points = np.unique(locs)
-    if points.size > _MAX_CRITICAL_LOCATIONS:
+    _require_few_locations(points.size)
+    return np.unique(np.abs(points[:, None] - points[None, :]))
+
+
+def _require_few_locations(count: int) -> None:
+    """A ValueError when ``count`` distinct atom locations exceed
+    ``_MAX_CRITICAL_LOCATIONS``."""
+    if count > _MAX_CRITICAL_LOCATIONS:
         raise ValueError(
-            f"{points.size} distinct atom locations exceed the {_MAX_CRITICAL_LOCATIONS} "
+            f"{count} distinct atom locations exceed the {_MAX_CRITICAL_LOCATIONS} "
             "that the exact Levy-Prokhorov search accepts"
         )
-    return np.unique(np.abs(points[:, None] - points[None, :]))
 
 
 @lru_cache(maxsize=_CRITICAL_MEMO_SETS)
@@ -563,24 +569,81 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     the open ball (-r, r). The integrand is piecewise constant in r with
     breakpoints at the atom moduli, so the integral over (0, 20] is
     evaluated exactly segment by segment; the omitted tail is at most
-    e^{-20}. Every restriction is supported in the atoms of mu and nu, so
-    the distances between those atoms serve as the critical set of every
-    segment's Levy-Prokhorov search; they are computed once per distinct
-    location set (see :func:`_critical_set`). Each measure is read once per
-    call as Python lists of locations and masses, and a segment's
-    restrictions are list slices, because they hold a few dozen atoms, too
-    few to pay NumPy's cost per call. A restriction's total mass is its
-    slice summed by :func:`_np_sum`, in NumPy's pairwise order.
+    e^{-20}.
+
+    Most segments' distances have a closed form. Let g be the smallest
+    distance between two distinct support points of a restricted pair, P the
+    sum of mu(x) - nu(x) over the points where mu is heavier, N the same with
+    mu and nu swapped, and U = max(P, N). Every one-sided violation
+    max_A [mu(A) - nu(A^eps)] is at most U, because A lies in A^eps. For
+    eps < g each closed eps-ball holds only its own support point, so the
+    violation is exactly U. Hence, when U < g, the Levy-Prokhorov distance is
+    exactly U. This covers U = 0 and a restriction with at most one support
+    point. Where U >= g the distance comes from the critical-distance search
+    of :func:`prokhorov_distance`, exact up to rounding. More than 2048
+    distinct atom locations raise a ``ValueError`` whenever the measures
+    differ, whether or not a search would run. See
+    :func:`_segment_distances`.
     """
     if mu.atoms == nu.atoms:
         return 0.0
+    total = 0.0
+    for left, right, d in _segment_distances(mu, nu):
+        if d > 0:
+            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
+    return total
 
+
+def _segment_distances(mu: AtomicMeasure, nu: AtomicMeasure) -> List[Tuple[float, float, float]]:
+    """(left, right, d) for each radius segment (left, right] of :func:`dsharp`,
+    d being the Levy-Prokhorov distance between the restrictions of ``mu``
+    and ``nu`` to (-r, r) for any r in the segment.
+
+    A segment meeting the closed-form premise of :func:`dsharp` gets U, the
+    larger of two ``math.fsum`` sums of (m, -n) terms over the ball's slice
+    of the union of both supports, so U is correctly rounded. g is the
+    smallest float gap in that slice; rounding is monotone, so a float U
+    below it implies the exact premise. Elsewhere the distance comes from
+    :func:`_prokhorov_arrays`. Every restriction is supported in the atoms
+    of mu and nu, so the distances between those atoms serve as the critical
+    set of every search; it is built on the first search (see
+    :func:`_critical_set`). More than ``_MAX_CRITICAL_LOCATIONS`` distinct
+    locations raise a ``ValueError`` before any segment. Each measure is
+    read once as Python lists, and a restriction is a list slice, because it
+    holds a few dozen atoms, too few to pay NumPy's cost per call; a
+    searched restriction's total mass is its slice summed by
+    :func:`_np_sum`, in NumPy's pairwise order.
+    """
     mu_locs, mu_masses = _atom_lists(mu)
     nu_locs, nu_masses = _atom_lists(nu)
-    critical = _critical_set(mu_locs + nu_locs)
+    mu_at, nu_at = dict(zip(mu_locs, mu_masses)), dict(zip(nu_locs, nu_masses))
+    points = sorted(mu_at.keys() | nu_at.keys())
+    _require_few_locations(len(points))
+    # The excess terms of the points where mu, and where nu, is heavier;
+    # the terms of points[:i] are plus[:plus_at[i]] and minus[:minus_at[i]].
+    plus: List[float] = []
+    minus: List[float] = []
+    plus_at, minus_at = [0], [0]
+    for x in points:
+        m, n = mu_at.get(x, 0.0), nu_at.get(x, 0.0)
+        if m > n:
+            plus += (m, -n)
+        elif n > m:
+            minus += (n, -m)
+        plus_at.append(len(plus))
+        minus_at.append(len(minus))
+    gaps = [y - x for x, y in zip(points, points[1:])]
+    critical: Optional[Tuple[float, ...]] = None
 
     def d_at(radius: float) -> float:
         # Locations are sorted, so each open ball (-radius, radius) is a slice.
+        low, high = bisect_right(points, -radius), bisect_left(points, radius)
+        excess = max(math.fsum(plus[plus_at[low] : plus_at[high]]), math.fsum(minus[minus_at[low] : minus_at[high]]))
+        if high - low < 2 or excess < min(gaps[low : high - 1]):
+            return excess
+        nonlocal critical
+        if critical is None:
+            critical = _critical_set(mu_locs + nu_locs)
         mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
         nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
         mu_kept, nu_kept = mu_masses[mu_keep], nu_masses[nu_keep]
@@ -588,16 +651,11 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
             mu_locs[mu_keep], mu_kept, nu_locs[nu_keep], nu_kept, critical, _np_sum(mu_kept), _np_sum(nu_kept)
         )
 
-    moduli = sorted({abs(x) for x in mu_locs + nu_locs})
+    moduli = sorted({abs(x) for x in points})
     edges = [0.0, *(x for x in moduli if 0 < x < _R_MAX), _R_MAX]
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        # On (left, right] the restrictions to (-r, r) are those at any
-        # interior radius; atoms with modulus exactly `left` are included.
-        d = d_at(0.5 * (left + right))
-        if d > 0:
-            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
-    return total
+    # On (left, right] the restrictions to (-r, r) are those at any interior
+    # radius; atoms with modulus exactly `left` are included.
+    return [(left, right, d_at(0.5 * (left + right))) for left, right in zip(edges[:-1], edges[1:])]
 
 
 def stable_mixing_constant(alpha: float) -> float:

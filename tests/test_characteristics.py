@@ -6,6 +6,7 @@ import json
 import math
 import sys
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -896,32 +897,60 @@ def _bisect_prokhorov(mu, nu):
     return _bisect_prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)[0]
 
 
-def _bisect_dsharp(mu, nu, r_max=20.0):
-    """dsharp with boolean-mask restrictions and the bisection search."""
-    if mu.atoms == nu.atoms:
-        return 0.0
-    mu_locs, mu_masses = mu.locations, mu.masses
-    nu_locs, nu_masses = nu.locations, nu.masses
-    mu_abs, nu_abs = np.abs(mu_locs), np.abs(nu_locs)
-    critical = characteristics._critical_distances(np.concatenate([mu_locs, nu_locs]))
-
-    def d_at(radius):
-        mu_keep, nu_keep = mu_abs < radius, nu_abs < radius
-        return _bisect_prokhorov_arrays(
-            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical
-        )[0]
-
+def _restrictions(mu, nu, r_max=20.0):
+    """(left, right, arrays) for each radius segment (left, right] of dsharp,
+    arrays being the locations and masses of mu and nu that boolean masks
+    keep in the open ball at the segment's midpoint."""
+    mu_abs, nu_abs = np.abs(mu.locations), np.abs(nu.locations)
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
     breaks = breaks[(breaks > 0) & (breaks < r_max)]
     edges = np.concatenate([[0.0], breaks, [r_max]])
+    for left, right in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        radius = 0.5 * (left + right)
+        mu_keep, nu_keep = mu_abs < radius, nu_abs < radius
+        yield left, right, (mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
+
+
+def _closed_form(mu_locs, mu_masses, nu_locs, nu_masses):
+    """float(U) for U = max(P, N), P and N the exact excess masses of mu over
+    nu and of nu over mu summed in Fractions, when float(U) lies below the
+    smallest gap between the union's points; else None. Below that gap U is
+    the Levy-Prokhorov distance."""
+    points = np.union1d(mu_locs, nu_locs)
+    excess = {x: Fraction(0) for x in points.tolist()}
+    for x, m in zip(mu_locs.tolist(), mu_masses.tolist()):
+        excess[x] += Fraction(m)
+    for x, m in zip(nu_locs.tolist(), nu_masses.tolist()):
+        excess[x] -= Fraction(m)
+    u = float(max(sum(e for e in excess.values() if e > 0), -sum(e for e in excess.values() if e < 0)))
+    gap = float(np.diff(points).min()) if points.size > 1 else math.inf
+    return u if u < gap else None
+
+
+def _bisect_dsharp(mu, nu, r_max=20.0):
+    """dsharp with boolean-mask restrictions, the Fraction closed form on
+    radii that meet its premise and the bisection search elsewhere."""
+    if mu.atoms == nu.atoms:
+        return 0.0
+    critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
+
+    def d_at(arrays):
+        closed = _closed_form(*arrays)
+        if closed is not None:
+            return closed
+        return _bisect_prokhorov_arrays(*arrays, critical)[0]
+
     total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        if right <= left:
-            continue
-        d = d_at(0.5 * (left + right))
+    for left, right, arrays in _restrictions(mu, nu, r_max):
+        d = d_at(arrays)
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
     return total
+
+
+def _closed_form_count(pairs):
+    """How many dsharp radii of ``pairs`` meet the closed-form premise."""
+    return sum(_closed_form(*arrays) is not None for mu, nu in pairs for _, _, arrays in _restrictions(mu, nu))
 
 
 def _pairs(*pairs):
@@ -1044,6 +1073,20 @@ def _certify(mu_locs, mu_masses, nu_locs, nu_masses, d, what):
         assert worst(below) > below, f"{what}: d = {d!r} is feasible 1e-10 lower"
 
 
+def _recorded_dsharp_pairs(monkeypatch):
+    """The (mu, nu) of every dsharp call the test makes from here on,
+    fit_spectrum's included."""
+    pairs = []
+    library = characteristics.dsharp
+
+    def recording(mu, nu):
+        pairs.append((mu, nu))
+        return library(mu, nu)
+
+    monkeypatch.setattr(characteristics, "dsharp", recording)
+    return pairs
+
+
 @pytest.fixture
 def recorded_distances(monkeypatch):
     """Every (arrays, distance) the library computes while the test runs."""
@@ -1073,14 +1116,17 @@ class TestProkhorovCertificate:
         for index, (arrays, d) in enumerate(recorded_distances):
             _certify(*arrays, d, f"distance {index}")
 
-    def test_spectral_fit_residuals(self, recorded_distances):
+    def test_spectral_fit_residuals(self, recorded_distances, monkeypatch):
         law = ParetoLaw(1.5, 1.3, 0.5)
+        pairs = _recorded_dsharp_pairs(monkeypatch)
         for n in (100, 100000):
             measure = spectral_measure_lambda(law, PARETO_NORMING, n)
             for alpha in (1.5, 1.2):
                 fit_spectrum(measure, alpha)
+        # 60 radii: the closed forms, and a search for every other one.
+        assert len(recorded_distances) + _closed_form_count(pairs) == 60
         searched = [d for (arrays, d) in recorded_distances if d > abs(arrays[1].sum() - arrays[3].sum())]
-        assert len(recorded_distances) == 60 and searched, "the fits should need searched distances"
+        assert searched, "the fits should need searched distances"
         for index, (arrays, d) in enumerate(recorded_distances):
             _certify(*arrays, d, f"fit distance {index}")
 
@@ -1105,9 +1151,11 @@ class TestProkhorovWork:
 
         monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
         monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting_search)
+        pairs = _recorded_dsharp_pairs(monkeypatch)
         measure = spectral_measure_lambda(ParetoLaw(1.5, 1.3, 0.5), PARETO_NORMING, 100000)
         fit_spectrum(measure, 1.2)
-        assert len(calls) == 15
+        # 15 radii: the closed forms, and a search for every other one.
+        assert len(calls) + _closed_form_count(pairs) == 15
         searched = [count for _, count in calls if count > 2]
         assert searched, "no distance needed a search; the bound proves nothing"
         for size, count in calls:
@@ -1189,6 +1237,17 @@ class TestCriticalDistanceBound:
                 prokhorov_distance(many, AtomicMeasure.null())
             with pytest.raises(ValueError, match=message):
                 dsharp(many, AtomicMeasure.null())
+
+    def test_rejects_before_any_closed_form(self, monkeypatch):
+        # Masses 1e-6 a unit apart: every radius takes the closed form, so
+        # the bound alone decides, whatever the masses.
+        monkeypatch.setattr(characteristics, "_critical_set", None)
+        size = characteristics._MAX_CRITICAL_LOCATIONS
+        light = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size))
+        assert dsharp(light, AtomicMeasure.null()) > 0
+        heavier = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size + 1))
+        with pytest.raises(ValueError, match=f"{size + 1} distinct atom locations"):
+            dsharp(heavier, AtomicMeasure.null())
 
     def test_each_location_set_gets_its_own_critical_set(self, monkeypatch):
         sets = []
@@ -1341,15 +1400,17 @@ def _ref_slice_dsharp(mu, nu, r_max=20.0):
     for left, right in zip(edges[:-1], edges[1:]):
         radius = 0.5 * (left + right)
         mu_keep, nu_keep = ball(mu, radius), ball(nu, radius)
-        d = characteristics._prokhorov_arrays(
-            mu_locs[mu_keep],
-            mu_masses[mu_keep],
-            nu_locs[nu_keep],
-            nu_masses[nu_keep],
-            critical,
-            float(mu.masses[mu_keep].sum()),
-            float(nu.masses[nu_keep].sum()),
-        )
+        d = _closed_form(mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
+        if d is None:
+            d = characteristics._prokhorov_arrays(
+                mu_locs[mu_keep],
+                mu_masses[mu_keep],
+                nu_locs[nu_keep],
+                nu_masses[nu_keep],
+                critical,
+                float(mu.masses[mu_keep].sum()),
+                float(nu.masses[nu_keep].sum()),
+            )
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
     return total
@@ -1389,25 +1450,93 @@ def _benchmark_specs(tmp_path):
     return specs
 
 
+def _benchmark_measures(tmp_path):
+    """(what, spectral measure, alpha) for every distinct draw and checker n
+    of both benchmark configs' panels at seeds 3 and 5."""
+    for spec in _benchmark_specs(tmp_path):
+        for seed in (3, 5):
+            panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
+            for n in spec.checker_ngrid.values:
+                for p in panel.unique:
+                    yield f"{p!r} at n={n}, seed {seed}", spectral_measure_lambda(p, spec.norming, n), spec.alpha
+
+
 class TestFitPathOracle:
     """fit_spectrum and dsharp on lists against their NumPy-path copies, bit
-    for bit, on every draw and checker n of both benchmark configs."""
+    for bit, on every draw and checker n of both benchmark configs. The
+    copies take the Fraction closed form where its premise holds."""
 
     def test_bitwise_equal_on_benchmark_panels(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "path", list(sys.path))
         fits = 0
-        for spec in _benchmark_specs(tmp_path):
-            for seed in (3, 5):
-                panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
-                for n in spec.checker_ngrid.values:
-                    for p in panel.unique:
-                        measure = spectral_measure_lambda(p, spec.norming, n)
-                        params, residual = fit_spectrum(measure, spec.alpha)
-                        want_params, want_shape, want_residual = _ref_fit_spectrum(measure, spec.alpha)
-                        what = f"{p!r} at n={n}, seed {seed}"
-                        weights = [(x.c_minus.hex(), x.c_plus.hex()) for x in (params, want_params)]
-                        assert weights[0] == weights[1], f"{what}: {params} != {want_params}"
-                        assert _hex_atoms(discretize_spectral(params)) == _hex_atoms(want_shape), what
-                        assert residual.hex() == want_residual.hex(), f"{what}: {residual!r} != {want_residual!r}"
-                        fits += 1
+        for what, measure, alpha in _benchmark_measures(tmp_path):
+            params, residual = fit_spectrum(measure, alpha)
+            want_params, want_shape, want_residual = _ref_fit_spectrum(measure, alpha)
+            weights = [(x.c_minus.hex(), x.c_plus.hex()) for x in (params, want_params)]
+            assert weights[0] == weights[1], f"{what}: {params} != {want_params}"
+            assert _hex_atoms(discretize_spectral(params)) == _hex_atoms(want_shape), what
+            assert residual.hex() == want_residual.hex(), f"{what}: {residual!r} != {want_residual!r}"
+            fits += 1
         assert fits == 2 * (200 * 4 + 100 * 2)
+
+
+def _assert_closed_forms_exact(mu, nu, what):
+    """On every dsharp radius whose restrictions meet the closed-form premise,
+    the library's distance is float(U) of the Fraction sums, and the
+    brute-force certificate accepts it. Returns how many radii met it."""
+    segments = characteristics._segment_distances(mu, nu)
+    references = list(_restrictions(mu, nu))
+    assert [s[:2] for s in segments] == [r[:2] for r in references], f"{what}: segments differ"
+    closed = 0
+    for (left, right, d), (_, _, arrays) in zip(segments, references):
+        want = _closed_form(*arrays)
+        if want is None:
+            continue
+        assert d.hex() == want.hex(), f"{what}, radii ({left!r}, {right!r}]: {d!r} != {want!r}"
+        _certify(*arrays, d, f"{what}, radii ({left!r}, {right!r}]")
+        closed += 1
+    return closed
+
+
+class TestClosedForm:
+    """Below the smallest gap between support points, dsharp's distance is
+    the larger excess mass, exactly."""
+
+    def test_exact_on_seeded_measures(self):
+        closed = 0
+        for trial, (mu, nu) in enumerate(_oracle_pairs(np.random.default_rng(20240601))):
+            for a, b in ((mu, nu), (nu, mu)):
+                closed += _assert_closed_forms_exact(a, b, f"pair {trial}")
+        assert closed > 500
+
+    def test_exact_on_benchmark_panels(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        closed = radii = 0
+        for what, measure, alpha in _benchmark_measures(tmp_path):
+            params, _ = fit_spectrum(measure, alpha)
+            shape = discretize_spectral(params)
+            closed += _assert_closed_forms_exact(measure, shape, what)
+            radii += len(characteristics._segment_distances(measure, shape))
+        assert radii > closed > radii // 2, f"{closed} closed forms in {radii} radii"
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_premise_boundary(self, below, monkeypatch):
+        # U = mass against g = 0.25 on the radii above 0.25; below them each
+        # restriction holds one point and takes the closed form.
+        mass = math.nextafter(0.25, 0.0) if below else 0.25
+        mu, nu = _pairs((0.0, mass)), _pairs((0.25, mass))
+        searches = []
+        search = characteristics._prokhorov_arrays
+
+        def recording(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
+        segments = characteristics._segment_distances(mu, nu)
+        assert [d for _, _, d in segments] == [mass, mass]
+        assert len(searches) == (0 if below else 1)
+        assert _assert_closed_forms_exact(mu, nu, "boundary pair") == (2 if below else 1)
+        if not below:
+            _certify(*map(np.asarray, searches[0][:4]), segments[1][2], "search at the gap")
+        assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)

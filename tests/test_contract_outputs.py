@@ -165,16 +165,35 @@ def test_compare_prints_verdicts_and_largest_changes(tmp_path, capsys):
     assert tool.main(["--compare", str(before), str(after)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "a@0/quantities.csv",
-        "  [*].m: largest change 0.25 at [1].m (0.25 -> 0.5)",
+        "  [*].m: largest change 0.25 at [1].m (0.25 -> 0.5), largest relative change 0.5 at [1].m",
         "a@0/report.json",
         "  holds before: [true, null]",
         "  holds after:  [false, null]",
         "  identity.label: None -> 'new'",
-        "  quantities[*].m: largest change 0.125 at quantities[1].m (0.25 -> 0.375)",
+        "  quantities[*].m: largest change 0.125 at quantities[1].m (0.25 -> 0.375), "
+        "largest relative change 0.333 at quantities[1].m",
         "a@0/residuals",
-        "  [*][*]: largest change 0.0625 at [0][2] (0.125 -> 0.0625)",
+        "  [*][*]: largest change 0.0625 at [0][2] (0.125 -> 0.0625), largest relative change 0.5 at [0][2]",
         f"b@0/cf.csv: only in {after}",
         "4 of 5 files differ",
+    ]
+
+
+def test_compare_prints_the_largest_relative_change(tmp_path, capsys):
+    # An ulp-sized move of a small residual is the field's largest relative
+    # change, while a larger absolute move of a bigger value hides it.
+    tool = _tool()
+    small, large = 0.0016027092525066013, 0.75
+    before = f"(0.5, 0.25, {small!r})\n(0.5, 0.25, {large!r})\n"
+    after = f"(0.5, 0.25, {small + 2e-16!r})\n(0.5, 0.25, {large + 1e-15!r})\n"
+    _write(tmp_path / "before", {"a@0/residuals": before})
+    _write(tmp_path / "after", {"a@0/residuals": after})
+    assert tool.main(["--compare", str(tmp_path / "before"), str(tmp_path / "after")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a@0/residuals",
+        "  [*][*]: largest change 9.99e-16 at [1][2] (0.75 -> 0.750000000000001), "
+        "largest relative change 1.25e-13 at [0][2]",
+        "1 of 1 files differ",
     ]
 
 
@@ -194,8 +213,10 @@ def test_compare_prints_one_line_per_resized_list(tmp_path, capsys):
         "  holds after:  [true]",
         "  verdicts[0].atoms: length 2 -> 3",
         "  verdicts[0].atoms[0].new: None -> 1.0",
-        "  verdicts[*].atoms[*].c: largest change 0.5 at verdicts[0].atoms[0].c (1.0 -> 1.5)",
-        "  verdicts[*].atoms[*].w: largest change 0.25 at verdicts[0].atoms[0].w (0.5 -> 0.25)",
+        "  verdicts[*].atoms[*].c: largest change 0.5 at verdicts[0].atoms[0].c (1.0 -> 1.5), "
+        "largest relative change 0.333 at verdicts[0].atoms[0].c",
+        "  verdicts[*].atoms[*].w: largest change 0.25 at verdicts[0].atoms[0].w (0.5 -> 0.25), "
+        "largest relative change 0.5 at verdicts[0].atoms[0].w",
         "a@0/residuals",
         "  (top level): length 2 -> 1",
         "2 of 2 files differ",
@@ -213,6 +234,7 @@ def test_compare_folds_the_functionals_by_law_and_functional(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "functionals",
         f"  {law}.smoothed_mean[0]: 0.25 -> 'ZeroDivisionError'",
-        f"  {law}.smoothed_mean[*]: largest change 0.125 at {law}.smoothed_mean[1] (0.5 -> 0.625)",
+        f"  {law}.smoothed_mean[*]: largest change 0.125 at {law}.smoothed_mean[1] (0.5 -> 0.625), "
+        f"largest relative change 0.2 at {law}.smoothed_mean[1]",
         "1 of 1 files differ",
     ]

@@ -1,6 +1,7 @@
 """The exact Levy-Prokhorov search against an independent subset enumeration
-and against a bisection of the whole critical-distance bracket, and its
-one-sided pass against the NumPy reference copy."""
+and against a bisection of the whole critical-distance bracket, dsharp's
+closed form against exact Fraction sums, and the one-sided pass against the
+NumPy reference copy."""
 
 import math
 
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 
 from stablemix.characteristics import dsharp, prokhorov_distance
 from stablemix.measures import AtomicMeasure
-from test_characteristics import _assert_dp_matches_reference, _bisect_dsharp, _bisect_prokhorov
+from test_characteristics import (
+    _assert_closed_forms_exact,
+    _assert_dp_matches_reference,
+    _bisect_dsharp,
+    _bisect_prokhorov,
+)
 
 
 def _brute_exact_prokhorov(mu, nu):
@@ -63,7 +69,8 @@ class TestProkhorovBruteForce:
 
 class TestProkhorovBisection:
     """The galloping search against the bisection it replaced: the same
-    distance bit for bit, since both find the least feasible interval."""
+    distance bit for bit, since both find the least feasible interval. The
+    dsharp reference takes the Fraction closed form where its premise holds."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_lattice_measures())
@@ -82,3 +89,16 @@ class TestListDynamicProgramLattice:
     @given(_lattice_measures())
     def test_bitwise_equal_to_reference(self, pair):
         _assert_dp_matches_reference(*pair)
+
+
+class TestClosedFormLattice:
+    """dsharp's closed form equals the exact excess mass, rounded once, on
+    every radius that meets its premise, with exact and near ties between
+    masses and atom distances."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_lattice_measures())
+    def test_exact_below_the_smallest_gap(self, pair):
+        mu, nu = pair
+        for a, b in ((mu, nu), (nu, mu)):
+            _assert_closed_forms_exact(a, b, f"{a.atoms} vs {b.atoms}")

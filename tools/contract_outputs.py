@@ -28,7 +28,8 @@ anything. For each file that differs it prints the ``holds`` values of the
 report's verdicts before and after, one ``path: length a -> b`` line per list
 whose length changed (in place of the leaves of its added or removed
 elements), then every numeric field that moved (list indices folded to
-``[*]``) with its largest absolute change and where that change is; its exit
+``[*]``) with its largest absolute change and where that change is, and its
+largest relative change |b - a| / max(|a|, |b|) and where that is; its exit
 code is 1 when a file differs:
 
     python3 tools/contract_outputs.py --keep after > after.txt
@@ -248,6 +249,7 @@ def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
     # not as one line per leaf.
     lines += [f"  {path or '(top level)'}: length {a} -> {b}" for path, (a, b) in resized.items()]
     largest: Dict[str, Tuple[float, str, Any, Any]] = {}
+    relative: Dict[str, Tuple[float, str]] = {}
     for path in sorted(old.keys() | new.keys()):
         a, b = old.get(path), new.get(path)
         if a == b or path.rsplit(".", 1)[-1] == "holds" or _in_resized_tail(path, resized):
@@ -257,10 +259,18 @@ def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
             change = abs(float(b) - float(a))
             if field not in largest or not change <= largest[field][0]:
                 largest[field] = (change, path, a, b)
+            # Relative to the larger magnitude, so a move from 0 reads 1.
+            ratio = change / max(abs(float(a)), abs(float(b)))
+            if field not in relative or not ratio <= relative[field][0]:
+                relative[field] = (ratio, path)
         else:
             lines.append(f"  {path}: {a!r} -> {b!r}")
     for field, (change, path, a, b) in sorted(largest.items(), key=lambda item: -item[1][0]):
-        lines.append(f"  {field}: largest change {change:.3g} at {path} ({a!r} -> {b!r})")
+        ratio, at = relative[field]
+        lines.append(
+            f"  {field}: largest change {change:.3g} at {path} ({a!r} -> {b!r}), "
+            f"largest relative change {ratio:.3g} at {at}"
+        )
     return lines
 
 
