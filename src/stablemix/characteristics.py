@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -436,41 +436,90 @@ def _critical_of_points(points: Tuple[float, ...]) -> Tuple[float, ...]:
     return tuple(_critical_distances(np.array(points)).tolist())
 
 
-def _critical_set(locs: List[float]) -> Tuple[float, ...]:
-    """:func:`_critical_distances` of ``locs`` as a tuple, memoized per set
-    of distinct locations of at most ``_CRITICAL_MEMO_POINTS`` points. Every
-    spectral fit on the module grid has the same few location sets."""
-    points = tuple(sorted(set(locs)))
+def _critical_set(points: Tuple[float, ...]) -> Tuple[float, ...]:
+    """:func:`_critical_distances` of the sorted distinct ``points`` as a
+    tuple, memoized per set of at most ``_CRITICAL_MEMO_POINTS`` points.
+    Every spectral fit on the module grid has one of a few location sets."""
     if len(points) > _CRITICAL_MEMO_POINTS:
         return _critical_of_points.__wrapped__(points)
     return _critical_of_points(points)
 
 
 def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    """Levy-Prokhorov distance between two finite atomic measures.
+    """Levy-Prokhorov distance between two finite atomic measures: the least
+    eps at which neither one-sided violation max_A [mu(A) - nu(A^eps)] over
+    unions A of atoms exceeds eps.
 
-    Exact up to rounding. The larger one-sided violation
-    V(eps) = max_A [mu(A) - nu(A^eps)] (and the reverse) over unions A of
-    atoms is a non-increasing step function of eps that changes only at the
-    distances between atoms of the two measures, so the distance, the least
-    eps with V(eps) <= eps, is found by a search over those distances. The
-    search gallops up from the mass gap (intervals 0, 1, 3, 7, ...) and
-    bisects the last bracket, because on spectral fits the distance nearly
-    always is the mass gap or lies below the first critical distance above
-    it. That costs one or two evaluations of V where bisecting all the
-    distances costs about log2 of their number, and at worst, when only the
-    last interval is feasible, about twice as many.
-    One-dimensional atomic measures make each evaluation of V a dynamic
-    program over atoms in location order. More than 2048 distinct atom
-    locations raise a ``ValueError``. The search reads each measure as
-    Python lists of locations and masses, its totals from :func:`_np_sum`
-    and its critical distances from :func:`_critical_set`; each probe caps
-    the violation (see :func:`_prokhorov_arrays`).
+    It is the whole-line radius of :func:`_restricted_distance`, the
+    computation behind every radius of :func:`dsharp`: the exact distance
+    rounded once where the closed form applies, and exact up to rounding
+    elsewhere. More than 2048 distinct atom locations raise a ``ValueError``.
+    """
+    return _restricted_distance(mu, nu)(math.inf)
+
+
+def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[float], float]:
+    """The Levy-Prokhorov distance between the restrictions of ``mu`` and
+    ``nu`` to the open ball (-r, r), as a function of r (``math.inf`` for
+    the whole line).
+
+    Let g be the smallest distance between two distinct support points of a
+    restricted pair, P the sum of mu(x) - nu(x) over the points where mu is
+    heavier, N the same with mu and nu swapped, and U = max(P, N). Every
+    one-sided violation is at most U, because A lies in A^eps, and for
+    eps < g each closed eps-ball holds only its own support point, so the
+    violation is exactly U. Hence, when U < g, the distance is exactly U;
+    this covers U = 0 and a restriction with at most one support point. U is
+    the larger of two ``math.fsum`` sums of (m, -n) terms over the ball's
+    slice of the union of both supports, so it is correctly rounded, and g
+    is the smallest float gap in that slice; rounding is monotone, so a
+    float U below it implies the exact premise. Where U >= g the distance
+    comes from the search :func:`_prokhorov_arrays`. Every restriction is
+    supported in the union, so the distances between its points serve as
+    the critical set of every search; it is built on the first search (see
+    :func:`_critical_set`).
+
+    The tables over the union are built once, and more than
+    ``_MAX_CRITICAL_LOCATIONS`` distinct locations raise a ``ValueError``
+    before any radius. Each measure is read once as Python lists, and a
+    restriction is a list slice, because it holds a few dozen atoms, too few
+    to pay NumPy's cost per call.
     """
     mu_locs, mu_masses = _atom_lists(mu)
     nu_locs, nu_masses = _atom_lists(nu)
-    critical = _critical_set(mu_locs + nu_locs)
-    return _prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical, _np_sum(mu_masses), _np_sum(nu_masses))
+    mu_at, nu_at = dict(zip(mu_locs, mu_masses)), dict(zip(nu_locs, nu_masses))
+    points = tuple(sorted(mu_at.keys() | nu_at.keys()))
+    _require_few_locations(len(points))
+    # The excess terms of the points where mu, and where nu, is heavier;
+    # the terms of points[:i] are plus[:plus_at[i]] and minus[:minus_at[i]].
+    plus: List[float] = []
+    minus: List[float] = []
+    plus_at, minus_at = [0], [0]
+    for x in points:
+        m, n = mu_at.get(x, 0.0), nu_at.get(x, 0.0)
+        if m > n:
+            plus += (m, -n)
+        elif n > m:
+            minus += (n, -m)
+        plus_at.append(len(plus))
+        minus_at.append(len(minus))
+    gaps = [y - x for x, y in zip(points, points[1:])]
+    critical: Optional[Tuple[float, ...]] = None
+
+    def distance(radius: float) -> float:
+        # Locations are sorted, so each open ball (-radius, radius) is a slice.
+        low, high = bisect_right(points, -radius), bisect_left(points, radius)
+        excess = max(math.fsum(plus[plus_at[low] : plus_at[high]]), math.fsum(minus[minus_at[low] : minus_at[high]]))
+        if high - low < 2 or excess < min(gaps[low : high - 1]):
+            return excess
+        nonlocal critical
+        if critical is None:
+            critical = _critical_set(points)
+        mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
+        nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
+        return _prokhorov_arrays(mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical)
+
+    return distance
 
 
 def _prokhorov_arrays(
@@ -479,28 +528,29 @@ def _prokhorov_arrays(
     nu_locs: List[float],
     nu_masses: List[float],
     critical: Sequence[float],
-    mu_total: float,
-    nu_total: float,
 ) -> float:
-    """:func:`prokhorov_distance` on canonical (sorted, positive) atom lists.
+    """Levy-Prokhorov distance between two measures given as canonical
+    (sorted, distinct, positive) atom lists, exact up to rounding, by a
+    search over critical distances.
 
-    :param critical: sorted, holding every distance between an atom of ``mu``
-        and an atom of ``nu``; extra values cost a little search time and do
+    :param critical: sorted, holding every distance between an atom of mu
+        and an atom of nu; extra values cost a little search time and do
         not change the result
-    :param mu_total: ``mu_masses`` summed by :func:`_np_sum`, in NumPy's
-        pairwise order, which Python's ``sum`` would not reproduce bit for bit
-    :param nu_total: ``nu_masses`` summed the same way
 
-    After the mass gap, the search probes the intervals between critical
-    distances at indices 0, 1, 3, 7, ... until one is feasible and bisects
-    inside the last bracket: an answer in interval k costs O(log k)
-    evaluations of V, and at most about twice what bisecting the whole
-    bracket costs. Feasibility is monotone in the interval index, so both
-    searches return the same distance bit for bit. Each probe caps V at the
-    edge above its interval, so a one-sided pass stops once it exceeds it.
+    The larger one-sided violation V(eps) is a non-increasing step function
+    of eps that changes only at the critical distances. The search starts
+    at the mass gap, the totals summed by :func:`_np_sum` in NumPy's
+    pairwise order, then probes the intervals between critical distances at
+    indices 0, 1, 3, 7, ... until one is feasible and bisects inside the
+    last bracket. On spectral fits the distance nearly always is the mass
+    gap or lies in the first interval above it, so a search costs one or two
+    evaluations of V; an answer in interval k costs O(log k), and at worst
+    about twice a bisection of the whole bracket. Feasibility is monotone in
+    the interval index, so both searches return the same distance bit for
+    bit. Each evaluation of V is two capped passes of
+    :func:`_prokhorov_one_sided`, which stop once V exceeds the edge above
+    the probed interval.
     """
-    if mu_locs == nu_locs and mu_masses == nu_masses:
-        return 0.0
     # accumulate adds in the order of np.cumsum.
     mu_cum = list(accumulate(mu_masses, initial=0.0))
     nu_cum = list(accumulate(nu_masses, initial=0.0))
@@ -515,10 +565,9 @@ def _prokhorov_arrays(
             return None
         return max(forward, backward)
 
+    mu_total, nu_total = _np_sum(mu_masses), _np_sum(nu_masses)
     lo = abs(mu_total - nu_total)
     hi = max(mu_total, nu_total, lo)
-    if hi == 0.0:
-        return 0.0
     if violation(lo, lo) is not None:
         return lo
     # The edges are lo, the critical distances strictly between lo and hi,
@@ -566,96 +615,25 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
     The metric is the integral over r of e^{-r} * d_r/(1 + d_r), where d_r is
     the Levy-Prokhorov distance between the restrictions of the measures to
-    the open ball (-r, r). The integrand is piecewise constant in r with
-    breakpoints at the atom moduli, so the integral over (0, 20] is
-    evaluated exactly segment by segment; the omitted tail is at most
-    e^{-20}.
-
-    Most segments' distances have a closed form. Let g be the smallest
-    distance between two distinct support points of a restricted pair, P the
-    sum of mu(x) - nu(x) over the points where mu is heavier, N the same with
-    mu and nu swapped, and U = max(P, N). Every one-sided violation
-    max_A [mu(A) - nu(A^eps)] is at most U, because A lies in A^eps. For
-    eps < g each closed eps-ball holds only its own support point, so the
-    violation is exactly U. Hence, when U < g, the Levy-Prokhorov distance is
-    exactly U. This covers U = 0 and a restriction with at most one support
-    point. Where U >= g the distance comes from the critical-distance search
-    of :func:`prokhorov_distance`, exact up to rounding. More than 2048
-    distinct atom locations raise a ``ValueError`` whenever the measures
-    differ, whether or not a search would run. See
-    :func:`_segment_distances`.
+    the open ball (-r, r), read from :func:`_restricted_distance`. The
+    integrand is piecewise constant in r with breakpoints at the atom
+    moduli, so the integral over (0, 20] is evaluated exactly segment by
+    segment; the omitted tail is at most e^{-20}. Equal measures give 0.0;
+    otherwise more than 2048 distinct atom locations raise a ``ValueError``.
     """
     if mu.atoms == nu.atoms:
         return 0.0
+    distance = _restricted_distance(mu, nu)
+    moduli = sorted({abs(x) for x, _ in mu.atoms} | {abs(x) for x, _ in nu.atoms})
+    edges = [0.0, *(x for x in moduli if 0 < x < _R_MAX), _R_MAX]
     total = 0.0
-    for left, right, d in _segment_distances(mu, nu):
+    for left, right in zip(edges[:-1], edges[1:]):
+        # On (left, right] the restrictions to (-r, r) are those at any
+        # interior radius; atoms with modulus exactly `left` are included.
+        d = distance(0.5 * (left + right))
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
     return total
-
-
-def _segment_distances(mu: AtomicMeasure, nu: AtomicMeasure) -> List[Tuple[float, float, float]]:
-    """(left, right, d) for each radius segment (left, right] of :func:`dsharp`,
-    d being the Levy-Prokhorov distance between the restrictions of ``mu``
-    and ``nu`` to (-r, r) for any r in the segment.
-
-    A segment meeting the closed-form premise of :func:`dsharp` gets U, the
-    larger of two ``math.fsum`` sums of (m, -n) terms over the ball's slice
-    of the union of both supports, so U is correctly rounded. g is the
-    smallest float gap in that slice; rounding is monotone, so a float U
-    below it implies the exact premise. Elsewhere the distance comes from
-    :func:`_prokhorov_arrays`. Every restriction is supported in the atoms
-    of mu and nu, so the distances between those atoms serve as the critical
-    set of every search; it is built on the first search (see
-    :func:`_critical_set`). More than ``_MAX_CRITICAL_LOCATIONS`` distinct
-    locations raise a ``ValueError`` before any segment. Each measure is
-    read once as Python lists, and a restriction is a list slice, because it
-    holds a few dozen atoms, too few to pay NumPy's cost per call; a
-    searched restriction's total mass is its slice summed by
-    :func:`_np_sum`, in NumPy's pairwise order.
-    """
-    mu_locs, mu_masses = _atom_lists(mu)
-    nu_locs, nu_masses = _atom_lists(nu)
-    mu_at, nu_at = dict(zip(mu_locs, mu_masses)), dict(zip(nu_locs, nu_masses))
-    points = sorted(mu_at.keys() | nu_at.keys())
-    _require_few_locations(len(points))
-    # The excess terms of the points where mu, and where nu, is heavier;
-    # the terms of points[:i] are plus[:plus_at[i]] and minus[:minus_at[i]].
-    plus: List[float] = []
-    minus: List[float] = []
-    plus_at, minus_at = [0], [0]
-    for x in points:
-        m, n = mu_at.get(x, 0.0), nu_at.get(x, 0.0)
-        if m > n:
-            plus += (m, -n)
-        elif n > m:
-            minus += (n, -m)
-        plus_at.append(len(plus))
-        minus_at.append(len(minus))
-    gaps = [y - x for x, y in zip(points, points[1:])]
-    critical: Optional[Tuple[float, ...]] = None
-
-    def d_at(radius: float) -> float:
-        # Locations are sorted, so each open ball (-radius, radius) is a slice.
-        low, high = bisect_right(points, -radius), bisect_left(points, radius)
-        excess = max(math.fsum(plus[plus_at[low] : plus_at[high]]), math.fsum(minus[minus_at[low] : minus_at[high]]))
-        if high - low < 2 or excess < min(gaps[low : high - 1]):
-            return excess
-        nonlocal critical
-        if critical is None:
-            critical = _critical_set(mu_locs + nu_locs)
-        mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
-        nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
-        mu_kept, nu_kept = mu_masses[mu_keep], nu_masses[nu_keep]
-        return _prokhorov_arrays(
-            mu_locs[mu_keep], mu_kept, nu_locs[nu_keep], nu_kept, critical, _np_sum(mu_kept), _np_sum(nu_kept)
-        )
-
-    moduli = sorted({abs(x) for x in points})
-    edges = [0.0, *(x for x in moduli if 0 < x < _R_MAX), _R_MAX]
-    # On (left, right] the restrictions to (-r, r) are those at any interior
-    # radius; atoms with modulus exactly `left` are included.
-    return [(left, right, d_at(0.5 * (left + right))) for left, right in zip(edges[:-1], edges[1:])]
 
 
 def stable_mixing_constant(alpha: float) -> float:

@@ -68,6 +68,7 @@ __all__ = [
     "empirical_cf",
     "empirical_joint_cf",
     "run_scenario",
+    "run_criterion",
     "builtin_scenarios",
     "get_scenario",
     "identity_residual",

@@ -893,6 +893,11 @@ def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
 
 
 def _bisect_prokhorov(mu, nu):
+    """The distance by the Fraction closed form where the whole pair meets
+    its premise, else by the bisection."""
+    closed = _closed_form(mu.locations, mu.masses, nu.locations, nu.masses)
+    if closed is not None:
+        return closed
     critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
     return _bisect_prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)[0]
 
@@ -959,12 +964,19 @@ def _pairs(*pairs):
 
 # Measure pairs whose distance is read at a known place: the mass gap, the
 # first interval, at least 30 intervals up, and the last interval (edge hi).
+# Each has U >= g over the whole line, so prokhorov_distance searches.
 _LATTICE = [(0.001 * i, 0.02) for i in range(50)]
 _PLACED_PAIRS = {
-    "gap": (_pairs((0.0, 1.0)), _pairs((0.0, 0.5))),
-    "first": (_pairs((0.0, 0.05), (1.0, 0.95)), _pairs((0.5, 0.05), (1.0, 0.95))),
+    "gap": (_pairs((0.0, 1.0), (0.5, 0.5)), _pairs((0.0, 0.5))),
+    "first": (_pairs((0.0, 0.25), (1.0, 0.75)), _pairs((0.25, 0.25), (1.0, 0.75))),
     "deep": (AtomicMeasure.from_pairs(_LATTICE), AtomicMeasure.from_pairs((x + 0.1, m) for x, m in _LATTICE)),
     "last": (_pairs((0.0, 0.5), (0.2, 0.5)), _pairs((3.0, 0.5), (3.3, 0.5))),
+}
+# Pairs that meet the closed-form premise over the whole line: one support
+# point, and U = 0.05 below g = 0.5, where the search read 0.050000000000000044.
+_CLOSED_PAIRS = {
+    "one point": (_pairs((0.0, 1.0)), _pairs((0.0, 0.5))),
+    "below the gap": (_pairs((0.0, 0.05), (1.0, 0.95)), _pairs((0.5, 0.05), (1.0, 0.95))),
 }
 
 
@@ -1244,10 +1256,11 @@ class TestCriticalDistanceBound:
         monkeypatch.setattr(characteristics, "_critical_set", None)
         size = characteristics._MAX_CRITICAL_LOCATIONS
         light = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size))
-        assert dsharp(light, AtomicMeasure.null()) > 0
         heavier = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size + 1))
-        with pytest.raises(ValueError, match=f"{size + 1} distinct atom locations"):
-            dsharp(heavier, AtomicMeasure.null())
+        for distance in (dsharp, prokhorov_distance):
+            assert distance(light, AtomicMeasure.null()) > 0
+            with pytest.raises(ValueError, match=f"{size + 1} distinct atom locations"):
+                distance(heavier, AtomicMeasure.null())
 
     def test_each_location_set_gets_its_own_critical_set(self, monkeypatch):
         sets = []
@@ -1388,7 +1401,7 @@ def _ref_slice_dsharp(mu, nu, r_max=20.0):
         return 0.0
     mu_locs, mu_masses = mu.locations.tolist(), mu.masses.tolist()
     nu_locs, nu_masses = nu.locations.tolist(), nu.masses.tolist()
-    critical = characteristics._critical_set(mu_locs + nu_locs)
+    critical = characteristics._critical_set(tuple(sorted(set(mu_locs + nu_locs))))
     moduli = sorted({abs(x) for x in mu_locs + nu_locs})
     edges = [0.0, *(x for x in moduli if 0 < x < r_max), r_max]
 
@@ -1403,13 +1416,7 @@ def _ref_slice_dsharp(mu, nu, r_max=20.0):
         d = _closed_form(mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
         if d is None:
             d = characteristics._prokhorov_arrays(
-                mu_locs[mu_keep],
-                mu_masses[mu_keep],
-                nu_locs[nu_keep],
-                nu_masses[nu_keep],
-                critical,
-                float(mu.masses[mu_keep].sum()),
-                float(nu.masses[nu_keep].sum()),
+                mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical
             )
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
@@ -1481,19 +1488,21 @@ class TestFitPathOracle:
 
 
 def _assert_closed_forms_exact(mu, nu, what):
-    """On every dsharp radius whose restrictions meet the closed-form premise,
-    the library's distance is float(U) of the Fraction sums, and the
-    brute-force certificate accepts it. Returns how many radii met it."""
-    segments = characteristics._segment_distances(mu, nu)
-    references = list(_restrictions(mu, nu))
-    assert [s[:2] for s in segments] == [r[:2] for r in references], f"{what}: segments differ"
+    """On every dsharp radius, and on the whole line, whose restrictions meet
+    the closed-form premise, the library's distance is float(U) of the
+    Fraction sums, and the brute-force certificate accepts it. Returns how
+    many radii, the whole line counted as one, met it."""
+    distance = characteristics._restricted_distance(mu, nu)
+    radii = [(f"radii ({left!r}, {right!r}]", distance(0.5 * (left + right)), arrays)
+             for left, right, arrays in _restrictions(mu, nu)]
+    radii.append(("the whole line", prokhorov_distance(mu, nu), (mu.locations, mu.masses, nu.locations, nu.masses)))
     closed = 0
-    for (left, right, d), (_, _, arrays) in zip(segments, references):
+    for where, d, arrays in radii:
         want = _closed_form(*arrays)
         if want is None:
             continue
-        assert d.hex() == want.hex(), f"{what}, radii ({left!r}, {right!r}]: {d!r} != {want!r}"
-        _certify(*arrays, d, f"{what}, radii ({left!r}, {right!r}]")
+        assert d.hex() == want.hex(), f"{what}, {where}: {d!r} != {want!r}"
+        _certify(*arrays, d, f"{what}, {where}")
         closed += 1
     return closed
 
@@ -1507,6 +1516,9 @@ class TestClosedForm:
         for trial, (mu, nu) in enumerate(_oracle_pairs(np.random.default_rng(20240601))):
             for a, b in ((mu, nu), (nu, mu)):
                 closed += _assert_closed_forms_exact(a, b, f"pair {trial}")
+            if trial == 1:
+                # The search read 1.2478706280206042.
+                assert prokhorov_distance(mu, nu) == 1.247870628020604
         assert closed > 500
 
     def test_exact_on_benchmark_panels(self, tmp_path, monkeypatch):
@@ -1516,8 +1528,18 @@ class TestClosedForm:
             params, _ = fit_spectrum(measure, alpha)
             shape = discretize_spectral(params)
             closed += _assert_closed_forms_exact(measure, shape, what)
-            radii += len(characteristics._segment_distances(measure, shape))
+            radii += len(list(_restrictions(measure, shape))) + 1
         assert radii > closed > radii // 2, f"{closed} closed forms in {radii} radii"
+
+    @pytest.mark.parametrize("name", sorted({**_PLACED_PAIRS, **_CLOSED_PAIRS}))
+    def test_exact_on_placed_pairs(self, name):
+        mu, nu = {**_PLACED_PAIRS, **_CLOSED_PAIRS}[name]
+        for a, b in ((mu, nu), (nu, mu)):
+            closed = _assert_closed_forms_exact(a, b, name)
+            # A closed pair meets the premise on every radius and the whole line.
+            assert closed > (name in _CLOSED_PAIRS) * len(list(_restrictions(a, b)))
+        if name == "below the gap":
+            assert prokhorov_distance(mu, nu) == 0.05
 
     @pytest.mark.parametrize("below", [True, False])
     def test_premise_boundary(self, below, monkeypatch):
@@ -1533,10 +1555,13 @@ class TestClosedForm:
             return search(*args)
 
         monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
-        segments = characteristics._segment_distances(mu, nu)
-        assert [d for _, _, d in segments] == [mass, mass]
+        distance = characteristics._restricted_distance(mu, nu)
+        distances = [distance(0.5 * (left + right)) for left, right, _ in _restrictions(mu, nu)]
+        assert distances == [mass, mass]
         assert len(searches) == (0 if below else 1)
-        assert _assert_closed_forms_exact(mu, nu, "boundary pair") == (2 if below else 1)
+        # The whole line holds both points, as the radii above 0.25 do.
+        assert _assert_closed_forms_exact(mu, nu, "boundary pair") == (3 if below else 1)
         if not below:
-            _certify(*map(np.asarray, searches[0][:4]), segments[1][2], "search at the gap")
+            _certify(*map(np.asarray, searches[0][:4]), distances[1], "search at the gap")
         assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
+        assert prokhorov_distance(mu, nu) == _bisect_prokhorov(mu, nu) == mass
