@@ -23,6 +23,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .directing import _RealizedLaw
 from .measures import AtomicMeasure
 from .mixtures import MixingMeasure
 from .stable import NormingSequence, StableParams, _require_positive
@@ -264,10 +265,14 @@ def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasur
     cell between consecutive same-sign grid points becomes an atom at the
     cell's geometric midpoint carrying the increment of G; the grid is
     ``DEFAULT_SPECTRAL_GRID`` and the cell spanning 0 is dropped (the
-    spectral object is only compared away from 0).
+    spectral object is only compared away from 0). One ``half_line_masses``
+    call gives the 42 values, by the loop of :class:`_RealizedLaw` for a law
+    with only ``cdf`` and ``right_tail``.
     """
     b = norming.b(n)
-    return _cell_measure([-n * p.cdf(b / x) if x < 0 else n * p.right_tail(b / x) for x in DEFAULT_SPECTRAL_GRID])
+    ys = [b / x for x in DEFAULT_SPECTRAL_GRID]
+    masses = getattr(type(p), "half_line_masses", _RealizedLaw.half_line_masses)(p, ys)
+    return _cell_measure([-n * m if x < 0 else n * m for x, m in zip(DEFAULT_SPECTRAL_GRID, masses)])
 
 
 def spectral_cdf(params: SpectralParams, x: float) -> float:
@@ -416,9 +421,19 @@ def _critical_distances(locs: np.ndarray) -> np.ndarray:
     array for m distinct points, so m is capped at
     ``_MAX_CRITICAL_LOCATIONS``.
     """
-    points = np.unique(locs)
+    points = _sorted_distinct(np.array(locs, dtype=float))
     _require_few_locations(points.size)
-    return np.unique(np.abs(points[:, None] - points[None, :]))
+    return _sorted_distinct(np.abs(points[:, None] - points[None, :]))
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values``, which it sorts in place:
+    ``np.unique`` without its import of ``numpy.ma`` on first use."""
+    values = values.ravel()
+    values.sort()
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _require_few_locations(count: int) -> None:

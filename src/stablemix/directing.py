@@ -29,7 +29,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .measures import _check_weights
 from .stable import (
     NormingSequence,
     StableParams,
-    _fourier_mass,
+    _fourier_masses,
     _fourier_region,
     _fourier_smoothed,
     _fourier_truncated,
@@ -192,6 +192,10 @@ class _RealizedLaw:
     def tail_mass(self, x: float) -> float:
         """Two-sided tail mass of (-inf, -x] union (x, +inf)."""
         return self.cdf(-x) + self.right_tail(x)
+
+    def half_line_masses(self, ys: Sequence[float]) -> List[float]:
+        """P(X <= y) at each negative y and P(X > y) at each other y of ``ys``."""
+        return [self.cdf(y) if y < 0 else self.right_tail(y) for y in ys]
 
     def integrate(self, f: Callable[[float], float], lo: float, hi: float) -> float:
         """Integral of f against the measure over (lo, hi].
@@ -651,16 +655,22 @@ class StableLaw(_RealizedLaw):
     @_via_twin
     def cdf(self, x: float) -> float:
         if _fourier_region(self.params):
-            return _fourier_mass(self.params, x, right=False)
+            return _fourier_masses(self.params, (x,), (False,))[0]
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.cdf(x, alpha, beta, loc=loc, scale=scale))
 
     @_via_twin
     def right_tail(self, x: float) -> float:
         if _fourier_region(self.params):
-            return _fourier_mass(self.params, x, right=True)
+            return _fourier_masses(self.params, (x,), (True,))[0]
         alpha, beta, loc, scale = self._scipy_args()
         return float(levy_stable.sf(x, alpha, beta, loc=loc, scale=scale))
+
+    @_via_twin
+    def half_line_masses(self, ys: Sequence[float]) -> List[float]:
+        if _fourier_region(self.params):
+            return _fourier_masses(self.params, ys, [not y < 0 for y in ys])
+        return super().half_line_masses(ys)
 
     integrate = _via_twin(_RealizedLaw.integrate)
     truncated_mean = _via_twin(_RealizedLaw.truncated_mean)

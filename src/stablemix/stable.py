@@ -17,7 +17,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -406,7 +406,7 @@ def _t_rule(width: float, upper: float) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate((t0, t1)), np.concatenate((w0, w1))
 
 
-def _tail_coefficients(alpha: float, beta: float) -> np.ndarray:
+def _tail_coefficients(alpha: float, beta: float) -> Tuple[float, ...]:
     """d_k with P(Z > x) ~ sum_k d_k x**(-k*alpha), cut at its smallest term
     at x = _SPLIT. With phi = exp(-kappa*t**alpha), kappa = 1 + i*beta*w,
     d_k = |kappa|**k Gamma(k*alpha)/k! sin(k*rho)/pi, rho = pi(1 - alpha/2) +
@@ -427,7 +427,7 @@ def _tail_coefficients(alpha: float, beta: float) -> np.ndarray:
             break
         previous = at_split
         coeffs.append(math.exp(log_size) * math.sin(k * rho) / math.pi)
-    return np.array(coeffs)
+    return tuple(coeffs)
 
 
 class _Table(NamedTuple):
@@ -436,8 +436,8 @@ class _Table(NamedTuple):
     psi: np.ndarray  # beta*w*t**alpha
     gw: np.ndarray  # weight * exp(-t**alpha) / pi
     gp: np.ndarray  # gw / t, the Gil-Pelaez weights
-    right: np.ndarray  # tail coefficients of Z
-    left: np.ndarray  # tail coefficients of -Z
+    right: Tuple[float, ...]  # tail coefficients of Z
+    left: Tuple[float, ...]  # tail coefficients of -Z
 
 
 @functools.lru_cache(maxsize=16)
@@ -452,27 +452,42 @@ def _table(alpha: float, beta: float) -> _Table:
         alpha, t, beta * w * power, gw, gw / t,
         _tail_coefficients(alpha, beta), _tail_coefficients(alpha, -beta),
     )
-    for array in table[1:]:
+    for array in (table.t, table.psi, table.gw, table.gp):
         array.flags.writeable = False  # shared by every caller of the cache
     return table
 
 
-def _tail(coeffs: np.ndarray, alpha: float, x: float) -> float:
-    """The tail series at x > _SPLIT."""
+def _tail(coeffs: Tuple[float, ...], alpha: float, x: float) -> float:
+    """The tail series at x > _SPLIT by Horner's rule, bitwise ``np.polyval``."""
     y = x ** -alpha
-    return max(0.0, float(np.polyval(coeffs[::-1], y)) * y)
+    acc = 0.0
+    for coeff in reversed(coeffs):
+        acc = acc * y + coeff
+    return max(0.0, acc * y)
 
 
-def _fourier_mass(params: StableParams, x: float, right: bool) -> float:
-    """P(X > x) when ``right``, else P(X <= x), for params in the Fourier
-    region; the smaller of the two is computed directly, never as 1 - F."""
+def _fourier_masses(params: StableParams, xs: Sequence[float], rights: Sequence[bool]) -> List[float]:
+    """P(X > x) where ``right``, else P(X <= x), at each pair of ``xs`` and ``rights``
+    in the Fourier region, the smaller one never as 1 - F. The core points share
+    one matrix of phases, and a NaN point is a ValueError."""
     tab = _table(params.alpha, params.beta)
-    z = (x - params.gamma) / params.c ** (1.0 / params.alpha)
-    if abs(z) > _SPLIT:
-        far = _tail(tab.right, tab.alpha, z) if z > 0 else _tail(tab.left, tab.alpha, -z)
-        return far if right == (z > 0) else 1.0 - far
-    centre = float(np.dot(tab.gp, np.sin(tab.t * z + tab.psi)))
-    return min(1.0, max(0.0, 0.5 - centre if right else 0.5 + centre))
+    scale = params.c ** (1.0 / params.alpha)
+    zs = [(x - params.gamma) / scale for x in xs]
+    for i, z in enumerate(zs):
+        if z != z:
+            raise ValueError(f"stable distribution function at a NaN point (index {i} of {len(xs)})")
+    core = [z for z in zs if abs(z) <= _SPLIT]
+    phases = np.sin(np.multiply.outer(core, tab.t) + tab.psi)
+    centres = iter([float(np.dot(tab.gp, row)) for row in phases])
+    out = []
+    for z, right in zip(zs, rights):
+        if abs(z) > _SPLIT:
+            far = _tail(tab.right, tab.alpha, z) if z > 0 else _tail(tab.left, tab.alpha, -z)
+            out.append(far if right == (z > 0) else 1.0 - far)
+        else:
+            centre = next(centres)
+            out.append(min(1.0, max(0.0, 0.5 - centre if right else 0.5 + centre)))
+    return out
 
 
 # Power series of the symmetric kernels below |u| = 1, in powers of u**2.
@@ -510,10 +525,10 @@ def _core_moments(tab: _Table, lo: float, hi: float) -> Tuple[float, float, floa
     return float(np.dot(re, k0)), float(np.dot(im, k1)), float(np.dot(re, k2))
 
 
-def _tail_moments(coeffs: np.ndarray, alpha: float, lo: float, hi: float) -> Tuple[float, float, float]:
+def _tail_moments(coeffs: Tuple[float, ...], alpha: float, lo: float, hi: float) -> Tuple[float, float, float]:
     """int_lo^hi z**l p(z) dz for l = 0, 1, 2 and _SPLIT <= lo < hi < inf,
     with p the derivative of the tail series."""
-    ka = alpha * np.arange(1, coeffs.size + 1)
+    ka = alpha * np.arange(1, len(coeffs) + 1)
     log_ratio = math.log(hi / lo)
     out = []
     for l in (0, 1, 2):

@@ -1390,6 +1390,22 @@ class TestNpSum:
             assert characteristics._np_sum([-0.0] * n).hex() == float(np.array([-0.0] * n).sum()).hex() == "0x0.0p+0"
 
 
+class TestCriticalDistances:
+    """The sort-and-mask distinct values equal np.unique's."""
+
+    def test_equal_to_np_unique_on_unsorted_and_empty_locations(self):
+        rng = np.random.default_rng(20261019)
+        pool = np.round(rng.normal(scale=3.0, size=25), 2)
+        for size in (0, 1, 2, 7, 40, 81):
+            locs = rng.choice(pool, size=size)
+            kept = locs.copy()
+            points = np.unique(locs)
+            want = np.unique(np.abs(points[:, None] - points[None, :]))
+            got = characteristics._critical_distances(locs)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], f"{size} locations"
+            assert np.array_equal(locs, kept), "the caller's locations were reordered"
+
+
 # Reference copies of the fit path before it moved onto Python floats: each
 # side's cumulative masses come from AtomicMeasure.mass_interval, the fitted
 # shape from the cell walk at NumPy grid points, and every restriction's total

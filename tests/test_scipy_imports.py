@@ -36,6 +36,8 @@ FOOTPRINT = textwrap.dedent(
     panel = DrawPanel(law, NormingSequence(1.5), NGrid((100, 1000), 100), 5)
     check_stable_mixture(panel, 1.5, StatTestConfig())
     assert not scipy_modules(), f"check_stable_mixture: {scipy_modules()[:5]}"
+    # Nor numpy.ma, which np.unique loads on first use.
+    assert "numpy.ma" not in sys.modules
 
     spec = dataclasses.replace(
         get_scenario("cauchy-fixed"),

@@ -13,15 +13,27 @@ Each oracle is trusted only where it is accurate:
 """
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
 from stablemix import directing
-from stablemix.characteristics import spectral_measure_lambda
+from stablemix.characteristics import DEFAULT_SPECTRAL_GRID, spectral_measure_lambda
+from stablemix.criteria import DrawPanel
 from stablemix.directing import StableLaw, _RealizedLaw
-from stablemix.stable import NormingSequence, StableParams, _fourier_smoothed, _table, stable_cf
+from stablemix.stable import (
+    NormingSequence,
+    StableParams,
+    _fourier_masses,
+    _fourier_smoothed,
+    _table,
+    _tail,
+    stable_cf,
+)
+from test_characteristics import _benchmark_specs
 
 ALPHAS = (1.1, 1.5, 1.9)
 BETAS = (-1.0, 0.0, 0.5, 1.0)
@@ -235,3 +247,106 @@ def test_outside_region_is_scipy(alpha):
     for x in (-30.0, -1.0, 0.2, 2.5, 30.0):
         assert law.cdf(x) == _scipy("cdf", params, x)
         assert law.right_tail(x) == _scipy("sf", params, x)
+
+
+# The per-point path before one Fourier pass served a whole batch: one
+# Gil-Pelaez dot product per core point, np.polyval of the tail series beyond.
+
+
+def _ref_tail(coeffs, alpha, x):
+    y = x ** -alpha
+    return max(0.0, float(np.polyval(np.array(coeffs)[::-1], y)) * y)
+
+
+def _ref_fourier_mass(params, x, right):
+    tab = _table(params.alpha, params.beta)
+    z = (x - params.gamma) / params.c ** (1.0 / params.alpha)
+    if abs(z) > 20.0:
+        far = _ref_tail(tab.right, tab.alpha, z) if z > 0 else _ref_tail(tab.left, tab.alpha, -z)
+        return far if right == (z > 0) else 1.0 - far
+    centre = float(np.dot(tab.gp, np.sin(tab.t * z + tab.psi)))
+    return min(1.0, max(0.0, 0.5 - centre if right else 0.5 + centre))
+
+
+EDGE_PARAMS = [
+    StableParams(alpha, gamma, c, beta)
+    for alpha in (1.1, 1.5, 1.99)
+    for beta in (-1.0, -0.3, 0.0, 0.7, 1.0)
+    for gamma in (0.0, 5.0, -40.0)
+    for c in (1e-3, 1.0, 1e3)
+]
+EDGE_Z = (0.0, 1e-9, 0.4, 3.0, 19.999, 20.0, 20.001, 75.0, 1e4, 1e12, math.inf)
+
+
+class TestFourierMassOracle:
+    """One Fourier pass per batch equals the per-point path bit for bit."""
+
+    @staticmethod
+    def _assert_batch_is_reference(params, xs, rights, what):
+        got = _fourier_masses(params, xs, rights)
+        want = [_ref_fourier_mass(params, x, right) for x, right in zip(xs, rights)]
+        for x, right, g, w in zip(xs, rights, got, want):
+            assert g.hex() == w.hex(), f"{what}: x={x!r}, right={right}: {g!r} != {w!r}"
+
+    def test_bitwise_equal_on_benchmark_panels(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = _benchmark_specs(tmp_path)[-1]
+        assert spec.name == "stable-lognormal"
+        points = 0
+        for seed in (3, 5):
+            panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
+            for n in spec.checker_ngrid.values:
+                b = spec.norming.b(n)
+                ys = [b / x for x in DEFAULT_SPECTRAL_GRID]
+                for p in panel.unique:
+                    got = p.half_line_masses(ys)
+                    want = [_ref_fourier_mass(p.params, y, y > 0) for y in ys]
+                    assert [g.hex() for g in got] == [w.hex() for w in want], f"{p!r} at n={n}, seed {seed}"
+                    points += len(ys)
+        assert points == 2 * 2 * 100 * 42
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS, ids=repr)
+    def test_bitwise_equal_on_the_edge_grid(self, params):
+        scale = params.c ** (1.0 / params.alpha)
+        xs = [params.gamma + sign * scale * z for z in EDGE_Z for sign in (1.0, -1.0)]
+        xs += [1.0 / x for x in DEFAULT_SPECTRAL_GRID]
+        for right in (False, True):
+            self._assert_batch_is_reference(params, xs, [right] * len(xs), f"{params}")
+        law = StableLaw(params)
+        for x in xs[::7]:
+            assert law.cdf(x).hex() == _ref_fourier_mass(params, x, False).hex(), (params, x)
+            assert law.right_tail(x).hex() == _ref_fourier_mass(params, x, True).hex(), (params, x)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.99])
+    @pytest.mark.parametrize("beta", [-1.0, -0.3, 0.0, 0.7, 1.0])
+    def test_bitwise_equal_at_the_split_zero_and_infinity(self, alpha, beta):
+        # At gamma = 0 and c = 1 the standardized point z is x itself.
+        params = StableParams(alpha, 0.0, 1.0, beta)
+        xs = [20.0, -20.0, 0.0, -0.0, math.inf, -math.inf]
+        for rights in ([False] * 6, [True] * 6, [True, False] * 3):
+            self._assert_batch_is_reference(params, xs, rights, f"{params}")
+        assert _fourier_masses(params, [math.inf, -math.inf], [True, False]) == [0.0, 0.0]
+
+    def test_horner_tail_is_polyval(self):
+        rng = np.random.default_rng(20261019)
+        for params in EDGE_PARAMS[::9]:
+            tab = _table(params.alpha, params.beta)
+            for coeffs in (tab.right, tab.left):
+                for x in [20.0, *(20.0 * 10.0 ** rng.uniform(0.0, 12.0, size=300)), math.inf]:
+                    got, want = _tail(coeffs, tab.alpha, x), _ref_tail(coeffs, tab.alpha, x)
+                    assert got.hex() == want.hex(), f"{params}, x={x!r}: {got!r} != {want!r}"
+
+
+class TestNanPoints:
+    """A NaN point is an error in the Fourier region, as no silent 0."""
+
+    LAW = StableLaw(StableParams(1.5, 0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("method", ["cdf", "right_tail", "tail_mass"])
+    def test_scalar_functionals_raise(self, method):
+        with pytest.raises(ValueError, match="NaN point"):
+            getattr(self.LAW, method)(math.nan)
+
+    def test_batch_names_the_first_nan(self):
+        with pytest.raises(ValueError, match=r"NaN point \(index 1 of 4\)"):
+            self.LAW.half_line_masses([-3.0, math.nan, 2.0, math.nan])
