@@ -21,7 +21,6 @@ from .characteristics import (
     sigma_bar_proxy,
     smooth_mean,
     smoothed_location_drift,
-    spectral_cdf,
     spectral_measure_lambda,
     stable_mixing_constant,
     tail_mass_quantity,

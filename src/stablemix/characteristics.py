@@ -43,7 +43,6 @@ __all__ = [
     "tail_mass_quantity",
     "tail_moment_ratio",
     "spectral_measure_lambda",
-    "spectral_cdf",
     "discretize_spectral",
     "fit_spectrum",
     "prokhorov_distance",
@@ -211,29 +210,6 @@ def tail_moment_ratio(p, x: float) -> float:
     return x * x * p.tail_mass(x) / denom
 
 
-def _np_sum(values: Sequence[float]) -> float:
-    """``values`` summed bit for bit as NumPy sums a float64 array: in order
-    below 8 values, into 8 interleaved accumulators (combined pairwise, then
-    the rest added in order) up to 128, and above that as the sums of two
-    halves split at n//2 rounded down to a multiple of 8. NumPy's reduction
-    starts from 0.0, which only turns a -0.0 total into 0.0."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return 0.0 + (_np_sum(values[:half]) + _np_sum(values[half:]))
-    total, rest = 0.0, 0
-    if n >= 8:
-        rest = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        for i in range(8, rest, 8):
-            r0, r1, r2, r3 = r0 + values[i], r1 + values[i + 1], r2 + values[i + 2], r3 + values[i + 3]
-            r4, r5, r6, r7 = r4 + values[i + 4], r5 + values[i + 5], r6 + values[i + 6], r7 + values[i + 7]
-        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for value in values[rest:]:
-        total += value
-    return total
-
-
 def _atom_lists(measure: AtomicMeasure) -> Tuple[List[float], List[float]]:
     return [x for x, _ in measure.atoms], [m for _, m in measure.atoms]
 
@@ -275,15 +251,6 @@ def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasur
     return _cell_measure([-n * m if x < 0 else n * m for x, m in zip(DEFAULT_SPECTRAL_GRID, masses)])
 
 
-def spectral_cdf(params: SpectralParams, x: float) -> float:
-    """Cumulative spectral shape: -c_minus*|x|**alpha left of 0, c_plus*x**alpha right."""
-    if x == 0:
-        raise ValueError("the spectral shape is undefined at x = 0")
-    if x < 0:
-        return -params.c_minus * (-x) ** params.alpha
-    return params.c_plus * x ** params.alpha
-
-
 @lru_cache(maxsize=16)
 def _grid_powers(alpha: float) -> Tuple[float, ...]:
     """|x|**alpha at every point x of the module grid."""
@@ -292,8 +259,8 @@ def _grid_powers(alpha: float) -> Tuple[float, ...]:
 
 def discretize_spectral(params: SpectralParams) -> AtomicMeasure:
     """Discretize an exact power-law spectral shape on the grid and with the
-    cell convention of :func:`spectral_measure_lambda`. The shape is read at
-    the grid points bit for bit as :func:`spectral_cdf` reads it, from
+    cell convention of :func:`spectral_measure_lambda`. The cumulative shape
+    -c_minus*|x|**alpha, c_plus*x**alpha is read at the grid points from
     powers |x|**alpha cached per alpha."""
     c_minus, c_plus = -params.c_minus, params.c_plus
     powers = _grid_powers(params.alpha)
@@ -310,9 +277,11 @@ def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, 
 
     Each side is fitted by least squares of log cumulative mass against
     alpha*log x at the grid edges inside ``DEFAULT_FIT_WINDOW``; a side whose
-    windowed mass is below 1e-8 is declared null on that side. Cumulative
-    masses are differences of prefix sums by :func:`_np_sum`, as
-    :meth:`AtomicMeasure.mass_interval` takes them. The residual is the
+    windowed mass is below 1e-8 is declared null on that side. The
+    cumulative masses of (0, x] and of [-x, 0) are ``math.fsum`` sums of that
+    side's atoms, correctly rounded and so independent of their order, and
+    both sides walk the edges outward from 0: the mirror of a measure fits
+    the same two weights swapped, bit for bit. The residual is the
     restriction metric between the input and the fitted shape discretized on
     the same grid, so a wrong alpha shows up as a large residual.
     """
@@ -320,19 +289,19 @@ def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, 
     for x in locs:
         if x not in _MIDPOINTS:
             raise ValueError(f"atom at {x!r} is not a cell midpoint of DEFAULT_SPECTRAL_GRID")
+    zero = bisect_left(locs, 0.0)
 
-    def fit_side(cums: List[Tuple[float, float]]) -> float:
-        # cums holds (edge, cumulative mass) pairs; max(cums) is at the far edge.
-        if max(cums)[1] < _NULL_MASS_FLOOR:
+    def fit_side(mass_within: Callable[[float], float]) -> float:
+        # mass_within(x) is the side's mass within distance x of 0.
+        cums = [(edge, mass_within(edge)) for edge in _FIT_EDGES]
+        if cums[-1][1] < _NULL_MASS_FLOOR:
             return 0.0
         logs = [math.log(cum) - alpha * math.log(edge) for edge, cum in cums if cum > _CUM_FLOOR]
         return math.exp(sum(logs) / len(logs))
 
-    # The masses of (0, x] and of [-x, 0), the latter in grid order, from the far end.
-    at_most_zero, below_zero = _np_sum(masses[: bisect_right(locs, 0.0)]), _np_sum(masses[: bisect_left(locs, 0.0)])
-    plus = [(x, _np_sum(masses[: bisect_right(locs, x)]) - at_most_zero) for x in _FIT_EDGES]
-    minus = [(x, below_zero - _np_sum(masses[: bisect_left(locs, -x)])) for x in reversed(_FIT_EDGES)]
-    params = SpectralParams(alpha, fit_side(minus), fit_side(plus))
+    c_minus = fit_side(lambda x: math.fsum(masses[bisect_left(locs, -x) : zero]))
+    c_plus = fit_side(lambda x: math.fsum(masses[zero : bisect_right(locs, x)]))
+    params = SpectralParams(alpha, c_minus, c_plus)
     residual = dsharp(measure, discretize_spectral(params))
     return params, residual
 
@@ -554,10 +523,9 @@ def _prokhorov_arrays(
 
     The larger one-sided violation V(eps) is a non-increasing step function
     of eps that changes only at the critical distances. The search starts
-    at the mass gap, the totals summed by :func:`_np_sum` in NumPy's
-    pairwise order, then probes the intervals between critical distances at
-    indices 0, 1, 3, 7, ... until one is feasible and bisects inside the
-    last bracket. On spectral fits the distance nearly always is the mass
+    at the mass gap between the ``math.fsum`` totals, then probes the
+    intervals between critical distances at indices 0, 1, 3, 7, ... until
+    one is feasible and bisects inside the last bracket. On spectral fits the distance nearly always is the mass
     gap or lies in the first interval above it, so a search costs one or two
     evaluations of V; an answer in interval k costs O(log k), and at worst
     about twice a bisection of the whole bracket. Feasibility is monotone in
@@ -580,7 +548,7 @@ def _prokhorov_arrays(
             return None
         return max(forward, backward)
 
-    mu_total, nu_total = _np_sum(mu_masses), _np_sum(nu_masses)
+    mu_total, nu_total = math.fsum(mu_masses), math.fsum(nu_masses)
     lo = abs(mu_total - nu_total)
     hi = max(mu_total, nu_total, lo)
     if violation(lo, lo) is not None:
@@ -724,9 +692,8 @@ def pushforward_alpha(nu12_atoms: Sequence[NuAtom], alpha: float) -> Pushforward
     for eta, shape, weight in atoms:
         lam_total = shape.total_weight
         c = constant * lam_total
-        skew_num = shape.c_plus - shape.c_minus
-        beta = -skew_num / lam_total if lam_total > 0 else 0.0
-        gamma = eta - skew_num * drift
+        beta = (shape.c_minus - shape.c_plus) / lam_total if lam_total > 0 else 0.0
+        gamma = eta - (shape.c_plus - shape.c_minus) * drift
         gammas.append(gamma)
         mixing_atoms.append((StableParams(alpha, gamma, c, beta), weight))
     spread = max(gammas) - min(gammas)

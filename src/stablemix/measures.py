@@ -75,11 +75,6 @@ class AtomicMeasure:
             merged[key] = merged.get(key, 0.0) + float(mass)
         return cls(tuple(sorted(merged.items())))
 
-    @classmethod
-    def null(cls) -> "AtomicMeasure":
-        """The zero measure (empty atom list)."""
-        return cls(())
-
     @cached_property
     def locations(self) -> np.ndarray:
         return np.array([loc for loc, _ in self.atoms], dtype=float)
@@ -90,21 +85,17 @@ class AtomicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.masses.sum()) if self.atoms else 0.0
+        """Total mass, a ``math.fsum`` sum like every mass below: correctly
+        rounded, and an ``OverflowError`` when it exceeds the float range."""
+        return math.fsum(mass for _, mass in self.atoms)
 
     def mass_le(self, x: float) -> float:
         """Mass of the half line (-inf, x]."""
-        if not self.atoms:
-            return 0.0
-        k = int(np.searchsorted(self.locations, x, side="right"))
-        return float(self.masses[:k].sum())
+        return math.fsum(mass for loc, mass in self.atoms if loc <= x)
 
     def mass_lt(self, x: float) -> float:
         """Mass of the open half line (-inf, x)."""
-        if not self.atoms:
-            return 0.0
-        k = int(np.searchsorted(self.locations, x, side="left"))
-        return float(self.masses[:k].sum())
+        return math.fsum(mass for loc, mass in self.atoms if loc < x)
 
     def mass_interval(self, lo: float, hi: float, closed: str = "right") -> float:
         """Mass of an interval between ``lo`` and ``hi``.

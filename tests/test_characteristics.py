@@ -28,7 +28,6 @@ from stablemix.characteristics import (
     pushforward_one,
     sigma_bar_proxy,
     smooth_mean,
-    spectral_cdf,
     spectral_measure_lambda,
     stable_mixing_constant,
     tail_mass_quantity,
@@ -46,6 +45,7 @@ from stablemix.directing import (
     StableLaw,
     UniformLaw,
 )
+from stablemix.empirics import run_scenario
 from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import mixture_cf
 from stablemix.stable import NormingSequence, StableParams, stable_cf
@@ -233,6 +233,14 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError, match=message):
             AtomicMeasure(atoms)
 
+    def test_an_overflowing_total_is_an_error(self):
+        # As in the distances, whose mass sums are math.fsum sums too.
+        heavy = AtomicMeasure.from_pairs([(0.0, 1e308), (1.0, 1e308)])
+        for total in (lambda: heavy.total_mass, lambda: heavy.mass_le(1.0), lambda: dsharp(heavy, AtomicMeasure())):
+            with pytest.raises(OverflowError):
+                total()
+        assert heavy.mass_lt(1.0) == 1e308
+
 
 class TestSpectralMeasure:
     """Discretization of the scaled spectral function onto the signed grid."""
@@ -275,13 +283,6 @@ class TestSpectralMeasure:
 
 class TestSpectralShape:
     """Exact power-law spectral shapes and their discretization."""
-
-    def test_cumulative_values(self):
-        params = SpectralParams(1.5, 0.5, 2.0)
-        assert spectral_cdf(params, 4.0) == pytest.approx(16.0)
-        assert spectral_cdf(params, -4.0) == pytest.approx(-4.0)
-        with pytest.raises(ValueError, match="undefined"):
-            spectral_cdf(params, 0.0)
 
     def test_discretization_cumulative_matches_shape(self):
         params = SpectralParams(1.5, 0.4, 1.1)
@@ -363,7 +364,7 @@ class TestProkhorov:
         assert prokhorov_distance(doubled, single) == 1.0
 
     def test_null_against_point(self):
-        d = prokhorov_distance(AtomicMeasure.null(), AtomicMeasure.from_pairs([(1.0, 1.0)]))
+        d = prokhorov_distance(AtomicMeasure(), AtomicMeasure.from_pairs([(1.0, 1.0)]))
         assert d == 1.0
 
     @pytest.mark.parametrize("mass,shift,expected", [(0.2, 0.5, 0.2), (1.0, 0.3, 0.3)])
@@ -406,7 +407,7 @@ class TestDsharp:
     def test_null_against_point_oracle(self):
         # d_r jumps from 0 to 1 at r = 0.5, so the integral is
         # (1/2)(e^{-1/2} - e^{-20}) exactly.
-        value = dsharp(AtomicMeasure.null(), AtomicMeasure.from_pairs([(0.5, 1.0)]))
+        value = dsharp(AtomicMeasure(), AtomicMeasure.from_pairs([(0.5, 1.0)]))
         expected = 0.5 * (math.exp(-0.5) - math.exp(-20.0))
         np.testing.assert_allclose(value, expected, rtol=1e-12)
 
@@ -429,7 +430,7 @@ class TestDsharp:
             )
 
     def test_gauss_legendre_cross_check(self):
-        mu = AtomicMeasure.null()
+        mu = AtomicMeasure()
         nu = AtomicMeasure.from_pairs([(0.5, 1.0)])
         exact = dsharp(mu, nu)
         quad = _gauss_legendre_dsharp(mu, nu, 2000)
@@ -448,12 +449,12 @@ class TestDsharp:
     def test_infinite_radius_keeps_the_whole_line(self, monkeypatch):
         # d_r is 1 from r = 0.5 on, so the integral over (0, inf) is e^{-1/2}/2.
         monkeypatch.setattr(characteristics, "_R_MAX", math.inf)
-        value = dsharp(AtomicMeasure.null(), AtomicMeasure.from_pairs([(0.5, 1.0)]))
+        value = dsharp(AtomicMeasure(), AtomicMeasure.from_pairs([(0.5, 1.0)]))
         np.testing.assert_allclose(value, 0.5 * math.exp(-0.5), rtol=1e-12)
 
     def test_bounded_by_one(self):
         heavy = AtomicMeasure.from_pairs([(1.0, 1e6)])
-        value = dsharp(AtomicMeasure.null(), heavy)
+        value = dsharp(AtomicMeasure(), heavy)
         assert value <= 1.0, f"the metric is bounded by 1, got {value}"
 
 
@@ -489,7 +490,7 @@ class TestFitSpectrum:
         )
 
     def test_null_measure_fits_null_shape(self):
-        fitted, residual = fit_spectrum(AtomicMeasure.null(), 1.0)
+        fitted, residual = fit_spectrum(AtomicMeasure(), 1.0)
         assert fitted.is_null
         assert residual == 0.0
 
@@ -694,7 +695,7 @@ class TestCharQuantities:
         assert bundle.lambda_n.atoms == spectral_measure_lambda(p, LINEAR_NORMING, n).atoms
 
     def test_validation(self):
-        null = AtomicMeasure.null()
+        null = AtomicMeasure()
         with pytest.raises(ValueError, match="variance"):
             CharQuantities(10, 1.0, 0.0, 0.0, -1.0, 0.0, null, 0.0)
         with pytest.raises(ValueError, match="tail"):
@@ -815,8 +816,8 @@ def _oracle_pairs(rng):
         far = rng.uniform(3.0, 25.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         yield AtomicMeasure.from_pairs(zip(far.tolist(), [0.5, 1.0, 1.5])), nu
         yield mu, AtomicMeasure(mu.atoms)
-        yield AtomicMeasure.null(), nu
-    yield AtomicMeasure.null(), AtomicMeasure.null()
+        yield AtomicMeasure(), nu
+    yield AtomicMeasure(), AtomicMeasure()
 
 
 def _assert_within_bisection(reference, value, what):
@@ -868,8 +869,8 @@ def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
             return None
         return max(forward, backward)
 
-    mu_total = float(mu_masses.sum())
-    nu_total = float(nu_masses.sum())
+    mu_total = math.fsum(mu_masses.tolist())
+    nu_total = math.fsum(nu_masses.tolist())
     lo = abs(mu_total - nu_total)
     hi = max(mu_total, nu_total, lo)
     if hi == 0.0:
@@ -1246,9 +1247,9 @@ class TestCriticalDistanceBound:
         message = f"{characteristics._MAX_CRITICAL_LOCATIONS + 1} distinct atom locations"
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                prokhorov_distance(many, AtomicMeasure.null())
+                prokhorov_distance(many, AtomicMeasure())
             with pytest.raises(ValueError, match=message):
-                dsharp(many, AtomicMeasure.null())
+                dsharp(many, AtomicMeasure())
 
     def test_rejects_before_any_closed_form(self, monkeypatch):
         # Masses 1e-6 a unit apart: every radius takes the closed form, so
@@ -1258,9 +1259,9 @@ class TestCriticalDistanceBound:
         light = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size))
         heavier = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size + 1))
         for distance in (dsharp, prokhorov_distance):
-            assert distance(light, AtomicMeasure.null()) > 0
+            assert distance(light, AtomicMeasure()) > 0
             with pytest.raises(ValueError, match=f"{size + 1} distinct atom locations"):
-                distance(heavier, AtomicMeasure.null())
+                distance(heavier, AtomicMeasure())
 
     def test_each_location_set_gets_its_own_critical_set(self, monkeypatch):
         sets = []
@@ -1289,6 +1290,15 @@ class TestCriticalDistanceBound:
         assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
         after = characteristics._critical_of_points.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def spectral_cdf(params, x):
+    """Cumulative spectral shape: -c_minus*|x|**alpha left of 0, c_plus*x**alpha right."""
+    if x == 0:
+        raise ValueError("the spectral shape is undefined at x = 0")
+    if x < 0:
+        return -params.c_minus * (-x) ** params.alpha
+    return params.c_plus * x ** params.alpha
 
 
 def _ref_cell_walk(pts, cum):
@@ -1375,21 +1385,6 @@ class TestCellWalk:
         assert _hex_atoms(got) == _hex_atoms(reference)
 
 
-class TestNpSum:
-    """The list sum that replaces NumPy's pairwise float64 sum on the fit path."""
-
-    def test_bitwise_equal_to_numpy(self):
-        rng = np.random.default_rng(20241019)
-        for n in [*range(301), *range(511, 4098)]:
-            values = (10.0 ** rng.uniform(-15.0, 6.0, size=n) * rng.choice([-1.0, 1.0], size=n)).tolist()
-            got, want = characteristics._np_sum(values), float(np.array(values).sum())
-            assert got.hex() == want.hex(), f"length {n}: {got!r} != {want!r}"
-
-    def test_negative_zeros_sum_to_zero(self):
-        for n in (0, 1, 7, 8, 9, 129, 300):
-            assert characteristics._np_sum([-0.0] * n).hex() == float(np.array([-0.0] * n).sum()).hex() == "0x0.0p+0"
-
-
 class TestCriticalDistances:
     """The sort-and-mask distinct values equal np.unique's."""
 
@@ -1407,9 +1402,10 @@ class TestCriticalDistances:
 
 
 # Reference copies of the fit path before it moved onto Python floats: each
-# side's cumulative masses come from AtomicMeasure.mass_interval, the fitted
-# shape from the cell walk at NumPy grid points, and every restriction's total
-# mass in dsharp from NumPy's sum over a slice of the measure's masses array.
+# side's cumulative masses are exact Fraction sums of that side's atoms,
+# rounded once, over the same edges for both sides; the fitted shape comes
+# from the cell walk at NumPy grid points, and every restriction in dsharp
+# from a searchsorted slice of the measure's NumPy arrays.
 
 
 def _ref_slice_dsharp(mu, nu, r_max=20.0):
@@ -1441,19 +1437,18 @@ def _ref_slice_dsharp(mu, nu, r_max=20.0):
 
 def _ref_fit_spectrum(measure, alpha):
     edges = [x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1]]
+    exact = [(x, Fraction(m)) for x, m in measure.atoms]
 
-    def fit_side(edges, cum_at):
-        if cum_at(max(edges)) < 1e-8:
+    def fit_side(side):
+        # side holds (distance from 0, exact mass) of one side's atoms.
+        cums = [(edge, float(sum(m for d, m in side if d <= edge))) for edge in edges]
+        if cums[-1][1] < 1e-8:
             return 0.0
-        logs = []
-        for edge in edges:
-            cum = cum_at(edge)
-            if cum > 1e-12:
-                logs.append(math.log(cum) - alpha * math.log(edge))
+        logs = [math.log(cum) - alpha * math.log(edge) for edge, cum in cums if cum > 1e-12]
         return math.exp(sum(logs) / len(logs))
 
-    c_plus = fit_side(edges, lambda x: measure.mass_interval(0.0, x, "right"))
-    c_minus = fit_side(edges[::-1], lambda x: measure.mass_interval(-x, 0.0, "left"))
+    c_plus = fit_side([(x, m) for x, m in exact if x > 0])
+    c_minus = fit_side([(-x, m) for x, m in exact if x < 0])
     params = SpectralParams(alpha, c_minus, c_plus)
     shape = _ref_cell_walk(np.asarray(DEFAULT_SPECTRAL_GRID, dtype=float), lambda x: spectral_cdf(params, x))
     return params, shape, _ref_slice_dsharp(measure, shape)
@@ -1473,11 +1468,11 @@ def _benchmark_specs(tmp_path):
     return specs
 
 
-def _benchmark_measures(tmp_path):
+def _benchmark_measures(tmp_path, seeds=(3, 5)):
     """(what, spectral measure, alpha) for every distinct draw and checker n
-    of both benchmark configs' panels at seeds 3 and 5."""
+    of both benchmark configs' panels at ``seeds``."""
     for spec in _benchmark_specs(tmp_path):
-        for seed in (3, 5):
+        for seed in seeds:
             panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
             for n in spec.checker_ngrid.values:
                 for p in panel.unique:
@@ -1501,6 +1496,52 @@ class TestFitPathOracle:
             assert residual.hex() == want_residual.hex(), f"{what}: {residual!r} != {want_residual!r}"
             fits += 1
         assert fits == 2 * (200 * 4 + 100 * 2)
+
+
+def _mirror(measure):
+    return AtomicMeasure.from_pairs((-x, m) for x, m in measure.atoms)
+
+
+def _weights(params):
+    return params.c_minus.hex(), params.c_plus.hex()
+
+
+class TestSideSymmetry:
+    """Both sides of a fit are one computation, so reflection swaps the
+    fitted weights bit for bit (Samorodnitsky & Taqqu 1994, Property 1.2.3)
+    and a symmetric law fits c_minus == c_plus and beta = 0 exactly."""
+
+    def test_mirrored_benchmark_measures_fit_swapped_weights(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        fits = 0
+        for what, measure, alpha in _benchmark_measures(tmp_path, seeds=(3,)):
+            params, _ = fit_spectrum(measure, alpha)
+            mirrored, _ = fit_spectrum(_mirror(measure), alpha)
+            assert _weights(mirrored) == _weights(params)[::-1], f"{what}: {mirrored} is not {params} swapped"
+            # Both configs draw symmetric laws: a symmetric Pareto base and a beta = 0 stable base.
+            assert params.c_minus.hex() == params.c_plus.hex(), f"{what}: {params}"
+            fits += 1
+        assert fits == 200 * 4 + 100 * 2
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_reflected_stable_law_fits_swapped_weights(self, n):
+        law = StableLaw(StableParams(1.5, 0.3, 2.0, 0.4))
+        reflected = StableLaw(StableParams(1.5, -0.3, 2.0, -0.4))
+        measure = spectral_measure_lambda(law, PARETO_NORMING, n)
+        mirror = spectral_measure_lambda(reflected, PARETO_NORMING, n)
+        assert _hex_atoms(mirror) == _hex_atoms(_mirror(measure))
+        params, _ = fit_spectrum(measure, 1.5)
+        assert params.c_minus != params.c_plus
+        assert _weights(fit_spectrum(mirror, 1.5)[0]) == _weights(params)[::-1]
+
+    def test_symmetric_scenario_reports_zero_skew_and_location(self):
+        (verdict,) = [v for v in run_scenario("pareto-mix", 0).verdicts if v["name"] == "stable_mixture"]
+        limit = verdict["estimated_limit"]
+        atoms = limit["atoms"]
+        assert len(atoms) == 2
+        for value in (limit["gamma"], *(a[key] for a in atoms for key in ("beta", "gamma"))):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, f"{value!r} is not +0.0 in {limit}"
+        assert [a["c"] for a in atoms] == sorted(a["c"] for a in atoms)
 
 
 def _assert_closed_forms_exact(mu, nu, what):

@@ -238,3 +238,25 @@ def test_compare_folds_the_functionals_by_law_and_functional(tmp_path, capsys):
         f"largest relative change 0.2 at {law}.smoothed_mean[1]",
         "1 of 1 files differ",
     ]
+
+
+def test_compare_prints_a_sign_of_zero_or_type_flip(tmp_path, capsys):
+    # Equal values that differ in sign or type are changes, not silence.
+    tool = _tool()
+    _write(tmp_path / "before", {
+        "a@0/report.json": json.dumps({"beta": 0.0, "n": 1, "c": 0.5}),
+        "a@0/quantities.csv": "n,m\n1,0.0\n",
+    })
+    _write(tmp_path / "after", {
+        "a@0/report.json": json.dumps({"beta": -0.0, "n": 1.0, "c": 0.5}),
+        "a@0/quantities.csv": "n,m\n1,-0.0\n",
+    })
+    assert tool.main(["--compare", str(tmp_path / "before"), str(tmp_path / "after")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a@0/quantities.csv",
+        "  [0].m: 0.0 -> -0.0",
+        "a@0/report.json",
+        "  beta: 0.0 -> -0.0",
+        "  n: 1 -> 1.0",
+        "2 of 2 files differ",
+    ]

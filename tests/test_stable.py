@@ -119,7 +119,7 @@ class TestJumpExponent:
         assert levy_khintchine_psi(2.0, pair) == pytest.approx(-2.0 + 0j)
 
     def test_null_measure_is_pure_translation(self):
-        pair = LevyKhintchinePair(3.0, AtomicMeasure.null())
+        pair = LevyKhintchinePair(3.0, AtomicMeasure())
         for t in (-1.5, 0.0, 0.25, 2.0):
             assert levy_khintchine_psi(t, pair) == pytest.approx(3j * t)
 

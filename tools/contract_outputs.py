@@ -29,8 +29,10 @@ report's verdicts before and after, one ``path: length a -> b`` line per list
 whose length changed (in place of the leaves of its added or removed
 elements), then every numeric field that moved (list indices folded to
 ``[*]``) with its largest absolute change and where that change is, and its
-largest relative change |b - a| / max(|a|, |b|) and where that is; its exit
-code is 1 when a file differs:
+largest relative change |b - a| / max(|a|, |b|) and where that is. Any other
+leaf that changed type or repr, a sign-of-zero flip such as 0.0 -> -0.0
+included, prints as ``path: a -> b``. Its exit code is 1 when a file
+differs:
 
     python3 tools/contract_outputs.py --keep after > after.txt
     python3 tools/contract_outputs.py --root ../parent --keep before > before.txt
@@ -252,9 +254,11 @@ def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
     relative: Dict[str, Tuple[float, str]] = {}
     for path in sorted(old.keys() | new.keys()):
         a, b = old.get(path), new.get(path)
-        if a == b or path.rsplit(".", 1)[-1] == "holds" or _in_resized_tail(path, resized):
+        # By type and repr, so that 0.0 -> -0.0 and 1 -> 1.0 count as changes.
+        same = (type(a), repr(a)) == (type(b), repr(b))
+        if same or path.rsplit(".", 1)[-1] == "holds" or _in_resized_tail(path, resized):
             continue
-        if _is_number(a) and _is_number(b):
+        if _is_number(a) and _is_number(b) and a != b:
             field = re.sub(r"\[\d+\]", "[*]", path)
             change = abs(float(b) - float(a))
             if field not in largest or not change <= largest[field][0]:
