@@ -41,10 +41,10 @@ from .stable import (
     _fourier_region,
     _fourier_smoothed,
     _fourier_truncated,
+    _replicate_streams,
     _require_finite,
     _require_positive,
     norming_values,
-    replicate_seed,
     sample_stable_with,
 )
 
@@ -867,15 +867,6 @@ class DirectingLaw:
             raise ValueError(f"{name} does not accept a {slot} prior")
 
 
-def _draw_at(law: DirectingLaw, seed: int, k: int) -> _RealizedLaw:
-    """The realization of replicate ``k``, drawn from replicate_seed(seed, k, 0).
-    A law without a prior is its base, and no generator is built for it."""
-    if law.randomizer is None:
-        return law.base
-    value = law.randomizer.draw(np.random.default_rng(replicate_seed(seed, k, 0)))
-    return getattr(law.base, f"with_{law.randomizer.slot}")(value)
-
-
 def _check_positive(name: str, value) -> None:
     """A ValueError naming ``name`` unless ``value`` is a positive integer;
     a bool is not one."""
@@ -891,10 +882,15 @@ def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_Real
     rows of its replicate k are i.i.d. given
     ``draw_replicates(law, seed, replicates)[k]``, so statistics computed on
     these realizations describe exactly the arrays simulated under the same
-    seed.
+    seed. The streams come from ``_replicate_streams``, bit for bit those of
+    ``np.random.default_rng(replicate_seed(seed, k, 0))``. A law without a
+    prior is its base at every k, and derives no stream.
     """
     _check_positive("replicates", replicates)
-    return [_draw_at(law, seed, k) for k in range(replicates)]
+    if law.randomizer is None:
+        return [law.base] * replicates
+    realize = getattr(law.base, f"with_{law.randomizer.slot}")
+    return [realize(law.randomizer.draw(rng)) for rng in _replicate_streams(seed, 0, range(replicates))]
 
 
 _BLOCK = 1 << 14
@@ -918,25 +914,41 @@ def _row_sums(
     length. ``rng`` may be None for a point mass, whose ``sample`` draws nothing.
     """
     n_max = max(n_grid)
+    if n_max <= _BLOCK:
+        # One column block: the first fold of the compensated sum below is
+        # 0.0 + (s - 0.0), which is s + 0.0 bit for bit (s - 0.0 is s), so it
+        # needs no arrays; like the fold, it turns a -0.0 sum into 0.0.
+        return [s + 0.0 for s in _block_sums(p, rng, rows, n_grid, 0, n_max)]
     total = [np.zeros(rows) for _ in n_grid]
     comp = [np.zeros(rows) for _ in n_grid]
     for c in range(0, n_max, _BLOCK):
-        width = min(_BLOCK, n_max - c)
-        heads = {}
-        for j, n in enumerate(n_grid):
-            if c < n < c + width and not p.prefix_stable:
-                start = rng.bit_generator.state
-                heads[j] = p.sample(rng, rows * (n - c))
-                rng.bit_generator.state = start
-        chunk = p.sample(rng, rows * width)
-        for j, n in enumerate(n_grid):
-            if n > c:
-                m = min(width, n - c)
-                y = heads.get(j, chunk[: rows * m]).reshape(rows, m).sum(axis=1) - comp[j]
+        for j, s in enumerate(_block_sums(p, rng, rows, n_grid, c, min(_BLOCK, n_max - c))):
+            if s is not None:
+                y = s - comp[j]
                 t = total[j] + y
                 comp[j] = (t - total[j]) - y
                 total[j] = t
     return total
+
+
+def _block_sums(
+    p: _RealizedLaw, rng: Optional[np.random.Generator], rows: int, n_grid: Sequence[int], c: int, width: int
+) -> list[Optional[np.ndarray]]:
+    """The row subtotals of column block ``[c, c + width)`` for each row
+    length of ``n_grid``, None for a row length that ends before ``c``; the
+    block of :func:`_row_sums`."""
+    heads = {}
+    for j, n in enumerate(n_grid):
+        if c < n < c + width and not p.prefix_stable:
+            start = rng.bit_generator.state
+            heads[j] = p.sample(rng, rows * (n - c))
+            rng.bit_generator.state = start
+    chunk = p.sample(rng, rows * width)
+    sums = []
+    for j, n in enumerate(n_grid):
+        m = min(width, n - c)
+        sums.append(heads.get(j, chunk[: rows * m]).reshape(rows, m).sum(axis=1) if m > 0 else None)
+    return sums
 
 
 def _check_grid(n_grid: Sequence[int], rows: int, replicates: int) -> Tuple[int, ...]:
@@ -969,36 +981,51 @@ def sample_grid_sums(
     and serves every row length from it. Its rows at each row length are
     filled with entries i.i.d. given that measure from the same stream (seed
     path [seed, k, 1]), and slice ``[j]`` is bit-identical to sampling
-    ``n_grid[j]`` alone, as :func:`sample_array_sums` does. One generator
-    per replicate is built, and none for a point-mass realization (a
-    ``PointMassLaw``, or a ``StableLaw`` at c = 0), which draws nothing:
-    each distinct one is summed once. Every other realization walks its
-    stream once, at the largest row length (:func:`_row_sums`): a replicate
-    draws rows * max(n_grid) entries, plus, unless it is prefix-stable
+    ``n_grid[j]`` alone, as :func:`sample_array_sums` does. The streams of
+    all replicates are derived in one pass (``stable._replicate_streams``)
+    and are bit for bit those of ``np.random.default_rng(replicate_seed(seed,
+    k, leaf))``. A point-mass realization (a ``PointMassLaw``, or a
+    ``StableLaw`` at c = 0) draws nothing and derives no row stream: each
+    distinct one is summed once. Every other realization walks its stream
+    once, at the largest row length (:func:`_row_sums`): a replicate draws
+    rows * max(n_grid) entries, plus, unless it is prefix-stable
     (``_RealizedLaw.prefix_stable``), the last block of each shorter row
-    length that ends inside a column block. A normed sum that is not finite
+    length that ends inside a column block. Each distinct realization is
+    normed once, and all raw sums are normed together at the end, each by
+    the same division and subtraction. A normed sum that is not finite
     (an overflow under extreme tails) is a RuntimeError naming the first row
     length that has one. An empty ``n_grid``, and a row length, ``rows`` or
     ``replicates`` that is not a positive integer, are ValueErrors naming
     the argument.
     """
     n_grid = _check_grid(n_grid, rows, replicates)
-    values = np.empty((len(n_grid), replicates, rows))
-    # A point mass draws nothing from its generator, so each distinct one is
-    # summed once and its replicates build no generator.
+    realized = draw_replicates(law, seed, replicates)
+    distinct = {}
+    index = [distinct.setdefault(p, len(distinct)) for p in realized]
+    # Normed first, so a b_n or centering that fails does so before any entry
+    # is drawn. A point mass draws nothing from its generator, so its sums
+    # are taken here and its replicates derive no row stream.
+    norms = np.empty((len(distinct), len(n_grid), 2))
     constant_sums = {}
-    for k, p in enumerate(draw_replicates(law, seed, replicates)):
-        # Normed first, so a b_n or centering that fails does so before any entry is drawn.
-        norms = [norming_values(norming, n, realization=p) for n in n_grid]
+    for i, p in enumerate(distinct):
+        norms[i] = [norming_values(norming, n, realization=p) for n in n_grid]
         point = p._twin if isinstance(p, StableLaw) else p
         if isinstance(point, PointMassLaw):
-            if point not in constant_sums:
-                constant_sums[point] = _row_sums(point, None, rows, n_grid)
-            sums = constant_sums[point]
+            constant_sums[i] = _row_sums(point, None, rows, n_grid)
+    # Each replicate's b_n and c_n, as (len(n_grid), replicates, 1) arrays.
+    b_n, c_n = norms[index].T[..., None]
+    values = np.empty((len(n_grid), replicates, rows))
+    drawn = []
+    for k, i in enumerate(index):
+        if i in constant_sums:
+            values[:, k] = constant_sums[i]
         else:
-            sums = _row_sums(p, np.random.default_rng(replicate_seed(seed, k, 1)), rows, n_grid)
-        for j, (b_n, c_n) in enumerate(norms):
-            values[j, k, :] = sums[j] / b_n - c_n
+            drawn.append(k)
+    for k, rng in zip(drawn, _replicate_streams(seed, 1, drawn)):
+        values[:, k] = _row_sums(realized[k], rng, rows, n_grid)
+    # Normed in place: each raw sum divided by its b_n, then its c_n subtracted.
+    values /= b_n
+    values -= c_n
     # The message keeps the name that callers have always matched on.
     for n, at_n in zip(n_grid, values):
         nonfinite = int(np.count_nonzero(~np.isfinite(at_n)))

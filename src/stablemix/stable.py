@@ -332,9 +332,122 @@ def replicate_seed(seed: int, *path: int) -> np.random.SeedSequence:
     where ``path`` encodes the task coordinates. The sampler uses the path
     (k, 0) for the directing draw of replicate k and (k, 1) for that
     replicate's row entries. Identical coordinates give identical streams
-    regardless of scheduling order.
+    regardless of scheduling order. The sampler does not build these
+    generators one by one: :func:`_replicate_streams` computes the same
+    states for all its replicates at once.
     """
     return np.random.SeedSequence([seed, *path])
+
+
+# NumPy's SeedSequence hash, O'Neill's seed_seq_fe with a pool of 4 words,
+# and PCG64's 128-bit LCG multiplier (O'Neill 2014, "PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation").
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> List[int]:
+    """The little-endian 32-bit words that SeedSequence makes of a
+    non-negative integer; 0 is one word."""
+    n = int(n)
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count + 1`` constants of one of SeedSequence's hash
+    multiplier sequences, as a uint32 column."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of successive values, row i of ``values``
+    (or one row broadcast) under constants i and i + 1 of ``constants``."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _state_words(seed: int, leaf: int, ks: np.ndarray) -> np.ndarray:
+    """The four uint64 words of ``SeedSequence([seed, k, leaf])
+    .generate_state(4, np.uint64)`` for every k of the uint32 array ``ks``,
+    one row per k.
+
+    The hash runs on uint32 arrays with a column per k, so every multiply
+    wraps without a warning. Each pool word that one source word mixes into
+    takes the next hash constant in pool order, so those mixes are one array
+    operation.
+    """
+    seed_words = _uint32_words(seed)
+    words = seed_words + [0] + _uint32_words(leaf)
+    # Zero words pad the entropy to the pool size, as hashmix(0) does.
+    entropy = np.zeros((max(len(words), _POOL_SIZE), ks.size), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(seed_words)] = ks
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], constants[: _POOL_SIZE + 1])
+    used = _POOL_SIZE
+    for i_src in range(_POOL_SIZE):
+        i_dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        mixed = _hashmix(pool[i_src], constants[used : used + _POOL_SIZE])
+        pool[i_dst] = _mix(pool[i_dst], mixed)
+        used += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, constants[used : used + _POOL_SIZE + 1]))
+        used += _POOL_SIZE
+    # generate_state(4, np.uint64) reads 8 words, cycling through the pool,
+    # and pairs them low word first.
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def _replicate_streams(seed: int, leaf: int, replicates: Sequence[int]):
+    """Yield, for each replicate index k of ``replicates`` in order, a
+    generator in the state of ``np.random.default_rng(replicate_seed(seed,
+    k, leaf))``.
+
+    It is one generator, reused: each k's state is set just before it is
+    yielded, so a caller is done with one stream before it asks for the
+    next. The SeedSequence hash runs over all k at once (``_state_words``)
+    and PCG64's seeding, ``pcg_setseq_128_srandom_r``, in Python ints.
+    Every k is below 2**32. A seed that SeedSequence rejects raises its
+    error, before anything is yielded.
+    """
+    ks = np.asarray(replicates, dtype=np.uint32)
+    if not ks.size:
+        return
+    # Built from the first stream's own seed, which checks ``seed`` as
+    # SeedSequence does; a negative seed raises ValueError here.
+    rng = np.random.default_rng(replicate_seed(seed, int(ks[0]), leaf))
+    bit_generator = rng.bit_generator
+    # Row by row, so that no list of Python ints for every k is built.
+    for state_hi, state_lo, seq_hi, seq_lo in map(np.ndarray.tolist, _state_words(seed, leaf, ks)):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 # ---------------------------------------------------------------------------

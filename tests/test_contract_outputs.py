@@ -260,3 +260,42 @@ def test_compare_prints_a_sign_of_zero_or_type_flip(tmp_path, capsys):
         "  n: 1 -> 1.0",
         "2 of 2 files differ",
     ]
+
+
+def test_compare_pairs_each_limit_atom_with_its_nearest(tmp_path, capsys):
+    # The checkers list the atoms sorted by (gamma, c, beta), so a gamma that
+    # moves from rounding noise to 0.0 reorders them. Paired by position, the
+    # c of b@0 would read a change of 8.19 and its weights one of 0.005.
+    tool = _tool()
+
+    def atom(gamma, c, weight):
+        return {"alpha": 1.5, "beta": 0.0, "c": c, "gamma": gamma, "weight": weight}
+
+    def report(atoms):
+        return json.dumps({"verdicts": [{"holds": True, "estimated_limit": {"atoms": atoms, "gamma": 0.0}}]})
+
+    far, near = atom(-4.3e-11, 8.92, 0.085), atom(0.0, 0.73, 0.08)
+    before, after = tmp_path / "before", tmp_path / "after"
+    _write(before, {"a@0/report.json": report([far, near]), "b@0/report.json": report([far, near])})
+    _write(after, {
+        "a@0/report.json": report([near, far]),
+        "b@0/report.json": report([near, atom(0.0, 8.92 + 2e-11, 0.085)]),
+    })
+    assert tool.main(["--compare", str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a@0/report.json",
+        "  holds before: [true]",
+        "  holds after:  [true]",
+        "  verdicts[0].estimated_limit.atoms: same atoms, reordered",
+        "b@0/report.json",
+        "  holds before: [true]",
+        "  holds after:  [true]",
+        "  verdicts[0].estimated_limit.atoms: atoms reordered",
+        "  verdicts[*].estimated_limit.atoms[*].gamma: largest change 4.3e-11 at "
+        "verdicts[0].estimated_limit.atoms[0].gamma (-4.3e-11 -> 0.0), "
+        "largest relative change 1 at verdicts[0].estimated_limit.atoms[0].gamma",
+        "  verdicts[*].estimated_limit.atoms[*].c: largest change 2e-11 at "
+        "verdicts[0].estimated_limit.atoms[0].c (8.92 -> 8.92000000002), "
+        "largest relative change 2.24e-12 at verdicts[0].estimated_limit.atoms[0].c",
+        "2 of 2 files differ",
+    ]

@@ -938,8 +938,23 @@ class TestRowSums:
                 sample_array_sums(law, NormingSequence(alpha=0.5), n=64, rows=1, seed=0, replicates=50)
 
 
+def _count_streams(monkeypatch) -> list:
+    """Patch the sampler's stream helper to record the leaf of every stream
+    it derives: 0 for a directing draw, 1 for a replicate's rows."""
+    derived = []
+    streams = directing._replicate_streams
+
+    def counting(seed, leaf, replicates):
+        for rng in streams(seed, leaf, replicates):
+            derived.append(leaf)
+            yield rng
+
+    monkeypatch.setattr(directing, "_replicate_streams", counting)
+    return derived
+
+
 class TestDirectingDraws:
-    """Only a law with a prior builds a generator for its directing draw;
+    """Only a law with a prior derives a stream for its directing draw;
     the draws follow the documented seed streams."""
 
     @pytest.mark.parametrize(
@@ -947,35 +962,25 @@ class TestDirectingDraws:
         [(None, 50), (ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))), 100)],
     )
     def test_generators_per_sample(self, monkeypatch, prior, generators):
-        built = []
-        default_rng = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return default_rng(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        derived = _count_streams(monkeypatch)
         law = DirectingLaw(CauchyLaw(0.0, 1.0), prior)
         sample_array_sums(law, NormingSequence(alpha=1.0), n=16, rows=1, seed=3, replicates=50)
-        assert len(built) == generators
+        assert len(derived) == generators
+        if prior is None:
+            assert 0 not in derived
 
     @pytest.mark.parametrize(
         "prior, generators",
         [(None, 50), (ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))), 100)],
     )
     def test_generators_per_grid(self, monkeypatch, prior, generators):
-        # One row generator per replicate serves every row length of the grid.
-        built = []
-        default_rng = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return default_rng(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        # One row stream per replicate serves every row length of the grid.
+        derived = _count_streams(monkeypatch)
         law = DirectingLaw(CauchyLaw(0.0, 1.0), prior)
         sample_grid_sums(law, NormingSequence(alpha=1.0), (4, 16, 64), rows=1, seed=3, replicates=50)
-        assert len(built) == generators
+        assert len(derived) == generators
+        if prior is None:
+            assert 0 not in derived
 
     def test_draws_follow_the_seed_streams(self):
         law = DirectingLaw(CauchyLaw(0.0, 1.0), ScaleLogNormal(0.0, 0.5))
@@ -1175,22 +1180,15 @@ class TestGridSums:
         ],
     )
     def test_point_mass_builds_no_row_generator(self, monkeypatch, base, prior, generators):
-        # Only the directing draws build a generator: one per replicate with
+        # Only the directing draws derive a stream: one per replicate with
         # a prior, none without; the sums keep the per-length loop's bits. A
         # stable law at c = 0 is its point-mass twin.
         law = DirectingLaw(base, prior)
         norming = NormingSequence(1.0, **_MEAN_CENTERED)
         reference = _per_length_reference(law, norming, self.HARD_GRID, 2, seed=3, replicates=40)
-        built = []
-        default_rng = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return default_rng(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        derived = _count_streams(monkeypatch)
         grid = sample_grid_sums(law, norming, self.HARD_GRID, 2, seed=3, replicates=40)
-        assert len(built) == generators
+        assert derived == [0] * generators
         assert np.array_equal(grid, reference)
 
     @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ from stablemix.stable import (
     eval_g,
     eval_w,
     levy_khintchine_psi,
+    _replicate_streams,
     norming_values,
+    replicate_seed,
     sample_stable,
     stable_cf,
 )
@@ -207,6 +209,47 @@ class TestSampler:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             sample_stable(StableParams(1.0, 0.0, 1.0, 0.0), 0, seed=1)
+
+
+def _first_draws(rng):
+    """The first draws of a stream: doubles, then integers from its uint32
+    buffer, then one more double."""
+    return rng.standard_normal(3).tolist(), rng.integers(0, 2, 5).tolist(), rng.random()
+
+
+class TestReplicateStreams:
+    """The sampler's streams against the generators they replace: the stream
+    of replicate k on leaf ``leaf`` is np.random.default_rng(replicate_seed(
+    seed, k, leaf)), bit for bit."""
+
+    # One entropy word, a full word, two words and the three- and four-word
+    # seeds that mix past the pool of 4.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**100 + 3])
+    @pytest.mark.parametrize("leaf", [0, 1])
+    def test_every_stream_is_its_default_rng(self, seed, leaf):
+        streams = _replicate_streams(seed, leaf, range(300))
+        for k, rng in zip(range(300), streams, strict=True):
+            reference = np.random.default_rng(replicate_seed(seed, k, leaf))
+            assert rng.bit_generator.state == reference.bit_generator.state, k
+            # The draws leave a half-used uint32 buffer, which the next k's state clears.
+            assert _first_draws(rng) == _first_draws(reference), k
+
+    def test_any_replicate_indices_in_order(self):
+        indices = [299, 0, 17, 17, 2**32 - 1]
+        got = [rng.bit_generator.state for rng in _replicate_streams(11, 1, indices)]
+        assert got == [np.random.default_rng(replicate_seed(11, k, 1)).bit_generator.state for k in indices]
+        assert list(_replicate_streams(11, 1, [])) == []
+
+    def test_a_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            next(_replicate_streams(-1, 0, range(3)))
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([-1, 0, 0])
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1)])
+    def test_a_numpy_integer_seed_is_its_python_int(self, seed):
+        got = [rng.bit_generator.state for rng in _replicate_streams(seed, 1, range(5))]
+        assert got == [rng.bit_generator.state for rng in _replicate_streams(int(seed), 1, range(5))]
 
 
 class TestNorming:

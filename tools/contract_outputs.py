@@ -31,8 +31,14 @@ elements), then every numeric field that moved (list indices folded to
 ``[*]``) with its largest absolute change and where that change is, and its
 largest relative change |b - a| / max(|a|, |b|) and where that is. Any other
 leaf that changed type or repr, a sign-of-zero flip such as 0.0 -> -0.0
-included, prints as ``path: a -> b``. Its exit code is 1 when a file
-differs:
+included, prints as ``path: a -> b``. Each atom of an
+``estimated_limit.atoms`` list is compared with its nearest atom on the
+other side by (gamma, c, beta), not with the atom at its position: the
+checkers list the atoms sorted by that key, so a rounding-level move of
+gamma can reorder them. A list that holds the same atoms in another order
+prints as ``path: same atoms, reordered``; otherwise a reordered list prints
+as ``path: atoms reordered``, and each moved atom as the largest change of
+its fields, at its position before. Its exit code is 1 when a file differs:
 
     python3 tools/contract_outputs.py --keep after > after.txt
     python3 tools/contract_outputs.py --root ../parent --keep before > before.txt
@@ -232,9 +238,51 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+ATOM_KEY = ("gamma", "c", "beta")
+
+
+def _atom_distance(a: Dict[str, float], b: Dict[str, float]) -> float:
+    """How far apart two limit atoms are: the sum over (gamma, c, beta) of
+    |a - b| / max(1, |a|, |b|), so that a rounding-level move is tiny next
+    to the gap between two different atoms."""
+    return sum(abs(a[key] - b[key]) / max(1.0, abs(a[key]), abs(b[key])) for key in ATOM_KEY)
+
+
+def _pair_atoms(before: Any, after: Any) -> List[str]:
+    """Reorder every ``estimated_limit.atoms`` list of ``after`` in place so
+    that each atom sits at the position of its partner in ``before``: the
+    closest pair under :func:`_atom_distance` is matched first, then the
+    closest of the rest; unmatched atoms go last. Returns the paths of the
+    lists that had to be reordered."""
+    lists = [
+        {
+            path: value
+            for path, value in _nodes(side)
+            if path.endswith("estimated_limit.atoms") and isinstance(value, list)
+        }
+        for side in (before, after)
+    ]
+    reordered = []
+    for path in sorted(lists[0].keys() & lists[1].keys()):
+        old, new = lists[0][path], lists[1][path]
+        distances = sorted((_atom_distance(a, b), i, j) for i, a in enumerate(old) for j, b in enumerate(new))
+        partner: Dict[int, int] = {}
+        for _, i, j in distances:
+            if i not in partner and j not in partner.values():
+                partner[i] = j
+        order = [partner[i] for i in sorted(partner)]
+        order += [j for j in range(len(new)) if j not in order]
+        if order != sorted(order):
+            reordered.append(path)
+        new[:] = [new[j] for j in order]
+    return reordered
+
+
 def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
     """The lines ``--compare`` prints for one file that differs."""
-    nodes = [dict(_nodes(_parsed(name, data))) for data in (before, after)]
+    parsed = [_parsed(name, data) for data in (before, after)]
+    reordered = _pair_atoms(*parsed)
+    nodes = [dict(_nodes(side)) for side in parsed]
     old, new = ({path: v for path, v in side.items() if not isinstance(v, (dict, list, tuple))} for side in nodes)
     lengths = [{path: len(v) for path, v in side.items() if isinstance(v, (list, tuple))} for side in nodes]
     resized = {
@@ -250,6 +298,9 @@ def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
     # An added or removed list element prints as its list's length change,
     # not as one line per leaf.
     lines += [f"  {path or '(top level)'}: length {a} -> {b}" for path, (a, b) in resized.items()]
+    for path in reordered:
+        same = repr(nodes[0][path]) == repr(nodes[1][path])
+        lines.append(f"  {path}: {'same atoms, reordered' if same else 'atoms reordered'}")
     largest: Dict[str, Tuple[float, str, Any, Any]] = {}
     relative: Dict[str, Tuple[float, str]] = {}
     for path in sorted(old.keys() | new.keys()):
