@@ -436,7 +436,7 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
     It is the whole-line radius of :func:`_restricted_distance`, the
     computation behind every radius of :func:`dsharp`: the exact distance
-    rounded once where the closed form applies, and exact up to rounding
+    rounded once where the closed form applies, and the search's value
     elsewhere. More than 2048 distinct atom locations raise a ``ValueError``.
     """
     return _restricted_distance(mu, nu)(math.inf)
@@ -449,19 +449,23 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
 
     Let g be the smallest distance between two distinct support points of a
     restricted pair, P the sum of mu(x) - nu(x) over the points where mu is
-    heavier, N the same with mu and nu swapped, and U = max(P, N). Every
-    one-sided violation is at most U, because A lies in A^eps, and for
-    eps < g each closed eps-ball holds only its own support point, so the
-    violation is exactly U. Hence, when U < g, the distance is exactly U;
-    this covers U = 0 and a restriction with at most one support point. U is
-    the larger of two ``math.fsum`` sums of (m, -n) terms over the ball's
-    slice of the union of both supports, so it is correctly rounded, and g
-    is the smallest float gap in that slice; rounding is monotone, so a
-    float U below it implies the exact premise. Where U >= g the distance
-    comes from the search :func:`_prokhorov_arrays`. Every restriction is
-    supported in the union, so the distances between its points serve as
-    the critical set of every search; it is built on the first search (see
-    :func:`_critical_set`).
+    heavier, N the same with mu and nu swapped, and U = max(P, N). The
+    distance d lies between |P - N| and U: taking A to be the whole support
+    gives a violation of at least |P - N| at every eps, and no violation
+    exceeds U, because A lies in A^eps. So when one side's excess is empty,
+    min(P, N) = 0, d is exactly U, whatever the gaps; this covers U = 0 and
+    a restriction with at most one support point. And for eps < g each
+    closed eps-ball holds only its own support point, so the violation is
+    exactly U; hence, when U < g, d is exactly U too. U is the larger of two
+    ``math.fsum`` sums of (m, -n) terms over the ball's slice of the union
+    of both supports, so it is correctly rounded. Whether a side's excess is
+    empty is read from the term counts, with no float comparison; g is the
+    smallest float gap in the slice, and rounding is monotone, so a float U
+    below it implies the exact premise. Where P, N > 0 and U >= g the
+    distance comes from the search :func:`_prokhorov_arrays`. Every
+    restriction is supported in the union, so the distances between its
+    points serve as the critical set of every search; it is built on the
+    first search (see :func:`_critical_set`).
 
     The tables over the union are built once, and more than
     ``_MAX_CRITICAL_LOCATIONS`` distinct locations raise a ``ValueError``
@@ -494,7 +498,7 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
         # Locations are sorted, so each open ball (-radius, radius) is a slice.
         low, high = bisect_right(points, -radius), bisect_left(points, radius)
         excess = max(math.fsum(plus[plus_at[low] : plus_at[high]]), math.fsum(minus[minus_at[low] : minus_at[high]]))
-        if high - low < 2 or excess < min(gaps[low : high - 1]):
+        if plus_at[low] == plus_at[high] or minus_at[low] == minus_at[high] or excess < min(gaps[low : high - 1]):
             return excess
         nonlocal critical
         if critical is None:
@@ -514,8 +518,8 @@ def _prokhorov_arrays(
     critical: Sequence[float],
 ) -> float:
     """Levy-Prokhorov distance between two measures given as canonical
-    (sorted, distinct, positive) atom lists, exact up to rounding, by a
-    search over critical distances.
+    (sorted, distinct, positive) atom lists, by a search over critical
+    distances.
 
     :param critical: sorted, holding every distance between an atom of mu
         and an atom of nu; extra values cost a little search time and do
@@ -525,14 +529,18 @@ def _prokhorov_arrays(
     of eps that changes only at the critical distances. The search starts
     at the mass gap between the ``math.fsum`` totals, then probes the
     intervals between critical distances at indices 0, 1, 3, 7, ... until
-    one is feasible and bisects inside the last bracket. On spectral fits the distance nearly always is the mass
-    gap or lies in the first interval above it, so a search costs one or two
-    evaluations of V; an answer in interval k costs O(log k), and at worst
-    about twice a bisection of the whole bracket. Feasibility is monotone in
-    the interval index, so both searches return the same distance bit for
-    bit. Each evaluation of V is two capped passes of
-    :func:`_prokhorov_one_sided`, which stop once V exceeds the edge above
-    the probed interval.
+    one is feasible and bisects inside the last bracket. That start is the
+    difference of two rounded totals, so where the distance is the mass gap
+    it can lie thousands of units in the last place from it; the caller
+    takes the exact closed form wherever one side's excess is empty, and
+    searches only restrictions where both sides have one. On the
+    benchmark's spectral fits each such distance was the mass gap or lay in
+    the first interval above it, so a search cost one or two evaluations of
+    V; an answer in interval k costs O(log k), and at worst about twice a
+    bisection of the whole bracket. Feasibility is monotone in the interval
+    index, so both searches return the same distance bit for bit. Each
+    evaluation of V is two capped passes of :func:`_prokhorov_one_sided`,
+    which stop once V exceeds the edge above the probed interval.
     """
     # accumulate adds in the order of np.cumsum.
     mu_cum = list(accumulate(mu_masses, initial=0.0))

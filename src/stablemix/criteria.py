@@ -44,6 +44,7 @@ outside the contract of every checker here.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -317,12 +318,56 @@ def _combine_list(statuses: Sequence[Optional[bool]]) -> Optional[bool]:
     return _tri(any(s is False for s in statuses), all(s is True for s in statuses))
 
 
+# np.quantile and np.median load numpy.ma on their first call, 10-19 ms in a
+# fresh process; these two give their values bit for bit without it. Where
+# -0.0 and 0.0 both occur, a zero's sign may differ, as NumPy's follows its
+# partition order.
+
+
+def _sorted_values(values: np.ndarray) -> Optional[List[float]]:
+    """The values sorted as a flat list, or None when one is NaN."""
+    ordered = np.sort(values, axis=None).tolist()
+    return None if math.isnan(ordered[-1]) else ordered
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)``: the middle value, or (a + b) / 2 of the middle
+    two, as ``np.mean`` takes it; NaN when ``values`` holds a NaN."""
+    ordered = _sorted_values(values)
+    if ordered is None:
+        return math.nan
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
+def _linear_quantiles(values: np.ndarray, probs: Sequence[float]) -> List[float]:
+    """``np.quantile(values, probs)`` by NumPy's default ``linear`` method;
+    NaN for every quantile when ``values`` holds a NaN.
+
+    The q-quantile lies at index (n - 1) * q of the sorted values, between
+    the points a and b around it at fraction t, and is NumPy's ``_lerp``:
+    a + (b - a) * t, or b - (b - a) * (1 - t) when t >= 0.5. From index
+    n - 1 up, NumPy reads the last point at both ends, as index -1.
+    """
+    ordered = _sorted_values(values)
+    if ordered is None:
+        return [math.nan] * len(probs)
+    last = len(ordered) - 1
+    quantiles = []
+    for q in probs:
+        index = last * q
+        below, above = (math.floor(index), math.floor(index) + 1) if index < last else (-1, -1)
+        a, b, t = ordered[below], ordered[above], index - below
+        quantiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return quantiles
+
+
 def _quantiles(values: np.ndarray) -> Dict[str, float]:
-    q10, q50, q90 = np.quantile(values, [0.1, 0.5, 0.9])
+    q10, q50, q90 = _linear_quantiles(values, (0.1, 0.5, 0.9))
     return {
-        "q10": float(q10),
-        "q50": float(q50),
-        "q90": float(q90),
+        "q10": q10,
+        "q50": q50,
+        "q90": q90,
         "mean": float(np.mean(values)),
     }
 
@@ -362,12 +407,12 @@ def _in_probability(
     that still moves by that much is going somewhere else).
     """
     last = samples[-1]
-    est = float(target) if target is not None else float(np.median(last))
+    est = float(target) if target is not None else _median(last)
     fracs = [float(np.mean(np.abs(s - est) > cfg.delta)) for s in samples]
     out = _fraction_verdict(fracs, cfg)
     out["limit"] = est
     if target is None and len(samples) >= 2:
-        drift = abs(float(np.median(samples[-2])) - est)
+        drift = abs(_median(samples[-2]) - est)
         out["drift"] = float(drift)
         holds = out["holds"]
         out["holds"] = _tri(holds is False or drift > 10.0 * cfg.delta, holds is True and drift <= cfg.delta)
@@ -419,8 +464,8 @@ def _spread(
     values: np.ndarray, cfg: StatTestConfig
 ) -> Dict[str, object]:
     """Test that an empirical law is not a single point (decile spread)."""
-    q10, q90 = np.quantile(values, [0.1, 0.9])
-    spread = float(q90 - q10)
+    q10, q90 = _linear_quantiles(values, (0.1, 0.9))
+    spread = q90 - q10
     return {"holds": spread > cfg.margin, "decile_spread": spread}
 
 
@@ -750,7 +795,7 @@ def check_cauchy_mixture(panel: DrawPanel, config: StatTestConfig) -> CriterionV
         1.0,
         config,
         lambda atoms, locations: {
-            "location_median": float(np.median(locations)),
+            "location_median": _median(locations),
             "atoms": _stable_atom_dicts(pushforward_one(atoms)),
         },
     )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -771,10 +772,19 @@ class _AtomPrior:
                 _require_positive("dispersion value", v)
             _require_finite(f"{self.slot} value", v)
 
+    @functools.cached_property
+    def _choice_table(self) -> Tuple[List[float], List[float]]:
+        """The values and the cdf that ``Generator.choice`` builds from the
+        weights: their cumulative sums divided by the last one."""
+        cdf = np.cumsum([w for _, w in self.atoms])
+        cdf /= cdf[-1]
+        return [v for v, _ in self.atoms], cdf.tolist()
+
     def draw(self, rng: np.random.Generator) -> float:
-        values = [v for v, _ in self.atoms]
-        weights = [w for _, w in self.atoms]
-        return float(rng.choice(values, p=weights))
+        """``rng.choice(values, p=weights)`` bit for bit, generator state
+        included: one ``rng.random()`` looked up in the cached cdf."""
+        values, cdf = self._choice_table
+        return float(values[bisect_right(cdf, rng.random())])
 
 
 @dataclass(frozen=True)

@@ -917,20 +917,37 @@ def _restrictions(mu, nu, r_max=20.0):
         yield left, right, (mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
 
 
-def _closed_form(mu_locs, mu_masses, nu_locs, nu_masses):
-    """float(U) for U = max(P, N), P and N the exact excess masses of mu over
-    nu and of nu over mu summed in Fractions, when float(U) lies below the
-    smallest gap between the union's points; else None. Below that gap U is
-    the Levy-Prokhorov distance."""
-    points = np.union1d(mu_locs, nu_locs)
-    excess = {x: Fraction(0) for x in points.tolist()}
+def _units(x):
+    """The float ``x`` as an exact integer number of units 2**-1074, the
+    spacing of the subnormal floats."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
+
+
+def _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses):
+    """(P, N): the exact excess masses of mu over nu and of nu over mu as
+    Fractions, summed over the points where each side is heavier."""
+    excess = {}
     for x, m in zip(mu_locs.tolist(), mu_masses.tolist()):
-        excess[x] += Fraction(m)
+        excess[x] = excess.get(x, 0) + _units(m)
     for x, m in zip(nu_locs.tolist(), nu_masses.tolist()):
-        excess[x] -= Fraction(m)
-    u = float(max(sum(e for e in excess.values() if e > 0), -sum(e for e in excess.values() if e < 0)))
-    gap = float(np.diff(points).min()) if points.size > 1 else math.inf
-    return u if u < gap else None
+        excess[x] = excess.get(x, 0) - _units(m)
+    plus = sum(e for e in excess.values() if e > 0)
+    minus = -sum(e for e in excess.values() if e < 0)
+    return Fraction(plus, 1 << 1074), Fraction(minus, 1 << 1074)
+
+
+def _closed_form(mu_locs, mu_masses, nu_locs, nu_masses):
+    """float(U) for U = max(P, N) of :func:`_excess_masses`, when one excess
+    is empty or float(U) lies below the smallest gap between the union's
+    points; else None. The distance lies between |P - N| and U, so it is U
+    when min(P, N) = 0; below the gap every violation is U."""
+    plus, minus = _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses)
+    u = float(max(plus, minus))
+    if min(plus, minus) == 0:
+        return u
+    points = np.union1d(mu_locs, nu_locs)
+    return u if u < float(np.diff(points).min()) else None
 
 
 def _bisect_dsharp(mu, nu, r_max=20.0):
@@ -954,9 +971,14 @@ def _bisect_dsharp(mu, nu, r_max=20.0):
     return total
 
 
+def _restrictions_of(pairs):
+    """:func:`_restrictions` of every pair in ``pairs``, in order."""
+    return (segment for mu, nu in pairs for segment in _restrictions(mu, nu))
+
+
 def _closed_form_count(pairs):
     """How many dsharp radii of ``pairs`` meet the closed-form premise."""
-    return sum(_closed_form(*arrays) is not None for mu, nu in pairs for _, _, arrays in _restrictions(mu, nu))
+    return sum(_closed_form(*arrays) is not None for _, _, arrays in _restrictions_of(pairs))
 
 
 def _pairs(*pairs):
@@ -965,18 +987,21 @@ def _pairs(*pairs):
 
 # Measure pairs whose distance is read at a known place: the mass gap, the
 # first interval, at least 30 intervals up, and the last interval (edge hi).
-# Each has U >= g over the whole line, so prokhorov_distance searches.
+# Each has P, N > 0 and U >= g over the whole line, so prokhorov_distance
+# searches.
 _LATTICE = [(0.001 * i, 0.02) for i in range(50)]
 _PLACED_PAIRS = {
-    "gap": (_pairs((0.0, 1.0), (0.5, 0.5)), _pairs((0.0, 0.5))),
+    "gap": (_pairs((0.0, 1.0), (1.0, 0.25)), _pairs((0.0, 0.5), (1.25, 0.25))),
     "first": (_pairs((0.0, 0.25), (1.0, 0.75)), _pairs((0.25, 0.25), (1.0, 0.75))),
     "deep": (AtomicMeasure.from_pairs(_LATTICE), AtomicMeasure.from_pairs((x + 0.1, m) for x, m in _LATTICE)),
     "last": (_pairs((0.0, 0.5), (0.2, 0.5)), _pairs((3.0, 0.5), (3.3, 0.5))),
 }
 # Pairs that meet the closed-form premise over the whole line: one support
-# point, and U = 0.05 below g = 0.5, where the search read 0.050000000000000044.
+# point, mu heavier at every point, and U = 0.05 below g = 0.5, where the
+# search read 0.050000000000000044.
 _CLOSED_PAIRS = {
     "one point": (_pairs((0.0, 1.0)), _pairs((0.0, 0.5))),
+    "one side heavier": (_pairs((0.0, 1.0), (0.5, 0.5)), _pairs((0.0, 0.5))),
     "below the gap": (_pairs((0.0, 0.05), (1.0, 0.95)), _pairs((0.5, 0.05), (1.0, 0.95))),
 }
 
@@ -1051,21 +1076,23 @@ def _one_sided_violation(a_locs, a_masses, b_locs, b_masses, eps):
     """
     cum = np.concatenate([[0.0], np.cumsum(b_masses)])
     ranges = []
-    for x in a_locs:
-        near = np.flatnonzero(np.abs(b_locs - x) <= eps)
-        if near.size:
-            assert near[-1] - near[0] + 1 == near.size, "neighbourhood is not an index range"
-            ranges.append((int(near[0]), int(near[-1]) + 1))
+    hits = (np.abs(b_locs - a_locs[:, None]) <= eps).tolist()
+    for row, at in zip(hits, np.searchsorted(b_locs, a_locs).tolist()):
+        near = [j for j, hit in enumerate(row) if hit]
+        if near:
+            assert near[-1] - near[0] + 1 == len(near), "neighbourhood is not an index range"
+            ranges.append((near[0], near[-1] + 1))
         else:
-            at = int(np.searchsorted(b_locs, x))
             ranges.append((at, at))
     assert ranges == sorted(ranges) and [r for _, r in ranges] == sorted(r for _, r in ranges)
+    cum = cum.tolist()
+    rights = [right for _, right in ranges]
     best = []
-    for i, (mass, (left, right)) in enumerate(zip(a_masses, ranges)):
-        value = -(cum[right] - cum[left])
-        for j in range(i):
-            value = max(value, best[j] - (cum[right] - cum[max(left, ranges[j][1])]))
-        best.append(mass + value)
+    for mass, (left, right) in zip(a_masses.tolist(), ranges):
+        top = cum[right]
+        # zip stops at the atoms before this one, which best holds.
+        joined = [b - (top - cum[r if r > left else left]) for b, r in zip(best, rights)]
+        best.append(mass + max([-(top - cum[left]), *joined]))
     return max([0.0] + best)
 
 
@@ -1100,18 +1127,39 @@ def _recorded_dsharp_pairs(monkeypatch):
     return pairs
 
 
+def _ball(measure, radius):
+    """The locations and masses of ``measure`` in the open ball (-radius, radius)."""
+    keep = np.abs(measure.locations) < radius
+    return measure.locations[keep], measure.masses[keep]
+
+
 @pytest.fixture
 def recorded_distances(monkeypatch):
-    """Every (arrays, distance) the library computes while the test runs."""
+    """(arrays, distance, searched) for every restricted distance the library
+    returns while the test runs, closed forms included: the locations and
+    masses of both restrictions, the distance, and whether the search ran."""
     records = []
+    searches = []
+    restricted = characteristics._restricted_distance
     search = characteristics._prokhorov_arrays
 
-    def recording(*args):
-        d = search(*args)
-        records.append((tuple(map(np.asarray, args[:4])), d))
-        return d
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
 
-    monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
+    def recording(mu, nu):
+        distance = restricted(mu, nu)
+
+        def recorded(radius):
+            before = len(searches)
+            d = distance(radius)
+            records.append(((*_ball(mu, radius), *_ball(nu, radius)), d, len(searches) > before))
+            return d
+
+        return recorded
+
+    monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting)
+    monkeypatch.setattr(characteristics, "_restricted_distance", recording)
     return records
 
 
@@ -1126,7 +1174,7 @@ class TestProkhorovCertificate:
                 prokhorov_distance(a, b)
                 dsharp(a, b)
         assert len(recorded_distances) > 1000
-        for index, (arrays, d) in enumerate(recorded_distances):
+        for index, (arrays, d, _) in enumerate(recorded_distances):
             _certify(*arrays, d, f"distance {index}")
 
     def test_spectral_fit_residuals(self, recorded_distances, monkeypatch):
@@ -1137,10 +1185,13 @@ class TestProkhorovCertificate:
             for alpha in (1.5, 1.2):
                 fit_spectrum(measure, alpha)
         # 60 radii: the closed forms, and a search for every other one.
-        assert len(recorded_distances) + _closed_form_count(pairs) == 60
-        searched = [d for (arrays, d) in recorded_distances if d > abs(arrays[1].sum() - arrays[3].sum())]
+        assert len(recorded_distances) == 60 == len(list(_restrictions_of(pairs)))
+        assert [searched for _, _, searched in recorded_distances] == [
+            _closed_form(*arrays) is None for _, _, arrays in _restrictions_of(pairs)
+        ]
+        searched = [d for (arrays, d, _) in recorded_distances if d > abs(arrays[1].sum() - arrays[3].sum())]
         assert searched, "the fits should need searched distances"
-        for index, (arrays, d) in enumerate(recorded_distances):
+        for index, (arrays, d, _) in enumerate(recorded_distances):
             _certify(*arrays, d, f"fit distance {index}")
 
 
@@ -1587,6 +1638,31 @@ class TestClosedForm:
             closed += _assert_closed_forms_exact(measure, shape, what)
             radii += len(list(_restrictions(measure, shape))) + 1
         assert radii > closed > radii // 2, f"{closed} closed forms in {radii} radii"
+
+    def test_dominated_radii_of_benchmark_panels(self, tmp_path, monkeypatch):
+        # Where one restriction is at least the other at every point, the
+        # distance is U itself, rounded once; the search, kept for P, N > 0,
+        # starts from a difference of two rounded totals and lands near it.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        dominated = 0
+        for what, measure, alpha in _benchmark_measures(tmp_path):
+            shape = discretize_spectral(fit_spectrum(measure, alpha)[0])
+            distance = characteristics._restricted_distance(measure, shape)
+            points = {*measure.locations.tolist(), *shape.locations.tolist()}
+            critical = characteristics._critical_set(tuple(sorted(points)))
+            radii = [0.5 * (left + right) for left, right, _ in _restrictions(measure, shape)]
+            for radius in (*radii, math.inf):
+                arrays = (*_ball(measure, radius), *_ball(shape, radius))
+                plus, minus = _excess_masses(*arrays)
+                if min(plus, minus) > 0:
+                    continue
+                exact = float(max(plus, minus))
+                got = distance(radius)
+                assert got == exact, f"{what}, radius {radius!r}: {got!r} != {exact!r}"
+                searched = characteristics._prokhorov_arrays(*(a.tolist() for a in arrays), critical)
+                assert abs(searched - exact) <= 1e-10 * exact, f"{what}, radius {radius!r}: search {searched!r}"
+                dominated += 1
+        assert dominated > 10000
 
     @pytest.mark.parametrize("name", sorted({**_PLACED_PAIRS, **_CLOSED_PAIRS}))
     def test_exact_on_placed_pairs(self, name):

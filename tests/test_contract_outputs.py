@@ -162,7 +162,7 @@ def test_compare_prints_verdicts_and_largest_changes(tmp_path, capsys):
         "a@0/residuals": "(0.5, 0.25, 0.0625)\n",
         "b@0/cf.csv": "n,t\n",
     })
-    assert tool.main(["--compare", str(before), str(after)]) == 1
+    assert tool.main(["--compare", str(before), str(after)]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "a@0/quantities.csv",
         "  [*].m: largest change 0.25 at [1].m (0.25 -> 0.5), largest relative change 0.5 at [1].m",
@@ -299,3 +299,24 @@ def test_compare_pairs_each_limit_atom_with_its_nearest(tmp_path, capsys):
         "largest relative change 2.24e-12 at verdicts[0].estimated_limit.atoms[0].c",
         "2 of 2 files differ",
     ]
+
+
+def test_compare_exits_2_only_when_a_verdict_changes(tmp_path):
+    # 0 for equal directories, 1 when only numbers move, 2 when a verdict's
+    # holds changes, also beside moved numbers in another file.
+    tool = _tool()
+
+    def report(holds, residual):
+        return json.dumps({"verdicts": [{"holds": holds, "evidence": {"max_residual": residual}}]})
+
+    base = {"a@0/report.json": report(None, 0.5), "b@0/report.json": report(True, 0.25)}
+    cases = {
+        "same": (base, 0),
+        "moved": ({**base, "a@0/report.json": report(None, 0.5000000000001)}, 1),
+        "flipped": ({**base, "b@0/report.json": report(None, 0.25)}, 2),
+        "both": ({"a@0/report.json": report(None, 0.75), "b@0/report.json": report(False, 0.25)}, 2),
+    }
+    _write(tmp_path / "before", base)
+    for name, (files, code) in cases.items():
+        _write(tmp_path / name, files)
+        assert tool.main(["--compare", str(tmp_path / "before"), str(tmp_path / name)]) == code, name

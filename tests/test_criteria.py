@@ -15,6 +15,8 @@ from stablemix.criteria import (
     StatTestConfig,
     _in_probability,
     _limit_atoms,
+    _linear_quantiles,
+    _median,
     _relaxed_ks,
     check_cauchy_mixture,
     check_degenerate,
@@ -128,6 +130,48 @@ class TestGridAndConfig:
             check_sec5_conditions(
                 DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0), 1.5, (100.0, math.nan), CFG
             )
+
+
+def _order_statistic_samples(rng):
+    """Samples of 1 to 499 values: Gaussian over ten decades, small integers
+    (ties, +0.0 only) and Cauchy."""
+    for trial in range(3000):
+        n = int(rng.integers(1, 500))
+        kind = trial % 3
+        if kind == 0:
+            yield rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        elif kind == 1:
+            yield rng.integers(-3, 4, size=n).astype(float)
+        else:
+            yield rng.standard_cauchy(n)
+
+
+class TestOrderStatistics:
+    """The quantile and median helpers against np.quantile and np.median,
+    bit for bit, which load numpy.ma on first use."""
+
+    def test_quantiles_equal_np_quantile(self):
+        for values in _order_statistic_samples(np.random.default_rng(20261020)):
+            for probs in ((0.1, 0.5, 0.9), (0.0, 0.25, 1.0)):
+                want = np.quantile(values, list(probs)).tolist()
+                got = _linear_quantiles(values, probs)
+                assert [x.hex() for x in got] == [x.hex() for x in want], f"{values.size} values at {probs}"
+
+    def test_median_equals_np_median(self):
+        for values in _order_statistic_samples(np.random.default_rng(20261021)):
+            want = float(np.median(values))
+            assert _median(values).hex() == want.hex(), f"{values.size} values"
+
+    def test_nan_gives_nan(self):
+        values = np.array([1.0, np.nan, 2.0])
+        assert all(math.isnan(q) for q in _linear_quantiles(values, (0.1, 0.9)))
+        assert math.isnan(_median(values))
+
+    def test_signed_zeros_give_a_zero(self):
+        # NumPy's sign of a zero quantile follows its partition order.
+        values = np.where(np.random.default_rng(0).random(101) < 0.5, -0.0, 0.0)
+        assert _linear_quantiles(values, (0.1, 0.5, 0.9)) == [0.0, 0.0, 0.0]
+        assert _median(values) == 0.0
 
 
 class TestStatisticalHelpers:

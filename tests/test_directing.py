@@ -1051,6 +1051,31 @@ _GRID_LAWS = [
 ]
 
 
+class TestAtomPriorDraw:
+    """A finite prior's draw is ``rng.choice(values, p=weights)`` bit for
+    bit, and leaves the generator where ``choice`` leaves it."""
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            ScaleAtoms(atoms=((1.0, 0.5), (2.0, 0.5))),
+            ScaleAtoms(atoms=((0.5, 0.2), (1.5, 0.3), (4.0, 0.5))),
+            LocationAtoms(atoms=((-1.0, 0.1), (0.0, 0.2), (1.0, 0.3), (2.5, 0.4))),
+        ],
+    )
+    def test_equal_to_generator_choice(self, prior):
+        values, weights = [v for v, _ in prior.atoms], [w for _, w in prior.atoms]
+        drawn = set()
+        for seed in range(2000):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                got, want = prior.draw(ours), float(theirs.choice(values, p=weights))
+                assert got.hex() == want.hex(), f"seed {seed}: {got!r} != {want!r}"
+                drawn.add(got)
+            assert ours.bit_generator.state == theirs.bit_generator.state, f"seed {seed}"
+        assert drawn == set(values)
+
+
 class TestGridSums:
     """The grid sampler against the per-length loop it replaced: one directing
     draw and one walk of the row stream per replicate give the same bits as a

@@ -27,8 +27,8 @@ FOOTPRINT = textwrap.dedent(
     assert not scipy_modules(), f"import: {scipy_modules()[:5]}"
     assert "concurrent.futures" not in sys.modules
 
-    from stablemix.criteria import DrawPanel, NGrid, StatTestConfig, check_stable_mixture
-    from stablemix.directing import DirectingLaw, ScaleLogNormal, StableLaw
+    from stablemix.criteria import DrawPanel, NGrid, StatTestConfig, check_sec5_conditions, check_stable_mixture
+    from stablemix.directing import DirectingLaw, ParetoLaw, ScaleLogNormal, StableLaw
     from stablemix.empirics import get_scenario, identity_residual, run_scenario
     from stablemix.stable import NormingSequence, StableParams
 
@@ -36,8 +36,15 @@ FOOTPRINT = textwrap.dedent(
     panel = DrawPanel(law, NormingSequence(1.5), NGrid((100, 1000), 100), 5)
     check_stable_mixture(panel, 1.5, StatTestConfig())
     assert not scipy_modules(), f"check_stable_mixture: {scipy_modules()[:5]}"
-    # Nor numpy.ma, which np.unique loads on first use.
+    # Nor numpy.ma, which np.unique, np.quantile and np.median load on first
+    # use; the section-5 battery on a lognormal-Pareto panel takes quantiles
+    # and medians.
     assert "numpy.ma" not in sys.modules
+    pareto = DirectingLaw(ParetoLaw(1.5, 1.0, 0.5), ScaleLogNormal(0.0, 0.5))
+    panel = DrawPanel(pareto, NormingSequence(1.5), NGrid((100, 1000), 100), 3)
+    check_sec5_conditions(panel, 1.5, (100.0, 1000.0, 10000.0), StatTestConfig())
+    assert "numpy.ma" not in sys.modules
+    assert not scipy_modules(), f"check_sec5_conditions: {scipy_modules()[:5]}"
 
     spec = dataclasses.replace(
         get_scenario("cauchy-fixed"),

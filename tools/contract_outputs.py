@@ -38,7 +38,8 @@ checkers list the atoms sorted by that key, so a rounding-level move of
 gamma can reorder them. A list that holds the same atoms in another order
 prints as ``path: same atoms, reordered``; otherwise a reordered list prints
 as ``path: atoms reordered``, and each moved atom as the largest change of
-its fields, at its position before. Its exit code is 1 when a file differs:
+its fields, at its position before. Its exit code is 2 when the ``holds``
+of some report's verdicts differ, else 1 when a file differs, else 0:
 
     python3 tools/contract_outputs.py --keep after > after.txt
     python3 tools/contract_outputs.py --root ../parent --keep before > before.txt
@@ -278,8 +279,9 @@ def _pair_atoms(before: Any, after: Any) -> List[str]:
     return reordered
 
 
-def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
-    """The lines ``--compare`` prints for one file that differs."""
+def file_changes(name: str, before: bytes, after: bytes) -> Tuple[List[str], bool]:
+    """The lines ``--compare`` prints for one file that differs, and whether
+    the ``holds`` values of its verdicts differ."""
     parsed = [_parsed(name, data) for data in (before, after)]
     reordered = _pair_atoms(*parsed)
     nodes = [dict(_nodes(side)) for side in parsed]
@@ -291,10 +293,12 @@ def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
         if lengths[0][path] != lengths[1][path]
     }
     lines = []
-    holds = [[value for path, value in leaves.items() if path.rsplit(".", 1)[-1] == "holds"] for leaves in (old, new)]
+    holds = [
+        {path: value for path, value in leaves.items() if path.rsplit(".", 1)[-1] == "holds"} for leaves in (old, new)
+    ]
     if any(holds):
-        lines.append(f"  holds before: {json.dumps(holds[0])}")
-        lines.append(f"  holds after:  {json.dumps(holds[1])}")
+        lines.append(f"  holds before: {json.dumps(list(holds[0].values()))}")
+        lines.append(f"  holds after:  {json.dumps(list(holds[1].values()))}")
     # An added or removed list element prints as its list's length change,
     # not as one line per leaf.
     lines += [f"  {path or '(top level)'}: length {a} -> {b}" for path, (a, b) in resized.items()]
@@ -326,15 +330,17 @@ def file_changes(name: str, before: bytes, after: bytes) -> List[str]:
             f"  {field}: largest change {change:.3g} at {path} ({a!r} -> {b!r}), "
             f"largest relative change {ratio:.3g} at {at}"
         )
-    return lines
+    return lines, holds[0] != holds[1]
 
 
 def compare(before: Path, after: Path) -> int:
-    """Print how two ``--keep`` directories differ; 1 when a file does."""
+    """Print how two ``--keep`` directories differ; 2 when a verdict's
+    ``holds`` does, else 1 when a file does."""
     names = sorted(
         {str(path.relative_to(root)) for root in (before, after) for path in root.rglob("*") if path.is_file()}
     )
     differ = 0
+    verdicts_differ = False
     for name in names:
         old, new = before / name, after / name
         if not (old.is_file() and new.is_file()):
@@ -345,10 +351,12 @@ def compare(before: Path, after: Path) -> int:
         if old_bytes != new_bytes:
             differ += 1
             print(name)
-            for line in file_changes(name, old_bytes, new_bytes):
+            lines, holds_differ = file_changes(name, old_bytes, new_bytes)
+            for line in lines:
                 print(line)
+            verdicts_differ |= holds_differ
     print(f"{differ} of {len(names)} files differ")
-    return 1 if differ else 0
+    return 2 if verdicts_differ else 1 if differ else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
