@@ -303,7 +303,9 @@ def test_compare_pairs_each_limit_atom_with_its_nearest(tmp_path, capsys):
 
 def test_compare_exits_2_only_when_a_verdict_changes(tmp_path):
     # 0 for equal directories, 1 when only numbers move, 2 when a verdict's
-    # holds changes, also beside moved numbers in another file.
+    # holds changes, also beside moved numbers in another file, and 2 when a
+    # file or a whole directory is on one side only, so a failed run on
+    # either side cannot pass for unchanged verdicts.
     tool = _tool()
 
     def report(holds, residual):
@@ -315,8 +317,12 @@ def test_compare_exits_2_only_when_a_verdict_changes(tmp_path):
         "moved": ({**base, "a@0/report.json": report(None, 0.5000000000001)}, 1),
         "flipped": ({**base, "b@0/report.json": report(None, 0.25)}, 2),
         "both": ({"a@0/report.json": report(None, 0.75), "b@0/report.json": report(False, 0.25)}, 2),
+        "missing": ({"a@0/report.json": report(None, 0.5000000000001)}, 2),
+        "added": ({**base, "c@0/report.json": report(True, 0.5)}, 2),
     }
     _write(tmp_path / "before", base)
     for name, (files, code) in cases.items():
         _write(tmp_path / name, files)
         assert tool.main(["--compare", str(tmp_path / "before"), str(tmp_path / name)]) == code, name
+    assert tool.main(["--compare", str(tmp_path / "absent"), str(tmp_path / "before")]) == 2
+    assert tool.main(["--compare", str(tmp_path / "before"), str(tmp_path / "absent")]) == 2

@@ -39,7 +39,9 @@ gamma can reorder them. A list that holds the same atoms in another order
 prints as ``path: same atoms, reordered``; otherwise a reordered list prints
 as ``path: atoms reordered``, and each moved atom as the largest change of
 its fields, at its position before. Its exit code is 2 when the ``holds``
-of some report's verdicts differ, else 1 when a file differs, else 0:
+of some report's verdicts differ or a file is on one side only (its
+verdicts cannot be compared: a run failed or was cut short, or a directory
+is missing), else 1 when a file differs, else 0:
 
     python3 tools/contract_outputs.py --keep after > after.txt
     python3 tools/contract_outputs.py --root ../parent --keep before > before.txt
@@ -335,7 +337,12 @@ def file_changes(name: str, before: bytes, after: bytes) -> Tuple[List[str], boo
 
 def compare(before: Path, after: Path) -> int:
     """Print how two ``--keep`` directories differ; 2 when a verdict's
-    ``holds`` does, else 1 when a file does."""
+    ``holds`` does or a file is on one side only, else 1 when a file
+    differs."""
+    for root in (before, after):
+        if not root.is_dir():
+            print(f"{root}: no such directory")
+            return 2
     names = sorted(
         {str(path.relative_to(root)) for root in (before, after) for path in root.rglob("*") if path.is_file()}
     )
@@ -345,6 +352,7 @@ def compare(before: Path, after: Path) -> int:
         old, new = before / name, after / name
         if not (old.is_file() and new.is_file()):
             differ += 1
+            verdicts_differ = True
             print(f"{name}: only in {before if old.is_file() else after}")
             continue
         old_bytes, new_bytes = old.read_bytes(), new.read_bytes()
