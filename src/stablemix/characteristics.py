@@ -436,8 +436,9 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
     It is the whole-line radius of :func:`_restricted_distance`, the
     computation behind every radius of :func:`dsharp`: the exact distance
-    rounded once where the closed form applies, and the search's value
-    elsewhere. More than 2048 distinct atom locations raise a ``ValueError``.
+    rounded once where the closed form applies, and elsewhere the search's
+    value, which never leaves its bracket [|P - N|, U], each end rounded
+    once. More than 2048 distinct atom locations raise a ``ValueError``.
     """
     return _restricted_distance(mu, nu)(math.inf)
 
@@ -462,7 +463,9 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     empty is read from the term counts, with no float comparison; g is the
     smallest float gap in the slice, and rounding is monotone, so a float U
     below it implies the exact premise. Where P, N > 0 and U >= g the
-    distance comes from the search :func:`_prokhorov_arrays`. Every
+    distance comes from the search :func:`_prokhorov_arrays` over the
+    bracket [|P - N|, U], each end rounded once: |P - N| is one
+    ``math.fsum`` over both sides' terms, the minus side's negated. Every
     restriction is supported in the union, so the distances between its
     points serve as the critical set of every search; it is built on the
     first search (see :func:`_critical_set`).
@@ -497,15 +500,19 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     def distance(radius: float) -> float:
         # Locations are sorted, so each open ball (-radius, radius) is a slice.
         low, high = bisect_right(points, -radius), bisect_left(points, radius)
-        excess = max(math.fsum(plus[plus_at[low] : plus_at[high]]), math.fsum(minus[minus_at[low] : minus_at[high]]))
-        if plus_at[low] == plus_at[high] or minus_at[low] == minus_at[high] or excess < min(gaps[low : high - 1]):
+        p_terms, n_terms = plus[plus_at[low] : plus_at[high]], minus[minus_at[low] : minus_at[high]]
+        excess = max(math.fsum(p_terms), math.fsum(n_terms))
+        if not p_terms or not n_terms or excess < min(gaps[low : high - 1]):
             return excess
         nonlocal critical
         if critical is None:
             critical = _critical_set(points)
+        mass_gap = abs(math.fsum([*p_terms, *(-term for term in n_terms)]))
         mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
         nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
-        return _prokhorov_arrays(mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical)
+        return _prokhorov_arrays(
+            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical, mass_gap, excess
+        )
 
     return distance
 
@@ -516,6 +523,8 @@ def _prokhorov_arrays(
     nu_locs: List[float],
     nu_masses: List[float],
     critical: Sequence[float],
+    lo: float,
+    hi: float,
 ) -> float:
     """Levy-Prokhorov distance between two measures given as canonical
     (sorted, distinct, positive) atom lists, by a search over critical
@@ -524,23 +533,24 @@ def _prokhorov_arrays(
     :param critical: sorted, holding every distance between an atom of mu
         and an atom of nu; extra values cost a little search time and do
         not change the result
+    :param lo: the mass gap |P - N| of :func:`_restricted_distance`,
+        rounded once, a lower bound of the distance
+    :param hi: its excess U = max(P, N), rounded once, an upper bound
 
     The larger one-sided violation V(eps) is a non-increasing step function
-    of eps that changes only at the critical distances. The search starts
-    at the mass gap between the ``math.fsum`` totals, then probes the
-    intervals between critical distances at indices 0, 1, 3, 7, ... until
-    one is feasible and bisects inside the last bracket. That start is the
-    difference of two rounded totals, so where the distance is the mass gap
-    it can lie thousands of units in the last place from it; the caller
-    takes the exact closed form wherever one side's excess is empty, and
-    searches only restrictions where both sides have one. On the
-    benchmark's spectral fits each such distance was the mass gap or lay in
-    the first interval above it, so a search cost one or two evaluations of
+    of eps that changes only at the critical distances. The edges are lo,
+    the critical distances strictly between lo and hi, then hi; V is read
+    only at the midpoints of the intervals between them. The search probes
+    the intervals at indices 0, 1, 3, 7, ... until one is feasible and
+    bisects inside the last bracket, and returns a value in [lo, hi]. On
+    the Pareto benchmark's spectral fits every distance was the mass gap or
+    lay in the first interval above it, so a search cost one evaluation of
     V; an answer in interval k costs O(log k), and at worst about twice a
-    bisection of the whole bracket. Feasibility is monotone in the interval
-    index, so both searches return the same distance bit for bit. Each
-    evaluation of V is two capped passes of :func:`_prokhorov_one_sided`,
-    which stop once V exceeds the edge above the probed interval.
+    bisection of the whole bracket.
+    Feasibility is monotone in the interval index, so both searches return
+    the same distance bit for bit. Each evaluation of V is two capped
+    passes of :func:`_prokhorov_one_sided`, which stop once V exceeds the
+    edge above the probed interval.
     """
     # accumulate adds in the order of np.cumsum.
     mu_cum = list(accumulate(mu_masses, initial=0.0))
@@ -556,34 +566,22 @@ def _prokhorov_arrays(
             return None
         return max(forward, backward)
 
-    mu_total, nu_total = math.fsum(mu_masses), math.fsum(nu_masses)
-    lo = abs(mu_total - nu_total)
-    hi = max(mu_total, nu_total, lo)
-    if violation(lo, lo) is not None:
-        return lo
-    # The edges are lo, the critical distances strictly between lo and hi,
-    # then hi. V is constant on [edge(k), edge(k + 1)). The distance is
-    # max(edge(k), V there) for the first k whose V is at most edge(k + 1);
-    # that test is monotone in k. V is read at interval midpoints, because at
-    # eps = |x - y| itself x + eps need not round to y.
-    first = bisect_right(critical, lo)
-    inner = bisect_left(critical, hi) - first
-
-    def edge(k: int) -> float:
-        if k == 0:
-            return lo
-        return critical[first + k - 1] if k <= inner else hi
+    # V is constant on [edges[k], edges[k + 1]) and is read at its midpoint,
+    # because at eps = |x - y| itself x + eps need not round to y. The
+    # distance is max(edges[k], V there) for the first k whose V is at most
+    # edges[k + 1]; that test is monotone in k.
+    edges = [lo, *critical[bisect_right(critical, lo) : bisect_left(critical, hi)], hi]
 
     def probe(k: int, cap: float) -> Optional[float]:
-        return violation(0.5 * (edge(k) + edge(k + 1)), cap)
+        return violation(0.5 * (edges[k] + edges[k + 1]), cap)
 
     # Gallop over k = 0, 1, 3, 7, ... below the last interval, then bisect
     # the bracket that the first feasible probe closes.
-    left, right = 0, inner
+    left, right = 0, len(edges) - 2
     value = None
     k = 0
     while k < right:
-        v = probe(k, edge(k + 1))
+        v = probe(k, edges[k + 1])
         if v is not None:
             right, value = k, v
             break
@@ -591,14 +589,14 @@ def _prokhorov_arrays(
         k = 2 * k + 1
     while left < right:
         k = (left + right) // 2
-        v = probe(k, edge(k + 1))
+        v = probe(k, edges[k + 1])
         if v is None:
             left = k + 1
         else:
             right, value = k, v
     if value is None:
         value = probe(right, math.inf)
-    return max(edge(right), value)
+    return min(max(edges[right], value), hi)
 
 
 def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:

@@ -851,12 +851,13 @@ class TestArrayPathOracle:
 
 
 def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
-    """The critical-distance search as a bisection of the whole bracket.
+    """The critical-distance search as a bisection of the whole bracket
+    [|P - N|, U] of :func:`_exact_bracket`, reading V only at interval
+    midpoints.
 
-    Returns the distance, the index k of the interval it was read in (-1 when
-    no search ran) and the index of the last interval (-1 likewise)."""
-    if mu_locs.shape == nu_locs.shape and (mu_locs == nu_locs).all() and (mu_masses == nu_masses).all():
-        return 0.0, -1, -1
+    Returns the distance, the index k of the interval it was read in and the
+    index of the last interval."""
+    lo, hi = _exact_bracket(mu_locs, mu_masses, nu_locs, nu_masses)
     mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
     nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
 
@@ -869,14 +870,6 @@ def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
             return None
         return max(forward, backward)
 
-    mu_total = math.fsum(mu_masses.tolist())
-    nu_total = math.fsum(nu_masses.tolist())
-    lo = abs(mu_total - nu_total)
-    hi = max(mu_total, nu_total, lo)
-    if hi == 0.0:
-        return 0.0, -1, -1
-    if violation(lo, lo) is not None:
-        return lo, -1, -1
     inner = critical[critical.searchsorted(lo, side="right"):critical.searchsorted(hi, side="left")]
     edges = [lo, *inner.tolist(), hi]
     left, right = 0, len(edges) - 2
@@ -890,7 +883,7 @@ def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
             right, value = k, v
     if value is None:
         value = violation(0.5 * (edges[right] + edges[right + 1]), math.inf)
-    return max(edges[right], value), right, len(edges) - 2
+    return min(max(edges[right], value), hi), right, len(edges) - 2
 
 
 def _bisect_prokhorov(mu, nu):
@@ -935,6 +928,13 @@ def _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses):
     plus = sum(e for e in excess.values() if e > 0)
     minus = -sum(e for e in excess.values() if e < 0)
     return Fraction(plus, 1 << 1074), Fraction(minus, 1 << 1074)
+
+
+def _exact_bracket(mu_locs, mu_masses, nu_locs, nu_masses):
+    """(float(|P - N|), float(U)) for (P, N) of :func:`_excess_masses` and
+    U = max(P, N): the bracket of every distance, each end rounded once."""
+    plus, minus = _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses)
+    return float(abs(plus - minus)), float(max(plus, minus))
 
 
 def _closed_form(mu_locs, mu_masses, nu_locs, nu_masses):
@@ -985,14 +985,15 @@ def _pairs(*pairs):
     return AtomicMeasure.from_pairs(pairs)
 
 
-# Measure pairs whose distance is read at a known place: the mass gap, the
-# first interval, at least 30 intervals up, and the last interval (edge hi).
+# Measure pairs whose distance is read at a known place: the mass gap, above
+# it in the first of two intervals, at least 30 intervals up, and the last
+# interval (edge hi).
 # Each has P, N > 0 and U >= g over the whole line, so prokhorov_distance
 # searches.
 _LATTICE = [(0.001 * i, 0.02) for i in range(50)]
 _PLACED_PAIRS = {
     "gap": (_pairs((0.0, 1.0), (1.0, 0.25)), _pairs((0.0, 0.5), (1.25, 0.25))),
-    "first": (_pairs((0.0, 0.25), (1.0, 0.75)), _pairs((0.25, 0.25), (1.0, 0.75))),
+    "first": (_pairs((0.0, 1.0), (1.5, 0.5)), _pairs((0.25, 1.25))),
     "deep": (AtomicMeasure.from_pairs(_LATTICE), AtomicMeasure.from_pairs((x + 0.1, m) for x, m in _LATTICE)),
     "last": (_pairs((0.0, 0.5), (0.2, 0.5)), _pairs((3.0, 0.5), (3.3, 0.5))),
 }
@@ -1006,10 +1007,10 @@ _CLOSED_PAIRS = {
 }
 
 
-def _placed(name, k, last):
+def _placed(name, at_gap, k, last):
     return {
-        "gap": k == -1,
-        "first": k == 0 < last,
+        "gap": at_gap,
+        "first": k == 0 < last and not at_gap,
         "deep": 30 <= k < last,
         "last": 0 < k == last,
     }[name]
@@ -1017,16 +1018,19 @@ def _placed(name, k, last):
 
 @pytest.fixture
 def checked_searches(monkeypatch):
-    """Runs the bisection beside every library search, requires the same
-    distance bit for bit, and records (k, last) of each."""
+    """Runs the bisection beside every library search, requires the exact
+    bracket as its lo and hi and the same distance bit for bit, and records
+    (k, last, whether the distance is the mass gap) of each."""
     positions = []
     search = characteristics._prokhorov_arrays
 
     def checked(*args):
         d = search(*args)
-        want, k, last = _bisect_prokhorov_arrays(*map(np.asarray, args[:5]))
+        arrays = [np.asarray(a) for a in args[:4]]
+        assert args[5:] == _exact_bracket(*arrays), f"bracket {args[5:]!r}"
+        want, k, last = _bisect_prokhorov_arrays(*arrays, np.asarray(args[4]))
         assert d == want, f"search gives {d!r}, bisection {want!r} (interval {k} of 0..{last})"
-        positions.append((k, last))
+        positions.append((k, last, d == args[5]))
         return d
 
     monkeypatch.setattr(characteristics, "_prokhorov_arrays", checked)
@@ -1050,15 +1054,17 @@ class TestGallopingSearch:
             for alpha in (1.5, 1.2):
                 params, residual = fit_spectrum(measure, alpha)
                 assert residual == _bisect_dsharp(measure, discretize_spectral(params)), f"n={n}, alpha={alpha}"
-        ks = [k for k, _ in checked_searches]
-        assert -1 in ks and 0 in ks, "the fits should return both at the gap and in the first interval"
+        first = [at_gap for k, _, at_gap in checked_searches if k == 0]
+        assert True in first and False in first, "the fits should return both at the gap and above it in interval 0"
 
     @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
     def test_equal_wherever_the_answer_lies(self, name, checked_searches):
         mu, nu = _PLACED_PAIRS[name]
         critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
-        _, k, last = _bisect_prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)
-        assert _placed(name, k, last), f"{name}: the answer is in interval {k} of 0..{last}"
+        arrays = (mu.locations, mu.masses, nu.locations, nu.masses)
+        d, k, last = _bisect_prokhorov_arrays(*arrays, critical)
+        at_gap = d == _exact_bracket(*arrays)[0]
+        assert _placed(name, at_gap, k, last), f"{name}: the answer {d!r} is in interval {k} of 0..{last}"
         for a, b in ((mu, nu), (nu, mu)):
             assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b)
             assert dsharp(a, b) == _bisect_dsharp(a, b)
@@ -1227,9 +1233,9 @@ class TestProkhorovWork:
             assert count <= bound, f"{count} dynamic-program calls for {size} critical distances"
 
     def test_dp_calls_are_logarithmic_in_the_answer_position(self, monkeypatch):
-        # The gap test, then probes at 0, 1, 3, ..., 2^j - 1 with
-        # j = ceil(log2(k + 1)), j - 1 bisection probes, and one uncapped
-        # probe of the last interval; at most two passes per probe.
+        # Probes at 0, 1, 3, ..., 2^j - 1 with j = ceil(log2(k + 1)), j - 1
+        # bisection probes, and one uncapped probe of the last interval; at
+        # most two passes per probe.
         searches = []
         one_sided = characteristics._prokhorov_one_sided
         search = characteristics._prokhorov_arrays
@@ -1251,9 +1257,30 @@ class TestProkhorovWork:
         for args, count in searches:
             _, k, _ = _bisect_prokhorov_arrays(*map(np.asarray, args[:5]))
             deepest = max(deepest, k)
-            bound = 2 * (2 * math.ceil(math.log2(max(k, 0) + 1)) + 3)
+            bound = 2 * (2 * math.ceil(math.log2(k + 1)) + 1)
             assert count <= bound, f"{count} dynamic-program calls for an answer in interval {k}"
         assert deepest >= 30
+
+    @pytest.mark.parametrize(
+        "name, passes, want",
+        [("gap", 2, 0.5), ("first", 2, 0.5), ("deep", 20, 0.09600000000000002), ("last", 4, 1.0)],
+    )
+    def test_dp_calls_on_placed_pairs(self, name, passes, want, monkeypatch):
+        # V is read only at interval midpoints, never at eps = |P - N|, so
+        # "gap" and "first" cost one probe of interval 0.
+        calls = []
+        one_sided = characteristics._prokhorov_one_sided
+
+        def counting_one_sided(*args):
+            calls.append(args)
+            return one_sided(*args)
+
+        monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
+        mu, nu = _PLACED_PAIRS[name]
+        for a, b in ((mu, nu), (nu, mu)):
+            calls.clear()
+            assert prokhorov_distance(a, b) == want
+            assert len(calls) == passes, f"{name}: {len(calls)} one-sided passes"
 
 
 def _assert_dp_matches_reference(mu, nu):
@@ -1478,8 +1505,9 @@ def _ref_slice_dsharp(mu, nu, r_max=20.0):
         mu_keep, nu_keep = ball(mu, radius), ball(nu, radius)
         d = _closed_form(mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
         if d is None:
+            bracket = _exact_bracket(mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
             d = characteristics._prokhorov_arrays(
-                mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical
+                mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical, *bracket
             )
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
@@ -1642,7 +1670,7 @@ class TestClosedForm:
     def test_dominated_radii_of_benchmark_panels(self, tmp_path, monkeypatch):
         # Where one restriction is at least the other at every point, the
         # distance is U itself, rounded once; the search, kept for P, N > 0,
-        # starts from a difference of two rounded totals and lands near it.
+        # returns U too, as its exact bracket [|P - N|, U] closes there.
         monkeypatch.setattr(sys, "path", list(sys.path))
         dominated = 0
         for what, measure, alpha in _benchmark_measures(tmp_path):
@@ -1659,8 +1687,8 @@ class TestClosedForm:
                 exact = float(max(plus, minus))
                 got = distance(radius)
                 assert got == exact, f"{what}, radius {radius!r}: {got!r} != {exact!r}"
-                searched = characteristics._prokhorov_arrays(*(a.tolist() for a in arrays), critical)
-                assert abs(searched - exact) <= 1e-10 * exact, f"{what}, radius {radius!r}: search {searched!r}"
+                searched = characteristics._prokhorov_arrays(*(a.tolist() for a in arrays), critical, exact, exact)
+                assert searched == exact, f"{what}, radius {radius!r}: search {searched!r}"
                 dominated += 1
         assert dominated > 10000
 
@@ -1698,3 +1726,29 @@ class TestClosedForm:
             _certify(*map(np.asarray, searches[0][:4]), distances[1], "search at the gap")
         assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
         assert prokhorov_distance(mu, nu) == _bisect_prokhorov(mu, nu) == mass
+
+
+class TestSearchBracket:
+    """Every search gets the exact bracket [|P - N|, U] from its caller, each
+    end rounded once, and returns a distance inside it."""
+
+    def test_benchmark_panels(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        searches = []
+        search = characteristics._prokhorov_arrays
+
+        def recording(*args):
+            d = search(*args)
+            searches.append((args, d))
+            return d
+
+        monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
+        for _, measure, alpha in _benchmark_measures(tmp_path, seeds=(3, 5, 7, 11)):
+            fit_spectrum(measure, alpha)
+        at_gap = 0
+        for index, (args, d) in enumerate(searches):
+            lo, hi = _exact_bracket(*map(np.asarray, args[:4]))
+            assert args[5:] == (lo, hi), f"search {index}: bracket {args[5:]!r}, exact {(lo, hi)!r}"
+            assert lo <= d <= hi, f"search {index}: {d!r} outside [{lo!r}, {hi!r}]"
+            at_gap += d == lo
+        assert len(searches) > 1000 and 0 < at_gap < len(searches), f"{at_gap} of {len(searches)} at the gap"
