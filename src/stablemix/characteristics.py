@@ -23,7 +23,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .directing import _RealizedLaw
 from .measures import AtomicMeasure
 from .mixtures import MixingMeasure
 from .stable import NormingSequence, StableParams, _require_positive
@@ -77,9 +76,10 @@ _NULL_MASS_FLOOR = 1e-8
 # A spectral shape is symmetric when |c_plus - c_minus| <= _SYMMETRY_REL * (c_plus + c_minus).
 _SYMMETRY_REL = 0.05
 _CUM_FLOOR = 1e-12
-# The Levy-Prokhorov search builds an m x m array of distances between m
-# distinct atom locations: 2048 keeps it at 32 MiB. A spectral fit on the
-# default grid has 40.
+# The search's critical distances come from an m x m array for m distinct
+# atom locations. At 2048 scattered ones they took 0.2 s and a tracemalloc
+# peak of 80 MiB, 64 MiB of it the returned tuple (2 vCPUs, Python 3.11). A
+# spectral fit on the default grid has 40.
 _MAX_CRITICAL_LOCATIONS = 2048
 # Critical-distance sets of at most this many distinct locations (any pair of
 # measures on the module grid) are memoized, the last _CRITICAL_MEMO_SETS of them.
@@ -241,13 +241,13 @@ def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasur
     cell between consecutive same-sign grid points becomes an atom at the
     cell's geometric midpoint carrying the increment of G; the grid is
     ``DEFAULT_SPECTRAL_GRID`` and the cell spanning 0 is dropped (the
-    spectral object is only compared away from 0). One ``half_line_masses``
-    call gives the 42 values, by the loop of :class:`_RealizedLaw` for a law
-    with only ``cdf`` and ``right_tail``.
+    spectral object is only compared away from 0). One
+    ``p.half_line_masses`` call gives the 42 values, by one batched pass for
+    a stable law in its Fourier region.
     """
     b = norming.b(n)
     ys = [b / x for x in DEFAULT_SPECTRAL_GRID]
-    masses = getattr(type(p), "half_line_masses", _RealizedLaw.half_line_masses)(p, ys)
+    masses = p.half_line_masses(ys)
     return _cell_measure([-n * m if x < 0 else n * m for x, m in zip(DEFAULT_SPECTRAL_GRID, masses)])
 
 
@@ -380,53 +380,27 @@ def _prokhorov_one_sided(
     return overall
 
 
-def _critical_distances(locs: np.ndarray) -> np.ndarray:
-    """Sorted distinct distances |x - y| between points of ``locs``.
+@lru_cache(maxsize=_CRITICAL_MEMO_SETS)
+def _critical_distances(points: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Sorted distinct distances |x - y| between the sorted distinct
+    ``points``, 0.0 first unless ``points`` is empty.
 
     Which atoms of one measure lie in the closed eps-neighbourhood of an atom
     of the other changes only when eps crosses such a distance, so a
-    Levy-Prokhorov violation between measures supported in ``locs`` is
-    constant between consecutive values. The distances come from an m x m
-    array for m distinct points, so m is capped at
-    ``_MAX_CRITICAL_LOCATIONS``.
+    Levy-Prokhorov violation between measures supported in ``points`` is
+    constant between consecutive values. The m x m distances are sorted and
+    each kept where it differs from its predecessor: ``np.unique`` without
+    its import of ``numpy.ma``. The last ``_CRITICAL_MEMO_SETS`` sets are
+    memoized; above ``_CRITICAL_MEMO_POINTS`` points the caller bypasses the
+    memo through ``__wrapped__``.
     """
-    points = _sorted_distinct(np.array(locs, dtype=float))
-    _require_few_locations(points.size)
-    return _sorted_distinct(np.abs(points[:, None] - points[None, :]))
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of ``values``, which it sorts in place:
-    ``np.unique`` without its import of ``numpy.ma`` on first use."""
-    values = values.ravel()
-    values.sort()
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
-def _require_few_locations(count: int) -> None:
-    """A ValueError when ``count`` distinct atom locations exceed
-    ``_MAX_CRITICAL_LOCATIONS``."""
-    if count > _MAX_CRITICAL_LOCATIONS:
-        raise ValueError(
-            f"{count} distinct atom locations exceed the {_MAX_CRITICAL_LOCATIONS} "
-            "that the exact Levy-Prokhorov search accepts"
-        )
-
-
-@lru_cache(maxsize=_CRITICAL_MEMO_SETS)
-def _critical_of_points(points: Tuple[float, ...]) -> Tuple[float, ...]:
-    return tuple(_critical_distances(np.array(points)).tolist())
-
-
-def _critical_set(points: Tuple[float, ...]) -> Tuple[float, ...]:
-    """:func:`_critical_distances` of the sorted distinct ``points`` as a
-    tuple, memoized per set of at most ``_CRITICAL_MEMO_POINTS`` points.
-    Every spectral fit on the module grid has one of a few location sets."""
-    if len(points) > _CRITICAL_MEMO_POINTS:
-        return _critical_of_points.__wrapped__(points)
-    return _critical_of_points(points)
+    array = np.array(points)
+    distances = np.abs(array[:, None] - array[None, :]).ravel()
+    distances.sort()
+    # Each rebinding frees the array before it, which keeps the peak low.
+    distances = np.concatenate([distances[:1], distances[1:][distances[1:] != distances[:-1]]])
+    distances = distances.tolist()
+    return tuple(distances)
 
 
 def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
@@ -468,7 +442,7 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     ``math.fsum`` over both sides' terms, the minus side's negated. Every
     restriction is supported in the union, so the distances between its
     points serve as the critical set of every search; it is built on the
-    first search (see :func:`_critical_set`).
+    first search (see :func:`_critical_distances`).
 
     The tables over the union are built once, and more than
     ``_MAX_CRITICAL_LOCATIONS`` distinct locations raise a ``ValueError``
@@ -480,7 +454,11 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     nu_locs, nu_masses = _atom_lists(nu)
     mu_at, nu_at = dict(zip(mu_locs, mu_masses)), dict(zip(nu_locs, nu_masses))
     points = tuple(sorted(mu_at.keys() | nu_at.keys()))
-    _require_few_locations(len(points))
+    if len(points) > _MAX_CRITICAL_LOCATIONS:
+        raise ValueError(
+            f"{len(points)} distinct atom locations exceed the {_MAX_CRITICAL_LOCATIONS} "
+            "that the exact Levy-Prokhorov search accepts"
+        )
     # The excess terms of the points where mu, and where nu, is heavier;
     # the terms of points[:i] are plus[:plus_at[i]] and minus[:minus_at[i]].
     plus: List[float] = []
@@ -506,7 +484,8 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
             return excess
         nonlocal critical
         if critical is None:
-            critical = _critical_set(points)
+            memo = len(points) <= _CRITICAL_MEMO_POINTS
+            critical = (_critical_distances if memo else _critical_distances.__wrapped__)(points)
         mass_gap = abs(math.fsum([*p_terms, *(-term for term in n_terms)]))
         mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
         nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))

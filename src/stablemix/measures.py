@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, Tuple
-
-import numpy as np
 
 __all__ = ["AtomicMeasure"]
 
@@ -39,7 +36,8 @@ class AtomicMeasure:
 
     ``atoms`` holds ``(location, mass)`` pairs sorted by location, with
     distinct locations and strictly positive masses. Build instances through
-    :meth:`from_pairs` unless the input is already canonical.
+    :meth:`from_pairs` unless the input is already canonical. The atoms and
+    every mass below are plain Python floats.
     """
 
     atoms: Tuple[Tuple[float, float], ...] = ()
@@ -74,14 +72,6 @@ class AtomicMeasure:
             key = float(loc)
             merged[key] = merged.get(key, 0.0) + float(mass)
         return cls(tuple(sorted(merged.items())))
-
-    @cached_property
-    def locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.atoms], dtype=float)
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        return np.array([mass for _, mass in self.atoms], dtype=float)
 
     @property
     def total_mass(self) -> float:

@@ -44,11 +44,25 @@ from stablemix.directing import (
     PointMassLaw,
     StableLaw,
     UniformLaw,
+    _RealizedLaw,
 )
 from stablemix.empirics import run_scenario
 from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import mixture_cf
 from stablemix.stable import NormingSequence, StableParams, stable_cf
+
+def _arrays(measure):
+    """The atom locations and masses of ``measure`` as two float arrays."""
+    return np.array(measure.atoms, dtype=float).reshape(-1, 2).T
+
+
+def _critical(mu, nu):
+    """The library's critical distances of the sorted union of the atom
+    locations of ``mu`` and ``nu``, computed without the memo, so that an
+    oracle leaves its traffic as the library made it."""
+    union = tuple(sorted({x for x, _ in mu.atoms} | {x for x, _ in nu.atoms}))
+    return characteristics._critical_distances.__wrapped__(union)
+
 
 def _restrict_open_ball(measure, r):
     """Restriction of an atomic measure to the open interval (-r, r)."""
@@ -208,7 +222,7 @@ class TestTailMomentRatio:
             tail_moment_ratio(PointMassLaw(0.0), 1.0)
 
 
-class _ShrinkingTail:
+class _ShrinkingTail(_RealizedLaw):
     """Deliberately inconsistent tail curves for exercising the monotonicity guard."""
 
     def cdf(self, x):
@@ -315,7 +329,7 @@ def _brute_prokhorov(mu, nu, tol=1e-6):
     """Reference distance via subset enumeration and bisection."""
 
     def violation(a, b, eps):
-        locs, masses = a.locations, a.masses
+        locs, masses = _arrays(a)
         worst = 0.0
         for bits in range(1, 1 << len(locs)):
             chosen = [i for i in range(len(locs)) if bits >> i & 1]
@@ -749,13 +763,14 @@ def _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps):
 def _ref_prokhorov(mu, nu):
     if mu.atoms == nu.atoms:
         return 0.0
-    mu_cum = np.concatenate([[0.0], np.cumsum(mu.masses)])
-    nu_cum = np.concatenate([[0.0], np.cumsum(nu.masses)])
+    (mu_locs, mu_masses), (nu_locs, nu_masses) = _arrays(mu), _arrays(nu)
+    mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
+    nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
 
     def feasible(eps):
-        if _ref_one_sided(mu.locations, mu.masses, nu.locations, nu_cum, eps) > eps:
+        if _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps) > eps:
             return False
-        return _ref_one_sided(nu.locations, nu.masses, mu.locations, mu_cum, eps) <= eps
+        return _ref_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps) <= eps
 
     lo = abs(mu.total_mass - nu.total_mass)
     hi = max(mu.total_mass, nu.total_mass, lo)
@@ -779,7 +794,7 @@ def _ref_dsharp(mu, nu, r_max=20.0):
     def d_at(radius):
         return _ref_prokhorov(_restrict_open_ball(mu, radius), _restrict_open_ball(nu, radius))
 
-    mu_abs, nu_abs = np.abs(mu.locations), np.abs(nu.locations)
+    mu_abs, nu_abs = np.abs(_arrays(mu)[0]), np.abs(_arrays(nu)[0])
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
     breaks = breaks[(breaks > 0) & (breaks < r_max)]
     edges = np.concatenate([[0.0], breaks, [r_max]])
@@ -812,7 +827,7 @@ def _oracle_pairs(rng):
         mu, nu = _random_measure(rng, 8), _random_measure(rng, 8)
         yield mu, nu
         shared = rng.uniform(0.1, 2.0, size=len(mu.atoms))
-        yield mu, AtomicMeasure.from_pairs(zip(mu.locations.tolist(), shared.tolist()))
+        yield mu, AtomicMeasure.from_pairs(zip(_arrays(mu)[0].tolist(), shared.tolist()))
         far = rng.uniform(3.0, 25.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         yield AtomicMeasure.from_pairs(zip(far.tolist(), [0.5, 1.0, 1.5])), nu
         yield mu, AtomicMeasure(mu.atoms)
@@ -870,8 +885,8 @@ def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
             return None
         return max(forward, backward)
 
-    inner = critical[critical.searchsorted(lo, side="right"):critical.searchsorted(hi, side="left")]
-    edges = [lo, *inner.tolist(), hi]
+    inner = critical[np.searchsorted(critical, lo, side="right"):np.searchsorted(critical, hi, side="left")]
+    edges = [lo, *inner, hi]
     left, right = 0, len(edges) - 2
     value = None
     while left < right:
@@ -889,25 +904,26 @@ def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
 def _bisect_prokhorov(mu, nu):
     """The distance by the Fraction closed form where the whole pair meets
     its premise, else by the bisection."""
-    closed = _closed_form(mu.locations, mu.masses, nu.locations, nu.masses)
+    arrays = (*_arrays(mu), *_arrays(nu))
+    closed = _closed_form(*arrays)
     if closed is not None:
         return closed
-    critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
-    return _bisect_prokhorov_arrays(mu.locations, mu.masses, nu.locations, nu.masses, critical)[0]
+    return _bisect_prokhorov_arrays(*arrays, _critical(mu, nu))[0]
 
 
 def _restrictions(mu, nu, r_max=20.0):
     """(left, right, arrays) for each radius segment (left, right] of dsharp,
     arrays being the locations and masses of mu and nu that boolean masks
     keep in the open ball at the segment's midpoint."""
-    mu_abs, nu_abs = np.abs(mu.locations), np.abs(nu.locations)
+    (mu_locs, mu_masses), (nu_locs, nu_masses) = _arrays(mu), _arrays(nu)
+    mu_abs, nu_abs = np.abs(mu_locs), np.abs(nu_locs)
     breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
     breaks = breaks[(breaks > 0) & (breaks < r_max)]
     edges = np.concatenate([[0.0], breaks, [r_max]])
     for left, right in zip(edges[:-1].tolist(), edges[1:].tolist()):
         radius = 0.5 * (left + right)
         mu_keep, nu_keep = mu_abs < radius, nu_abs < radius
-        yield left, right, (mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
+        yield left, right, (mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep])
 
 
 def _units(x):
@@ -955,7 +971,7 @@ def _bisect_dsharp(mu, nu, r_max=20.0):
     radii that meet its premise and the bisection search elsewhere."""
     if mu.atoms == nu.atoms:
         return 0.0
-    critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
+    critical = _critical(mu, nu)
 
     def d_at(arrays):
         closed = _closed_form(*arrays)
@@ -1065,9 +1081,8 @@ class TestGallopingSearch:
     @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
     def test_equal_wherever_the_answer_lies(self, name, checked_searches):
         mu, nu = _PLACED_PAIRS[name]
-        critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
-        arrays = (mu.locations, mu.masses, nu.locations, nu.masses)
-        d, k, last = _bisect_prokhorov_arrays(*arrays, critical)
+        arrays = (*_arrays(mu), *_arrays(nu))
+        d, k, last = _bisect_prokhorov_arrays(*arrays, _critical(mu, nu))
         at_gap = d == _exact_bracket(*arrays)[0]
         assert _placed(name, at_gap, k, last), f"{name}: the answer {d!r} is in interval {k} of 0..{last}"
         for a, b in ((mu, nu), (nu, mu)):
@@ -1140,8 +1155,9 @@ def _recorded_dsharp_pairs(monkeypatch):
 
 def _ball(measure, radius):
     """The locations and masses of ``measure`` in the open ball (-radius, radius)."""
-    keep = np.abs(measure.locations) < radius
-    return measure.locations[keep], measure.masses[keep]
+    locations, masses = _arrays(measure)
+    keep = np.abs(locations) < radius
+    return locations[keep], masses[keep]
 
 
 @pytest.fixture
@@ -1294,14 +1310,15 @@ def _assert_dp_matches_reference(mu, nu):
     midpoint between two, under the caps 0, the gap, the next critical
     distance above eps and inf: the same float whenever the reference is at
     most the cap, and a value above the cap exactly when the reference is."""
-    critical = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations])).tolist()
+    critical = _critical(mu, nu)
     gap = abs(mu.total_mass - nu.total_mass)
     radii = [gap, *critical, *(0.5 * (a + b) for a, b in zip(critical, critical[1:]))]
     for a, b in ((mu, nu), (nu, mu)):
-        b_cum = np.concatenate([[0.0], np.cumsum(b.masses)])
-        lists = (a.locations.tolist(), a.masses.tolist(), b.locations.tolist(), b_cum.tolist())
+        (a_locs, a_masses), (b_locs, b_masses) = _arrays(a), _arrays(b)
+        b_cum = np.concatenate([[0.0], np.cumsum(b_masses)])
+        lists = (a_locs.tolist(), a_masses.tolist(), b_locs.tolist(), b_cum.tolist())
         for eps in radii:
-            want = _ref_one_sided(a.locations, a.masses, b.locations, b_cum, eps)
+            want = _ref_one_sided(a_locs, a_masses, b_locs, b_cum, eps)
             above = [c for c in critical if c > eps]
             for cap in (0.0, gap, above[0] if above else math.inf, math.inf):
                 got = characteristics._prokhorov_one_sided(*lists, eps, cap)
@@ -1337,7 +1354,7 @@ class TestCriticalDistanceBound:
     def test_rejects_before_any_closed_form(self, monkeypatch):
         # Masses 1e-6 a unit apart: every radius takes the closed form, so
         # the bound alone decides, whatever the masses.
-        monkeypatch.setattr(characteristics, "_critical_set", None)
+        monkeypatch.setattr(characteristics, "_critical_distances", None)
         size = characteristics._MAX_CRITICAL_LOCATIONS
         light = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size))
         heavier = AtomicMeasure.from_pairs((float(i), 1e-6) for i in range(size + 1))
@@ -1359,19 +1376,23 @@ class TestCriticalDistanceBound:
         second = (_pairs((-0.75, 1.0), (3.0, 0.5)), _pairs((0.5, 1.0), (2.0, 0.25)))
         for mu, nu in (first, second, first):
             sets.clear()
+            before = characteristics._critical_distances.cache_info()
             dsharp(mu, nu)
             prokhorov_distance(mu, nu)
-            want = characteristics._critical_distances(np.concatenate([mu.locations, nu.locations]))
-            assert sets and all(isinstance(c, tuple) and c == tuple(want.tolist()) for c in sets)
+            after = characteristics._critical_distances.cache_info()
+            want = _critical(mu, nu)
+            assert sets and all(isinstance(c, tuple) and c == want for c in sets)
+        # The third pass found the set of the first in the memo.
+        assert after.misses == before.misses and after.hits > before.hits
 
     def test_a_set_above_the_memo_bound_is_not_retained(self):
         size = characteristics._CRITICAL_MEMO_POINTS // 2 + 1
         mu = AtomicMeasure.from_pairs((0.1 * i, 1.0) for i in range(size))
         nu = AtomicMeasure.from_pairs((0.1 * i + 0.05, 1.0) for i in range(size))
-        before = characteristics._critical_of_points.cache_info()
+        before = characteristics._critical_distances.cache_info()
         assert prokhorov_distance(mu, nu) == _bisect_prokhorov(mu, nu)
         assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
-        after = characteristics._critical_of_points.cache_info()
+        after = characteristics._critical_distances.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
@@ -1475,13 +1496,11 @@ class TestCriticalDistances:
         rng = np.random.default_rng(20261019)
         pool = np.round(rng.normal(scale=3.0, size=25), 2)
         for size in (0, 1, 2, 7, 40, 81):
-            locs = rng.choice(pool, size=size)
-            kept = locs.copy()
-            points = np.unique(locs)
+            points = np.unique(rng.choice(pool, size=size))
             want = np.unique(np.abs(points[:, None] - points[None, :]))
-            got = characteristics._critical_distances(locs)
-            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], f"{size} locations"
-            assert np.array_equal(locs, kept), "the caller's locations were reordered"
+            got = characteristics._critical_distances.__wrapped__(tuple(points.tolist()))
+            assert isinstance(got, tuple), f"{size} locations"
+            assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], f"{size} locations"
 
 
 # Reference copies of the fit path before it moved onto Python floats: each
@@ -1494,25 +1513,25 @@ class TestCriticalDistances:
 def _ref_slice_dsharp(mu, nu, r_max=20.0):
     if mu.atoms == nu.atoms:
         return 0.0
-    mu_locs, mu_masses = mu.locations.tolist(), mu.masses.tolist()
-    nu_locs, nu_masses = nu.locations.tolist(), nu.masses.tolist()
-    critical = characteristics._critical_set(tuple(sorted(set(mu_locs + nu_locs))))
+    mu_arrays, nu_arrays = _arrays(mu), _arrays(nu)
+    (mu_locs, mu_masses), (nu_locs, nu_masses) = mu_arrays.tolist(), nu_arrays.tolist()
+    critical = characteristics._critical_distances(tuple(sorted(set(mu_locs + nu_locs))))
     moduli = sorted({abs(x) for x in mu_locs + nu_locs})
     edges = [0.0, *(x for x in moduli if 0 < x < r_max), r_max]
 
-    def ball(measure, radius):
-        locations = measure.locations
+    def ball(arrays, radius):
+        locations = arrays[0]
         return slice(int(locations.searchsorted(-radius, "right")), int(locations.searchsorted(radius)))
 
     total = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
         radius = 0.5 * (left + right)
-        mu_keep, nu_keep = ball(mu, radius), ball(nu, radius)
-        d = _closed_form(mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
+        mu_keep, nu_keep = ball(mu_arrays, radius), ball(nu_arrays, radius)
+        arrays = (*mu_arrays[:, mu_keep], *nu_arrays[:, nu_keep])
+        d = _closed_form(*arrays)
         if d is None:
-            bracket = _exact_bracket(mu.locations[mu_keep], mu.masses[mu_keep], nu.locations[nu_keep], nu.masses[nu_keep])
             d = characteristics._prokhorov_arrays(
-                mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical, *bracket
+                mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical, *_exact_bracket(*arrays)
             )
         if d > 0:
             total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
@@ -1636,7 +1655,7 @@ def _assert_closed_forms_exact(mu, nu, what):
     distance = characteristics._restricted_distance(mu, nu)
     radii = [(f"radii ({left!r}, {right!r}]", distance(0.5 * (left + right)), arrays)
              for left, right, arrays in _restrictions(mu, nu)]
-    radii.append(("the whole line", prokhorov_distance(mu, nu), (mu.locations, mu.masses, nu.locations, nu.masses)))
+    radii.append(("the whole line", prokhorov_distance(mu, nu), (*_arrays(mu), *_arrays(nu))))
     closed = 0
     for where, d, arrays in radii:
         want = _closed_form(*arrays)
@@ -1682,8 +1701,8 @@ class TestClosedForm:
         for what, measure, alpha in _benchmark_measures(tmp_path):
             shape = discretize_spectral(fit_spectrum(measure, alpha)[0])
             distance = characteristics._restricted_distance(measure, shape)
-            points = {*measure.locations.tolist(), *shape.locations.tolist()}
-            critical = characteristics._critical_set(tuple(sorted(points)))
+            points = {*_arrays(measure)[0].tolist(), *_arrays(shape)[0].tolist()}
+            critical = characteristics._critical_distances(tuple(sorted(points)))
             radii = [0.5 * (left + right) for left, right, _ in _restrictions(measure, shape)]
             for radius in (*radii, math.inf):
                 arrays = (*_ball(measure, radius), *_ball(shape, radius))
