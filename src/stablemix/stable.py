@@ -543,12 +543,27 @@ def _tail_coefficients(alpha: float, beta: float) -> Tuple[float, ...]:
     return tuple(coeffs)
 
 
+# The kernels int_{-1}^{1} y**l exp(i*u*y) dy / 2 for l = 0, 1, 2 (real,
+# imaginary, real part) as power series below u = 1, one row each, the
+# coefficient of u**(2j) in column j; the l = 1 row omits a factor u.
+_KERNEL_TERMS = 11
+_KERNEL_SERIES = np.array([
+    [(-1.0) ** j / f(j) for j in range(_KERNEL_TERMS)]
+    for f in (
+        lambda j: math.factorial(2 * j + 1),
+        lambda j: math.factorial(2 * j + 1) * (2 * j + 3),
+        lambda j: math.factorial(2 * j) * (2 * j + 3),
+    )
+])
+
+
 class _Table(NamedTuple):
     alpha: float
     t: np.ndarray
     psi: np.ndarray  # beta*w*t**alpha
     gw: np.ndarray  # weight * exp(-t**alpha) / pi
     gp: np.ndarray  # gw / t, the Gil-Pelaez weights
+    even: np.ndarray  # row j is t**(2j), j < _KERNEL_TERMS, by repeated products
     right: Tuple[float, ...]  # tail coefficients of Z
     left: Tuple[float, ...]  # tail coefficients of -Z
 
@@ -561,11 +576,16 @@ def _table(alpha: float, beta: float) -> _Table:
     t, weights = _t_rule(min(1.0, _PANEL_PHASE / rate), upper)
     power = t ** alpha
     gw = weights * np.exp(-power) / math.pi
+    even = np.empty((_KERNEL_TERMS, t.size))
+    even[0] = 1.0
+    t2 = t * t
+    for j in range(1, _KERNEL_TERMS):
+        np.multiply(even[j - 1], t2, out=even[j])
     table = _Table(
-        alpha, t, beta * w * power, gw, gw / t,
+        alpha, t, beta * w * power, gw, gw / t, even,
         _tail_coefficients(alpha, beta), _tail_coefficients(alpha, -beta),
     )
-    for array in (table.t, table.psi, table.gw, table.gp):
+    for array in (table.t, table.psi, table.gw, table.gp, table.even):
         array.flags.writeable = False  # shared by every caller of the cache
     return table
 
@@ -603,39 +623,30 @@ def _fourier_masses(params: StableParams, xs: Sequence[float], rights: Sequence[
     return out
 
 
-# Power series of the symmetric kernels below |u| = 1, in powers of u**2.
-_KERNEL_SERIES = tuple(
-    np.array([(-1.0) ** m / f(m) for m in range(11)][::-1])
-    for f in (
-        lambda m: math.factorial(2 * m + 1),
-        lambda m: math.factorial(2 * m + 1) * (2 * m + 3),
-        lambda m: math.factorial(2 * m) * (2 * m + 3),
-    )
-)
-
-
-def _kernels(t: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """int_{-h}^{h} y**l exp(i*t*y) dy for l = 0, 1, 2, as the real K0, the
-    imaginary part of the l = 1 kernel, and the real K2."""
-    u = t * h
-    small = u <= 1.0
-    us = np.where(small, u, 1.0)
-    u2 = us * us
-    s, c = np.sin(u), np.cos(u)
-    k0 = np.where(small, np.polyval(_KERNEL_SERIES[0], u2), s / u)
-    k1 = np.where(small, us * np.polyval(_KERNEL_SERIES[1], u2), (s - u * c) / (u * u))
-    k2 = np.where(small, np.polyval(_KERNEL_SERIES[2], u2), (u * u * s + 2.0 * u * c - 2.0 * s) / u ** 3)
-    return 2.0 * h * k0, 2.0 * h * h * k1, 2.0 * h ** 3 * k2
-
-
 def _core_moments(tab: _Table, lo: float, hi: float) -> Tuple[float, float, float]:
     """int_{-h}^{h} y**l p(m + y) dy for l = 0, 1, 2 over [lo, hi] = [m-h, m+h]
-    inside [-_SPLIT, _SPLIT], where p is the density of Z."""
+    inside [-_SPLIT, _SPLIT], where p is the density of Z.
+
+    On the nodes with t*h <= 1 the kernels are series in (t*h)**2, so their
+    sums are series in h**2 over the node moments sum re*t**(2j) and
+    sum im*t**(2j+1); the closed forms run only on the other nodes."""
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     phase = tab.t * m + tab.psi
     re, im = tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
-    k0, k1, k2 = _kernels(tab.t, h)
-    return float(np.dot(re, k0)), float(np.dot(im, k1)), float(np.dot(re, k2))
+    u = tab.t * h
+    near = u <= 1.0
+    moments = tab.even @ np.where(near, (re, im * tab.t), 0.0).T
+    h2 = np.full(_KERNEL_TERMS, h * h)
+    h2[0] = 1.0
+    series = (_KERNEL_SERIES * np.cumprod(h2)) @ moments
+    k0, k1, k2 = float(series[0, 0]), h * float(series[1, 1]), float(series[2, 0])
+    if not near.all():
+        u, re, im = u[~near], re[~near], im[~near]
+        s, c, uu = np.sin(u), np.cos(u), u * u
+        k0 += float(np.dot(re, s / u))
+        k1 += float(np.dot(im, (s - u * c) / uu))
+        k2 += float(np.dot(re, (uu * s + 2.0 * u * c - 2.0 * s) / (uu * u)))
+    return 2.0 * h * k0, 2.0 * h * h * k1, 2.0 * h ** 3 * k2
 
 
 def _tail_moments(coeffs: Tuple[float, ...], alpha: float, lo: float, hi: float) -> Tuple[float, float, float]:

@@ -14,6 +14,7 @@ Each oracle is trusted only where it is accurate:
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from stablemix.directing import StableLaw, _RealizedLaw
 from stablemix.stable import (
     NormingSequence,
     StableParams,
+    _core_moments,
     _fourier_masses,
     _fourier_smoothed,
+    _SPLIT,
     _table,
     _tail,
     stable_cf,
@@ -247,6 +250,97 @@ def test_outside_region_is_scipy(alpha):
     for x in (-30.0, -1.0, 0.2, 2.5, 30.0):
         assert law.cdf(x) == _scipy("cdf", params, x)
         assert law.right_tail(x) == _scipy("sf", params, x)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("bound", [1e-100, 1e-200, 1e-300, 5e-324])
+def test_tiny_bound_moments_raise_no_warning(beta, bound):
+    # The closed-form kernels once ran on every node, and u**3 underflowed
+    # to 0 there: "invalid value encountered in divide".
+    law = StableLaw(StableParams(1.5, 0.0, 1.0, beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [law.truncated_second(bound), law.truncated_mean(bound)]
+    assert all(math.isfinite(v) for v in values), values
+    assert values[0] >= 0.0
+
+
+# The kernel sums before the node moments: both branches of each kernel on
+# every node, one np.polyval per series.
+
+_REF_KERNEL_SERIES = tuple(
+    np.array([(-1.0) ** m / f(m) for m in range(11)][::-1])
+    for f in (
+        lambda m: math.factorial(2 * m + 1),
+        lambda m: math.factorial(2 * m + 1) * (2 * m + 3),
+        lambda m: math.factorial(2 * m) * (2 * m + 3),
+    )
+)
+
+
+def _ref_kernels(t, h):
+    u = t * h
+    small = u <= 1.0
+    us = np.where(small, u, 1.0)
+    u2 = us * us
+    s, c = np.sin(u), np.cos(u)
+    k0 = np.where(small, np.polyval(_REF_KERNEL_SERIES[0], u2), s / u)
+    k1 = np.where(small, us * np.polyval(_REF_KERNEL_SERIES[1], u2), (s - u * c) / (u * u))
+    k2 = np.where(small, np.polyval(_REF_KERNEL_SERIES[2], u2), (u * u * s + 2.0 * u * c - 2.0 * s) / u ** 3)
+    return 2.0 * h * k0, 2.0 * h * h * k1, 2.0 * h ** 3 * k2
+
+
+def _ref_core_moments(tab, lo, hi):
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    phase = tab.t * m + tab.psi
+    re, im = tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
+    k0, k1, k2 = _ref_kernels(tab.t, h)
+    return float(np.dot(re, k0)), float(np.dot(im, k1)), float(np.dot(re, k2))
+
+
+class TestCoreMomentsOracle:
+    """The node-moment sums equal the per-node kernels to rounding."""
+
+    HALF_WIDTHS = tuple(np.geomspace(1e-3, 20.0, 41))
+
+    @staticmethod
+    def _exact_unit_width(tab):
+        # A half-width at which a middle node has t*h == 1.0 exactly, so
+        # that it takes the series and the nodes above it the closed forms.
+        ts = np.sort(tab.t)
+        for t in ts[len(ts) // 2:]:
+            h = 1.0 / float(t)
+            if float(t) * h == 1.0:
+                return h
+        raise AssertionError("no node with t * (1/t) == 1.0")
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_matches_per_node_kernels(self, alpha, beta):
+        tab = _table(alpha, beta)
+        hs = self.HALF_WIDTHS + (self._exact_unit_width(tab),)
+        near_only = mixed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reference divides by an underflowed u**3
+            for h in hs:
+                for m in (0.0, 2.75, -7.5, _SPLIT - h, h - _SPLIT, _SPLIT - 0.5 * h):
+                    lo, hi = max(m - h, -_SPLIT), min(m + h, _SPLIT)
+                    if float(np.max(tab.t)) * 0.5 * (hi - lo) <= 1.0:
+                        near_only += 1
+                    else:
+                        mixed += 1
+                    got, want = _core_moments(tab, lo, hi), _ref_core_moments(tab, lo, hi)
+                    for l, (g, w) in enumerate(zip(got, want)):
+                        assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (alpha, beta, m, h, l, g, w)
+        assert near_only and mixed
+
+    def test_even_powers_are_repeated_products(self):
+        tab = _table(1.5, 0.5)
+        assert not tab.even.flags.writeable
+        assert tab.even[0].tolist() == [1.0] * len(tab.t)
+        t2 = tab.t * tab.t
+        for j in range(1, len(tab.even)):
+            assert [x.hex() for x in tab.even[j]] == [x.hex() for x in tab.even[j - 1] * t2], j
 
 
 # The per-point path before one Fourier pass served a whole batch: one
