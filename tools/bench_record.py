@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Record the benchmark of one commit in ``BENCH_<workload>.json``.
+"""Record the benchmark of HEAD in ``BENCH_<workload>.json``, one per workload.
 
-For each seed s = 1..k the script exports the commit with ``git archive``
-into a fresh directory, runs
+For each workload of ``BENCHMARK.json`` (or the one ``--workload`` names)
+and each seed s = 1..k the script exports HEAD with ``git archive`` into a
+fresh directory, runs
 
     python3 perfbench/run.py --workload <workload> --seed s --seconds 40 --trace 0
 
 there, reads the run's record ``.perfbench_runs/<workload>-seed<s>-trace0.json``
-and deletes the copy. A fresh copy per run keeps ``peak_rss_mb`` independent
-of whatever an earlier run or the working checkout left behind. The file it
-writes holds, per end-to-end metric, the median, the quartiles and k, then
+and deletes the copy; the seconds are ``BENCHMARK.json``'s ``run_seconds``.
+A fresh copy per run keeps ``peak_rss_mb`` independent of whatever an
+earlier run or the working checkout left behind. The file it writes holds, per end-to-end metric, the median, the quartiles and k, then
 the ops attempted and failed over all runs, the record's ``machine`` block
 with the commit filled in (an archive copy has no ``.git``), and NumPy's
 baseline and active dispatched SIMD targets, which decide the last bits of
 its vectorized transcendental functions.
 
-    python3 tools/bench_record.py --workload stable-scaleprior-check
+    python3 tools/bench_record.py
     python3 tools/bench_record.py --workload stable-scaleprior-check --against HEAD~1
 
-``--against REV`` runs REV as well, alternating which side goes first (the
-commit on even seeds, REV on odd ones), and prints for each metric both
-sides' medians and quartiles and in how many of the k pairs the commit was
-better. Quartiles are the inclusive ones of ``statistics.quantiles``. The
-exit code is 1 when any op failed its output checks on either side.
+``--against REV`` runs REV as well, alternating which side goes first (HEAD
+on even seeds, REV on odd ones), and prints for each metric both sides'
+medians and quartiles and in how many of the k pairs HEAD was better, in
+the direction ``BENCHMARK.json`` gives. Quartiles are the inclusive ones of
+``statistics.quantiles``. The exit code is 1 when any op failed its output
+checks on either side.
 """
 
 from __future__ import annotations
@@ -105,15 +107,9 @@ def bench_file(commit: str, workload: str, seconds: float, seeds: Sequence[int],
     }
 
 
-def lower_is_better() -> Dict[str, bool]:
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    return {metric["name"]: metric["better"] == "lower" for metric in declared}
-
-
-def compare(mine: Sequence[dict], theirs: Sequence[dict], rev: str) -> List[str]:
-    """One line per metric: REV's and the commit's median [q1, q3], and how
-    many pairs the commit was better in."""
-    lower = lower_is_better()
+def compare(mine: Sequence[dict], theirs: Sequence[dict], rev: str, lower: Dict[str, bool]) -> List[str]:
+    """One line per metric: REV's and HEAD's median [q1, q3], and how many
+    pairs HEAD was better in; ``lower`` says per metric whether lower is better."""
     ours, base = summarize(mine), summarize(theirs)
     lines = []
     for name, stats in ours.items():
@@ -128,19 +124,12 @@ def compare(mine: Sequence[dict], theirs: Sequence[dict], rev: str) -> List[str]
     return lines
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--commit", default="HEAD", help="the commit to record (default: HEAD)")
-    parser.add_argument("--against", metavar="REV", help="also run REV, alternating, and compare")
-    parser.add_argument("--runs", type=int, default=10, help="k, the number of seeds 1..k (default: 10)")
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory for BENCH_<workload>.json")
-    args = parser.parse_args(argv)
-
-    commit = _git("rev-parse", "--verify", f"{args.commit}^{{commit}}")
-    other = _git("rev-parse", "--verify", f"{args.against}^{{commit}}") if args.against else None
-    seeds = range(1, args.runs + 1)
+def record_workload(workload: str, other: Optional[str], runs: int, seconds: float,
+                    lower: Dict[str, bool]) -> int:
+    """Write ``BENCH_<workload>.json`` for HEAD and, with ``other``, print the
+    comparison; the number of failed ops on either side."""
+    commit = _git("rev-parse", "HEAD")
+    seeds = range(1, runs + 1)
     mine: List[dict] = []
     theirs: List[dict] = []
     scratch = Path(tempfile.mkdtemp(prefix="bench-record-"))
@@ -148,22 +137,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for seed in seeds:
             sides = [(commit, mine)] if other is None else [(commit, mine), (other, theirs)][:: 1 if seed % 2 == 0 else -1]
             for rev, records in sides:
-                record = run_once(rev, args.workload, seed, args.seconds, scratch)
+                record = run_once(rev, workload, seed, seconds, scratch)
                 records.append(record)
                 wall = record["metrics"]["wall_s"]["value"]
-                print(f"seed {seed} {rev[:12]}: wall_s {wall:.4g}, failed {record['failed']} of {record['attempted']}",
+                print(f"{workload} seed {seed} {rev[:12]}: wall_s {wall:.4g}, failed {record['failed']} of {record['attempted']}",
                       file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    result = bench_file(commit, args.workload, args.seconds, seeds, mine)
-    path = args.out / f"BENCH_{args.workload}.json"
+    result = bench_file(commit, workload, seconds, seeds, mine)
+    path = ROOT / f"BENCH_{workload}.json"
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    print(f"wrote {path.name}")
     if other is not None:
-        for line in compare(mine, theirs, other[:12]):
-            print(line)
-    failed = result["failed"] + sum(record["failed"] for record in theirs)
+        for line in compare(mine, theirs, other[:12], lower):
+            print(f"  {line}")
+    return result["failed"] + sum(record["failed"] for record in theirs)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [workload["name"] for workload in declared["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=workloads, help="record this workload only (default: all)")
+    parser.add_argument("--against", metavar="REV", help="also run REV, alternating, and compare")
+    parser.add_argument("--runs", type=int, default=10, help="k, the number of seeds 1..k (default: 10)")
+    args = parser.parse_args(argv)
+
+    other = _git("rev-parse", "--verify", f"{args.against}^{{commit}}") if args.against else None
+    lower = {metric["name"]: metric["better"] == "lower" for metric in declared["end_to_end"]}
+    failed = 0
+    for workload in [args.workload] if args.workload else workloads:
+        failed += record_workload(workload, other, args.runs, declared["run_seconds"], lower)
     return 1 if failed else 0
 
 
