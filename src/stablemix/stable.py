@@ -635,11 +635,16 @@ def _core_moments(tab: _Table, lo: float, hi: float) -> Tuple[float, float, floa
     re, im = tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
     u = tab.t * h
     near = u <= 1.0
-    moments = tab.even @ np.where(near, (re, im * tab.t), 0.0).T
+    # Two matrix-vector products: a matrix-matrix one would go through BLAS
+    # gemm, whose first call alone adds 0.25 MB of resident buffers.
+    even_moments = tab.even @ np.where(near, re, 0.0)
+    odd_moments = tab.even @ np.where(near, im * tab.t, 0.0)
     h2 = np.full(_KERNEL_TERMS, h * h)
     h2[0] = 1.0
-    series = (_KERNEL_SERIES * np.cumprod(h2)) @ moments
-    k0, k1, k2 = float(series[0, 0]), h * float(series[1, 1]), float(series[2, 0])
+    series = _KERNEL_SERIES * np.cumprod(h2)
+    k0 = float(np.dot(series[0], even_moments))
+    k1 = h * float(np.dot(series[1], odd_moments))
+    k2 = float(np.dot(series[2], even_moments))
     if not near.all():
         u, re, im = u[~near], re[~near], im[~near]
         s, c, uu = np.sin(u), np.cos(u), u * u
