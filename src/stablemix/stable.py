@@ -591,8 +591,7 @@ def _table(alpha: float, beta: float) -> _Table:
 
 
 def _tail(coeffs: Tuple[float, ...], alpha: float, x: float) -> float:
-    """The tail series at x > _SPLIT by Horner's rule, in the order and
-    rounding of NumPy's polynomial evaluation (the tests pin it bit for bit)."""
+    """The tail series at x > _SPLIT by Horner's rule, bitwise ``np.polyval``."""
     y = x ** -alpha
     acc = 0.0
     for coeff in reversed(coeffs):

@@ -1,27 +1,27 @@
 #!/usr/bin/env python3
 """Record the benchmark of HEAD in ``BENCH_<workload>.json``, one per workload.
 
-For each workload of ``BENCHMARK.json`` (or the one ``--workload`` names)
-and each seed s = 1..k the script exports HEAD with ``git archive`` into a
-fresh directory, runs
+For each workload of ``BENCHMARK.json`` and each seed s = 1..10 the script
+exports HEAD with ``git archive`` into a fresh directory, runs
 
     python3 perfbench/run.py --workload <workload> --seed s --seconds 40 --trace 0
 
 there, reads the run's record ``.perfbench_runs/<workload>-seed<s>-trace0.json``
 and deletes the copy; the seconds are ``BENCHMARK.json``'s ``run_seconds``.
 A fresh copy per run keeps ``peak_rss_mb`` independent of whatever an
-earlier run or the working checkout left behind. The file it writes holds, per end-to-end metric, the median, the quartiles and k, then
+earlier run or the working checkout left behind. The file it writes holds,
+per end-to-end metric, the median, the quartiles and k = 10, then
 the ops attempted and failed over all runs, the record's ``machine`` block
 with the commit filled in (an archive copy has no ``.git``), and NumPy's
 baseline and active dispatched SIMD targets, which decide the last bits of
 its vectorized transcendental functions.
 
     python3 tools/bench_record.py
-    python3 tools/bench_record.py --workload stable-scaleprior-check --against HEAD~1
+    python3 tools/bench_record.py --against HEAD~1
 
 ``--against REV`` runs REV as well, alternating which side goes first (HEAD
 on even seeds, REV on odd ones), and prints for each metric both sides'
-medians and quartiles and in how many of the k pairs HEAD was better, in
+medians and quartiles and in how many of the 10 pairs HEAD was better, in
 the direction ``BENCHMARK.json`` gives. Quartiles are the inclusive ones of
 ``statistics.quantiles``. The exit code is 1 when any op failed its output
 checks on either side.
@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 10  # seeds 1..RUNS; ten pairs is the fewest that can show a gain
 
 
 def _git(*args: str) -> str:
@@ -80,7 +81,7 @@ def summarize(records: Sequence[dict]) -> Dict[str, dict]:
     out = {}
     for name, first in records[0]["metrics"].items():
         values = [record["metrics"][name]["value"] for record in records]
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[name] = {
             "unit": first["unit"],
             "median": statistics.median(values),
@@ -124,12 +125,11 @@ def compare(mine: Sequence[dict], theirs: Sequence[dict], rev: str, lower: Dict[
     return lines
 
 
-def record_workload(workload: str, other: Optional[str], runs: int, seconds: float,
-                    lower: Dict[str, bool]) -> int:
+def record_workload(workload: str, other: Optional[str], seconds: float, lower: Dict[str, bool]) -> int:
     """Write ``BENCH_<workload>.json`` for HEAD and, with ``other``, print the
     comparison; the number of failed ops on either side."""
     commit = _git("rev-parse", "HEAD")
-    seeds = range(1, runs + 1)
+    seeds = range(1, RUNS + 1)
     mine: List[dict] = []
     theirs: List[dict] = []
     scratch = Path(tempfile.mkdtemp(prefix="bench-record-"))
@@ -159,16 +159,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [workload["name"] for workload in declared["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=workloads, help="record this workload only (default: all)")
     parser.add_argument("--against", metavar="REV", help="also run REV, alternating, and compare")
-    parser.add_argument("--runs", type=int, default=10, help="k, the number of seeds 1..k (default: 10)")
     args = parser.parse_args(argv)
 
     other = _git("rev-parse", "--verify", f"{args.against}^{{commit}}") if args.against else None
     lower = {metric["name"]: metric["better"] == "lower" for metric in declared["end_to_end"]}
     failed = 0
-    for workload in [args.workload] if args.workload else workloads:
-        failed += record_workload(workload, other, args.runs, declared["run_seconds"], lower)
+    for workload in workloads:
+        failed += record_workload(workload, other, declared["run_seconds"], lower)
     return 1 if failed else 0
 
 
