@@ -308,53 +308,53 @@ def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, 
 
 def _prokhorov_one_sided(
     mu_locs: List[float],
-    mu_masses: List[float],
+    mu_masses: List[int],
     nu_locs: List[float],
-    nu_cum: List[float],
+    nu_cum: List[int],
     eps: float,
     cap: float,
-) -> float:
+) -> int:
     """Largest violation max_A [mu(A) - nu(A^eps)] over unions A of mu atoms,
     or, as soon as one union exceeds ``cap``, that union's violation.
 
     :param mu_locs: sorted distinct mu atom locations
-    :param mu_masses: the matching mu masses
+    :param mu_masses: the matching mu masses, integers in the unit of ``nu_cum``
     :param nu_locs: sorted distinct nu atom locations
-    :param nu_cum: nu's cumulative masses, 0.0 first, one longer than ``nu_locs``
+    :param nu_cum: nu's cumulative masses, one longer than ``nu_locs``; every
+        zero of the pass is ``nu_cum[0]``, so integers stay exact
     :param eps: the neighbourhood radius
     :param cap: the caller's acceptance bound, at least 0; a return value
         above it only says that the violation exceeds it
 
-    Dynamic program over mu atoms in increasing location order, best[i] being
-    the optimum among subsets whose rightmost atom is i. Appending atom i to
-    a run ending at j adds nu((x_j+eps, x_i+eps]) when the closed
-    eps-intervals overlap and nu([x_i-eps, x_i+eps]) when they are disjoint,
-    so the transition splits into a sliding-window maximum of
-    best[j] + nu(-inf, x_j+eps] over overlapping j (kept in a monotone deque)
-    and a prefix maximum of best[j] over disjoint j. The nu atoms up to
-    x_i+eps and below x_i-eps are counted by two pointers that only move
-    right. The running maximum never decreases, so once it exceeds ``cap``
-    the full violation does too.
+    A nu atom y lies in A^eps when the float |x - y| is at most eps for some
+    x in A. Rounding is monotone, so the nu atoms near x_i form an index
+    range [L_i, R_i) whose ends two pointers find, moving only right.
+    Dynamic program over mu atoms in increasing location order, best[i]
+    being the optimum among subsets whose rightmost atom is i. Appending
+    atom i to a run ending at j adds nu[R_j, R_i) when R_j > L_i and
+    nu[L_i, R_i) otherwise, so the transition splits into a sliding-window
+    maximum of best[j] + nu[0, R_j) over the first kind of j (kept in a
+    monotone deque) and a prefix maximum of best[j] over the second. The
+    running maximum never decreases, so once it exceeds ``cap`` the full
+    violation does too.
     """
     k = len(mu_locs)
-    best = [0.0] * k
-    keys = [0.0] * k  # best[j] + nu(-inf, x_j+eps]
+    zero = nu_cum[0]
+    best = [zero] * k
+    keys = [zero] * k  # best[j] + nu[0, R_j)
+    reach = [0] * k  # R_j
     window: deque = deque()
-    prefix_best = 0.0
+    prefix_best = overall = zero
     start = 0
-    overall = 0.0
-    two_eps = 2.0 * eps
     m = len(nu_locs)
-    top = bottom = 0  # nu atoms at most x + eps, below x - eps
+    top = bottom = 0  # R_i and L_i
     for i, x in enumerate(mu_locs):
-        high = x + eps
-        while top < m and nu_locs[top] <= high:
+        while top < m and nu_locs[top] - x <= eps:
             top += 1
-        low = x - eps
-        while bottom < m and nu_locs[bottom] < low:
+        while bottom < m and x - nu_locs[bottom] > eps:
             bottom += 1
         up_i = nu_cum[top]
-        while start < i and x - mu_locs[start] > two_eps:
+        while start < i and reach[start] <= bottom:
             if best[start] > prefix_best:
                 prefix_best = best[start]
             if window and window[0] == start:
@@ -374,6 +374,7 @@ def _prokhorov_one_sided(
                 return overall
         key = best_i + up_i
         keys[i] = key
+        reach[i] = top
         while window and keys[window[-1]] <= key:
             window.pop()
         window.append(i)
@@ -408,47 +409,44 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     eps at which neither one-sided violation max_A [mu(A) - nu(A^eps)] over
     unions A of atoms exceeds eps.
 
-    It is the whole-line radius of :func:`_restricted_distance`, the
-    computation behind every radius of :func:`dsharp`: the exact distance
-    rounded once where the closed form applies, and elsewhere the search's
-    value, which never leaves its bracket [|P - N|, U], each end rounded
-    once. More than 2048 distinct atom locations raise a ``ValueError``.
+    It is the whole-line radius of :func:`_restricted_distance`: the exact
+    distance for the measures' floats, rounded once, given float critical
+    distances, for at most 2048 distinct atom locations. No pipeline path
+    calls it; it stays public as the distance that :func:`dsharp`
+    integrates, for a caller who compares two measures without weights.
     """
     return _restricted_distance(mu, nu)(math.inf)
+
+
+def _scaled(x: float, shift: int) -> int:
+    """floor(x * 2**shift), exactly, for a finite float x."""
+    numerator, denominator = x.as_integer_ratio()
+    return (numerator << shift) // denominator
 
 
 def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[float], float]:
     """The Levy-Prokhorov distance between the restrictions of ``mu`` and
     ``nu`` to the open ball (-r, r), as a function of r (``math.inf`` for
-    the whole line).
+    the whole line). Every distance is the exact value for the measures'
+    floats, rounded once, given float critical distances |x - y|.
 
-    Let g be the smallest distance between two distinct support points of a
-    restricted pair, P the sum of mu(x) - nu(x) over the points where mu is
-    heavier, N the same with mu and nu swapped, and U = max(P, N). The
-    distance d lies between |P - N| and U: taking A to be the whole support
-    gives a violation of at least |P - N| at every eps, and no violation
-    exceeds U, because A lies in A^eps. So when one side's excess is empty,
-    min(P, N) = 0, d is exactly U, whatever the gaps; this covers U = 0 and
-    a restriction with at most one support point. And for eps < g each
-    closed eps-ball holds only its own support point, so the violation is
-    exactly U; hence, when U < g, d is exactly U too. U is the larger of two
-    ``math.fsum`` sums of (m, -n) terms over the ball's slice of the union
-    of both supports, so it is correctly rounded. Whether a side's excess is
-    empty is read from the term counts, with no float comparison; g is the
-    smallest float gap in the slice, and rounding is monotone, so a float U
-    below it implies the exact premise. Where P, N > 0 and U >= g the
-    distance comes from the search :func:`_prokhorov_arrays` over the
-    bracket [|P - N|, U], each end rounded once: |P - N| is one
-    ``math.fsum`` over both sides' terms, the minus side's negated. Every
-    restriction is supported in the union, so the distances between its
-    points serve as the critical set of every search; it is built on the
-    first search (see :func:`_critical_distances`).
-
-    The tables over the union are built once, and more than
-    ``_MAX_CRITICAL_LOCATIONS`` distinct locations raise a ``ValueError``
-    before any radius. Each measure is read once as Python lists, and a
-    restriction is a list slice, because it holds a few dozen atoms, too few
-    to pay NumPy's cost per call.
+    Let g be the smallest gap between two support points of a restricted
+    pair, P the sum of mu(x) - nu(x) over the points where mu is heavier, N
+    the same with mu and nu swapped, and U = max(P, N). The distance d lies
+    in [|P - N|, U]: A = the whole support violates by at least |P - N| at
+    every eps, and no violation exceeds U, since A lies in A^eps. So d = U
+    when min(P, N) = 0, and when U < g, because for eps < g each closed
+    eps-ball holds only its own point. U is the larger of two ``math.fsum``
+    sums of (m, -n) terms over the ball's slice of the union of supports, so
+    it is rounded once; an empty side is read from the term counts, and a
+    float U below the float g implies the exact premise, since rounding is
+    monotone. Elsewhere :func:`_prokhorov_arrays` searches [|P - N|, U],
+    each end one ``math.fsum``. The first search builds the critical set of
+    the union (see :func:`_critical_distances`), which serves every radius,
+    and scales every mass of the pair by one power of two to an integer.
+    More than ``_MAX_CRITICAL_LOCATIONS`` distinct locations raise a
+    ``ValueError`` before any radius. A restriction is a slice of Python
+    lists: a few dozen atoms, too few to pay NumPy's cost per call.
     """
     mu_locs, mu_masses = _atom_lists(mu)
     nu_locs, nu_masses = _atom_lists(nu)
@@ -473,7 +471,7 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
         plus_at.append(len(plus))
         minus_at.append(len(minus))
     gaps = [y - x for x, y in zip(points, points[1:])]
-    critical: Optional[Tuple[float, ...]] = None
+    search: Optional[Tuple[Tuple[float, ...], int, List[int], List[int]]] = None
 
     def distance(radius: float) -> float:
         # Locations are sorted, so each open ball (-radius, radius) is a slice.
@@ -482,15 +480,19 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
         excess = max(math.fsum(p_terms), math.fsum(n_terms))
         if not p_terms or not n_terms or excess < min(gaps[low : high - 1]):
             return excess
-        nonlocal critical
-        if critical is None:
+        nonlocal search
+        if search is None:
             memo = len(points) <= _CRITICAL_MEMO_POINTS
             critical = (_critical_distances if memo else _critical_distances.__wrapped__)(points)
+            # 2**shift is the largest denominator of the pair's masses.
+            shift = max(m.as_integer_ratio()[1] for m in (*mu_masses, *nu_masses)).bit_length() - 1
+            search = critical, shift, [_scaled(m, shift) for m in mu_masses], [_scaled(m, shift) for m in nu_masses]
+        critical, shift, mu_ints, nu_ints = search
         mass_gap = abs(math.fsum([*p_terms, *(-term for term in n_terms)]))
         mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
         nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
         return _prokhorov_arrays(
-            mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical, mass_gap, excess
+            mu_locs[mu_keep], mu_ints[mu_keep], nu_locs[nu_keep], nu_ints[nu_keep], critical, mass_gap, excess, shift
         )
 
     return distance
@@ -498,17 +500,19 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
 
 def _prokhorov_arrays(
     mu_locs: List[float],
-    mu_masses: List[float],
+    mu_masses: List[int],
     nu_locs: List[float],
-    nu_masses: List[float],
+    nu_masses: List[int],
     critical: Sequence[float],
     lo: float,
     hi: float,
+    shift: int,
 ) -> float:
     """Levy-Prokhorov distance between two measures given as canonical
     (sorted, distinct, positive) atom lists, by a search over critical
-    distances.
+    distances: the exact distance, rounded once.
 
+    :param mu_masses: the mu masses times 2**``shift``, integers, as are ``nu_masses``
     :param critical: sorted, holding every distance between an atom of mu
         and an atom of nu; extra values cost a little search time and do
         not change the result
@@ -518,24 +522,21 @@ def _prokhorov_arrays(
 
     The larger one-sided violation V(eps) is a non-increasing step function
     of eps that changes only at the critical distances. The edges are lo,
-    the critical distances strictly between lo and hi, then hi; V is read
-    only at the midpoints of the intervals between them. The search probes
-    the intervals at indices 0, 1, 3, 7, ... until one is feasible and
-    bisects inside the last bracket, and returns a value in [lo, hi]. On
-    the Pareto benchmark's spectral fits every distance was the mass gap or
-    lay in the first interval above it, so a search cost one evaluation of
-    V; an answer in interval k costs O(log k), and at worst about twice a
-    bisection of the whole bracket.
-    Feasibility is monotone in the interval index, so both searches return
-    the same distance bit for bit. Each evaluation of V is two capped
-    passes of :func:`_prokhorov_one_sided`, which stop once V exceeds the
-    edge above the probed interval.
+    the critical distances strictly between lo and hi, then hi, and V is
+    read at each interval's left edge. The search probes the intervals at
+    indices 0, 1, 3, 7, ... until one is feasible and bisects inside the
+    last bracket: an answer in interval k costs O(log k) evaluations of V,
+    and at worst about twice a bisection of the whole bracket. Each is two
+    passes of :func:`_prokhorov_one_sided` in integers, which stop once
+    V exceeds floor(edge * 2**``shift``) for the edge above the interval.
+    The distance is max(edge, V) for the first feasible interval, V divided
+    by 2**``shift`` once; V lies in the exact bracket and rounding is
+    monotone, so the float ends leave the exact value rounded once.
     """
-    # accumulate adds in the order of np.cumsum.
-    mu_cum = list(accumulate(mu_masses, initial=0.0))
-    nu_cum = list(accumulate(nu_masses, initial=0.0))
+    mu_cum = list(accumulate(mu_masses, initial=0))
+    nu_cum = list(accumulate(nu_masses, initial=0))
 
-    def violation(eps: float, cap: float) -> Optional[float]:
+    def violation(eps: float, cap: float) -> Optional[int]:
         """The larger one-sided violation at eps, or None once one exceeds cap."""
         forward = _prokhorov_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps, cap)
         if forward > cap:
@@ -545,14 +546,12 @@ def _prokhorov_arrays(
             return None
         return max(forward, backward)
 
-    # V is constant on [edges[k], edges[k + 1]) and is read at its midpoint,
-    # because at eps = |x - y| itself x + eps need not round to y. The
-    # distance is max(edges[k], V there) for the first k whose V is at most
-    # edges[k + 1]; that test is monotone in k.
+    # The distance is max(edges[k], V(edges[k])) for the first k whose V is
+    # at most edges[k + 1]; that test is monotone in k.
     edges = [lo, *critical[bisect_right(critical, lo) : bisect_left(critical, hi)], hi]
 
-    def probe(k: int, cap: float) -> Optional[float]:
-        return violation(0.5 * (edges[k] + edges[k + 1]), cap)
+    def probe(k: int) -> Optional[int]:
+        return violation(edges[k], _scaled(edges[k + 1], shift))
 
     # Gallop over k = 0, 1, 3, 7, ... below the last interval, then bisect
     # the bracket that the first feasible probe closes.
@@ -560,7 +559,7 @@ def _prokhorov_arrays(
     value = None
     k = 0
     while k < right:
-        v = probe(k, edges[k + 1])
+        v = probe(k)
         if v is not None:
             right, value = k, v
             break
@@ -568,14 +567,14 @@ def _prokhorov_arrays(
         k = 2 * k + 1
     while left < right:
         k = (left + right) // 2
-        v = probe(k, edges[k + 1])
+        v = probe(k)
         if v is None:
             left = k + 1
         else:
             right, value = k, v
     if value is None:
-        value = probe(right, math.inf)
-    return min(max(edges[right], value), hi)
+        value = violation(edges[right], math.inf)
+    return max(edges[right], value / (1 << shift))
 
 
 def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:

@@ -5,8 +5,8 @@ import importlib.util
 import json
 import math
 import sys
-from collections import deque
-from fractions import Fraction
+from itertools import accumulate
+from typing import Callable, NamedTuple
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +51,7 @@ from stablemix.measures import AtomicMeasure
 from stablemix.mixtures import mixture_cf
 from stablemix.stable import NormingSequence, StableParams, stable_cf
 
-def _arrays(measure):
-    """The atom locations and masses of ``measure`` as two float arrays."""
-    return np.array(measure.atoms, dtype=float).reshape(-1, 2).T
-
-
-def _critical(mu, nu):
-    """The library's critical distances of the sorted union of the atom
-    locations of ``mu`` and ``nu``, computed without the memo, so that an
-    oracle leaves its traffic as the library made it."""
-    union = tuple(sorted({x for x, _ in mu.atoms} | {x for x, _ in nu.atoms}))
-    return characteristics._critical_distances.__wrapped__(union)
+import exact_prokhorov as oracle
 
 
 def _restrict_open_ball(measure, r):
@@ -325,40 +315,6 @@ def _random_measure(rng, max_atoms=5):
     return AtomicMeasure.from_pairs(zip(locations.tolist(), masses.tolist()))
 
 
-def _brute_prokhorov(mu, nu, tol=1e-6):
-    """Reference distance via subset enumeration and bisection."""
-
-    def violation(a, b, eps):
-        locs, masses = _arrays(a)
-        worst = 0.0
-        for bits in range(1, 1 << len(locs)):
-            chosen = [i for i in range(len(locs)) if bits >> i & 1]
-            intervals = sorted((locs[i] - eps, locs[i] + eps) for i in chosen)
-            merged = [intervals[0]]
-            for lo, hi in intervals[1:]:
-                if lo <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-                else:
-                    merged.append((lo, hi))
-            cover = sum(b.mass_interval(lo, hi, "both") for lo, hi in merged)
-            worst = max(worst, float(masses[chosen].sum()) - cover)
-        return worst
-
-    def feasible(eps):
-        return violation(mu, nu, eps) <= eps and violation(nu, mu, eps) <= eps
-
-    lo, hi = 0.0, max(mu.total_mass, nu.total_mass)
-    if feasible(lo):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 class TestProkhorov:
     """Levy-Prokhorov distance between finite atomic measures."""
 
@@ -370,7 +326,7 @@ class TestProkhorov:
         d = prokhorov_distance(
             AtomicMeasure.from_pairs([(0.0, 1.0)]), AtomicMeasure.from_pairs([(0.3, 1.0)])
         )
-        np.testing.assert_allclose(d, 0.3, atol=1e-8)
+        assert d == 0.3
 
     def test_mass_deficit_dominates(self):
         doubled = AtomicMeasure.from_pairs([(0.0, 2.0)])
@@ -387,8 +343,7 @@ class TestProkhorov:
             AtomicMeasure.from_pairs([(0.0, mass)]),
             AtomicMeasure.from_pairs([(shift, mass)]),
         )
-        np.testing.assert_allclose(d, expected, atol=1e-8,
-                                   err_msg=f"min(mass, shift) rule failed for {mass}, {shift}")
+        assert d == expected, f"min(mass, shift) rule failed for {mass}, {shift}"
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(42)
@@ -396,17 +351,15 @@ class TestProkhorov:
             mu = _random_measure(rng)
             nu = _random_measure(rng)
             fast = prokhorov_distance(mu, nu)
-            slow = _brute_prokhorov(mu, nu)
-            assert abs(fast - slow) <= 2e-6, (
-                f"trial {trial}: dynamic program {fast} vs enumeration {slow}"
-            )
+            slow = oracle.brute_distance(mu, nu)
+            assert fast == slow, f"trial {trial}: dynamic program {fast!r} vs enumeration {slow!r}"
 
     def test_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             mu = _random_measure(rng)
             nu = _random_measure(rng)
-            assert abs(prokhorov_distance(mu, nu) - prokhorov_distance(nu, mu)) <= 1e-9
+            assert prokhorov_distance(mu, nu) == prokhorov_distance(nu, mu)
 
 
 class TestDsharp:
@@ -430,7 +383,7 @@ class TestDsharp:
         for _ in range(10):
             mu = _random_measure(rng)
             nu = _random_measure(rng)
-            np.testing.assert_allclose(dsharp(mu, nu), dsharp(nu, mu), rtol=1e-12)
+            assert dsharp(mu, nu) == dsharp(nu, mu)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(42)
@@ -716,98 +669,6 @@ class TestCharQuantities:
             CharQuantities(10, 1.0, 0.0, 0.0, 0.0, 0.0, null, -0.5)
 
 
-# Reference copy of the restriction metric as it was computed before the
-# array fast path: every radius restricts both measures into freshly built
-# AtomicMeasure objects and runs the measure-level Levy-Prokhorov bisection.
-# The bisection stops within 1e-9 and returns the feasible end, so it may lie
-# up to 1e-9 above the library's exact search and below it only by rounding.
-
-
-def _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps):
-    k = int(mu_locs.size)
-    if k == 0:
-        return 0.0
-    upper = nu_cum[np.searchsorted(nu_locs, mu_locs + eps, side="right")]
-    closed = upper - nu_cum[np.searchsorted(nu_locs, mu_locs - eps, side="left")]
-    locs, masses, up, cl = mu_locs.tolist(), mu_masses.tolist(), upper.tolist(), closed.tolist()
-    best = [0.0] * k
-    window = deque()
-    prefix_best = 0.0
-    start = 0
-    overall = 0.0
-    two_eps = 2.0 * eps
-    for i in range(k):
-        while start < i and locs[i] - locs[start] > two_eps:
-            if best[start] > prefix_best:
-                prefix_best = best[start]
-            if window and window[0] == start:
-                window.popleft()
-            start += 1
-        value = prefix_best - cl[i]
-        if window:
-            j = window[0]
-            candidate = best[j] + up[j] - up[i]
-            if candidate > value:
-                value = candidate
-        best_i = masses[i] + value
-        best[i] = best_i
-        if best_i > overall:
-            overall = best_i
-        key = best_i + up[i]
-        while window and best[window[-1]] + up[window[-1]] <= key:
-            window.pop()
-        window.append(i)
-    return max(0.0, overall)
-
-
-def _ref_prokhorov(mu, nu):
-    if mu.atoms == nu.atoms:
-        return 0.0
-    (mu_locs, mu_masses), (nu_locs, nu_masses) = _arrays(mu), _arrays(nu)
-    mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
-    nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
-
-    def feasible(eps):
-        if _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps) > eps:
-            return False
-        return _ref_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps) <= eps
-
-    lo = abs(mu.total_mass - nu.total_mass)
-    hi = max(mu.total_mass, nu.total_mass, lo)
-    if hi == 0.0:
-        return 0.0
-    if feasible(lo):
-        return lo
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _ref_dsharp(mu, nu, r_max=20.0):
-    if mu.atoms == nu.atoms:
-        return 0.0
-
-    def d_at(radius):
-        return _ref_prokhorov(_restrict_open_ball(mu, radius), _restrict_open_ball(nu, radius))
-
-    mu_abs, nu_abs = np.abs(_arrays(mu)[0]), np.abs(_arrays(nu)[0])
-    breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
-    breaks = breaks[(breaks > 0) & (breaks < r_max)]
-    edges = np.concatenate([[0.0], breaks, [r_max]])
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        if right <= left:
-            continue
-        d = d_at(0.5 * (left + right))
-        if d > 0:
-            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
-    return total
-
-
 def _gauss_legendre_dsharp(mu, nu, nodes, r_max=20.0):
     """The restriction metric by Gauss-Legendre quadrature on (0, r_max),
     independent of the exact segment sum of dsharp."""
@@ -827,7 +688,7 @@ def _oracle_pairs(rng):
         mu, nu = _random_measure(rng, 8), _random_measure(rng, 8)
         yield mu, nu
         shared = rng.uniform(0.1, 2.0, size=len(mu.atoms))
-        yield mu, AtomicMeasure.from_pairs(zip(_arrays(mu)[0].tolist(), shared.tolist()))
+        yield mu, AtomicMeasure.from_pairs(zip([x for x, _ in mu.atoms], shared.tolist()))
         far = rng.uniform(3.0, 25.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         yield AtomicMeasure.from_pairs(zip(far.tolist(), [0.5, 1.0, 1.5])), nu
         yield mu, AtomicMeasure(mu.atoms)
@@ -835,170 +696,18 @@ def _oracle_pairs(rng):
     yield AtomicMeasure(), AtomicMeasure()
 
 
-def _assert_within_bisection(reference, value, what):
-    gap = reference - value
-    assert -4 * math.ulp(reference) <= gap <= 1e-9, (
-        f"{what}: reference {reference!r} minus library {value!r} is {gap:.3g}, "
-        "outside [0, 1e-9] beyond rounding"
-    )
-
-
-class TestArrayPathOracle:
-    """The library's dsharp and Prokhorov paths against the measure-level copy."""
-
-    def test_bitwise_equal_on_seeded_measures(self):
-        rng = np.random.default_rng(20240601)
-        for trial, (mu, nu) in enumerate(_oracle_pairs(rng)):
-            for a, b in ((mu, nu), (nu, mu)):
-                _assert_within_bisection(
-                    _ref_prokhorov(a, b), prokhorov_distance(a, b), f"pair {trial}: Prokhorov distance"
-                )
-                _assert_within_bisection(_ref_dsharp(a, b), dsharp(a, b), f"pair {trial}: dsharp")
-
-    def test_bitwise_equal_on_spectral_fit_residuals(self):
-        law = ParetoLaw(1.5, 1.3, 0.5)
-        for n in (100, 100000):
-            measure = spectral_measure_lambda(law, PARETO_NORMING, n)
-            for alpha in (1.5, 1.2):
-                params, residual = fit_spectrum(measure, alpha)
-                reference = _ref_dsharp(measure, discretize_spectral(params))
-                _assert_within_bisection(reference, residual, f"fit residual at n={n}, alpha={alpha}")
-
-
-def _bisect_prokhorov_arrays(mu_locs, mu_masses, nu_locs, nu_masses, critical):
-    """The critical-distance search as a bisection of the whole bracket
-    [|P - N|, U] of :func:`_exact_bracket`, reading V only at interval
-    midpoints.
-
-    Returns the distance, the index k of the interval it was read in and the
-    index of the last interval."""
-    lo, hi = _exact_bracket(mu_locs, mu_masses, nu_locs, nu_masses)
-    mu_cum = np.concatenate([[0.0], np.cumsum(mu_masses)])
-    nu_cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
-
-    def violation(eps, cap):
-        forward = _ref_one_sided(mu_locs, mu_masses, nu_locs, nu_cum, eps)
-        if forward > cap:
-            return None
-        backward = _ref_one_sided(nu_locs, nu_masses, mu_locs, mu_cum, eps)
-        if backward > cap:
-            return None
-        return max(forward, backward)
-
-    inner = critical[np.searchsorted(critical, lo, side="right"):np.searchsorted(critical, hi, side="left")]
-    edges = [lo, *inner, hi]
-    left, right = 0, len(edges) - 2
-    value = None
-    while left < right:
-        k = (left + right) // 2
-        v = violation(0.5 * (edges[k] + edges[k + 1]), edges[k + 1])
-        if v is None:
-            left = k + 1
-        else:
-            right, value = k, v
-    if value is None:
-        value = violation(0.5 * (edges[right] + edges[right + 1]), math.inf)
-    return min(max(edges[right], value), hi), right, len(edges) - 2
-
-
-def _bisect_prokhorov(mu, nu):
-    """The distance by the Fraction closed form where the whole pair meets
-    its premise, else by the bisection."""
-    arrays = (*_arrays(mu), *_arrays(nu))
-    closed = _closed_form(*arrays)
-    if closed is not None:
-        return closed
-    return _bisect_prokhorov_arrays(*arrays, _critical(mu, nu))[0]
-
-
-def _restrictions(mu, nu, r_max=20.0):
-    """(left, right, arrays) for each radius segment (left, right] of dsharp,
-    arrays being the locations and masses of mu and nu that boolean masks
-    keep in the open ball at the segment's midpoint."""
-    (mu_locs, mu_masses), (nu_locs, nu_masses) = _arrays(mu), _arrays(nu)
-    mu_abs, nu_abs = np.abs(mu_locs), np.abs(nu_locs)
-    breaks = np.unique(np.concatenate([mu_abs, nu_abs]))
-    breaks = breaks[(breaks > 0) & (breaks < r_max)]
-    edges = np.concatenate([[0.0], breaks, [r_max]])
-    for left, right in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        radius = 0.5 * (left + right)
-        mu_keep, nu_keep = mu_abs < radius, nu_abs < radius
-        yield left, right, (mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep])
-
-
-def _units(x):
-    """The float ``x`` as an exact integer number of units 2**-1074, the
-    spacing of the subnormal floats."""
-    numerator, denominator = x.as_integer_ratio()
-    return numerator << (1075 - denominator.bit_length())
-
-
-def _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses):
-    """(P, N): the exact excess masses of mu over nu and of nu over mu as
-    Fractions, summed over the points where each side is heavier."""
-    excess = {}
-    for x, m in zip(mu_locs.tolist(), mu_masses.tolist()):
-        excess[x] = excess.get(x, 0) + _units(m)
-    for x, m in zip(nu_locs.tolist(), nu_masses.tolist()):
-        excess[x] = excess.get(x, 0) - _units(m)
-    plus = sum(e for e in excess.values() if e > 0)
-    minus = -sum(e for e in excess.values() if e < 0)
-    return Fraction(plus, 1 << 1074), Fraction(minus, 1 << 1074)
-
-
-def _exact_bracket(mu_locs, mu_masses, nu_locs, nu_masses):
-    """(float(|P - N|), float(U)) for (P, N) of :func:`_excess_masses` and
-    U = max(P, N): the bracket of every distance, each end rounded once."""
-    plus, minus = _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses)
-    return float(abs(plus - minus)), float(max(plus, minus))
-
-
-def _closed_form(mu_locs, mu_masses, nu_locs, nu_masses):
-    """float(U) for U = max(P, N) of :func:`_excess_masses`, when one excess
-    is empty or float(U) lies below the smallest gap between the union's
-    points; else None. The distance lies between |P - N| and U, so it is U
-    when min(P, N) = 0; below the gap every violation is U."""
-    plus, minus = _excess_masses(mu_locs, mu_masses, nu_locs, nu_masses)
-    u = float(max(plus, minus))
-    if min(plus, minus) == 0:
-        return u
-    points = np.union1d(mu_locs, nu_locs)
-    return u if u < float(np.diff(points).min()) else None
-
-
-def _bisect_dsharp(mu, nu, r_max=20.0):
-    """dsharp with boolean-mask restrictions, the Fraction closed form on
-    radii that meet its premise and the bisection search elsewhere."""
-    if mu.atoms == nu.atoms:
-        return 0.0
-    critical = _critical(mu, nu)
-
-    def d_at(arrays):
-        closed = _closed_form(*arrays)
-        if closed is not None:
-            return closed
-        return _bisect_prokhorov_arrays(*arrays, critical)[0]
-
-    total = 0.0
-    for left, right, arrays in _restrictions(mu, nu, r_max):
-        d = d_at(arrays)
-        if d > 0:
-            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
-    return total
-
-
-def _restrictions_of(pairs):
-    """:func:`_restrictions` of every pair in ``pairs``, in order."""
-    return (segment for mu, nu in pairs for segment in _restrictions(mu, nu))
-
-
-def _closed_form_count(pairs):
-    """How many dsharp radii of ``pairs`` meet the closed-form premise."""
-    return sum(_closed_form(*arrays) is not None for _, _, arrays in _restrictions_of(pairs))
-
-
 def _pairs(*pairs):
     return AtomicMeasure.from_pairs(pairs)
+
+
+def _union(mu, nu):
+    """The sorted distinct atom locations of ``mu`` and ``nu``."""
+    return tuple(sorted({x for x, _ in (*mu.atoms, *nu.atoms)}))
+
+
+def _radii(mu, nu):
+    """The midpoint of each radius segment of dsharp."""
+    return [0.5 * (left + right) for left, right in oracle.segments(mu, nu)]
 
 
 # Measure pairs whose distance is read at a known place: the mass gap, above
@@ -1033,138 +742,11 @@ def _placed(name, at_gap, k, last):
 
 
 @pytest.fixture
-def checked_searches(monkeypatch):
-    """Runs the bisection beside every library search, requires the exact
-    bracket as its lo and hi and the same distance bit for bit, and records
-    (k, last, whether the distance is the mass gap) of each."""
-    positions = []
-    search = characteristics._prokhorov_arrays
-
-    def checked(*args):
-        d = search(*args)
-        arrays = [np.asarray(a) for a in args[:4]]
-        assert args[5:] == _exact_bracket(*arrays), f"bracket {args[5:]!r}"
-        want, k, last = _bisect_prokhorov_arrays(*arrays, np.asarray(args[4]))
-        assert d == want, f"search gives {d!r}, bisection {want!r} (interval {k} of 0..{last})"
-        positions.append((k, last, d == args[5]))
-        return d
-
-    monkeypatch.setattr(characteristics, "_prokhorov_arrays", checked)
-    return positions
-
-
-class TestGallopingSearch:
-    """The galloping search returns the bisection's distance bit for bit."""
-
-    def test_equal_on_seeded_measures(self):
-        rng = np.random.default_rng(20240601)
-        for trial, (mu, nu) in enumerate(_oracle_pairs(rng)):
-            for a, b in ((mu, nu), (nu, mu)):
-                assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b), f"pair {trial}"
-                assert dsharp(a, b) == _bisect_dsharp(a, b), f"pair {trial}"
-
-    def test_equal_on_spectral_fit_residuals(self, checked_searches, tmp_path, monkeypatch):
-        law = ParetoLaw(1.5, 1.3, 0.5)
-        for n in (100, 1000, 10000, 100000):
-            measure = spectral_measure_lambda(law, PARETO_NORMING, n)
-            for alpha in (1.5, 1.2):
-                params, residual = fit_spectrum(measure, alpha)
-                assert residual == _bisect_dsharp(measure, discretize_spectral(params)), f"n={n}, alpha={alpha}"
-        # The benchmark panels' fits, where the old start left the bracket.
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        for _, measure, alpha in _benchmark_measures(tmp_path, seeds=(3, 5, 7, 11)):
-            fit_spectrum(measure, alpha)
-        assert len(checked_searches) > 1000
-        first = [at_gap for k, _, at_gap in checked_searches if k == 0]
-        assert True in first and False in first, "the fits should return both at the gap and above it in interval 0"
-
-    @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
-    def test_equal_wherever_the_answer_lies(self, name, checked_searches):
-        mu, nu = _PLACED_PAIRS[name]
-        arrays = (*_arrays(mu), *_arrays(nu))
-        d, k, last = _bisect_prokhorov_arrays(*arrays, _critical(mu, nu))
-        at_gap = d == _exact_bracket(*arrays)[0]
-        assert _placed(name, at_gap, k, last), f"{name}: the answer {d!r} is in interval {k} of 0..{last}"
-        for a, b in ((mu, nu), (nu, mu)):
-            assert prokhorov_distance(a, b) == _bisect_prokhorov(a, b)
-            assert dsharp(a, b) == _bisect_dsharp(a, b)
-        assert checked_searches
-
-
-def _one_sided_violation(a_locs, a_masses, b_locs, b_masses, eps):
-    """max over unions A of a-atoms of a(A) - b(A^eps), with A^eps the closed
-    eps-neighbourhood, from explicit |x - y| <= eps tests.
-
-    The b-atoms near each a-atom form an index range [L, R), and both ends
-    grow with the a-location, so a union of ranges gains
-    b[max(L_i, R_j), R_i) when range i follows range j. best[i] is the
-    optimum over unions whose last atom is i.
-    """
-    cum = np.concatenate([[0.0], np.cumsum(b_masses)])
-    ranges = []
-    hits = (np.abs(b_locs - a_locs[:, None]) <= eps).tolist()
-    for row, at in zip(hits, np.searchsorted(b_locs, a_locs).tolist()):
-        near = [j for j, hit in enumerate(row) if hit]
-        if near:
-            assert near[-1] - near[0] + 1 == len(near), "neighbourhood is not an index range"
-            ranges.append((near[0], near[-1] + 1))
-        else:
-            ranges.append((at, at))
-    assert ranges == sorted(ranges) and [r for _, r in ranges] == sorted(r for _, r in ranges)
-    cum = cum.tolist()
-    rights = [right for _, right in ranges]
-    best = []
-    for mass, (left, right) in zip(a_masses.tolist(), ranges):
-        top = cum[right]
-        # zip stops at the atoms before this one, which best holds.
-        joined = [b - (top - cum[r if r > left else left]) for b, r in zip(best, rights)]
-        best.append(mass + max([-(top - cum[left]), *joined]))
-    return max([0.0] + best)
-
-
-def _certify(mu_locs, mu_masses, nu_locs, nu_masses, d, what):
-    """d is feasible, and when above the mass gap, d - 1e-10 is not."""
-    tol = 8 * math.ulp(max(float(mu_masses.sum()), float(nu_masses.sum()), 1.0))
-
-    def worst(eps):
-        return max(
-            _one_sided_violation(mu_locs, mu_masses, nu_locs, nu_masses, eps),
-            _one_sided_violation(nu_locs, nu_masses, mu_locs, mu_masses, eps),
-        )
-
-    assert worst(d) <= d + tol, f"{what}: a one-sided violation exceeds d = {d!r}"
-    gap = abs(float(mu_masses.sum()) - float(nu_masses.sum()))
-    if d > gap + tol:
-        below = d - 1e-10
-        assert worst(below) > below, f"{what}: d = {d!r} is feasible 1e-10 lower"
-
-
-def _recorded_dsharp_pairs(monkeypatch):
-    """The (mu, nu) of every dsharp call the test makes from here on,
-    fit_spectrum's included."""
-    pairs = []
-    library = characteristics.dsharp
-
-    def recording(mu, nu):
-        pairs.append((mu, nu))
-        return library(mu, nu)
-
-    monkeypatch.setattr(characteristics, "dsharp", recording)
-    return pairs
-
-
-def _ball(measure, radius):
-    """The locations and masses of ``measure`` in the open ball (-radius, radius)."""
-    locations, masses = _arrays(measure)
-    keep = np.abs(locations) < radius
-    return locations[keep], masses[keep]
-
-
-@pytest.fixture
-def recorded_distances(monkeypatch):
-    """(arrays, distance, searched) for every restricted distance the library
-    returns while the test runs, closed forms included: the locations and
-    masses of both restrictions, the distance, and whether the search ran."""
+def exact_distances(monkeypatch):
+    """Requires every restricted distance that the library returns while the
+    test runs, closed forms included, to equal the exact oracle's bit for
+    bit, and records (the oracle's :class:`Exact`, whether the search ran)
+    for each."""
     records = []
     searches = []
     restricted = characteristics._restricted_distance
@@ -1174,52 +756,110 @@ def recorded_distances(monkeypatch):
         searches.append(args)
         return search(*args)
 
-    def recording(mu, nu):
-        distance = restricted(mu, nu)
+    def checked(mu, nu):
+        distance, exact = restricted(mu, nu), oracle.restricted(mu, nu)
 
-        def recorded(radius):
+        def check(radius):
             before = len(searches)
-            d = distance(radius)
-            records.append(((*_ball(mu, radius), *_ball(nu, radius)), d, len(searches) > before))
+            d, want = distance(radius), exact(radius)
+            assert d == want.distance, f"{mu.atoms} vs {nu.atoms} at radius {radius!r}: {d!r} != {want}"
+            records.append((want, len(searches) > before))
             return d
 
-        return recorded
+        return check
 
     monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting)
-    monkeypatch.setattr(characteristics, "_restricted_distance", recording)
+    monkeypatch.setattr(characteristics, "_restricted_distance", checked)
     return records
 
 
-class TestProkhorovCertificate:
-    """Both sides of every returned distance, to 1e-10: feasible at d and,
-    unless d is the mass gap, infeasible just below it."""
+class TestGallopingSearch:
+    """Every distance that the galloping search returns, and every closed
+    form, equals the exact oracle's bit for bit, and so do the totals."""
 
-    def test_seeded_measures(self, recorded_distances):
+    def test_equal_on_seeded_measures(self, exact_distances):
         rng = np.random.default_rng(20240601)
-        for mu, nu in _oracle_pairs(rng):
+        for trial, (mu, nu) in enumerate(_oracle_pairs(rng)):
             for a, b in ((mu, nu), (nu, mu)):
-                prokhorov_distance(a, b)
-                dsharp(a, b)
-        assert len(recorded_distances) > 1000
-        for index, (arrays, d, _) in enumerate(recorded_distances):
-            _certify(*arrays, d, f"distance {index}")
+                assert prokhorov_distance(a, b) == oracle.distance(a, b), f"pair {trial}"
+                assert dsharp(a, b) == oracle.dsharp(a, b), f"pair {trial}"
+        assert len(exact_distances) > 1000
 
-    def test_spectral_fit_residuals(self, recorded_distances, monkeypatch):
+    def test_equal_on_spectral_fit_residuals(self, exact_distances, benchmark_measures):
         law = ParetoLaw(1.5, 1.3, 0.5)
-        pairs = _recorded_dsharp_pairs(monkeypatch)
+        for n in (100, 1000, 10000, 100000):
+            measure = spectral_measure_lambda(law, PARETO_NORMING, n)
+            for alpha in (1.5, 1.2):
+                params, residual = fit_spectrum(measure, alpha)
+                assert residual == oracle.dsharp(measure, discretize_spectral(params)), f"n={n}, alpha={alpha}"
+        # Every radius of the benchmark panels' fits at seeds 3, 5, 7 and 11.
+        for _, measure, alpha, _ in benchmark_measures:
+            fit_spectrum(measure, alpha)
+        searched = [exact for exact, ran in exact_distances if ran]
+        assert len(searched) > 1000
+        first = [exact.distance == exact.gap for exact in searched if exact.k == 0]
+        assert True in first and False in first, "the fits should return both at the gap and above it in interval 0"
+
+    def test_searches_only_off_the_closed_form(self, exact_distances):
+        law = ParetoLaw(1.5, 1.3, 0.5)
         for n in (100, 100000):
             measure = spectral_measure_lambda(law, PARETO_NORMING, n)
             for alpha in (1.5, 1.2):
                 fit_spectrum(measure, alpha)
         # 60 radii: the closed forms, and a search for every other one.
-        assert len(recorded_distances) == 60 == len(list(_restrictions_of(pairs)))
-        assert [searched for _, _, searched in recorded_distances] == [
-            _closed_form(*arrays) is None for _, _, arrays in _restrictions_of(pairs)
+        assert len(exact_distances) == 60
+        assert [ran for _, ran in exact_distances] == [not exact.closed for exact, _ in exact_distances]
+        assert any(ran and exact.distance > exact.gap for exact, ran in exact_distances), (
+            "the fits should need searched distances above the mass gap"
+        )
+
+    @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
+    def test_equal_wherever_the_answer_lies(self, name, exact_distances):
+        mu, nu = _PLACED_PAIRS[name]
+        d, gap, _, _, k, last = oracle.restricted(mu, nu)(math.inf)
+        assert _placed(name, d == gap, k, last), f"{name}: the answer {d!r} is in interval {k} of 0..{last}"
+        for a, b in ((mu, nu), (nu, mu)):
+            assert prokhorov_distance(a, b) == d
+            assert dsharp(a, b) == oracle.dsharp(a, b)
+        assert any(ran for _, ran in exact_distances)
+
+    def test_extreme_masses(self, exact_distances):
+        # The pair's masses scale to integers by 2**1074, and a 1e300 mass
+        # becomes an integer of about 2070 bits.
+        tiny, huge = 5e-324, 1e300
+        pairs = [
+            (_pairs((0.0, huge), (2.0, tiny)), _pairs((1.0, huge), (3.0, tiny))),
+            (_pairs((0.0, tiny)), _pairs((tiny, tiny))),
+            (_pairs((0.0, huge), (0.5, tiny), (1.0, 3.0)), _pairs((0.25, 2 * tiny), (1.0, huge))),
         ]
-        searched = [d for (arrays, d, ran) in recorded_distances if ran and d > abs(arrays[1].sum() - arrays[3].sum())]
-        assert searched, "the fits should need searched distances"
-        for index, (arrays, d, _) in enumerate(recorded_distances):
-            _certify(*arrays, d, f"fit distance {index}")
+        for mu, nu in pairs:
+            for a, b in ((mu, nu), (nu, mu)):
+                assert prokhorov_distance(a, b) == oracle.brute_distance(a, b)
+                assert dsharp(a, b) == oracle.dsharp(a, b)
+        assert sum(ran for _, ran in exact_distances) >= 2 * len(pairs)
+
+
+class TestReflection:
+    """Mirroring both measures, or swapping them, changes no distance: the
+    search sums in integers, so the order in which it walks the atoms
+    leaves no trace (Samorodnitsky & Taqqu 1994, Property 1.2.3)."""
+
+    @staticmethod
+    def _assert_invariant(mu, nu, what):
+        for distance in (dsharp, prokhorov_distance):
+            want = distance(mu, nu)
+            for a, b in ((nu, mu), (_mirror(mu), _mirror(nu)), (_mirror(nu), _mirror(mu))):
+                assert distance(a, b) == want, f"{what}: {distance.__name__} {distance(a, b)!r} != {want!r}"
+
+    def test_seeded_pairs(self):
+        rng = np.random.default_rng(20261020)
+        for trial in range(1000):
+            self._assert_invariant(_random_measure(rng, 8), _random_measure(rng, 8), f"pair {trial}")
+
+    def test_benchmark_panels(self, benchmark_fits):
+        for fit in benchmark_fits:
+            if fit.seed == 3:
+                self._assert_invariant(fit.measure, fit.shape, fit.what)
 
 
 class TestProkhorovWork:
@@ -1227,7 +867,7 @@ class TestProkhorovWork:
     distances, logarithmic in their number and in the answer's position, not
     a bisection to a fixed tolerance."""
 
-    def test_dp_calls_are_logarithmic_in_the_critical_set(self, monkeypatch):
+    def test_dp_calls_are_logarithmic_in_the_critical_set(self, monkeypatch, exact_distances):
         calls = []
         one_sided = characteristics._prokhorov_one_sided
         search = characteristics._prokhorov_arrays
@@ -1242,11 +882,10 @@ class TestProkhorovWork:
 
         monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
         monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting_search)
-        pairs = _recorded_dsharp_pairs(monkeypatch)
         measure = spectral_measure_lambda(ParetoLaw(1.5, 1.3, 0.5), PARETO_NORMING, 100000)
         fit_spectrum(measure, 1.2)
         # 15 radii: the closed forms, and a search for every other one.
-        assert len(calls) + _closed_form_count(pairs) == 15
+        assert len(calls) + sum(exact.closed for exact, _ in exact_distances) == 15
         searched = [count for _, count in calls if count > 2]
         assert searched, "no distance needed a search; the bound proves nothing"
         for size, count in calls:
@@ -1257,29 +896,22 @@ class TestProkhorovWork:
         # Probes at 0, 1, 3, ..., 2^j - 1 with j = ceil(log2(k + 1)), j - 1
         # bisection probes, and one uncapped probe of the last interval; at
         # most two passes per probe.
-        searches = []
+        passes = []
         one_sided = characteristics._prokhorov_one_sided
-        search = characteristics._prokhorov_arrays
 
         def counting_one_sided(*args):
-            searches[-1][1] += 1
+            passes.append(args)
             return one_sided(*args)
 
-        def counting_search(*args):
-            searches.append([args, 0])
-            return search(*args)
-
         monkeypatch.setattr(characteristics, "_prokhorov_one_sided", counting_one_sided)
-        monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting_search)
-        pairs = [*_PLACED_PAIRS.values(), *_oracle_pairs(np.random.default_rng(7))]
-        for mu, nu in pairs:
-            prokhorov_distance(mu, nu)
         deepest = 0
-        for args, count in searches:
-            _, k, _ = _bisect_prokhorov_arrays(*map(np.asarray, args[:5]))
+        for mu, nu in [*_PLACED_PAIRS.values(), *_oracle_pairs(np.random.default_rng(7))]:
+            passes.clear()
+            prokhorov_distance(mu, nu)
+            k = oracle.restricted(mu, nu)(math.inf).k
             deepest = max(deepest, k)
             bound = 2 * (2 * math.ceil(math.log2(k + 1)) + 1)
-            assert count <= bound, f"{count} dynamic-program calls for an answer in interval {k}"
+            assert len(passes) <= bound, f"{len(passes)} dynamic-program calls for an answer in interval {k}"
         assert deepest >= 30
 
     @pytest.mark.parametrize(
@@ -1287,7 +919,6 @@ class TestProkhorovWork:
         [("gap", 2, 0.5), ("first", 2, 0.5), ("deep", 20, 0.09600000000000002), ("last", 4, 1.0)],
     )
     def test_dp_calls_on_placed_pairs(self, name, passes, want, monkeypatch):
-        # V is read only at interval midpoints, never at eps = |P - N|, so
         # "gap" and "first" cost one probe of interval 0.
         calls = []
         one_sided = characteristics._prokhorov_one_sided
@@ -1305,32 +936,34 @@ class TestProkhorovWork:
 
 
 def _assert_dp_matches_reference(mu, nu):
-    """The list dynamic program against ``_ref_one_sided``, in both
-    directions, at the mass gap, at every critical distance and at every
-    midpoint between two, under the caps 0, the gap, the next critical
-    distance above eps and inf: the same float whenever the reference is at
-    most the cap, and a value above the cap exactly when the reference is."""
-    critical = _critical(mu, nu)
+    """The list dynamic program on masses in units of 2**-1074 against the
+    oracle's, in both directions, at the mass gap, at every critical
+    distance and at every midpoint between two, under the caps 0, the gap,
+    the next critical distance above eps and inf: the same integer whenever
+    the oracle's is at most the cap, and a value above the cap exactly when
+    the oracle's is."""
+    critical = oracle.critical_distances(_union(mu, nu))
     gap = abs(mu.total_mass - nu.total_mass)
     radii = [gap, *critical, *(0.5 * (a + b) for a, b in zip(critical, critical[1:]))]
     for a, b in ((mu, nu), (nu, mu)):
-        (a_locs, a_masses), (b_locs, b_masses) = _arrays(a), _arrays(b)
-        b_cum = np.concatenate([[0.0], np.cumsum(b_masses)])
-        lists = (a_locs.tolist(), a_masses.tolist(), b_locs.tolist(), b_cum.tolist())
+        a_units, b_units = oracle.in_units(a.atoms), oracle.in_units(b.atoms)
+        b_cum = list(accumulate((m for _, m in b_units), initial=0))
+        lists = ([x for x, _ in a_units], [m for _, m in a_units], [y for y, _ in b_units], b_cum)
         for eps in radii:
-            want = _ref_one_sided(a_locs, a_masses, b_locs, b_cum, eps)
+            want = oracle.one_sided(a_units, b_units, eps)
             above = [c for c in critical if c > eps]
             for cap in (0.0, gap, above[0] if above else math.inf, math.inf):
-                got = characteristics._prokhorov_one_sided(*lists, eps, cap)
+                cap_units = oracle.units(cap) if cap < math.inf else cap
+                got = characteristics._prokhorov_one_sided(*lists, eps, cap_units)
                 what = f"{a.atoms} vs {b.atoms} at eps {eps!r}, cap {cap!r}"
-                if want <= cap:
+                if want <= cap_units:
                     assert got == want, f"{what}: {got!r} != {want!r}"
                 else:
-                    assert got > cap, f"{what}: {got!r} does not exceed the cap, reference {want!r}"
+                    assert got > cap_units, f"{what}: {got!r} does not exceed the cap, oracle {want!r}"
 
 
 class TestListDynamicProgram:
-    """The one-sided pass on lists, with its early exit, against the NumPy copy."""
+    """The one-sided pass on lists, with its early exit, against the oracle's."""
 
     def test_bitwise_equal_on_seeded_measures(self):
         for mu, nu in _oracle_pairs(np.random.default_rng(20240601)):
@@ -1380,7 +1013,7 @@ class TestCriticalDistanceBound:
             dsharp(mu, nu)
             prokhorov_distance(mu, nu)
             after = characteristics._critical_distances.cache_info()
-            want = _critical(mu, nu)
+            want = tuple(oracle.critical_distances(_union(mu, nu)))
             assert sets and all(isinstance(c, tuple) and c == want for c in sets)
         # The third pass found the set of the first in the memo.
         assert after.misses == before.misses and after.hits > before.hits
@@ -1390,8 +1023,8 @@ class TestCriticalDistanceBound:
         mu = AtomicMeasure.from_pairs((0.1 * i, 1.0) for i in range(size))
         nu = AtomicMeasure.from_pairs((0.1 * i + 0.05, 1.0) for i in range(size))
         before = characteristics._critical_distances.cache_info()
-        assert prokhorov_distance(mu, nu) == _bisect_prokhorov(mu, nu)
-        assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
+        assert prokhorov_distance(mu, nu) == oracle.distance(mu, nu)
+        assert dsharp(mu, nu) == oracle.dsharp(mu, nu)
         after = characteristics._critical_distances.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -1503,48 +1136,19 @@ class TestCriticalDistances:
             assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], f"{size} locations"
 
 
-# Reference copies of the fit path before it moved onto Python floats: each
-# side's cumulative masses are exact Fraction sums of that side's atoms,
-# rounded once, over the same edges for both sides; the fitted shape comes
-# from the cell walk at NumPy grid points, and every restriction in dsharp
-# from a searchsorted slice of the measure's NumPy arrays.
-
-
-def _ref_slice_dsharp(mu, nu, r_max=20.0):
-    if mu.atoms == nu.atoms:
-        return 0.0
-    mu_arrays, nu_arrays = _arrays(mu), _arrays(nu)
-    (mu_locs, mu_masses), (nu_locs, nu_masses) = mu_arrays.tolist(), nu_arrays.tolist()
-    critical = characteristics._critical_distances(tuple(sorted(set(mu_locs + nu_locs))))
-    moduli = sorted({abs(x) for x in mu_locs + nu_locs})
-    edges = [0.0, *(x for x in moduli if 0 < x < r_max), r_max]
-
-    def ball(arrays, radius):
-        locations = arrays[0]
-        return slice(int(locations.searchsorted(-radius, "right")), int(locations.searchsorted(radius)))
-
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        radius = 0.5 * (left + right)
-        mu_keep, nu_keep = ball(mu_arrays, radius), ball(nu_arrays, radius)
-        arrays = (*mu_arrays[:, mu_keep], *nu_arrays[:, nu_keep])
-        d = _closed_form(*arrays)
-        if d is None:
-            d = characteristics._prokhorov_arrays(
-                mu_locs[mu_keep], mu_masses[mu_keep], nu_locs[nu_keep], nu_masses[nu_keep], critical, *_exact_bracket(*arrays)
-            )
-        if d > 0:
-            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
-    return total
+# A reference copy of the fit path before it moved onto Python floats: each
+# side's cumulative masses are exact integer sums of that side's atoms in
+# units of 2**-1074, rounded once, over the same edges for both sides; the
+# fitted shape comes from the cell walk at NumPy grid points.
 
 
 def _ref_fit_spectrum(measure, alpha):
     edges = [x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1]]
-    exact = [(x, Fraction(m)) for x, m in measure.atoms]
+    exact = oracle.in_units(measure.atoms)
 
     def fit_side(side):
         # side holds (distance from 0, exact mass) of one side's atoms.
-        cums = [(edge, float(sum(m for d, m in side if d <= edge))) for edge in edges]
+        cums = [(edge, oracle.rounded(sum(m for d, m in side if d <= edge))) for edge in edges]
         if cums[-1][1] < 1e-8:
             return 0.0
         logs = [math.log(cum) - alpha * math.log(edge) for edge, cum in cums if cum > 1e-12]
@@ -1553,8 +1157,7 @@ def _ref_fit_spectrum(measure, alpha):
     c_plus = fit_side([(x, m) for x, m in exact if x > 0])
     c_minus = fit_side([(-x, m) for x, m in exact if x < 0])
     params = SpectralParams(alpha, c_minus, c_plus)
-    shape = _ref_cell_walk(np.asarray(DEFAULT_SPECTRAL_GRID, dtype=float), lambda x: spectral_cdf(params, x))
-    return params, shape, _ref_slice_dsharp(measure, shape)
+    return params, _ref_cell_walk(np.asarray(DEFAULT_SPECTRAL_GRID, dtype=float), lambda x: spectral_cdf(params, x))
 
 
 def _benchmark_specs(tmp_path):
@@ -1571,34 +1174,64 @@ def _benchmark_specs(tmp_path):
     return specs
 
 
-def _benchmark_measures(tmp_path, seeds=(3, 5)):
-    """(what, spectral measure, alpha) for every distinct draw and checker n
-    of both benchmark configs' panels at ``seeds``."""
-    for spec in _benchmark_specs(tmp_path):
-        for seed in seeds:
+@pytest.fixture(scope="module")
+def benchmark_measures(tmp_path_factory):
+    """(what, spectral measure, alpha, seed) for every distinct draw and
+    checker n of both benchmark configs' panels at seeds 3, 5, 7 and 11,
+    built once for the module."""
+    with pytest.MonkeyPatch.context() as patch:
+        # Loading the contract tool puts its own directories on sys.path.
+        patch.setattr(sys, "path", list(sys.path))
+        specs = _benchmark_specs(tmp_path_factory.mktemp("benchmark"))
+    measures = []
+    for spec in specs:
+        for seed in (3, 5, 7, 11):
             panel = DrawPanel(spec.law, spec.norming, spec.checker_ngrid, seed)
             for n in spec.checker_ngrid.values:
                 for p in panel.unique:
-                    yield f"{p!r} at n={n}, seed {seed}", spectral_measure_lambda(p, spec.norming, n), spec.alpha
+                    what = f"{p!r} at n={n}, seed {seed}"
+                    measures.append((what, spectral_measure_lambda(p, spec.norming, n), spec.alpha, seed))
+    return measures
+
+
+class _Fit(NamedTuple):
+    what: str
+    measure: AtomicMeasure
+    alpha: float
+    seed: int
+    params: SpectralParams
+    residual: float
+    shape: AtomicMeasure  # discretize_spectral(params)
+    exact: Callable  # the oracle's restricted distance of measure and shape
+
+
+@pytest.fixture(scope="module")
+def benchmark_fits(benchmark_measures):
+    """The library's fit of every measure of ``benchmark_measures`` at seeds
+    3 and 5, made once for the module."""
+    fits = []
+    for what, measure, alpha, seed in benchmark_measures:
+        if seed in (3, 5):
+            params, residual = fit_spectrum(measure, alpha)
+            shape = discretize_spectral(params)
+            fits.append(_Fit(what, measure, alpha, seed, params, residual, shape, oracle.restricted(measure, shape)))
+    return fits
 
 
 class TestFitPathOracle:
-    """fit_spectrum and dsharp on lists against their NumPy-path copies, bit
-    for bit, on every draw and checker n of both benchmark configs. The
-    copies take the Fraction closed form where its premise holds."""
+    """fit_spectrum and dsharp on lists against the reference fit path and
+    the exact oracle, bit for bit, on every draw and checker n of both
+    benchmark configs at seeds 3 and 5."""
 
-    def test_bitwise_equal_on_benchmark_panels(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        fits = 0
-        for what, measure, alpha in _benchmark_measures(tmp_path):
-            params, residual = fit_spectrum(measure, alpha)
-            want_params, want_shape, want_residual = _ref_fit_spectrum(measure, alpha)
-            weights = [(x.c_minus.hex(), x.c_plus.hex()) for x in (params, want_params)]
-            assert weights[0] == weights[1], f"{what}: {params} != {want_params}"
-            assert _hex_atoms(discretize_spectral(params)) == _hex_atoms(want_shape), what
-            assert residual.hex() == want_residual.hex(), f"{what}: {residual!r} != {want_residual!r}"
-            fits += 1
-        assert fits == 2 * (200 * 4 + 100 * 2)
+    def test_bitwise_equal_on_benchmark_panels(self, benchmark_fits):
+        for fit in benchmark_fits:
+            want_params, want_shape = _ref_fit_spectrum(fit.measure, fit.alpha)
+            weights = [(x.c_minus.hex(), x.c_plus.hex()) for x in (fit.params, want_params)]
+            assert weights[0] == weights[1], f"{fit.what}: {fit.params} != {want_params}"
+            assert _hex_atoms(fit.shape) == _hex_atoms(want_shape), fit.what
+            want_residual = oracle.dsharp(fit.measure, want_shape, fit.exact)
+            assert fit.residual.hex() == want_residual.hex(), f"{fit.what}: {fit.residual!r} != {want_residual!r}"
+        assert len(benchmark_fits) == 2 * (200 * 4 + 100 * 2)
 
 
 def _mirror(measure):
@@ -1614,10 +1247,11 @@ class TestSideSymmetry:
     fitted weights bit for bit (Samorodnitsky & Taqqu 1994, Property 1.2.3)
     and a symmetric law fits c_minus == c_plus and beta = 0 exactly."""
 
-    def test_mirrored_benchmark_measures_fit_swapped_weights(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sys, "path", list(sys.path))
+    def test_mirrored_benchmark_measures_fit_swapped_weights(self, benchmark_measures):
         fits = 0
-        for what, measure, alpha in _benchmark_measures(tmp_path, seeds=(3,)):
+        for what, measure, alpha, seed in benchmark_measures:
+            if seed != 3:
+                continue
             params, _ = fit_spectrum(measure, alpha)
             mirrored, _ = fit_spectrum(_mirror(measure), alpha)
             assert _weights(mirrored) == _weights(params)[::-1], f"{what}: {mirrored} is not {params} swapped"
@@ -1647,75 +1281,65 @@ class TestSideSymmetry:
         assert [a["c"] for a in atoms] == sorted(a["c"] for a in atoms)
 
 
-def _assert_closed_forms_exact(mu, nu, what):
-    """On every dsharp radius, and on the whole line, whose restrictions meet
-    the closed-form premise, the library's distance is float(U) of the
-    Fraction sums, and the brute-force certificate accepts it. Returns how
-    many radii, the whole line counted as one, met it."""
-    distance = characteristics._restricted_distance(mu, nu)
-    radii = [(f"radii ({left!r}, {right!r}]", distance(0.5 * (left + right)), arrays)
-             for left, right, arrays in _restrictions(mu, nu)]
-    radii.append(("the whole line", prokhorov_distance(mu, nu), (*_arrays(mu), *_arrays(nu))))
+def _assert_exact_on_every_radius(mu, nu, what, exact=None):
+    """The library's distance on every dsharp radius and on the whole line
+    equals the exact oracle's (``exact``, the pair's
+    :func:`oracle.restricted`, if the caller holds it). Returns how many of
+    them, the whole line counted as one, meet the closed-form premise."""
+    distance, exact = characteristics._restricted_distance(mu, nu), exact or oracle.restricted(mu, nu)
     closed = 0
-    for where, d, arrays in radii:
-        want = _closed_form(*arrays)
-        if want is None:
-            continue
-        assert d.hex() == want.hex(), f"{what}, {where}: {d!r} != {want!r}"
-        _certify(*arrays, d, f"{what}, {where}")
-        closed += 1
+    for radius in (*_radii(mu, nu), math.inf):
+        d, want = distance(radius), exact(radius)
+        assert d == want.distance, f"{what}, radius {radius!r}: {d!r} != {want}"
+        closed += want.closed
     return closed
 
 
 class TestClosedForm:
-    """Below the smallest gap between support points, dsharp's distance is
-    the larger excess mass, exactly."""
+    """Below the smallest gap between support points, and where one side's
+    excess is empty, dsharp's distance is the larger excess mass, exactly;
+    every other radius is searched, and equals the exact oracle too."""
 
     def test_exact_on_seeded_measures(self):
         closed = 0
         for trial, (mu, nu) in enumerate(_oracle_pairs(np.random.default_rng(20240601))):
             for a, b in ((mu, nu), (nu, mu)):
-                closed += _assert_closed_forms_exact(a, b, f"pair {trial}")
+                closed += _assert_exact_on_every_radius(a, b, f"pair {trial}")
             if trial == 1:
                 # The search read 1.2478706280206042.
                 assert prokhorov_distance(mu, nu) == 1.247870628020604
         assert closed > 500
 
-    def test_exact_on_benchmark_panels(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sys, "path", list(sys.path))
+    def test_exact_on_benchmark_panels(self, benchmark_fits):
         closed = radii = 0
-        for what, measure, alpha in _benchmark_measures(tmp_path):
-            params, _ = fit_spectrum(measure, alpha)
-            shape = discretize_spectral(params)
-            closed += _assert_closed_forms_exact(measure, shape, what)
-            radii += len(list(_restrictions(measure, shape))) + 1
+        for fit in benchmark_fits:
+            closed += _assert_exact_on_every_radius(fit.measure, fit.shape, fit.what, fit.exact)
+            radii += len(oracle.segments(fit.measure, fit.shape)) + 1
         assert radii > closed > radii // 2, f"{closed} closed forms in {radii} radii"
 
-    def test_dominated_radii_of_benchmark_panels(self, tmp_path, monkeypatch):
+    def test_dominated_radii_of_benchmark_panels(self, benchmark_fits):
         # Where one restriction is at least the other at every point, the
         # distance is U itself, rounded once. The search, kept for P, N > 0,
         # finds U too from a bracket that does not fix it: 0 and the larger
         # total mass.
-        monkeypatch.setattr(sys, "path", list(sys.path))
         dominated = 0
-        for what, measure, alpha in _benchmark_measures(tmp_path):
-            shape = discretize_spectral(fit_spectrum(measure, alpha)[0])
+        for what, measure, _, _, _, _, shape, exact in benchmark_fits:
             distance = characteristics._restricted_distance(measure, shape)
-            points = {*_arrays(measure)[0].tolist(), *_arrays(shape)[0].tolist()}
-            critical = characteristics._critical_distances(tuple(sorted(points)))
-            radii = [0.5 * (left + right) for left, right, _ in _restrictions(measure, shape)]
-            for radius in (*radii, math.inf):
-                arrays = (*_ball(measure, radius), *_ball(shape, radius))
-                plus, minus = _excess_masses(*arrays)
-                if min(plus, minus) > 0:
+            critical = characteristics._critical_distances(_union(measure, shape))
+            for radius in (*_radii(measure, shape), math.inf):
+                want = exact(radius)
+                if not want.dominated:
                     continue
-                exact = float(max(plus, minus))
                 got = distance(radius)
-                assert got == exact, f"{what}, radius {radius!r}: {got!r} != {exact!r}"
-                lists = [a.tolist() for a in arrays]
-                top = max(math.fsum(lists[1]), math.fsum(lists[3]))
-                searched = characteristics._prokhorov_arrays(*lists, critical, 0.0, top)
-                assert abs(searched - exact) <= 1e-10 * exact, f"{what}, radius {radius!r}: search {searched!r}"
+                assert got == want.distance, f"{what}, radius {radius!r}: {got!r} != {want}"
+                balls = [[(x, m) for x, m in atoms if abs(x) < radius] for atoms in (measure.atoms, shape.atoms)]
+                top = max(math.fsum(m for _, m in ball) for ball in balls)
+                shift = max((m.as_integer_ratio()[1] for ball in balls for _, m in ball), default=1).bit_length() - 1
+                lists = []
+                for ball in balls:
+                    lists += [[x for x, _ in ball], [characteristics._scaled(m, shift) for _, m in ball]]
+                searched = characteristics._prokhorov_arrays(*lists, critical, 0.0, top, shift)
+                assert searched == want.distance, f"{what}, radius {radius!r}: search {searched!r}"
                 dominated += 1
         assert dominated > 10000
 
@@ -1723,9 +1347,9 @@ class TestClosedForm:
     def test_exact_on_placed_pairs(self, name):
         mu, nu = {**_PLACED_PAIRS, **_CLOSED_PAIRS}[name]
         for a, b in ((mu, nu), (nu, mu)):
-            closed = _assert_closed_forms_exact(a, b, name)
+            closed = _assert_exact_on_every_radius(a, b, name)
             # A closed pair meets the premise on every radius and the whole line.
-            assert closed > (name in _CLOSED_PAIRS) * len(list(_restrictions(a, b)))
+            assert closed > (name in _CLOSED_PAIRS) * len(oracle.segments(a, b))
         if name == "below the gap":
             assert prokhorov_distance(mu, nu) == 0.05
 
@@ -1744,12 +1368,10 @@ class TestClosedForm:
 
         monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
         distance = characteristics._restricted_distance(mu, nu)
-        distances = [distance(0.5 * (left + right)) for left, right, _ in _restrictions(mu, nu)]
+        distances = [distance(radius) for radius in _radii(mu, nu)]
         assert distances == [mass, mass]
         assert len(searches) == (0 if below else 1)
         # The whole line holds both points, as the radii above 0.25 do.
-        assert _assert_closed_forms_exact(mu, nu, "boundary pair") == (3 if below else 1)
-        if not below:
-            _certify(*map(np.asarray, searches[0][:4]), distances[1], "search at the gap")
-        assert dsharp(mu, nu) == _bisect_dsharp(mu, nu)
-        assert prokhorov_distance(mu, nu) == _bisect_prokhorov(mu, nu) == mass
+        assert _assert_exact_on_every_radius(mu, nu, "boundary pair") == (3 if below else 1)
+        assert dsharp(mu, nu) == oracle.dsharp(mu, nu)
+        assert prokhorov_distance(mu, nu) == oracle.distance(mu, nu) == mass
