@@ -14,11 +14,12 @@ mixing parameters.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,9 +68,14 @@ _CELLS: Tuple[Tuple[int, float], ...] = tuple(
     for i, (left, right) in enumerate(zip(DEFAULT_SPECTRAL_GRID, DEFAULT_SPECTRAL_GRID[1:]))
     if not left < 0 < right
 )
-_MIDPOINTS = frozenset(location for _, location in _CELLS)
-# The positive grid edges inside the fit window, in grid order.
-_FIT_EDGES = tuple(x for x in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= x <= DEFAULT_FIT_WINDOW[1])
+_LOCATIONS = tuple(location for _, location in _CELLS)
+_CELL_AT = {location: j for j, location in enumerate(_LOCATIONS)}  # a midpoint's position in _CELLS
+_HALF = len(DEFAULT_SPECTRAL_GRID) // 2  # grid points per half line, one more than its cells
+# (cells of a side within the edge, log of the edge) for each positive grid edge inside the fit window.
+_FIT_EDGES = tuple(
+    (sum(0 < x <= e for x in _LOCATIONS), math.log(e))
+    for e in DEFAULT_SPECTRAL_GRID if DEFAULT_FIT_WINDOW[0] <= e <= DEFAULT_FIT_WINDOW[1]
+)
 _R_MAX = 20.0  # dsharp integrates over radii in (0, _R_MAX]
 
 _NULL_MASS_FLOOR = 1e-8
@@ -112,8 +118,10 @@ class SpectralParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"spectral index must lie in (0, 2), got {self.alpha}")
-        if self.c_minus < 0 or self.c_plus < 0:
-            raise ValueError("spectral weights must be nonnegative")
+        for name, weight in (("c_minus", self.c_minus), ("c_plus", self.c_plus)):
+            # Written so that a NaN weight is rejected too.
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"spectral weight {name} must be finite and nonnegative, got {weight!r}")
 
     @property
     def is_null(self) -> bool:
@@ -210,27 +218,24 @@ def tail_moment_ratio(p, x: float) -> float:
     return x * x * p.tail_mass(x) / denom
 
 
-def _atom_lists(measure: AtomicMeasure) -> Tuple[List[float], List[float]]:
-    return [x for x, _ in measure.atoms], [m for _, m in measure.atoms]
-
-
 def _cell_measure(values: Sequence[float]) -> AtomicMeasure:
     """One atom per same-sign cell of the module grid, at its geometric
     midpoint, with the increment of ``values``, a cumulative function's
-    values at the grid points."""
-    atoms: List[Tuple[float, float]] = []
-    for i, location in _CELLS:
-        mass = values[i + 1] - values[i]
-        if mass < -1e-12:
-            raise RuntimeError(
-                "internal error: spectral increment "
-                f"{mass:g} on ({DEFAULT_SPECTRAL_GRID[i]:g}, {DEFAULT_SPECTRAL_GRID[i + 1]:g}] is negative"
-            )
-        if mass <= 0:
-            continue
-        atoms.append((location, float(mass)))
+    values at the grid points. An increment below -1e-12 is an error, and
+    one of at most 0 has no atom."""
+    masses = list(map(float, map(operator.sub, values[1:], values)))
+    del masses[_HALF - 1]  # the cell that spans 0
+    if not all(map(operator.ge, masses, repeat(0.0))):
+        for (i, _), mass in zip(_CELLS, masses):
+            if mass < -1e-12:
+                raise RuntimeError(
+                    "internal error: spectral increment "
+                    f"{mass:g} on ({DEFAULT_SPECTRAL_GRID[i]:g}, {DEFAULT_SPECTRAL_GRID[i + 1]:g}] is negative"
+                )
+        # A NaN increment keeps its atom, which AtomicMeasure rejects by name.
+        masses = [0.0 if mass <= 0 else mass for mass in masses]
     # The cells are sorted and distinct, so the atoms are already canonical.
-    return AtomicMeasure(tuple(atoms))
+    return AtomicMeasure(tuple(compress(zip(_LOCATIONS, masses), masses)))
 
 
 def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasure:
@@ -248,7 +253,7 @@ def spectral_measure_lambda(p, norming: NormingSequence, n: int) -> AtomicMeasur
     b = norming.b(n)
     ys = [b / x for x in DEFAULT_SPECTRAL_GRID]
     masses = p.half_line_masses(ys)
-    return _cell_measure([-n * m if x < 0 else n * m for x, m in zip(DEFAULT_SPECTRAL_GRID, masses)])
+    return _cell_measure([-n * m for m in masses[:_HALF]] + [n * m for m in masses[_HALF:]])
 
 
 @lru_cache(maxsize=16)
@@ -261,10 +266,11 @@ def discretize_spectral(params: SpectralParams) -> AtomicMeasure:
     """Discretize an exact power-law spectral shape on the grid and with the
     cell convention of :func:`spectral_measure_lambda`. The cumulative shape
     -c_minus*|x|**alpha, c_plus*x**alpha is read at the grid points from
-    powers |x|**alpha cached per alpha."""
-    c_minus, c_plus = -params.c_minus, params.c_plus
+    powers |x|**alpha cached per alpha, and its increments become the
+    measure's atoms in one pass."""
     powers = _grid_powers(params.alpha)
-    return _cell_measure([(c_minus if x < 0 else c_plus) * w for x, w in zip(DEFAULT_SPECTRAL_GRID, powers)])
+    c_minus, c_plus = -params.c_minus, params.c_plus
+    return _cell_measure([c_minus * w for w in powers[:_HALF]] + [c_plus * w for w in powers[_HALF:]])
 
 
 def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, float]:
@@ -277,33 +283,33 @@ def fit_spectrum(measure: AtomicMeasure, alpha: float) -> Tuple[SpectralParams, 
 
     Each side is fitted by least squares of log cumulative mass against
     alpha*log x at the grid edges inside ``DEFAULT_FIT_WINDOW``; a side whose
-    windowed mass is below 1e-8 is declared null on that side. The
-    cumulative masses of (0, x] and of [-x, 0) are ``math.fsum`` sums of that
-    side's atoms, correctly rounded and so independent of their order, and
-    both sides walk the edges outward from 0: the mirror of a measure fits
-    the same two weights swapped, bit for bit. The residual is the
-    restriction metric between the input and the fitted shape discretized on
-    the same grid, so a wrong alpha shows up as a large residual.
+    windowed mass is below 1e-8 is declared null on that side. The atoms
+    are read into one mass per grid cell, one dict lookup each, and each
+    side's cells are listed outward from 0. The cumulative masses of
+    (0, x] and of [-x, 0) are ``math.fsum`` sums of a prefix of that list,
+    correctly rounded and so independent of the order of their terms: the
+    mirror of a measure fits the same two weights swapped, bit for bit. The
+    residual is the restriction metric :func:`dsharp` between the input and
+    the fitted shape discretized on the same grid, so a wrong alpha shows up
+    as a large residual.
     """
-    locs, masses = _atom_lists(measure)
-    for x in locs:
-        if x not in _MIDPOINTS:
+    cells = [0.0] * len(_CELLS)
+    for x, mass in measure.atoms:
+        j = _CELL_AT.get(x)
+        if j is None:
             raise ValueError(f"atom at {x!r} is not a cell midpoint of DEFAULT_SPECTRAL_GRID")
-    zero = bisect_left(locs, 0.0)
+        cells[j] = mass
 
-    def fit_side(mass_within: Callable[[float], float]) -> float:
-        # mass_within(x) is the side's mass within distance x of 0.
-        cums = [(edge, mass_within(edge)) for edge in _FIT_EDGES]
-        if cums[-1][1] < _NULL_MASS_FLOOR:
+    def fit_side(side: List[float]) -> float:
+        cums = [math.fsum(side[:count]) for count, _ in _FIT_EDGES]
+        if cums[-1] < _NULL_MASS_FLOOR:
             return 0.0
-        logs = [math.log(cum) - alpha * math.log(edge) for edge, cum in cums if cum > _CUM_FLOOR]
+        logs = [math.log(cum) - alpha * log_edge for (_, log_edge), cum in zip(_FIT_EDGES, cums) if cum > _CUM_FLOOR]
         return math.exp(sum(logs) / len(logs))
 
-    c_minus = fit_side(lambda x: math.fsum(masses[bisect_left(locs, -x) : zero]))
-    c_plus = fit_side(lambda x: math.fsum(masses[zero : bisect_right(locs, x)]))
-    params = SpectralParams(alpha, c_minus, c_plus)
-    residual = dsharp(measure, discretize_spectral(params))
-    return params, residual
+    per_side = _HALF - 1
+    params = SpectralParams(alpha, fit_side(cells[per_side - 1 :: -1]), fit_side(cells[per_side:]))
+    return params, dsharp(measure, discretize_spectral(params))
 
 
 def _prokhorov_one_sided(
@@ -436,51 +442,62 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     in [|P - N|, U]: A = the whole support violates by at least |P - N| at
     every eps, and no violation exceeds U, since A lies in A^eps. So d = U
     when min(P, N) = 0, and when U < g, because for eps < g each closed
-    eps-ball holds only its own point. U is the larger of two ``math.fsum``
-    sums of (m, -n) terms over the ball's slice of the union of supports, so
-    it is rounded once; an empty side is read from the term counts, and a
-    float U below the float g implies the exact premise, since rounding is
-    monotone. Elsewhere :func:`_prokhorov_arrays` searches [|P - N|, U],
-    each end one ``math.fsum``. The first search builds the critical set of
-    the union (see :func:`_critical_distances`), which serves every radius,
-    and scales every mass of the pair by one power of two to an integer.
-    More than ``_MAX_CRITICAL_LOCATIONS`` distinct locations raise a
-    ``ValueError`` before any radius. A restriction is a slice of Python
-    lists: a few dozen atoms, too few to pay NumPy's cost per call.
+    eps-ball holds only its own point. P and N are ``math.fsum`` sums of
+    (m, -n) terms, so U is rounded once, and a float U below the float g
+    implies the exact premise, since rounding is monotone. Elsewhere
+    :func:`_prokhorov_arrays` searches [|P - N|, U], each end one
+    ``math.fsum``.
+
+    The pair's masses are put on the sorted union of their locations once;
+    more than ``_MAX_CRITICAL_LOCATIONS`` of them raise a ``ValueError``
+    before any radius. Each ball is a run of the union, walked outward from
+    0: a larger radius appends the new points' excess terms and folds their
+    gaps into g, and a smaller one starts the walk again. The first search
+    builds the critical set of the union (see :func:`_critical_distances`)
+    and scales every mass of the pair by one power of two to an integer;
+    every later radius reuses both.
     """
-    mu_locs, mu_masses = _atom_lists(mu)
-    nu_locs, nu_masses = _atom_lists(nu)
-    mu_at, nu_at = dict(zip(mu_locs, mu_masses)), dict(zip(nu_locs, nu_masses))
+    mu_at, nu_at = dict(mu.atoms), dict(nu.atoms)
     points = tuple(sorted(mu_at.keys() | nu_at.keys()))
     if len(points) > _MAX_CRITICAL_LOCATIONS:
         raise ValueError(
             f"{len(points)} distinct atom locations exceed the {_MAX_CRITICAL_LOCATIONS} "
             "that the exact Levy-Prokhorov search accepts"
         )
-    # The excess terms of the points where mu, and where nu, is heavier;
-    # the terms of points[:i] are plus[:plus_at[i]] and minus[:minus_at[i]].
-    plus: List[float] = []
-    minus: List[float] = []
-    plus_at, minus_at = [0], [0]
-    for x in points:
-        m, n = mu_at.get(x, 0.0), nu_at.get(x, 0.0)
-        if m > n:
-            plus += (m, -n)
-        elif n > m:
-            minus += (n, -m)
-        plus_at.append(len(plus))
-        minus_at.append(len(minus))
-    gaps = [y - x for x, y in zip(points, points[1:])]
+    mu_masses = list(map(mu_at.get, points, repeat(0.0)))
+    nu_masses = list(map(nu_at.get, points, repeat(0.0)))
+    # The ball points[low:high] of the last radius `reach`, the excess terms
+    # of its points where mu, and where nu, is heavier, and its g.
+    size, centre = len(points), bisect_left(points, 0.0)
+    low, high, reach, plus, minus, gap = centre, centre, 0.0, [], [], math.inf
     search: Optional[Tuple[Tuple[float, ...], int, List[int], List[int]]] = None
 
     def distance(radius: float) -> float:
-        # Locations are sorted, so each open ball (-radius, radius) is a slice.
-        low, high = bisect_right(points, -radius), bisect_left(points, radius)
-        p_terms, n_terms = plus[plus_at[low] : plus_at[high]], minus[minus_at[low] : minus_at[high]]
-        excess = max(math.fsum(p_terms), math.fsum(n_terms))
-        if not p_terms or not n_terms or excess < min(gaps[low : high - 1]):
+        nonlocal low, high, reach, plus, minus, gap, search
+        if radius < reach:
+            low, high, plus, minus, gap = centre, centre, [], [], math.inf
+        reach = radius
+        while True:
+            if high < size and points[high] < radius:
+                i, high = high, high + 1
+                step = points[i] - points[i - 1] if i > low else math.inf
+            elif low and points[low - 1] > -radius:
+                i = low = low - 1
+                step = points[i + 1] - points[i] if high > i + 1 else math.inf
+            else:
+                break
+            m, n = mu_masses[i], nu_masses[i]
+            if m > n:
+                plus += m, -n
+            elif n > m:
+                minus += n, -m
+            if step < gap:
+                gap = step
+        if not plus or not minus:
+            return math.fsum(plus or minus)
+        excess = max(math.fsum(plus), math.fsum(minus))
+        if excess < gap:
             return excess
-        nonlocal search
         if search is None:
             memo = len(points) <= _CRITICAL_MEMO_POINTS
             critical = (_critical_distances if memo else _critical_distances.__wrapped__)(points)
@@ -488,12 +505,11 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
             shift = max(m.as_integer_ratio()[1] for m in (*mu_masses, *nu_masses)).bit_length() - 1
             search = critical, shift, [_scaled(m, shift) for m in mu_masses], [_scaled(m, shift) for m in nu_masses]
         critical, shift, mu_ints, nu_ints = search
-        mass_gap = abs(math.fsum([*p_terms, *(-term for term in n_terms)]))
-        mu_keep = slice(bisect_right(mu_locs, -radius), bisect_left(mu_locs, radius))
-        nu_keep = slice(bisect_right(nu_locs, -radius), bisect_left(nu_locs, radius))
-        return _prokhorov_arrays(
-            mu_locs[mu_keep], mu_ints[mu_keep], nu_locs[nu_keep], nu_ints[nu_keep], critical, mass_gap, excess, shift
-        )
+        mass_gap = abs(math.fsum([*plus, *map(operator.neg, minus)]))
+        ball, mu_ball, nu_ball = points[low:high], mu_ints[low:high], nu_ints[low:high]
+        mu_lists = list(compress(ball, mu_ball)), list(filter(None, mu_ball))  # mu's atoms in the ball
+        nu_lists = list(compress(ball, nu_ball)), list(filter(None, nu_ball))
+        return _prokhorov_arrays(*mu_lists, *nu_lists, critical, mass_gap, excess, shift)
 
     return distance
 
@@ -582,24 +598,27 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
     The metric is the integral over r of e^{-r} * d_r/(1 + d_r), where d_r is
     the Levy-Prokhorov distance between the restrictions of the measures to
-    the open ball (-r, r), read from :func:`_restricted_distance`. The
-    integrand is piecewise constant in r with breakpoints at the atom
-    moduli, so the integral over (0, 20] is evaluated exactly segment by
-    segment; the omitted tail is at most e^{-20}. Equal measures give 0.0;
-    otherwise more than 2048 distinct atom locations raise a ``ValueError``.
+    the open ball (-r, r), read from :func:`_restricted_distance` in
+    increasing r, so that its walk only grows the ball. The integrand is
+    piecewise constant in r with breakpoints at the union's atom moduli, so
+    the integral over (0, 20] is evaluated exactly segment by segment, one
+    e^{-r} per breakpoint; the omitted tail is at most e^{-20}. Equal
+    measures give 0.0; otherwise more than 2048 distinct atom locations
+    raise a ``ValueError``.
     """
     if mu.atoms == nu.atoms:
         return 0.0
     distance = _restricted_distance(mu, nu)
-    moduli = sorted({abs(x) for x, _ in mu.atoms} | {abs(x) for x, _ in nu.atoms})
-    edges = [0.0, *(x for x in moduli if 0 < x < _R_MAX), _R_MAX]
+    moduli = sorted({abs(x) for x, _ in (*mu.atoms, *nu.atoms)})
+    edges = [0.0, *moduli[bisect_right(moduli, 0.0) : bisect_left(moduli, _R_MAX)], _R_MAX]
+    decay = [math.exp(-x) for x in edges]
     total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
+    for left, right, upper, lower in zip(edges, edges[1:], decay, decay[1:]):
         # On (left, right] the restrictions to (-r, r) are those at any
         # interior radius; atoms with modulus exactly `left` are included.
         d = distance(0.5 * (left + right))
         if d > 0:
-            total += (d / (1.0 + d)) * (math.exp(-left) - math.exp(-right))
+            total += (d / (1.0 + d)) * (upper - lower)
     return total
 
 

@@ -188,7 +188,7 @@ class CriterionVerdict:
 class DrawPanel:
     """The input of every checker: ``ngrid.replicates`` draws of ``law``
     from ``seed``, judged under ``norming`` along ``ngrid.values``, plus a
-    memo of per-(draw, n) quantities.
+    memo of per-draw quantities, one table per quantity and n.
 
     Realizations are frozen dataclasses, hence hashable, so equal draws
     collapse to a single memo entry; an atom prior with two support
@@ -215,14 +215,14 @@ class DrawPanel:
     def unique(self) -> list:
         return list(dict.fromkeys(self.draws))
 
-    def _memoized(self, key: tuple, n: int, p, fn: Callable):
-        token = (key, n, p)
+    def _memoized(self, token: tuple, make: Callable[[], object]):
         if token not in self._memo:
-            self._memo[token] = fn(p, n)
+            self._memo[token] = make()
         return self._memo[token]
 
     def table(self, key: tuple, n: int, fn: Callable) -> Dict[object, object]:
-        return {p: self._memoized(key, n, p, fn) for p in self.unique}
+        """``fn(p, n)`` for each distinct draw p, built once per (key, n); no caller changes it."""
+        return self._memoized((key, n), lambda: {p: fn(p, n) for p in self.unique})
 
     def values(self, key: tuple, n: int, fn: Callable) -> np.ndarray:
         table = self.table(key, n, fn)
@@ -242,7 +242,7 @@ class DrawPanel:
         return [(p, counts[p] / total) for p in self.unique]
 
     def norming_at(self, p, n: int) -> Tuple[float, float]:
-        return self._memoized(("norming",), n, p, lambda q, m: norming_values(self.norming, m, q))
+        return self._memoized(("norming", n, p), lambda: norming_values(self.norming, n, p))
 
     # Per-draw quantity streams. Each returns one array per grid length,
     # holding one value per replicate.

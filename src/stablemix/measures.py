@@ -51,7 +51,7 @@ class AtomicMeasure:
                 raise ValueError(f"atom at {loc} has nonpositive mass {mass}")
             if last is not None and loc <= last:
                 raise ValueError(
-                    "atoms must be sorted by location without duplicates; "
+                    f"atoms must be sorted by location without duplicates, got {loc!r} after {last!r}; "
                     "use AtomicMeasure.from_pairs"
                 )
             last = loc

@@ -31,6 +31,23 @@ def test_compare_counts_pairs_in_the_declared_direction():
     assert lines[1].endswith("better in 1 of 3 pairs")
 
 
+def test_gain_verdict_needs_nine_of_ten_pairs_and_a_gap_beyond_the_base_iqr():
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # median 1.45, IQR 0.45
+    rss = [40.0] * 10
+    cases = [
+        ([x - 0.5 for x in base], True),  # better in 10 of 10, gap 0.5 > 0.45
+        ([x - 0.4 for x in base], False),  # better in 10 of 10, gap 0.4 within the IQR
+        ([x - 0.6 for x in base[:8]] + [x + 0.1 for x in base[8:]], False),  # better in 8 of 10
+        ([x - 0.6 for x in base[:9]] + [base[9]], True),  # better in 9 of 10, a tie in the last
+    ]
+    for walls, holds in cases:
+        mine, theirs = _records(walls, rss), _records(base, rss)
+        lines = bench_record.gain_verdicts(mine, theirs, "base", {"wall_s": True, "peak_rss_mb": True})
+        assert lines[0].startswith("wall_s: gain over base " + ("holds" if holds else "does not hold")), lines[0]
+        # equal values are never a gain
+        assert lines[1].startswith("peak_rss_mb: gain over base does not hold: better in 0 of 10 pairs (needs 9)")
+
+
 def test_simd_targets_are_names():
     targets = bench_record.simd_targets()
     assert set(targets) == {"baseline", "dispatch_active"}

@@ -226,11 +226,15 @@ class TestAtomicMeasure:
     @pytest.mark.parametrize(
         "atoms, message",
         [
-            (((0.0, 1.0), (math.inf, 1.0)), "is not finite"),
-            (((0.0, math.nan),), "is not finite"),
-            (((0.0, 1.0), (1.0, 0.0)), "nonpositive mass"),
-            (((1.0, 1.0), (0.0, 1.0)), "sorted by location without duplicates"),
-            (((0.5, 1.0), (0.5, 2.0)), "sorted by location without duplicates"),
+            (((0.0, 1.0), (math.inf, 1.0)), r"atom \(inf, 1.0\) is not finite"),
+            (((math.nan, 1.0), (0.0, 1.0)), r"atom \(nan, 1.0\) is not finite"),
+            (((0.0, math.nan),), r"atom \(0.0, nan\) is not finite"),
+            (((0.0, 1.0), (1.0, math.inf)), r"atom \(1.0, inf\) is not finite"),
+            (((0.0, 1.0), (1.0, 0.0)), "atom at 1.0 has nonpositive mass 0.0"),
+            (((0.0, -0.5), (1.0, 1.0)), "atom at 0.0 has nonpositive mass -0.5"),
+            (((1.0, 1.0), (0.0, 1.0)), "sorted by location without duplicates, got 0.0 after 1.0"),
+            (((0.5, 1.0), (0.5, 2.0)), "sorted by location without duplicates, got 0.5 after 0.5"),
+            (((-0.0, 1.0), (0.0, 2.0)), "sorted by location without duplicates, got 0.0 after -0.0"),
         ],
     )
     def test_rejects_noncanonical_atoms(self, atoms, message):
@@ -306,6 +310,13 @@ class TestSpectralShape:
             SpectralParams(2.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             SpectralParams(1.0, -0.1, 1.0)
+
+    @pytest.mark.parametrize("side", ["c_minus", "c_plus"])
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_weights(self, side, weight):
+        weights = {"c_minus": 0.5, "c_plus": 0.5, side: weight}
+        with pytest.raises(ValueError, match=rf"^spectral weight {side} must be finite and nonnegative, got {weight!r}$"):
+            SpectralParams(1.5, **weights)
 
 
 def _random_measure(rng, max_atoms=5):
@@ -1375,3 +1386,55 @@ class TestClosedForm:
         assert _assert_exact_on_every_radius(mu, nu, "boundary pair") == (3 if below else 1)
         assert dsharp(mu, nu) == oracle.dsharp(mu, nu)
         assert prokhorov_distance(mu, nu) == oracle.distance(mu, nu) == mass
+
+
+def _assert_walk_leaves_no_trace(mu, nu, what, searches, exact=None):
+    """One restricted-distance callable returns the oracle's bits at every
+    dsharp radius, whatever it served before: the radii increasing, then
+    decreasing, then each twice in a row, then the whole line and the
+    smallest radius again. It searches exactly where the oracle's closed
+    form does not hold, so a restarted walk's smallest gap is that of its
+    own ball; ``searches`` is the list that a patched search appends to."""
+    distance, exact = characteristics._restricted_distance(mu, nu), exact or oracle.restricted(mu, nu)
+    radii = _radii(mu, nu)
+    order = [*radii, *reversed(radii), *(r for r in radii for _ in range(2)), math.inf, radii[0]]
+    for step, radius in enumerate(order):
+        before = len(searches)
+        d, want = distance(radius), exact(radius)
+        where = f"{what}, call {step} at radius {radius!r}"
+        assert d.hex() == want.distance.hex(), f"{where}: {d!r} != {want}"
+        assert (len(searches) > before) == (not want.closed), f"{where}: searched {len(searches) - before} times"
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The arguments of every search that the library runs while the test runs."""
+    calls = []
+    search = characteristics._prokhorov_arrays
+
+    def recording(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
+    return calls
+
+
+class TestWalkState:
+    """The walk that grows each ball keeps no state that changes a distance
+    or the choice to search: a smaller radius starts it again and a repeated
+    one adds nothing."""
+
+    def test_seeded_oracle_pairs(self, searches):
+        rng = np.random.default_rng(42)
+        for trial in range(25):
+            mu, nu = _random_measure(rng), _random_measure(rng)
+            for a, b in ((mu, nu), (nu, mu)):
+                _assert_walk_leaves_no_trace(a, b, f"pair {trial}", searches)
+        assert searches
+
+    def test_benchmark_panels(self, benchmark_fits, searches):
+        for fit in benchmark_fits:
+            if fit.seed == 3:
+                _assert_walk_leaves_no_trace(fit.measure, fit.shape, fit.what, searches, fit.exact)
+        assert searches, "no radius needed a search; the walk's search path went unchecked"

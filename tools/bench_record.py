@@ -22,15 +22,18 @@ its vectorized transcendental functions.
 ``--against REV`` runs REV as well, alternating which side goes first (HEAD
 on even seeds, REV on odd ones), and prints for each metric both sides'
 medians and quartiles and in how many of the 10 pairs HEAD was better, in
-the direction ``BENCHMARK.json`` gives. Quartiles are the inclusive ones of
-``statistics.quantiles``. The exit code is 1 when any op failed its output
-checks on either side.
+the direction ``BENCHMARK.json`` gives. After that table comes one verdict
+line per metric on the gain rule: HEAD is better in at least 9 of the 10
+pairs, and its median is better than REV's by more than REV's interquartile
+range. Quartiles are the inclusive ones of ``statistics.quantiles``. The
+exit code is 1 when any op failed its output checks on either side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -108,19 +111,39 @@ def bench_file(commit: str, workload: str, seconds: float, seeds: Sequence[int],
     }
 
 
-def compare(mine: Sequence[dict], theirs: Sequence[dict], rev: str, lower: Dict[str, bool]) -> List[str]:
-    """One line per metric: REV's and HEAD's median [q1, q3], and how many
-    pairs HEAD was better in; ``lower`` says per metric whether lower is better."""
+def _paired(mine: Sequence[dict], theirs: Sequence[dict], lower: Dict[str, bool]):
+    """Per metric: its name, HEAD's and REV's summaries, the sign that makes
+    lower better, and in how many pairs HEAD was better."""
     ours, base = summarize(mine), summarize(theirs)
-    lines = []
     for name, stats in ours.items():
         other = base[name]
         sign = 1.0 if lower.get(name, True) else -1.0
         better = sum(1 for a, b in zip(stats["values"], other["values"]) if sign * (a - b) < 0.0)
+        yield name, stats, other, sign, better
+
+
+def compare(mine: Sequence[dict], theirs: Sequence[dict], rev: str, lower: Dict[str, bool]) -> List[str]:
+    """One line per metric: REV's and HEAD's median [q1, q3], and how many
+    pairs HEAD was better in; ``lower`` says per metric whether lower is better."""
+    return [
+        f"{name} ({stats['unit']}): {rev} {other['median']:.4g} [{other['q1']:.4g}, {other['q3']:.4g}]"
+        f" -> {stats['median']:.4g} [{stats['q1']:.4g}, {stats['q3']:.4g}], better in {better} of {stats['k']} pairs"
+        for name, stats, other, _, better in _paired(mine, theirs, lower)
+    ]
+
+
+def gain_verdicts(mine: Sequence[dict], theirs: Sequence[dict], rev: str, lower: Dict[str, bool]) -> List[str]:
+    """One line per metric: whether HEAD's gain over REV holds, i.e. HEAD is
+    better in at least nine tenths of the pairs and its median is better by
+    more than REV's interquartile range."""
+    lines = []
+    for name, stats, other, sign, better in _paired(mine, theirs, lower):
+        needed = math.ceil(0.9 * stats["k"])
+        gap, spread = sign * (other["median"] - stats["median"]), other["q3"] - other["q1"]
+        verdict = "holds" if better >= needed and gap > spread else "does not hold"
         lines.append(
-            f"{name} ({stats['unit']}): {rev} {other['median']:.4g} [{other['q1']:.4g}, {other['q3']:.4g}]"
-            f" -> {stats['median']:.4g} [{stats['q1']:.4g}, {stats['q3']:.4g}],"
-            f" better in {better} of {stats['k']} pairs"
+            f"{name}: gain over {rev} {verdict}: better in {better} of {stats['k']} pairs (needs {needed}),"
+            f" median gap {gap:.4g} against {rev}'s IQR {spread:.4g}"
         )
     return lines
 
@@ -150,7 +173,7 @@ def record_workload(workload: str, other: Optional[str], seconds: float, lower: 
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
     if other is not None:
-        for line in compare(mine, theirs, other[:12], lower):
+        for line in [*compare(mine, theirs, other[:12], lower), *gain_verdicts(mine, theirs, other[:12], lower)]:
             print(f"  {line}")
     return result["failed"] + sum(record["failed"] for record in theirs)
 
