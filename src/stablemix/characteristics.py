@@ -436,26 +436,23 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     the whole line). Every distance is the exact value for the measures'
     floats, rounded once, given float critical distances |x - y|.
 
-    Let g be the smallest gap between two support points of a restricted
-    pair, P the sum of mu(x) - nu(x) over the points where mu is heavier, N
-    the same with mu and nu swapped, and U = max(P, N). The distance d lies
-    in [|P - N|, U]: A = the whole support violates by at least |P - N| at
-    every eps, and no violation exceeds U, since A lies in A^eps. So d = U
-    when min(P, N) = 0, and when U < g, because for eps < g each closed
-    eps-ball holds only its own point. P and N are ``math.fsum`` sums of
-    (m, -n) terms, so U is rounded once, and a float U below the float g
-    implies the exact premise, since rounding is monotone. Elsewhere
-    :func:`_prokhorov_arrays` searches [|P - N|, U], each end one
-    ``math.fsum``.
+    Let P be the sum of mu(x) - nu(x) over the points of a restricted pair
+    where mu is heavier, N the same with mu and nu swapped, and
+    U = max(P, N). The distance d lies in [|P - N|, U]: A = the whole
+    support violates by at least |P - N| at every eps, and no violation
+    exceeds U, since A lies in A^eps. So d = U when one side's excess is
+    empty, min(P, N) = 0, read from the excess terms with no float
+    comparison; P and N are ``math.fsum`` sums of (m, -n) terms, so U is
+    rounded once. Elsewhere :func:`_prokhorov_arrays` searches
+    [|P - N|, U], each end one ``math.fsum``.
 
     The pair's masses are put on the sorted union of their locations once;
     more than ``_MAX_CRITICAL_LOCATIONS`` of them raise a ``ValueError``
     before any radius. Each ball is a run of the union, walked outward from
-    0: a larger radius appends the new points' excess terms and folds their
-    gaps into g, and a smaller one starts the walk again. The first search
-    builds the critical set of the union (see :func:`_critical_distances`)
-    and scales every mass of the pair by one power of two to an integer;
-    every later radius reuses both.
+    0: a larger radius appends the new points' excess terms, and a smaller
+    one starts the walk again. The first search builds the critical set of
+    the union (see :func:`_critical_distances`) and scales every mass of the
+    pair by one power of two to an integer; every later radius reuses both.
     """
     mu_at, nu_at = dict(mu.atoms), dict(nu.atoms)
     points = tuple(sorted(mu_at.keys() | nu_at.keys()))
@@ -466,24 +463,22 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
         )
     mu_masses = list(map(mu_at.get, points, repeat(0.0)))
     nu_masses = list(map(nu_at.get, points, repeat(0.0)))
-    # The ball points[low:high] of the last radius `reach`, the excess terms
-    # of its points where mu, and where nu, is heavier, and its g.
+    # The ball points[low:high] of the last radius `reach`, and the excess
+    # terms of its points where mu, and where nu, is heavier.
     size, centre = len(points), bisect_left(points, 0.0)
-    low, high, reach, plus, minus, gap = centre, centre, 0.0, [], [], math.inf
+    low, high, reach, plus, minus = centre, centre, 0.0, [], []
     search: Optional[Tuple[Tuple[float, ...], int, List[int], List[int]]] = None
 
     def distance(radius: float) -> float:
-        nonlocal low, high, reach, plus, minus, gap, search
+        nonlocal low, high, reach, plus, minus, search
         if radius < reach:
-            low, high, plus, minus, gap = centre, centre, [], [], math.inf
+            low, high, plus, minus = centre, centre, [], []
         reach = radius
         while True:
             if high < size and points[high] < radius:
                 i, high = high, high + 1
-                step = points[i] - points[i - 1] if i > low else math.inf
             elif low and points[low - 1] > -radius:
                 i = low = low - 1
-                step = points[i + 1] - points[i] if high > i + 1 else math.inf
             else:
                 break
             m, n = mu_masses[i], nu_masses[i]
@@ -491,13 +486,9 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
                 plus += m, -n
             elif n > m:
                 minus += n, -m
-            if step < gap:
-                gap = step
         if not plus or not minus:
             return math.fsum(plus or minus)
         excess = max(math.fsum(plus), math.fsum(minus))
-        if excess < gap:
-            return excess
         if search is None:
             memo = len(points) <= _CRITICAL_MEMO_POINTS
             critical = (_critical_distances if memo else _critical_distances.__wrapped__)(points)

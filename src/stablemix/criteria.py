@@ -225,12 +225,19 @@ class DrawPanel:
         return self._memoized((key, n), lambda: {p: fn(p, n) for p in self.unique})
 
     def values(self, key: tuple, n: int, fn: Callable) -> np.ndarray:
-        table = self.table(key, n, fn)
-        out = np.array([table[p] for p in self.draws], dtype=float)
-        bad = int(np.count_nonzero(~np.isfinite(out)))
-        if bad:
-            raise RuntimeError(f"quantity {key} at n={n} is not finite for {bad} of {out.size} draws")
-        return out
+        """``fn(p, n)`` for each draw, checked finite and built once per
+        (key, n); the array is read-only, since its callers share it."""
+
+        def make() -> np.ndarray:
+            table = self.table(key, n, fn)
+            out = np.array([table[p] for p in self.draws], dtype=float)
+            bad = int(np.count_nonzero(~np.isfinite(out)))
+            if bad:
+                raise RuntimeError(f"quantity {key} at n={n} is not finite for {bad} of {out.size} draws")
+            out.flags.writeable = False
+            return out
+
+        return self._memoized(("values", key, n), make)
 
     def stream(self, key: tuple, fn: Callable) -> List[np.ndarray]:
         """``values`` at every grid length, in grid order."""

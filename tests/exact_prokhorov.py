@@ -94,12 +94,12 @@ def critical_distances(points):
 
 
 class Exact(NamedTuple):
-    """A pair's exact distance and where the library's search meets it."""
+    """A pair's exact distance, whether the library's closed form gives it,
+    and otherwise where the library's search meets it."""
 
     distance: float  # rounded once
     gap: float  # the mass gap |P - N|, rounded once
-    dominated: bool  # min(P, N) = 0
-    closed: bool  # dominated, or U below the smallest gap between points
+    dominated: bool  # min(P, N) = 0: the library's one closed form, no search
     k: int  # the index of the answer's interval among those of _search
     last: int  # the index of the last interval, which ends at U
 
@@ -123,9 +123,7 @@ def _search(a, b, critical):
     minus = -sum(e for e in excess.values() if e < 0)
     lo, hi = abs(plus - minus), max(plus, minus)
     if min(plus, minus) == 0:  # dominated: the bracket fixes the distance
-        return Exact(rounded(hi), rounded(lo), True, True, 0, 0)
-    points = sorted(excess)
-    closed = hi < units(min(y - x for x, y in zip(points, points[1:])))
+        return Exact(rounded(hi), rounded(lo), True, 0, 0)
     start = bisect_right(critical, lo, key=units)
     edges = [lo, *map(units, critical[start : bisect_left(critical, hi, key=units)]), hi]
 
@@ -142,7 +140,7 @@ def _search(a, b, critical):
         else:
             left = k + 1
     d = max(edges[right], violation(right))
-    return Exact(rounded(d), rounded(lo), False, closed, right, len(edges) - 2)
+    return Exact(rounded(d), rounded(lo), False, right, len(edges) - 2)
 
 
 def restricted(mu, nu):

@@ -724,8 +724,7 @@ def _radii(mu, nu):
 # Measure pairs whose distance is read at a known place: the mass gap, above
 # it in the first of two intervals, at least 30 intervals up, and the last
 # interval (edge hi).
-# Each has P, N > 0 and U >= g over the whole line, so prokhorov_distance
-# searches.
+# Each has P, N > 0 over the whole line, so prokhorov_distance searches.
 _LATTICE = [(0.001 * i, 0.02) for i in range(50)]
 _PLACED_PAIRS = {
     "gap": (_pairs((0.0, 1.0), (1.0, 0.25)), _pairs((0.0, 0.5), (1.25, 0.25))),
@@ -733,14 +732,16 @@ _PLACED_PAIRS = {
     "deep": (AtomicMeasure.from_pairs(_LATTICE), AtomicMeasure.from_pairs((x + 0.1, m) for x, m in _LATTICE)),
     "last": (_pairs((0.0, 0.5), (0.2, 0.5)), _pairs((3.0, 0.5), (3.3, 0.5))),
 }
-# Pairs that meet the closed-form premise over the whole line: one support
-# point, mu heavier at every point, and U = 0.05 below g = 0.5, where the
-# search read 0.050000000000000044.
-_CLOSED_PAIRS = {
+# Pairs that take the closed form over the whole line: one support point,
+# and mu heavier at every point.
+_DOMINATED_PAIRS = {
     "one point": (_pairs((0.0, 1.0)), _pairs((0.0, 0.5))),
     "one side heavier": (_pairs((0.0, 1.0), (0.5, 0.5)), _pairs((0.0, 0.5))),
-    "below the gap": (_pairs((0.0, 0.05), (1.0, 0.95)), _pairs((0.5, 0.05), (1.0, 0.95))),
 }
+# U = 0.05 below the smallest gap g = 0.5 on the radii above 0.5, where each
+# closed eps-ball below g holds only its own point: the search returns U,
+# where an earlier search read 0.050000000000000044.
+_BELOW_THE_GAP = {"below the gap": (_pairs((0.0, 0.05), (1.0, 0.95)), _pairs((0.5, 0.05), (1.0, 0.95)))}
 
 
 def _placed(name, at_gap, k, last):
@@ -817,9 +818,9 @@ class TestGallopingSearch:
             measure = spectral_measure_lambda(law, PARETO_NORMING, n)
             for alpha in (1.5, 1.2):
                 fit_spectrum(measure, alpha)
-        # 60 radii: the closed forms, and a search for every other one.
+        # 60 radii: the dominated ones, and a search for every other one.
         assert len(exact_distances) == 60
-        assert [ran for _, ran in exact_distances] == [not exact.closed for exact, _ in exact_distances]
+        assert [ran for _, ran in exact_distances] == [not exact.dominated for exact, _ in exact_distances]
         assert any(ran and exact.distance > exact.gap for exact, ran in exact_distances), (
             "the fits should need searched distances above the mass gap"
         )
@@ -827,7 +828,7 @@ class TestGallopingSearch:
     @pytest.mark.parametrize("name", sorted(_PLACED_PAIRS))
     def test_equal_wherever_the_answer_lies(self, name, exact_distances):
         mu, nu = _PLACED_PAIRS[name]
-        d, gap, _, _, k, last = oracle.restricted(mu, nu)(math.inf)
+        d, gap, _, k, last = oracle.restricted(mu, nu)(math.inf)
         assert _placed(name, d == gap, k, last), f"{name}: the answer {d!r} is in interval {k} of 0..{last}"
         for a, b in ((mu, nu), (nu, mu)):
             assert prokhorov_distance(a, b) == d
@@ -895,8 +896,8 @@ class TestProkhorovWork:
         monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting_search)
         measure = spectral_measure_lambda(ParetoLaw(1.5, 1.3, 0.5), PARETO_NORMING, 100000)
         fit_spectrum(measure, 1.2)
-        # 15 radii: the closed forms, and a search for every other one.
-        assert len(calls) + sum(exact.closed for exact, _ in exact_distances) == 15
+        # 15 radii: the dominated ones, and a search for every other one.
+        assert len(calls) + sum(exact.dominated for exact, _ in exact_distances) == 15
         searched = [count for _, count in calls if count > 2]
         assert searched, "no distance needed a search; the bound proves nothing"
         for size, count in calls:
@@ -1296,37 +1297,37 @@ def _assert_exact_on_every_radius(mu, nu, what, exact=None):
     """The library's distance on every dsharp radius and on the whole line
     equals the exact oracle's (``exact``, the pair's
     :func:`oracle.restricted`, if the caller holds it). Returns how many of
-    them, the whole line counted as one, meet the closed-form premise."""
+    them, the whole line counted as one, are dominated: min(P, N) = 0."""
     distance, exact = characteristics._restricted_distance(mu, nu), exact or oracle.restricted(mu, nu)
-    closed = 0
+    dominated = 0
     for radius in (*_radii(mu, nu), math.inf):
         d, want = distance(radius), exact(radius)
         assert d == want.distance, f"{what}, radius {radius!r}: {d!r} != {want}"
-        closed += want.closed
-    return closed
+        dominated += want.dominated
+    return dominated
 
 
 class TestClosedForm:
-    """Below the smallest gap between support points, and where one side's
-    excess is empty, dsharp's distance is the larger excess mass, exactly;
-    every other radius is searched, and equals the exact oracle too."""
+    """Where one side's excess is empty, dsharp's distance is the larger
+    excess mass, exactly; every other radius is searched, and equals the
+    exact oracle too."""
 
     def test_exact_on_seeded_measures(self):
-        closed = 0
+        dominated = 0
         for trial, (mu, nu) in enumerate(_oracle_pairs(np.random.default_rng(20240601))):
             for a, b in ((mu, nu), (nu, mu)):
-                closed += _assert_exact_on_every_radius(a, b, f"pair {trial}")
+                dominated += _assert_exact_on_every_radius(a, b, f"pair {trial}")
             if trial == 1:
                 # The search read 1.2478706280206042.
                 assert prokhorov_distance(mu, nu) == 1.247870628020604
-        assert closed > 500
+        assert dominated > 500
 
     def test_exact_on_benchmark_panels(self, benchmark_fits):
-        closed = radii = 0
+        dominated = radii = 0
         for fit in benchmark_fits:
-            closed += _assert_exact_on_every_radius(fit.measure, fit.shape, fit.what, fit.exact)
+            dominated += _assert_exact_on_every_radius(fit.measure, fit.shape, fit.what, fit.exact)
             radii += len(oracle.segments(fit.measure, fit.shape)) + 1
-        assert radii > closed > radii // 2, f"{closed} closed forms in {radii} radii"
+        assert radii > dominated > radii // 2, f"{dominated} dominated radii in {radii}"
 
     def test_dominated_radii_of_benchmark_panels(self, benchmark_fits):
         # Where one restriction is at least the other at every point, the
@@ -1354,47 +1355,39 @@ class TestClosedForm:
                 dominated += 1
         assert dominated > 10000
 
-    @pytest.mark.parametrize("name", sorted({**_PLACED_PAIRS, **_CLOSED_PAIRS}))
+    @pytest.mark.parametrize("name", sorted({**_PLACED_PAIRS, **_DOMINATED_PAIRS, **_BELOW_THE_GAP}))
     def test_exact_on_placed_pairs(self, name):
-        mu, nu = {**_PLACED_PAIRS, **_CLOSED_PAIRS}[name]
+        mu, nu = {**_PLACED_PAIRS, **_DOMINATED_PAIRS, **_BELOW_THE_GAP}[name]
         for a, b in ((mu, nu), (nu, mu)):
-            closed = _assert_exact_on_every_radius(a, b, name)
-            # A closed pair meets the premise on every radius and the whole line.
-            assert closed > (name in _CLOSED_PAIRS) * len(oracle.segments(a, b))
+            dominated = _assert_exact_on_every_radius(a, b, name)
+            # A dominated pair takes the closed form on every radius and the whole line.
+            assert dominated > (name in _DOMINATED_PAIRS) * len(oracle.segments(a, b))
         if name == "below the gap":
             assert prokhorov_distance(mu, nu) == 0.05
 
-    @pytest.mark.parametrize("below", [True, False])
-    def test_premise_boundary(self, below, monkeypatch):
-        # U = mass against g = 0.25 on the radii above 0.25; below them each
-        # restriction holds one point and takes the closed form.
-        mass = math.nextafter(0.25, 0.0) if below else 0.25
-        mu, nu = _pairs((0.0, mass)), _pairs((0.25, mass))
-        searches = []
-        search = characteristics._prokhorov_arrays
-
-        def recording(*args):
-            searches.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(characteristics, "_prokhorov_arrays", recording)
+    @pytest.mark.parametrize("dominated", [True, False])
+    def test_premise_boundary(self, dominated, searches):
+        # mu is heavier at 0.0; one 5e-324 atom of nu at 0.25 gives nu an
+        # excess on the radii above 0.25, where the pair that has it searches.
+        mu = _pairs((0.0, 0.5))
+        nu = _pairs((0.0, 0.25)) if dominated else _pairs((0.0, 0.25), (0.25, 5e-324))
         distance = characteristics._restricted_distance(mu, nu)
-        distances = [distance(radius) for radius in _radii(mu, nu)]
-        assert distances == [mass, mass]
-        assert len(searches) == (0 if below else 1)
-        # The whole line holds both points, as the radii above 0.25 do.
-        assert _assert_exact_on_every_radius(mu, nu, "boundary pair") == (3 if below else 1)
+        radii = _radii(mu, nu)
+        assert [distance(radius) for radius in radii] == [0.25] * len(radii)
+        assert len(searches) == (0 if dominated else 1)
+        # The whole line holds what the largest radius holds.
+        assert _assert_exact_on_every_radius(mu, nu, "boundary pair") == (2 if dominated else 1)
         assert dsharp(mu, nu) == oracle.dsharp(mu, nu)
-        assert prokhorov_distance(mu, nu) == oracle.distance(mu, nu) == mass
+        assert prokhorov_distance(mu, nu) == oracle.distance(mu, nu) == 0.25
 
 
 def _assert_walk_leaves_no_trace(mu, nu, what, searches, exact=None):
     """One restricted-distance callable returns the oracle's bits at every
     dsharp radius, whatever it served before: the radii increasing, then
     decreasing, then each twice in a row, then the whole line and the
-    smallest radius again. It searches exactly where the oracle's closed
-    form does not hold, so a restarted walk's smallest gap is that of its
-    own ball; ``searches`` is the list that a patched search appends to."""
+    smallest radius again. It searches exactly where the oracle's pair is
+    not dominated, so a restarted walk's excess terms are those of its own
+    ball; ``searches`` is the list that a patched search appends to."""
     distance, exact = characteristics._restricted_distance(mu, nu), exact or oracle.restricted(mu, nu)
     radii = _radii(mu, nu)
     order = [*radii, *reversed(radii), *(r for r in radii for _ in range(2)), math.inf, radii[0]]
@@ -1403,7 +1396,7 @@ def _assert_walk_leaves_no_trace(mu, nu, what, searches, exact=None):
         d, want = distance(radius), exact(radius)
         where = f"{what}, call {step} at radius {radius!r}"
         assert d.hex() == want.distance.hex(), f"{where}: {d!r} != {want}"
-        assert (len(searches) > before) == (not want.closed), f"{where}: searched {len(searches) - before} times"
+        assert (len(searches) > before) == (not want.dominated), f"{where}: searched {len(searches) - before} times"
 
 
 @pytest.fixture

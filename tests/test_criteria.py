@@ -624,5 +624,22 @@ class TestPanelGuard:
     def test_nonfinite_quantity_names_key_and_length(self):
         panel = DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
         message = r"quantity \('probe',\) at n=100 is not finite for 200 of 200 draws"
-        with pytest.raises(RuntimeError, match=message):
-            panel.values(("probe",), 100, lambda p, m: math.nan)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=message):
+                panel.values(("probe",), 100, lambda p, m: math.nan)
+
+    def test_values_are_built_once_and_read_only(self):
+        panel = DrawPanel(PARETO_MIX, TWO_THIRDS, GRID, 0)
+        calls = []
+
+        def fn(p, m):
+            calls.append(p)
+            return float(m)
+
+        first = panel.values(("probe",), 100, fn)
+        assert panel.values(("probe",), 100, fn) is first
+        assert len(calls) == len(panel.unique)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+        assert panel.values(("probe",), 1000, fn) is not first
