@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -415,13 +415,14 @@ def prokhorov_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     eps at which neither one-sided violation max_A [mu(A) - nu(A^eps)] over
     unions A of atoms exceeds eps.
 
-    It is the whole-line radius of :func:`_restricted_distance`: the exact
-    distance for the measures' floats, rounded once, given float critical
-    distances, for at most 2048 distinct atom locations. No pipeline path
-    calls it; it stays public as the distance that :func:`dsharp`
-    integrates, for a caller who compares two measures without weights.
+    It is the one whole-line radius of :func:`_restricted_distances`: the
+    exact distance for the measures' floats, rounded once, given float
+    critical distances, for at most 2048 distinct atom locations. No
+    pipeline path calls it; it stays public as the distance that
+    :func:`dsharp` integrates, for a caller who compares two measures
+    without weights.
     """
-    return _restricted_distance(mu, nu)(math.inf)
+    return next(_restricted_distances(mu, nu, (math.inf,)))
 
 
 def _scaled(x: float, shift: int) -> int:
@@ -430,11 +431,12 @@ def _scaled(x: float, shift: int) -> int:
     return (numerator << shift) // denominator
 
 
-def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[float], float]:
+def _restricted_distances(mu: AtomicMeasure, nu: AtomicMeasure, radii: Iterable[float]) -> Iterator[float]:
     """The Levy-Prokhorov distance between the restrictions of ``mu`` and
-    ``nu`` to the open ball (-r, r), as a function of r (``math.inf`` for
-    the whole line). Every distance is the exact value for the measures'
-    floats, rounded once, given float critical distances |x - y|.
+    ``nu`` to the open ball (-r, r), for each r of ``radii`` in turn
+    (``math.inf`` for the whole line). The radii must not decrease. Every
+    distance is the exact value for the measures' floats, rounded once,
+    given float critical distances |x - y|.
 
     Let P be the sum of mu(x) - nu(x) over the points of a restricted pair
     where mu is heavier, N the same with mu and nu swapped, and
@@ -449,10 +451,10 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
     The pair's masses are put on the sorted union of their locations once;
     more than ``_MAX_CRITICAL_LOCATIONS`` of them raise a ``ValueError``
     before any radius. Each ball is a run of the union, walked outward from
-    0: a larger radius appends the new points' excess terms, and a smaller
-    one starts the walk again. The first search builds the critical set of
-    the union (see :func:`_critical_distances`) and scales every mass of the
-    pair by one power of two to an integer; every later radius reuses both.
+    0 once: each radius appends the new points' excess terms. The first
+    search builds the critical set of the union (see
+    :func:`_critical_distances`) and scales every mass of the pair by one
+    power of two to an integer; every later radius reuses both.
     """
     mu_at, nu_at = dict(mu.atoms), dict(nu.atoms)
     points = tuple(sorted(mu_at.keys() | nu_at.keys()))
@@ -463,17 +465,13 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
         )
     mu_masses = list(map(mu_at.get, points, repeat(0.0)))
     nu_masses = list(map(nu_at.get, points, repeat(0.0)))
-    # The ball points[low:high] of the last radius `reach`, and the excess
-    # terms of its points where mu, and where nu, is heavier.
-    size, centre = len(points), bisect_left(points, 0.0)
-    low, high, reach, plus, minus = centre, centre, 0.0, [], []
-    search: Optional[Tuple[Tuple[float, ...], int, List[int], List[int]]] = None
-
-    def distance(radius: float) -> float:
-        nonlocal low, high, reach, plus, minus, search
-        if radius < reach:
-            low, high, plus, minus = centre, centre, [], []
-        reach = radius
+    # The ball points[low:high] of the last radius, and the excess terms of
+    # its points where mu, and where nu, is heavier.
+    size = len(points)
+    low = high = bisect_left(points, 0.0)
+    plus, minus = [], []
+    critical = None
+    for radius in radii:
         while True:
             if high < size and points[high] < radius:
                 i, high = high, high + 1
@@ -487,22 +485,20 @@ def _restricted_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> Callable[[floa
             elif n > m:
                 minus += n, -m
         if not plus or not minus:
-            return math.fsum(plus or minus)
+            yield math.fsum(plus or minus)
+            continue
         excess = max(math.fsum(plus), math.fsum(minus))
-        if search is None:
+        if critical is None:
             memo = len(points) <= _CRITICAL_MEMO_POINTS
             critical = (_critical_distances if memo else _critical_distances.__wrapped__)(points)
             # 2**shift is the largest denominator of the pair's masses.
             shift = max(m.as_integer_ratio()[1] for m in (*mu_masses, *nu_masses)).bit_length() - 1
-            search = critical, shift, [_scaled(m, shift) for m in mu_masses], [_scaled(m, shift) for m in nu_masses]
-        critical, shift, mu_ints, nu_ints = search
+            mu_ints, nu_ints = [_scaled(m, shift) for m in mu_masses], [_scaled(m, shift) for m in nu_masses]
         mass_gap = abs(math.fsum([*plus, *map(operator.neg, minus)]))
         ball, mu_ball, nu_ball = points[low:high], mu_ints[low:high], nu_ints[low:high]
         mu_lists = list(compress(ball, mu_ball)), list(filter(None, mu_ball))  # mu's atoms in the ball
         nu_lists = list(compress(ball, nu_ball)), list(filter(None, nu_ball))
-        return _prokhorov_arrays(*mu_lists, *nu_lists, critical, mass_gap, excess, shift)
-
-    return distance
+        yield _prokhorov_arrays(*mu_lists, *nu_lists, critical, mass_gap, excess, shift)
 
 
 def _prokhorov_arrays(
@@ -523,7 +519,7 @@ def _prokhorov_arrays(
     :param critical: sorted, holding every distance between an atom of mu
         and an atom of nu; extra values cost a little search time and do
         not change the result
-    :param lo: the mass gap |P - N| of :func:`_restricted_distance`,
+    :param lo: the mass gap |P - N| of :func:`_restricted_distances`,
         rounded once, a lower bound of the distance
     :param hi: its excess U = max(P, N), rounded once, an upper bound
 
@@ -589,25 +585,24 @@ def dsharp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
     The metric is the integral over r of e^{-r} * d_r/(1 + d_r), where d_r is
     the Levy-Prokhorov distance between the restrictions of the measures to
-    the open ball (-r, r), read from :func:`_restricted_distance` in
-    increasing r, so that its walk only grows the ball. The integrand is
-    piecewise constant in r with breakpoints at the union's atom moduli, so
-    the integral over (0, 20] is evaluated exactly segment by segment, one
-    e^{-r} per breakpoint; the omitted tail is at most e^{-20}. Equal
-    measures give 0.0; otherwise more than 2048 distinct atom locations
-    raise a ``ValueError``.
+    the open ball (-r, r). The integrand is piecewise constant in r with
+    breakpoints at the union's atom moduli, so the integral over (0, 20] is
+    evaluated exactly segment by segment, one e^{-r} per breakpoint; the
+    omitted tail is at most e^{-20}. One :func:`_restricted_distances` walk
+    reads the segment midpoints in increasing r, so it only grows the ball.
+    Equal measures give 0.0; otherwise more than 2048 distinct atom
+    locations raise a ``ValueError``.
     """
     if mu.atoms == nu.atoms:
         return 0.0
-    distance = _restricted_distance(mu, nu)
     moduli = sorted({abs(x) for x, _ in (*mu.atoms, *nu.atoms)})
     edges = [0.0, *moduli[bisect_right(moduli, 0.0) : bisect_left(moduli, _R_MAX)], _R_MAX]
     decay = [math.exp(-x) for x in edges]
+    # On (left, right] the restrictions to (-r, r) are those at any interior
+    # radius; atoms with modulus exactly `left` are included.
+    distances = _restricted_distances(mu, nu, (0.5 * (left + right) for left, right in zip(edges, edges[1:])))
     total = 0.0
-    for left, right, upper, lower in zip(edges, edges[1:], decay, decay[1:]):
-        # On (left, right] the restrictions to (-r, r) are those at any
-        # interior radius; atoms with modulus exactly `left` are included.
-        d = distance(0.5 * (left + right))
+    for d, upper, lower in zip(distances, decay, decay[1:]):
         if d > 0:
             total += (d / (1.0 + d)) * (upper - lower)
     return total

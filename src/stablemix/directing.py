@@ -914,7 +914,9 @@ def _row_sums(
 
     Entries are generated in column blocks; block subtotals use pairwise
     summation and are folded into a per-row compensated accumulator, so heavy
-    tails at large n do not erode the sum. Column block b starts at stream
+    tails at large n do not erode the sum. The first block's subtotals seed
+    the totals, with a zero compensation, and every later block folds in
+    through the one compensated loop. Column block b starts at stream
     position rows*b*_BLOCK at every row length, and each row length reads its
     full blocks from the chunk drawn there. A shorter row length whose last
     block (m columns) ends inside the chunk sums what rows*m entries drawn
@@ -924,15 +926,14 @@ def _row_sums(
     length. ``rng`` may be None for a point mass, whose ``sample`` draws nothing.
     """
     n_max = max(n_grid)
-    if n_max <= _BLOCK:
-        # One column block: the first fold of the compensated sum below is
-        # 0.0 + (s - 0.0), which is s + 0.0 bit for bit (s - 0.0 is s), so it
-        # needs no arrays; like the fold, it turns a -0.0 sum into 0.0.
-        return [s + 0.0 for s in _block_sums(p, rng, rows, n_grid, 0, n_max)]
-    total = [np.zeros(rows) for _ in n_grid]
-    comp = [np.zeros(rows) for _ in n_grid]
-    for c in range(0, n_max, _BLOCK):
-        for j, s in enumerate(_block_sums(p, rng, rows, n_grid, c, min(_BLOCK, n_max - c))):
+    blocks = (_block_sums(p, rng, rows, n_grid, c, min(_BLOCK, n_max - c)) for c in range(0, n_max, _BLOCK))
+    # A fold into zero totals, 0.0 + (s - 0.0), is s + 0.0 bit for bit, as
+    # s - 0.0 is s; it turns a -0.0 sum into 0.0 and leaves a zero
+    # compensation wherever s is finite. A sum that is not finite stays so.
+    total = [s + 0.0 for s in next(blocks)]
+    comp = [0.0] * len(total)
+    for sums in blocks:
+        for j, s in enumerate(sums):
             if s is not None:
                 y = s - comp[j]
                 t = total[j] + y

@@ -761,27 +761,25 @@ def exact_distances(monkeypatch):
     for each."""
     records = []
     searches = []
-    restricted = characteristics._restricted_distance
+    restricted = characteristics._restricted_distances
     search = characteristics._prokhorov_arrays
 
     def counting(*args):
         searches.append(args)
         return search(*args)
 
-    def checked(mu, nu):
-        distance, exact = restricted(mu, nu), oracle.restricted(mu, nu)
-
-        def check(radius):
+    def checked(mu, nu, radii):
+        exact, radii = oracle.restricted(mu, nu), list(radii)
+        distances = restricted(mu, nu, radii)
+        for radius in radii:
             before = len(searches)
-            d, want = distance(radius), exact(radius)
+            d, want = next(distances), exact(radius)
             assert d == want.distance, f"{mu.atoms} vs {nu.atoms} at radius {radius!r}: {d!r} != {want}"
             records.append((want, len(searches) > before))
-            return d
-
-        return check
+            yield d
 
     monkeypatch.setattr(characteristics, "_prokhorov_arrays", counting)
-    monkeypatch.setattr(characteristics, "_restricted_distance", checked)
+    monkeypatch.setattr(characteristics, "_restricted_distances", checked)
     return records
 
 
@@ -1298,10 +1296,10 @@ def _assert_exact_on_every_radius(mu, nu, what, exact=None):
     equals the exact oracle's (``exact``, the pair's
     :func:`oracle.restricted`, if the caller holds it). Returns how many of
     them, the whole line counted as one, are dominated: min(P, N) = 0."""
-    distance, exact = characteristics._restricted_distance(mu, nu), exact or oracle.restricted(mu, nu)
+    exact, radii = exact or oracle.restricted(mu, nu), (*_radii(mu, nu), math.inf)
     dominated = 0
-    for radius in (*_radii(mu, nu), math.inf):
-        d, want = distance(radius), exact(radius)
+    for radius, d in zip(radii, characteristics._restricted_distances(mu, nu, radii)):
+        want = exact(radius)
         assert d == want.distance, f"{what}, radius {radius!r}: {d!r} != {want}"
         dominated += want.dominated
     return dominated
@@ -1336,13 +1334,12 @@ class TestClosedForm:
         # total mass.
         dominated = 0
         for what, measure, _, _, _, _, shape, exact in benchmark_fits:
-            distance = characteristics._restricted_distance(measure, shape)
             critical = characteristics._critical_distances(_union(measure, shape))
-            for radius in (*_radii(measure, shape), math.inf):
+            radii = (*_radii(measure, shape), math.inf)
+            for radius, got in zip(radii, characteristics._restricted_distances(measure, shape, radii)):
                 want = exact(radius)
                 if not want.dominated:
                     continue
-                got = distance(radius)
                 assert got == want.distance, f"{what}, radius {radius!r}: {got!r} != {want}"
                 balls = [[(x, m) for x, m in atoms if abs(x) < radius] for atoms in (measure.atoms, shape.atoms)]
                 top = max(math.fsum(m for _, m in ball) for ball in balls)
@@ -1371,9 +1368,8 @@ class TestClosedForm:
         # excess on the radii above 0.25, where the pair that has it searches.
         mu = _pairs((0.0, 0.5))
         nu = _pairs((0.0, 0.25)) if dominated else _pairs((0.0, 0.25), (0.25, 5e-324))
-        distance = characteristics._restricted_distance(mu, nu)
         radii = _radii(mu, nu)
-        assert [distance(radius) for radius in radii] == [0.25] * len(radii)
+        assert list(characteristics._restricted_distances(mu, nu, radii)) == [0.25] * len(radii)
         assert len(searches) == (0 if dominated else 1)
         # The whole line holds what the largest radius holds.
         assert _assert_exact_on_every_radius(mu, nu, "boundary pair") == (2 if dominated else 1)
@@ -1382,21 +1378,21 @@ class TestClosedForm:
 
 
 def _assert_walk_leaves_no_trace(mu, nu, what, searches, exact=None):
-    """One restricted-distance callable returns the oracle's bits at every
-    dsharp radius, whatever it served before: the radii increasing, then
-    decreasing, then each twice in a row, then the whole line and the
-    smallest radius again. It searches exactly where the oracle's pair is
-    not dominated, so a restarted walk's excess terms are those of its own
-    ball; ``searches`` is the list that a patched search appends to."""
-    distance, exact = characteristics._restricted_distance(mu, nu), exact or oracle.restricted(mu, nu)
-    radii = _radii(mu, nu)
-    order = [*radii, *reversed(radii), *(r for r in radii for _ in range(2)), math.inf, radii[0]]
-    for step, radius in enumerate(order):
-        before = len(searches)
-        d, want = distance(radius), exact(radius)
-        where = f"{what}, call {step} at radius {radius!r}"
-        assert d.hex() == want.distance.hex(), f"{where}: {d!r} != {want}"
-        assert (len(searches) > before) == (not want.dominated), f"{where}: searched {len(searches) - before} times"
+    """A restricted-distance walk returns the oracle's bits at every dsharp
+    radius, whatever it served before: one walk over the radii increasing,
+    and one over each radius twice in a row, then the whole line. It
+    searches exactly where the oracle's pair is not dominated, so the walk's
+    excess terms are those of its own ball; ``searches`` is the list that a
+    patched search appends to."""
+    exact, radii = exact or oracle.restricted(mu, nu), _radii(mu, nu)
+    for walk, order in enumerate((radii, [*(r for r in radii for _ in range(2)), math.inf])):
+        distances = characteristics._restricted_distances(mu, nu, order)
+        for step, radius in enumerate(order):
+            before = len(searches)
+            d, want = next(distances), exact(radius)
+            where = f"{what}, walk {walk}, call {step} at radius {radius!r}"
+            assert d.hex() == want.distance.hex(), f"{where}: {d!r} != {want}"
+            assert (len(searches) > before) == (not want.dominated), f"{where}: searched {len(searches) - before} times"
 
 
 @pytest.fixture
@@ -1415,8 +1411,7 @@ def searches(monkeypatch):
 
 class TestWalkState:
     """The walk that grows each ball keeps no state that changes a distance
-    or the choice to search: a smaller radius starts it again and a repeated
-    one adds nothing."""
+    or the choice to search: a repeated radius adds nothing."""
 
     def test_seeded_oracle_pairs(self, searches):
         rng = np.random.default_rng(42)

@@ -1103,7 +1103,8 @@ class TestGridSums:
         assert grid.shape == (len(n_grid), 3, rows)
         assert np.array_equal(grid, reference)
 
-    @pytest.mark.parametrize("n", [1, _BLOCK + 1])
+    # _BLOCK is the longest row length of one block, and 2 * _BLOCK is whole blocks only.
+    @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
     @pytest.mark.parametrize("base", [pytest.param(base, id=name) for name, base, _, _ in _GRID_FAMILIES])
     def test_one_length_row_sums_are_the_compensated_routine(self, base, n):
         # The surviving routine at one row length does the reference's
