@@ -434,7 +434,8 @@ def _scaled(x: float, shift: int) -> int:
 def _restricted_distances(mu: AtomicMeasure, nu: AtomicMeasure, radii: Iterable[float]) -> Iterator[float]:
     """The Levy-Prokhorov distance between the restrictions of ``mu`` and
     ``nu`` to the open ball (-r, r), for each r of ``radii`` in turn
-    (``math.inf`` for the whole line). The radii must not decrease. Every
+    (``math.inf`` for the whole line). The radii must not decrease: a
+    radius below the one before it is a ``ValueError`` that names it. Every
     distance is the exact value for the measures' floats, rounded once,
     given float critical distances |x - y|.
 
@@ -471,7 +472,11 @@ def _restricted_distances(mu: AtomicMeasure, nu: AtomicMeasure, radii: Iterable[
     low = high = bisect_left(points, 0.0)
     plus, minus = [], []
     critical = None
+    last = -math.inf
     for radius in radii:
+        if radius < last:
+            raise ValueError(f"radius {radius!r} is smaller than the radius {last!r} before it")
+        last = radius
         while True:
             if high < size and points[high] < radius:
                 i, high = high, high + 1

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -469,7 +470,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report_path = out / f"{report.scenario}.report.json"
         cf_path = out / f"{report.scenario}.cf.csv"
         quantities_path = out / f"{report.scenario}.quantities.csv"
-        _write_json(report_path, {"schema_version": SCHEMA_VERSION, **asdict(report)})
+        # A shallow read of the fields: every field already holds plain JSON data.
+        payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        _write_json(report_path, {"schema_version": SCHEMA_VERSION, **payload})
         cf_rows = ({"n": table["n"], **row} for table in report.cf_tables for row in table["points"])
         _write_csv(cf_path, _CF_COLUMNS, cf_rows)
         _write_csv(quantities_path, _QUANTITY_COLUMNS, report.quantities)

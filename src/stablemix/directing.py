@@ -171,7 +171,7 @@ class _RealizedLaw:
     ``prefix_stable`` is True when ``sample`` fills its output one entry at a
     time, so that ``sample(rng, a + b)[:a]`` is bit-identical to
     ``sample(rng, a)`` from the same generator state: a shorter row length
-    then reads its last block from the chunk's head (:func:`_row_sums`).
+    then reads its last block from the chunk's head (``_chunk_and_heads``).
     """
 
     symmetric = False
@@ -273,6 +273,25 @@ class _RealizedLaw:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _chunk_and_heads(
+        self, rng: np.random.Generator, size: int, heads: Sequence[int]
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """``sample(rng, size)``, and for each m of ``heads`` (0 < m < size)
+        the m entries that ``sample(rng, m)`` draws from the same start
+        state; ``rng`` ends where ``sample(rng, size)`` leaves it. A
+        prefix-stable family's heads are the chunk's first entries; any other
+        draws each head from the state saved at the start, which is then
+        restored for the chunk."""
+        if self.prefix_stable or not heads:
+            chunk = self.sample(rng, size)
+            return chunk, [chunk[:m] for m in heads]
+        start = rng.bit_generator.state
+        drawn = []
+        for m in heads:
+            drawn.append(self.sample(rng, m))
+            rng.bit_generator.state = start
+        return self.sample(rng, size), drawn
 
 
 @dataclass(frozen=True)
@@ -575,6 +594,47 @@ class ParetoLaw(_RealizedLaw):
         if self.symmetric:
             return magnitudes * (rng.integers(0, 2, size) * 2 - 1)
         return magnitudes
+
+    def _chunk_and_heads(
+        self, rng: np.random.Generator, size: int, heads: Sequence[int]
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The symmetric law's heads, read from the chunk's own draws.
+
+        On PCG64, ``random`` is (x >> 11) * 2**-53 of one 64-bit output x,
+        and ``integers(0, 2)`` is the top bit of one ``next_uint32``, which
+        hands out the low half of an output and buffers the high half. So
+        ``sample(rng, m)`` takes its magnitudes from the chunk's first m
+        uniforms, and its signs from the halves 2m, 2m + 1, ... of the
+        block's stream (after the half the generator held at the start, if
+        it held one). A half of the first ``size`` outputs has its top bit at
+        bit 20 (low) or 52 (high) of u * 2**53; a later half is one of the
+        chunk's own signs. ``sample`` is left as it is; this repeats its
+        steps and keeps their values.
+        """
+        if not self.symmetric or not heads:
+            return super()._chunk_and_heads(rng, size, heads)
+        buffered = rng.bit_generator.state["has_uint32"]
+        u = rng.random(size)
+        u[u == 0.0] = 1.0
+        magnitudes = self.pscale * u ** (-1.0 / self.tail_index)
+        signs = rng.integers(0, 2, size) * 2 - 1
+        # Sign i of a head of m, past the buffered one, is half 2m + i -
+        # buffered; ``halves`` holds the signs of the halves lo .. hi-1 that
+        # some head reads. A u of 0.0, set to 1.0 above, reads 2**53, whose
+        # bits 20 and 52 are 0 as those of 0.0 are.
+        lo, hi = 2 * min(heads), 3 * max(heads) - buffered
+        bits = (u[lo // 2 : (min(hi, 2 * size) + 1) // 2] * 2.0 ** 53).astype(np.int64)
+        halves = np.empty(2 * bits.size, dtype=np.int64)
+        np.right_shift(bits, 20, out=halves[0::2])
+        np.right_shift(bits, 52, out=halves[1::2])
+        halves = np.concatenate(
+            ((halves[: hi - lo] & 1) * 2 - 1, signs[buffered : buffered + max(hi - 2 * size, 0)])
+        )
+        drawn = [
+            magnitudes[:m] * np.concatenate((signs[:buffered], halves[2 * m - lo : 3 * m - buffered - lo]))
+            for m in heads
+        ]
+        return magnitudes * signs, drawn
 
     def with_dispersion(self, value: float) -> "ParetoLaw":
         return ParetoLaw(self.tail_index, value, self.right_weight)
@@ -907,59 +967,75 @@ _BLOCK = 1 << 14
 
 
 def _row_sums(
-    p: _RealizedLaw, rng: Optional[np.random.Generator], rows: int, n_grid: Sequence[int]
-) -> list[np.ndarray]:
+    p: _RealizedLaw,
+    rng: Optional[np.random.Generator],
+    rows: int,
+    n_grid: Sequence[int],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Row sums of rows-by-n conditionally i.i.d. blocks, for every n of
     ``n_grid``, from one pass over the stream of the largest n.
 
-    Entries are generated in column blocks; block subtotals use pairwise
-    summation and are folded into a per-row compensated accumulator, so heavy
-    tails at large n do not erode the sum. The first block's subtotals seed
-    the totals, with a zero compensation, and every later block folds in
-    through the one compensated loop. Column block b starts at stream
-    position rows*b*_BLOCK at every row length, and each row length reads its
-    full blocks from the chunk drawn there. A shorter row length whose last
-    block (m columns) ends inside the chunk sums what rows*m entries drawn
-    there would be: the chunk's head for a prefix-stable p; for any other p,
-    a block drawn first from the state saved at the block's start, which is
-    then restored for the chunk. Returns one array of ``rows`` sums per row
-    length. ``rng`` may be None for a point mass, whose ``sample`` draws nothing.
+    Entries are generated in column blocks (:func:`_block_sums`); block
+    subtotals use pairwise summation and are folded into a per-row
+    compensated accumulator, so heavy tails at large n do not erode the sum.
+    One loop serves every block count: the first block's subtotals are
+    reduced straight into ``out`` and become the totals, and every later
+    block folds in place through the compensated step. Row j of ``out`` (a
+    ``(len(n_grid), rows)`` float array, new when None) gets the sums at
+    ``n_grid[j]``; ``out`` is returned. ``rng`` may be None for a point
+    mass, whose ``sample`` draws nothing.
     """
+    out = np.empty((len(n_grid), rows)) if out is None else out
     n_max = max(n_grid)
-    blocks = (_block_sums(p, rng, rows, n_grid, c, min(_BLOCK, n_max - c)) for c in range(0, n_max, _BLOCK))
-    # A fold into zero totals, 0.0 + (s - 0.0), is s + 0.0 bit for bit, as
-    # s - 0.0 is s; it turns a -0.0 sum into 0.0 and leaves a zero
-    # compensation wherever s is finite. A sum that is not finite stays so.
-    total = [s + 0.0 for s in next(blocks)]
-    comp = [0.0] * len(total)
-    for sums in blocks:
-        for j, s in enumerate(sums):
-            if s is not None:
-                y = s - comp[j]
-                t = total[j] + y
-                comp[j] = (t - total[j]) - y
-                total[j] = t
-    return total
+    for c in range(0, n_max, _BLOCK):
+        width = min(_BLOCK, n_max - c)
+        if c == 0:
+            _block_sums(p, rng, rows, n_grid, c, width, out)
+            # A fold into zero totals, 0.0 + (s - 0.0), is s + 0.0 bit for
+            # bit, as s - 0.0 is s; it turns a -0.0 sum into 0.0 and leaves a
+            # zero compensation wherever s is finite. A sum that is not
+            # finite stays so.
+            out += 0.0
+            continue
+        if c == _BLOCK:
+            sums, comp = np.empty_like(out), np.zeros_like(out)
+        _block_sums(p, rng, rows, n_grid, c, width, sums)
+        for j, n in enumerate(n_grid):
+            if n > c:
+                y = sums[j] - comp[j]
+                t = out[j] + y
+                comp[j] = (t - out[j]) - y
+                out[j] = t
+    return out
 
 
 def _block_sums(
-    p: _RealizedLaw, rng: Optional[np.random.Generator], rows: int, n_grid: Sequence[int], c: int, width: int
-) -> list[Optional[np.ndarray]]:
-    """The row subtotals of column block ``[c, c + width)`` for each row
-    length of ``n_grid``, None for a row length that ends before ``c``; the
-    block of :func:`_row_sums`."""
-    heads = {}
-    for j, n in enumerate(n_grid):
-        if c < n < c + width and not p.prefix_stable:
-            start = rng.bit_generator.state
-            heads[j] = p.sample(rng, rows * (n - c))
-            rng.bit_generator.state = start
-    chunk = p.sample(rng, rows * width)
-    sums = []
+    p: _RealizedLaw,
+    rng: Optional[np.random.Generator],
+    rows: int,
+    n_grid: Sequence[int],
+    c: int,
+    width: int,
+    out: np.ndarray,
+) -> None:
+    """The row subtotals of column block ``[c, c + width)``, reduced into
+    ``out[j]`` for each row length ``n_grid[j]`` that ends past ``c``; the
+    other rows of ``out`` are left as they are. The block of
+    :func:`_row_sums`.
+
+    Column block b starts at stream position rows*b*_BLOCK at every row
+    length, and each row length reads its full blocks from the chunk drawn
+    there. A shorter row length whose last block (m columns) ends inside the
+    chunk sums what rows*m entries drawn there would be, its head, which the
+    family gives with the chunk (``_RealizedLaw._chunk_and_heads``).
+    """
+    chunk, heads = p._chunk_and_heads(rng, rows * width, [rows * (n - c) for n in n_grid if c < n < c + width])
+    heads = iter(heads)
     for j, n in enumerate(n_grid):
         m = min(width, n - c)
-        sums.append(heads.get(j, chunk[: rows * m]).reshape(rows, m).sum(axis=1) if m > 0 else None)
-    return sums
+        if m > 0:
+            np.add.reduce((chunk if m == width else next(heads)).reshape(rows, m), axis=1, out=out[j])
 
 
 def _check_grid(n_grid: Sequence[int], rows: int, replicates: int) -> Tuple[int, ...]:
@@ -998,12 +1074,15 @@ def sample_grid_sums(
     k, leaf))``. A point-mass realization (a ``PointMassLaw``, or a
     ``StableLaw`` at c = 0) draws nothing and derives no row stream: each
     distinct one is summed once. Every other realization walks its stream
-    once, at the largest row length (:func:`_row_sums`): a replicate draws
-    rows * max(n_grid) entries, plus, unless it is prefix-stable
-    (``_RealizedLaw.prefix_stable``), the last block of each shorter row
-    length that ends inside a column block. Each distinct realization is
-    normed once, and all raw sums are normed together at the end, each by
-    the same division and subtraction. A normed sum that is not finite
+    once, at the largest row length (:func:`_row_sums`), and its sums are
+    reduced in place into its slice of the result: a replicate draws
+    rows * max(n_grid) entries. Only a stable law off its closed-form twins
+    also draws the last block of each shorter row length that ends inside a
+    column block, from a saved and restored generator state; a prefix-stable
+    family (``_RealizedLaw.prefix_stable``) and the symmetric Pareto law
+    read it from the chunk (``_RealizedLaw._chunk_and_heads``). Each
+    distinct realization is normed once, and all raw sums are normed
+    together at the end, each by the same division and subtraction. A normed sum that is not finite
     (an overflow under extreme tails) is a RuntimeError naming the first row
     length that has one. An empty ``n_grid``, and a row length, ``rows`` or
     ``replicates`` that is not a positive integer, are ValueErrors naming
@@ -1033,7 +1112,7 @@ def sample_grid_sums(
         else:
             drawn.append(k)
     for k, rng in zip(drawn, _replicate_streams(seed, 1, drawn)):
-        values[:, k] = _row_sums(realized[k], rng, rows, n_grid)
+        _row_sums(realized[k], rng, rows, n_grid, values[:, k])
     # Normed in place: each raw sum divided by its b_n, then its c_n subtracted.
     values /= b_n
     values -= c_n

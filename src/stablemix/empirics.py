@@ -135,14 +135,29 @@ def empirical_cf(samples: Sequence[float], grid: TGrid) -> np.ndarray:
     """Empirical characteristic function (1/N) sum exp(i t x_j) per grid point.
 
     The value at t = 0 is exactly 1 and the table is conjugate symmetric
-    on symmetric grids because cosine is even and sine is odd in t.
+    on symmetric grids because cosine is even and sine is odd in t. Each
+    value is ``_mean_exp(t * x)`` bit for bit, and each +-t pair is evaluated
+    once: (-t) * x is -(t * x) exactly, NumPy's cos and sin kernels are even
+    and odd bit for bit, and a sum of negated terms is the negated sum. The
+    exceptions are a zero sum, whose sign depends on the signed zeros of its
+    terms, and a NaN one, whose sign bit the kernels set, so a point whose
+    partner has a zero or NaN imaginary mean is evaluated anew.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("samples must be nonempty")
     if grid.ndim != 1:
         raise ValueError("empirical_cf expects a one dimensional grid")
-    return np.array([_mean_exp(t * x) for t in grid.points], dtype=complex)
+    values = np.empty(len(grid.points), dtype=complex)
+    evaluated: Dict[float, complex] = {}
+    for i, t in enumerate(grid.points):
+        partner = evaluated.get(-t)
+        # False for a zero or NaN imaginary mean, and so at t = 0.
+        if partner is not None and abs(partner.imag) > 0.0:
+            values[i] = partner.conjugate()
+        else:
+            values[i] = evaluated[t] = _mean_exp(t * x)
+    return values
 
 
 def empirical_joint_cf(values: np.ndarray, grid: TGrid) -> np.ndarray:

@@ -1376,6 +1376,16 @@ class TestClosedForm:
         assert dsharp(mu, nu) == oracle.dsharp(mu, nu)
         assert prokhorov_distance(mu, nu) == oracle.distance(mu, nu) == 0.25
 
+    def test_a_decreasing_radius_is_rejected(self):
+        # The walk only grows its ball: at the third radius it holds the
+        # ball of 2.0, whose distance (0.75) is not that of the ball of 0.5
+        # (0.25).
+        mu, nu = _pairs((0.0, 0.5), (1.0, 0.5)), _pairs((0.0, 0.25))
+        distances = characteristics._restricted_distances(mu, nu, (0.5, 2.0, 0.5))
+        assert [next(distances), next(distances)] == [0.25, 0.75]
+        with pytest.raises(ValueError, match=r"radius 0\.5 is smaller than the radius 2\.0 before it"):
+            next(distances)
+
 
 def _assert_walk_leaves_no_trace(mu, nu, what, searches, exact=None):
     """A restricted-distance walk returns the oracle's bits at every dsharp

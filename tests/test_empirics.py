@@ -24,6 +24,7 @@ from stablemix.empirics import (
     ScenarioReport,
     ScenarioSpec,
     TGrid,
+    _mean_exp,
     _run_checker,
     builtin_scenarios,
     empirical_cf,
@@ -106,6 +107,47 @@ class TestEmpiricalCf:
             empirical_cf(np.array([]), TGrid())
         with pytest.raises(ValueError, match="one dimensional"):
             empirical_cf(np.ones(3), TGrid(((0.0, 0.0), (1.0, 1.0))))
+
+
+_CF_SAMPLES = {
+    "cauchy": np.random.default_rng(5).standard_cauchy(501),
+    "exponential": np.random.default_rng(6).exponential(1.0, 64),
+    # Mirrored pairs: every sine sum cancels to an exact zero, whose sign
+    # depends on the order of its signed-zero terms.
+    "mirrored": np.array([1.5, -1.5, 0.0, -0.0, 2.75, -2.75, 1e300, -1e300]),
+    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, -0.0]),
+    "zeros": np.zeros(100),
+    # Each sine at an infinite sample is a NaN whose sign the kernel sets.
+    "infinite": np.array([0.5, np.inf, -2.0, -np.inf]),
+    "negative-zeros": np.full(9, -0.0),
+}
+
+
+class TestEmpiricalCfPairs:
+    """Each value is the per-t ``_mean_exp`` bit for bit, though a +-t pair
+    is evaluated once. This rests on NumPy's cos and sin kernels being even
+    and odd bit for bit, under whichever SIMD targets are active."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(TGrid(), id="symmetric"),
+            pytest.param(TGrid((0.0, 0.5, -0.5, 1.25, 3.0, -0.75, -3.0)), id="asymmetric"),
+            pytest.param(TGrid((-2.0, 0.0, 2.0, 2.0, -2.0, 7.5)), id="repeats"),
+        ],
+    )
+    @pytest.mark.parametrize("name", sorted(_CF_SAMPLES))
+    def test_equal_to_the_per_t_loop(self, grid, name):
+        samples = _CF_SAMPLES[name]
+        with np.errstate(invalid="ignore"):  # the infinite samples' NaNs
+            got = empirical_cf(samples, grid)
+            want = np.array([_mean_exp(t * samples) for t in grid.points], dtype=complex)
+        assert got.tobytes() == want.tobytes()
+
+    def test_cos_is_even_and_sin_odd_bit_for_bit(self):
+        phase = np.random.default_rng(9).standard_cauchy(4099) * np.logspace(-3, 6, 4099)
+        assert np.cos(-phase).tobytes() == np.cos(phase).tobytes(), "NumPy's cos is not even bit for bit"
+        assert np.sin(-phase).tobytes() == (-np.sin(phase)).tobytes(), "NumPy's sin is not odd bit for bit"
 
 
 class TestEmpiricalJointCf:
