@@ -62,12 +62,19 @@ def simd_targets() -> Dict[str, List[str]]:
     }
 
 
+def export(commit: str, into: Path) -> Path:
+    """Extract a ``git archive`` copy of ``commit`` into the directory ``into``, made if missing, and return it."""
+    into.mkdir(parents=True, exist_ok=True)
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
 def run_once(commit: str, workload: str, seed: int, seconds: float, scratch: Path) -> dict:
     """One benchmark run in a fresh archive copy of ``commit``; its record."""
     copy = Path(tempfile.mkdtemp(prefix=f"bench-{commit[:12]}-", dir=scratch))
     try:
-        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(copy)], input=archive, check=True)
+        export(commit, copy)
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                 "--seconds", str(seconds), "--trace", "0"]
         proc = subprocess.run(argv, cwd=copy, capture_output=True, text=True)

@@ -12,11 +12,11 @@ distinct draw at every checker row length, which the reports summarize only
 through their largest residual. The last line, ``functionals``, covers the
 realized laws' functionals on a fixed grid (``functional_bytes``).
 
-A change that must keep the contract prints the same lines as its parent:
+A change that must keep the contract prints the same lines as its parent;
+``tools/pr_check.py`` runs both sides and compares them (with the demos, the
+reduced-dispatch run and the reach scan):
 
-    python3 tools/contract_outputs.py > after.txt
-    python3 tools/contract_outputs.py --root ../parent > before.txt
-    diff before.txt after.txt
+    python3 tools/pr_check.py --against REV
 
 ``--root`` names the source checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the checkout holding this script). Each line is
