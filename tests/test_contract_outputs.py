@@ -20,13 +20,33 @@ def _tool():
     return module
 
 
-def test_sixty_outputs_from_twenty_runs(monkeypatch):
+def test_sixty_three_outputs_from_twenty_one_runs(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = _tool()
     runs = tool.contract_runs(ROOT)
-    assert len(runs) == 20 and len(runs) * len(tool.SUFFIXES) == 60
-    assert len({label for label, _, _ in runs}) == 20
+    assert len(runs) == 21 and len(runs) * len(tool.SUFFIXES) == 63
+    assert len({label for label, _, _ in runs}) == 21
     assert [seed for _, _, seed in runs[-2:]] == [3, 5]
+
+
+def test_a_run_samples_an_off_twin_stable_law_at_two_row_lengths_one_past_a_block(tmp_path, monkeypatch):
+    """The run that puts the sampler's saved-state redraw and its multi-block fold under the contract."""
+    from stablemix.cli import load_config
+    from stablemix.directing import _BLOCK, StableLaw
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    specs = []
+    for label, config, _ in _tool().contract_runs(ROOT):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        specs.append(load_config(str(path)).spec)
+    assert any(
+        isinstance(spec.law.base, StableLaw)
+        and not spec.law.base.prefix_stable
+        and len(spec.cf_n_grid) >= 2
+        and max(spec.cf_n_grid) > _BLOCK
+        for spec in specs
+    )
 
 
 def test_report_bytes_ignore_runtimes_only():

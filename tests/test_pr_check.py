@@ -28,7 +28,8 @@ def _kept(root, holds=True, value=1.0, extra=False):
     return root
 
 
-def _side(tool, kept, lines=63, demos=None, reach=(0, "functions that never run: 1 of 2\n  a.py:3  a.f: pass\n")):
+def _side(tool, kept, lines=None, demos=None, reach="functions that never run: 1 of 2\n  a.py:3  a.f: pass\n"):
+    lines = tool.CONTRACT_LINES if lines is None else lines
     contract = (0, "".join(f"{i:064x}  run@{i}/report.json\n" for i in range(lines)))
     demos = {"01_demo": (0, "one\n")} if demos is None else demos
     return tool.Side(contract, kept, demos, reach, {"src/stablemix/a.py": 10, "tests/test_a.py": 5})
@@ -46,7 +47,7 @@ def test_unchanged_exits_0_and_quotes_counts(tool, tmp_path, capsys):
     head, base = (_side(tool, _kept(tmp_path / name)) for name in ("head", "base"))
     code, out, result = _summary(tool, capsys, head, base)
     assert code == 0 and result["failed"] == [] and result["compare"] == 0 and result["reduced"] == 0
-    assert "contract against base: 0 of 63 lines move, --compare exits 0" in out
+    assert f"contract against base: 0 of {tool.CONTRACT_LINES} lines move, --compare exits 0" in out
     assert "demo 01_demo: stdout unchanged" in out
     assert "reach scan, base: functions that never run: 1 of 2" in out
     assert "src/stablemix/a.py lines: head 10, base 10" in out and "tests lines: head 5, base 5" in out
@@ -72,9 +73,10 @@ def test_a_file_on_one_side_only_exits_2(tool, tmp_path, capsys):
 
 
 def test_a_short_contract_run_exits_2(tool, tmp_path, capsys):
-    head = _side(tool, _kept(tmp_path / "head"), lines=62)
+    lines = tool.CONTRACT_LINES
+    head = _side(tool, _kept(tmp_path / "head"), lines=lines - 1)
     code, _, result = _summary(tool, capsys, head, reduced=_side(tool, head.kept))
-    assert code == 2 and result["failed"] == ["(exit, lines) of the contract runs: [(0, 62), (0, 63)]"]
+    assert code == 2 and result["failed"] == [f"(exit, lines) of the contract runs: [(0, {lines - 1}), (0, {lines})]"]
 
 
 def test_a_flipped_holds_under_reduced_dispatch_or_a_stream_failure_exits_2(tool, tmp_path, capsys):
@@ -118,17 +120,36 @@ def test_a_demo_whose_stdout_moved_prints_its_diff(tool, tmp_path, capsys):
 
 
 def test_the_reach_diff_ignores_line_numbers(tool, tmp_path, capsys):
-    head = _side(tool, _kept(tmp_path / "head"), reach=(0, "functions that never run: 1 of 2\n  a.py:9  a.f: pass\n"))
+    head = _side(tool, _kept(tmp_path / "head"), reach="functions that never run: 1 of 2\n  a.py:9  a.f: pass\n")
     base = _side(tool, _kept(tmp_path / "base"))
     out = _summary(tool, capsys, head, base)[1]
     assert "reach scan unchanged" in out
-    moved = head._replace(reach=(0, "functions that never run: 1 of 2\n  a.py:9  a.g: pass\n"))
+    moved = head._replace(reach="functions that never run: 1 of 2\n  a.py:9  a.g: pass\n")
     out = _summary(tool, capsys, moved, base)[1]
     assert "reach scan differs:" in out and "+  a.py  a.g: pass" in out
 
 
-def test_a_base_without_a_reach_scan_or_with_a_failing_one_is_reported(tool, tmp_path, capsys):
+def test_a_base_with_a_failing_reach_scan_is_reported(tool, tmp_path, capsys):
     head = _side(tool, _kept(tmp_path / "head"))
-    for reach, note in (((None, ""), "no tools/reach.py"), ((1, ""), "fails")):
-        code, out, _ = _summary(tool, capsys, head, _side(tool, _kept(tmp_path / note), reach=reach))
-        assert code == 0 and f"reach scan, base: {note}" in out and "reach scan unchanged" not in out
+    code, out, _ = _summary(tool, capsys, head, _side(tool, _kept(tmp_path / "base"), reach=None))
+    assert code == 0 and "reach scan, base: fails" in out and "reach scan unchanged" not in out
+
+
+def _checkout(tool, root, demo):
+    """``side`` of a checkout that holds only ``demos/01_demo.py``: its contract fails and keeps nothing."""
+    (root / "demos").mkdir(parents=True)
+    (root / "demos" / "01_demo.py").write_text(demo)
+    (root / "kept").mkdir()
+    return tool.side(root, root / "kept")
+
+
+def test_a_demo_that_raises_inside_the_side_run_fails_the_head_only(tool, tmp_path, capsys):
+    raises = _checkout(tool, tmp_path / "raises", 'print("one")\nraise ValueError("demo fails")\n')
+    assert raises.contract[0] == 1 and raises.demos == {"01_demo": [1, "one\n"]}
+    assert raises.reach.startswith("functions that never run: 0 of 0\n")
+    passes = _side(tool, tmp_path / "empty", demos={"01_demo": (0, "one\n")})
+    passes.kept.mkdir()
+    code, out, result = _summary(tool, capsys, raises, reduced=passes)
+    assert code == 2 and "demo 01_demo fails" in result["failed"] and "demo 01_demo: fails on head" in out
+    code, out, _ = _summary(tool, capsys, passes, base=raises)
+    assert code == 0 and "demo 01_demo: fails on base" in out

@@ -2,15 +2,18 @@
 """Print the sha256 of every output of the behaviour contract.
 
 The contract (ROADMAP.md, "Contracts") is three files per run of CLI
-``simulate``: ``report.json`` without its ``runtimes`` field,
-``cf.csv`` and ``quantities.csv``. The runs are the 9 builtin scenarios at
-seeds 0 and 1, the Pareto benchmark config at seed 3 and the stable
-benchmark config at seed 5: 60 outputs. The two benchmark configs are read
-from ``perfbench/run.py``. After those 60 lines come two more, one per
-benchmark config, labelled ``<run>/residuals``: the spectral fits of every
-distinct draw at every checker row length, which the reports summarize only
-through their largest residual. The last line, ``functionals``, covers the
-realized laws' functionals on a fixed grid (``functional_bytes``).
+``simulate``: ``report.json`` without its ``runtimes`` field, ``cf.csv`` and
+``quantities.csv``. The runs are the 9 builtin scenarios at seeds 0 and 1,
+``TWO_LENGTHS`` at seed 7 (a stable law off its closed-form twins at two row
+lengths, one above the sampler's column block, so that the saved-state
+redraw and the multi-block fold run), the Pareto benchmark config at seed 3
+and the stable benchmark config at seed 5: 63 outputs. The two benchmark
+configs are read from ``perfbench/run.py``. After those 63 lines come two
+more, one per benchmark config, labelled ``<run>/residuals``: the spectral
+fits of every distinct draw at every checker row length, which the reports
+summarize only through their largest residual. The last line,
+``functionals``, covers the realized laws' functionals on a fixed grid
+(``functional_bytes``).
 
 A change that must keep the contract prints the same lines as its parent;
 ``tools/pr_check.py`` runs both sides and compares them (with the demos, the
@@ -67,6 +70,16 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILTIN_SEEDS = (0, 1)
 PARETO_SEED = 3
 STABLE_SEED = 5
+TWO_LENGTHS_SEED = 7
+TWO_LENGTHS = {
+    "scenario": {
+        "id": "stable-two-lengths",
+        "law": {"base": {"kind": "stable", "alpha": 1.5, "gamma": 0.0, "c": 1.0, "beta": 0.5}},
+        "norming": {"alpha": 1.5},
+        "n_grid": [4096, 20000],
+        "replicates": 200,
+    }
+}
 SUFFIXES = ("report.json", "cf.csv", "quantities.csv")
 
 
@@ -82,6 +95,7 @@ def contract_runs(root: Path) -> List[Tuple[str, dict, int]]:
         for seed in BUILTIN_SEEDS
         for name in builtin_scenarios()
     ]
+    runs.append((f"stable-two-lengths@{TWO_LENGTHS_SEED}", TWO_LENGTHS, TWO_LENGTHS_SEED))
     runs.append((f"{perfbench.LOGNORMAL_PARETO.label}@{PARETO_SEED}", perfbench.LOGNORMAL_PARETO.config, PARETO_SEED))
     runs.append((f"{perfbench.STABLE_LOGNORMAL.label}@{STABLE_SEED}", perfbench.STABLE_LOGNORMAL.config, STABLE_SEED))
     return runs

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run a change's behaviour contract, demos and reach scan; ``--against REV`` compares them with REV.
 
-Here and on a ``git archive`` copy of REV it runs the contract (``--keep``) and the demos under ``FLAGS``, the
-reach scan and the line counts of ``src/stablemix`` and ``tests``; here only, the contract, ``STREAM_GROUPS`` and
-NumPy's active dispatch targets under ``REDUCED``. Exit 2: a contract run fails or is not 63 lines, a stream group
-or a demo fails here, or ``--compare`` exits 2 under reduced dispatch or against REV (a flipped ``holds``, a file
-on one side only); else 1 when numbers moved against REV. All else, REV's failures too, is only reported:
+Here and on a ``git archive`` copy of REV, one child under ``FLAGS`` runs this checkout's ``reach.scan`` (the contract,
+then the demos); the line counts of ``src/stablemix`` and ``tests`` follow. Here only, the contract, ``STREAM_GROUPS``
+and NumPy's dispatch targets run under ``REDUCED``. Exit 2: a contract run fails or is not ``CONTRACT_LINES`` lines, a
+stream group or a demo fails here, or ``--compare`` exits 2 under reduced dispatch or against REV (a flipped ``holds``,
+a file on one side only); else 1 when numbers moved against REV. All else, REV's failures too, is only reported:
 
     python3 tools/pr_check.py --against HEAD~1
 """
@@ -28,29 +28,31 @@ import contract_outputs
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAGS = ("-W", "error::RuntimeWarning", "-W", "error::UserWarning")
+CONTRACT_LINES = 66
 REDUCED = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}  # NumPy's AVX-512 kernels off
 STREAM_GROUPS = ("tests/test_directing.py::TestSymmetricParetoHeads", "tests/test_directing.py::TestStreamFacts",
                  "tests/test_empirics.py::TestEmpiricalCfPairs")
 TARGETS = "import bench_record; print(*bench_record.simd_targets()['dispatch_active'])"
+SCAN = "import json, sys; sys.path.insert(0, {!r}); import reach; print(json.dumps(reach.scan({!r}, {!r})))"
 UNLINED = re.compile(r"^(  [^ :]+):[0-9]+", re.MULTILINE)  # a reach-scan line's line number
-Side = collections.namedtuple("Side", "contract kept demos reach lines", defaults=({}, (None, ""), {}))  # per checkout
+Side = collections.namedtuple("Side", "contract kept demos reach lines", defaults=({}, None, {}))  # per checkout
 
 
-def run(argv: Sequence[str], cwd: Path, reduced: bool = False) -> Tuple[Optional[int], str]:
-    """Exit code and stdout of ``python argv`` in ``cwd`` with ``PYTHONPATH=src``; a failure prints to stderr."""
+def run(argv: Sequence[str], cwd: Path, reduced: bool = False) -> Tuple[int, str]:
+    """Exit code and stdout of ``python argv`` in ``cwd`` with ``PYTHONPATH=src``; its stderr passes through."""
     env = {**os.environ, "PYTHONPATH": "src", **(REDUCED if reduced else {})}
-    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
     if proc.returncode:
-        print(f"{' '.join(argv)} exited {proc.returncode} in {cwd}:\n{proc.stdout}{proc.stderr}", file=sys.stderr)
+        print(f"{' '.join(argv)} exited {proc.returncode} in {cwd}:\n{proc.stdout}", file=sys.stderr)
     return proc.returncode, proc.stdout
 
 
 def side(root: Path, kept: Path) -> Side:
-    contract = run([*FLAGS, str(ROOT / "tools/contract_outputs.py"), "--root", str(root), "--keep", str(kept)], root)
-    demos = {path.stem: run([*FLAGS, f"demos/{path.name}"], root) for path in sorted(root.glob("demos/*.py"))}
-    reach = run(["tools/reach.py"], root) if (root / "tools/reach.py").is_file() else (None, "")
+    """``reach.scan`` of ``root`` in one child, and its line counts; a failed child fails the contract and the scan."""
+    code, out = run([*FLAGS, "-c", SCAN.format(str(ROOT / "tools"), str(root), str(kept))], root)
+    scan = json.loads(out) if code == 0 else {"contract": (code, "")}
     files = [*root.glob("src/stablemix/*.py"), *root.glob("tests/*.py")]
-    return Side(contract, kept, demos, reach, {str(f.relative_to(root)): f.read_bytes().count(b"\n") for f in files})
+    return Side(kept=kept, lines={str(f.relative_to(root)): f.read_bytes().count(b"\n") for f in files}, **scan)
 
 
 def summarize(head: Side, reduced: Side, streams: int, targets: Sequence[str], base: Optional[Side], rev: str) -> int:
@@ -60,7 +62,8 @@ def summarize(head: Side, reduced: Side, streams: int, targets: Sequence[str], b
         print(f"{label}: {len(set(lines[1]) - set(lines[0]))} of {len(lines[1])} lines move, --compare exits {status}")
         return status
     runs = [(s.contract[0], len(s.contract[1].splitlines())) for s in (head, reduced)]
-    checks = [(runs != [(0, 63)] * 2, f"(exit, lines) of the contract runs: {runs}"), (streams, "stream groups fail")]
+    checks = [(runs != [(0, CONTRACT_LINES)] * 2, f"(exit, lines) of the contract runs: {runs}")]
+    checks.append((streams, "stream groups fail"))
     print("active dispatch targets: default [{}], reduced [{}]".format(*targets))
     if targets[0] == targets[1]:
         print("::warning title=Reduced dispatch inert::no disabled target is active here, so the run checks nothing")
@@ -76,10 +79,10 @@ def summarize(head: Side, reduced: Side, streams: int, targets: Sequence[str], b
             note = "stdout differs:\n" + diff if diff else "stdout unchanged"
         print(f"demo {name}: {note or 'passes'}")
     for label, s in sides.items():
-        counts = "; ".join(line for line in s.reach[1].splitlines() if line[:1] != " ")
-        print(f"reach scan, {label}: " + {None: "no tools/reach.py", 0: counts}.get(s.reach[0], "fails"))
-    if base and base.reach[0] == head.reach[0] == 0:
-        diff = "".join(difflib.unified_diff(*(UNLINED.sub(r"\1", s.reach[1]).splitlines(True) for s in (base, head))))
+        counts = "fails" if s.reach is None else "; ".join(line for line in s.reach.splitlines() if line[:1] != " ")
+        print(f"reach scan, {label}: {counts}")
+    if base and None not in (base.reach, head.reach):
+        diff = "".join(difflib.unified_diff(*(UNLINED.sub(r"\1", s.reach).splitlines(True) for s in (base, head))))
         print("reach scan differs:\n" + diff if diff else "reach scan unchanged")
     for path in sorted({p for s in sides.values() for p in s.lines if p[:4] == "src/"}) + ["src/stablemix", "tests"]:
         result[path] = {label: sum(n for p, n in s.lines.items() if p.startswith(path)) for label, s in sides.items()}

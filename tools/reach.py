@@ -1,33 +1,27 @@
 #!/usr/bin/env python3
 """Print what the behaviour contract and the demos reach of ``src/stablemix``.
 
-The scan runs the 63 contract outputs through ``tools/contract_outputs.py``
-and then the 7 demos, in this process, under ``sys.settrace``; a profiler
-or tracer that was set before is restored afterwards. It prints three
-lists:
-
-- the functions of ``src/stablemix`` that never run;
-- the statements that never run inside functions that do;
-- the statements that only the demos reach, not the contract.
-
-A statement is listed once, at its first line, and counts as run when any
-line of its own (not of a statement nested in it) executes; statements
-without bytecode, such as ``nonlocal``, are never listed. It takes no
-options:
+The scan runs the 66 contract outputs (``tools/contract_outputs.py``) and then
+the 7 demos in this process under ``sys.settrace``, restoring any profiler or
+tracer set before. It lists the functions of ``src/stablemix`` that never run,
+the statements that never run inside functions that do, and those that only the
+demos reach. A statement is listed once, at its first line, and counts as run
+when any line of its own (not of a statement nested in it) executes; statements
+without bytecode, such as ``nonlocal``, are never listed. It takes no options,
+and exits 1 when the contract or a demo fails:
 
     python3 tools/reach.py
 """
 
-from __future__ import annotations
-
 import ast
 import contextlib
-import importlib.util
 import io
+import linecache
 import runpy
 import sys
+import traceback
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Set, Tuple, Union
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablemix"
@@ -45,27 +39,25 @@ class Function(NamedTuple):
     statements: List[Tuple[int, Set[int]]]  # (first line, own lines) of each statement
 
 
-def traced(run: Callable[[], object]) -> Trace:
-    """The calls and lines of the package that ``run()`` executes; any
+def traced(run: Callable[[], object], package: Path = PACKAGE) -> Trace:
+    """The calls and lines of ``package`` that ``run()`` executes; any
     tracer or profiler set before is restored afterwards."""
-    prefix = str(PACKAGE) + "/"
+    prefix = str(package) + "/"
     trace = Trace(set(), set())
 
-    def local(frame, event, _):
-        if event == "line":
-            trace.lines.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def calls(frame, event, _):
+    def tracer(frame, event, _):
         code = frame.f_code
-        if not code.co_filename.startswith(prefix):
-            return None
-        trace.calls.add((code.co_filename, code.co_firstlineno))
-        return local
+        if event == "line":
+            trace.lines.add((code.co_filename, frame.f_lineno))
+        elif event == "call":
+            if not code.co_filename.startswith(prefix):
+                return None
+            trace.calls.add((code.co_filename, code.co_firstlineno))
+        return tracer
 
     old_trace, old_profile = sys.gettrace(), sys.getprofile()
     sys.setprofile(None)
-    sys.settrace(calls)
+    sys.settrace(tracer)
     try:
         run()
     finally:
@@ -97,10 +89,10 @@ def _statements(body: List[ast.stmt], executable: Set[int]) -> Iterator[Tuple[in
         yield from _statements(nested, executable)
 
 
-def functions() -> List[Function]:
-    """Every function and method defined in the modules of the package."""
+def functions(package: Path = PACKAGE) -> List[Function]:
+    """Every function and method defined in the modules of ``package``."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         executable = set(_executable(compile(source, str(path), "exec")))
 
@@ -131,57 +123,62 @@ def _runs(f: Function, own: Set[int], trace: Trace) -> bool:
 def unrun_statements(found: List[Function], trace: Trace) -> List[Tuple[Function, int]]:
     """(function, first line) of each statement that ``trace`` never runs,
     inside the functions that it does run."""
-    return [
-        (f, first)
-        for f in found
-        if (f.file, f.first) in trace.calls
-        for first, own in f.statements
-        if not _runs(f, own, trace)
-    ]
+    ran = [f for f in found if (f.file, f.first) in trace.calls]
+    return [(f, first) for f in ran for first, own in f.statements if not _runs(f, own, trace)]
 
 
-def _contract() -> None:
-    spec = importlib.util.spec_from_file_location("contract_outputs", ROOT / "tools" / "contract_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    if tool.main([]) != 0:
-        raise RuntimeError("the contract run failed")
+def _run(run: Callable[[], object]) -> Tuple[int, str]:
+    """The exit code and stdout of ``run()`` as a script's; a raise exits 1, its traceback on stderr."""
+    code = 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            run()
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue()
 
 
-def _demos() -> None:
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        runpy.run_path(str(demo), run_name="__main__")
+def scan(root: Union[str, Path] = ROOT, keep: Union[str, Path, None] = None) -> Dict[str, Any]:
+    """Run the contract on ``root`` (``--keep keep``), then each of its demos, traced over its package: the
+    exit code and stdout of each run (a failing one does not stop the next) and the reach text."""
+    import contract_outputs  # beside this file, first on sys.path when it runs as a script
 
+    package = Path(root).resolve() / "src" / "stablemix"
+    argv = ["--root", str(root), *(["--keep", str(keep)] if keep else [])]
+    result: Dict[str, Any] = {"demos": {}}
 
-def _where(f: Function, line: int, sources: Dict[str, List[str]]) -> str:
-    text = sources.setdefault(f.file, Path(f.file).read_text(encoding="utf-8").splitlines())[line - 1].strip()
-    return f"  {Path(f.file).name}:{line}  {f.name}: {text}"
+    def contract() -> None:
+        result["contract"] = _run(lambda: sys.exit(contract_outputs.main(argv)))
+
+    def demos() -> None:
+        for demo in sorted(Path(root, "demos").glob("*.py")):
+            result["demos"][demo.stem] = _run(lambda: runpy.run_path(str(demo), run_name="__main__"))
+
+    def where(f: Function, line: int) -> str:
+        return f"  {Path(f.file).name}:{line}  {f.name}: {linecache.getline(f.file, line).strip()}"
+
+    path = list(sys.path)
+    ran, demo_ran = traced(contract, package), traced(demos, package)
+    sys.path[:] = path
+    found = functions(package)
+    both = Trace(ran.calls | demo_ran.calls, ran.lines | demo_ran.lines)
+    missed = never_run(found, both)
+    unrun = unrun_statements(found, both)
+    demo_only = [(f, n) for f in found for n, own in f.statements if _runs(f, own, demo_ran) and not _runs(f, own, ran)]
+    lines = [f"functions that never run: {len(missed)} of {len(found)}", *(where(f, f.first) for f in missed)]
+    lines += [f"statements that never run inside functions that do: {len(unrun)}", *(where(f, n) for f, n in unrun)]
+    lines += [f"statements that only the demos reach: {len(demo_only)}", *(where(f, n) for f, n in demo_only)]
+    result["reach"] = "".join(line + "\n" for line in lines)
+    return result
 
 
 def main() -> int:
-    path = list(sys.path)
-    with contextlib.redirect_stdout(io.StringIO()):
-        contract = traced(_contract)
-        demos = traced(_demos)
-    sys.path[:] = path
-    found = functions()
-    both = Trace(contract.calls | demos.calls, contract.lines | demos.lines)
-    sources: Dict[str, List[str]] = {}
-    missed = never_run(found, both)
-    print(f"functions that never run: {len(missed)} of {len(found)}")
-    for f in missed:
-        print(_where(f, f.first, sources))
-    unrun = unrun_statements(found, both)
-    print(f"statements that never run inside functions that do: {len(unrun)}")
-    for f, line in unrun:
-        print(_where(f, line, sources))
-    demo_only = [
-        (f, first) for f in found for first, own in f.statements if _runs(f, own, demos) and not _runs(f, own, contract)
-    ]
-    print(f"statements that only the demos reach: {len(demo_only)}")
-    for f, line in demo_only:
-        print(_where(f, line, sources))
-    return 0
+    result = scan()
+    print(result["reach"], end="")
+    return int(any(code for code, _ in (result["contract"], *result["demos"].values())))
 
 
 if __name__ == "__main__":
