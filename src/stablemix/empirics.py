@@ -98,6 +98,8 @@ class TGrid:
         pts = tuple(self.points)
         if not pts:
             raise ValueError("the evaluation grid must not be empty")
+        if any(isinstance(p, (tuple, list)) != isinstance(pts[0], (tuple, list)) for p in pts):
+            raise ValueError(f"grid points must be all reals or all (t, s) pairs, got {pts!r}")
         if isinstance(pts[0], (tuple, list)):
             pts = tuple((float(a), float(b)) for a, b in pts)
             flat = [v for pair in pts for v in pair]
@@ -144,6 +146,8 @@ def empirical_cf(samples: Sequence[float], grid: TGrid) -> np.ndarray:
     partner has a zero or NaN imaginary mean is evaluated anew.
     """
     x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"empirical_cf expects a one dimensional sample, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("samples must be nonempty")
     if grid.ndim != 1:
@@ -170,6 +174,8 @@ def empirical_joint_cf(values: np.ndarray, grid: TGrid) -> np.ndarray:
     averages exp(i(t S_1 + s S_2)) over replicates for every
     (t, s) pair of the grid. Needs at least two rows per replicate.
     """
+    if np.ndim(values) != 2:
+        raise ValueError(f"empirical_joint_cf expects a (replicates, rows) array, got shape {np.shape(values)}")
     if values.shape[1] < 2:
         raise ValueError(
             f"joint characteristic function needs at least 2 rows, got {values.shape[1]}"

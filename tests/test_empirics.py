@@ -59,6 +59,12 @@ class TestTGrid:
         with pytest.raises(ValueError, match="empty"):
             TGrid(())
 
+    def test_rejects_grids_mixing_reals_and_pairs(self):
+        with pytest.raises(ValueError, match=r"all reals or all \(t, s\) pairs, got \(\(0.0, 0.0\), 1.0\)"):
+            TGrid(((0.0, 0.0), 1.0))
+        with pytest.raises(ValueError, match=r"all reals or all \(t, s\) pairs, got \(0.0, \(1.0, 1.0\)\)"):
+            TGrid((0.0, (1.0, 1.0)))
+
     def test_rejects_grid_without_origin(self):
         with pytest.raises(ValueError, match="origin"):
             TGrid((0.5, 1.0))
@@ -107,6 +113,8 @@ class TestEmpiricalCf:
             empirical_cf(np.array([]), TGrid())
         with pytest.raises(ValueError, match="one dimensional"):
             empirical_cf(np.ones(3), TGrid(((0.0, 0.0), (1.0, 1.0))))
+        with pytest.raises(ValueError, match=r"one dimensional sample, got shape \(3, 2\)"):
+            empirical_cf(np.zeros((3, 2)), TGrid())
 
 
 _CF_SAMPLES = {
@@ -188,6 +196,8 @@ class TestEmpiricalJointCf:
         rs2 = self._rowsums(DirectingLaw(CauchyLaw(0.0, 1.0)), replicates=50, n=32)
         with pytest.raises(ValueError, match="pairs"):
             empirical_joint_cf(rs2, TGrid())
+        with pytest.raises(ValueError, match=r"\(replicates, rows\) array, got shape \(5,\)"):
+            empirical_joint_cf(np.zeros(5), TGrid(DEFAULT_JOINT_POINTS))
 
 
 class TestIdentityResidual:

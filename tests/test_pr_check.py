@@ -8,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TARGETS = ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "X86_V3")
+COUNTS = {"characteristics.fit_calls": 800, "characteristics.dsharp_calls": 800, "characteristics.lambda_calls": 200}
 
 
 @pytest.fixture
@@ -35,8 +36,21 @@ def _side(tool, kept, lines=None, demos=None, reach="functions that never run: 1
     return tool.Side(contract, kept, demos, reach, {"src/stablemix/a.py": 10, "tests/test_a.py": 5})
 
 
-def _summary(tool, capsys, head, base=None, reduced=None, streams=0, targets=TARGETS):
-    code = tool.summarize(head, reduced or head, streams, targets, base, "base")
+def _bench_out(correct=True, counts=None):
+    """The stdout of a ``perfbench/run.py`` run: a metric line, then its JSON summary, with ``counts`` as metrics."""
+    metrics = {name: {"value": value, "unit": "count"} for name, value in (counts or {}).items()}
+    return "wall_s 1.5 s\n" + json.dumps({"correct": correct, "attempted": 2, "failed": 0, "metrics": metrics}) + "\n"
+
+
+def _bench(replaced=None):
+    """Fake ``BENCH`` runs of two workloads, untraced and traced, all correct, with ``replaced`` runs by label."""
+    fake = {f"{w} --trace {t}": (t, 0, _bench_out(counts=COUNTS if t else None)) for w in ("a", "b") for t in (0, 1)}
+    return {**fake, **(replaced or {})}
+
+
+def _summary(tool, capsys, head, base=None, reduced=None, streams=0, targets=TARGETS, perfbench=0, bench=None):
+    tests = {"stream groups": streams, "perfbench tests": perfbench}
+    code = tool.summarize(head, reduced or head, tests, targets, _bench() if bench is None else bench, base, "base")
     out = capsys.readouterr().out
     result = json.loads(out.splitlines()[-1])
     assert result["exit"] == code
@@ -153,3 +167,52 @@ def test_a_demo_that_raises_inside_the_side_run_fails_the_head_only(tool, tmp_pa
     assert code == 2 and "demo 01_demo fails" in result["failed"] and "demo 01_demo: fails on head" in out
     code, out, _ = _summary(tool, capsys, passes, base=raises)
     assert code == 0 and "demo 01_demo: fails on base" in out
+
+
+def test_correct_benchmark_runs_with_counts_exit_0_and_print_one_line_each(tool, tmp_path, capsys):
+    code, out, result = _summary(tool, capsys, _side(tool, _kept(tmp_path / "head")))
+    assert code == 0 and result["failed"] == [] and "stream groups pass, perfbench tests pass" in out
+    lines = [line for line in out.splitlines() if line.startswith("benchmark ")]
+    assert lines == [
+        "benchmark a --trace 0: correct True",
+        "benchmark a --trace 1: correct True, characteristics.fit_calls 800, characteristics.dsharp_calls 800, "
+        "characteristics.lambda_calls 200",
+        "benchmark b --trace 0: correct True",
+        "benchmark b --trace 1: correct True, characteristics.fit_calls 800, characteristics.dsharp_calls 800, "
+        "characteristics.lambda_calls 200",
+    ]
+    assert result["bench"]["a --trace 0"] == [False, "correct True"]
+
+
+@pytest.mark.parametrize("run, failure", [
+    ((0, 0, _bench_out(correct=False)), "benchmark a --trace 0: correct False"),
+    ((0, 1, "Traceback ...\nAttributeError: no levy_khintchine_psi\n"), "benchmark a --trace 0: exits 1"),
+    ((0, 0, _bench_out() + "done\n"), "benchmark a --trace 0: its last line is not a JSON object"),
+    ((0, 0, ""), "benchmark a --trace 0: its last line is not a JSON object"),
+    ((0, 0, "[true]\n"), "benchmark a --trace 0: its last line is not a JSON object"),
+])
+def test_a_failing_untraced_benchmark_run_exits_2_and_is_named(tool, tmp_path, capsys, run, failure):
+    head = _side(tool, _kept(tmp_path / "head"))
+    code, out, result = _summary(tool, capsys, head, bench=_bench({"a --trace 0": run}))
+    assert code == 2 and result["failed"] == [failure] and failure in out
+
+
+@pytest.mark.parametrize("counts, shown", [
+    ({**COUNTS, "characteristics.fit_calls": 0}, "characteristics.fit_calls 0"),
+    ({k: v for k, v in COUNTS.items() if k != "characteristics.lambda_calls"}, "characteristics.lambda_calls None"),
+    (None, "characteristics.dsharp_calls None"),
+])
+def test_a_traced_run_with_a_zero_or_missing_count_exits_2(tool, tmp_path, capsys, counts, shown):
+    bench = _bench({"b --trace 1": (1, 0, _bench_out(counts=counts))})
+    code, _, result = _summary(tool, capsys, _side(tool, _kept(tmp_path / "head")), bench=bench)
+    assert code == 2 and len(result["failed"]) == 1
+    assert result["failed"][0].startswith("benchmark b --trace 1: correct True, ") and shown in result["failed"][0]
+
+
+def test_untraced_counts_do_not_gate_and_failing_perfbench_tests_exit_2(tool, tmp_path, capsys):
+    head = _side(tool, _kept(tmp_path / "head"))
+    zeros = _bench_out(counts={name: 0 for name in COUNTS})
+    code, out, _ = _summary(tool, capsys, head, bench=_bench({"a --trace 0": (0, 0, zeros)}))
+    assert code == 0 and "benchmark a --trace 0: correct True\n" in out
+    code, out, result = _summary(tool, capsys, head, perfbench=1)
+    assert code == 2 and result["failed"] == ["perfbench tests fail"] and "perfbench tests fail" in out

@@ -1,6 +1,7 @@
 """The reach scan of ``tools/reach.py``: what one run executes of the package."""
 
 import importlib.util
+import runpy
 import sys
 import types
 from pathlib import Path
@@ -36,6 +37,18 @@ def test_one_scenario_run_reaches_run_scenario_and_not_levy_khintchine_psi():
     assert "stable.levy_khintchine_psi" in missed
     assert "empirics.run_scenario" not in missed
     assert tool.unrun_statements(found, trace), "a point-mass run leaves some statement of what it calls unrun"
+
+
+def test_a_module_body_is_not_a_call_of_the_function_on_its_first_line(tmp_path):
+    tool = _tool()
+    package = tmp_path.resolve() / "stablemix"
+    package.mkdir()
+    (package / "m.py").write_text("def f():\n    return 1\n\n\nVALUE = 2\n")
+    trace = tool.traced(lambda: runpy.run_path(str(package / "m.py")), package)
+    found = tool.functions(package)
+    assert [f.name for f in tool.never_run(found, trace)] == ["m.f"]
+    assert tool.unrun_statements(found, trace) == []
+    assert (str(package / "m.py"), 5) in trace.lines, "the module body still runs traced"
 
 
 def test_a_failing_contract_or_demo_is_recorded_and_the_scan_goes_on(tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Run a change's behaviour contract, demos and reach scan; ``--against REV`` compares them with REV.
+"""Run a change's contract, demos, reach scan and benchmark gates; ``--against REV`` compares them with REV.
 
 Here and on a ``git archive`` copy of REV, one child under ``FLAGS`` runs this checkout's ``reach.scan`` (the contract,
 then the demos); the line counts of ``src/stablemix`` and ``tests`` follow. Here only, the contract, ``STREAM_GROUPS``
-and NumPy's dispatch targets run under ``REDUCED``. Exit 2: a contract run fails or is not ``CONTRACT_LINES`` lines, a
-stream group or a demo fails here, or ``--compare`` exits 2 under reduced dispatch or against REV (a flipped ``holds``,
-a file on one side only); else 1 when numbers moved against REV. All else, REV's failures too, is only reported:
+and NumPy's dispatch targets run under ``REDUCED``, then ``pytest perfbench`` and ``BENCH`` per workload, untraced and
+traced: a traced run exits nonzero when a name that ``perfbench/spans.py`` patches is renamed, and reads 0 in
+``COUNTS`` when a wrapper stops firing. Exit 2: a contract run fails or is not ``CONTRACT_LINES`` lines; here a stream
+group, a demo, a perfbench test or a ``BENCH`` run fails (exits nonzero, ends in no JSON object, is not ``correct``, or
+reads a traced count missing or 0); ``--compare`` exits 2 under reduced dispatch or against REV (a flipped ``holds``,
+a file on one side only). Else 1 when numbers moved against REV. All else, REV's failures too, is only reported:
 
     python3 tools/pr_check.py --against HEAD~1
 """
@@ -21,7 +24,7 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import bench_record
 import contract_outputs
@@ -34,6 +37,8 @@ STREAM_GROUPS = ("tests/test_directing.py::TestSymmetricParetoHeads", "tests/tes
                  "tests/test_empirics.py::TestEmpiricalCfPairs")
 TARGETS = "import bench_record; print(*bench_record.simd_targets()['dispatch_active'])"
 SCAN = "import json, sys; sys.path.insert(0, {!r}); import reach; print(json.dumps(reach.scan({!r}, {!r})))"
+BENCH = "perfbench/run.py --workload {} --seed 0 --seconds 1 --trace {}"
+COUNTS = ("characteristics.fit_calls", "characteristics.dsharp_calls", "characteristics.lambda_calls")
 UNLINED = re.compile(r"^(  [^ :]+):[0-9]+", re.MULTILINE)  # a reach-scan line's line number
 Side = collections.namedtuple("Side", "contract kept demos reach lines", defaults=({}, None, {}))  # per checkout
 
@@ -55,15 +60,28 @@ def side(root: Path, kept: Path) -> Side:
     return Side(kept=kept, lines={str(f.relative_to(root)): f.read_bytes().count(b"\n") for f in files}, **scan)
 
 
-def summarize(head: Side, reduced: Side, streams: int, targets: Sequence[str], base: Optional[Side], rev: str) -> int:
+def summarize(head: Side, reduced: Side, tests: Dict[str, int], targets: Sequence[str],
+              bench: Dict[str, Tuple[int, int, str]], base: Optional[Side], rev: str) -> int:
     def compare(before: Side, after: Side, label: str) -> int:
         status = contract_outputs.compare(before.kept, after.kept)
         lines = [s.contract[1].splitlines() for s in (before, after)]
         print(f"{label}: {len(set(lines[1]) - set(lines[0]))} of {len(lines[1])} lines move, --compare exits {status}")
         return status
+    def bench_run(trace: int, code: int, out: str) -> Tuple[bool, str]:
+        """Whether a ``BENCH`` run at ``--trace trace`` fails, and what its exit code or last stdout line says."""
+        try:
+            record = json.loads(out.splitlines()[-1])
+        except (IndexError, ValueError):
+            record = None
+        if code or not isinstance(record, dict):
+            return True, f"exits {code}" if code else "its last line is not a JSON object"
+        counts = {name: record.get("metrics", {}).get(name, {}).get("value") for name in COUNTS} if trace else {}
+        text = f"correct {record.get('correct')}" + "".join(f", {name} {n}" for name, n in counts.items())
+        return record.get("correct") is not True or not all(counts.values()), text
     runs = [(s.contract[0], len(s.contract[1].splitlines())) for s in (head, reduced)]
     checks = [(runs != [(0, CONTRACT_LINES)] * 2, f"(exit, lines) of the contract runs: {runs}")]
-    checks.append((streams, "stream groups fail"))
+    checks += [(code, f"{name} fail") for name, code in tests.items()]
+    print(", ".join(f"{name} {'fail' if code else 'pass'}" for name, code in tests.items()))
     print("active dispatch targets: default [{}], reduced [{}]".format(*targets))
     if targets[0] == targets[1]:
         print("::warning title=Reduced dispatch inert::no disabled target is active here, so the run checks nothing")
@@ -87,6 +105,9 @@ def summarize(head: Side, reduced: Side, streams: int, targets: Sequence[str], b
     for path in sorted({p for s in sides.values() for p in s.lines if p[:4] == "src/"}) + ["src/stablemix", "tests"]:
         result[path] = {label: sum(n for p, n in s.lines.items() if p.startswith(path)) for label, s in sides.items()}
         print(f"{path} lines: " + ", ".join(f"{label} {n}" for label, n in result[path].items()))
+    result["bench"] = {label: bench_run(*ran) for label, ran in bench.items()}
+    checks += [(bad, f"benchmark {label}: {text}") for label, (bad, text) in result["bench"].items()]
+    print(*(f"benchmark {label}: {text}" for label, (_, text) in result["bench"].items()), sep="\n")
     if base:
         result["compare"] = compare(base, head, f"contract against {rev}")
         checks.append((result["compare"] == 2, f"--compare against {rev} exits 2"))
@@ -105,7 +126,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         reduced = Side(run([*FLAGS, "tools/contract_outputs.py", "--keep", f"{tmp}/low"], ROOT, True), Path(tmp, "low"))
         streams = run(["-W", "ignore::ImportWarning", "-m", "pytest", "-q", *STREAM_GROUPS], ROOT, True)[0]
         targets = [run(["-W", "ignore::ImportWarning", "-c", TARGETS], ROOT / "tools", r)[1].strip() for r in (0, 1)]
-        return summarize(side(ROOT, Path(tmp, "head")), reduced, streams, targets, base, rev)
+        tests = {"stream groups": streams, "perfbench tests": run(["-m", "pytest", "-q", "perfbench"], ROOT)[0]}
+        workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+        bench = {f"{w} --trace {t}": (t, *run(BENCH.format(w, t).split(), ROOT)) for w in workloads for t in (0, 1)}
+        return summarize(side(ROOT, Path(tmp, "head")), reduced, tests, targets, bench, base, rev)
 
 
 if __name__ == "__main__":

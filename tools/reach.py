@@ -52,7 +52,8 @@ def traced(run: Callable[[], object], package: Path = PACKAGE) -> Trace:
         elif event == "call":
             if not code.co_filename.startswith(prefix):
                 return None
-            trace.calls.add((code.co_filename, code.co_firstlineno))
+            if code.co_name != "<module>":  # a module body starts at line 1, where a def may start too
+                trace.calls.add((code.co_filename, code.co_firstlineno))
         return tracer
 
     old_trace, old_profile = sys.gettrace(), sys.getprofile()
