@@ -595,47 +595,6 @@ class ParetoLaw(_RealizedLaw):
             return magnitudes * (rng.integers(0, 2, size) * 2 - 1)
         return magnitudes
 
-    def _chunk_and_heads(
-        self, rng: np.random.Generator, size: int, heads: Sequence[int]
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """The symmetric law's heads, read from the chunk's own draws.
-
-        On PCG64, ``random`` is (x >> 11) * 2**-53 of one 64-bit output x,
-        and ``integers(0, 2)`` is the top bit of one ``next_uint32``, which
-        hands out the low half of an output and buffers the high half. So
-        ``sample(rng, m)`` takes its magnitudes from the chunk's first m
-        uniforms, and its signs from the halves 2m, 2m + 1, ... of the
-        block's stream (after the half the generator held at the start, if
-        it held one). A half of the first ``size`` outputs has its top bit at
-        bit 20 (low) or 52 (high) of u * 2**53; a later half is one of the
-        chunk's own signs. ``sample`` is left as it is; this repeats its
-        steps and keeps their values.
-        """
-        if not self.symmetric or not heads:
-            return super()._chunk_and_heads(rng, size, heads)
-        buffered = rng.bit_generator.state["has_uint32"]
-        u = rng.random(size)
-        u[u == 0.0] = 1.0
-        magnitudes = self.pscale * u ** (-1.0 / self.tail_index)
-        signs = rng.integers(0, 2, size) * 2 - 1
-        # Sign i of a head of m, past the buffered one, is half 2m + i -
-        # buffered; ``halves`` holds the signs of the halves lo .. hi-1 that
-        # some head reads. A u of 0.0, set to 1.0 above, reads 2**53, whose
-        # bits 20 and 52 are 0 as those of 0.0 are.
-        lo, hi = 2 * min(heads), 3 * max(heads) - buffered
-        bits = (u[lo // 2 : (min(hi, 2 * size) + 1) // 2] * 2.0 ** 53).astype(np.int64)
-        halves = np.empty(2 * bits.size, dtype=np.int64)
-        np.right_shift(bits, 20, out=halves[0::2])
-        np.right_shift(bits, 52, out=halves[1::2])
-        halves = np.concatenate(
-            ((halves[: hi - lo] & 1) * 2 - 1, signs[buffered : buffered + max(hi - 2 * size, 0)])
-        )
-        drawn = [
-            magnitudes[:m] * np.concatenate((signs[:buffered], halves[2 * m - lo : 3 * m - buffered - lo]))
-            for m in heads
-        ]
-        return magnitudes * signs, drawn
-
     def with_dispersion(self, value: float) -> "ParetoLaw":
         return ParetoLaw(self.tail_index, value, self.right_weight)
 
@@ -1076,11 +1035,12 @@ def sample_grid_sums(
     distinct one is summed once. Every other realization walks its stream
     once, at the largest row length (:func:`_row_sums`), and its sums are
     reduced in place into its slice of the result: a replicate draws
-    rows * max(n_grid) entries. Only a stable law off its closed-form twins
-    also draws the last block of each shorter row length that ends inside a
-    column block, from a saved and restored generator state; a prefix-stable
-    family (``_RealizedLaw.prefix_stable``) and the symmetric Pareto law
-    read it from the chunk (``_RealizedLaw._chunk_and_heads``). Each
+    rows * max(n_grid) entries. A stable law off its closed-form twins and
+    the symmetric Pareto law also draw the last block of each shorter row
+    length that ends inside a column block, from a saved and restored
+    generator state; every prefix-stable family
+    (``_RealizedLaw.prefix_stable``) reads it from the chunk
+    (``_RealizedLaw._chunk_and_heads``). Each
     distinct realization is normed once, and all raw sums are normed
     together at the end, each by the same division and subtraction. A normed sum that is not finite
     (an overflow under extreme tails) is a RuntimeError naming the first row

@@ -437,16 +437,12 @@ def _replicate_streams(seed: int, leaf: int, replicates: Sequence[int]):
     # SeedSequence does; a negative seed raises ValueError here.
     rng = np.random.default_rng(replicate_seed(seed, int(ks[0]), leaf))
     bit_generator = rng.bit_generator
+    fresh = bit_generator.state  # a new generator's, holding no buffered output
     # Row by row, so that no list of Python ints for every k is built.
     for state_hi, state_lo, seq_hi, seq_lo in map(np.ndarray.tolist, _state_words(seed, leaf, ks)):
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
         yield rng
 
 

@@ -1178,11 +1178,11 @@ class TestGridSums:
     @pytest.mark.parametrize("law, norming", _GRID_LAWS)
     def test_variates_drawn(self, monkeypatch, law, norming):
         # Every realization walks its stream once, at the largest row length.
-        # Only a stable law off its twins also draws the last block of each
-        # shorter row length that ends inside a chunk: 3, 3 and the 1 column
-        # of 16385 past its full block. Every other family reads those from
-        # the chunk, the symmetric Pareto law included. A point mass is summed
-        # once per distinct realization. Draws are counted at the family's
+        # A family that is not prefix-stable (a stable law off its twins, the
+        # symmetric Pareto law) also draws the last block of each shorter row
+        # length that ends inside a chunk: 3, 3 and the 1 column of 16385 past
+        # its full block. Every prefix-stable family reads those from the
+        # chunk. A point mass is summed once per distinct realization. Draws are counted at the family's
         # _chunk_and_heads: each entry it asks of sample, or its chunk when it
         # draws without sample.
         family = type(law.base)
@@ -1204,7 +1204,7 @@ class TestGridSums:
         monkeypatch.setattr(family, "_chunk_and_heads", counting)
         rows, replicates = 2, 3
         sample_grid_sums(law, norming, self.HARD_GRID, rows, seed=5, replicates=replicates)
-        redraws = isinstance(law.base, StableLaw) and not law.base.prefix_stable
+        redraws = not law.base.prefix_stable
         per_row = max(self.HARD_GRID) + (3 + 3 + 1 if redraws else 0)
         summed = len(set(draw_replicates(law, 5, replicates))) if family is PointMassLaw else replicates
         assert sum(requested) == summed * rows * per_row
@@ -1292,146 +1292,6 @@ class TestPrefixStability:
 
     def test_every_concrete_family_is_checked(self):
         assert set(_concrete_families(_RealizedLaw)) == {type(law) for law in _PREFIX_LAWS}
-
-
-class _RawOutputs:
-    """A stand-in generator with PCG64's output rules (see
-    ``TestStreamFacts``) over a given list of 64-bit outputs: ``random`` is
-    (x >> 11) * 2**-53 of one output, and ``integers(0, 2)`` is the top bit
-    of the next 32-bit half, which takes the low half of an output and
-    buffers the high one. ``bit_generator.state`` saves and restores it."""
-
-    def __init__(self, outputs):
-        self.outputs = outputs
-        self.bit_generator = self
-        self.state = {"position": 0, "has_uint32": 0, "uinteger": 0}
-
-    def _next64(self) -> int:
-        position = self.state["position"]
-        self.state = {**self.state, "position": position + 1}
-        return self.outputs[position]
-
-    def _next32(self) -> int:
-        if self.state["has_uint32"]:
-            self.state = {**self.state, "has_uint32": 0}
-            return self.state["uinteger"]
-        x = self._next64()
-        self.state = {**self.state, "has_uint32": 1, "uinteger": x >> 32}
-        return x & 0xFFFFFFFF
-
-    def random(self, size):
-        return np.array([(self._next64() >> 11) * 2.0 ** -53 for _ in range(size)])
-
-    def integers(self, low, high, size):
-        assert (low, high) == (0, 2)
-        return np.array([self._next32() >> 31 for _ in range(size)], dtype=np.int64)
-
-
-def _assert_heads_equal_the_redraw(law, ours, oracle, size, heads):
-    """``law``'s heads from ``ours`` against the base class's saved-state
-    redraw from ``oracle``, a generator in the same state: the same bits and
-    the same end state."""
-    chunk, got = law._chunk_and_heads(ours, size, heads)
-    want_chunk, want = _RealizedLaw._chunk_and_heads(law, oracle, size, heads)
-    assert chunk.tobytes() == want_chunk.tobytes()
-    assert [h.tobytes() for h in got] == [h.tobytes() for h in want], (size, heads)
-    assert ours.bit_generator.state == oracle.bit_generator.state
-
-
-class TestSymmetricParetoHeads:
-    """The symmetric Pareto law reads each head from the draws of its chunk,
-    bit for bit what the base class's saved-state redraw gives."""
-
-    LAW = ParetoLaw(1.5, 2.0, 0.5)
-
-    @pytest.mark.parametrize(
-        "size, heads",
-        [
-            pytest.param(8, [3, 5], id="even-size"),
-            pytest.param(9, [4, 7, 2], id="odd-size"),
-            pytest.param(2, [1], id="one-entry-of-two"),
-            pytest.param(7, [1, 6], id="one-entry-head"),
-            # 3m > 2 * size: the last signs come from the chunk's own signs.
-            pytest.param(10, [7, 9], id="past-the-uniforms"),
-            pytest.param(4097, [4096, 2731, 2732, 1], id="long"),
-        ],
-    )
-    @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered-half"])
-    def test_equal_to_the_saved_state_redraw(self, size, heads, buffered):
-        for seed in range(16):
-            ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            if buffered:
-                ours.integers(0, 2, 1)
-                oracle.integers(0, 2, 1)
-                assert ours.bit_generator.state["has_uint32"] == 1
-            _assert_heads_equal_the_redraw(self.LAW, ours, oracle, size, heads)
-
-    def test_every_head_length(self):
-        for size in (5, 6, 33):
-            for buffered in (0, 1):
-                ours, oracle = np.random.default_rng(size), np.random.default_rng(size)
-                ours.integers(0, 2, buffered)
-                oracle.integers(0, 2, buffered)
-                _assert_heads_equal_the_redraw(self.LAW, ours, oracle, size, list(range(1, size)))
-
-    def test_a_zero_output_signs_as_zero_bits(self):
-        # A uniform of 0.0 becomes 1.0 in the chunk; the halves of its output
-        # still have top bits 0. Chunk outputs 0, 2 and 5 are zero: 0 is a
-        # magnitude, 2 the signs of the head of 2 and 5 those of the head of
-        # 5. A buffered half takes one output before the chunk.
-        drawn = [int(x) for x in np.random.default_rng(8).integers(0, 2**64, 13, dtype=np.uint64)]
-        for buffered in (0, 1):
-            outputs = list(drawn)
-            for i in (0, 2, 5):
-                outputs[buffered + i] = 0
-            ours, oracle = _RawOutputs(outputs), _RawOutputs(outputs)
-            ours.integers(0, 2, buffered)
-            oracle.integers(0, 2, buffered)
-            _assert_heads_equal_the_redraw(self.LAW, ours, oracle, 6, [2, 5])
-
-    def test_a_raw_output_stand_in_is_pcg64(self):
-        # The stand-in above follows the generator's own rules.
-        outputs = [int(x) for x in np.random.default_rng(4).bit_generator.random_raw(40)]
-        ours, real = _RawOutputs(outputs), np.random.default_rng(4)
-        assert ours.random(7).tobytes() == real.random(7).tobytes()
-        assert ours.integers(0, 2, 13).tobytes() == real.integers(0, 2, 13).tobytes()
-        assert ours.random(3).tobytes() == real.random(3).tobytes()
-        assert (ours.state["has_uint32"], ours.state["uinteger"]) == (
-            real.bit_generator.state["has_uint32"],
-            real.bit_generator.state["uinteger"],
-        )
-
-
-class TestStreamFacts:
-    """The NumPy behaviour that the symmetric Pareto heads rely on
-    (``ParetoLaw._chunk_and_heads``). A failure here means NumPy changed how
-    PCG64 turns its 64-bit outputs into ``random`` or ``integers(0, 2)``, and
-    the heads no longer equal what ``sample`` draws."""
-
-    def test_random_is_the_top_53_bits_of_one_output(self):
-        ours, raw = np.random.default_rng(31), np.random.default_rng(31)
-        got = ours.random(1001)
-        want = (raw.bit_generator.random_raw(1001) >> np.uint64(11)) * 2.0 ** -53
-        assert got.tobytes() == want.tobytes(), "Generator.random is no longer (next64 >> 11) * 2**-53 on PCG64"
-
-    @pytest.mark.parametrize("buffered", [0, 1], ids=["empty", "buffered-half"])
-    @pytest.mark.parametrize("k", [1, 2, 999, 1000])
-    def test_a_coin_is_the_top_bit_of_one_32_bit_half(self, buffered, k):
-        ours, halves = np.random.default_rng(32), np.random.default_rng(32)
-        ours.integers(0, 2**32, buffered, dtype=np.uint32)
-        halves.integers(0, 2**32, buffered, dtype=np.uint32)
-        got = ours.integers(0, 2, k)
-        want = halves.integers(0, 2**32, k, dtype=np.uint32) >> np.uint32(31)
-        message = "Generator.integers(0, 2) is no longer the top bit of one buffered next_uint32 on PCG64"
-        assert np.array_equal(got, want), message
-        assert ours.bit_generator.state == halves.bit_generator.state, message
-
-    def test_32_bit_halves_come_low_first(self):
-        ours, raw = np.random.default_rng(33), np.random.default_rng(33)
-        got = ours.integers(0, 2**32, 10, dtype=np.uint32).astype(np.uint64)
-        x = raw.bit_generator.random_raw(5)
-        want = np.stack((x & np.uint64(0xFFFFFFFF), x >> np.uint64(32)), axis=1).ravel()
-        assert np.array_equal(got, want), "PCG64's next_uint32 no longer hands out the low half of an output first"
 
 
 def _scale(law) -> float:

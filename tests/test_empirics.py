@@ -65,6 +65,15 @@ class TestTGrid:
         with pytest.raises(ValueError, match=r"all reals or all \(t, s\) pairs, got \(0.0, \(1.0, 1.0\)\)"):
             TGrid((0.0, (1.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "points",
+        [np.array([[0.0, 0.0], [1.0, 1.0]]), ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ((0.0,), (1.0,))],
+        ids=["2-d-array", "triples", "1-tuples"],
+    )
+    def test_rejects_points_that_are_neither_reals_nor_pairs(self, points):
+        with pytest.raises(ValueError, match=r"grid points must be all reals or all \(t, s\) pairs, got \("):
+            TGrid(points)
+
     def test_rejects_grid_without_origin(self):
         with pytest.raises(ValueError, match="origin"):
             TGrid((0.5, 1.0))

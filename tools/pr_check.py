@@ -33,8 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FLAGS = ("-W", "error::RuntimeWarning", "-W", "error::UserWarning")
 CONTRACT_LINES = 66
 REDUCED = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}  # NumPy's AVX-512 kernels off
-STREAM_GROUPS = ("tests/test_directing.py::TestSymmetricParetoHeads", "tests/test_directing.py::TestStreamFacts",
-                 "tests/test_empirics.py::TestEmpiricalCfPairs")
+STREAM_GROUPS = ("tests/test_empirics.py::TestEmpiricalCfPairs",)
 TARGETS = "import bench_record; print(*bench_record.simd_targets()['dispatch_active'])"
 SCAN = "import json, sys; sys.path.insert(0, {!r}); import reach; print(json.dumps(reach.scan({!r}, {!r})))"
 BENCH = "perfbench/run.py --workload {} --seed 0 --seconds 1 --trace {}"
