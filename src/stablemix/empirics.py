@@ -98,10 +98,10 @@ class TGrid:
         pts = tuple(self.points)
         if not pts:
             raise ValueError("the evaluation grid must not be empty")
-        pair = [isinstance(p, (tuple, list)) for p in pts]
-        if any(pair) != all(pair) or any(len(p) != 2 if q else np.ndim(p) for p, q in zip(pts, pair)):
+        is_pair = [isinstance(p, (tuple, list)) for p in pts]
+        if any(is_pair) != all(is_pair) or any(len(p) != 2 if q else np.ndim(p) for p, q in zip(pts, is_pair)):
             raise ValueError(f"grid points must be all reals or all (t, s) pairs, got {pts!r}")
-        if pair[0]:
+        if is_pair[0]:
             pts = tuple((float(a), float(b)) for a, b in pts)
             flat = [v for pair in pts for v in pair]
             has_zero = (0.0, 0.0) in pts

@@ -1182,9 +1182,9 @@ class TestGridSums:
         # symmetric Pareto law) also draws the last block of each shorter row
         # length that ends inside a chunk: 3, 3 and the 1 column of 16385 past
         # its full block. Every prefix-stable family reads those from the
-        # chunk. A point mass is summed once per distinct realization. Draws are counted at the family's
-        # _chunk_and_heads: each entry it asks of sample, or its chunk when it
-        # draws without sample.
+        # chunk. A point mass is summed once per distinct realization. Draws
+        # are counted at the family's _chunk_and_heads: each entry it asks of
+        # sample, or its chunk when it draws without sample.
         family = type(law.base)
         requested = []
         sample, chunk_and_heads = family.sample, family._chunk_and_heads
