@@ -1294,6 +1294,61 @@ class TestPrefixStability:
         assert set(_concrete_families(_RealizedLaw)) == {type(law) for law in _PREFIX_LAWS}
 
 
+def _assert_chunk_and_heads_are_fresh_samples(law, seed, size, heads, buffered):
+    """``law._chunk_and_heads`` against ``sample`` alone, each call from its
+    own generator in the same start state: the chunk is ``sample(rng, size)``,
+    each head of m is ``sample(rng, m)``, and the generator ends where the
+    chunk leaves it. ``buffered`` first takes one 32-bit half, so that the
+    start state holds the other half."""
+
+    def generator():
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2, buffered)
+        return rng
+
+    ours = generator()
+    chunk, got = law._chunk_and_heads(ours, size, heads)
+    oracle = generator()
+    want_chunk = law.sample(oracle, size)
+    assert chunk.tobytes() == want_chunk.tobytes()
+    assert [h.tobytes() for h in got] == [law.sample(generator(), m).tobytes() for m in heads], (size, heads)
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+class TestChunkAndHeads:
+    """Every family keeps the contract that :func:`sample_grid_sums` relies on
+    for the short last blocks: a prefix-stable family reads its heads from the
+    chunk, any other redraws them from the saved state, and either way each is
+    what ``sample`` draws from the start state."""
+
+    @pytest.mark.parametrize(
+        "size, heads",
+        [
+            pytest.param(8, [3, 5], id="even-size"),
+            pytest.param(9, [4, 7, 2], id="odd-size"),
+            pytest.param(2, [1], id="one-entry-of-two"),
+            pytest.param(7, [1, 6], id="one-entry-head"),
+            pytest.param(10, [7, 9], id="long-heads"),
+            pytest.param(4097, [4096, 2731, 2732, 1], id="long"),
+        ],
+    )
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_heads_are_what_sample_draws_from_the_start_state(self, law, size, heads):
+        for seed in range(4):
+            for buffered in (0, 1):
+                _assert_chunk_and_heads_are_fresh_samples(law, seed, size, heads, buffered)
+
+    @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
+    def test_every_head_length(self, law):
+        for size in (5, 6, 33):
+            for buffered in (0, 1):
+                _assert_chunk_and_heads_are_fresh_samples(law, size, size, list(range(1, size)), buffered)
+
+    def test_no_heads_is_one_sample(self):
+        law = ParetoLaw(1.5, 1.0, 0.5)
+        _assert_chunk_and_heads_are_fresh_samples(law, 3, 9, [], 0)
+
+
 def _scale(law) -> float:
     """A length of the law: its scale parameter, the width of a uniform law,
     and 1 for a point mass."""
