@@ -14,14 +14,14 @@ Exit codes form a stable contract:
     2  configuration error, found before anything is simulated (schema,
        unknown keys, missing or negative seed, a count below 1, a NaN or
        infinite number (only the norming index may be Infinity), a tolerance
-       or tau that is not finite and positive, a prob_bound or ks_tol of
-       0.5 or more, a row length below 2 or repeated in n_grid, a grid over
-       WORK_BUDGET with its cf and joint table entries and REPLICATE_COST
-       per replicate, a prior the base family cannot take (a dispersion
-       prior on a point mass or a stable base with c = 0), bad or repeated
-       criterion, a criterion that needs a tail index the scenario lacks or
-       has out of range, or, when sec5 runs, an x_grid that is not positive
-       and increasing)
+       (verify-identity's --tol too) or tau that is not finite and positive,
+       a prob_bound or ks_tol of 0.5 or more, a row length below 2 or
+       repeated in n_grid, a grid over WORK_BUDGET with its cf and joint
+       table entries and REPLICATE_COST per replicate, a prior the base
+       family cannot take (a dispersion prior on a point mass or a stable
+       base with c = 0), bad or repeated criterion, a criterion that needs a
+       tail index the scenario lacks or has out of range, or, when sec5
+       runs, an x_grid that is not positive and increasing)
     3  criterion checked and failed
     4  criterion inconclusive at the configured sample sizes
 """
@@ -37,6 +37,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -157,109 +158,23 @@ def _as_int(value, path: str, least: int = 1) -> int:
     return value
 
 
-def _as_pairs(value, path: str, label: str = "[value, weight]") -> Tuple[Tuple[float, float], ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of {label} pairs")
-    pairs = []
-    for j, item in enumerate(value):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"{path}[{j}]: expected a {label} pair")
-        pairs.append((_as_number(item[0], f"{path}[{j}][0]"), _as_number(item[1], f"{path}[{j}][1]")))
-    return tuple(pairs)
-
-
-# kind -> (constructor, fields in argument order). Fields named "atoms" are
-# lists of [value, weight] pairs; all others are numbers.
-_BASE_KINDS = {
-    "point": (PointMassLaw, ("value",)),
-    "gaussian": (GaussianLaw, ("mean", "sd")),
-    "cauchy": (CauchyLaw, ("location", "scale")),
-    "uniform": (UniformLaw, ("lo", "hi")),
-    "pareto_symmetric": (lambda tail_index, scale: ParetoLaw(tail_index, scale, 0.5), ("tail_index", "scale")),
-    "pareto_onesided": (lambda tail_index, scale: ParetoLaw(tail_index, scale, 1.0), ("tail_index", "scale")),
-    "stable": (lambda *params: StableLaw(StableParams(*params)), ("alpha", "gamma", "c", "beta")),
-}
-
-_PRIOR_KINDS = {
-    "scale_atoms": (ScaleAtoms, ("atoms",)),
-    "scale_exponential": (ScaleExponential, ("rate",)),
-    "scale_lognormal": (ScaleLogNormal, ("log_mean", "log_sd")),
-    "location_atoms": (LocationAtoms, ("atoms",)),
-    "location_gaussian": (LocationGaussian, ("mean", "sd")),
-}
-
-
-def _build_kind(obj, path: str, kinds: dict, noun: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with a 'kind' key")
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(
-            f"{path}.kind: unknown {noun} {kind!r}; known: {', '.join(sorted(kinds))}"
-        )
-    make, fields = kinds[kind]
-    _check_keys(obj, path, required=("kind",) + fields, optional=())
-    args = [(_as_pairs if f == "atoms" else _as_number)(obj[f], f"{path}.{f}") for f in fields]
-    return _construct(path, make, *args)
-
-
-def _build_law(obj, path: str) -> DirectingLaw:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with a 'base' key")
-    _check_keys(obj, path, required=("base",), optional=("prior",))
-    base = _build_kind(obj["base"], f"{path}.base", _BASE_KINDS, "family")
-    prior = None
-    if "prior" in obj:
-        prior = _build_kind(obj["prior"], f"{path}.prior", _PRIOR_KINDS, "prior")
-    return _construct(path, DirectingLaw, base, prior)
-
-
-def _build_norming(obj, path: str) -> NormingSequence:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with an 'alpha' key")
-    optional = ("slow_kind", "slow_power", "scale", "centering_kind", "centering_tau")
-    _check_keys(obj, path, required=("alpha",), optional=optional)
-    # The two *_kind fields are names that NormingSequence validates itself;
-    # alpha may be Infinity, the constant norming.
-    kwargs = {
-        f: obj[f] if f.endswith("_kind") else _as_number(obj[f], f"{path}.{f}", finite=f != "alpha")
-        for f in ("alpha",) + optional
-        if f in obj
-    }
-    return _construct(path, NormingSequence, **kwargs)
-
-
-def _build_stat_config(obj, path: str) -> StatTestConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    fields = ("delta", "prob_bound", "ks_tol", "margin", "fit_tol")
-    _check_keys(obj, path, required=(), optional=fields)
-    kwargs = {f: _as_number(obj[f], f"{path}.{f}", finite=False) for f in fields if f in obj}
-    return _construct(path, StatTestConfig, **kwargs)
-
-
-def _build_target(obj, path: str) -> MixingMeasure:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with an 'atoms' key")
-    _check_keys(obj, path, required=("atoms",), optional=())
-    atoms = obj["atoms"]
-    if not isinstance(atoms, list) or not atoms:
-        raise ConfigError(f"{path}.atoms: expected a nonempty list")
-    built = []
-    for j, item in enumerate(atoms):
-        if not isinstance(item, list) or len(item) != 5:
-            raise ConfigError(
-                f"{path}.atoms[{j}]: expected [alpha, gamma, c, beta, weight]"
-            )
-        nums = [_as_number(v, f"{path}.atoms[{j}][{k}]") for k, v in enumerate(item)]
-        built.append((_construct(f"{path}.atoms[{j}]", StableParams, *nums[:4]), nums[4]))
-    return _construct(path, MixingMeasure, tuple(built))
-
-
 def _as_list(value, path: str, convert: Callable = _as_number, noun: str = "numbers") -> tuple:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of {noun}")
+        raise ConfigError(f"{path}: expected a nonempty list" + (f" of {noun}" if noun else ""))
     return tuple(convert(v, f"{path}[{j}]") for j, v in enumerate(value))
+
+
+def _rows(row: str, noun: str, make: Callable = lambda *numbers: numbers) -> Callable:
+    """A parser of a nonempty list of ``noun``: lists of finite numbers, one per
+    name in ``row`` (such as "a [t, s] pair"), each made ``make(*numbers)``."""
+    width = row.count(",") + 1
+
+    def parse_row(value, path: str):
+        if not isinstance(value, list) or len(value) != width:
+            raise ConfigError(f"{path}: expected {row}")
+        return _construct(path, make, *(_as_number(v, f"{path}[{k}]") for k, v in enumerate(value)))
+
+    return lambda value, path: _as_list(value, path, parse_row, noun)
 
 
 def _as_bool(value, path: str) -> bool:
@@ -278,18 +193,89 @@ def _as_ints(value, path: str) -> tuple:
     return _as_list(value, path, _as_int, "integers")
 
 
+def _as_object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    return obj
+
+
+def _parsed(obj: dict, path: str, fields: dict) -> dict:
+    """``{argument: parse(obj[key], path.key)}`` for each row ``key -> (argument, parse)`` of ``fields`` in ``obj``."""
+    return {arg: parse(obj[key], f"{path}.{key}") for key, (arg, parse) in fields.items() if key in obj}
+
+
+def _build(obj, path: str, make: Callable, fields: dict, required: Sequence[str] = ()):
+    """``make(**arguments)``, each argument parsed from a key of the object ``obj`` by its row of ``fields``; ``obj``
+    must have every ``required`` key and no key outside those and ``fields``."""
+    _check_keys(_as_object(obj, path), path, required, fields)
+    return _construct(path, make, **_parsed(obj, path, fields))
+
+
+def _as_kind(obj, path: str, kinds: dict, noun: str):
+    """``obj`` built by the row ``kind -> (constructor, fields)`` of ``kinds`` that its 'kind' names, all required."""
+    kind = _as_object(obj, path).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown {noun} {kind!r}; known: {', '.join(sorted(kinds))}")
+    make, fields = kinds[kind]
+    return _build(obj, path, make, fields, ("kind", *fields))
+
+
+def _numbers(*keys: str, **renamed: str) -> dict:
+    """Rows ``key -> (argument, _as_number)``: each of ``keys`` its own argument, then ``renamed``'s."""
+    return {key: (arg, _as_number) for key, arg in [*zip(keys, keys), *renamed.items()]}
+
+
+# A number that may be NaN or Infinity, for a value whose own validator names them.
+_as_any_number = partial(_as_number, finite=False)
+_PARETO = _numbers("tail_index", scale="pscale")
+_ATOMS = {"atoms": ("atoms", _rows("a [value, weight] pair", "[value, weight] pairs"))}
+# kind -> (constructor, fields).
+_BASE_KINDS = {
+    "point": (PointMassLaw, _numbers(value="point")),
+    "gaussian": (GaussianLaw, _numbers(mean="mean_value", sd="sd")),
+    "cauchy": (CauchyLaw, _numbers("location", scale="cscale")),
+    "uniform": (UniformLaw, _numbers("lo", "hi")),
+    "pareto_symmetric": (partial(ParetoLaw, right_weight=0.5), _PARETO),
+    "pareto_onesided": (partial(ParetoLaw, right_weight=1.0), _PARETO),
+    "stable": (lambda **params: StableLaw(StableParams(**params)), _numbers("alpha", "gamma", "c", "beta")),
+}
+_PRIOR_KINDS = {
+    "scale_atoms": (ScaleAtoms, _ATOMS),
+    "scale_exponential": (ScaleExponential, _numbers("rate")),
+    "scale_lognormal": (ScaleLogNormal, _numbers("log_mean", "log_sd")),
+    "location_atoms": (LocationAtoms, _ATOMS),
+    "location_gaussian": (LocationGaussian, _numbers("mean", "sd")),
+}
+# Config object key -> (constructor argument, parser taking the value and its path).
+_LAW_FIELDS = {
+    "base": ("base", partial(_as_kind, kinds=_BASE_KINDS, noun="family")),
+    "prior": ("randomizer", partial(_as_kind, kinds=_PRIOR_KINDS, noun="prior")),
+}
+# The two *_kind fields are names that NormingSequence validates itself; alpha
+# may be Infinity, the constant norming.
+_NORMING_FIELDS = {
+    "alpha": ("alpha", _as_any_number),
+    "slow_kind": ("slow_kind", lambda value, path: value),
+    **_numbers("slow_power", "scale"),
+    "centering_kind": ("centering_kind", lambda value, path: value),
+    **_numbers("centering_tau"),
+}
+_STAT_FIELDS = {key: (key, _as_any_number) for key in ("delta", "prob_bound", "ks_tol", "margin", "fit_tol")}
+_TARGET_ATOMS = _rows("[alpha, gamma, c, beta, weight]", "", lambda *atom: (StableParams(*atom[:4]), atom[4]))
+_TS_PAIRS = _rows("a [t, s] pair", "[t, s] pairs")
+
 # Scenario key -> (ScenarioSpec field, parser taking the value and its path).
 _SCENARIO_FIELDS: Dict[str, Tuple[str, Callable]] = {
     "n_grid": ("cf_n_grid", _as_ints),
     "replicates": ("cf_replicates", _as_int),
-    "tau": ("tau", lambda v, p: _as_number(v, p, finite=False)),
+    "tau": ("tau", _as_any_number),
     "alpha": ("alpha", _as_number),
     "x_grid": ("x_grid", _as_list),
     "checkers": ("checkers", _as_names),
     "joint": ("joint", _as_bool),
     "t_grid": ("t_grid", lambda v, p: _construct(p, TGrid, _as_list(v, p))),
-    "joint_grid": ("joint_grid", lambda v, p: _construct(p, TGrid, _as_pairs(v, p, "[t, s]"))),
-    "stat_config": ("stat_config", _build_stat_config),
+    "joint_grid": ("joint_grid", lambda v, p: _construct(p, TGrid, _TS_PAIRS(v, p))),
+    "stat_config": ("stat_config", partial(_build, make=StatTestConfig, fields=_STAT_FIELDS)),
 }
 # Scenario key -> (NGrid field of ScenarioSpec.checker_ngrid, parser).
 _NGRID_FIELDS: Dict[str, Tuple[str, Callable]] = {
@@ -310,11 +296,8 @@ class ResolvedConfig:
 
 
 def _apply_overrides(spec: ScenarioSpec, obj: dict, path: str) -> ScenarioSpec:
-    def parse(table: dict) -> dict:
-        return {f: parse_value(obj[k], f"{path}.{k}") for k, (f, parse_value) in table.items() if k in obj}
-
-    updates = parse(_SCENARIO_FIELDS)
-    grid_updates = parse(_NGRID_FIELDS)
+    updates = _parsed(obj, path, _SCENARIO_FIELDS)
+    grid_updates = _parsed(obj, path, _NGRID_FIELDS)
     if grid_updates:
         updates["checker_ngrid"] = _construct(path, replace, spec.checker_ngrid, **grid_updates)
     return _construct(path, replace, spec, **updates)
@@ -329,24 +312,17 @@ def _build_scenario(obj, path: str) -> ScenarioSpec:
         _check_keys(obj, path, required=("builtin",), optional=_SCENARIO_OVERRIDES)
         spec = _construct(f"{path}.builtin", get_scenario, obj["builtin"])
         return _apply_overrides(spec, obj, path)
-    _check_keys(
-        obj,
-        path,
-        required=("id", "law", "norming"),
-        optional=_SCENARIO_OVERRIDES + ("target",),
-    )
+    _check_keys(obj, path, required=("id", "law", "norming"), optional=_SCENARIO_OVERRIDES + ("target",))
     name = obj["id"]
     if not isinstance(name, str) or not _ID_PATTERN.match(name):
-        raise ConfigError(
-            f"{path}.id: scenario ids must match {_ID_PATTERN.pattern}, got {name!r}"
-        )
+        raise ConfigError(f"{path}.id: scenario ids must match {_ID_PATTERN.pattern}, got {name!r}")
     spec = ScenarioSpec(
         name=name,
-        law=_build_law(obj["law"], f"{path}.law"),
-        norming=_build_norming(obj["norming"], f"{path}.norming"),
+        law=_build(obj["law"], f"{path}.law", DirectingLaw, _LAW_FIELDS, ("base",)),
+        norming=_build(obj["norming"], f"{path}.norming", NormingSequence, _NORMING_FIELDS, ("alpha",)),
     )
     if "target" in obj:
-        target = _build_target(obj["target"], f"{path}.target")
+        target = _build(obj["target"], f"{path}.target", MixingMeasure, {"atoms": ("atoms", _TARGET_ATOMS)}, ("atoms",))
         spec = replace(spec, target=target, target_label="inline mixture")
     return _apply_overrides(spec, obj, path)
 
@@ -520,6 +496,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_identity(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < math.inf:
+        print(f"config error: --tol: must be finite and positive, got {args.tol}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         residual = identity_residual(perturb=args.perturb)
     except Exception as exc:  # noqa: BLE001 - quadrature failure maps to exit 1

@@ -913,8 +913,12 @@ def draw_replicates(law: DirectingLaw, seed: int, replicates: int) -> list[_Real
     these realizations describe exactly the arrays simulated under the same
     seed. The streams come from ``_replicate_streams``, bit for bit those of
     ``np.random.default_rng(replicate_seed(seed, k, 0))``. A law without a
-    prior is its base at every k, and derives no stream.
+    prior is its base at every k, and derives no stream. A ``seed`` that is
+    not a non-negative integer (a bool is not one) is a ValueError naming
+    it, for every law.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed: expected a non-negative integer, got {seed!r}")
     _check_positive("replicates", replicates)
     if law.randomizer is None:
         return [law.base] * replicates

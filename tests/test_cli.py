@@ -77,6 +77,16 @@ class TestVerifyIdentity:
         assert code == EXIT_RUNTIME, "a NaN residual must not pass"
         assert "grid: nan " in captured.out and "failed" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1.0", "inf"])
+    def test_tolerance_not_finite_and_positive_is_a_config_error(self, capsys, monkeypatch, tol):
+        computed = []
+        monkeypatch.setattr(cli, "identity_residual", lambda **kwargs: computed.append(kwargs))
+        code = main(["verify-identity", "--tol", tol])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: --tol: must be finite and positive, got {float(tol)}" in err, err
+        assert not computed, "a bad tolerance was found only after the quadrature ran"
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -333,6 +343,108 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert fragment in err, f"expected {fragment!r} in diagnostic, got: {err}"
 
+
+# One valid object per kind row of the CLI's base and prior tables.
+BASE_OBJECTS = {
+    "point": {"kind": "point", "value": 0.5},
+    "gaussian": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
+    "cauchy": {"kind": "cauchy", "location": 0.0, "scale": 1.0},
+    "uniform": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
+    "pareto_symmetric": {"kind": "pareto_symmetric", "tail_index": 1.5, "scale": 1.0},
+    "pareto_onesided": {"kind": "pareto_onesided", "tail_index": 1.5, "scale": 1.0},
+    "stable": {"kind": "stable", "alpha": 1.5, "gamma": 0.0, "c": 1.0, "beta": 0.5},
+}
+PRIOR_OBJECTS = {
+    "scale_atoms": {"kind": "scale_atoms", "atoms": [[1.0, 0.5], [2.0, 0.5]]},
+    "scale_exponential": {"kind": "scale_exponential", "rate": 1.0},
+    "scale_lognormal": {"kind": "scale_lognormal", "log_mean": 0.0, "log_sd": 0.5},
+    "location_atoms": {"kind": "location_atoms", "atoms": [[-0.5, 0.5], [0.5, 0.5]]},
+    "location_gaussian": {"kind": "location_gaussian", "mean": 0.0, "sd": 1.0},
+}
+CAUCHY = BASE_OBJECTS["cauchy"]
+
+
+def _inline(**keys):
+    return {"id": "x", "law": {"base": CAUCHY}, "norming": {"alpha": 1.0}, **keys}
+
+
+# (id, path, object, required keys, the scenario that holds the object) per config object.
+CONFIG_OBJECTS = [
+    *(
+        (f"base-{kind}", "config.scenario.law.base", obj, [k for k in obj if k != "kind"], lambda o: _inline(law={"base": o}))
+        for kind, obj in BASE_OBJECTS.items()
+    ),
+    *(
+        (
+            f"prior-{kind}",
+            "config.scenario.law.prior",
+            obj,
+            [k for k in obj if k != "kind"],
+            lambda o: _inline(law={"base": CAUCHY, "prior": o}),
+        )
+        for kind, obj in PRIOR_OBJECTS.items()
+    ),
+    ("law", "config.scenario.law", {"base": CAUCHY, "prior": PRIOR_OBJECTS["scale_exponential"]}, ["base"], lambda o: _inline(law=o)),
+    ("norming", "config.scenario.norming", {"alpha": 1.0, "scale": 2.0}, ["alpha"], lambda o: _inline(norming=o)),
+    ("stat_config", "config.scenario.stat_config", {"delta": 0.1}, [], lambda o: {"builtin": "gauss-fixed", "stat_config": o}),
+    ("target", "config.scenario.target", {"atoms": [[1.0, 0.0, 1.0, 0.0, 1.0]]}, ["atoms"], lambda o: _inline(target=o)),
+]
+MISSING_KEYS = [(*case, key) for case in CONFIG_OBJECTS for key in case[3]]
+
+
+class TestOneBuilder:
+    """Every config object is read by one builder: the same key checks, path
+    and diagnostics for each kind row and each object."""
+
+    @staticmethod
+    def _config_error(tmp_path, capsys, monkeypatch, scenario) -> str:
+        sampled = []
+        monkeypatch.setattr(empirics, "sample_grid_sums", lambda *args, **kwargs: sampled.append(args))
+        cfg = write_config(tmp_path, {"scenario": scenario, "seed": 1})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert not sampled, "a config error was found only after sampling"
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, path, obj, required, holder", CONFIG_OBJECTS, ids=[c[0] for c in CONFIG_OBJECTS])
+    def test_valid_object_loads(self, tmp_path, name, path, obj, required, holder):
+        load_config(write_config(tmp_path, {"scenario": holder(obj), "seed": 1}))
+
+    @pytest.mark.parametrize("name, path, obj, required, holder", CONFIG_OBJECTS, ids=[c[0] for c in CONFIG_OBJECTS])
+    def test_unknown_key_names_the_path_and_key(self, tmp_path, capsys, monkeypatch, name, path, obj, required, holder):
+        err = self._config_error(tmp_path, capsys, monkeypatch, holder({**obj, "bogus": 1}))
+        assert f"config error: {path}: unknown key(s) 'bogus'; allowed keys: " in err, err
+
+    @pytest.mark.parametrize(
+        "name, path, obj, required, holder, key", MISSING_KEYS, ids=[f"{c[0]}-{c[-1]}" for c in MISSING_KEYS]
+    )
+    def test_missing_required_key_is_named(self, tmp_path, capsys, monkeypatch, name, path, obj, required, holder, key):
+        err = self._config_error(tmp_path, capsys, monkeypatch, holder({k: v for k, v in obj.items() if k != key}))
+        assert f"config error: {path}: missing required key(s) '{key}'" in err, err
+
+    @pytest.mark.parametrize("name, path, obj, required, holder", CONFIG_OBJECTS, ids=[c[0] for c in CONFIG_OBJECTS])
+    def test_value_that_is_not_an_object_is_named(self, tmp_path, capsys, monkeypatch, name, path, obj, required, holder):
+        err = self._config_error(tmp_path, capsys, monkeypatch, holder([obj]))
+        assert f"config error: {path}: expected an object\n" in err, err
+
+    def test_every_kind_row_has_an_object_here(self):
+        assert set(BASE_OBJECTS) == set(cli._BASE_KINDS)
+        assert set(PRIOR_OBJECTS) == set(cli._PRIOR_KINDS)
+
+    def test_every_exported_family_and_prior_is_built_by_a_kind_row(self, tmp_path):
+        from stablemix import directing
+
+        built = set()
+        for base in BASE_OBJECTS.values():
+            built.add(type(load_config(write_config(tmp_path, {"scenario": _inline(law={"base": base})})).spec.law.base))
+        for prior in PRIOR_OBJECTS.values():
+            law = load_config(write_config(tmp_path, {"scenario": _inline(law={"base": CAUCHY, "prior": prior})})).spec.law
+            built.add(type(law.randomizer))
+        exported = [getattr(directing, name) for name in directing.__all__]
+        families = {c for c in exported if isinstance(c, type) and issubclass(c, directing._RealizedLaw)}
+        priors = {c for c in exported if isinstance(c, type) and hasattr(c, "slot")}
+        assert len(families) == 6 and len(priors) == 5
+        assert families | priors <= built, f"no kind row builds {sorted(c.__name__ for c in families | priors - built)}"
 
 class TestSeedResolution:
     def test_flag_beats_config(self, tmp_path, monkeypatch):

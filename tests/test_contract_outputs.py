@@ -20,12 +20,12 @@ def _tool():
     return module
 
 
-def test_sixty_three_outputs_from_twenty_one_runs(monkeypatch):
+def test_sixty_six_outputs_from_twenty_two_runs(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = _tool()
     runs = tool.contract_runs(ROOT)
-    assert len(runs) == 21 and len(runs) * len(tool.SUFFIXES) == 63
-    assert len({label for label, _, _ in runs}) == 21
+    assert len(runs) == 22 and len(runs) * len(tool.SUFFIXES) == 66
+    assert len({label for label, _, _ in runs}) == 22
     assert [seed for _, _, seed in runs[-2:]] == [3, 5]
 
 
@@ -48,6 +48,16 @@ def test_a_run_samples_an_off_twin_stable_law_at_two_row_lengths_one_past_a_bloc
         for spec in specs
     )
 
+
+def test_the_runs_parse_every_nested_config_object_and_scenario_key(monkeypatch):
+    """The contract reads a location prior and every scenario key the CLI parses into an object, a grid or a
+    tolerance, so a change to how the CLI reads one of them shows in the contract's lines."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    scenarios = [config["scenario"] for _, config, _ in _tool().contract_runs(ROOT)]
+    keys = set().union(*(s for s in scenarios if isinstance(s, dict)))
+    assert {"target", "stat_config", "t_grid", "joint", "joint_grid", "tau", "checker_n_grid", "checker_replicates"} <= keys
+    priors = {s["law"].get("prior", {}).get("kind") for s in scenarios if isinstance(s, dict) and "law" in s}
+    assert {"location_atoms", "scale_lognormal"} <= priors
 
 def test_report_bytes_ignore_runtimes_only():
     tool = _tool()

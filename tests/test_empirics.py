@@ -274,6 +274,18 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="repeats row length 64"):
             run_scenario(self._fast("gauss-fixed", cf_n_grid=(64, 16, 64)), seed=0)
 
+    # point-mass derives no stream, gauss-fixed a row stream per replicate:
+    # one rule for the seed holds for both.
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    @pytest.mark.parametrize("name", ["point-mass", "gauss-fixed"])
+    def test_seed_that_is_not_a_nonnegative_integer_is_rejected(self, name, seed):
+        with pytest.raises(ValueError, match=r"^seed: expected a non-negative integer, got "):
+            run_scenario(self._fast(name), seed=seed)
+
+    @pytest.mark.parametrize("name", ["point-mass", "gauss-fixed"])
+    def test_large_seed_is_accepted(self, name):
+        assert run_scenario(self._fast(name), seed=2**70).config["seed"] == 2**70
+
     def test_report_tables_are_complete(self):
         rep = run_scenario(self._fast("gauss-fixed"), seed=4)
         assert rep.scenario == "gauss-fixed"

@@ -6,9 +6,12 @@ The contract (ROADMAP.md, "Contracts") is three files per run of CLI
 ``quantities.csv``. The runs are the 9 builtin scenarios at seeds 0 and 1,
 ``TWO_LENGTHS`` at seed 7 (a stable law off its closed-form twins at two row
 lengths, one above the sampler's column block, so that the saved-state
-redraw and the multi-block fold run), the Pareto benchmark config at seed 3
-and the stable benchmark config at seed 5: 63 outputs. The two benchmark
-configs are read from ``perfbench/run.py``. After those 63 lines come two
+redraw and the multi-block fold run), ``INLINE_KINDS`` at seed 9 (a location
+prior, a joint run on its own t and joint grids, tau, the checker grid,
+test tolerances and an inline target, so that every config object the CLI
+reads is under the contract), the Pareto benchmark config at seed 3 and the
+stable benchmark config at seed 5: 66 outputs. The two benchmark configs
+are read from ``perfbench/run.py``. After those 66 lines come two
 more, one per benchmark config, labelled ``<run>/residuals``: the spectral
 fits of every distinct draw at every checker row length, which the reports
 summarize only through their largest residual. The last line,
@@ -71,6 +74,7 @@ BUILTIN_SEEDS = (0, 1)
 PARETO_SEED = 3
 STABLE_SEED = 5
 TWO_LENGTHS_SEED = 7
+INLINE_KINDS_SEED = 9
 TWO_LENGTHS = {
     "scenario": {
         "id": "stable-two-lengths",
@@ -78,6 +82,27 @@ TWO_LENGTHS = {
         "norming": {"alpha": 1.5},
         "n_grid": [4096, 20000],
         "replicates": 200,
+    }
+}
+INLINE_KINDS = {
+    "scenario": {
+        "id": "inline-kinds",
+        "law": {
+            "base": {"kind": "cauchy", "location": 0.0, "scale": 1.0},
+            "prior": {"kind": "location_atoms", "atoms": [[-0.5, 0.5], [0.5, 0.5]]},
+        },
+        "norming": {"alpha": 1.0},
+        "n_grid": [64, 256],
+        "replicates": 300,
+        "joint": True,
+        "joint_grid": [[0.0, 0.0], [0.5, 0.5], [1.0, -1.0]],
+        "t_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
+        "tau": 0.5,
+        "checkers": ["uan", "cauchy_mixture"],
+        "checker_n_grid": [100, 1000],
+        "checker_replicates": 100,
+        "stat_config": {"delta": 0.1, "ks_tol": 0.1},
+        "target": {"atoms": [[1.0, -0.5, 1.0, 0.0, 0.5], [1.0, 0.5, 1.0, 0.0, 0.5]]},
     }
 }
 SUFFIXES = ("report.json", "cf.csv", "quantities.csv")
@@ -96,6 +121,7 @@ def contract_runs(root: Path) -> List[Tuple[str, dict, int]]:
         for name in builtin_scenarios()
     ]
     runs.append((f"stable-two-lengths@{TWO_LENGTHS_SEED}", TWO_LENGTHS, TWO_LENGTHS_SEED))
+    runs.append((f"inline-kinds@{INLINE_KINDS_SEED}", INLINE_KINDS, INLINE_KINDS_SEED))
     runs.append((f"{perfbench.LOGNORMAL_PARETO.label}@{PARETO_SEED}", perfbench.LOGNORMAL_PARETO.config, PARETO_SEED))
     runs.append((f"{perfbench.STABLE_LOGNORMAL.label}@{STABLE_SEED}", perfbench.STABLE_LOGNORMAL.config, STABLE_SEED))
     return runs

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print what the behaviour contract and the demos reach of ``src/stablemix``.
 
-The scan runs the 66 contract outputs (``tools/contract_outputs.py``) and then
+The scan runs the 69 contract outputs (``tools/contract_outputs.py``) and then
 the 7 demos in this process under ``sys.settrace``, restoring any profiler or
 tracer set before. It lists the functions of ``src/stablemix`` that never run,
 the statements that never run inside functions that do, and those that only the
