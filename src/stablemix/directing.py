@@ -166,7 +166,7 @@ class _RealizedLaw:
     intervals) and write ``_truncated_mean``, ``_truncated_second`` and
     ``_smoothed_mean`` for a positive bound or b where they have formulas;
     the defaults are quadrature. The public names apply the domain first;
-    a NaN bound or b is a ValueError that names the functional.
+    a NaN bound or a non-finite b is a ValueError that names the functional.
 
     ``prefix_stable`` is True when ``sample`` fills its output one entry at a
     time, so that ``sample(rng, a + b)[:a]`` is bit-identical to
@@ -253,8 +253,8 @@ class _RealizedLaw:
     def smoothed_mean(self, b: float) -> float:
         """Integral of b*x/(b**2 + x**2) against the measure: odd in b, and 0
         at b = 0 or for a symmetric law."""
-        if math.isnan(b):
-            raise ValueError("smoothed_mean at a NaN b")
+        if not math.isfinite(b):
+            raise ValueError(f"smoothed_mean at a non-finite b: {b}")
         if b == 0 or self.symmetric:
             return 0.0
         return self._smoothed_mean(b) if b > 0 else -self._smoothed_mean(-b)

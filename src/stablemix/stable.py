@@ -560,6 +560,8 @@ class _Table(NamedTuple):
     gw: np.ndarray  # weight * exp(-t**alpha) / pi
     gp: np.ndarray  # gw / t, the Gil-Pelaez weights
     even: np.ndarray  # row j is t**(2j), j < _KERNEL_TERMS, by repeated products
+    re0: np.ndarray  # gw*cos(t*0.0 + psi), the centred weights of _core_moments at m = +0.0
+    im0: np.ndarray  # -gw*sin(t*0.0 + psi)
     right: Tuple[float, ...]  # tail coefficients of Z
     left: Tuple[float, ...]  # tail coefficients of -Z
 
@@ -577,11 +579,13 @@ def _table(alpha: float, beta: float) -> _Table:
     t2 = t * t
     for j in range(1, _KERNEL_TERMS):
         np.multiply(even[j - 1], t2, out=even[j])
+    psi = beta * w * power
+    phase = t * 0.0 + psi
     table = _Table(
-        alpha, t, beta * w * power, gw, gw / t, even,
+        alpha, t, psi, gw, gw / t, even, gw * np.cos(phase), -gw * np.sin(phase),
         _tail_coefficients(alpha, beta), _tail_coefficients(alpha, -beta),
     )
-    for array in (table.t, table.psi, table.gw, table.gp, table.even):
+    for array in (table.t, table.psi, table.gw, table.gp, table.even, table.re0, table.im0):
         array.flags.writeable = False  # shared by every caller of the cache
     return table
 
@@ -598,7 +602,13 @@ def _tail(coeffs: Tuple[float, ...], alpha: float, x: float) -> float:
 def _fourier_masses(params: StableParams, xs: Sequence[float], rights: Sequence[bool]) -> List[float]:
     """P(X > x) where ``right``, else P(X <= x), at each pair of ``xs`` and ``rights``
     in the Fourier region, the smaller one never as 1 - F. The core points share
-    one matrix of phases, and a NaN point is a ValueError."""
+    one matrix of phases, and a NaN point is a ValueError.
+
+    At beta = 0, psi is a signed zero, so sin(-z*t + psi) is -sin(z*t + psi)
+    bit for bit (NumPy's sin is odd, and + psi changes no |z|*t), and so is
+    the dot product: each distinct |z| takes one phase row, and a z < 0 the
+    negated centre. Only a sum that is exactly 0 can differ, in its sign,
+    which 0.5 +- centre drops."""
     tab = _table(params.alpha, params.beta)
     scale = params.c ** (1.0 / params.alpha)
     zs = [(x - params.gamma) / scale for x in xs]
@@ -606,8 +616,14 @@ def _fourier_masses(params: StableParams, xs: Sequence[float], rights: Sequence[
         if z != z:
             raise ValueError(f"stable distribution function at a NaN point (index {i} of {len(xs)})")
     core = [z for z in zs if abs(z) <= _SPLIT]
-    phases = np.sin(np.multiply.outer(core, tab.t) + tab.psi)
-    centres = iter([float(np.dot(tab.gp, row)) for row in phases])
+    if params.beta == 0.0:
+        sizes = list(dict.fromkeys(abs(z) for z in core))
+        rows = np.sin(np.multiply.outer(sizes, tab.t))
+        by_size = dict(zip(sizes, [float(np.dot(tab.gp, row)) for row in rows]))
+        centres = iter([-by_size[-z] if z < 0 else by_size[z] for z in core])
+    else:
+        phases = np.sin(np.multiply.outer(core, tab.t) + tab.psi)
+        centres = iter([float(np.dot(tab.gp, row)) for row in phases])
     out = []
     for z, right in zip(zs, rights):
         if abs(z) > _SPLIT:
@@ -625,10 +641,14 @@ def _core_moments(tab: _Table, lo: float, hi: float) -> Tuple[float, float, floa
 
     On the nodes with t*h <= 1 the kernels are series in (t*h)**2, so their
     sums are series in h**2 over the node moments sum re*t**(2j) and
-    sum im*t**(2j+1); the closed forms run only on the other nodes."""
+    sum im*t**(2j+1); the closed forms run only on the other nodes. A
+    symmetric [-h, h] has m = +0.0 and reads the table's centred weights."""
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    phase = tab.t * m + tab.psi
-    re, im = tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
+    if m == 0.0 and math.copysign(1.0, m) > 0.0:
+        re, im = tab.re0, tab.im0
+    else:
+        phase = tab.t * m + tab.psi
+        re, im = tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
     u = tab.t * h
     near = u <= 1.0
     # Two matrix-vector products: a matrix-matrix one would go through BLAS

@@ -1404,6 +1404,15 @@ class TestFunctionalDomain:
         with pytest.raises(ValueError, match=name):
             getattr(law, name)(math.nan)
 
+    # StableLaw(0.9, ...) is off every twin and outside the Fourier region:
+    # an infinite b once reached its quadrature.
+    @pytest.mark.parametrize("law", _PREFIX_LAWS + [StableLaw(StableParams(0.9, 0.3, 2.0, 0.5))], ids=repr)
+    def test_infinite_b_is_a_value_error(self, law):
+        for member in (law, _symmetric_member(law)):
+            for b in (math.inf, -math.inf):
+                with pytest.raises(ValueError, match="smoothed_mean"):
+                    member.smoothed_mean(b)
+
     @pytest.mark.parametrize("law", _PREFIX_LAWS, ids=repr)
     def test_symmetric_member_has_zero_means(self, law):
         member = _symmetric_member(law)

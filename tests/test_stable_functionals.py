@@ -21,7 +21,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
-from stablemix import directing
+from stablemix import directing, stable
 from stablemix.characteristics import DEFAULT_SPECTRAL_GRID, spectral_measure_lambda
 from stablemix.criteria import DrawPanel
 from stablemix.directing import StableLaw, _RealizedLaw
@@ -290,11 +290,15 @@ def _ref_kernels(t, h):
     return 2.0 * h * k0, 2.0 * h * h * k1, 2.0 * h ** 3 * k2
 
 
+def _ref_weights(tab, lo, hi):
+    """The node weights Re and Im of the density's transform, from the centre m."""
+    phase = tab.t * (0.5 * (lo + hi)) + tab.psi
+    return tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
+
+
 def _ref_core_moments(tab, lo, hi):
-    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    phase = tab.t * m + tab.psi
-    re, im = tab.gw * np.cos(phase), -tab.gw * np.sin(phase)
-    k0, k1, k2 = _ref_kernels(tab.t, h)
+    re, im = _ref_weights(tab, lo, hi)
+    k0, k1, k2 = _ref_kernels(tab.t, 0.5 * (hi - lo))
     return float(np.dot(re, k0)), float(np.dot(im, k1)), float(np.dot(re, k2))
 
 
@@ -331,6 +335,29 @@ class TestCoreMomentsOracle:
                 for l, (g, w) in enumerate(zip(got, want)):
                     assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (alpha, beta, m, h, l, g, w)
         assert near_only and mixed
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_centred_weights_are_the_phase_from_the_centre(self, beta):
+        for alpha in ALPHAS:
+            tab = _table(alpha, beta)
+            assert not (tab.re0.flags.writeable or tab.im0.flags.writeable)
+            for h in (1e-3, 0.7, 20.0):
+                re, im = _ref_weights(tab, -h, h)
+                assert tab.re0.tobytes() == re.tobytes() and tab.im0.tobytes() == im.tobytes(), (alpha, h)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_only_a_centre_of_plus_zero_reads_the_centred_weights(self, beta):
+        # With NaN centred weights, a call that reads them returns NaNs.
+        tab = _table(1.5, beta)
+        blank = tab._replace(re0=np.full_like(tab.re0, math.nan), im0=np.full_like(tab.im0, math.nan))
+        for h in (1e-3, 0.7, 20.0):
+            assert all(math.isnan(v) for v in _core_moments(blank, -h, h)), h
+            for lo, hi in ((-h, 0.5 * h), (math.nextafter(-h, 0.0), h)):
+                assert [v.hex() for v in _core_moments(blank, lo, hi)] == [v.hex() for v in _core_moments(tab, lo, hi)]
+        # [-0.0, -0.0] is the one interval whose centre is -0.0.
+        got = _core_moments(blank, -0.0, -0.0)
+        assert all(math.isfinite(v) for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in _core_moments(tab, -0.0, -0.0)]
 
     def test_even_powers_are_repeated_products(self):
         tab = _table(1.5, 0.5)
@@ -427,6 +454,80 @@ class TestFourierMassOracle:
                 for x in [20.0, *(20.0 * 10.0 ** rng.uniform(0.0, 12.0, size=300)), math.inf]:
                     got, want = _tail(coeffs, tab.alpha, x), _ref_tail(coeffs, tab.alpha, x)
                     assert got.hex() == want.hex(), f"{params}, x={x!r}: {got!r} != {want!r}"
+
+
+class _CountingNumpy:
+    """NumPy, with the shape of every ``sin`` argument recorded."""
+
+    def __init__(self):
+        self.sin_shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x):
+        self.sin_shapes.append(np.shape(x))
+        return np.sin(x)
+
+
+class TestSymmetricMirror:
+    """At beta = +-0.0 a batch evaluates one phase row per distinct |z| and
+    still equals the per-point path bit for bit. This rests on NumPy's sin
+    being odd bit for bit, under whichever SIMD targets are active."""
+
+    @staticmethod
+    def _rows(monkeypatch, params, xs, rights):
+        """The batch's masses and how many phase rows it evaluated."""
+        _table(params.alpha, params.beta)  # built outside the count
+        counting = _CountingNumpy()
+        monkeypatch.setattr(stable, "np", counting)
+        try:
+            got = _fourier_masses(params, xs, rights)
+        finally:
+            monkeypatch.undo()
+        assert len(counting.sin_shapes) == 1
+        return got, counting.sin_shapes[0][0]
+
+    def _assert_bitwise(self, monkeypatch, params, xs):
+        for rights in ([False] * len(xs), [True] * len(xs), [x > 0 for x in xs]):
+            got, rows = self._rows(monkeypatch, params, xs, rights)
+            want = [_ref_fourier_mass(params, x, right) for x, right in zip(xs, rights)]
+            assert [g.hex() for g in got] == [w.hex() for w in want], params
+        return rows
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("beta", [0.0, -0.0], ids=["+0.0", "-0.0"])
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 2.5])
+    def test_exact_pairs_take_one_row_each(self, monkeypatch, alpha, beta, c):
+        params = StableParams(alpha, 0.0, c, beta)
+        scale = c ** (1.0 / alpha)
+        halves = [scale * z for z in (1e-9, 0.4, 3.0, 19.999, 20.0)] + [s / x for x in DEFAULT_SPECTRAL_GRID for s in (1.0, 0.01)]
+        xs = [x for half in halves for x in (half, -half)]
+        core = {abs(x / scale) for x in xs if abs(x / scale) <= _SPLIT}
+        assert self._assert_bitwise(monkeypatch, params, xs) == len(core) < len(xs) // 2 + 1
+        xs += [0.0, -0.0, math.inf, -math.inf, 1e300, -1e300]
+        assert self._assert_bitwise(monkeypatch, params, xs) == len(core) + 1
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0], ids=["+0.0", "-0.0"])
+    def test_signed_zeros_take_one_row(self, monkeypatch, beta):
+        params = StableParams(1.5, 0.0, 1.0, beta)
+        for xs in ([0.0], [-0.0], [0.0, -0.0, -0.0, 0.0], [5e-324, -5e-324, -0.0]):
+            rows = self._assert_bitwise(monkeypatch, params, xs)
+            assert rows == len({abs(x) for x in xs}), xs
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0], ids=["+0.0", "-0.0"])
+    def test_off_centre_batch_has_no_pairs(self, monkeypatch, beta):
+        params = StableParams(1.5, 0.3, 2.0, beta)
+        xs = [1.0 / x for x in DEFAULT_SPECTRAL_GRID]
+        zs = [(x - 0.3) / 2.0 ** (1.0 / 1.5) for x in xs]
+        core = [z for z in zs if abs(z) <= _SPLIT]
+        assert len({abs(z) for z in core}) == len(core)
+        assert self._assert_bitwise(monkeypatch, params, xs) == len(core)
+
+    def test_skewed_law_keeps_one_row_per_point(self, monkeypatch):
+        params = StableParams(1.5, 0.0, 1.0, 0.5)
+        xs = [1.0, -1.0, 3.0, -3.0]
+        assert self._assert_bitwise(monkeypatch, params, xs) == 4
 
 
 class TestNanPoints:
